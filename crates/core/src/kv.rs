@@ -7,7 +7,7 @@
 //! final row), and its byte accounting feeds the serving-memory model.
 
 use atom_kernels::attention::QuantizedKvHead;
-use atom_kernels::KernelPath;
+use atom_kernels::{AsymQuantized, KernelPath};
 use atom_nn::KvStore;
 use atom_parallel::Pool;
 use atom_tensor::Matrix;
@@ -64,44 +64,58 @@ impl QuantizedKvCache {
         let heads = &self.layers[layer];
         let len = heads[0].len();
         let hd = self.head_dim;
-        // Dequantize-on-load parallelizes per head: each head decodes its
-        // own `len x head_dim` block (bit-identical to the sequential
-        // per-head loop), and the caller stitches the column blocks in head
-        // order afterwards — no worker ever shares an output.
-        // Each head's sweep reuses one code scratch buffer across all its
-        // rows (`dequantize_row_scratch`), decoding on the process-wide
-        // kernel path; scratch reuse and path choice change no bytes.
+        // Dequantize-on-load writes every (token, head) row straight into
+        // its `head_dim`-wide column block of the output — no per-head
+        // intermediate, no stitch copy. It parallelizes over blocks of
+        // token rows: each block is an exclusive span of the output decoded
+        // by the same per-row code, so the result is bit-identical at any
+        // pool width. One code scratch buffer serves a whole block
+        // (`dequantize_row_scratch`), decoding on the process-wide kernel
+        // path; scratch reuse and path choice change no bytes.
         let path = KernelPath::current();
-        let decode_head = |block: &QuantizedKvHead| {
-            let src = if keys { &block.keys } else { &block.values };
-            let mut m = Matrix::zeros(len, hd);
+        let decode_rows = |first: usize, rows: &mut [f32]| {
             let mut scratch = Vec::new();
-            for t in 0..len {
-                src.dequantize_row_scratch(t, m.row_mut(t), &mut scratch, path);
+            for (i, row) in rows.chunks_exact_mut(self.kv_dim).enumerate() {
+                for (block, dst) in heads.iter().zip(row.chunks_exact_mut(hd)) {
+                    let src = if keys { &block.keys } else { &block.values };
+                    src.dequantize_row_scratch(first + i, dst, &mut scratch, path);
+                }
             }
-            m
         };
-        let per_head = Pool::global()
-            .par_map(heads, |_, block| decode_head(block))
-            .unwrap_or_else(|_| heads.iter().map(decode_head).collect());
         let mut out = Matrix::zeros(len, self.kv_dim);
-        for (h, m) in per_head.iter().enumerate() {
-            for t in 0..len {
-                out.row_mut(t)[h * hd..(h + 1) * hd].copy_from_slice(m.row(t));
-            }
+        let span = LOAD_ROW_BLOCK * self.kv_dim;
+        let done = Pool::global().par_chunks_mut(out.as_mut_slice(), span, |b, rows| {
+            decode_rows(b * LOAD_ROW_BLOCK, rows);
+        });
+        if done.is_err() {
+            // A contained worker panic (a caller bug: ragged head lengths)
+            // re-raises on the caller thread, as the sequential loop would.
+            decode_rows(0, out.as_mut_slice());
         }
         out
     }
 }
 
+/// Token rows one pool chunk dequantizes on load.
+const LOAD_ROW_BLOCK: usize = 64;
+
 impl KvStore for QuantizedKvCache {
     fn append(&mut self, layer: usize, k: &Matrix, v: &Matrix) {
         assert_eq!(k.cols(), self.kv_dim, "k width mismatch");
         assert_eq!(v.cols(), self.kv_dim, "v width mismatch");
+        assert_eq!(k.rows(), v.rows(), "k/v row mismatch");
+        let (hd, bits) = (self.head_dim, self.bits);
         for (h, block) in self.layers[layer].iter_mut().enumerate() {
-            let ks = k.slice_cols(h * self.head_dim, (h + 1) * self.head_dim);
-            let vs = v.slice_cols(h * self.head_dim, (h + 1) * self.head_dim);
-            block.append(&ks, &vs);
+            // Quantize each head's column block from the row sub-slices.
+            let head_rows = |x: &Matrix| {
+                AsymQuantized::quantize_row_slices(
+                    (0..x.rows()).map(|t| &x.row(t)[h * hd..(h + 1) * hd]),
+                    hd,
+                    bits,
+                )
+            };
+            block.keys.append(&head_rows(k));
+            block.values.append(&head_rows(v));
         }
     }
 
@@ -207,6 +221,45 @@ mod tests {
         };
         assert!(bytes(4) < bytes(8));
         assert!(bytes(2) < bytes(4));
+    }
+
+    #[test]
+    fn append_and_load_match_the_per_head_copies_exactly() {
+        // append() quantizes each head from row sub-slices and keys() /
+        // values() decode straight into the output's column blocks; the
+        // definition they replace copies each head out (`slice_cols`),
+        // quantizes the copy, dequantizes per head and stitches. Same
+        // codes/scales/minima, same floats — for prefill (multi-row) and
+        // decode (one row at a time) appends, past one load row block.
+        let mut rng = SeededRng::new(21);
+        let (kv_dim, hd, bits) = (24, 8, 4);
+        let mut cache = QuantizedKvCache::new(1, kv_dim, hd, bits);
+        let mut reference: Vec<QuantizedKvHead> =
+            (0..kv_dim / hd).map(|_| QuantizedKvHead::new(hd, bits)).collect();
+        let mut feed = |rows: usize, rng: &mut SeededRng| {
+            let k = rng.normal_matrix(rows, kv_dim, 0.0, 1.0);
+            let v = rng.normal_matrix(rows, kv_dim, 0.5, 2.0);
+            cache.append(0, &k, &v);
+            for (h, head) in reference.iter_mut().enumerate() {
+                head.append(&k.slice_cols(h * hd, (h + 1) * hd), &v.slice_cols(h * hd, (h + 1) * hd));
+            }
+        };
+        feed(LOAD_ROW_BLOCK + 3, &mut rng);
+        for _ in 0..5 {
+            feed(1, &mut rng);
+        }
+        let len = LOAD_ROW_BLOCK + 8;
+        assert_eq!(cache.len(0), len);
+        let (keys, values) = (cache.keys(0), cache.values(0));
+        for (h, head) in reference.iter().enumerate() {
+            assert_eq!(cache.head(0, h).keys, head.keys, "head {h} key codes");
+            assert_eq!(cache.head(0, h).values, head.values, "head {h} value codes");
+            let (dk, dv) = (head.keys.dequantize(), head.values.dequantize());
+            for t in 0..len {
+                assert_eq!(&keys.row(t)[h * hd..(h + 1) * hd], dk.row(t), "key ({t}, {h})");
+                assert_eq!(&values.row(t)[h * hd..(h + 1) * hd], dv.row(t), "value ({t}, {h})");
+            }
+        }
     }
 
     #[test]

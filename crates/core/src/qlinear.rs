@@ -241,16 +241,21 @@ impl QuantizedLinear {
         self
     }
 
-    fn quantize_act(&self, x: &Matrix, region: Region) -> GroupQuantized {
+    /// Quantizes one region of `x` — its columns `cols`, a slice of the
+    /// reorder plan's permutation — straight through the index list: the
+    /// permuted activation is never materialized.
+    fn quantize_act(&self, x: &Matrix, cols: &[usize], region: Region) -> GroupQuantized {
         let (spec, scales) = match region {
             Region::Normal => (self.act_normal, self.act_static.as_ref().map(|s| &s.0)),
             Region::Outlier => (self.act_outlier, self.act_static.as_ref().map(|s| &s.1)),
         };
         match scales {
-            Some(shared) => GroupQuantized::quantize_with_shared_scales(x, spec, shared),
+            Some(shared) => {
+                GroupQuantized::quantize_with_shared_scales(&x.gather_cols(cols), spec, shared)
+            }
             // Dynamic per-token quantization is row-independent, so the
             // pool-parallel path packs the same bytes as the sequential one.
-            None => GroupQuantized::quantize_with(Pool::global(), x, spec),
+            None => GroupQuantized::quantize_gather_with(Pool::global(), x, cols, spec),
         }
     }
 
@@ -301,38 +306,31 @@ fn slice_gram(g: &[f64], k: usize, take: usize) -> Vec<f64> {
 impl LinearLayer for QuantizedLinear {
     fn forward(&self, x: &Matrix) -> Matrix {
         assert_eq!(x.cols(), self.in_features, "input width mismatch");
-        // Fused epilogue of the previous operator in the paper: reorder the
-        // channels, then dynamically quantize each region. The epilogue is
-        // timed separately from the GEMM it feeds (Fig. 3's "dequant"
-        // slice), so the quantization work finishes — and the timer stops —
-        // before the fused GEMM starts.
+        // Fused epilogue of the previous operator in the paper: each region
+        // is dynamically quantized through the reorder permutation, in one
+        // pass from `x` to packed codes + scales. The epilogue is timed
+        // separately from the GEMM it feeds (Fig. 3's "dequant" slice), so
+        // the quantization work finishes — and the timer stops — before the
+        // fused GEMM starts.
         let t = Telemetry::global();
         let quant_timer = t.timer(names::OP_QUANT_WALL_NS);
         let quant_span = span!(names::SPAN_QUANT_EPILOGUE, rows = x.rows());
         t.counter_add(names::OP_QUANT_CALLS, 1);
-        let xp = self.plan.reorder_activation(x);
-        let n_out = self.plan.n_outliers();
-        let k_normal = self.in_features - n_out;
+        // Normal channels first, outlier channels last (§4.1).
+        let (normal_cols, outlier_cols) = self.plan.perm().split_at(self.plan.n_normal());
 
-        let (qa_n, outlier) = match self.outlier_mode {
-            OutlierMode::None => (self.quantize_act(&xp, Region::Normal), OutlierOperand::None),
-            OutlierMode::Int8 => {
-                let x_n = xp.slice_cols(0, k_normal);
-                let qa_n = self.quantize_act(&x_n, Region::Normal);
-                if n_out == 0 {
-                    (qa_n, OutlierOperand::None)
-                } else {
-                    let x_o = xp.slice_cols(k_normal, self.in_features);
-                    (qa_n, OutlierOperand::Int8(self.quantize_act(&x_o, Region::Outlier)))
-                }
+        let qa_n = self.quantize_act(x, normal_cols, Region::Normal);
+        let outlier = match self.outlier_mode {
+            OutlierMode::Int8 if !outlier_cols.is_empty() => {
+                OutlierOperand::Int8(self.quantize_act(x, outlier_cols, Region::Outlier))
             }
             OutlierMode::Fp16 => {
-                let x_n = xp.slice_cols(0, k_normal);
-                let qa_n = self.quantize_act(&x_n, Region::Normal);
-                let mut x_o = xp.slice_cols(k_normal, self.in_features);
+                let mut x_o = x.gather_cols(outlier_cols);
                 x_o.map_in_place(round_f16);
-                (qa_n, OutlierOperand::Fp16(x_o))
+                OutlierOperand::Fp16(x_o)
             }
+            // No outlier channels: the plan's normal region is every channel.
+            OutlierMode::None | OutlierMode::Int8 => OutlierOperand::None,
         };
         drop(quant_span);
         quant_timer.stop();
@@ -489,6 +487,53 @@ mod tests {
         let q = QuantizedLinear::quantize(&dense, plan, Some(&gram), &cfg);
         let err = rel_err(&q.forward(&x), &dense.forward(&x));
         assert!(err < 0.12, "GPTQ path error {err}");
+    }
+
+    #[test]
+    fn fused_epilogue_matches_the_copying_pipeline_bit_for_bit() {
+        // forward() quantizes through the permutation; the definition it
+        // replaces permutes, slices and quantizes copies. Same output bits,
+        // at an odd width (37 = 32 normal + 5 outlier channels), for INT8
+        // outliers, no outliers and static scales.
+        let mut rng = SeededRng::new(7);
+        let (n, k) = (9, 37);
+        let dense = DenseLinear::new(rng.normal_matrix(n, k, 0.0, 0.3));
+        let x = rng.normal_matrix(5, k, 0.0, 1.5);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        let copying = |q: &QuantizedLinear| {
+            let xp = q.plan.reorder_activation(&x);
+            let k_normal = q.plan.n_normal();
+            let quant = |m: &Matrix, spec, shared: Option<&Vec<f32>>| match shared {
+                Some(s) => GroupQuantized::quantize_with_shared_scales(m, spec, s),
+                None => GroupQuantized::quantize(m, spec),
+            };
+            let statics = q.act_static.as_ref();
+            let qa_n = quant(&xp.slice_cols(0, k_normal), q.act_normal, statics.map(|s| &s.0));
+            if q.plan.n_outliers() == 0 {
+                return mixed_gemm(&qa_n, &q.weight.normal, None).expect("shapes agree");
+            }
+            let qa_o = quant(&xp.slice_cols(k_normal, k), q.act_outlier, statics.map(|s| &s.1));
+            let w_o = q.weight.outlier.as_ref().expect("outlier weights");
+            mixed_gemm(&qa_n, &q.weight.normal, Some((&qa_o, w_o))).expect("shapes agree")
+        };
+
+        let int8 = AtomLinearConfig {
+            use_gptq: false,
+            ..AtomLinearConfig::w4a4(5)
+        };
+        let plan = ReorderPlan::from_outlier_set(k, &[30, 2, 11, 36, 17]);
+        let q = QuantizedLinear::quantize(&dense, plan.clone(), None, &int8);
+        assert_eq!(bits(&q.forward(&x)), bits(&copying(&q)), "INT8 outliers");
+        let q = q.with_static_activations(&x.scaled(0.7));
+        assert_eq!(bits(&q.forward(&x)), bits(&copying(&q)), "static scales");
+
+        let none = AtomLinearConfig {
+            n_outliers: 0,
+            outlier_mode: OutlierMode::None,
+            ..int8
+        };
+        let q = QuantizedLinear::quantize(&dense, ReorderPlan::identity(k), None, &none);
+        assert_eq!(bits(&q.forward(&x)), bits(&copying(&q)), "no outliers");
     }
 
     #[test]

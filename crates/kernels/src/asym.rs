@@ -7,6 +7,7 @@
 //! its own scale and zero point. Here one [`AsymQuantized`] holds one head's
 //! rows, so each row is exactly one `(token, head)` quantization group.
 
+use crate::group::{integer_low_byte, round_clamped};
 use crate::packed::PackedMatrix;
 use crate::path::KernelPath;
 use atom_tensor::f16::round_f16;
@@ -54,20 +55,48 @@ impl AsymQuantized {
     ///
     /// Panics unless `2 <= bits <= 8`.
     pub fn quantize(x: &Matrix, bits: u8) -> Self {
+        Self::quantize_row_slices((0..x.rows()).map(|r| x.row(r)), x.cols(), bits)
+    }
+
+    /// [`quantize`](Self::quantize) over rows handed in as slices, each
+    /// `cols` wide — so a caller holding wider rows (the KV cache: one
+    /// `kv_dim` row per token, one `head_dim` block per head) quantizes a
+    /// column block without copying it out first.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use atom_kernels::AsymQuantized;
+    /// use atom_tensor::Matrix;
+    ///
+    /// let wide = Matrix::from_rows(&[&[9.0, 1.0, 2.0, 3.0], &[9.0, -1.0, 0.5, 8.0]]);
+    /// let block = (0..wide.rows()).map(|r| wide.row(r).get(1..).unwrap_or(&[]));
+    /// let from_slices = AsymQuantized::quantize_row_slices(block, 3, 4);
+    /// assert_eq!(from_slices, AsymQuantized::quantize(&wide.slice_cols(1, 4), 4));
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `2 <= bits <= 8` and every row is `cols` wide.
+    pub fn quantize_row_slices<'a>(
+        rows: impl ExactSizeIterator<Item = &'a [f32]>,
+        cols: usize,
+        bits: u8,
+    ) -> Self {
         assert!(
             (crate::group::MIN_BITS..=crate::group::MAX_BITS).contains(&bits),
             "bits must be in {}..={}",
             crate::group::MIN_BITS,
             crate::group::MAX_BITS
         );
-        let (rows, cols) = x.shape();
         let levels = ((1u32 << bits) - 1) as f32;
-        let bias = 1i16 << (bits - 1); // shift unsigned codes into signed storage
-        let mut codes = PackedMatrix::zeros(rows, cols, bits);
-        let mut scales = Vec::with_capacity(rows);
-        let mut mins = Vec::with_capacity(rows);
-        for r in 0..rows {
-            let row = x.row(r);
+        let bias = 1u8 << (bits - 1); // shift unsigned codes into signed storage
+        let mut codes = PackedMatrix::zeros(rows.len(), cols, bits);
+        let mut scales = Vec::with_capacity(rows.len());
+        let mut mins = Vec::with_capacity(rows.len());
+        let mut row_codes = vec![0i8; cols];
+        for (r, row) in rows.enumerate() {
+            assert_eq!(row.len(), cols, "row width mismatch");
             let (mut lo, mut hi) = (f32::INFINITY, f32::NEG_INFINITY);
             for &v in row {
                 lo = lo.min(v);
@@ -85,10 +114,12 @@ impl AsymQuantized {
             s = round_f16(s).max(f32::MIN_POSITIVE);
             scales.push(s);
             mins.push(lo);
-            for (c, &v) in row.iter().enumerate() {
-                let q = (((v - lo) / s).round()).clamp(0.0, levels) as i16;
-                codes.set(r, c, (q - bias) as i8);
+            for (c, &v) in row_codes.iter_mut().zip(row) {
+                // q in 0..=levels fits a byte; `q - bias` in two's complement.
+                let q = integer_low_byte(round_clamped((v - lo) / s, 0.0, levels));
+                *c = i8::from_le_bytes([q.wrapping_sub(bias)]);
             }
+            codes.pack_row(r, &row_codes);
         }
         AsymQuantized {
             bits,
@@ -212,23 +243,21 @@ impl AsymQuantized {
 
     /// Appends the rows of `x`, quantizing them on the way in.
     pub fn append_rows(&mut self, x: &Matrix) {
-        assert_eq!(x.cols(), self.cols(), "append width mismatch");
-        let added = AsymQuantized::quantize(x, self.bits);
-        let mut merged = PackedMatrix::zeros(self.rows() + added.rows(), self.cols(), self.bits);
-        let mut buf = vec![0i8; self.cols()];
-        for r in 0..self.rows() {
-            self.codes.unpack_row(r, &mut buf);
-            for (c, &v) in buf.iter().enumerate() {
-                merged.set(r, c, v);
-            }
-        }
-        for r in 0..added.rows() {
-            added.codes.unpack_row(r, &mut buf);
-            for (c, &v) in buf.iter().enumerate() {
-                merged.set(self.rows() + r, c, v);
-            }
-        }
-        self.codes = merged;
+        self.append(&AsymQuantized::quantize(x, self.bits));
+    }
+
+    /// Appends already-quantized rows in place: the packed payload, scales
+    /// and minima of `added` are concatenated onto this container's, so the
+    /// cost is the new rows only — the history is never re-packed.
+    /// Quantization is strictly per row, which makes N single-row appends
+    /// `==` one N-row append.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the widths or bit widths differ.
+    pub fn append(&mut self, added: &AsymQuantized) {
+        assert_eq!(added.cols(), self.cols(), "append width mismatch");
+        self.codes.append_rows(&added.codes);
         self.scales.extend_from_slice(&added.scales);
         self.mins.extend_from_slice(&added.mins);
     }
@@ -241,18 +270,7 @@ impl AsymQuantized {
     /// bit-identical to never having appended the dropped rows (the prefix
     /// cache relies on this when replaying a KV snapshot cut mid-sequence).
     pub fn truncate_rows(&mut self, rows: usize) {
-        if rows >= self.rows() {
-            return;
-        }
-        let mut trimmed = PackedMatrix::zeros(rows, self.cols(), self.bits);
-        let mut buf = vec![0i8; self.cols()];
-        for r in 0..rows {
-            self.codes.unpack_row(r, &mut buf);
-            for (c, &v) in buf.iter().enumerate() {
-                trimmed.set(r, c, v);
-            }
-        }
-        self.codes = trimmed;
+        self.codes.truncate_rows(rows);
         self.scales.truncate(rows);
         self.mins.truncate(rows);
     }

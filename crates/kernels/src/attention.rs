@@ -78,8 +78,8 @@ pub fn attention_quant_kv(q: &Matrix, kv: &QuantizedKvHead, scale: f32) -> Matri
 /// The path selects how each K/V row's codes decode on load: `Scalar` runs
 /// the per-element reference decode and allocates a fresh code buffer per
 /// row (the original kernel shape, kept as the honest baseline), `Swar`
-/// decodes 16 INT4 / 8 INT8 lanes per `u64` word and reuses one scratch
-/// buffer across the whole sweep. Decoded rows are bit-identical either
+/// decodes INT4 / INT8 rows through the vectorized byte loops of
+/// [`crate::swar`] and reuses one scratch buffer across the whole sweep. Decoded rows are bit-identical either
 /// way, and the FP attention arithmetic is shared, so the two paths return
 /// equal matrices — the property suite asserts `==`.
 ///

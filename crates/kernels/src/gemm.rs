@@ -11,12 +11,22 @@
 //! reordering, the leading `k - outliers` channels are INT4 and the trailing
 //! outlier channels INT8; the two regions multiply separately and their FP32
 //! results sum.
+//!
+//! Both run on one of two [`KernelPath`]s. `Scalar` is the reference loop
+//! nest, kept untouched as the oracle. `Swar` is the serving kernel: one
+//! sweep over the weight rows, decoded once per GEMM a block at a time,
+//! against activations whose groups are zero-padded to a multiple of 16
+//! codes, so every multiply-accumulate runs over fixed-width blocks of 16
+//! the compiler turns into packed multiply-adds; the two precision regions
+//! of a mixed GEMM share that sweep. DESIGN.md §3.11 has the bit-identity
+//! argument.
 
 use crate::group::{GroupQuantized, MAX_BITS};
+use crate::packed::PackedMatrix;
 use crate::path::KernelPath;
 use crate::KernelError;
 use atom_parallel::{Pool, KERNEL_ROW_BLOCK};
-use atom_telemetry::{names, span, Telemetry};
+use atom_telemetry::{names, span, SpanGuard, Telemetry, TimerGuard};
 use atom_tensor::Matrix;
 
 /// Largest reduction length `K` an `i32` accumulator provably survives at
@@ -125,14 +135,14 @@ pub fn fused_group_gemm_with(
 ///
 /// `Scalar` runs the reference loop nest: unpack both operands, then one
 /// iterator dot per output element with the fused group-dequant epilogue.
-/// `Swar` runs the weight-block-outer kernel: weights stay packed until the
-/// inner loop, each weight row decodes once per GEMM via the 16-lane SWAR
-/// unpack into an L1-resident buffer and is then MAC-ed against every
-/// activation row, accumulating into a transposed `n x m` tile (transposed
-/// back at the end). Groups are visited in the same ascending order with the
-/// same `0.0`-seeded FP32 fold and the same exact i32 group sums, so the two
-/// paths return bit-identical matrices — the property suite asserts `==`,
-/// not approximate equality.
+/// `Swar` runs the weight-row sweep: weights stay packed until a block of
+/// rows is needed, each block decodes once per GEMM into a cache-resident
+/// buffer and is then multiplied against every (zero-padded) activation row
+/// in fixed-width blocks of 16 codes, writing an `m x 32` tile of the
+/// output. Groups are visited in the same ascending order with the same
+/// FP32 fold and the same exact i32 group sums (a padding code is 0 and
+/// adds nothing), so the two paths return bit-identical matrices — the
+/// property suite asserts `==`, not approximate equality.
 ///
 /// # Errors
 ///
@@ -161,6 +171,17 @@ pub fn fused_group_gemm_with_path(
     w: &GroupQuantized,
     path: KernelPath,
 ) -> Result<Matrix, KernelError> {
+    let group = shared_group(a, w)?;
+    let _launch = record_launch(a.packed_bytes() + w.packed_bytes(), a.rows(), path);
+    match path {
+        KernelPath::Scalar => gemm_scalar(pool, a, w, group),
+        KernelPath::Swar => gemm_swar(pool, &Region::decode(a, w, group), None),
+    }
+}
+
+/// Validates one region's operands and returns its effective group size
+/// (the spec's, capped at the row width, at least 1).
+fn shared_group(a: &GroupQuantized, w: &GroupQuantized) -> Result<usize, KernelError> {
     if a.cols() != w.cols() {
         return Err(KernelError::ShapeMismatch(format!(
             "inner dimension: activations k={} vs weights k={}",
@@ -175,30 +196,36 @@ pub fn fused_group_gemm_with_path(
             "group size: activations {group_a} vs weights {group_w}"
         )));
     }
-    let (m, _n, _k) = (a.rows(), w.rows(), a.cols());
     let group = group_a.max(1);
     debug_assert!(
         group <= MAX_ACC_K,
         "group {group} exceeds MAX_ACC_K = {MAX_ACC_K}: per-group i32 accumulation \
          could overflow"
     );
+    Ok(group)
+}
 
-    let bytes = (a.packed_bytes() + w.packed_bytes()) as u64;
+/// Records one GEMM launch over `bytes` of packed operands and `rows`
+/// activation rows; the returned guards time it until they drop.
+fn record_launch(
+    bytes: usize,
+    rows: usize,
+    path: KernelPath,
+) -> (TimerGuard<'static>, SpanGuard<'static>) {
+    let bytes = bytes as u64;
     let t = Telemetry::global();
-    let _timer = t.timer(names::OP_GEMM_WALL_NS);
-    let _span = span!(names::SPAN_GEMM_W4A4, bytes = bytes, rows = m);
+    let guards = (
+        t.timer(names::OP_GEMM_WALL_NS),
+        span!(names::SPAN_GEMM_W4A4, bytes = bytes, rows = rows),
+    );
     t.counter_add(names::OP_GEMM_BYTES, bytes);
-    t.counter_add(names::OP_GEMM_ROWS, m as u64);
+    t.counter_add(names::OP_GEMM_ROWS, rows as u64);
     t.counter_add(names::OP_GEMM_CALLS, 1);
     match path {
         KernelPath::Scalar => t.counter_add(names::OP_GEMM_SCALAR_CALLS, 1),
         KernelPath::Swar => t.counter_add(names::OP_GEMM_SWAR_CALLS, 1),
     }
-
-    match path {
-        KernelPath::Scalar => gemm_scalar(pool, a, w, group),
-        KernelPath::Swar => gemm_swar_wblock(pool, a, w, group),
-    }
+    guards
 }
 
 /// The scalar reference GEMM: both operands fully unpacked, one iterator
@@ -258,83 +285,276 @@ fn gemm_scalar(
     Ok(out)
 }
 
-/// The SWAR weight-block-outer GEMM.
+/// Codes per fixed-width multiply-accumulate block on the `Swar` path.
+/// Decoded activation rows pad every quantization group with zero codes up
+/// to a multiple of this, so the inner loop always runs over whole
+/// `[i8; LANES]` blocks — a compile-time trip count the compiler unrolls
+/// into packed 16-bit multiply-adds. It equals the group size of every
+/// scheme in this workspace (a group of 16 is exactly one block).
+const LANES: usize = 16;
+
+/// Decoded weight codes the `Swar` sweep holds at a time: 16 KiB, half a
+/// typical L1 data cache, leaving room for the activation rows streaming
+/// past. A 32-row tile fits whole up to 512 channels.
+const DECODE_BLOCK_CODES: usize = 16 * 1024;
+
+/// One precision region of a GEMM on the `Swar` path — the INT4 normal
+/// channels or the INT8 outlier channels.
+///
+/// Activations decode once, up front, with every quantization group
+/// zero-padded to `padded` codes. Weight rows decode a block at a time, back
+/// to back at their real width, and group `g` of a weight row is read as the
+/// `padded`-wide *window* starting at its first code: where the window
+/// overhangs the group — into the next group, the next row, or the slack
+/// after the block — it meets the activation's zero padding, so whatever
+/// codes it holds multiply to exactly 0 and the i32 group sum is the sum
+/// over the real codes alone.
+struct Region<'a> {
+    w_values: &'a PackedMatrix,
+    /// `n x n_groups` weight scales, row-major.
+    w_scales: &'a [f32],
+    /// `m x n_groups` activation scales, row-major.
+    a_scales: &'a [f32],
+    /// `m x n_groups * padded` activation codes, group `g` of row `i` at
+    /// `(i * n_groups + g) * padded`, zero beyond the group's real codes.
+    a_codes: Vec<i8>,
+    /// Activation rows `m`.
+    a_rows: usize,
+    /// Codes per row `k`.
+    cols: usize,
+    /// Codes per quantization group (the row's last group may hold fewer).
+    group: usize,
+    /// Quantization groups per row.
+    n_groups: usize,
+    /// `group` rounded up to a multiple of [`LANES`].
+    padded: usize,
+}
+
+/// One decoded row: its codes and its group scales.
+type CodeRow<'r> = (&'r [i8], &'r [f32]);
+
+impl<'a> Region<'a> {
+    /// Decodes the activation rows of `a`; `group` is the effective group
+    /// size [`shared_group`] validated for the pair.
+    fn decode(a: &'a GroupQuantized, w: &'a GroupQuantized, group: usize) -> Self {
+        let (cols, n_groups) = (a.cols(), a.cols().div_ceil(group));
+        let padded = group.next_multiple_of(LANES);
+        let width = n_groups * padded;
+        let mut a_codes = vec![0i8; a.rows() * width];
+        // The padded layout is the packed column order when groups are
+        // already a multiple of LANES wide or there is a single group: only
+        // the tail of the last group is padding, and it is never written.
+        // Otherwise a row decodes into `spill` and moves group by group.
+        let contiguous = padded == group || n_groups <= 1;
+        let mut spill = vec![0i8; if contiguous { 0 } else { cols }];
+        for (r, row) in a_codes.chunks_exact_mut(width.max(1)).enumerate() {
+            if contiguous {
+                if let Some(head) = row.get_mut(..cols) {
+                    a.values().unpack_row_with(r, head, KernelPath::Swar);
+                }
+            } else {
+                a.values().unpack_row_with(r, &mut spill, KernelPath::Swar);
+                for (slot, codes) in row.chunks_exact_mut(padded).zip(spill.chunks(group)) {
+                    for (d, &c) in slot.iter_mut().zip(codes) {
+                        *d = c;
+                    }
+                }
+            }
+        }
+        Region {
+            w_values: w.values(),
+            w_scales: w.scales().as_slice(),
+            a_scales: a.scales().as_slice(),
+            a_codes,
+            a_rows: a.rows(),
+            cols,
+            group,
+            n_groups,
+            padded,
+        }
+    }
+
+    /// Decodes weight rows `first .. first + rows` back to back, plus
+    /// `padded` zero codes of slack for the last window's overhang.
+    fn decode_weight_rows(&self, first: usize, rows: usize) -> Vec<i8> {
+        let mut codes = vec![0i8; rows * self.cols + self.padded];
+        if let Some(run) = codes.get_mut(..rows * self.cols) {
+            self.w_values.unpack_rows_with(first, run, KernelPath::Swar);
+        }
+        codes
+    }
+
+    /// The rows of a block [`decode_weight_rows`] decoded, as [`CodeRow`]s:
+    /// weight row `first + jj`'s codes start at `jj * cols` and run
+    /// open-ended, so its group windows may overhang.
+    ///
+    /// [`decode_weight_rows`]: Self::decode_weight_rows
+    fn weight_rows<'s>(&'s self, block: &'s [i8], first: usize, rows: usize) -> Vec<CodeRow<'s>> {
+        let n_groups = self.n_groups;
+        let scales = self
+            .w_scales
+            .get(first * n_groups..(first + rows) * n_groups)
+            .unwrap_or(&[]);
+        (0..rows)
+            .map(|jj| block.get(jj * self.cols..).unwrap_or(&[]))
+            .zip(scales.chunks_exact(n_groups.max(1)))
+            .collect()
+    }
+
+    /// The decoded activation rows with their scales, in row order. (An
+    /// empty region — `k = 0` — yields no rows; its callers leave the
+    /// output at the empty sum.)
+    fn activation_rows(&self) -> impl Iterator<Item = CodeRow<'_>> {
+        self.a_codes
+            .chunks_exact((self.n_groups * self.padded).max(1))
+            .zip(self.a_scales.chunks_exact(self.n_groups.max(1)))
+    }
+
+    /// This region's term of one output element: the ascending-group FP32
+    /// fold of an activation row against a decoded weight row — steps ①–③
+    /// of Fig. 8 exactly as in [`gemm_scalar`].
+    ///
+    /// Never inlined: as its own function the group loop compiles to one
+    /// tight block; inlined into the two-region sweep the compiler
+    /// re-derives the `zip` bounds every group (measured 6% slower at
+    /// `m = 64`, 25% when the row lookups were inlined with it).
+    #[inline(never)]
+    fn fold(&self, a_row: CodeRow<'_>, w_row: CodeRow<'_>) -> f32 {
+        let a: &[i8] = a_row.0;
+        let w: &[i8] = w_row.0;
+        let (sa, sw) = (a_row.1, w_row.1);
+        if self.padded == LANES && (self.group == LANES || self.n_groups <= 1) {
+            // The shapes every scheme produces: one fixed-width block per
+            // group, and the weight windows tile the row.
+            a.chunks_exact(LANES)
+                .zip(w.chunks_exact(LANES))
+                .zip(sa.iter().zip(sw))
+                .map(|((ga, gw), (&scale_a, &scale_w))| {
+                    // A block holds at most `group <= MAX_ACC_K` real
+                    // codes; the rest multiply a zero:
+                    // bound: K * 2 ^ (2 * (MAX_BITS - 1)) < 2 ^ 31
+                    let iacc: i32 = ga
+                        .iter()
+                        .zip(gw)
+                        .map(|(&x, &y)| i32::from(x) * i32::from(y))
+                        .sum();
+                    iacc as f32 * scale_a * scale_w
+                })
+                .sum()
+        } else {
+            // Any other group size: a weight window every `group` codes,
+            // `padded` wide, walked in blocks of LANES like its activation
+            // group. The block sums add up in f64, which holds every
+            // integer below 2^53 exactly, so the total is the exact group
+            // sum and its `as f32` rounds the same integer `iacc as f32`
+            // rounds in `gemm_scalar`.
+            a.chunks_exact(self.padded)
+                .zip(w.windows(self.padded).step_by(self.group))
+                .zip(sa.iter().zip(sw))
+                .map(|((ga, gw), (&scale_a, &scale_w))| {
+                    let group_sum: f64 = ga
+                        .chunks_exact(LANES)
+                        .zip(gw.chunks_exact(LANES))
+                        .map(|(ba, bw)| {
+                            // bound: K * 2 ^ (2 * (MAX_BITS - 1)) < 2 ^ 31
+                            let block: i32 = ba
+                                .iter()
+                                .zip(bw)
+                                .map(|(&x, &y)| i32::from(x) * i32::from(y))
+                                .sum();
+                            f64::from(block)
+                        })
+                        .sum();
+                    group_sum as f32 * scale_a * scale_w
+                })
+                .sum()
+        }
+    }
+}
+
+/// The `Swar` GEMM: one sweep over the weight rows for every precision
+/// region at once.
 ///
 /// The scalar path streams the fully-unpacked weight matrix (`n*k` bytes)
 /// through the cache once per *activation row*; this kernel inverts the
 /// loop order so the packed weights (`n*k/2` bytes at INT4) stream exactly
 /// once per GEMM. Work parallelizes over blocks of [`KERNEL_ROW_BLOCK`]
 /// weight rows: block `b` owns weight rows `b*RB ..` and writes the
-/// exclusive span `out_t[b*RB*m ..]` of a transposed `n x m` accumulator,
-/// so any thread count produces the same bytes. Per weight row, the row
-/// decodes once via the 16-lane SWAR unpack into a `k`-byte L1-resident
-/// buffer and is MAC-ed against all `m` activation rows with the fused
-/// group-dequant epilogue kept in the same pass.
+/// exclusive span `tiles[b*RB*m ..]`, an `m x RB` tile of the output, so
+/// any thread count produces the same bytes. Per block, each region's
+/// weight rows decode once, back to back, into a cache-resident buffer;
+/// every pre-decoded activation row is then multiplied against all of them
+/// in fixed-width blocks, the fused group-dequant epilogue kept in the same
+/// pass, and a mixed GEMM writes `fold(normal) + fold(outlier)` once per
+/// element.
 ///
 /// Bit-identity with the scalar path holds because (a) each per-group i32
-/// sum is exact — no overflow by the [`MAX_ACC_K`] cap — so its value is
-/// independent of evaluation order, and (b) the FP32 epilogue folds the
-/// per-group terms in the same ascending-group order from the same `0.0`
-/// seed for every output element.
-fn gemm_swar_wblock(
+/// sum is exact — no overflow by the [`MAX_ACC_K`] cap, and every code
+/// outside the group meets a zero (see [`Region`]) — so its value is
+/// independent of evaluation order and of the padding; (b) each region's
+/// FP32 epilogue folds the per-group terms in the same ascending-group
+/// order through the same `sum::<f32>()`; and (c) the scalar composition
+/// adds the outlier matrix as `out + 1.0 * outlier`, and `1.0 * x` is `x`
+/// exactly.
+fn gemm_swar(
     pool: &Pool,
-    a: &GroupQuantized,
-    w: &GroupQuantized,
-    group: usize,
+    normal: &Region<'_>,
+    outlier: Option<&Region<'_>>,
 ) -> Result<Matrix, KernelError> {
-    let (m, n, k) = (a.rows(), w.rows(), a.cols());
-    // Activations are small (m rows); unpack them once via the SWAR decode.
-    let av = a.values().unpack_with_path(pool, KernelPath::Swar);
-    let a_scales = a.scales();
-    let w_scales = w.scales();
-    let wq = w.values();
+    let (m, n) = (normal.a_rows, normal.w_values.rows());
 
-    // Transposed accumulator: column-major from `out`'s perspective, so a
-    // weight-row block is a contiguous exclusive chunk. `n*m` splits into
-    // `m`-sized columns, and chunks of `m*RB` always cover whole columns,
-    // so `j = block*RB + jj` below never reaches `n`.
-    let mut out_t = vec![0f32; n * m];
-    pool.par_chunks_mut(&mut out_t, m.max(1) * KERNEL_ROW_BLOCK, |b, chunk| {
-        let mut wbuf: Vec<i8> = vec![0i8; k];
-        for (jj, col) in chunk.chunks_mut(m.max(1)).enumerate() {
-            let j = b * KERNEL_ROW_BLOCK + jj;
-            // One SWAR decode of weight row j serves all m activation rows.
-            wq.unpack_row_with(j, &mut wbuf, KernelPath::Swar);
-            let sw_row = w_scales.row(j);
-            for (i, o) in col.iter_mut().enumerate() {
-                let Some(ar) = av.get(i * k..(i + 1) * k) else {
-                    continue;
-                };
-                let sa = a_scales.row(i);
-                for ((ga, gw), (&scale_a, &scale_w)) in ar
-                    .chunks(group)
-                    .zip(wbuf.chunks(group))
-                    .zip(sa.iter().zip(sw_row))
-                {
-                    // Same exact group sum as the scalar path; the group
-                    // length is capped at MAX_ACC_K by the caller, so:
-                    // bound: K * 2 ^ (2 * (MAX_BITS - 1)) < 2 ^ 31
-                    let iacc: i32 = ga
-                        .iter()
-                        .zip(gw)
-                        .map(|(&x, &w)| i32::from(x) * i32::from(w))
-                        .sum();
-                    // Fused dequant epilogue: ascending-group FP32 fold from
-                    // the 0.0 the accumulator was initialized with — the
-                    // same fold `sum::<f32>()` performs in the scalar path.
-                    *o += iacc as f32 * scale_a * scale_w;
+    // `n*m` splits into tiles of `RB` weight rows: tile `b` is `m` runs of
+    // `rows_here` outputs (all `RB` but in the last tile), run `i` holding
+    // out[i][b*RB ..]. A tile is a contiguous exclusive chunk.
+    let mut tiles = vec![0f32; n * m];
+    let tile_len = m.max(1) * KERNEL_ROW_BLOCK;
+    pool.par_chunks_mut(&mut tiles, tile_len, |b, tile| {
+        let rows_here = tile.len() / m.max(1);
+        // The tile's weight rows decode in blocks small enough to stay
+        // cache-resident (the whole tile at the serving widths); one decode
+        // of a block serves all m activation rows.
+        let block_rows = (DECODE_BLOCK_CODES / normal.cols.max(1)).clamp(1, KERNEL_ROW_BLOCK);
+        for at in (0..rows_here).step_by(block_rows) {
+            let (first, rows) = (b * KERNEL_ROW_BLOCK + at, block_rows.min(rows_here - at));
+            let codes_n = normal.decode_weight_rows(first, rows);
+            let w_n = normal.weight_rows(&codes_n, first, rows);
+            let codes_o = outlier.map(|r| r.decode_weight_rows(first, rows));
+            let w_o = outlier
+                .zip(codes_o.as_deref())
+                .map(|(r, codes)| (r, r.weight_rows(codes, first, rows)));
+            // Run `i` of the tile holds out[i][b*RB ..]; this block's part
+            // of it starts `at` in.
+            let runs = tile
+                .chunks_exact_mut(rows_here.max(1))
+                .filter_map(|run| run.get_mut(at..at + rows));
+            match &w_o {
+                None => {
+                    for (run, a_n) in runs.zip(normal.activation_rows()) {
+                        for (o, &w) in run.iter_mut().zip(&w_n) {
+                            *o = normal.fold(a_n, w);
+                        }
+                    }
+                }
+                Some((r, w_o)) => {
+                    let rows = normal.activation_rows().zip(r.activation_rows());
+                    for (run, (a_n, a_o)) in runs.zip(rows) {
+                        for ((o, &w), &w_out) in run.iter_mut().zip(&w_n).zip(w_o) {
+                            *o = normal.fold(a_n, w) + r.fold(a_o, w_out);
+                        }
+                    }
                 }
             }
         }
     })?;
 
-    // Transpose the n x m accumulator back to m x n on the caller thread.
+    // Lay the tiles' runs into the m x n output on the caller thread.
     let mut out = Matrix::zeros(m, n);
-    let flat = out.as_mut_slice();
-    for (j, col) in out_t.chunks_exact(m.max(1)).enumerate() {
-        for (i, &v) in col.iter().enumerate() {
-            if let Some(o) = flat.get_mut(i * n + j) {
-                *o = v;
+    for (b, tile) in tiles.chunks(tile_len).enumerate() {
+        let rows_here = tile.len() / m.max(1);
+        let first = b * KERNEL_ROW_BLOCK;
+        for (i, run) in tile.chunks_exact(rows_here.max(1)).enumerate() {
+            if let Some(dst) = out.row_mut(i).get_mut(first..first + rows_here) {
+                dst.copy_from_slice(run);
             }
         }
     }
@@ -359,8 +579,8 @@ pub fn mixed_gemm(
     mixed_gemm_with(Pool::global(), a_normal, w_normal, outliers)
 }
 
-/// [`mixed_gemm`] on an explicit [`Pool`]. Both regional GEMMs parallelize
-/// over rows; the FP32 region sum stays on the caller thread, so no
+/// [`mixed_gemm`] on an explicit [`Pool`]. Work parallelizes over rows of
+/// the output and every output element is written by one chunk, so no
 /// reduction ever races.
 ///
 /// # Errors
@@ -376,11 +596,15 @@ pub fn mixed_gemm_with(
     mixed_gemm_with_path(pool, a_normal, w_normal, outliers, KernelPath::current())
 }
 
-/// [`mixed_gemm_with`] with an explicit [`KernelPath`]: both the INT4
-/// normal-region GEMM and the INT8 outlier-region GEMM run on the selected
-/// path, so a pinned benchmark never mixes implementations. The FP32 region
-/// sum happens on the caller thread in both cases — path choice changes
-/// nothing about the result bytes.
+/// [`mixed_gemm_with`] with an explicit [`KernelPath`].
+///
+/// `Scalar` is the two-call composition — the INT4 normal-region GEMM,
+/// then the INT8 outlier-region GEMM, summed in FP32 on the caller thread —
+/// and stays the oracle. `Swar` computes the same bytes in one sweep over
+/// the weight rows: each row's two regions decode back to back, fold
+/// separately, and `fold(normal) + fold(outlier)` is written once, with one
+/// activation decode, one accumulator and no separate summation pass. It
+/// counts as one GEMM launch in telemetry where the composition counts two.
 ///
 /// # Errors
 ///
@@ -396,9 +620,12 @@ pub fn mixed_gemm_with(
 ///
 /// let a = GroupQuantized::quantize(&Matrix::full(2, 32, 1.0), QuantSpec::new(4, 16));
 /// let w = GroupQuantized::quantize(&Matrix::full(3, 32, 1.0), QuantSpec::new(4, 16));
+/// let a_o = GroupQuantized::quantize(&Matrix::full(2, 10, 9.0), QuantSpec::new(8, 16));
+/// let w_o = GroupQuantized::quantize(&Matrix::full(3, 10, 1.0), QuantSpec::new(8, 16));
 /// let pool = Pool::sequential();
-/// let scalar = mixed_gemm_with_path(&pool, &a, &w, None, KernelPath::Scalar).unwrap();
-/// let swar = mixed_gemm_with_path(&pool, &a, &w, None, KernelPath::Swar).unwrap();
+/// let outliers = Some((&a_o, &w_o));
+/// let scalar = mixed_gemm_with_path(&pool, &a, &w, outliers, KernelPath::Scalar).unwrap();
+/// let swar = mixed_gemm_with_path(&pool, &a, &w, outliers, KernelPath::Swar).unwrap();
 /// assert_eq!(scalar.as_slice(), swar.as_slice());
 /// ```
 pub fn mixed_gemm_with_path(
@@ -408,17 +635,40 @@ pub fn mixed_gemm_with_path(
     outliers: Option<(&GroupQuantized, &GroupQuantized)>,
     path: KernelPath,
 ) -> Result<Matrix, KernelError> {
-    let mut out = fused_group_gemm_with_path(pool, a_normal, w_normal, path)?;
-    if let Some((a_out, w_out)) = outliers {
-        if a_out.rows() != a_normal.rows() || w_out.rows() != w_normal.rows() {
-            return Err(KernelError::ShapeMismatch(
-                "outlier region row counts disagree with normal region".into(),
-            ));
+    let Some((a_out, w_out)) = outliers else {
+        return fused_group_gemm_with_path(pool, a_normal, w_normal, path);
+    };
+    let rows_agree = a_out.rows() == a_normal.rows() && w_out.rows() == w_normal.rows();
+    let rows_mismatch = || {
+        KernelError::ShapeMismatch("outlier region row counts disagree with normal region".into())
+    };
+    // A region without channels contributes the empty sum; the sweep walks
+    // decoded rows, so it takes the composition like the scalar path does.
+    let one_sweep = path == KernelPath::Swar && a_normal.cols() > 0 && a_out.cols() > 0;
+    if !one_sweep {
+        let mut out = fused_group_gemm_with_path(pool, a_normal, w_normal, path)?;
+        if !rows_agree {
+            return Err(rows_mismatch());
         }
         let o = fused_group_gemm_with_path(pool, a_out, w_out, path)?;
         out.add_scaled_in_place(&o, 1.0);
+        return Ok(out);
     }
-    Ok(out)
+    let group_normal = shared_group(a_normal, w_normal)?;
+    if !rows_agree {
+        return Err(rows_mismatch());
+    }
+    let group_outlier = shared_group(a_out, w_out)?;
+    let bytes = [a_normal, w_normal, a_out, w_out]
+        .iter()
+        .map(|q| q.packed_bytes())
+        .sum();
+    let _launch = record_launch(bytes, a_normal.rows(), path);
+    gemm_swar(
+        pool,
+        &Region::decode(a_normal, w_normal, group_normal),
+        Some(&Region::decode(a_out, w_out, group_outlier)),
+    )
 }
 
 /// Reference implementation: dequantize both operands and run the FP32

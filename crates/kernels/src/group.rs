@@ -118,49 +118,14 @@ impl GroupQuantized {
     ///
     /// Panics if the spec is invalid.
     pub fn quantize(x: &Matrix, spec: QuantSpec) -> Self {
-        // lint: allow(panic-freedom) — documented `# Panics` contract: an invalid spec is a programmer error, not a data condition
-        spec.validate().expect("invalid quant spec");
-        let (rows, cols) = x.shape();
-        let group = spec.group.min(cols.max(1));
-        let n_groups = spec.groups_for(cols);
-        let qmax_pos = ((1i32 << (spec.bits - 1)) - 1) as f32;
-        let qmin = -(1i32 << (spec.bits - 1)) as f32;
-        let levels = ((1i32 << spec.bits) - 1) as f32;
-
-        let mut values = PackedMatrix::zeros(rows, cols, spec.bits);
-        let mut scales = Matrix::zeros(rows, n_groups);
-        for r in 0..rows {
-            // `chunks(group)` walks exactly the `n_groups` per-row groups
-            // (final chunk ragged), so the group index never leaves range.
-            let row = x.row(r);
-            let scale_row = scales.row_mut(r);
-            for (g, (chunk, s_out)) in row.chunks(group).zip(scale_row.iter_mut()).enumerate() {
-                let amax = chunk.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-                // Paper §2: s = 2 max|X| c / (2^n - 1).
-                let mut s = 2.0 * amax * spec.clip / levels;
-                if s <= 0.0 {
-                    s = 1.0; // all-zero group: any scale decodes to zeros
-                }
-                s = round_f16(s).max(f32::MIN_POSITIVE);
-                *s_out = s;
-                for (off, &v) in chunk.iter().enumerate() {
-                    let q = (v / s).round().clamp(qmin, qmax_pos) as i8;
-                    values.set(r, g * group + off, q);
-                }
-            }
-        }
-        GroupQuantized {
-            spec,
-            values,
-            scales,
-        }
+        Self::quantize_block(x, 0..x.rows(), None, spec)
     }
 
     /// [`quantize`](Self::quantize) parallelized over row-blocks on `pool`.
     ///
     /// Every row quantizes independently (per-token dynamic quantization,
     /// §4.3), so the per-block results reassemble — packed payload via
-    /// [`PackedMatrix::vstack`], scales via [`Matrix::vstack`] — into
+    /// [`PackedMatrix::append_rows`], scales via [`Matrix::vstack`] — into
     /// exactly the bytes the sequential quantizer writes, for any thread
     /// count.
     ///
@@ -169,36 +134,129 @@ impl GroupQuantized {
     /// Panics if the spec is invalid (same contract as
     /// [`quantize`](Self::quantize)).
     pub fn quantize_with(pool: &Pool, x: &Matrix, spec: QuantSpec) -> Self {
+        Self::quantize_blocks(pool, x, None, spec)
+    }
+
+    /// Fused reorder + quantize (the epilogue of paper Fig. 8): quantizes
+    /// the matrix whose column `c` is `x`'s column `cols[c]`, reading `x`
+    /// through the index list instead of materializing the permuted copy.
+    /// The result is `==` to quantizing that copy — same packed bytes, same
+    /// scales — for any thread count (row-blocks on `pool`, as
+    /// [`quantize_with`](Self::quantize_with)).
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use atom_kernels::{GroupQuantized, QuantSpec};
+    /// use atom_parallel::Pool;
+    /// use atom_tensor::Matrix;
+    ///
+    /// let x = Matrix::from_rows(&[&[0.1, -0.5, 2.0, 0.7, 9.0]]);
+    /// let perm = [3, 0, 2, 4, 1];
+    /// let spec = QuantSpec::new(4, 2);
+    /// // The trailing two permuted channels, without building them first.
+    /// let fused = GroupQuantized::quantize_gather_with(&Pool::sequential(), &x, &perm[3..], spec);
+    /// let copied = GroupQuantized::quantize(&x.permute_cols(&perm).slice_cols(3, 5), spec);
+    /// assert_eq!(fused, copied);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if the spec is invalid or an index is `>= x.cols()`.
+    pub fn quantize_gather_with(pool: &Pool, x: &Matrix, cols: &[usize], spec: QuantSpec) -> Self {
+        assert!(
+            cols.iter().all(|&c| c < x.cols()),
+            "gather index out of range for {} columns",
+            x.cols()
+        );
+        Self::quantize_blocks(pool, x, Some(cols), spec)
+    }
+
+    /// Splits the rows of `x` into one block per pool thread, quantizes the
+    /// blocks in parallel and stitches them in row order.
+    fn quantize_blocks(pool: &Pool, x: &Matrix, gather: Option<&[usize]>, spec: QuantSpec) -> Self {
         let rows = x.rows();
         if pool.is_sequential() || rows <= 1 || spec.validate().is_err() {
-            // The invalid-spec case funnels into `quantize` so the
-            // documented panic fires on the caller thread, not a worker.
-            return Self::quantize(x, spec);
+            // The invalid-spec case funnels into the sequential quantizer
+            // so the documented panic fires on the caller thread, not a
+            // worker.
+            return Self::quantize_block(x, 0..rows, gather, spec);
         }
         let block = rows.div_ceil(pool.threads().min(rows));
         let starts: Vec<usize> = (0..rows).step_by(block.max(1)).collect();
         let blocks = pool.par_map(&starts, |_, &s| {
-            Self::quantize(&x.slice_rows(s, (s + block).min(rows)), spec)
+            Self::quantize_block(x, s..(s + block).min(rows), gather, spec)
         });
         let stitched = blocks.ok().and_then(|bs| {
-            let values =
-                PackedMatrix::vstack(&bs.iter().map(|b| b.values.clone()).collect::<Vec<_>>())?;
-            let scales = bs
-                .iter()
-                .map(|b| &b.scales)
-                .fold(None::<Matrix>, |acc, s| match acc {
-                    None => Some(s.clone()),
-                    Some(a) => Some(a.vstack(s)),
-                })?;
-            Some(GroupQuantized {
-                spec,
-                values,
-                scales,
+            bs.into_iter().reduce(|mut acc, b| {
+                acc.values.append_rows(&b.values);
+                acc.scales = acc.scales.vstack(&b.scales);
+                acc
             })
         });
-        // The fallback arm is an unreachable backstop (blocks cover every
-        // row and share cols/bits); it keeps this path total.
-        stitched.unwrap_or_else(|| Self::quantize(x, spec))
+        // The fallback arm is an unreachable backstop (no worker panics on
+        // a valid spec, and `rows > 1` leaves at least one block); it keeps
+        // this path total.
+        stitched.unwrap_or_else(|| Self::quantize_block(x, 0..rows, gather, spec))
+    }
+
+    /// The sequential quantizer every constructor funnels into: rows
+    /// `rows` of `x` (through `gather`'s column list when given), one row
+    /// at a time — scales, then codes into a row buffer, then one
+    /// whole-byte [`PackedMatrix::pack_row`].
+    fn quantize_block(
+        x: &Matrix,
+        rows: std::ops::Range<usize>,
+        gather: Option<&[usize]>,
+        spec: QuantSpec,
+    ) -> Self {
+        // lint: allow(panic-freedom) — documented `# Panics` contract: an invalid spec is a programmer error, not a data condition
+        spec.validate().expect("invalid quant spec");
+        let cols = gather.map_or(x.cols(), <[usize]>::len);
+        let group = spec.group.min(cols.max(1));
+        let levels = ((1i32 << spec.bits) - 1) as f32;
+        let (qmin, qmax_pos) = code_range(spec.bits);
+
+        let mut values = PackedMatrix::zeros(rows.len(), cols, spec.bits);
+        let mut scales = Matrix::zeros(rows.len(), spec.groups_for(cols));
+        let mut gathered = vec![0.0f32; gather.map_or(0, <[usize]>::len)];
+        let mut codes = vec![0i8; cols];
+        for (out_r, r) in rows.enumerate() {
+            let row = match gather {
+                None => x.row(r),
+                Some(idx) => {
+                    let src = x.row(r);
+                    for (d, &c) in gathered.iter_mut().zip(idx) {
+                        // In range by the assert in `quantize_gather_with`.
+                        *d = src.get(c).copied().unwrap_or(0.0);
+                    }
+                    &gathered
+                }
+            };
+            // `chunks(group)` walks exactly the `n_groups` per-row groups
+            // (final chunk ragged), so the group index never leaves range.
+            for ((chunk, q_out), s_out) in row
+                .chunks(group)
+                .zip(codes.chunks_mut(group))
+                .zip(scales.row_mut(out_r))
+            {
+                let amax = chunk.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
+                // Paper §2: s = 2 max|X| c / (2^n - 1).
+                let mut s = 2.0 * amax * spec.clip / levels;
+                if s <= 0.0 {
+                    s = 1.0; // all-zero group: any scale decodes to zeros
+                }
+                s = round_f16(s).max(f32::MIN_POSITIVE);
+                *s_out = s;
+                encode_group(chunk, s, qmin, qmax_pos, q_out);
+            }
+            values.pack_row(out_r, &codes);
+        }
+        GroupQuantized {
+            spec,
+            values,
+            scales,
+        }
     }
 
     /// The quantization spec.
@@ -265,26 +323,23 @@ impl GroupQuantized {
         let n_groups = spec.groups_for(cols);
         assert_eq!(shared.len(), n_groups, "shared scale count mismatch");
         assert!(shared.iter().all(|&s| s > 0.0), "scales must be positive");
-        let qmax_pos = ((1i32 << (spec.bits - 1)) - 1) as f32;
-        let qmin = -(1i32 << (spec.bits - 1)) as f32;
+        let (qmin, qmax_pos) = code_range(spec.bits);
         let mut values = PackedMatrix::zeros(rows, cols, spec.bits);
         let mut scales = Matrix::zeros(rows, n_groups);
+        let mut codes = vec![0i8; cols];
         for r in 0..rows {
-            let row = x.row(r);
-            let scale_row = scales.row_mut(r);
-            for (g, ((chunk, s_out), &shared_s)) in row
+            for (((chunk, q_out), s_out), &shared_s) in x
+                .row(r)
                 .chunks(group)
-                .zip(scale_row.iter_mut())
+                .zip(codes.chunks_mut(group))
+                .zip(scales.row_mut(r))
                 .zip(shared)
-                .enumerate()
             {
                 let s = round_f16(shared_s).max(f32::MIN_POSITIVE);
                 *s_out = s;
-                for (off, &v) in chunk.iter().enumerate() {
-                    let q = (v / s).round().clamp(qmin, qmax_pos) as i8;
-                    values.set(r, g * group + off, q);
-                }
+                encode_group(chunk, s, qmin, qmax_pos, q_out);
             }
+            values.pack_row(r, &codes);
         }
         GroupQuantized {
             spec,
@@ -382,6 +437,64 @@ impl GroupQuantized {
     pub fn effective_bits(&self) -> f64 {
         8.0 * self.packed_bytes() as f64 / (self.rows() * self.cols()) as f64
     }
+}
+
+/// The signed code range of a `bits`-wide quantizer as floats:
+/// `(-2^(bits-1), 2^(bits-1) - 1)`.
+fn code_range(bits: u8) -> (f32, f32) {
+    let half = 1i32 << (bits - 1);
+    (-half as f32, (half - 1) as f32)
+}
+
+/// Paper §2: `q = clamp(round(x / s), qmin, qmax)` for one group.
+fn encode_group(chunk: &[f32], s: f32, qmin: f32, qmax_pos: f32, out: &mut [i8]) {
+    for (q, &v) in out.iter_mut().zip(chunk) {
+        *q = i8::from_le_bytes([integer_low_byte(round_clamped(v / s, qmin, qmax_pos))]);
+    }
+}
+
+/// `1.5 * 2^23`. Adding it to a float of magnitude at most `2^22` yields a
+/// float in `[2^23, 2^24)`, where the spacing is exactly 1: the sum is the
+/// operand's nearest integer (ties to even), and it sits in the low
+/// mantissa bits as a two's-complement offset from `0x4B40_0000`.
+const ROUND_MAGIC: f32 = 12_582_912.0;
+
+/// `t.round().clamp(lo, hi)` for integer limits of magnitude at most `2^22`
+/// — the `clamp(round(·))` of both quantizers — in branch-free float
+/// arithmetic the compiler vectorizes. `f32::round` (half away from zero)
+/// is a libm call per element at the baseline x86-64 feature level, and a
+/// float-to-integer `as` cast saturates element by element; together they
+/// were most of the dynamic-quantization epilogue.
+///
+/// It is exact, not an approximation. `round` is monotone and maps an
+/// integer to itself, so clamping before rounding changes nothing.
+/// `(t + MAGIC) - MAGIC` is `t`'s nearest integer with ties to even, and
+/// `t` minus it is exact; half-away-from-zero differs from ties-to-even
+/// only on a tie that went toward zero, which is `diff == ±0.5` with the
+/// sign of `t`. A NaN becomes `0.0`, which is what the integer cast this
+/// replaces made of `NaN.round()` (`-0.0` likewise comes back as `0.0`).
+/// Every one of the 2^32 bit patterns was swept once against
+/// `t.round().clamp(lo, hi)` at the INT4/INT8 signed and unsigned limits.
+#[inline]
+pub(crate) fn round_clamped(t: f32, lo: f32, hi: f32) -> f32 {
+    let t = if t.is_nan() { 0.0 } else { t.clamp(lo, hi) };
+    let even = (t + ROUND_MAGIC) - ROUND_MAGIC;
+    let diff = t - even;
+    if diff == 0.5 && t > 0.0 {
+        even + 1.0
+    } else if diff == -0.5 && t < 0.0 {
+        even - 1.0
+    } else {
+        even
+    }
+}
+
+/// The low byte of the two's-complement integer an integer-valued float of
+/// magnitude at most `2^22` holds — `q as i8` (or `as u8`) for a `q` in
+/// range, without the saturating cast (see [`ROUND_MAGIC`]).
+#[inline]
+pub(crate) fn integer_low_byte(q: f32) -> u8 {
+    ((q + ROUND_MAGIC).to_bits() & 0xFF) as u8
 }
 
 /// Convenience: quantize then immediately dequantize ("fake quantization"),
@@ -554,6 +667,37 @@ mod tests {
             err_static > err_dynamic * 10.0,
             "static should clip badly: {err_static} vs {err_dynamic}"
         );
+    }
+
+    #[test]
+    fn round_clamped_is_round_then_clamp_exactly() {
+        // Ties (every half-integer in range, both signs), their nearest
+        // neighbours on either side, the values just inside 0.5, and the
+        // out-of-range / non-finite inputs a degenerate scale produces. (All
+        // 2^32 bit patterns were swept once against `f32::round`; this keeps
+        // the boundaries pinned.)
+        let mut inputs = vec![
+            0.0f32, -0.0, 0.49999997, -0.49999997, 0.5, -0.5, 1e-40, -1e-40, 126.5, 127.5,
+            -128.5, 300.0, -300.0, 8_388_607.5, 3.0e9, -3.0e9, f32::MAX, f32::MIN,
+            f32::INFINITY, f32::NEG_INFINITY, f32::NAN,
+        ];
+        for half in -260i16..=260 {
+            let tie = f32::from(half) + 0.5;
+            inputs.extend([tie, tie.next_up(), tie.next_down(), f32::from(half)]);
+        }
+        for &(lo, hi) in &[(-8.0f32, 7.0f32), (-128.0, 127.0), (-2.0, 1.0), (0.0, 15.0), (0.0, 255.0)] {
+            for &t in &inputs {
+                // NaN is the one input where the floats differ (NaN vs 0.0)
+                // while the callers' integer casts agree (both 0).
+                let rounded = t.round().clamp(lo, hi);
+                let expect = if rounded.is_nan() { 0.0 } else { rounded };
+                let got = round_clamped(t, lo, hi);
+                assert_eq!(got, expect, "t={t:e} in [{lo}, {hi}]");
+                // ... and the byte is the cast's: two's complement below 0.
+                let byte = if expect < 0.0 { expect + 256.0 } else { expect };
+                assert_eq!(f32::from(integer_low_byte(got)), byte, "t={t:e} in [{lo}, {hi}]");
+            }
+        }
     }
 
     #[test]

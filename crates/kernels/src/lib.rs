@@ -16,10 +16,11 @@
 //!   KV-cache (paper §4.4).
 //! - [`attention`] — self-attention with dequantize-on-load quantized KV,
 //!   mirroring the fused FlashInfer kernel.
-//! - [`swar`] — `u64` SWAR primitives that decode 16 INT4 (or 8 INT8) lanes
-//!   per word; the hot GEMM/attention inner loops are built on these.
-//! - [`path`] — [`KernelPath`] selection between the SWAR fast path and the
-//!   scalar reference (`ATOM_KERNEL_PATH`, default `swar`); the two are
+//! - [`swar`] — the fast path's INT4 / INT8 row decoders: plain
+//!   byte-at-a-time loops the compiler vectorizes; the hot GEMM/attention
+//!   inner loops decode through these.
+//! - [`path`] — [`KernelPath`] selection between the `swar` fast path and
+//!   the scalar reference (`ATOM_KERNEL_PATH`, default `swar`); the two are
 //!   proven bit-identical by the property suite.
 //!
 //! Every kernel has a reference implementation and is tested against it;

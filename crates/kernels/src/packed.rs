@@ -46,20 +46,17 @@ impl PackedMatrix {
     pub fn zeros(rows: usize, cols: usize, bits: u8) -> Self {
         assert!((2..=8).contains(&bits), "bits must be in 2..=8, got {bits}");
         let row_stride = (cols * bits as usize).div_ceil(8);
-        let mut m = PackedMatrix {
+        // Biased representation of signed 0 is 2^(bits-1), not raw 0: pack
+        // one row of it (pad bits stay 0) and repeat the bytes.
+        let mut zero_row = vec![0u8; row_stride];
+        pack_codes(bits, &vec![0i8; cols], &mut zero_row);
+        PackedMatrix {
             rows,
             cols,
             bits,
             row_stride,
-            data: vec![0u8; rows * row_stride],
-        };
-        // Biased representation of signed 0 is 2^(bits-1), not raw 0.
-        for r in 0..rows {
-            for c in 0..cols {
-                m.set(r, c, 0);
-            }
+            data: zero_row.repeat(rows),
         }
-        m
     }
 
     /// Builds a packed matrix from signed values in row-major order.
@@ -72,9 +69,7 @@ impl PackedMatrix {
         assert_eq!(values.len(), rows * cols, "value count mismatch");
         let mut m = Self::zeros(rows, cols, bits);
         for (r, row) in values.chunks(cols.max(1)).enumerate().take(rows) {
-            for (c, &v) in row.iter().enumerate() {
-                m.set(r, c, v);
-            }
+            m.pack_row(r, row);
         }
         m
     }
@@ -163,6 +158,73 @@ impl PackedMatrix {
         }
     }
 
+    /// Overwrites row `r` with `values`, writing whole bytes (the row's
+    /// pad bits are written as 0) — the bulk counterpart of
+    /// [`set`](Self::set) the quantizers pack through.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use atom_kernels::PackedMatrix;
+    ///
+    /// let mut by_row = PackedMatrix::zeros(2, 5, 3);
+    /// let mut by_elem = PackedMatrix::zeros(2, 5, 3);
+    /// let vals = [-4i8, 3, 0, -1, 2];
+    /// by_row.pack_row(1, &vals);
+    /// for (c, &v) in vals.iter().enumerate() {
+    ///     by_elem.set(1, c, v);
+    /// }
+    /// assert_eq!(by_row, by_elem); // same bytes, pad bits included
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` is out of bounds, `values.len() != self.cols()`, or a
+    /// value is out of range for the bit width.
+    pub fn pack_row(&mut self, r: usize, values: &[i8]) {
+        assert_eq!(values.len(), self.cols, "pack buffer size mismatch");
+        let (lo, hi) = (self.min_value(), self.max_value());
+        assert!(
+            values.iter().all(|&v| v >= lo && v <= hi),
+            "value out of range for {} bits",
+            self.bits
+        );
+        assert!(r < self.rows, "row {r} out of bounds");
+        let span = r * self.row_stride..(r + 1) * self.row_stride;
+        // `rows * row_stride == data.len()` is the struct invariant, so the
+        // asserted row index always resolves.
+        if let Some(row) = self.data.get_mut(span) {
+            pack_codes(self.bits, values, row);
+        }
+    }
+
+    /// Appends the rows of `other` in place. Rows are byte-aligned
+    /// (`row_stride`), so appending is exact payload concatenation and the
+    /// history is never re-packed: a token-at-a-time KV append costs the new
+    /// rows only, and the parallel row-block quantizer reassembles
+    /// per-block results into the same bytes the sequential quantizer
+    /// writes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the column counts or bit widths differ.
+    pub fn append_rows(&mut self, other: &PackedMatrix) {
+        assert_eq!(other.cols, self.cols, "append width mismatch");
+        assert_eq!(other.bits, self.bits, "append bit width mismatch");
+        self.data.extend_from_slice(&other.data);
+        self.rows += other.rows;
+    }
+
+    /// Drops every row beyond the first `rows` in place (a payload
+    /// `truncate`); a no-op when `rows >= self.rows()`. The surviving bytes
+    /// are untouched, so the result equals never having appended the rest.
+    pub fn truncate_rows(&mut self, rows: usize) {
+        if rows < self.rows {
+            self.data.truncate(rows * self.row_stride);
+            self.rows = rows;
+        }
+    }
+
     /// Unpacks row `r` into `out` as signed i8 values.
     ///
     /// This is the hot path of every GEMM kernel: operand rows are unpacked
@@ -178,11 +240,11 @@ impl PackedMatrix {
     }
 
     /// [`unpack_row`](Self::unpack_row) with an explicit [`KernelPath`]:
-    /// `Swar` decodes INT4/INT8 rows 16/8 lanes per `u64` word via
-    /// [`crate::swar`], every other width (and `Scalar`) runs the portable
-    /// per-element loop. Both paths produce byte-identical buffers — the
-    /// round-trip below packs values, unpacks through each path, and
-    /// compares exactly.
+    /// `Swar` decodes INT4/INT8 rows through the byte-at-a-time loops of
+    /// [`crate::swar`], which the compiler vectorizes; every other width
+    /// (and `Scalar`) runs the portable per-element loop. Both paths produce
+    /// byte-identical buffers — the round-trip below packs values, unpacks
+    /// through each path, and compares exactly.
     ///
     /// # Example
     ///
@@ -221,9 +283,53 @@ impl PackedMatrix {
         }
     }
 
+    /// Decodes the `out.len() / cols` consecutive rows starting at `first`
+    /// back to back into `out` — [`unpack_row_with`](Self::unpack_row_with)
+    /// for a run of rows. Rows are byte-aligned, so when a row packs without
+    /// pad bits (`cols * bits` a multiple of 8) the run's payload is one
+    /// continuous code stream, which the `Swar` INT4/INT8 decoders sweep in
+    /// a single pass; any other case decodes row by row. Same bytes either
+    /// way.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use atom_kernels::{KernelPath, PackedMatrix};
+    ///
+    /// let vals: Vec<i8> = (0..40).map(|c| (c % 16) - 8).collect();
+    /// let m = PackedMatrix::from_values(4, 10, 4, &vals);
+    /// let mut run = vec![0i8; 20];
+    /// m.unpack_rows_with(1, &mut run, KernelPath::Swar); // rows 1 and 2
+    /// assert_eq!(run, vals[10..30]);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len()` is not a whole number of rows. Rows out of
+    /// range are a caller bug: they trip a debug assertion under test and
+    /// decode as zeros in release builds.
+    pub fn unpack_rows_with(&self, first: usize, out: &mut [i8], path: KernelPath) {
+        let cols = self.cols.max(1);
+        let n = out.len() / cols;
+        assert_eq!(out.len(), n * self.cols, "unpack buffer is not whole rows");
+        let unpadded = self.row_stride * 8 == self.cols * usize::from(self.bits);
+        let payload = self
+            .data
+            .get(first * self.row_stride..(first + n) * self.row_stride);
+        match (payload, path, self.bits) {
+            (Some(bytes), KernelPath::Swar, 4) if unpadded => swar::unpack_row_i4(bytes, out),
+            (Some(bytes), KernelPath::Swar, 8) if unpadded => swar::unpack_row_i8(bytes, out),
+            _ => {
+                for (r, row) in out.chunks_exact_mut(cols).enumerate() {
+                    self.unpack_row_with(first + r, row, path);
+                }
+            }
+        }
+    }
+
     /// The scalar reference decode: one shift/mask/debias chain per element
     /// (with byte-level fast paths for the 8- and 4-bit layouts). This is
-    /// the oracle the SWAR path is proven bit-identical to.
+    /// the oracle the swar path is proven bit-identical to.
     fn unpack_row_scalar(&self, row: &[u8], out: &mut [i8]) {
         let bits = self.bits as usize;
         let bias = 1i16 << (bits - 1);
@@ -268,13 +374,7 @@ impl PackedMatrix {
     /// Unpacks the whole matrix into a row-major i8 buffer.
     pub fn unpack(&self) -> Vec<i8> {
         let mut out = vec![0i8; self.rows * self.cols];
-        for (r, chunk) in out
-            .chunks_mut(self.cols.max(1))
-            .enumerate()
-            .take(self.rows)
-        {
-            self.unpack_row(r, chunk);
-        }
+        self.unpack_rows_with(0, &mut out, KernelPath::current());
         out
     }
 
@@ -288,7 +388,7 @@ impl PackedMatrix {
 
     /// [`unpack_with`](Self::unpack_with) with an explicit [`KernelPath`],
     /// so a benchmark or test pinned to the scalar reference never decodes
-    /// through the SWAR primitives behind its back. Identical bytes either
+    /// through the swar decoders behind its back. Identical bytes either
     /// way, for any thread count.
     ///
     /// # Example
@@ -321,32 +421,52 @@ impl PackedMatrix {
             self.unpack()
         }
     }
+}
 
-    /// Stacks row-blocks vertically. Rows are byte-aligned (`row_stride`),
-    /// so stacking is exact payload concatenation — the parallel row-block
-    /// quantizer relies on this to reassemble per-block results into the
-    /// same bytes the sequential quantizer writes.
-    ///
-    /// Returns `None` when `blocks` is empty or the blocks disagree on
-    /// column count or bit width.
-    pub fn vstack(blocks: &[PackedMatrix]) -> Option<PackedMatrix> {
-        let first = blocks.first()?;
-        let (cols, bits, row_stride) = (first.cols, first.bits, first.row_stride);
-        if blocks.iter().any(|b| b.cols != cols || b.bits != bits) {
-            return None;
+/// Packs `values` (already range-checked) into `row`, biased to unsigned,
+/// `bits` per code, low bits first; trailing pad bits are written as 0.
+/// Whole-byte stores only: INT8 and INT4 take the byte-level layouts
+/// [`PackedMatrix::unpack_row_with`] decodes, other widths go through a
+/// bit accumulator.
+fn pack_codes(bits: u8, values: &[i8], row: &mut [u8]) {
+    // `v + 2^(bits-1)` lands in `0..2^bits` for an in-range `v`; the
+    // wrapping add on the reinterpreted byte is that sum modulo 256.
+    let bias = 1u8 << (bits - 1);
+    let raw = |v: i8| u8::from_le_bytes(v.to_le_bytes()).wrapping_add(bias);
+    match bits {
+        8 => {
+            for (b, &v) in row.iter_mut().zip(values) {
+                *b = raw(v);
+            }
         }
-        let rows = blocks.iter().map(|b| b.rows).sum();
-        let mut data = Vec::with_capacity(rows * row_stride);
-        for b in blocks {
-            data.extend_from_slice(&b.data);
+        4 => {
+            let (pairs, last) = values.as_chunks::<2>();
+            for (b, &[lo, hi]) in row.iter_mut().zip(pairs) {
+                *b = raw(lo) | (raw(hi) << 4);
+            }
+            // Odd column count: the last byte carries one code and pad bits.
+            if let ([v], Some(b)) = (last, row.get_mut(pairs.len())) {
+                *b = raw(*v);
+            }
         }
-        Some(PackedMatrix {
-            rows,
-            cols,
-            bits,
-            row_stride,
-            data,
-        })
+        _ => {
+            let mut bytes = row.iter_mut();
+            let (mut acc, mut held) = (0u32, 0u32);
+            for &v in values {
+                acc |= u32::from(raw(v)) << held;
+                held += u32::from(bits);
+                while held >= 8 {
+                    if let Some(b) = bytes.next() {
+                        *b = (acc & 0xFF) as u8;
+                    }
+                    acc >>= 8;
+                    held -= 8;
+                }
+            }
+            if let Some(b) = bytes.next() {
+                *b = (acc & 0xFF) as u8;
+            }
+        }
     }
 }
 

@@ -1,9 +1,12 @@
-//! Runtime selection between the SWAR fast path and the scalar reference.
+//! Runtime selection between the `swar` fast path and the scalar reference.
 //!
 //! Every hot kernel ships two implementations that are proven bit-identical
 //! by the property suite (`tests/properties.rs`, `tests/swar_identity.rs`):
-//! a portable scalar loop — the oracle — and a SWAR loop built on the
-//! [`crate::swar`] primitives. Dispatch is a [`KernelPath`] argument on the
+//! a portable scalar loop — the oracle — and a fast loop shaped for the
+//! compiler's vectorizer, decoding through [`crate::swar`]. (The name is
+//! historical: the first fast path decoded nibbles SIMD-within-a-register,
+//! 16 per `u64`; the selector and its `ATOM_KERNEL_PATH=swar` value stayed
+//! when plain loops the compiler vectorizes replaced that.) Dispatch is a [`KernelPath`] argument on the
 //! `*_with_path` entry points; the plain entry points resolve the
 //! process-wide default once from the `ATOM_KERNEL_PATH` environment
 //! variable (`scalar` | `swar`, default `swar`).
@@ -27,7 +30,7 @@ pub enum KernelPath {
     /// Portable scalar loops — the reference implementation the property
     /// tests trust as the oracle.
     Scalar,
-    /// `u64` nibble-parallel SWAR loops with cache-blocked tiling —
+    /// Fixed-width, vectorizer-friendly loops with cache-blocked tiling —
     /// bit-identical to [`KernelPath::Scalar`], faster.
     Swar,
 }

@@ -19,6 +19,31 @@ fn matrix(rows: std::ops::Range<usize>, cols: std::ops::Range<usize>) -> impl St
     })
 }
 
+/// Row widths the serving model actually hands the GEMM: the INT4 normal
+/// region is `k - outliers` channels wide (118 = 7 x 16 + 6 and 352 at the
+/// benchmark's model, 6 and 17 as sub-group / one-over-a-group cases) and
+/// the INT8 outlier region 10 or 32, every one at `group = min(16, k)`.
+const NORMAL_K: [usize; 4] = [6, 17, 118, 352];
+const OUTLIER_K: [usize; 2] = [10, 32];
+/// Activation row counts: decode, a ragged few, one row block, prefill.
+const SERVING_M: [usize; 4] = [1, 3, 8, 65];
+/// Weight row counts on both sides of the kernel's 32-row tile.
+const SERVING_N: [usize; 4] = [1, 31, 33, 70];
+
+fn bits_of(m: &Matrix) -> Vec<u32> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+fn quantized(
+    rng: &mut atom_tensor::SeededRng,
+    rows: usize,
+    cols: usize,
+    std: f32,
+    bits: u8,
+) -> GroupQuantized {
+    GroupQuantized::quantize(&rng.normal_matrix(rows, cols, 0.0, std), QuantSpec::new(bits, 16))
+}
+
 proptest! {
     #[test]
     fn packed_matrix_roundtrips(
@@ -148,7 +173,7 @@ proptest! {
         bits in 2u8..=8,
         threads in 2usize..=8,
     ) {
-        // Row-block quantization stitched with PackedMatrix::vstack must
+        // Row-block quantization stitched with PackedMatrix::append_rows must
         // reproduce the sequential packing byte-for-byte.
         let spec = QuantSpec::new(bits, 8);
         let seq = GroupQuantized::quantize(&m, spec);
@@ -306,6 +331,166 @@ proptest! {
         let scalar = attention_quant_kv_path(&q, &kv, scale, KernelPath::Scalar);
         let swar = attention_quant_kv_path(&q, &kv, scale, KernelPath::Swar);
         prop_assert_eq!(scalar.as_slice(), swar.as_slice());
+    }
+
+    #[test]
+    fn swar_gemm_bit_identical_on_serving_shapes(
+        seed in 0u64..300,
+        k_idx in 0usize..4,
+        m_idx in 0usize..4,
+        n_idx in 0usize..4,
+        bits_idx in 0usize..3,
+    ) {
+        // The ragged rows serving really runs: a short last group the
+        // kernel zero-pads, weight-row counts that leave a partial tile.
+        // Compared as bit patterns, at pool widths 1/2/4.
+        let (k, m, n) = (NORMAL_K[k_idx], SERVING_M[m_idx], SERVING_N[n_idx]);
+        let bits = [3u8, 4, 8][bits_idx];
+        let mut rng = atom_tensor::SeededRng::new(seed);
+        let qa = quantized(&mut rng, m, k, 1.0, bits);
+        let qw = quantized(&mut rng, n, k, 0.5, bits);
+        let scalar =
+            fused_group_gemm_with_path(&Pool::sequential(), &qa, &qw, KernelPath::Scalar).unwrap();
+        for threads in [1usize, 2, 4] {
+            let swar =
+                fused_group_gemm_with_path(&Pool::new(threads), &qa, &qw, KernelPath::Swar)
+                    .unwrap();
+            prop_assert_eq!(bits_of(&scalar), bits_of(&swar), "threads {}", threads);
+        }
+    }
+
+    #[test]
+    fn swar_one_sweep_mixed_gemm_equals_scalar_composition(
+        seed in 0u64..300,
+        k_idx in 0usize..4,
+        o_idx in 0usize..2,
+        m_idx in 0usize..4,
+        n_idx in 0usize..4,
+        bits_idx in 0usize..3,
+    ) {
+        // The one-sweep kernel against the definition it replaces: two
+        // scalar-path GEMMs and an FP32 matrix add. Bit patterns, so the
+        // `fold(normal) + fold(outlier)` it writes once is the same float
+        // the composition reaches through `out += 1.0 * outlier`.
+        let (k, o) = (NORMAL_K[k_idx], OUTLIER_K[o_idx]);
+        let (m, n) = (SERVING_M[m_idx], SERVING_N[n_idx]);
+        let bits = [3u8, 4, 8][bits_idx];
+        let mut rng = atom_tensor::SeededRng::new(seed);
+        let (qa_n, qw_n) = (quantized(&mut rng, m, k, 1.0, bits), quantized(&mut rng, n, k, 0.5, bits));
+        let (qa_o, qw_o) = (quantized(&mut rng, m, o, 20.0, 8), quantized(&mut rng, n, o, 0.5, 8));
+        let seq = Pool::sequential();
+        let mut composed =
+            fused_group_gemm_with_path(&seq, &qa_n, &qw_n, KernelPath::Scalar).unwrap();
+        let outlier = fused_group_gemm_with_path(&seq, &qa_o, &qw_o, KernelPath::Scalar).unwrap();
+        composed.add_scaled_in_place(&outlier, 1.0);
+        for threads in [1usize, 2, 4] {
+            let swept = mixed_gemm_with_path(
+                &Pool::new(threads), &qa_n, &qw_n, Some((&qa_o, &qw_o)), KernelPath::Swar,
+            ).unwrap();
+            prop_assert_eq!(bits_of(&composed), bits_of(&swept), "threads {}", threads);
+        }
+    }
+
+    #[test]
+    fn gather_quantize_equals_quantizing_the_permuted_copy(
+        seed in 0u64..400,
+        rows in 1usize..7,
+        cols in 1usize..40,
+        split_pct in 0usize..=100,
+        bits in 2u8..=8,
+        group in 1usize..20,
+        threads in 1usize..=4,
+    ) {
+        // The fused reorder+quantize epilogue: both regions of a random
+        // permutation (odd widths included) quantized through the index
+        // list must be `==` — spec, packed bytes, scales — to quantizing
+        // the materialized `permute_cols(x).slice_cols(..)`.
+        let mut rng = atom_tensor::SeededRng::new(seed);
+        let x = rng.normal_matrix(rows, cols, 0.0, 2.0);
+        let mut perm: Vec<usize> = (0..cols).collect();
+        for i in (1..cols).rev() {
+            perm.swap(i, rng.below(i + 1));
+        }
+        let split = cols * split_pct / 100;
+        let spec = QuantSpec::new(bits, group);
+        let permuted = x.permute_cols(&perm);
+        let pool = Pool::new(threads);
+        for (lo, hi) in [(0, split), (split, cols)] {
+            let fused = GroupQuantized::quantize_gather_with(&pool, &x, &perm[lo..hi], spec);
+            let copied = GroupQuantized::quantize(&permuted.slice_cols(lo, hi), spec);
+            prop_assert_eq!(&fused, &copied, "columns {}..{}", lo, hi);
+        }
+    }
+
+    #[test]
+    fn kv_appends_and_truncation_are_exact(
+        seed in 0u64..400,
+        rows in 1usize..12,
+        half_cols in 0usize..9,
+        keep in 0usize..14,
+        bits in 2u8..=8,
+    ) {
+        // In-place growth: N single-row appends == one N-row append ==
+        // quantizing the N rows at once, and truncate_rows(n) == never
+        // having appended the rest — codes, scales and minima, at every
+        // bit width and at odd widths (whose rows end in pad bits).
+        let cols = 2 * half_cols + 1;
+        let mut rng = atom_tensor::SeededRng::new(seed);
+        let x = rng.normal_matrix(rows, cols, 0.5, 2.0);
+        let whole = AsymQuantized::quantize(&x, bits);
+        let mut at_once = AsymQuantized::empty(cols, bits);
+        at_once.append_rows(&x);
+        let mut one_by_one = AsymQuantized::empty(cols, bits);
+        for r in 0..rows {
+            one_by_one.append_rows(&x.slice_rows(r, r + 1));
+        }
+        prop_assert_eq!(&at_once, &whole);
+        prop_assert_eq!(&one_by_one, &whole);
+
+        let keep = keep.min(rows + 1);
+        let mut cut = whole.clone();
+        cut.truncate_rows(keep);
+        let never = AsymQuantized::quantize(&x.slice_rows(0, keep.min(rows)), bits);
+        prop_assert_eq!(&cut, &never);
+        // ... and the truncated container keeps growing correctly.
+        let mut regrown = cut;
+        regrown.append_rows(&x.slice_rows(keep.min(rows), rows));
+        prop_assert_eq!(&regrown, &whole);
+    }
+
+    #[test]
+    fn bulk_pack_and_unpack_match_per_element(
+        seed in 0u64..400,
+        bits in 2u8..=8,
+        rows in 1usize..6,
+        cols in 1usize..40,
+        first in 0usize..5,
+    ) {
+        // pack_row writes the bytes set() writes (pad bits included), and a
+        // run decode returns what row-by-row decode returns, on both paths,
+        // whether or not rows end in pad bits.
+        let mut rng = atom_tensor::SeededRng::new(seed);
+        let lo = -(1i16 << (bits - 1)) as i32;
+        let hi = (1i16 << (bits - 1)) as i32 - 1;
+        let values: Vec<i8> = (0..rows * cols)
+            .map(|_| (lo + rng.below((hi - lo + 1) as usize) as i32) as i8)
+            .collect();
+        let mut by_elem = PackedMatrix::zeros(rows, cols, bits);
+        let mut by_row = PackedMatrix::zeros(rows, cols, bits);
+        for (r, row) in values.chunks(cols).enumerate() {
+            by_row.pack_row(r, row);
+            for (c, &v) in row.iter().enumerate() {
+                by_elem.set(r, c, v);
+            }
+        }
+        prop_assert_eq!(&by_row, &by_elem);
+
+        let first = first.min(rows - 1);
+        for path in [KernelPath::Scalar, KernelPath::Swar] {
+            let mut run = vec![0i8; (rows - first) * cols];
+            by_row.unpack_rows_with(first, &mut run, path);
+            prop_assert_eq!(&run[..], &values[first * cols..], "{:?}", path);
+        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! Directed scalar-vs-SWAR bit-identity tests at the shapes property
+//! Directed scalar-vs-swar bit-identity tests at the shapes property
 //! generators rarely hit: empty reductions, single groups, accumulator-cap
-//! boundaries, and the ragged column tails where the SWAR word loop hands
-//! over to its scalar epilogue.
+//! boundaries, the ragged column tails the swar kernel zero-pads, and the
+//! whole grid of row widths the serving model produces.
 
-use atom_kernels::gemm::{fused_group_gemm_with_path, MAX_ACC_K};
+use atom_kernels::gemm::{fused_group_gemm_with_path, mixed_gemm_with_path, MAX_ACC_K};
 use atom_kernels::{
     attention_quant_kv_path, AsymQuantized, GroupQuantized, KernelPath, PackedMatrix, QuantSpec,
     QuantizedKvHead,
@@ -70,8 +70,9 @@ fn gemm_identical_with_single_group() {
 
 #[test]
 fn gemm_identical_on_ragged_k_tails() {
-    // K values straddling the 16-lane INT4 and 8-lane INT8 word boundaries:
-    // one below, at, and above each, plus a prime far from any boundary.
+    // K values straddling the 16-code block boundary the swar kernel pads
+    // to: one below, at, and above it and its half, plus a prime far from
+    // any boundary.
     for &k in &[1usize, 7, 8, 9, 15, 16, 17, 31, 33, 61] {
         for bits in [4u8, 8] {
             let mut rng = SeededRng::new(1000 + k as u64 + u64::from(bits));
@@ -82,9 +83,81 @@ fn gemm_identical_on_ragged_k_tails() {
 }
 
 #[test]
+fn gemm_and_one_sweep_mixed_gemm_identical_on_the_serving_grid() {
+    // Every row width serving hands the kernel — normal k in {6, 17, 118,
+    // 352}, outlier k in {10, 32}, group = min(16, k) — at decode, ragged,
+    // one-block and prefill row counts and at INT3/INT4/INT8, with 33
+    // weight rows (one full 32-row tile and a one-row tile). Each region
+    // alone, then the one-sweep mixed kernel against the scalar two-call
+    // composition, as bit patterns at pool widths 1/2/4.
+    let bits_of = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+    let seq = Pool::sequential();
+    for (ki, &k) in [6usize, 17, 118, 352].iter().enumerate() {
+        for &o in &[10usize, 32] {
+            for &m in &[1usize, 3, 8, 65] {
+                for bits in [3u8, 4, 8] {
+                    let what = format!("k={k} o={o} m={m} bits={bits}");
+                    let mut rng = SeededRng::new(7000 + (ki * 1000 + o * 10 + m) as u64 + u64::from(bits));
+                    let (qa_n, qw_n) = quantized_pair(&mut rng, m, 33, k, bits, 16);
+                    let (qa_o, qw_o) = quantized_pair(&mut rng, m, 33, o, 8, 16);
+                    assert_gemm_paths_identical(&qa_n, &qw_n, &what);
+                    assert_gemm_paths_identical(&qa_o, &qw_o, &what);
+
+                    let mut composed =
+                        fused_group_gemm_with_path(&seq, &qa_n, &qw_n, KernelPath::Scalar).unwrap();
+                    let outlier =
+                        fused_group_gemm_with_path(&seq, &qa_o, &qw_o, KernelPath::Scalar).unwrap();
+                    composed.add_scaled_in_place(&outlier, 1.0);
+                    for threads in [1usize, 2, 4] {
+                        let swept = mixed_gemm_with_path(
+                            &Pool::new(threads),
+                            &qa_n,
+                            &qw_n,
+                            Some((&qa_o, &qw_o)),
+                            KernelPath::Swar,
+                        )
+                        .unwrap_or_else(|e| panic!("{what}: one-sweep kernel failed: {e}"));
+                        assert_eq!(
+                            bits_of(&composed),
+                            bits_of(&swept),
+                            "{what}: composition != one sweep at {threads} threads"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn mixed_gemm_identical_with_an_empty_region() {
+    // A region without channels contributes the empty sum; the swar path
+    // must agree with the scalar composition whichever side is empty, and
+    // reject the same mismatched shapes.
+    let mut rng = SeededRng::new(11);
+    let (qa, qw) = quantized_pair(&mut rng, 3, 5, 40, 4, 16);
+    let (qa_none, qw_none) = quantized_pair(&mut rng, 3, 5, 0, 8, 16);
+    let seq = Pool::sequential();
+    for (normal, outlier) in [((&qa, &qw), (&qa_none, &qw_none)), ((&qa_none, &qw_none), (&qa, &qw))] {
+        let scalar =
+            mixed_gemm_with_path(&seq, normal.0, normal.1, Some(outlier), KernelPath::Scalar).unwrap();
+        let swar =
+            mixed_gemm_with_path(&seq, normal.0, normal.1, Some(outlier), KernelPath::Swar).unwrap();
+        assert_eq!(scalar.as_slice(), swar.as_slice());
+    }
+    let (qa_short, qw_short) = quantized_pair(&mut rng, 2, 5, 10, 8, 16);
+    for path in [KernelPath::Scalar, KernelPath::Swar] {
+        assert!(
+            mixed_gemm_with_path(&seq, &qa, &qw, Some((&qa_short, &qw_short)), path).is_err(),
+            "{path:?}: outlier region with fewer rows must be rejected"
+        );
+    }
+}
+
+#[test]
 fn gemm_identical_at_odd_bit_widths() {
-    // Widths with no SWAR fast path (scalar decode on both paths) still
-    // go through the weight-block loop order on the SWAR path.
+    // Widths with no byte-level decode (the per-element decode on both
+    // paths) still go through the weight-block loop order on the swar path.
     for bits in [2u8, 3, 5, 6, 7] {
         let mut rng = SeededRng::new(2000 + u64::from(bits));
         let (qa, qw) = quantized_pair(&mut rng, 2, 3, 37, bits, 8);
@@ -111,8 +184,8 @@ fn gemm_identical_at_accumulator_cap_boundary() {
 
 #[test]
 fn unpack_identical_on_sub_word_rows() {
-    // Rows shorter than one SWAR word decode entirely in the scalar tail
-    // of the SWAR path; they must still match the reference decode.
+    // Short rows, odd and even: the swar decoders' vector body, remainder
+    // and odd last nibble must all match the reference decode.
     for bits in [4u8, 8] {
         for cols in 1usize..20 {
             let lo = -(1i16 << (bits - 1)) as i32;
@@ -153,7 +226,7 @@ fn dequantize_scratch_identical_to_allocating() {
 fn attention_identical_on_degenerate_shapes() {
     let mut rng = SeededRng::new(8);
     // (kv_len, q_rows, head_dim): single token, sub-word head dims, and a
-    // head dim straddling the 16-lane boundary.
+    // head dim straddling a 16-byte vector of codes.
     for &(len, q_rows, hd) in &[(1usize, 1usize, 1usize), (2, 1, 3), (5, 5, 17), (9, 2, 16)] {
         for bits in [2u8, 4, 8] {
             let mut kv = QuantizedKvHead::new(hd, bits);

@@ -28,7 +28,8 @@
 //! # Pool size
 //!
 //! [`Pool::global`] reads the `ATOM_THREADS` environment variable once per
-//! process (falling back to the machine's available parallelism). At
+//! process (unset: the machine's available parallelism; set but not a
+//! positive integer: 1). At
 //! `ATOM_THREADS=1` every API runs inline on the caller thread — no worker
 //! is ever spawned, which is the reproducibility-first default for chaos
 //! and fault-injection runs. Explicit pools ([`Pool::new`]) serve tests
@@ -141,14 +142,16 @@ impl Drop for RegionGuard {
 }
 
 /// Weight rows per chunk when a kernel partitions row-blocked work over
-/// [`Pool::par_chunks_mut`]. The SWAR GEMM hands each worker chunk
-/// [`KERNEL_ROW_BLOCK`] weight rows of a transposed accumulator: big enough
-/// that one chunk amortizes its unpack-buffer setup, small enough that a
-/// 2048-row projection still splits into 256 chunks — plenty of slack for
-/// any realistic thread width. Because `par_chunks_mut` assigns chunk `i`
-/// the same span at every width, this constant also fixes the
-/// decomposition, keeping results bit-identical across thread counts.
-pub const KERNEL_ROW_BLOCK: usize = 8;
+/// [`Pool::par_chunks_mut`]. The `swar` GEMM hands each worker chunk a tile
+/// of [`KERNEL_ROW_BLOCK`] weight rows: big enough that one chunk amortizes
+/// its decode-buffer allocation and the per-block decode call (at 8 rows
+/// they were a tenth of an `m = 1` call on a 384-row projection), small
+/// enough that the decoded block stays cache-resident and a 2048-row
+/// projection still splits into 64 chunks — plenty of slack for any
+/// realistic thread width. Because `par_chunks_mut` assigns chunk `i` the
+/// same span at every width, this constant also fixes the decomposition,
+/// keeping results bit-identical across thread counts.
+pub const KERNEL_ROW_BLOCK: usize = 32;
 
 /// What one worker reports back to the region join: busy wall time (0 when
 /// telemetry is disabled) and the chunks whose closure panicked.
@@ -177,8 +180,9 @@ impl Pool {
         Pool::new(1)
     }
 
-    /// The pool described by the environment: `ATOM_THREADS` when set and
-    /// parseable, otherwise the machine's available parallelism.
+    /// The pool described by the environment: `ATOM_THREADS` when set (an
+    /// invalid value means 1), the machine's available parallelism when
+    /// unset — see [`Pool::resolve_threads`].
     pub fn from_env() -> Self {
         let configured = std::env::var("ATOM_THREADS").ok();
         Pool::new(Self::resolve_threads(configured.as_deref()))
@@ -191,13 +195,18 @@ impl Pool {
         GLOBAL.get_or_init(Pool::from_env)
     }
 
-    /// Resolves a thread count from an `ATOM_THREADS`-style setting:
-    /// a positive integer is taken as-is, anything else (unset, malformed,
-    /// `0`) falls back to the machine's available parallelism.
+    /// Resolves a thread count from an `ATOM_THREADS`-style setting: a
+    /// positive integer is taken as-is; a value that is set but invalid
+    /// (`0`, malformed, empty) falls back to **1**, the deterministic
+    /// default, so a typo never silently widens the pool; only an unset
+    /// variable selects the machine's available parallelism.
     pub fn resolve_threads(configured: Option<&str>) -> usize {
-        match configured.and_then(|v| v.trim().parse::<usize>().ok()) {
-            Some(n) if n > 0 => n,
-            _ => std::thread::available_parallelism()
+        match configured {
+            Some(raw) => match raw.trim().parse::<usize>() {
+                Ok(n) if n > 0 => n,
+                _ => 1,
+            },
+            None => std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1),
         }

@@ -426,12 +426,22 @@ impl Matrix {
     /// Panics if `perm.len() != self.cols()` or an index is out of bounds.
     pub fn permute_cols(&self, perm: &[usize]) -> Matrix {
         assert_eq!(perm.len(), self.cols, "permutation length mismatch");
-        let mut out = Matrix::zeros(self.rows, self.cols);
+        self.gather_cols(perm)
+    }
+
+    /// Gathers columns: output column `i` is `self`'s column `cols[i]` —
+    /// [`permute_cols`](Self::permute_cols) without the requirement that
+    /// every column appears (e.g. only the outlier tail of a reorder plan).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is out of bounds.
+    pub fn gather_cols(&self, cols: &[usize]) -> Matrix {
+        let mut out = Matrix::zeros(self.rows, cols.len());
         for r in 0..self.rows {
             let src = &self.data[r * self.cols..(r + 1) * self.cols];
-            let dst = &mut out.data[r * self.cols..(r + 1) * self.cols];
-            for (i, &p) in perm.iter().enumerate() {
-                dst[i] = src[p];
+            for (d, &c) in out.row_mut(r).iter_mut().zip(cols) {
+                *d = src[c];
             }
         }
         out
