@@ -80,10 +80,8 @@ fn main() {
             TenantTraffic::interactive(0.65, 70),
             TenantTraffic::batch(0.35),
         ],
-        users_per_request: 10_000,
     };
     let trace = spec.generate(seed);
-    let users = spec.simulated_users(trace.len());
 
     let runs: Vec<(usize, RunResult)> = [1usize, 2, 8]
         .iter()
@@ -191,7 +189,6 @@ fn main() {
     let count = |n: &str| sn.counter(n);
     let rows = vec![
         row("arrivals in trace", trace.len() as u64),
-        row("simulated users", users),
         row("offered", r.offered),
         row("accepted", r.accepted),
         row("rejected: rate limited", r.rejects.rate_limited),
@@ -233,7 +230,7 @@ fn main() {
     let _ = writeln!(
         content,
         "SLO gate — gateway + Atom W4A4 engine, seed {seed:#x}, flash-crowd trace\n\
-         ({HORIZON_TICKS}-tick horizon, 2 tenants, {} arrivals ~ {users} users), seeded chaos\n\
+         ({HORIZON_TICKS}-tick horizon, 2 tenants, {} arrivals), seeded chaos\n\
          faults, graceful drain; replayed at 1/2/8 threads — bit-identical.\n\n{counters}\n{lat}",
         trace.len(),
     );
@@ -246,7 +243,7 @@ fn main() {
     atom_bench::emit("slo_gate", &content);
 
     let json = format!(
-        "{{\n  \"seed\": {seed},\n  \"arrivals\": {},\n  \"simulated_users\": {users},\n  \
+        "{{\n  \"seed\": {seed},\n  \"arrivals\": {},\n  \
          \"offered\": {},\n  \"accepted\": {},\n  \"completed\": {completed},\n  \
          \"rejected_rate_limited\": {},\n  \"rejected_queue_full\": {},\n  \
          \"rejected_brownout\": {},\n  \"rejected_draining\": {},\n  \

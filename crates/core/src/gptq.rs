@@ -11,6 +11,7 @@
 //! width, the trailing outlier columns at INT8, with error compensation
 //! flowing across the boundary.
 
+use atom_kernels::group::{code_levels, code_max, code_min};
 use atom_kernels::{GroupQuantized, PackedMatrix, QuantSpec};
 use atom_tensor::f16::round_f16;
 use atom_tensor::Matrix;
@@ -153,7 +154,7 @@ pub fn gptq_quantize(w: &Matrix, gram: Option<&[f64]>, cfg: &GptqConfig) -> Quan
         };
         let (g_start, g_end) = groups[group_idx];
         if j == region_start + g_start {
-            let levels = ((1i32 << spec.bits) - 1) as f64;
+            let levels = f64::from(code_levels(spec.bits));
             for row in 0..n {
                 let mut amax = 0.0f64;
                 for c in g_start..g_end {
@@ -167,8 +168,8 @@ pub fn gptq_quantize(w: &Matrix, gram: Option<&[f64]>, cfg: &GptqConfig) -> Quan
                 scales[row] = s;
                 scale_mat[(row, group_idx)] = s;
             }
-            qlo = -(1i64 << (spec.bits - 1)) as f64;
-            qhi = ((1i64 << (spec.bits - 1)) - 1) as f64;
+            qlo = f64::from(code_min(spec.bits));
+            qhi = f64::from(code_max(spec.bits));
         }
 
         let d = u[j * k + j];

@@ -15,8 +15,7 @@
 //! - [`workload`] — a ShareGPT-like request-length and arrival model for the
 //!   end-to-end serving experiments (Fig. 10).
 //! - [`traffic`] — open-loop multi-tenant arrival traces (diurnal, bursty,
-//!   flash-crowd) at simulated millions-of-users scale for the gateway's
-//!   overload and SLO experiments.
+//!   flash-crowd) for the gateway's overload and SLO experiments.
 //! - [`scenario`] — prompt-level content models (shared system prompts,
 //!   multi-turn conversations, long-context documents) layered on traffic
 //!   traces for the prefix-cache experiments.

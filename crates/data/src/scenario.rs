@@ -215,7 +215,6 @@ mod tests {
                 pattern: ArrivalPattern::Steady,
                 horizon_ticks: 200,
                 tenants: vec![TenantTraffic::interactive(1.0, 50)],
-                users_per_request: 1_000,
             },
             kind,
         }

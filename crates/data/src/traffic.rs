@@ -2,9 +2,8 @@
 //!
 //! [`workload`](crate::workload) models *what* a request looks like
 //! (ShareGPT-like length distributions); this module models *when* requests
-//! arrive and *who* sends them, at the scale the gateway must survive:
-//! millions of users whose aggregate traffic follows diurnal cycles, bursty
-//! on/off phases, and flash crowds. A [`TrafficSpec`] compiles a
+//! arrive and *who* sends them: aggregate traffic that follows diurnal
+//! cycles, bursty on/off phases, and flash crowds. A [`TrafficSpec`] compiles a
 //! [`pattern`](ArrivalPattern) plus a tenant mix into a deterministic
 //! tick-indexed trace of [`Arrival`]s that the gateway replays open-loop —
 //! arrivals never wait for completions, exactly like real traffic.
@@ -167,11 +166,6 @@ pub struct TrafficSpec {
     pub horizon_ticks: u64,
     /// Tenant mix (must be non-empty; shares are normalized).
     pub tenants: Vec<TenantTraffic>,
-    /// Real users each trace request stands for. Purely descriptive — it
-    /// scales reported "users served" without inflating the replayed
-    /// request count, the standard trick for simulating millions of users
-    /// on one box.
-    pub users_per_request: u64,
 }
 
 impl TrafficSpec {
@@ -219,11 +213,6 @@ impl TrafficSpec {
         }
         out
     }
-
-    /// Total simulated user population this trace stands for.
-    pub fn simulated_users(&self, arrivals: usize) -> u64 {
-        self.users_per_request.saturating_mul(arrivals as u64)
-    }
 }
 
 /// Uniform sample from an inclusive range (degenerate ranges collapse to
@@ -249,7 +238,6 @@ mod tests {
                 TenantTraffic::interactive(0.75, 40),
                 TenantTraffic::batch(0.25),
             ],
-            users_per_request: 10_000,
         }
     }
 
@@ -350,12 +338,5 @@ mod tests {
         let mut spec = two_tenant_spec(ArrivalPattern::Steady);
         spec.horizon_ticks = 0;
         assert!(spec.generate(1).is_empty());
-    }
-
-    #[test]
-    fn simulated_users_scale() {
-        let spec = two_tenant_spec(ArrivalPattern::Steady);
-        let n = spec.generate(2).len();
-        assert_eq!(spec.simulated_users(n), n as u64 * 10_000);
     }
 }

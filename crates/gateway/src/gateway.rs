@@ -1399,7 +1399,6 @@ mod tests {
                 atom_data::TenantTraffic::interactive(0.7, 40),
                 atom_data::TenantTraffic::batch(0.3),
             ],
-            users_per_request: 50,
         };
         let trace = spec.generate(11);
         assert!(!trace.is_empty());

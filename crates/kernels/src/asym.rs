@@ -7,7 +7,7 @@
 //! its own scale and zero point. Here one [`AsymQuantized`] holds one head's
 //! rows, so each row is exactly one `(token, head)` quantization group.
 
-use crate::group::{integer_low_byte, round_clamped};
+use crate::group::{code_bias, code_levels, integer_low_byte, round_clamped};
 use crate::packed::PackedMatrix;
 use crate::path::KernelPath;
 use atom_tensor::f16::round_f16;
@@ -89,8 +89,8 @@ impl AsymQuantized {
             crate::group::MIN_BITS,
             crate::group::MAX_BITS
         );
-        let levels = ((1u32 << bits) - 1) as f32;
-        let bias = 1u8 << (bits - 1); // shift unsigned codes into signed storage
+        let levels = f32::from(code_levels(bits));
+        let bias = code_bias(bits); // shift unsigned codes into signed storage
         let mut codes = PackedMatrix::zeros(rows.len(), cols, bits);
         let mut scales = Vec::with_capacity(rows.len());
         let mut mins = Vec::with_capacity(rows.len());
@@ -148,7 +148,7 @@ impl AsymQuantized {
     pub fn dequantize(&self) -> Matrix {
         let mut out = Matrix::zeros(self.rows(), self.cols());
         let mut buf = vec![0i8; self.cols()];
-        let bias = (1i16 << (self.bits - 1)) as f32;
+        let bias = f32::from(code_bias(self.bits));
         for (r, (&s, &lo)) in self.scales.iter().zip(self.mins.iter()).enumerate() {
             self.codes.unpack_row(r, &mut buf);
             for (d, &q) in out.row_mut(r).iter_mut().zip(buf.iter()) {
@@ -187,7 +187,7 @@ impl AsymQuantized {
         };
         let mut buf = vec![0i8; self.cols()];
         self.codes.unpack_row_with(r, &mut buf, path);
-        let bias = (1i16 << (self.bits - 1)) as f32;
+        let bias = f32::from(code_bias(self.bits));
         for (d, &q) in out.iter_mut().zip(buf.iter()) {
             *d = lo + s * (f32::from(q) + bias);
         }
@@ -235,7 +235,7 @@ impl AsymQuantized {
         codes.clear();
         codes.resize(self.cols(), 0);
         self.codes.unpack_row_with(r, codes, path);
-        let bias = (1i16 << (self.bits - 1)) as f32;
+        let bias = f32::from(code_bias(self.bits));
         for (d, &q) in out.iter_mut().zip(codes.iter()) {
             *d = lo + s * (f32::from(q) + bias);
         }

@@ -35,10 +35,17 @@ use atom_tensor::Matrix;
 /// `2^(MAX_BITS-1) * 2^(MAX_BITS-1) = 2^14`, and `K` such summands stay
 /// below `2^31` exactly when `K <= (2^31 - 1) >> 14 = 131071` — i.e. the
 /// W8A8 path is safe for every `K < 2^17`. Narrower widths only widen the
-/// margin. The GEMM entry points `debug_assert!` this cap; the
-/// `accumulator-width` lint proves the same inequality from the
-/// `// bound:` comments at the reduction sites.
+/// margin. The GEMM entry points `debug_assert!` this cap; the assertions
+/// below are the proof, evaluated by rustc on every build, and each `i32`
+/// reduction cites it with `// bound: MAX_ACC_K` (the `accumulator-width`
+/// lint checks the citation is there).
 pub const MAX_ACC_K: usize = (i32::MAX as usize) >> (2 * (MAX_BITS as usize - 1));
+
+// A code fits `i8`; `MAX_ACC_K` worst-case products fit `i32`; one more
+// would not, so the constant is tight and not merely safe.
+const _: () = assert!(1i64 << (MAX_BITS - 1) <= 128);
+const _: () = assert!((MAX_ACC_K as i64) << (2 * (MAX_BITS - 1)) <= i32::MAX as i64);
+const _: () = assert!((MAX_ACC_K as i64 + 1) << (2 * (MAX_BITS - 1)) > i32::MAX as i64);
 
 /// Plain integer GEMM with i32 accumulation: `a (m x k) @ b_t (n x k)^T`,
 /// returning the raw i32 accumulators. This is the "pure INT4/INT8 GEMM
@@ -64,7 +71,7 @@ pub fn int_gemm_i32(a: &[i8], b_t: &[i8], m: usize, n: usize, k: usize) -> Vec<i
         for (br, o) in b_t.chunks_exact(k.max(1)).zip(out_row.iter_mut()) {
             // Each |product| <= 2^(bA-1) * 2^(bW-1) and k <= MAX_ACC_K, so
             // the reduction stays inside i32 at the widest setting:
-            // bound: K * 2 ^ (2 * (MAX_BITS - 1)) < 2 ^ 31
+            // bound: MAX_ACC_K
             let dot: i32 = ar
                 .iter()
                 .zip(br)
@@ -269,7 +276,7 @@ fn gemm_scalar(
                 .map(|((ga, gw), (&scale_a, &scale_w))| {
                     // Step 1: low-bit integer MMA with i32 accumulation.
                     // The group length is capped at MAX_ACC_K above, so:
-                    // bound: K * 2 ^ (2 * (MAX_BITS - 1)) < 2 ^ 31
+                    // bound: MAX_ACC_K
                     let iacc: i32 = ga
                         .iter()
                         .zip(gw)
@@ -432,7 +439,7 @@ impl<'a> Region<'a> {
                 .map(|((ga, gw), (&scale_a, &scale_w))| {
                     // A block holds at most `group <= MAX_ACC_K` real
                     // codes; the rest multiply a zero:
-                    // bound: K * 2 ^ (2 * (MAX_BITS - 1)) < 2 ^ 31
+                    // bound: MAX_ACC_K
                     let iacc: i32 = ga
                         .iter()
                         .zip(gw)
@@ -456,7 +463,7 @@ impl<'a> Region<'a> {
                         .chunks_exact(LANES)
                         .zip(gw.chunks_exact(LANES))
                         .map(|(ba, bw)| {
-                            // bound: K * 2 ^ (2 * (MAX_BITS - 1)) < 2 ^ 31
+                            // bound: MAX_ACC_K
                             let block: i32 = ba
                                 .iter()
                                 .zip(bw)

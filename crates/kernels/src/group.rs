@@ -24,11 +24,52 @@ use serde::{Deserialize, Serialize};
 /// Smallest quantizer width any spec may carry. Together with
 /// [`MAX_BITS`] this bounds every `bits` value in the workspace —
 /// `QuantSpec::validate` (and the asserts at the other quantizer entry
-/// points) enforce it at runtime, and `atom-lint`'s interval analysis
-/// assumes exactly this range when proving shift/accumulator bounds.
+/// points) enforce it at runtime, and the `const` block below proves at
+/// compile time that every width in the range yields codes that fit the
+/// types the kernels hold them in.
 pub const MIN_BITS: u8 = 2;
 /// Largest quantizer width any spec may carry; see [`MIN_BITS`].
 pub const MAX_BITS: u8 = 8;
+
+/// `2^(bits-1)`: the offset between a signed code and the unsigned form it
+/// is stored in, and the magnitude of the most negative code. Like the
+/// three functions below it is meant for `bits` in
+/// [`MIN_BITS`]`..=`[`MAX_BITS`], the range the callers validate.
+pub const fn code_bias(bits: u8) -> u8 {
+    (1u32 << (bits - 1)) as u8
+}
+
+/// Smallest signed code of a `bits`-wide quantizer, `-2^(bits-1)`.
+pub const fn code_min(bits: u8) -> i8 {
+    -(1i32 << (bits - 1)) as i8
+}
+
+/// Largest signed code of a `bits`-wide quantizer, `2^(bits-1) - 1`.
+pub const fn code_max(bits: u8) -> i8 {
+    ((1i32 << (bits - 1)) - 1) as i8
+}
+
+/// `2^bits - 1`: the number of steps between the smallest and the largest
+/// code (the divisor of the paper's scale formulas), and the bit mask of one
+/// stored code.
+pub const fn code_levels(bits: u8) -> u8 {
+    ((1u32 << bits) - 1) as u8
+}
+
+// The narrowing casts above lose nothing at any width a spec may carry:
+// rustc evaluates this for every `bits` in `MIN_BITS..=MAX_BITS`, so
+// widening the range past what `u8`/`i8` hold fails the build.
+const _: () = {
+    let mut bits = MIN_BITS;
+    while bits <= MAX_BITS {
+        let half = 1i32 << (bits - 1);
+        assert!(code_bias(bits) as i32 == half);
+        assert!(code_min(bits) as i32 == -half);
+        assert!(code_max(bits) as i32 == half - 1);
+        assert!(code_levels(bits) as i32 == 2 * half - 1);
+        bits += 1;
+    }
+};
 
 /// Parameters of a symmetric group quantization.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -214,7 +255,7 @@ impl GroupQuantized {
         spec.validate().expect("invalid quant spec");
         let cols = gather.map_or(x.cols(), <[usize]>::len);
         let group = spec.group.min(cols.max(1));
-        let levels = ((1i32 << spec.bits) - 1) as f32;
+        let levels = f32::from(code_levels(spec.bits));
         let (qmin, qmax_pos) = code_range(spec.bits);
 
         let mut values = PackedMatrix::zeros(rows.len(), cols, spec.bits);
@@ -355,7 +396,7 @@ impl GroupQuantized {
         let cols = sample.cols();
         let group = spec.group.min(cols.max(1));
         let n_groups = spec.groups_for(cols);
-        let levels = ((1i32 << spec.bits) - 1) as f32;
+        let levels = f32::from(code_levels(spec.bits));
         let mut amax = vec![0.0f32; n_groups];
         for row in sample.iter_rows() {
             for (m, chunk) in amax.iter_mut().zip(row.chunks(group.max(1))) {
@@ -442,8 +483,7 @@ impl GroupQuantized {
 /// The signed code range of a `bits`-wide quantizer as floats:
 /// `(-2^(bits-1), 2^(bits-1) - 1)`.
 fn code_range(bits: u8) -> (f32, f32) {
-    let half = 1i32 << (bits - 1);
-    (-half as f32, (half - 1) as f32)
+    (f32::from(code_min(bits)), f32::from(code_max(bits)))
 }
 
 /// Paper §2: `q = clamp(round(x / s), qmin, qmax)` for one group.
@@ -697,6 +737,25 @@ mod tests {
                 let byte = if expect < 0.0 { expect + 256.0 } else { expect };
                 assert_eq!(f32::from(integer_low_byte(got)), byte, "t={t:e} in [{lo}, {hi}]");
             }
+        }
+    }
+
+    #[test]
+    fn code_range_fns_equal_the_shift_expressions_at_every_width() {
+        // The expressions the call sites used to spell out by hand.
+        for bits in MIN_BITS..=MAX_BITS {
+            let half = 1i16 << (bits - 1);
+            assert_eq!(i16::from(code_bias(bits)), half, "bits {bits}");
+            assert_eq!(code_bias(bits), 1u8 << (bits - 1), "bits {bits}");
+            assert_eq!(i16::from(code_min(bits)), -half, "bits {bits}");
+            assert_eq!(i16::from(code_max(bits)), half - 1, "bits {bits}");
+            let levels = u32::from(code_levels(bits));
+            assert_eq!(levels, (1u32 << bits) - 1, "bits {bits}");
+            let range = (code_min(bits), code_max(bits));
+            let m = PackedMatrix::zeros(1, 1, bits);
+            assert_eq!((m.min_value(), m.max_value()), range, "bits {bits}");
+            let floats = (f32::from(-half), f32::from(half - 1));
+            assert_eq!(code_range(bits), floats, "bits {bits}");
         }
     }
 

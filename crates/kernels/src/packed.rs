@@ -6,6 +6,7 @@
 //! values per byte). It is the storage substrate for both the symmetric
 //! group-quantized GEMM operands and the asymmetric KV-cache.
 
+use crate::group::{code_bias, code_levels, code_max, code_min, MAX_BITS, MIN_BITS};
 use crate::path::KernelPath;
 use crate::swar;
 use atom_parallel::Pool;
@@ -44,7 +45,10 @@ impl PackedMatrix {
     ///
     /// Panics unless `2 <= bits <= 8`.
     pub fn zeros(rows: usize, cols: usize, bits: u8) -> Self {
-        assert!((2..=8).contains(&bits), "bits must be in 2..=8, got {bits}");
+        assert!(
+            (MIN_BITS..=MAX_BITS).contains(&bits),
+            "bits must be in {MIN_BITS}..={MAX_BITS}, got {bits}"
+        );
         let row_stride = (cols * bits as usize).div_ceil(8);
         // Biased representation of signed 0 is 2^(bits-1), not raw 0: pack
         // one row of it (pad bits stay 0) and repeat the bytes.
@@ -91,12 +95,12 @@ impl PackedMatrix {
 
     /// Smallest representable signed value.
     pub fn min_value(&self) -> i8 {
-        -(1i16 << (self.bits - 1)) as i8
+        code_min(self.bits)
     }
 
     /// Largest representable signed value.
     pub fn max_value(&self) -> i8 {
-        ((1i16 << (self.bits - 1)) - 1) as i8
+        code_max(self.bits)
     }
 
     /// Bytes of packed storage (the real memory footprint).
@@ -124,9 +128,9 @@ impl PackedMatrix {
             0
         };
         let window = lo | (hi << 8);
-        let mask = (1u16 << bits) - 1;
+        let mask = u16::from(code_levels(self.bits));
         let raw = ((window >> shift) & mask) as i16;
-        (raw - (1i16 << (bits - 1))) as i8
+        (raw - i16::from(code_bias(self.bits))) as i8
     }
 
     /// Writes one element.
@@ -142,11 +146,11 @@ impl PackedMatrix {
             self.bits
         );
         let bits = self.bits as usize;
-        let raw = (v as i16 + (1i16 << (bits - 1))) as u16;
+        let raw = (v as i16 + i16::from(code_bias(self.bits))) as u16;
         let bit_off = c * bits;
         let byte = r * self.row_stride + bit_off / 8;
         let shift = bit_off % 8;
-        let mask = ((1u16 << bits) - 1) << shift;
+        let mask = u16::from(code_levels(self.bits)) << shift;
         let mut window = self.data[byte] as u16; // lint: allow(panic-freedom) — byte = r*stride + c*bits/8 < data.len() by the asserted bounds
         if shift + bits > 8 {
             window |= (self.data[byte + 1] as u16) << 8; // lint: allow(panic-freedom) — a straddling window implies the stride has a following byte
@@ -332,8 +336,8 @@ impl PackedMatrix {
     /// the oracle the swar path is proven bit-identical to.
     fn unpack_row_scalar(&self, row: &[u8], out: &mut [i8]) {
         let bits = self.bits as usize;
-        let bias = 1i16 << (bits - 1);
-        let mask = (1u16 << bits) - 1;
+        let bias = i16::from(code_bias(self.bits));
+        let mask = u16::from(code_levels(self.bits));
         match bits {
             8 => {
                 // One byte per value; a straight zip compiles to a
@@ -431,7 +435,7 @@ impl PackedMatrix {
 fn pack_codes(bits: u8, values: &[i8], row: &mut [u8]) {
     // `v + 2^(bits-1)` lands in `0..2^bits` for an in-range `v`; the
     // wrapping add on the reinterpreted byte is that sum modulo 256.
-    let bias = 1u8 << (bits - 1);
+    let bias = code_bias(bits);
     let raw = |v: i8| u8::from_le_bytes(v.to_le_bytes()).wrapping_add(bias);
     match bits {
         8 => {

@@ -1,8 +1,7 @@
 //! Known-bad fixture for the `unsafe-containment` rule: a crate root with
-//! no `#![forbid(unsafe_code)]` and an `unsafe` block outside the one
-//! crate allowed to hold audited unsafe. Expected findings are asserted in
-//! `tests/golden.rs` — keep line numbers stable.
+//! no `#![forbid(unsafe_code)]`. The expected finding is asserted in
+//! `tests/golden.rs`.
 
-pub fn transmute_abuse(x: u32) -> f32 {
-    unsafe { std::mem::transmute(x) }
+pub fn f(x: u32) -> u32 {
+    x
 }

@@ -598,97 +598,6 @@ pub fn fn_spans(lexed: &Lexed) -> Vec<FnSpan> {
     out
 }
 
-/// One `const NAME: Ty = <expr>;` item, with the initializer kept as a
-/// token index range so the analysis layer can parse and evaluate it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConstDef {
-    /// The constant's identifier.
-    pub name: String,
-    /// 1-based line of the identifier.
-    pub line: usize,
-    /// The ascribed type's tokens, joined with single spaces (`"usize"`,
-    /// `"& str"`).
-    pub ty: String,
-    /// Token index range `[start, end)` of the initializer expression.
-    pub expr: (usize, usize),
-}
-
-/// Finds every `const NAME: Ty = expr;` item (associated consts included)
-/// and returns the name, type text, and the initializer's token span.
-/// `const fn` and generic `const N: usize` parameters are not matched —
-/// the pattern requires the `name : ty = expr ;` shape after `const`.
-pub fn const_defs(lexed: &Lexed) -> Vec<ConstDef> {
-    let toks = &lexed.tokens;
-    let mut out = Vec::new();
-    for i in 0..toks.len() {
-        if toks[i].kind != TokKind::Ident || toks[i].text != "const" {
-            continue;
-        }
-        let Some(name_tok) = toks.get(i + 1) else { continue };
-        if name_tok.kind != TokKind::Ident || name_tok.text == "fn" {
-            continue;
-        }
-        if toks.get(i + 2).map(|t| t.text.as_str()) != Some(":") {
-            continue;
-        }
-        // Type tokens run to the `=` at angle/paren depth 0; a `;`, `>`
-        // underflow, or `,` first means this is a const generic parameter
-        // or a declaration without an initializer.
-        let mut j = i + 3;
-        let mut depth = 0usize;
-        let mut eq = None;
-        while let Some(t) = toks.get(j) {
-            match t.text.as_str() {
-                "<" | "(" | "[" => depth += 1,
-                ">" | ")" | "]" => {
-                    if depth == 0 {
-                        break;
-                    }
-                    depth -= 1;
-                }
-                "," if depth == 0 => break,
-                ";" if depth == 0 => break,
-                "=" if depth == 0 => {
-                    eq = Some(j);
-                    break;
-                }
-                _ => {}
-            }
-            j += 1;
-        }
-        let Some(eq) = eq else { continue };
-        let ty = toks[i + 3..eq]
-            .iter()
-            .map(|t| t.text.as_str())
-            .collect::<Vec<_>>()
-            .join(" ");
-        // Initializer runs to the `;` at group depth 0.
-        let mut k = eq + 1;
-        let mut depth = 0usize;
-        let mut semi = None;
-        while let Some(t) = toks.get(k) {
-            match t.text.as_str() {
-                "(" | "[" | "{" => depth += 1,
-                ")" | "]" | "}" => depth = depth.saturating_sub(1),
-                ";" if depth == 0 => {
-                    semi = Some(k);
-                    break;
-                }
-                _ => {}
-            }
-            k += 1;
-        }
-        let Some(semi) = semi else { continue };
-        out.push(ConstDef {
-            name: name_tok.text.clone(),
-            line: name_tok.line,
-            ty,
-            expr: (eq + 1, semi),
-        });
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -829,42 +738,5 @@ mod tests {
         let ranges = cfg_test_ranges(&lexed);
         assert_eq!(ranges, vec![(1, 2)]);
         assert!(!in_ranges(&ranges, 3));
-    }
-
-    #[test]
-    fn const_defs_capture_name_type_and_expr_span() {
-        let src = "pub const GROUP_SIZE: usize = 128;\n\
-                   pub const QMAX: i32 = (1 << (BITS - 1)) - 1;\n\
-                   pub const LABEL: &str = \"x\";\n";
-        let lexed = lex(src);
-        let defs = const_defs(&lexed);
-        assert_eq!(defs.len(), 3);
-        assert_eq!(defs[0].name, "GROUP_SIZE");
-        assert_eq!(defs[0].ty, "usize");
-        assert_eq!(defs[0].line, 1);
-        let (s, e) = defs[0].expr;
-        let texts: Vec<&str> = lexed.tokens[s..e].iter().map(|t| t.text.as_str()).collect();
-        assert_eq!(texts, ["128"]);
-        // The second initializer's span covers the whole parenthesized
-        // expression, stopping at the `;`.
-        let (s, e) = defs[1].expr;
-        let texts: Vec<String> =
-            lexed.tokens[s..e].iter().map(|t| t.text.clone()).collect();
-        assert_eq!(texts.join(""), "(1<<(BITS-1))-1");
-        assert_eq!(defs[2].ty, "& str");
-    }
-
-    #[test]
-    fn const_defs_skip_generics_and_bodiless_decls() {
-        // `const N: usize` as a const-generic parameter and a trait's
-        // associated-const declaration have no `= expr ;` to capture.
-        let src = "fn take<const N: usize>(x: [u8; N]) {}\n\
-                   trait T { const BITS: u8; }\n\
-                   impl T for S { const BITS: u8 = 4; }\n";
-        let lexed = lex(src);
-        let defs = const_defs(&lexed);
-        assert_eq!(defs.len(), 1);
-        assert_eq!(defs[0].name, "BITS");
-        assert_eq!(defs[0].line, 3);
     }
 }

@@ -1,6 +1,10 @@
 //! `atom-lint` — the workspace's own static-analysis pass.
 //!
-//! The compiler cannot see the invariants this reproduction depends on:
+//! The compiler cannot see the invariants this reproduction depends on, so
+//! eight token-level rules check them. What the compiler *can* prove, it
+//! does: integer bounds are `const _: () = assert!(…);` items beside the
+//! constants they bound, and `unsafe` is rejected by
+//! `#![forbid(unsafe_code)]`; rules 4 and 8 only check those are in place.
 //!
 //! 1. **panic-freedom** — `crates/serve` promised typed errors instead of
 //!    panics (PR 1), and the kernel hot paths must not abort mid-batch. No
@@ -14,8 +18,7 @@
 //!    compare breakdowns key-for-key, so `telemetry::names` and the
 //!    recording call sites must stay in exact bijection.
 //! 4. **unsafe-containment** — `#![forbid(unsafe_code)]` on every crate
-//!    except `telemetry`, where each `unsafe` block needs a `// SAFETY:`
-//!    comment.
+//!    root; rustc enforces the rest.
 //! 5. **unordered-iteration** — hash-ordered traversal must not reach the
 //!    deterministic-scope crates' outputs: the bit-identical-at-any-width
 //!    gates rest on it.
@@ -23,15 +26,10 @@
 //!    stay inside telemetry and the audited config entry points.
 //! 7. **lock-order** — nested lock acquisitions carry a documented global
 //!    order, and the cross-file acquisition graph stays acyclic.
-//! 8. **accumulator-width** — every `i32`/`i64` reduction over quantized
-//!    products in a hot-path crate carries a machine-checkable `// bound:`
-//!    proof comment, and the comment's inequality is *evaluated* against
-//!    the workspace constants and the interval analysis (see [`analysis`]).
-//!    A comment that does not prove is a finding, same as a missing one.
-//! 9. **unchecked-arith** — bare `+`/`*`/`<<` on signed integers in hot
-//!    paths must be provably in-range by the interval analysis, use an
-//!    explicit `wrapping_*`/`checked_*`/`saturating_*` method, or carry a
-//!    justified allow.
+//! 8. **accumulator-width** — every `i32`/`i64` reduction in a hot-path
+//!    crate carries `// bound: NAME`, and `NAME` appears in a
+//!    `const _: () = assert!(…);` item of the same file. The lint checks
+//!    that a proof is cited; rustc checks that it is true.
 //!
 //! Escape hatch: a violating line may carry (or be preceded by)
 //! `// lint: allow(<rule>) — <reason>`. The reason is mandatory and the
@@ -45,12 +43,10 @@
 //! *new* finding or allow-suppression while counts may only decrease.
 #![forbid(unsafe_code)]
 
-pub mod analysis;
 pub mod lexer;
 pub mod ratchet;
 pub mod rules;
 
-use analysis::WorkspaceAnalysis;
 use lexer::{cfg_test_ranges, lex, Lexed};
 use rules::lock_order::LockEdge;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -68,7 +64,6 @@ pub const RULE_UNORDERED_ITERATION: &str = "unordered-iteration";
 pub const RULE_TIME_ENTROPY: &str = "time-entropy";
 pub const RULE_LOCK_ORDER: &str = "lock-order";
 pub const RULE_ACCUMULATOR_WIDTH: &str = "accumulator-width";
-pub const RULE_UNCHECKED_ARITH: &str = "unchecked-arith";
 /// Meta-rule: malformed or stale `lint:` directives.
 pub const RULE_DIRECTIVE: &str = "lint-directive";
 
@@ -82,7 +77,6 @@ pub const ALL_RULES: &[&str] = &[
     RULE_TIME_ENTROPY,
     RULE_LOCK_ORDER,
     RULE_ACCUMULATOR_WIDTH,
-    RULE_UNCHECKED_ARITH,
 ];
 
 /// Every rule name that can appear in a report: [`ALL_RULES`] plus the
@@ -96,7 +90,6 @@ pub const REPORTABLE_RULES: &[&str] = &[
     RULE_TIME_ENTROPY,
     RULE_LOCK_ORDER,
     RULE_ACCUMULATOR_WIDTH,
-    RULE_UNCHECKED_ARITH,
     RULE_DIRECTIVE,
 ];
 
@@ -107,15 +100,12 @@ pub fn rule_description(rule: &str) -> &'static str {
         RULE_PANIC_FREEDOM => "no unwrap/expect/panic or unchecked indexing on hot paths",
         RULE_LOSSY_CAST => "truncating/sign-changing `as` casts stay inside audited modules",
         RULE_TELEMETRY_NAMES => "telemetry name constants and recording sites stay in bijection",
-        RULE_UNSAFE_CONTAINMENT => "unsafe code is forbidden outside telemetry and documented there",
+        RULE_UNSAFE_CONTAINMENT => "every crate root carries `#![forbid(unsafe_code)]`",
         RULE_UNORDERED_ITERATION => "hash-ordered traversal stays out of deterministic outputs",
         RULE_TIME_ENTROPY => "wall-clock/env/entropy reads stay inside audited entry points",
         RULE_LOCK_ORDER => "nested lock acquisitions follow a documented acyclic global order",
         RULE_ACCUMULATOR_WIDTH => {
-            "quantized reductions carry a machine-checked `// bound:` width proof"
-        }
-        RULE_UNCHECKED_ARITH => {
-            "signed hot-path arithmetic is provably in-range or explicitly checked"
+            "i32/i64 reductions cite a `const` assertion with `// bound: NAME`"
         }
         RULE_DIRECTIVE => "lint: allow directives are well-formed, justified, and not stale",
         _ => "unknown rule",
@@ -275,14 +265,12 @@ fn parse_directives(lexed: &Lexed) -> Vec<AllowDirective> {
 
 /// Runs every rule on one lexed file and applies `lint: allow` directives.
 /// `names` is the parsed constants table (None while collecting it, e.g. in
-/// fixture tests that exercise other rules); `analysis` is the workspace
-/// pre-pass the arithmetic rules evaluate against; `state` accumulates the
+/// fixture tests that exercise other rules); `state` accumulates the
 /// cross-file evidence (telemetry usage, lock edges, allow inventory).
 pub fn lint_file(
     ctx: &FileCtx,
     source: &str,
     names: Option<&NamesTable>,
-    analysis: &WorkspaceAnalysis,
     state: &mut CrossFileState,
 ) -> Vec<Finding> {
     let lexed = lex(source);
@@ -303,21 +291,7 @@ pub fn lint_file(
     rules::unordered_iteration::check(ctx, &lexed, &test_ranges, &mut findings);
     rules::time_entropy::check(ctx, &lexed, &test_ranges, &mut findings);
     rules::lock_order::check(ctx, &lexed, &test_ranges, &mut state.lock_edges, &mut findings);
-
-    // The arithmetic rules share the per-function flow analysis; both scope
-    // themselves to hot-crate production code, so only compute it there.
-    if ctx.kind.is_production() && analysis::HOT_CRATES.contains(&ctx.crate_name.as_str()) {
-        let flows = analysis::analyze_fns(&lexed, analysis);
-        rules::accumulator_width::check(
-            ctx,
-            &lexed,
-            &test_ranges,
-            analysis,
-            &flows,
-            &mut findings,
-        );
-        rules::unchecked_arith::check(ctx, &lexed, &test_ranges, analysis, &flows, &mut findings);
-    }
+    rules::accumulator_width::check(ctx, &lexed, &test_ranges, &mut findings);
 
     // This crate's own sources quote the directive syntax in docs and
     // messages, so directives are not honored here: atom-lint must be
@@ -596,9 +570,7 @@ impl WorkspaceReport {
     /// Serializes the report as the `atom-lint-report/v2` JSON document:
     /// schema tag, file count, per-rule counts, findings, and the allow
     /// inventory. Hand-rolled (this crate is zero-dependency), with full
-    /// string escaping. v2 over v1: the two arithmetic rules
-    /// (`accumulator-width`, `unchecked-arith`) appear in the per-rule
-    /// counts.
+    /// string escaping.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(4096);
         out.push_str("{\n  \"schema\": \"atom-lint-report/v2\",\n");
@@ -737,10 +709,10 @@ pub fn lint_workspace(root: &Path) -> io::Result<WorkspaceReport> {
         Err(_) => None,
     };
 
-    // Pass 1: collect every file, so the workspace analysis (constants to
-    // fixpoint, per-crate call graphs) sees the whole tree before any rule
-    // runs.
-    let mut sources: Vec<(FileCtx, String)> = Vec::new();
+    // Pass 1: the rules, file by file.
+    let mut findings = Vec::new();
+    let mut files_checked = 0usize;
+    let mut state = CrossFileState::default();
     for crate_dir in &crate_dirs {
         let manifest = fs::read_to_string(crate_dir.join("Cargo.toml"))?;
         let crate_name = package_name(&manifest).unwrap_or_else(|| {
@@ -770,26 +742,14 @@ pub fn lint_workspace(root: &Path) -> io::Result<WorkspaceReport> {
                 .to_string_lossy()
                 .replace('\\', "/");
             let source = fs::read_to_string(&file)?;
-            sources.push((
-                FileCtx {
-                    crate_name: crate_name.clone(),
-                    path: rel,
-                    kind,
-                },
-                source,
-            ));
+            let ctx = FileCtx {
+                crate_name: crate_name.clone(),
+                path: rel,
+                kind,
+            };
+            findings.extend(lint_file(&ctx, &source, names.as_ref(), &mut state));
+            files_checked += 1;
         }
-    }
-
-    let analysis = WorkspaceAnalysis::build(&sources);
-
-    // Pass 2: the rules.
-    let mut findings = Vec::new();
-    let mut files_checked = 0usize;
-    let mut state = CrossFileState::default();
-    for (ctx, source) in &sources {
-        findings.extend(lint_file(ctx, source, names.as_ref(), &analysis, &mut state));
-        files_checked += 1;
     }
 
     // Cross-file half of the telemetry bijection: every declared name must

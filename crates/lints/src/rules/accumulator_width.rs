@@ -1,442 +1,197 @@
-//! Rule `accumulator-width`: every reduction into `i32`/`i64` over
-//! quantized products in a hot-path crate must carry a machine-checkable
-//! `// bound:` proof comment — and the comment must actually *prove* the
-//! reduction safe against the workspace constants and the interval
-//! analysis. A comment that parses but does not prove is a finding, the
-//! same as a missing one: a wrong proof is worse than no proof.
+//! Rule `accumulator-width`: every `i32`/`i64` reduction in a hot-path
+//! crate cites the compile-time proof that it cannot overflow.
 //!
-//! The obligation, for a reduction `acc: iN` over summands the interval
-//! analysis bounds by `|summand| ≤ T`:
+//! The proof itself is a `const _: () = assert!(…);` item beside the
+//! constant that caps the reduction length (`MAX_ACC_K` in
+//! `kernels/src/gemm.rs`): rustc evaluates it on every build, so it cannot
+//! go stale. What rustc cannot see is *which* loops lean on it. This rule
+//! is that link, a presence check over tokens. In hot-crate production code
+//! each
 //!
-//! * the comment `// bound: K * C <= LIMIT` (or `<`) must mention the free
-//!   reduction-length variable `K` exactly once, as a product factor;
-//! * every other factor and the limit must evaluate exactly against the
-//!   workspace constants (`MAX_BITS`, `MAX_ACC_K`, ...) and the
-//!   `I32_MAX`-style builtins — a name with conflicting definitions across
-//!   files is ambiguous and proves nothing;
-//! * the claimed per-element coefficient `C` must dominate the derived
-//!   summand bound: `C ≥ T` (otherwise the comment understates what one
-//!   term can contribute);
-//! * the claimed total must fit the accumulator: `LIMIT − strict ≤ iN::MAX`;
-//! * the claim must admit at least one element (`⌊(LIMIT − strict)/C⌋ ≥ 1`).
+//! * `.sum::<i32|i64>()` / `.product::<i32|i64>()`,
+//! * `let x: i32|i64 = … .sum()|.product();`, and
+//! * `x += …` inside a `for`/`while`/`loop` body, for `x` ascribed
+//!   `i32`/`i64` anywhere in the file,
 //!
-//! Two site families are audited: `.sum::<i32>()` / `.sum::<i64>()`
-//! reductions (including `let acc: i32 = ...sum();` ascription-typed ones)
-//! and `acc += ...` compound assignments inside loop bodies where `acc` is
-//! `i32`/`i64` — the loop-head widening of the accumulator's interval is
-//! exactly why only an explicit reduction-length bound can discharge these.
+//! must carry `// bound: NAME` on a line of the statement or in the comment
+//! block directly above it, and `NAME` must be an identifier mentioned
+//! inside a `const _: () = assert!(…);` item of the same file. The lint
+//! checks that a proof is cited; rustc checks that it is true.
 
-use crate::analysis::expr::{
-    eval, eval_exact, is_k, parse_bound_comment, product_factors, render, walk, BoundClaim,
-    Expr, ExprKind, Stmt, StmtKind, TyAnn,
-};
-use crate::analysis::expr::Binding;
-use crate::analysis::interval::IntTy;
-use crate::analysis::{iter_scalar_seed, FnFlow, WorkspaceAnalysis, HOT_CRATES};
-use crate::lexer::{in_ranges, Lexed};
+use crate::lexer::{in_ranges, type_bindings, Lexed, TokKind, Token};
 use crate::{FileCtx, Finding, RULE_ACCUMULATOR_WIDTH};
-use std::collections::BTreeMap;
 
-/// One audited reduction site.
-struct Site<'e> {
-    /// Line of the reduction expression itself.
-    line: usize,
-    /// Line the enclosing statement starts on (where a leading proof
-    /// comment would sit).
-    stmt_line: usize,
-    /// Accumulator type, when syntactically evident (`sum::<i32>()` or a
-    /// `let acc: i64` ascription). `+=` sites resolve it later through the
-    /// flow environment.
-    acc: Option<IntTy>,
-    /// The assigned place of a `+=` site, for environment typing.
-    place: Option<&'e Expr>,
-    /// The per-element summand expression, when the site exposes one
-    /// (`map` closure body, or the right side of `+=`).
-    summand: Option<&'e Expr>,
-    /// The `.sum()` receiver chain, for element-seed fallback.
-    chain: Option<&'e Expr>,
-    /// Human label for messages.
-    what: &'static str,
-}
+/// Crates whose production code is on the serving hot path.
+pub const HOT_CRATES: &[&str] = &["atom-kernels", "atom", "atom-nn", "atom-tensor"];
+
+/// The accumulator types the rule audits.
+const WIDE: &[&str] = &["i32", "i64"];
 
 pub fn check(
     ctx: &FileCtx,
     lexed: &Lexed,
     test_ranges: &[(usize, usize)],
-    analysis: &WorkspaceAnalysis,
-    flows: &[FnFlow],
     findings: &mut Vec<Finding>,
 ) {
     if !ctx.kind.is_production() || !HOT_CRATES.contains(&ctx.crate_name.as_str()) {
         return;
     }
-    let bound_comments = collect_bound_comments(lexed);
-    for flow in flows {
-        let mut sites = Vec::new();
-        collect_sites(&flow.body, false, flow.body.line, &mut sites);
-        for site in sites {
-            if in_ranges(test_ranges, site.stmt_line) || in_ranges(test_ranges, site.line) {
-                continue;
-            }
-            let reached = analysis.reached_from(&ctx.crate_name, &flow.span.name);
-            let env = analysis.env(&flow.env);
-            // `+=` sites: the accumulator type comes from the place's
-            // binding (or the summand's evaluated type); reductions over
-            // types other than `i32`/`i64` are out of scope.
-            let acc = match site.acc {
-                Some(a) => a,
-                None => {
-                    let resolved = site
-                        .place
-                        .and_then(|p| place_ty(p, &flow.env))
-                        .or_else(|| site.summand.map(|s| eval(s, &env)).and_then(|v| v.ty));
-                    match resolved {
-                        Some(t @ (IntTy::I32 | IntTy::I64)) => t,
-                        _ => continue,
-                    }
-                }
-            };
-            // The interval analysis's bound on one summand's magnitude.
-            let term_max = match (site.summand, site.chain) {
-                (Some(s), _) => eval(s, &env).iv.map(|iv| iv.magnitude()),
-                (None, Some(chain)) => {
-                    iter_scalar_seed(chain, &flow.env).and_then(|v| v.iv).map(|iv| iv.magnitude())
-                }
-                (None, None) => None,
-            };
-            let comment = find_bound_comment(lexed, &bound_comments, site.stmt_line, site.line);
-            let verdict = match comment {
-                None => Err(format!(
-                    "`{}` {} without a `// bound:` proof comment — every quantized \
-                     reduction must carry a machine-checkable reduction-length bound, \
-                     e.g. `// bound: K * 2^14 < 2^31`",
-                    acc.name(),
-                    site.what,
-                )),
-                Some(text) => match parse_bound_comment(text) {
-                    None => Err(format!(
-                        "malformed `// bound:` comment on `{}` {}: expected \
-                         `K * <factors> <= <limit>` (grammar: `+ - * / ^ <<`, \
-                         workspace constants, `I32_MAX`-style builtins)",
-                        acc.name(),
-                        site.what,
-                    )),
-                    Some(claim) => judge(&claim, analysis, acc, term_max).map_err(|why| {
-                        format!(
-                            "`// bound:` comment does not prove the `{}` {} safe: {why}",
-                            acc.name(),
-                            site.what,
-                        )
-                    }),
-                },
-            };
-            if let Err(message) = verdict {
-                findings.push(Finding {
-                    file: ctx.path.clone(),
-                    line: site.line,
-                    rule: RULE_ACCUMULATOR_WIDTH,
-                    message: format!("{message}{reached}"),
-                });
-            }
+    let toks = &lexed.tokens;
+    let asserted = asserted_names(toks);
+    let wide_bindings = type_bindings(lexed, WIDE);
+    let in_loop = loop_body_mask(toks);
+    for i in 0..toks.len() {
+        let accumulates = in_loop[i]
+            && is_plus_assign(toks, i)
+            && wide_bindings.iter().any(|b| b.name == toks[i].text);
+        if !accumulates && !is_wide_reduction(toks, i) {
+            continue;
         }
-    }
-}
-
-/// `(line, text-after-"bound:")` for every proof comment in the file.
-fn collect_bound_comments(lexed: &Lexed) -> BTreeMap<usize, String> {
-    let mut out = BTreeMap::new();
-    for c in &lexed.comments {
-        if let Some(pos) = c.text.find("bound:") {
-            let claim = c.text[pos + "bound:".len()..]
-                .trim()
-                .trim_end_matches("*/")
-                .trim()
-                .to_string();
-            out.insert(c.line, claim);
+        let line = toks[stmt_start(toks, i)].line;
+        if in_ranges(test_ranges, line) {
+            continue;
         }
-    }
-    out
-}
-
-/// The proof comment governing a site: trailing on any line the statement
-/// spans (`stmt_line..=site_line`), or in the contiguous comment block
-/// immediately above the statement. Closest match wins.
-fn find_bound_comment<'c>(
-    lexed: &Lexed,
-    comments: &'c BTreeMap<usize, String>,
-    stmt_line: usize,
-    site_line: usize,
-) -> Option<&'c str> {
-    let (lo, hi) = if stmt_line <= site_line { (stmt_line, site_line) } else { (site_line, stmt_line) };
-    for l in lo..=hi {
-        if let Some(text) = comments.get(&l) {
-            return Some(text);
-        }
-    }
-    let mut l = lo.checked_sub(1)?;
-    loop {
-        if lexed.has_code_on(l) {
-            return None;
-        }
-        if let Some(text) = comments.get(&l) {
-            return Some(text);
-        }
-        // A blank line (no comment either) ends the block.
-        if !lexed.comments.iter().any(|c| c.line == l) {
-            return None;
-        }
-        l = l.checked_sub(1)?;
-    }
-}
-
-/// Evaluates the proof obligation for one claim.
-fn judge(
-    claim: &BoundClaim,
-    analysis: &WorkspaceAnalysis,
-    acc: IntTy,
-    term_max: Option<i128>,
-) -> Result<(), String> {
-    if let Some(name) = first_ambiguous(&claim.lhs, analysis)
-        .or_else(|| first_ambiguous(&claim.rhs, analysis))
-    {
-        return Err(format!(
-            "it references `{name}`, which has conflicting definitions across the \
-             workspace — an ambiguous constant proves nothing"
-        ));
-    }
-    let factors = product_factors(&claim.lhs);
-    let k_count = factors.iter().filter(|f| is_k(f)).count();
-    if k_count != 1 {
-        return Err(format!(
-            "the left side must mention the free reduction-length variable `K` exactly \
-             once as a product factor (found {k_count} in `{}`)",
-            render(&claim.lhs)
-        ));
-    }
-    let mut coeff: i128 = 1;
-    for f in factors.iter().filter(|f| !is_k(f)) {
-        let Some(v) = eval_exact(f, &analysis.consts) else {
-            return Err(format!(
-                "the per-element factor `{}` does not evaluate against the workspace \
-                 constants",
-                render(f)
-            ));
-        };
-        coeff = coeff
-            .checked_mul(v)
-            .ok_or_else(|| "the per-element coefficient overflows i128".to_string())?;
-    }
-    if coeff <= 0 {
-        return Err(format!(
-            "the per-element coefficient evaluates to {coeff}, which cannot bound a \
-             magnitude"
-        ));
-    }
-    let Some(rhs) = eval_exact(&claim.rhs, &analysis.consts) else {
-        return Err(format!(
-            "the limit `{}` does not evaluate against the workspace constants",
-            render(&claim.rhs)
-        ));
-    };
-    let total = rhs - i128::from(claim.strict);
-    let k_max = total / coeff;
-    if k_max < 1 {
-        return Err(format!(
-            "the claim admits no elements at all (limit {total} / per-element {coeff} \
-             < 1)"
-        ));
-    }
-    if total > acc.max() {
-        return Err(format!(
-            "the claimed total {total} exceeds {}::MAX = {}",
-            acc.name(),
-            acc.max()
-        ));
-    }
-    match term_max {
-        None => Err(
-            "the interval analysis cannot bound the summand, so the claimed \
-             per-element coefficient cannot be checked — tighten the operand types \
-             or justify with `lint: allow(accumulator-width)`"
+        let message = match cited_name(lexed, line, toks[i].line) {
+            Some(name) if asserted.contains(&name) => continue,
+            Some(name) => format!(
+                "`i32`/`i64` reduction cites `// bound: {name}`, but no \
+                 `const _: () = assert!(…);` in this file mentions `{name}`"
+            ),
+            None => "`i32`/`i64` reduction without a `// bound: NAME` comment citing the \
+                     constant whose `const _: () = assert!(…);` proves it cannot overflow"
                 .to_string(),
-        ),
-        Some(t) if t > coeff => Err(format!(
-            "the claimed per-element coefficient {coeff} is smaller than the \
-             analysis-derived summand magnitude {t}"
-        )),
-        Some(_) => Ok(()),
+        };
+        findings.push(Finding {
+            file: ctx.path.clone(),
+            line,
+            rule: RULE_ACCUMULATOR_WIDTH,
+            message,
+        });
     }
 }
 
-/// First path in the claim naming an ambiguous workspace constant.
-fn first_ambiguous(e: &Expr, analysis: &WorkspaceAnalysis) -> Option<String> {
-    let mut found = None;
-    walk(e, false, &mut |n, _| {
-        if found.is_some() {
-            return;
-        }
-        if let ExprKind::Path(segs) = &n.kind {
-            if let Some(last) = segs.last() {
-                if analysis.ambiguous.contains(last.as_str()) {
-                    found = Some(last.clone());
-                }
-            }
-        }
-    });
-    found
+fn text(toks: &[Token], i: usize) -> &str {
+    toks.get(i).map_or("", |t| t.text.as_str())
 }
 
-/// Recursively collects reduction sites, tracking loop context and the
-/// line the enclosing statement starts on.
-fn collect_sites<'e>(e: &'e Expr, in_loop: bool, stmt_line: usize, out: &mut Vec<Site<'e>>) {
-    match &e.kind {
-        ExprKind::Block(stmts, tail) => {
-            for s in stmts {
-                collect_stmt(s, in_loop, out);
-            }
-            if let Some(t) = tail {
-                collect_sites(t, in_loop, t.line, out);
-            }
-        }
-        ExprKind::Method { recv, name, turbofish, args } => {
-            if matches!(name.as_str(), "sum" | "product") {
-                if let Some(acc @ (IntTy::I32 | IntTy::I64)) = turbofish {
-                    push_sum_site(e.line, stmt_line, *acc, recv, name, out);
-                }
-            }
-            collect_sites(recv, in_loop, stmt_line, out);
-            for a in args {
-                collect_sites(a, in_loop, stmt_line, out);
-            }
-        }
-        ExprKind::Loop(b) => collect_sites(b, true, stmt_line, out),
-        ExprKind::For { iter, body, .. } => {
-            collect_sites(iter, in_loop, stmt_line, out);
-            collect_sites(body, true, stmt_line, out);
-        }
-        ExprKind::If(c, t, f) => {
-            collect_sites(c, in_loop, stmt_line, out);
-            collect_sites(t, in_loop, stmt_line, out);
-            if let Some(f) = f {
-                collect_sites(f, in_loop, stmt_line, out);
-            }
-        }
-        ExprKind::Closure(_, b) | ExprKind::Neg(b) => collect_sites(b, in_loop, stmt_line, out),
-        ExprKind::Cast(i, _) | ExprKind::From(_, i) | ExprKind::Field(i, _) => {
-            collect_sites(i, in_loop, stmt_line, out)
-        }
-        ExprKind::Bin(_, l, r) | ExprKind::Index(l, r) => {
-            collect_sites(l, in_loop, stmt_line, out);
-            collect_sites(r, in_loop, stmt_line, out);
-        }
-        ExprKind::Call(c, args) => {
-            collect_sites(c, in_loop, stmt_line, out);
-            for a in args {
-                collect_sites(a, in_loop, stmt_line, out);
-            }
-        }
-        ExprKind::Seq(elems) => {
-            for el in elems {
-                collect_sites(el, in_loop, stmt_line, out);
-            }
-        }
-        ExprKind::Int(..) | ExprKind::Path(..) | ExprKind::Unknown => {}
+/// `.sum` / `.product` at token `i`, typed `i32`/`i64` by a turbofish or
+/// by the ascription of the `let` its statement opens with.
+fn is_wide_reduction(toks: &[Token], i: usize) -> bool {
+    if i == 0 || text(toks, i - 1) != "." || !matches!(text(toks, i), "sum" | "product") {
+        return false;
     }
+    let after = |at: usize, n: usize| (at + 1..=at + n).map(|k| text(toks, k)).collect::<Vec<_>>();
+    let first = stmt_start(toks, i);
+    let name = first + 1 + usize::from(text(toks, first + 1) == "mut");
+    matches!(after(i, 5)[..], [":", ":", "<", ty, ">"] if WIDE.contains(&ty))
+        || (text(toks, first) == "let"
+            && matches!(after(name, 3)[..], [":", ty, "="] if WIDE.contains(&ty))
+            && after(i, 3) == ["(", ")", ";"])
 }
 
-fn collect_stmt<'e>(s: &'e Stmt, in_loop: bool, out: &mut Vec<Site<'e>>) {
-    match &s.kind {
-        StmtKind::Let { ann, init, .. } => {
-            // `let acc: i32 = ...sum();` — the ascription types an
-            // un-turbofished reduction.
-            if let Some(TyAnn::Int(acc @ (IntTy::I32 | IntTy::I64))) = ann {
-                if let ExprKind::Method { recv, name, turbofish: None, .. } = &init.kind {
-                    if matches!(name.as_str(), "sum" | "product") {
-                        push_sum_site(init.line, s.line, *acc, recv, name, out);
-                    }
-                }
-            }
-            collect_sites(init, in_loop, s.line, out);
-        }
-        StmtKind::Compound(op, place, value) => {
-            if in_loop && matches!(op, crate::analysis::expr::BinOp::Add) {
-                out.push(Site {
-                    line: s.line,
-                    stmt_line: s.line,
-                    acc: None,
-                    place: Some(place),
-                    summand: Some(value),
-                    chain: None,
-                    what: "loop accumulation (`+=`)",
-                });
-            }
-            collect_sites(place, in_loop, s.line, out);
-            collect_sites(value, in_loop, s.line, out);
-        }
-        StmtKind::Assign(place, value) => {
-            collect_sites(place, in_loop, s.line, out);
-            collect_sites(value, in_loop, s.line, out);
-        }
-        StmtKind::Expr(e) => collect_sites(e, in_loop, s.line, out),
-    }
+/// `x +=` at token `i`, `x` a plain binding (not a field).
+fn is_plus_assign(toks: &[Token], i: usize) -> bool {
+    toks[i].kind == TokKind::Ident
+        && text(toks, i + 1) == "+"
+        && text(toks, i + 2) == "="
+        && (i == 0 || text(toks, i - 1) != ".")
 }
 
-/// Type of an assigned place, through the flow environment: a scalar
-/// binding's type, or the element type of an indexed slice binding.
-fn place_ty(place: &Expr, env: &std::collections::BTreeMap<String, Binding>) -> Option<IntTy> {
-    match &place.kind {
-        ExprKind::Path(segs) if segs.len() == 1 => match env.get(&segs[0])? {
-            Binding::Scalar(v) => v.ty,
-            Binding::Slice(_) => None,
-        },
-        ExprKind::Index(recv, _) => match &recv.kind {
-            ExprKind::Path(segs) if segs.len() == 1 => match env.get(&segs[0])? {
-                Binding::Slice(t) => Some(*t),
-                Binding::Scalar(_) => None,
-            },
-            _ => None,
-        },
-        _ => None,
+/// Index of the first token of the statement holding token `i`: scan back
+/// to the `;` or `}` that ends the previous statement, or to the opening
+/// bracket of the enclosing block, skipping balanced groups on the way.
+fn stmt_start(toks: &[Token], i: usize) -> usize {
+    let mut depth = 0usize;
+    let mut j = i;
+    while j > 0 {
+        match text(toks, j - 1) {
+            ";" | "}" if depth == 0 => break,
+            ")" | "]" | "}" => depth += 1,
+            "(" | "[" | "{" if depth == 0 => break,
+            "(" | "[" | "{" => depth -= 1,
+            _ => {}
+        }
+        j -= 1;
     }
+    j
 }
 
-fn push_sum_site<'e>(
-    line: usize,
-    stmt_line: usize,
-    acc: IntTy,
-    recv: &'e Expr,
-    name: &str,
-    out: &mut Vec<Site<'e>>,
-) {
-    // Strip adapters between the `map` and the reduction.
-    let mut chain = recv;
-    loop {
-        match &chain.kind {
-            ExprKind::Method { recv, name, .. }
-                if matches!(
-                    name.as_str(),
-                    "copied" | "cloned" | "inspect" | "rev" | "take" | "skip" | "filter"
-                ) =>
-            {
-                chain = recv;
+/// For each token, whether it sits inside a `for`/`while`/`loop` body
+/// (closures and nested blocks inherit from the block around them).
+fn loop_body_mask(toks: &[Token]) -> Vec<bool> {
+    let mut mask = Vec::with_capacity(toks.len());
+    // One entry per open `{`; `groups` counts open `(` and `[`.
+    let mut blocks: Vec<bool> = Vec::new();
+    let mut groups = 0usize;
+    // A loop head was seen at this group depth: the next `{` there is its
+    // body. `in` stands for `for`, which also spells `impl A for B`.
+    let mut head: Option<usize> = None;
+    for t in toks {
+        let inside = blocks.last().copied().unwrap_or(false);
+        mask.push(inside);
+        match t.text.as_str() {
+            "while" | "loop" | "in" if t.kind == TokKind::Ident => head = Some(groups),
+            "(" | "[" => groups += 1,
+            ")" | "]" => {
+                groups = groups.saturating_sub(1);
+                head = head.filter(|&at| at <= groups);
             }
-            _ => break,
+            "{" => {
+                let opens_loop = head.take_if(|at| *at == groups).is_some();
+                blocks.push(inside || opens_loop);
+            }
+            "}" => drop(blocks.pop()),
+            _ => {}
         }
     }
-    let summand = match &chain.kind {
-        ExprKind::Method { name, args, .. } if name == "map" => match args.first() {
-            Some(Expr { kind: ExprKind::Closure(_, body), .. }) => Some(&**body),
-            _ => None,
-        },
-        _ => None,
+    mask
+}
+
+/// Identifiers inside the file's `const _: () = assert!(…);` items.
+fn asserted_names(toks: &[Token]) -> Vec<&str> {
+    const HEAD: [&str; 9] = ["const", "_", ":", "(", ")", "=", "assert", "!", "("];
+    let mut names = Vec::new();
+    for i in 0..toks.len() {
+        if !(toks[i..].iter().map(|t| t.text.as_str()))
+            .take(HEAD.len())
+            .eq(HEAD)
+        {
+            continue;
+        }
+        let mut depth = 1usize;
+        for t in &toks[i + HEAD.len()..] {
+            match t.text.as_str() {
+                "(" => depth += 1,
+                ")" => depth -= 1,
+                _ if t.kind == TokKind::Ident => names.push(t.text.as_str()),
+                _ => {}
+            }
+            if depth == 0 {
+                break;
+            }
+        }
+    }
+    names
+}
+
+/// The name a statement spanning lines `first..=last` cites: the word
+/// after `bound:` in a comment on one of those lines, or in the unbroken
+/// run of comment-only lines directly above. Closest wins.
+fn cited_name(lexed: &Lexed, first: usize, last: usize) -> Option<&str> {
+    let cited_on = |line: usize| {
+        let on_line = lexed.comments.iter().filter(|c| c.line == line);
+        let after = on_line.filter_map(|c| c.text.split_once("bound:")).next();
+        after.map(|(_, rest)| rest.split_whitespace().next().unwrap_or(""))
     };
-    out.push(Site {
-        line,
-        stmt_line,
-        acc: Some(acc),
-        place: None,
-        summand,
-        chain: summand.is_none().then_some(chain),
-        what: if name == "sum" { "reduction (`.sum()`)" } else { "reduction (`.product()`)" },
-    });
+    if let Some(name) = (first..=last).find_map(cited_on) {
+        return Some(name);
+    }
+    let mut line = first.checked_sub(1)?;
+    while !lexed.has_code_on(line) && lexed.comments.iter().any(|c| c.line == line) {
+        if let Some(name) = cited_on(line) {
+            return Some(name);
+        }
+        line = line.checked_sub(1)?;
+    }
+    None
 }

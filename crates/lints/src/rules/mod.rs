@@ -8,7 +8,6 @@ pub mod lossy_cast;
 pub mod panic_freedom;
 pub mod telemetry_names;
 pub mod time_entropy;
-pub mod unchecked_arith;
 pub mod unordered_iteration;
 pub mod unsafe_containment;
 

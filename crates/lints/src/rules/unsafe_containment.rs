@@ -1,18 +1,13 @@
-//! Rule `unsafe-containment`: `#![forbid(unsafe_code)]` on every crate
-//! root, except `atom-telemetry` where any `unsafe` block must carry a
-//! `// SAFETY:` comment.
+//! Rule `unsafe-containment`: every crate root carries
+//! `#![forbid(unsafe_code)]`.
 //!
 //! The reproduction's results are only trustworthy if the numeric code is
-//! memory-safe by construction. Telemetry is the one crate allowed to earn
-//! `unsafe` (e.g. a future lock-free histogram), and there every block
-//! must explain its proof obligation in a `// SAFETY:` comment directly
-//! above it — the convention the standard library uses.
+//! memory-safe by construction. With the attribute in place rustc rejects
+//! any `unsafe` in the crate, so the one thing left to check is that no
+//! crate root drops it.
 
 use crate::lexer::{Lexed, TokKind};
 use crate::{FileCtx, Finding, RULE_UNSAFE_CONTAINMENT};
-
-/// The one crate permitted to contain audited `unsafe`.
-const UNSAFE_CAPABLE: &str = "atom-telemetry";
 
 fn has_forbid_unsafe(lexed: &Lexed) -> bool {
     let toks = &lexed.tokens;
@@ -44,63 +39,12 @@ fn has_forbid_unsafe(lexed: &Lexed) -> bool {
 }
 
 pub fn check(ctx: &FileCtx, lexed: &Lexed, findings: &mut Vec<Finding>) {
-    let is_capable = ctx.crate_name == UNSAFE_CAPABLE;
-
-    if ctx.kind.is_crate_root() && !is_capable && !has_forbid_unsafe(lexed) {
+    if ctx.kind.is_crate_root() && !has_forbid_unsafe(lexed) {
         findings.push(Finding {
             file: ctx.path.clone(),
             line: 1,
             rule: RULE_UNSAFE_CONTAINMENT,
-            message: "crate root must carry `#![forbid(unsafe_code)]` \
-                      (only atom-telemetry may hold audited unsafe)"
-                .into(),
+            message: "crate root must carry `#![forbid(unsafe_code)]`".into(),
         });
-    }
-
-    if !ctx.kind.is_production() {
-        return;
-    }
-    for t in &lexed.tokens {
-        if t.kind != TokKind::Ident || t.text != "unsafe" {
-            continue;
-        }
-        if !is_capable {
-            findings.push(Finding {
-                file: ctx.path.clone(),
-                line: t.line,
-                rule: RULE_UNSAFE_CONTAINMENT,
-                message: "`unsafe` outside atom-telemetry; this crate forbids unsafe code".into(),
-            });
-            continue;
-        }
-        // In the capable crate: require a SAFETY comment on the same line
-        // or in the contiguous comment block directly above.
-        let mut documented = lexed
-            .comments
-            .iter()
-            .any(|c| c.line == t.line && c.text.contains("SAFETY:"));
-        let mut line = t.line;
-        while !documented && line > 1 {
-            line -= 1;
-            let comment_here = lexed.comments.iter().find(|c| c.line == line);
-            match comment_here {
-                Some(c) if c.text.contains("SAFETY:") => documented = true,
-                Some(_) => {}
-                // A non-comment line above ends the contiguous block —
-                // unless it holds no code either (blank lines are skipped).
-                None if lexed.has_code_on(line) => break,
-                None => {}
-            }
-        }
-        if !documented {
-            findings.push(Finding {
-                file: ctx.path.clone(),
-                line: t.line,
-                rule: RULE_UNSAFE_CONTAINMENT,
-                message: "`unsafe` block without a `// SAFETY:` comment explaining the \
-                          proof obligation"
-                    .into(),
-            });
-        }
     }
 }

@@ -5,14 +5,12 @@
 //! tree). The binary's exit-code contract is checked end to end against a
 //! synthesized bad workspace.
 
-use atom_lint::analysis::WorkspaceAnalysis;
 use atom_lint::ratchet::Baseline;
 use atom_lint::rules::lock_order::LockEdge;
 use atom_lint::{
     lint_file, lint_workspace, lock_cycle_findings, CrossFileState, FileCtx, FileKind, NamesTable,
     RULE_ACCUMULATOR_WIDTH, RULE_DIRECTIVE, RULE_LOCK_ORDER, RULE_LOSSY_CAST, RULE_PANIC_FREEDOM,
-    RULE_TELEMETRY_NAMES, RULE_TIME_ENTROPY, RULE_UNCHECKED_ARITH, RULE_UNORDERED_ITERATION,
-    RULE_UNSAFE_CONTAINMENT,
+    RULE_TELEMETRY_NAMES, RULE_TIME_ENTROPY, RULE_UNORDERED_ITERATION, RULE_UNSAFE_CONTAINMENT,
 };
 use std::path::{Path, PathBuf};
 
@@ -43,12 +41,8 @@ fn run_state(
     ctx: &FileCtx,
     names: Option<&NamesTable>,
 ) -> (Vec<(&'static str, usize)>, CrossFileState) {
-    // The workspace analysis the arithmetic rules evaluate against is
-    // built from the fixture alone — its own `const` declarations are the
-    // whole constant universe, which is exactly what the fixtures assume.
-    let analysis = WorkspaceAnalysis::build(&[(ctx.clone(), source.to_string())]);
     let mut state = CrossFileState::default();
-    let findings = lint_file(ctx, source, names, &analysis, &mut state)
+    let findings = lint_file(ctx, source, names, &mut state)
         .into_iter()
         .map(|f| (f.rule, f.line))
         .collect();
@@ -162,10 +156,7 @@ fn unsafe_containment_fixture() {
     let src = fixture("unsafe_containment_bad.rs");
     let ctx = ctx("atom-badlib", "crates/bad/src/lib.rs", FileKind::LibRoot);
     let got = run(&src, &ctx, None);
-    let want = vec![
-        (RULE_UNSAFE_CONTAINMENT, 1), // missing #![forbid(unsafe_code)]
-        (RULE_UNSAFE_CONTAINMENT, 7), // unsafe block outside telemetry
-    ];
+    let want = vec![(RULE_UNSAFE_CONTAINMENT, 1)]; // missing #![forbid(unsafe_code)]
     assert_eq!(got, want, "findings: {got:?}");
 }
 
@@ -352,20 +343,17 @@ fn allow_inventory_records_reason_and_suppression_count() {
 
 #[test]
 fn accumulator_width_fixture() {
-    // Proving comments (the `proven`, `loop_acc_proven`, and `turbofish`
-    // functions) must discharge their sites; every other reduction is a
-    // finding with its own failure mode — missing comment, understated
-    // coefficient, no `K` factor, claimed total wider than the
-    // accumulator, and a bare loop accumulation.
+    // The cited-and-asserted reduction, the cited loop accumulation, the
+    // `+=` outside any loop, the float sums and the #[cfg(test)] body stay
+    // clean; every other `i32`/`i64` reduction is a finding.
     let src = fixture("accumulator_width_bad.rs");
     let ctx = ctx("atom-kernels", "crates/kernels/src/fixture.rs", FileKind::Src);
     let got = run(&src, &ctx, None);
     let want = vec![
-        (RULE_ACCUMULATOR_WIDTH, 15), // missing: no bound comment
-        (RULE_ACCUMULATOR_WIDTH, 23), // understated: 2^7 < derived 2^14
-        (RULE_ACCUMULATOR_WIDTH, 30), // no_k: claim lacks the K factor
-        (RULE_ACCUMULATOR_WIDTH, 37), // too_wide: 2^40 exceeds i32::MAX
-        (RULE_ACCUMULATOR_WIDTH, 45), // loop accumulation, no comment
+        (RULE_ACCUMULATOR_WIDTH, 19), // missing: no bound comment
+        (RULE_ACCUMULATOR_WIDTH, 27), // unasserted: no assertion mentions the name
+        (RULE_ACCUMULATOR_WIDTH, 34), // detached: blank line below the comment
+        (RULE_ACCUMULATOR_WIDTH, 42), // loop `+=` on an i64 local, no comment
     ];
     assert_eq!(got, want, "findings: {got:?}");
 }
@@ -381,42 +369,32 @@ fn accumulator_width_is_scoped_to_hot_crates() {
     );
 }
 
+/// The rule bites on the real kernel, not only on a fixture: the live
+/// `gemm.rs` is clean, has exactly four findings when its four
+/// `// bound:` lines are blanked, and the same four once the assertions
+/// name a different constant.
 #[test]
-fn unchecked_arith_fixture() {
-    // The provable sum, the wrapping call, the unsigned multiply, the
-    // justified allow, and the #[cfg(test)] body must all stay clean;
-    // the three bare signed sites are findings.
-    let src = fixture("unchecked_arith_bad.rs");
-    let ctx = ctx("atom-kernels", "crates/kernels/src/fixture.rs", FileKind::Src);
-    let got = run(&src, &ctx, None);
-    let want = vec![
-        (RULE_UNCHECKED_ARITH, 14), // x * y with full-range operands
-        (RULE_UNCHECKED_ARITH, 19), // x + 1 at the top of the range
-        (RULE_UNCHECKED_ARITH, 24), // shift amount unbounded
-    ];
-    assert_eq!(got, want, "findings: {got:?}");
-}
+fn accumulator_width_flags_live_gemm_without_its_citations() {
+    let path = "crates/kernels/src/gemm.rs";
+    let live = std::fs::read_to_string(workspace_root().join(path)).expect("gemm.rs readable");
+    let ctx = ctx("atom-kernels", path, FileKind::Src);
+    assert_eq!(run(&live, &ctx, None), vec![], "live gemm.rs is clean");
 
-#[test]
-fn unchecked_arith_cross_file_consts_resolve() {
-    // The per-file fixture defines `FIX_LIMIT` itself; here the constant
-    // lives in a *different* file of the analysis universe, and the site
-    // file still proves against it — the workspace constant table is
-    // global, not per-file.
-    let consts = "pub const ELSEWHERE: i32 = 1 << 10;\n";
-    let site = "pub fn f(x: u8) -> i32 {\n    i32::from(x) + ELSEWHERE\n}\n";
-    let const_ctx = ctx("atom-kernels", "crates/kernels/src/consts.rs", FileKind::Src);
-    let site_ctx = ctx("atom-kernels", "crates/kernels/src/site.rs", FileKind::Src);
-    let analysis = WorkspaceAnalysis::build(&[
-        (const_ctx, consts.to_string()),
-        (site_ctx.clone(), site.to_string()),
-    ]);
-    let mut state = CrossFileState::default();
-    let findings = lint_file(&site_ctx, site, None, &analysis, &mut state);
-    assert!(
-        findings.is_empty(),
-        "cross-file constant should prove the sum: {findings:?}"
-    );
+    // Blank the lines (rather than drop them) so line numbers still match.
+    let is_citation = |l: &str| l.trim_start().starts_with("// bound:");
+    let blank = |l| if is_citation(l) { "" } else { l };
+    let stripped: Vec<&str> = live.lines().map(blank).collect();
+    let got = run(&stripped.join("\n"), &ctx, None);
+    // Each finding sits on the statement directly below its citation.
+    let cited = (1..).zip(live.lines()).filter(|(_, l)| is_citation(l));
+    let below = |(n, _): (usize, _)| (RULE_ACCUMULATOR_WIDTH, n + 1);
+    let want: Vec<_> = cited.map(below).collect();
+    assert_eq!(want.len(), 4, "gemm.rs has four i32 reductions");
+    assert_eq!(got, want, "findings: {got:?}");
+
+    let renamed = live.replace("assert!((MAX_ACC_K", "assert!((OTHER_K");
+    let got = run(&renamed, &ctx, None);
+    assert_eq!(got, want, "findings: {got:?}");
 }
 
 #[test]
@@ -448,14 +426,14 @@ fn sarif_results_carry_location_and_level() {
         findings: vec![atom_lint::Finding {
             file: "crates/x/src/lib.rs".into(),
             line: 7,
-            rule: RULE_UNCHECKED_ARITH,
+            rule: RULE_ACCUMULATOR_WIDTH,
             message: "demo \"quoted\" message".into(),
         }],
         files_checked: 1,
         allows: vec![],
     };
     let sarif = report.to_sarif();
-    assert!(sarif.contains(&format!("\"ruleId\": \"{RULE_UNCHECKED_ARITH}\"")));
+    assert!(sarif.contains(&format!("\"ruleId\": \"{RULE_ACCUMULATOR_WIDTH}\"")));
     assert!(sarif.contains("\"level\": \"error\""));
     assert!(sarif.contains("\"uri\": \"crates/x/src/lib.rs\""));
     assert!(sarif.contains("\"startLine\": 7"));

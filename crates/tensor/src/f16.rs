@@ -82,9 +82,8 @@ pub fn f16_bits_to_f32(bits: u16) -> f32 {
                 e -= 1;
             }
             f &= 0x03FF;
-            // lint: allow(unchecked-arith) — e is in [-24, -14]: frac is a
-            // nonzero 10-bit value, so the normalization loop shifts at most
-            // 10 times; loop-carried state is outside the interval domain.
+            // e is in [-24, -14]: frac is a nonzero 10-bit value, so the
+            // normalization loop shifts at most 10 times.
             let f32_exp = ((e + 127) as u32) << 23;
             sign | f32_exp | (f << 13)
         }
