@@ -185,7 +185,7 @@ fn main() {
     // JSON twin of the table for downstream tooling (hand-rolled: the
     // workspace deliberately has no JSON dependency).
     let json = format!(
-        "{{\n  \"seed\": {seed},\n  \"kv_pool_tokens\": {KV_POOL_TOKENS},\n  \"max_batch\": {MAX_BATCH},\n  \
+        "{{\n  \"seed\": {seed},\n  \"host_threads\": {host_threads},\n  \"kv_pool_tokens\": {KV_POOL_TOKENS},\n  \"max_batch\": {MAX_BATCH},\n  \
          \"submitted\": {submitted},\n  \"completed\": {completed},\n  \"rejected\": {rejected},\n  \
          \"cancelled\": {cancelled},\n  \"deadline_exceeded\": {expired},\n  \"failed\": {failed},\n  \
          \"preemptions\": {preemptions},\n  \"degraded_admissions\": {degraded},\n  \
@@ -204,6 +204,7 @@ fn main() {
         prefix.cow_forks,
         prefix.flushed,
         steps = engine.steps(),
+        host_threads = atom_bench::host_threads(),
     );
     let path = atom_bench::results_dir().join("chaos_serve.json");
     std::fs::write(&path, json).expect("write json report");

@@ -1,33 +1,31 @@
 //! Fig. 11: kernel-level evaluation — (a) dense GEMM latency across batch
 //! sizes for FP16 / W4A16 / W8A8 / Atom W4A4, (b) self-attention
 //! throughput across batch sizes for KV bits 16 / 8 / 4, and (c) the
-//! *measured* CPU speedup of this repo's SWAR kernel path over the scalar
-//! reference on the packed INT4 GEMM and quantized-KV attention.
+//! *measured* CPU speedup of this repo's kernels over their references:
+//! the packed INT4 GEMM vs `gemm::reference`, and quantized-KV attention
+//! vs dequantizing K/V whole and running `attention_reference`.
 //!
 //! Paper shape (RTX 4090, Llama-7B shapes, seq 1024): weight-only wins at
 //! small batch and fades; at batch 512 Atom's GEMM is 3.4x FP16 and 1.9x
 //! INT8; attention throughput scales ~linearly with KV compression, 3.5x
 //! FP16 and 1.8x INT8 at batch 128.
 //!
-//! Section (c) is a hard gate, not a report: the SWAR path must measure
-//! at least 2.0x over scalar on the decode-shape (m=1) packed INT4 GEMM
-//! or the bin exits non-zero. Both paths are also asserted bit-identical on every
-//! measured shape, and the per-operator wall time of each path is recorded
-//! through `atom_telemetry` (the same counters production serving uses)
-//! so the before/after lives in telemetry, not just in `Instant` deltas.
-//! A JSON twin lands at `results/fig11_kernels.json`; CI runs this bin
-//! under both `ATOM_KERNEL_PATH` values and uploads both JSONs.
+//! Section (c) is a hard gate, not a report: the GEMM kernel must measure
+//! at least 2.0x over `gemm::reference` on the decode-shape (m=1) packed
+//! INT4 GEMM or the bin exits non-zero. The two are also asserted
+//! bit-identical on every measured shape (attention within FP32
+//! summation-order tolerance). A JSON twin lands at
+//! `results/fig11_kernels.json`; CI uploads it.
 //!
 //! Flags: `--seed <u64>` (default 7) seeds all matrix initialization.
 
 #![forbid(unsafe_code)]
 use atom_gpu_sim::cost::{op_time, ComputeKind, Op};
 use atom_gpu_sim::{HardwareProfile, SimScheme};
-use atom_kernels::attention::QuantizedKvHead;
-use atom_kernels::gemm::{fused_group_gemm_with, fused_group_gemm_with_path};
-use atom_kernels::{attention_quant_kv_path, GroupQuantized, KernelPath, QuantSpec};
+use atom_kernels::attention::{attention_reference, QuantizedKvHead};
+use atom_kernels::gemm::{fused_group_gemm_with, reference};
+use atom_kernels::{attention_quant_kv, GroupQuantized, QuantSpec};
 use atom_parallel::Pool;
-use atom_telemetry::{names, MetricsSnapshot, Telemetry};
 use atom_tensor::SeededRng;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -40,7 +38,7 @@ const CPU_MS: [usize; 4] = [1, 4, 16, 64];
 const CPU_N: usize = 2048;
 const CPU_K: usize = 2048;
 const CPU_GROUP: usize = 128;
-/// The acceptance threshold for SWAR over scalar at the decode shape.
+/// The acceptance threshold for kernel over reference at the decode shape.
 const SPEEDUP_GATE: f64 = 2.0;
 
 /// Best-of-`reps` wall time for `f`, returning (seconds, last output).
@@ -48,7 +46,7 @@ fn time_best<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
     let mut best = f64::INFINITY;
     let mut out = None;
     for _ in 0..reps {
-        let t0 = Instant::now(); // lint: allow(time-entropy) — the scalar-vs-SWAR speedup measurement is the point of this report; correctness is gated on bit-identity, not time
+        let t0 = Instant::now(); // lint: allow(time-entropy) — the kernel-vs-reference speedup measurement is the point of this report; correctness is gated on bit-identity, not time
         let v = f();
         best = best.min(t0.elapsed().as_secs_f64());
         out = Some(v);
@@ -63,24 +61,6 @@ fn reps_for(m: usize) -> usize {
     } else {
         3
     }
-}
-
-fn hist_sum(snap: &MetricsSnapshot, name: &str) -> u64 {
-    snap.histograms.get(name).map_or(0, |h| h.sum)
-}
-
-/// Histogram-sum delta between two snapshots (monotone counters, so plain
-/// saturating subtraction).
-fn hist_delta(before: &MetricsSnapshot, after: &MetricsSnapshot, name: &str) -> u64 {
-    hist_sum(after, name).saturating_sub(hist_sum(before, name))
-}
-
-fn counter_delta(before: &MetricsSnapshot, after: &MetricsSnapshot, name: &str) -> u64 {
-    after.counter(name).saturating_sub(before.counter(name))
-}
-
-fn ms(ns: u64) -> String {
-    format!("{:.2}", ns as f64 / 1e6)
 }
 
 fn main() {
@@ -157,14 +137,13 @@ fn main() {
         &rows_b,
     );
 
-    // (c) Measured CPU scalar-vs-SWAR on the real kernels. One weight
+    // (c) Measured CPU kernel-vs-reference on the real kernels. One weight
     // matrix is shared across the batch sweep (exactly how serving reuses
     // packed weights across decode steps); activations are quantized per
     // batch size up front so timing loops measure only the GEMM.
     let seed = atom_bench::arg_u64("seed", 7);
     let mut rng = SeededRng::new(seed);
     let pool = Pool::global();
-    let default_path = KernelPath::current();
 
     let w = rng.normal_matrix(CPU_N, CPU_K, 0.0, 0.5);
     let qw = GroupQuantized::quantize(&w, QuantSpec::new(4, CPU_GROUP));
@@ -176,55 +155,34 @@ fn main() {
         })
         .collect();
 
-    // Telemetry records the before/after: each path's sweep sits between
-    // two snapshots, so the per-operator wall time and the path-split call
-    // counters below come from the same instrumentation production uses.
-    Telemetry::enable_global();
-    let t = Telemetry::global();
-    let s0 = t.metrics().snapshot();
-
-    let mut scalar_secs = Vec::new();
-    let mut scalar_outs = Vec::new();
+    let mut reference_secs = Vec::new();
+    let mut reference_outs = Vec::new();
     for (i, qa) in qas.iter().enumerate() {
         let (s, out) = time_best(reps_for(CPU_MS[i]), || {
-            fused_group_gemm_with_path(pool, qa, &qw, KernelPath::Scalar)
-                .expect("shapes validated")
+            reference::fused_group_gemm(pool, qa, &qw).expect("shapes validated")
         });
-        scalar_secs.push(s);
-        scalar_outs.push(out);
+        reference_secs.push(s);
+        reference_outs.push(out);
     }
-    let s1 = t.metrics().snapshot();
 
-    let mut swar_secs = Vec::new();
+    let mut kernel_secs = Vec::new();
     for (i, qa) in qas.iter().enumerate() {
         let (s, out) = time_best(reps_for(CPU_MS[i]), || {
-            fused_group_gemm_with_path(pool, qa, &qw, KernelPath::Swar).expect("shapes validated")
+            fused_group_gemm_with(pool, qa, &qw).expect("shapes validated")
         });
         assert_eq!(
-            scalar_outs[i].as_slice(),
+            reference_outs[i].as_slice(),
             out.as_slice(),
-            "scalar and SWAR GEMM disagree at m={}",
+            "GEMM kernel and gemm::reference disagree at m={}",
             CPU_MS[i]
         );
-        swar_secs.push(s);
+        kernel_secs.push(s);
     }
-    let s2 = t.metrics().snapshot();
-
-    // The env-selected default path (what serving actually runs): timed at
-    // the decode shape so the two CI runs of this bin (ATOM_KERNEL_PATH set
-    // to each value) differ measurably in this one entry.
-    let (default_secs, default_out) = time_best(5, || {
-        fused_group_gemm_with(pool, &qas[0], &qw).expect("shapes validated")
-    });
-    assert_eq!(
-        scalar_outs[0].as_slice(),
-        default_out.as_slice(),
-        "default path disagrees with scalar reference at m=1"
-    );
-    let s3 = t.metrics().snapshot();
 
     // Quantized-KV decode attention, paper decode shape (q_len 1, kv 1024,
-    // head_dim 128, INT4 KV), one head.
+    // head_dim 128, INT4 KV), one head. The reference materializes K and V
+    // in FP32 and runs dense attention — the unfused pipeline the
+    // dequantize-on-load kernel replaces.
     let (hd, kv_len) = (128usize, 1024);
     let mut kvh = QuantizedKvHead::new(hd, 4);
     kvh.append(
@@ -233,74 +191,32 @@ fn main() {
     );
     let q = rng.normal_matrix(1, hd, 0.0, 1.0);
     let scale = 1.0 / atom_tensor::cast::usize_to_f32(hd).sqrt();
-    let (att_scalar_secs, att_scalar) =
-        time_best(5, || attention_quant_kv_path(&q, &kvh, scale, KernelPath::Scalar));
-    let s4 = t.metrics().snapshot();
-    let (att_swar_secs, att_swar) =
-        time_best(5, || attention_quant_kv_path(&q, &kvh, scale, KernelPath::Swar));
-    assert_eq!(
-        att_scalar.as_slice(),
-        att_swar.as_slice(),
-        "scalar and SWAR attention disagree"
-    );
-    let s5 = t.metrics().snapshot();
+    let (att_reference_secs, att_reference) = time_best(5, || {
+        attention_reference(&q, &kvh.keys.dequantize(), &kvh.values.dequantize(), scale)
+    });
+    let (att_kernel_secs, att_kernel) = time_best(5, || attention_quant_kv(&q, &kvh, scale));
+    let att_err = att_kernel.sub(&att_reference).frob_norm() / att_reference.frob_norm();
+    assert!(att_err < 1e-5, "attention kernel is {att_err} off its reference");
 
     let mut rows_c = Vec::new();
     for (i, &m) in CPU_MS.iter().enumerate() {
         rows_c.push(vec![
             m.to_string(),
-            format!("{:.3}", scalar_secs[i] * 1e3),
-            format!("{:.3}", swar_secs[i] * 1e3),
-            format!("{:.2}x", scalar_secs[i] / swar_secs[i]),
+            format!("{:.3}", reference_secs[i] * 1e3),
+            format!("{:.3}", kernel_secs[i] * 1e3),
+            format!("{:.2}x", reference_secs[i] / kernel_secs[i]),
         ]);
     }
     rows_c.push(vec![
         format!("attention kv{kv_len}"),
-        format!("{:.3}", att_scalar_secs * 1e3),
-        format!("{:.3}", att_swar_secs * 1e3),
-        format!("{:.2}x", att_scalar_secs / att_swar_secs),
+        format!("{:.3}", att_reference_secs * 1e3),
+        format!("{:.3}", att_kernel_secs * 1e3),
+        format!("{:.2}x", att_reference_secs / att_kernel_secs),
     ]);
-    let table_c = atom_bench::table(&["m", "scalar ms", "swar ms", "speedup"], &rows_c);
+    let table_c = atom_bench::table(&["m", "reference ms", "kernel ms", "speedup"], &rows_c);
 
-    // Per-operator telemetry breakdown: each row is a snapshot delta, so
-    // the wall numbers are what the production timers recorded, path by
-    // path (timing reps included — this is the measurement's own cost).
-    let tele_rows = vec![
-        vec![
-            "op.gemm".into(),
-            "scalar".into(),
-            ms(hist_delta(&s0, &s1, names::OP_GEMM_WALL_NS)),
-            counter_delta(&s0, &s1, names::OP_GEMM_SCALAR_CALLS).to_string(),
-        ],
-        vec![
-            "op.gemm".into(),
-            "swar".into(),
-            ms(hist_delta(&s1, &s2, names::OP_GEMM_WALL_NS)),
-            counter_delta(&s1, &s2, names::OP_GEMM_SWAR_CALLS).to_string(),
-        ],
-        vec![
-            "op.gemm".into(),
-            format!("default ({})", default_path.label()),
-            ms(hist_delta(&s2, &s3, names::OP_GEMM_WALL_NS)),
-            counter_delta(&s2, &s3, names::OP_GEMM_CALLS).to_string(),
-        ],
-        vec![
-            "op.attention".into(),
-            "scalar".into(),
-            ms(hist_delta(&s3, &s4, names::OP_ATTENTION_WALL_NS)),
-            counter_delta(&s3, &s4, names::OP_ATTENTION_SCALAR_CALLS).to_string(),
-        ],
-        vec![
-            "op.attention".into(),
-            "swar".into(),
-            ms(hist_delta(&s4, &s5, names::OP_ATTENTION_WALL_NS)),
-            counter_delta(&s4, &s5, names::OP_ATTENTION_SWAR_CALLS).to_string(),
-        ],
-    ];
-    let table_t = atom_bench::table(&["operator", "path", "wall ms", "calls"], &tele_rows);
-
-    let decode_speedup = scalar_secs[0] / swar_secs[0];
-    let att_speedup = att_scalar_secs / att_swar_secs;
+    let decode_speedup = reference_secs[0] / kernel_secs[0];
+    let att_speedup = att_reference_secs / att_kernel_secs;
 
     let mut content = String::new();
     let _ = writeln!(
@@ -316,25 +232,14 @@ fn main() {
     );
     let _ = writeln!(
         content,
-        "(c) measured CPU kernels: scalar reference vs SWAR path\n\
-         (packed INT4 GEMM {CPU_N}x{CPU_K}, group {CPU_GROUP}; attention q_len 1, head_dim {hd},\n\
-         INT4 KV; seed {seed:#x}, best-of-reps, every row asserted bit-identical across paths;\n\
-         default path this run: {})\n\n{table_c}",
-        default_path.label()
+        "(c) measured CPU kernels vs their references\n\
+         (packed INT4 GEMM {CPU_N}x{CPU_K}, group {CPU_GROUP}, against gemm::reference, every row\n\
+         asserted bit-identical; attention q_len 1, head_dim {hd}, INT4 KV, against dequantize +\n\
+         attention_reference, relative error {att_err:.1e}; seed {seed:#x}, best-of-reps)\n\n{table_c}"
     );
     let _ = writeln!(
         content,
-        "default-path GEMM at m=1 ({}): {:.3} ms",
-        default_path.label(),
-        default_secs * 1e3
-    );
-    let _ = writeln!(
-        content,
-        "\nper-operator telemetry (snapshot deltas around each sweep, production counters)\n\n{table_t}"
-    );
-    let _ = writeln!(
-        content,
-        "gate: SWAR >= {SPEEDUP_GATE:.1}x scalar at the m=1 decode shape — measured {decode_speedup:.2}x"
+        "gate: kernel >= {SPEEDUP_GATE:.1}x gemm::reference at the m=1 decode shape — measured {decode_speedup:.2}x"
     );
     let _ = writeln!(
         content,
@@ -348,68 +253,35 @@ fn main() {
     let fmt_secs = |v: &[f64]| {
         v.iter().map(|s| format!("{s:.6}")).collect::<Vec<_>>().join(", ")
     };
-    let speedups: Vec<String> = scalar_secs
+    let speedups: Vec<String> = reference_secs
         .iter()
-        .zip(&swar_secs)
-        .map(|(sc, sw)| format!("{:.3}", sc / sw))
+        .zip(&kernel_secs)
+        .map(|(r, k)| format!("{:.3}", r / k))
         .collect();
     let mut json = String::new();
     let _ = writeln!(json, "{{");
     let _ = writeln!(json, "  \"seed\": {seed},");
-    let _ = writeln!(json, "  \"default_path\": \"{}\",", default_path.label());
     let _ = writeln!(json, "  \"gemm\": {{");
     let _ = writeln!(
         json,
         "    \"n\": {CPU_N}, \"k\": {CPU_K}, \"group\": {CPU_GROUP}, \"bits\": 4,"
     );
     let _ = writeln!(json, "    \"m\": [1, 4, 16, 64],");
-    let _ = writeln!(json, "    \"scalar_seconds\": [{}],", fmt_secs(&scalar_secs));
-    let _ = writeln!(json, "    \"swar_seconds\": [{}],", fmt_secs(&swar_secs));
-    let _ = writeln!(json, "    \"speedup\": [{}],", speedups.join(", "));
-    let _ = writeln!(json, "    \"default_path_seconds_m1\": {default_secs:.6}");
+    let _ = writeln!(json, "    \"reference_seconds\": [{}],", fmt_secs(&reference_secs));
+    let _ = writeln!(json, "    \"kernel_seconds\": [{}],", fmt_secs(&kernel_secs));
+    let _ = writeln!(json, "    \"speedup\": [{}]", speedups.join(", "));
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"attention\": {{");
     let _ = writeln!(
         json,
         "    \"kv_len\": {kv_len}, \"head_dim\": {hd}, \"kv_bits\": 4, \"q_len\": 1,"
     );
-    let _ = writeln!(json, "    \"scalar_seconds\": {att_scalar_secs:.6},");
-    let _ = writeln!(json, "    \"swar_seconds\": {att_swar_secs:.6},");
-    let _ = writeln!(json, "    \"speedup\": {att_speedup:.3}");
+    let _ = writeln!(json, "    \"reference_seconds\": {att_reference_secs:.6},");
+    let _ = writeln!(json, "    \"kernel_seconds\": {att_kernel_secs:.6},");
+    let _ = writeln!(json, "    \"speedup\": {att_speedup:.3},");
+    let _ = writeln!(json, "    \"relative_error\": {att_err:.3e}");
     let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"telemetry\": {{");
-    let _ = writeln!(
-        json,
-        "    \"gemm_scalar_wall_ns\": {},",
-        hist_delta(&s0, &s1, names::OP_GEMM_WALL_NS)
-    );
-    let _ = writeln!(
-        json,
-        "    \"gemm_swar_wall_ns\": {},",
-        hist_delta(&s1, &s2, names::OP_GEMM_WALL_NS)
-    );
-    let _ = writeln!(
-        json,
-        "    \"gemm_scalar_calls\": {},",
-        counter_delta(&s0, &s1, names::OP_GEMM_SCALAR_CALLS)
-    );
-    let _ = writeln!(
-        json,
-        "    \"gemm_swar_calls\": {},",
-        counter_delta(&s1, &s2, names::OP_GEMM_SWAR_CALLS)
-    );
-    let _ = writeln!(
-        json,
-        "    \"attention_scalar_wall_ns\": {},",
-        hist_delta(&s3, &s4, names::OP_ATTENTION_WALL_NS)
-    );
-    let _ = writeln!(
-        json,
-        "    \"attention_swar_wall_ns\": {}",
-        hist_delta(&s4, &s5, names::OP_ATTENTION_WALL_NS)
-    );
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"bit_identical_across_paths\": true,");
+    let _ = writeln!(json, "  \"gemm_bit_identical_to_reference\": true,");
     let _ = writeln!(
         json,
         "  \"gate\": {{ \"min_speedup\": {SPEEDUP_GATE:.1}, \"measured_decode_speedup\": {decode_speedup:.3}, \"pass\": {} }}",
@@ -422,7 +294,7 @@ fn main() {
 
     if decode_speedup < SPEEDUP_GATE {
         eprintln!(
-            "FAIL: SWAR speedup at the m=1 decode shape is {decode_speedup:.2}x, \
+            "FAIL: kernel speedup over gemm::reference at the m=1 decode shape is {decode_speedup:.2}x, \
              below the {SPEEDUP_GATE:.1}x gate"
         );
         std::process::exit(1);

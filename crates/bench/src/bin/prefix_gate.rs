@@ -281,7 +281,7 @@ fn main() {
     atom_bench::emit("prefix_gate", &content);
 
     let json = format!(
-        "{{\n  \"seed\": {seed},\n  \"arrivals\": {},\n  \
+        "{{\n  \"seed\": {seed},\n  \"host_threads\": {host_threads},\n  \"arrivals\": {},\n  \
          \"completed\": {completed},\n  \"prefix_hits\": {},\n  \"prefix_misses\": {},\n  \
          \"insertions\": {},\n  \"evictions\": {},\n  \"cow_forks\": {},\n  \
          \"cached_blocks_at_idle\": {},\n  \"hit_prefill_tokens_cache_off\": {tokens_off},\n  \
@@ -305,6 +305,7 @@ fn main() {
         fmt_mean(mean_on),
         base_on.peak_used,
         base_on.peak_logical,
+        host_threads = atom_bench::host_threads(),
     );
     let path = atom_bench::results_dir().join("prefix_gate.json");
     std::fs::write(&path, json).expect("write json report");

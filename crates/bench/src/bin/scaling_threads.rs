@@ -1,14 +1,12 @@
 //! Thread-scaling sweep for the deterministic pool (`atom-parallel`).
 //!
 //! Runs the Fig. 11 CPU kernel suite — fused W4A4 group GEMM, multi-head
-//! quantized-KV attention, each on both the scalar reference and the SWAR
-//! kernel path — plus the engine's batched decode loop at pool widths
-//! 1/2/4/8, reporting wall time and speedup vs the sequential pool.
+//! quantized-KV attention — plus the engine's batched decode loop at pool
+//! widths 1/2/4/8, reporting wall time and speedup vs the sequential pool.
 //! Every parallel run is also checked bit-identical to the 1-thread run,
-//! and the two kernel paths are checked bit-identical to *each other* at
-//! every width: the pool's determinism contract means thread count buys
-//! wall-clock only, never a different answer, and the SWAR rewrite buys
-//! instruction-level parallelism under the same contract.
+//! and the GEMM to `gemm::reference` at every width: the pool's
+//! determinism contract means thread count buys wall-clock only, never a
+//! different answer.
 //!
 //! Writes `results/scaling_threads.txt` and a JSON twin at
 //! `results/scaling_threads.json` (includes `host_threads` — speedups are
@@ -20,8 +18,8 @@
 #![forbid(unsafe_code)]
 use atom::QuantizedKvCache;
 use atom_kernels::attention::QuantizedKvHead;
-use atom_kernels::gemm::fused_group_gemm_with_path;
-use atom_kernels::{attention_quant_kv_heads_with_path, GroupQuantized, KernelPath, QuantSpec};
+use atom_kernels::gemm::{fused_group_gemm_with, reference};
+use atom_kernels::{attention_quant_kv_heads_with, GroupQuantized, QuantSpec};
 use atom_nn::{LlamaModel, ModelConfig};
 use atom_parallel::Pool;
 use atom_tensor::{Matrix, SeededRng};
@@ -46,7 +44,7 @@ fn time_best<T>(mut f: impl FnMut() -> T) -> (f64, T) {
 
 fn main() {
     let seed = atom_bench::arg_u64("seed", 7);
-    let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let host_threads = atom_bench::host_threads();
     let mut rng = SeededRng::new(seed);
 
     // (a) Fused W4A4 group GEMM, Llama-ish projection shape scaled to CPU.
@@ -55,9 +53,7 @@ fn main() {
     let w = rng.normal_matrix(n, k, 0.0, 0.5);
     let qa = GroupQuantized::quantize(&a, QuantSpec::new(4, 32));
     let qw = GroupQuantized::quantize(&w, QuantSpec::new(4, 32));
-    let gemm = |pool: &Pool, path: KernelPath| {
-        fused_group_gemm_with_path(pool, &qa, &qw, path).expect("shapes validated")
-    };
+    let gemm = |pool: &Pool| fused_group_gemm_with(pool, &qa, &qw).expect("shapes validated");
 
     // (b) Multi-head INT4-KV decode attention.
     let (heads, head_dim, kv_len, q_len) = (16usize, 64, 256, 4);
@@ -73,9 +69,8 @@ fn main() {
         q_heads.push(rng.normal_matrix(q_len, head_dim, 0.0, 1.0));
     }
     let scale = 1.0 / atom_tensor::cast::usize_to_f32(head_dim).sqrt();
-    let attn = |pool: &Pool, path: KernelPath| {
-        attention_quant_kv_heads_with_path(pool, &q_heads, &kv_heads, scale, path)
-            .expect("head counts match")
+    let attn = |pool: &Pool| {
+        attention_quant_kv_heads_with(pool, &q_heads, &kv_heads, scale).expect("head counts match")
     };
 
     // (c) Engine batched decode: 6 concurrent requests on a small model
@@ -118,44 +113,37 @@ fn main() {
         secs: Vec<f64>,
     }
     let mut suites = vec![
-        Suite { name: "fused_w4a4_gemm_scalar", secs: Vec::new() },
-        Suite { name: "fused_w4a4_gemm_swar", secs: Vec::new() },
-        Suite { name: "attention_quant_kv_scalar", secs: Vec::new() },
-        Suite { name: "attention_quant_kv_swar", secs: Vec::new() },
+        Suite { name: "fused_w4a4_gemm_kernel", secs: Vec::new() },
+        Suite { name: "attention_quant_kv_kernel", secs: Vec::new() },
         Suite { name: "engine_decode_loop", secs: Vec::new() },
     ];
     let mut baselines: Option<(Matrix, Vec<Matrix>, Vec<u16>)> = None;
 
     for &t in &WIDTHS {
         let pool = Pool::new(t);
-        let (gs_s, gs_out) = time_best(|| gemm(&pool, KernelPath::Scalar));
-        let (gw_s, gw_out) = time_best(|| gemm(&pool, KernelPath::Swar));
-        let (as_s, as_out) = time_best(|| attn(&pool, KernelPath::Scalar));
-        let (aw_s, aw_out) = time_best(|| attn(&pool, KernelPath::Swar));
+        let (g_s, g_out) = time_best(|| gemm(&pool));
+        let (a_s, a_out) = time_best(|| attn(&pool));
+        // The kernel must agree with the oracle bit for bit at every
+        // thread count (the oracle's own width included).
+        let oracle = reference::fused_group_gemm(&pool, &qa, &qw).expect("shapes validated");
         let (d_s, d_out) = time_best(|| decode(pool));
-        // Cross-path identity at this width: the SWAR rewrite must agree
-        // with the scalar reference bit for bit at every thread count.
         assert_eq!(
-            gs_out.as_slice(),
-            gw_out.as_slice(),
-            "GEMM kernel paths disagree at {t} threads"
-        );
-        assert!(
-            as_out.iter().zip(&aw_out).all(|(x, y)| x.as_slice() == y.as_slice()),
-            "attention kernel paths disagree at {t} threads"
+            oracle.as_slice(),
+            g_out.as_slice(),
+            "GEMM kernel disagrees with gemm::reference at {t} threads"
         );
         match &baselines {
-            None => baselines = Some((gs_out, as_out, d_out)),
+            None => baselines = Some((g_out, a_out, d_out)),
             Some((g0, a0, d0)) => {
-                assert_eq!(g0.as_slice(), gs_out.as_slice(), "GEMM not bit-identical at {t} threads");
+                assert_eq!(g0.as_slice(), g_out.as_slice(), "GEMM not bit-identical at {t} threads");
                 assert!(
-                    a0.iter().zip(&as_out).all(|(x, y)| x.as_slice() == y.as_slice()),
+                    a0.iter().zip(&a_out).all(|(x, y)| x.as_slice() == y.as_slice()),
                     "attention not bit-identical at {t} threads"
                 );
                 assert_eq!(d0, &d_out, "decode tokens not bit-identical at {t} threads");
             }
         }
-        for (suite, s) in suites.iter_mut().zip([gs_s, gw_s, as_s, aw_s, d_s]) {
+        for (suite, s) in suites.iter_mut().zip([g_s, a_s, d_s]) {
             suite.secs.push(s);
         }
     }
@@ -184,8 +172,8 @@ fn main() {
         content,
         "Thread scaling — deterministic pool over the Fig. 11 CPU kernel suite + engine decode\n\
          (seed {seed:#x}, best of {REPS}, host parallelism {host_threads}; all widths verified\n\
-         bit-identical to the 1-thread run, and the scalar/SWAR kernel paths verified\n\
-         bit-identical to each other at every width)\n\n{table}"
+         bit-identical to the 1-thread run, and the GEMM kernel to gemm::reference at\n\
+         every width)\n\n{table}"
     );
     let _ = writeln!(
         content,
@@ -201,7 +189,7 @@ fn main() {
     let _ = writeln!(json, "  \"host_threads\": {host_threads},");
     let _ = writeln!(json, "  \"thread_widths\": [1, 2, 4, 8],");
     let _ = writeln!(json, "  \"bit_identical_across_widths\": true,");
-    let _ = writeln!(json, "  \"bit_identical_across_kernel_paths\": true,");
+    let _ = writeln!(json, "  \"gemm_bit_identical_to_reference\": true,");
     let _ = writeln!(json, "  \"suites\": {{");
     for (i, suite) in suites.iter().enumerate() {
         let secs: Vec<String> = suite.secs.iter().map(|s| format!("{s:.6}")).collect();

@@ -243,7 +243,7 @@ fn main() {
     atom_bench::emit("slo_gate", &content);
 
     let json = format!(
-        "{{\n  \"seed\": {seed},\n  \"arrivals\": {},\n  \
+        "{{\n  \"seed\": {seed},\n  \"host_threads\": {host_threads},\n  \"arrivals\": {},\n  \
          \"offered\": {},\n  \"accepted\": {},\n  \"completed\": {completed},\n  \
          \"rejected_rate_limited\": {},\n  \"rejected_queue_full\": {},\n  \
          \"rejected_brownout\": {},\n  \"rejected_draining\": {},\n  \
@@ -271,6 +271,7 @@ fn main() {
         fmt_opt(ttft_p99),
         fmt_opt(tpot_p50),
         fmt_opt(tpot_p99),
+        host_threads = atom_bench::host_threads(),
     );
     let path = atom_bench::results_dir().join("slo_gate.json");
     std::fs::write(&path, json).expect("write json report");

@@ -193,18 +193,6 @@ fn main() {
         snap.counter(names::ENGINE_DEGRADED_ADMISSIONS),
         snap.counter(names::ENGINE_FAULTS),
     );
-    let _ = writeln!(
-        content,
-        "kernel path calls: gemm scalar={} swar={}, attention scalar={} swar={}\n\
-         (the serving run decodes on the env-selected path — `ATOM_KERNEL_PATH` — so one side\n\
-         of the gemm pair is expected to be zero; the attention pair counts the quantized-KV\n\
-         kernel, which this workload reaches through dequantize-on-load instead, so both sides\n\
-         can be zero here. Both paths are proven bit-identical either way.)",
-        snap.counter(names::OP_GEMM_SCALAR_CALLS),
-        snap.counter(names::OP_GEMM_SWAR_CALLS),
-        snap.counter(names::OP_ATTENTION_SCALAR_CALLS),
-        snap.counter(names::OP_ATTENTION_SWAR_CALLS),
-    );
     let hit_ttft = snap.histograms.get(names::PREFIX_HIT_TTFT_STEPS);
     let _ = writeln!(
         content,
@@ -230,18 +218,12 @@ fn main() {
          \"enabled_tok_per_s\": {enabled_tps:.1},\n    \
          \"enabled_over_disabled\": {:.4}\n  }},\n  \
          \"prefix_cache\": {{\n    \"hits\": {},\n    \"misses\": {},\n    \
-         \"evictions\": {},\n    \"cow_forks\": {}\n  }},\n  \
-         \"kernel_paths\": {{\n    \"gemm_scalar_calls\": {},\n    \"gemm_swar_calls\": {},\n    \
-         \"attention_scalar_calls\": {},\n    \"attention_swar_calls\": {}\n  }}\n}}\n",
+         \"evictions\": {},\n    \"cow_forks\": {}\n  }}\n}}\n",
         enabled_tps / disabled_tps,
         snap.counter(names::PREFIX_HITS),
         snap.counter(names::PREFIX_MISSES),
         snap.counter(names::PREFIX_EVICTIONS),
         snap.counter(names::PREFIX_COW_FORKS),
-        snap.counter(names::OP_GEMM_SCALAR_CALLS),
-        snap.counter(names::OP_GEMM_SWAR_CALLS),
-        snap.counter(names::OP_ATTENTION_SCALAR_CALLS),
-        snap.counter(names::OP_ATTENTION_SWAR_CALLS),
     );
     std::fs::write(dir.join("telemetry_report.json"), json).expect("write json report");
     std::fs::write(dir.join("telemetry_metrics.prom"), export::prometheus_text(&snap))

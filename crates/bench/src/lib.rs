@@ -11,7 +11,7 @@
 //! | `fig05_outliers` | Fig. 5 — activation outliers before/after reorder |
 //! | `fig09_vcache` | Fig. 9 — V-cache value distribution |
 //! | `fig10_end_to_end` | Fig. 10 — serving throughput/latency/fixed-memory |
-//! | `fig11_kernels` | Fig. 11 — GEMM/attention sweeps + measured scalar-vs-SWAR gate |
+//! | `fig11_kernels` | Fig. 11 — GEMM/attention sweeps + measured kernel-vs-`gemm::reference` gate |
 //! | `table1_zeroshot` | Table 1 — zero-shot accuracy |
 //! | `table2_perplexity` | Table 2 — perplexity on three corpora |
 //! | `table3_ablation` | Table 3 — accuracy ablation ladder |
@@ -24,7 +24,7 @@
 //! | `chaos_serve` | robustness — engine under seeded faults + KV pressure |
 //! | `slo_gate` | robustness — gateway SLO attainment under chaos, 1/2/8 threads |
 //! | `prefix_gate` | prefix cache — hit TTFT collapse + KV sharing, bit-identical |
-//! | `scaling_threads` | pool thread-scaling sweep, bit-identity across widths and kernel paths |
+//! | `scaling_threads` | pool thread-scaling sweep, bit-identity across widths and to `gemm::reference` |
 //! | `telemetry_report` | measured Fig. 3 breakdown vs roofline, instrumentation overhead |
 //!
 //! Each binary prints an aligned text table and writes the same content to
@@ -87,6 +87,13 @@ pub fn emit(name: &str, content: &str) {
 /// The repository's `results/` directory.
 pub fn results_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results")
+}
+
+/// The host's available parallelism, which the gate bins record as
+/// `"host_threads"` in their JSON: a bit-identity-across-pool-widths result
+/// only exercised real concurrency if this was above 1.
+pub fn host_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Reads a `--<name> <value>` or `--<name>=<value>` u64 flag from the

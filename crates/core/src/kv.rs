@@ -7,7 +7,7 @@
 //! final row), and its byte accounting feeds the serving-memory model.
 
 use atom_kernels::attention::QuantizedKvHead;
-use atom_kernels::{AsymQuantized, KernelPath};
+use atom_kernels::AsymQuantized;
 use atom_nn::KvStore;
 use atom_parallel::Pool;
 use atom_tensor::Matrix;
@@ -69,16 +69,13 @@ impl QuantizedKvCache {
         // intermediate, no stitch copy. It parallelizes over blocks of
         // token rows: each block is an exclusive span of the output decoded
         // by the same per-row code, so the result is bit-identical at any
-        // pool width. One code scratch buffer serves a whole block
-        // (`dequantize_row_scratch`), decoding on the process-wide kernel
-        // path; scratch reuse and path choice change no bytes.
-        let path = KernelPath::current();
+        // pool width. One code scratch buffer serves a whole block.
         let decode_rows = |first: usize, rows: &mut [f32]| {
             let mut scratch = Vec::new();
             for (i, row) in rows.chunks_exact_mut(self.kv_dim).enumerate() {
                 for (block, dst) in heads.iter().zip(row.chunks_exact_mut(hd)) {
                     let src = if keys { &block.keys } else { &block.values };
-                    src.dequantize_row_scratch(first + i, dst, &mut scratch, path);
+                    src.dequantize_row_scratch(first + i, dst, &mut scratch);
                 }
             }
         };

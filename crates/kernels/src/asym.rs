@@ -9,7 +9,6 @@
 
 use crate::group::{code_bias, code_levels, integer_low_byte, round_clamped};
 use crate::packed::PackedMatrix;
-use crate::path::KernelPath;
 use atom_tensor::f16::round_f16;
 use atom_tensor::Matrix;
 use serde::{Deserialize, Serialize};
@@ -147,85 +146,51 @@ impl AsymQuantized {
     /// Dequantizes every row.
     pub fn dequantize(&self) -> Matrix {
         let mut out = Matrix::zeros(self.rows(), self.cols());
-        let mut buf = vec![0i8; self.cols()];
-        let bias = f32::from(code_bias(self.bits));
-        for (r, (&s, &lo)) in self.scales.iter().zip(self.mins.iter()).enumerate() {
-            self.codes.unpack_row(r, &mut buf);
-            for (d, &q) in out.row_mut(r).iter_mut().zip(buf.iter()) {
-                *d = lo + s * (f32::from(q) + bias);
-            }
+        let mut codes = Vec::new();
+        for r in 0..self.rows() {
+            self.dequantize_row_scratch(r, out.row_mut(r), &mut codes);
         }
         out
     }
 
+    /// Dequantizes a single row into a caller buffer, allocating the code
+    /// scratch [`dequantize_row_scratch`](Self::dequantize_row_scratch)
+    /// lets a loop reuse.
+    ///
+    /// # Panics
+    ///
+    /// As [`dequantize_row_scratch`](Self::dequantize_row_scratch).
+    pub fn dequantize_row_into(&self, r: usize, out: &mut [f32]) {
+        self.dequantize_row_scratch(r, out, &mut Vec::new());
+    }
+
     /// Dequantizes a single row into a caller buffer (the attention kernel's
-    /// dequantize-on-load path).
+    /// dequantize-on-load path), decoding through a caller-owned code
+    /// scratch buffer so a loop over many rows (the attention score/value
+    /// sweeps, KV materialization) performs no per-row allocation. `codes`
+    /// is resized to `self.cols()` on every call; its prior contents are
+    /// irrelevant.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use atom_kernels::AsymQuantized;
+    /// use atom_tensor::Matrix;
+    ///
+    /// let x = Matrix::from_rows(&[&[1.0, 2.0, 3.0, 4.0], &[-1.0, 0.5, 2.0, 8.0]]);
+    /// let q = AsymQuantized::quantize(&x, 4);
+    /// let mut scratch = Vec::new();
+    /// let mut row = vec![0.0f32; 4];
+    /// q.dequantize_row_scratch(1, &mut row, &mut scratch);
+    /// assert_eq!(&row[..], q.dequantize().row(1));
+    /// ```
     ///
     /// # Panics
     ///
     /// Panics if `out.len() != self.cols()`. A row index out of range is a
     /// caller bug: it trips a debug assertion under test and writes zeros in
     /// release builds.
-    pub fn dequantize_row_into(&self, r: usize, out: &mut [f32]) {
-        self.dequantize_row_into_with(r, out, KernelPath::current());
-    }
-
-    /// [`dequantize_row_into`](Self::dequantize_row_into) with an explicit
-    /// [`KernelPath`] for the code unpack. The affine decode itself is the
-    /// same FP arithmetic either way, so both paths produce bit-identical
-    /// rows.
-    ///
-    /// # Panics
-    ///
-    /// As [`dequantize_row_into`](Self::dequantize_row_into).
-    pub fn dequantize_row_into_with(&self, r: usize, out: &mut [f32], path: KernelPath) {
-        assert_eq!(out.len(), self.cols(), "buffer size mismatch");
-        let (Some(&s), Some(&lo)) = (self.scales.get(r), self.mins.get(r)) else {
-            debug_assert!(false, "row {r} out of range");
-            out.fill(0.0);
-            return;
-        };
-        let mut buf = vec![0i8; self.cols()];
-        self.codes.unpack_row_with(r, &mut buf, path);
-        let bias = f32::from(code_bias(self.bits));
-        for (d, &q) in out.iter_mut().zip(buf.iter()) {
-            *d = lo + s * (f32::from(q) + bias);
-        }
-    }
-
-    /// [`dequantize_row_into_with`](Self::dequantize_row_into_with) reusing
-    /// a caller-owned code scratch buffer, so a loop over many rows (the
-    /// attention score/value sweeps, KV materialization) performs no per-row
-    /// allocation. `codes` is resized to `self.cols()` on every call; its
-    /// prior contents are irrelevant. Output bytes are identical to the
-    /// allocating variant.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use atom_kernels::{AsymQuantized, KernelPath};
-    /// use atom_tensor::Matrix;
-    ///
-    /// let x = Matrix::from_rows(&[&[1.0, 2.0, 3.0, 4.0], &[-1.0, 0.5, 2.0, 8.0]]);
-    /// let q = AsymQuantized::quantize(&x, 4);
-    /// let mut scratch = Vec::new();
-    /// let mut a = vec![0.0f32; 4];
-    /// let mut b = vec![0.0f32; 4];
-    /// q.dequantize_row_scratch(1, &mut a, &mut scratch, KernelPath::Swar);
-    /// q.dequantize_row_into(1, &mut b);
-    /// assert_eq!(a, b);
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// As [`dequantize_row_into`](Self::dequantize_row_into).
-    pub fn dequantize_row_scratch(
-        &self,
-        r: usize,
-        out: &mut [f32],
-        codes: &mut Vec<i8>,
-        path: KernelPath,
-    ) {
+    pub fn dequantize_row_scratch(&self, r: usize, out: &mut [f32], codes: &mut Vec<i8>) {
         assert_eq!(out.len(), self.cols(), "buffer size mismatch");
         let (Some(&s), Some(&lo)) = (self.scales.get(r), self.mins.get(r)) else {
             debug_assert!(false, "row {r} out of range");
@@ -234,7 +199,7 @@ impl AsymQuantized {
         };
         codes.clear();
         codes.resize(self.cols(), 0);
-        self.codes.unpack_row_with(r, codes, path);
+        self.codes.unpack_row(r, codes);
         let bias = f32::from(code_bias(self.bits));
         for (d, &q) in out.iter_mut().zip(codes.iter()) {
             *d = lo + s * (f32::from(q) + bias);

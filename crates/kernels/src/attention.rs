@@ -7,7 +7,6 @@
 //! self-attention speedup of Fig. 11(b) comes from.
 
 use crate::asym::AsymQuantized;
-use crate::path::KernelPath;
 use crate::KernelError;
 use atom_parallel::Pool;
 use atom_telemetry::{names, span, Telemetry};
@@ -64,48 +63,29 @@ impl QuantizedKvHead {
 /// Single-head attention over a quantized KV block with dequantize-on-load.
 ///
 /// `q` is `q_len x head_dim`; queries are the final `q_len` positions of the
-/// cached sequence (causal masking applied accordingly).
-///
-/// # Panics
-///
-/// Panics if shapes disagree or `q_len` exceeds the cached length.
-pub fn attention_quant_kv(q: &Matrix, kv: &QuantizedKvHead, scale: f32) -> Matrix {
-    attention_quant_kv_path(q, kv, scale, KernelPath::current())
-}
-
-/// [`attention_quant_kv`] with an explicit [`KernelPath`].
-///
-/// The path selects how each K/V row's codes decode on load: `Scalar` runs
-/// the per-element reference decode and allocates a fresh code buffer per
-/// row (the original kernel shape, kept as the honest baseline), `Swar`
-/// decodes INT4 / INT8 rows through the vectorized byte loops of
-/// [`crate::swar`] and reuses one scratch buffer across the whole sweep. Decoded rows are bit-identical either
-/// way, and the FP attention arithmetic is shared, so the two paths return
-/// equal matrices — the property suite asserts `==`.
+/// cached sequence (causal masking applied accordingly). Every K/V row
+/// decodes through one code scratch buffer reused across the whole sweep.
 ///
 /// # Example
 ///
 /// ```
-/// use atom_kernels::{attention_quant_kv_path, KernelPath, QuantizedKvHead};
+/// use atom_kernels::attention::attention_reference;
+/// use atom_kernels::{attention_quant_kv, QuantizedKvHead};
 /// use atom_tensor::Matrix;
 ///
 /// let mut kv = QuantizedKvHead::new(8, 4);
 /// kv.append(&Matrix::full(3, 8, 0.5), &Matrix::full(3, 8, 1.5));
 /// let q = Matrix::full(2, 8, 1.0);
-/// let scalar = attention_quant_kv_path(&q, &kv, 0.35, KernelPath::Scalar);
-/// let swar = attention_quant_kv_path(&q, &kv, 0.35, KernelPath::Swar);
-/// assert_eq!(scalar.as_slice(), swar.as_slice());
+/// let out = attention_quant_kv(&q, &kv, 0.35);
+/// let (k, v) = (kv.keys.dequantize(), kv.values.dequantize());
+/// let reference = attention_reference(&q, &k, &v, 0.35);
+/// assert!(out.sub(&reference).frob_norm() < 1e-5);
 /// ```
 ///
 /// # Panics
 ///
 /// Panics if shapes disagree or `q_len` exceeds the cached length.
-pub fn attention_quant_kv_path(
-    q: &Matrix,
-    kv: &QuantizedKvHead,
-    scale: f32,
-    path: KernelPath,
-) -> Matrix {
+pub fn attention_quant_kv(q: &Matrix, kv: &QuantizedKvHead, scale: f32) -> Matrix {
     let head_dim = q.cols();
     assert_eq!(kv.keys.cols(), head_dim, "key width mismatch");
     assert_eq!(kv.values.cols(), head_dim, "value width mismatch");
@@ -119,24 +99,13 @@ pub fn attention_quant_kv_path(
     let _span = span!(names::SPAN_ATTENTION_QUANT_KV, bytes = bytes, kv_len = kv_len);
     t.counter_add(names::OP_ATTENTION_BYTES, bytes);
     t.counter_add(names::OP_ATTENTION_CALLS, 1);
-    match path {
-        KernelPath::Scalar => t.counter_add(names::OP_ATTENTION_SCALAR_CALLS, 1),
-        KernelPath::Swar => t.counter_add(names::OP_ATTENTION_SWAR_CALLS, 1),
-    }
-
-    // SWAR sweeps reuse one code scratch across every row decode; the
-    // scalar arm keeps the original allocate-per-row decode.
-    let mut scratch = Vec::new();
-    let mut decode = |src: &AsymQuantized, r: usize, out: &mut [f32]| match path {
-        KernelPath::Scalar => src.dequantize_row_into_with(r, out, KernelPath::Scalar),
-        KernelPath::Swar => src.dequantize_row_scratch(r, out, &mut scratch, KernelPath::Swar),
-    };
 
     // Dequantize-on-load: each K/V row is expanded to FP as it streams in.
+    let mut scratch = Vec::new();
     let mut scores = Matrix::zeros(q.rows(), kv_len);
     let mut krow = vec![0.0f32; head_dim];
     for t in 0..kv_len {
-        decode(&kv.keys, t, &mut krow);
+        kv.keys.dequantize_row_scratch(t, &mut krow, &mut scratch);
         for i in 0..q.rows() {
             let mut dot = 0.0f32;
             for (a, b) in q.row(i).iter().zip(krow.iter()) {
@@ -152,7 +121,7 @@ pub fn attention_quant_kv_path(
     let mut out = Matrix::zeros(q.rows(), head_dim);
     let mut vrow = vec![0.0f32; head_dim];
     for t in 0..kv_len {
-        decode(&kv.values, t, &mut vrow);
+        kv.values.dequantize_row_scratch(t, &mut vrow, &mut scratch);
         for i in 0..q.rows() {
             // lint: allow(panic-freedom) — probs is softmax(scores) and shares its constructed dimensions
             let p = probs[(i, t)];
@@ -192,6 +161,19 @@ pub fn attention_quant_kv_heads(
 /// head, so [`KernelError::WorkerPanic`] reports exactly the failed head
 /// indices.
 ///
+/// ```
+/// use atom_kernels::{attention_quant_kv, attention_quant_kv_heads_with, QuantizedKvHead};
+/// use atom_parallel::Pool;
+/// use atom_tensor::Matrix;
+///
+/// let mut kv = QuantizedKvHead::new(4, 4);
+/// kv.append(&Matrix::full(3, 4, 0.5), &Matrix::full(3, 4, 1.5));
+/// let q = vec![Matrix::full(2, 4, 1.0)];
+/// let kvs = vec![kv];
+/// let heads = attention_quant_kv_heads_with(&Pool::new(2), &q, &kvs, 0.5).unwrap();
+/// assert_eq!(heads[0].as_slice(), attention_quant_kv(&q[0], &kvs[0], 0.5).as_slice());
+/// ```
+///
 /// # Errors
 ///
 /// As [`attention_quant_kv_heads`].
@@ -201,39 +183,6 @@ pub fn attention_quant_kv_heads_with(
     kv_heads: &[QuantizedKvHead],
     scale: f32,
 ) -> Result<Vec<Matrix>, KernelError> {
-    attention_quant_kv_heads_with_path(pool, q_heads, kv_heads, scale, KernelPath::current())
-}
-
-/// [`attention_quant_kv_heads_with`] with an explicit [`KernelPath`] for
-/// every head, so benches can pin scalar-vs-SWAR end to end.
-///
-/// ```
-/// use atom_kernels::attention::QuantizedKvHead;
-/// use atom_kernels::{attention_quant_kv_heads_with_path, KernelPath};
-/// use atom_parallel::Pool;
-/// use atom_tensor::Matrix;
-///
-/// let mut kv = QuantizedKvHead::new(4, 4);
-/// kv.append(&Matrix::full(3, 4, 0.5), &Matrix::full(3, 4, 1.5));
-/// let q = vec![Matrix::full(2, 4, 1.0)];
-/// let kvs = vec![kv];
-/// let pool = Pool::sequential();
-/// let scalar =
-///     attention_quant_kv_heads_with_path(&pool, &q, &kvs, 0.5, KernelPath::Scalar).unwrap();
-/// let swar = attention_quant_kv_heads_with_path(&pool, &q, &kvs, 0.5, KernelPath::Swar).unwrap();
-/// assert_eq!(scalar[0].as_slice(), swar[0].as_slice());
-/// ```
-///
-/// # Errors
-///
-/// As [`attention_quant_kv_heads`].
-pub fn attention_quant_kv_heads_with_path(
-    pool: &Pool,
-    q_heads: &[Matrix],
-    kv_heads: &[QuantizedKvHead],
-    scale: f32,
-    path: KernelPath,
-) -> Result<Vec<Matrix>, KernelError> {
     if q_heads.len() != kv_heads.len() {
         return Err(KernelError::ShapeMismatch(format!(
             "head count: {} query heads vs {} kv heads",
@@ -242,7 +191,7 @@ pub fn attention_quant_kv_heads_with_path(
         )));
     }
     let out = pool.par_map(q_heads, |h, q| {
-        kv_heads.get(h).map(|kv| attention_quant_kv_path(q, kv, scale, path))
+        kv_heads.get(h).map(|kv| attention_quant_kv(q, kv, scale))
     })?;
     let heads: Vec<Matrix> = out.into_iter().flatten().collect();
     if heads.len() == q_heads.len() {

@@ -12,18 +12,18 @@
 //! outlier channels INT8; the two regions multiply separately and their FP32
 //! results sum.
 //!
-//! Both run on one of two [`KernelPath`]s. `Scalar` is the reference loop
-//! nest, kept untouched as the oracle. `Swar` is the serving kernel: one
-//! sweep over the weight rows, decoded once per GEMM a block at a time,
-//! against activations whose groups are zero-padded to a multiple of 16
-//! codes, so every multiply-accumulate runs over fixed-width blocks of 16
-//! the compiler turns into packed multiply-adds; the two precision regions
-//! of a mixed GEMM share that sweep. DESIGN.md §3.11 has the bit-identity
+//! Both are one kernel: a single sweep over the weight rows, decoded once
+//! per GEMM a block at a time, against activations whose groups are
+//! zero-padded to a multiple of 16 codes, so every multiply-accumulate runs
+//! over fixed-width blocks of 16 the compiler turns into packed
+//! multiply-adds; the two precision regions of a mixed GEMM share that
+//! sweep. [`mod@reference`] holds the plain loop nest the kernel must reproduce
+//! bit for bit — the oracle tests and report bins call by name, never
+//! reached from a serving call. DESIGN.md §3.11 has the bit-identity
 //! argument.
 
 use crate::group::{GroupQuantized, MAX_BITS};
 use crate::packed::PackedMatrix;
-use crate::path::KernelPath;
 use crate::KernelError;
 use atom_parallel::{Pool, KERNEL_ROW_BLOCK};
 use atom_telemetry::{names, span, SpanGuard, Telemetry, TimerGuard};
@@ -121,9 +121,11 @@ pub fn fused_group_gemm(a: &GroupQuantized, w: &GroupQuantized) -> Result<Matrix
     fused_group_gemm_with(Pool::global(), a, w)
 }
 
-/// [`fused_group_gemm`] on an explicit [`Pool`], parallelized over output
-/// rows. Every row is an exclusive output tile written by one chunk, so the
-/// result is bit-identical to `Pool::sequential()` for any thread count.
+/// [`fused_group_gemm`] on an explicit [`Pool`], parallelized over blocks
+/// of weight rows. Every block writes an exclusive tile of the output, so
+/// the result is bit-identical to `Pool::sequential()` for any thread count
+/// — and to [`reference::fused_group_gemm`], which the property suite
+/// asserts with `==`, not approximate equality.
 ///
 /// # Errors
 ///
@@ -135,55 +137,9 @@ pub fn fused_group_gemm_with(
     a: &GroupQuantized,
     w: &GroupQuantized,
 ) -> Result<Matrix, KernelError> {
-    fused_group_gemm_with_path(pool, a, w, KernelPath::current())
-}
-
-/// [`fused_group_gemm_with`] with an explicit [`KernelPath`].
-///
-/// `Scalar` runs the reference loop nest: unpack both operands, then one
-/// iterator dot per output element with the fused group-dequant epilogue.
-/// `Swar` runs the weight-row sweep: weights stay packed until a block of
-/// rows is needed, each block decodes once per GEMM into a cache-resident
-/// buffer and is then multiplied against every (zero-padded) activation row
-/// in fixed-width blocks of 16 codes, writing an `m x 32` tile of the
-/// output. Groups are visited in the same ascending order with the same
-/// FP32 fold and the same exact i32 group sums (a padding code is 0 and
-/// adds nothing), so the two paths return bit-identical matrices — the
-/// property suite asserts `==`, not approximate equality.
-///
-/// # Errors
-///
-/// Returns [`KernelError::ShapeMismatch`] when inner dimensions or group
-/// sizes disagree, and [`KernelError::WorkerPanic`] if a parallel worker
-/// panicked (the panic is contained, not propagated).
-///
-/// # Example
-///
-/// ```
-/// use atom_kernels::{fused_group_gemm_with_path, GroupQuantized, KernelPath, QuantSpec};
-/// use atom_parallel::Pool;
-/// use atom_tensor::Matrix;
-///
-/// let spec = QuantSpec::new(4, 16);
-/// let a = GroupQuantized::quantize(&Matrix::full(2, 32, 0.5), spec);
-/// let w = GroupQuantized::quantize(&Matrix::full(3, 32, 0.25), spec);
-/// let pool = Pool::sequential();
-/// let scalar = fused_group_gemm_with_path(&pool, &a, &w, KernelPath::Scalar).unwrap();
-/// let swar = fused_group_gemm_with_path(&pool, &a, &w, KernelPath::Swar).unwrap();
-/// assert_eq!(scalar.as_slice(), swar.as_slice()); // bit-identical, not approximate
-/// ```
-pub fn fused_group_gemm_with_path(
-    pool: &Pool,
-    a: &GroupQuantized,
-    w: &GroupQuantized,
-    path: KernelPath,
-) -> Result<Matrix, KernelError> {
     let group = shared_group(a, w)?;
-    let _launch = record_launch(a.packed_bytes() + w.packed_bytes(), a.rows(), path);
-    match path {
-        KernelPath::Scalar => gemm_scalar(pool, a, w, group),
-        KernelPath::Swar => gemm_swar(pool, &Region::decode(a, w, group), None),
-    }
+    let _launch = record_launch(a.packed_bytes() + w.packed_bytes(), a.rows());
+    gemm_sweep(pool, &Region::decode(a, w, group), None)
 }
 
 /// Validates one region's operands and returns its effective group size
@@ -214,11 +170,7 @@ fn shared_group(a: &GroupQuantized, w: &GroupQuantized) -> Result<usize, KernelE
 
 /// Records one GEMM launch over `bytes` of packed operands and `rows`
 /// activation rows; the returned guards time it until they drop.
-fn record_launch(
-    bytes: usize,
-    rows: usize,
-    path: KernelPath,
-) -> (TimerGuard<'static>, SpanGuard<'static>) {
+fn record_launch(bytes: usize, rows: usize) -> (TimerGuard<'static>, SpanGuard<'static>) {
     let bytes = bytes as u64;
     let t = Telemetry::global();
     let guards = (
@@ -228,85 +180,24 @@ fn record_launch(
     t.counter_add(names::OP_GEMM_BYTES, bytes);
     t.counter_add(names::OP_GEMM_ROWS, rows as u64);
     t.counter_add(names::OP_GEMM_CALLS, 1);
-    match path {
-        KernelPath::Scalar => t.counter_add(names::OP_GEMM_SCALAR_CALLS, 1),
-        KernelPath::Swar => t.counter_add(names::OP_GEMM_SWAR_CALLS, 1),
-    }
     guards
 }
 
-/// The scalar reference GEMM: both operands fully unpacked, one iterator
-/// dot per output element. This loop nest is the oracle — the SWAR kernel
-/// must reproduce its output bit-for-bit.
-fn gemm_scalar(
-    pool: &Pool,
-    a: &GroupQuantized,
-    w: &GroupQuantized,
-    group: usize,
-) -> Result<Matrix, KernelError> {
-    let (m, n, k) = (a.rows(), w.rows(), a.cols());
-    // Unpack both operands once (the GPU kernel streams packed data through
-    // shared memory; on CPU a one-shot unpack plays the same role).
-    let av = a.values().unpack_with_path(pool, KernelPath::Scalar);
-    let wv = w.values().unpack_with_path(pool, KernelPath::Scalar);
-    let a_scales = a.scales();
-    let w_scales = w.scales();
-
-    // The loop nest walks both operands as K-sized rows and both scale
-    // matrices as group-aligned rows; `chunks`/`zip` make every access
-    // bounds-check-free and total (`scales` has one column per K-group, so
-    // the group walk is bounded exactly as before). Rows parallelize as
-    // one-row chunks: chunk i owns out[i*n .. (i+1)*n] exclusively and is
-    // computed by the same sequential code at any pool width.
-    let mut out = Matrix::zeros(m, n);
-    pool.par_chunks_mut(out.as_mut_slice(), n.max(1), |i, out_row| {
-        let Some(ar) = av.get(i * k..(i + 1) * k) else {
-            return;
-        };
-        let sa = a_scales.row(i);
-        for ((br, sw_row), o) in wv
-            .chunks_exact(k.max(1))
-            .zip(w_scales.iter_rows())
-            .zip(out_row.iter_mut())
-        {
-            *o = ar
-                .chunks(group)
-                .zip(br.chunks(group))
-                .zip(sa.iter().zip(sw_row))
-                .map(|((ga, gw), (&scale_a, &scale_w))| {
-                    // Step 1: low-bit integer MMA with i32 accumulation.
-                    // The group length is capped at MAX_ACC_K above, so:
-                    // bound: MAX_ACC_K
-                    let iacc: i32 = ga
-                        .iter()
-                        .zip(gw)
-                        .map(|(&x, &w)| i32::from(x) * i32::from(w))
-                        .sum();
-                    // Steps 2+3: dequantize the group's partial result and
-                    // accumulate in FP32, in place.
-                    iacc as f32 * scale_a * scale_w
-                })
-                .sum();
-        }
-    })?;
-    Ok(out)
-}
-
-/// Codes per fixed-width multiply-accumulate block on the `Swar` path.
-/// Decoded activation rows pad every quantization group with zero codes up
-/// to a multiple of this, so the inner loop always runs over whole
-/// `[i8; LANES]` blocks — a compile-time trip count the compiler unrolls
-/// into packed 16-bit multiply-adds. It equals the group size of every
-/// scheme in this workspace (a group of 16 is exactly one block).
+/// Codes per fixed-width multiply-accumulate block. Decoded activation rows
+/// pad every quantization group with zero codes up to a multiple of this,
+/// so the inner loop always runs over whole `[i8; LANES]` blocks — a
+/// compile-time trip count the compiler unrolls into packed 16-bit
+/// multiply-adds. It equals the group size of every scheme in this
+/// workspace (a group of 16 is exactly one block).
 const LANES: usize = 16;
 
-/// Decoded weight codes the `Swar` sweep holds at a time: 16 KiB, half a
+/// Decoded weight codes the sweep holds at a time: 16 KiB, half a
 /// typical L1 data cache, leaving room for the activation rows streaming
 /// past. A 32-row tile fits whole up to 512 channels.
 const DECODE_BLOCK_CODES: usize = 16 * 1024;
 
-/// One precision region of a GEMM on the `Swar` path — the INT4 normal
-/// channels or the INT8 outlier channels.
+/// One precision region of a GEMM — the INT4 normal channels or the INT8
+/// outlier channels.
 ///
 /// Activations decode once, up front, with every quantization group
 /// zero-padded to `padded` codes. Weight rows decode a block at a time, back
@@ -357,10 +248,10 @@ impl<'a> Region<'a> {
         for (r, row) in a_codes.chunks_exact_mut(width.max(1)).enumerate() {
             if contiguous {
                 if let Some(head) = row.get_mut(..cols) {
-                    a.values().unpack_row_with(r, head, KernelPath::Swar);
+                    a.values().unpack_row(r, head);
                 }
             } else {
-                a.values().unpack_row_with(r, &mut spill, KernelPath::Swar);
+                a.values().unpack_row(r, &mut spill);
                 for (slot, codes) in row.chunks_exact_mut(padded).zip(spill.chunks(group)) {
                     for (d, &c) in slot.iter_mut().zip(codes) {
                         *d = c;
@@ -386,7 +277,7 @@ impl<'a> Region<'a> {
     fn decode_weight_rows(&self, first: usize, rows: usize) -> Vec<i8> {
         let mut codes = vec![0i8; rows * self.cols + self.padded];
         if let Some(run) = codes.get_mut(..rows * self.cols) {
-            self.w_values.unpack_rows_with(first, run, KernelPath::Swar);
+            self.w_values.unpack_rows(first, run);
         }
         codes
     }
@@ -419,7 +310,7 @@ impl<'a> Region<'a> {
 
     /// This region's term of one output element: the ascending-group FP32
     /// fold of an activation row against a decoded weight row — steps ①–③
-    /// of Fig. 8 exactly as in [`gemm_scalar`].
+    /// of Fig. 8 exactly as in [`reference::fused_group_gemm`].
     ///
     /// Never inlined: as its own function the group loop compiles to one
     /// tight block; inlined into the two-region sweep the compiler
@@ -454,7 +345,7 @@ impl<'a> Region<'a> {
             // group. The block sums add up in f64, which holds every
             // integer below 2^53 exactly, so the total is the exact group
             // sum and its `as f32` rounds the same integer `iacc as f32`
-            // rounds in `gemm_scalar`.
+            // rounds in the reference.
             a.chunks_exact(self.padded)
                 .zip(w.windows(self.padded).step_by(self.group))
                 .zip(sa.iter().zip(sw))
@@ -479,10 +370,10 @@ impl<'a> Region<'a> {
     }
 }
 
-/// The `Swar` GEMM: one sweep over the weight rows for every precision
+/// The GEMM kernel: one sweep over the weight rows for every precision
 /// region at once.
 ///
-/// The scalar path streams the fully-unpacked weight matrix (`n*k` bytes)
+/// The reference streams the fully-unpacked weight matrix (`n*k` bytes)
 /// through the cache once per *activation row*; this kernel inverts the
 /// loop order so the packed weights (`n*k/2` bytes at INT4) stream exactly
 /// once per GEMM. Work parallelizes over blocks of [`KERNEL_ROW_BLOCK`]
@@ -495,15 +386,15 @@ impl<'a> Region<'a> {
 /// pass, and a mixed GEMM writes `fold(normal) + fold(outlier)` once per
 /// element.
 ///
-/// Bit-identity with the scalar path holds because (a) each per-group i32
+/// Bit-identity with [`mod@reference`] holds because (a) each per-group i32
 /// sum is exact — no overflow by the [`MAX_ACC_K`] cap, and every code
 /// outside the group meets a zero (see [`Region`]) — so its value is
 /// independent of evaluation order and of the padding; (b) each region's
 /// FP32 epilogue folds the per-group terms in the same ascending-group
-/// order through the same `sum::<f32>()`; and (c) the scalar composition
+/// order through the same `sum::<f32>()`; and (c) the reference composition
 /// adds the outlier matrix as `out + 1.0 * outlier`, and `1.0 * x` is `x`
 /// exactly.
-fn gemm_swar(
+fn gemm_sweep(
     pool: &Pool,
     normal: &Region<'_>,
     outlier: Option<&Region<'_>>,
@@ -586,9 +477,10 @@ pub fn mixed_gemm(
     mixed_gemm_with(Pool::global(), a_normal, w_normal, outliers)
 }
 
-/// [`mixed_gemm`] on an explicit [`Pool`]. Work parallelizes over rows of
-/// the output and every output element is written by one chunk, so no
-/// reduction ever races.
+/// [`mixed_gemm`] on an explicit [`Pool`]: the same sweep as
+/// [`fused_group_gemm_with`] over both regions at once, one GEMM launch in
+/// telemetry. Every output element is written by one chunk, so no reduction
+/// ever races. Bit-identical to [`reference::mixed_gemm`].
 ///
 /// # Errors
 ///
@@ -600,87 +492,176 @@ pub fn mixed_gemm_with(
     w_normal: &GroupQuantized,
     outliers: Option<(&GroupQuantized, &GroupQuantized)>,
 ) -> Result<Matrix, KernelError> {
-    mixed_gemm_with_path(pool, a_normal, w_normal, outliers, KernelPath::current())
-}
-
-/// [`mixed_gemm_with`] with an explicit [`KernelPath`].
-///
-/// `Scalar` is the two-call composition — the INT4 normal-region GEMM,
-/// then the INT8 outlier-region GEMM, summed in FP32 on the caller thread —
-/// and stays the oracle. `Swar` computes the same bytes in one sweep over
-/// the weight rows: each row's two regions decode back to back, fold
-/// separately, and `fold(normal) + fold(outlier)` is written once, with one
-/// activation decode, one accumulator and no separate summation pass. It
-/// counts as one GEMM launch in telemetry where the composition counts two.
-///
-/// # Errors
-///
-/// Propagates shape mismatches from the underlying fused GEMMs, and rejects
-/// row-count mismatches between the regions.
-///
-/// # Example
-///
-/// ```
-/// use atom_kernels::{mixed_gemm_with_path, GroupQuantized, KernelPath, QuantSpec};
-/// use atom_parallel::Pool;
-/// use atom_tensor::Matrix;
-///
-/// let a = GroupQuantized::quantize(&Matrix::full(2, 32, 1.0), QuantSpec::new(4, 16));
-/// let w = GroupQuantized::quantize(&Matrix::full(3, 32, 1.0), QuantSpec::new(4, 16));
-/// let a_o = GroupQuantized::quantize(&Matrix::full(2, 10, 9.0), QuantSpec::new(8, 16));
-/// let w_o = GroupQuantized::quantize(&Matrix::full(3, 10, 1.0), QuantSpec::new(8, 16));
-/// let pool = Pool::sequential();
-/// let outliers = Some((&a_o, &w_o));
-/// let scalar = mixed_gemm_with_path(&pool, &a, &w, outliers, KernelPath::Scalar).unwrap();
-/// let swar = mixed_gemm_with_path(&pool, &a, &w, outliers, KernelPath::Swar).unwrap();
-/// assert_eq!(scalar.as_slice(), swar.as_slice());
-/// ```
-pub fn mixed_gemm_with_path(
-    pool: &Pool,
-    a_normal: &GroupQuantized,
-    w_normal: &GroupQuantized,
-    outliers: Option<(&GroupQuantized, &GroupQuantized)>,
-    path: KernelPath,
-) -> Result<Matrix, KernelError> {
     let Some((a_out, w_out)) = outliers else {
-        return fused_group_gemm_with_path(pool, a_normal, w_normal, path);
+        return fused_group_gemm_with(pool, a_normal, w_normal);
     };
     let rows_agree = a_out.rows() == a_normal.rows() && w_out.rows() == w_normal.rows();
-    let rows_mismatch = || {
-        KernelError::ShapeMismatch("outlier region row counts disagree with normal region".into())
-    };
     // A region without channels contributes the empty sum; the sweep walks
-    // decoded rows, so it takes the composition like the scalar path does.
-    let one_sweep = path == KernelPath::Swar && a_normal.cols() > 0 && a_out.cols() > 0;
-    if !one_sweep {
-        let mut out = fused_group_gemm_with_path(pool, a_normal, w_normal, path)?;
+    // decoded rows, so each region then runs alone and the results add.
+    if a_normal.cols() == 0 || a_out.cols() == 0 {
+        let mut out = fused_group_gemm_with(pool, a_normal, w_normal)?;
         if !rows_agree {
-            return Err(rows_mismatch());
+            return Err(region_rows_mismatch());
         }
-        let o = fused_group_gemm_with_path(pool, a_out, w_out, path)?;
+        let o = fused_group_gemm_with(pool, a_out, w_out)?;
         out.add_scaled_in_place(&o, 1.0);
         return Ok(out);
     }
     let group_normal = shared_group(a_normal, w_normal)?;
     if !rows_agree {
-        return Err(rows_mismatch());
+        return Err(region_rows_mismatch());
     }
     let group_outlier = shared_group(a_out, w_out)?;
     let bytes = [a_normal, w_normal, a_out, w_out]
         .iter()
         .map(|q| q.packed_bytes())
         .sum();
-    let _launch = record_launch(bytes, a_normal.rows(), path);
-    gemm_swar(
+    let _launch = record_launch(bytes, a_normal.rows());
+    gemm_sweep(
         pool,
         &Region::decode(a_normal, w_normal, group_normal),
         Some(&Region::decode(a_out, w_out, group_outlier)),
     )
 }
 
-/// Reference implementation: dequantize both operands and run the FP32
-/// GEMM. The fused kernel must match this bit-for-bit up to FP32 summation
-/// order effects; tests verify closeness.
+fn region_rows_mismatch() -> KernelError {
+    KernelError::ShapeMismatch("outlier region row counts disagree with normal region".into())
+}
+
+/// The bit-identity oracle: the plain loop nests [`fused_group_gemm_with`]
+/// and [`mixed_gemm_with`] must reproduce bit for bit. Tests and report
+/// bins call these by name; nothing on a serving path does.
+pub mod reference {
+    use super::{shared_group, region_rows_mismatch};
+    use crate::group::GroupQuantized;
+    use crate::KernelError;
+    use atom_parallel::Pool;
+    use atom_tensor::Matrix;
+
+    /// Fused group-dequantization GEMM as its definition reads: both
+    /// operands fully unpacked, one iterator dot per output element with
+    /// the Fig. 8 epilogue.
+    ///
+    /// # Errors
+    ///
+    /// As [`fused_group_gemm_with`](super::fused_group_gemm_with).
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use atom_kernels::{fused_group_gemm_with, gemm::reference, GroupQuantized, QuantSpec};
+    /// use atom_parallel::Pool;
+    /// use atom_tensor::Matrix;
+    ///
+    /// let spec = QuantSpec::new(4, 16);
+    /// let a = GroupQuantized::quantize(&Matrix::full(2, 32, 0.5), spec);
+    /// let w = GroupQuantized::quantize(&Matrix::full(3, 32, 0.25), spec);
+    /// let pool = Pool::sequential();
+    /// let oracle = reference::fused_group_gemm(&pool, &a, &w).unwrap();
+    /// let kernel = fused_group_gemm_with(&pool, &a, &w).unwrap();
+    /// assert_eq!(oracle.as_slice(), kernel.as_slice()); // bit-identical, not approximate
+    /// ```
+    pub fn fused_group_gemm(
+        pool: &Pool,
+        a: &GroupQuantized,
+        w: &GroupQuantized,
+    ) -> Result<Matrix, KernelError> {
+        let group = shared_group(a, w)?;
+        let (m, n, k) = (a.rows(), w.rows(), a.cols());
+        // Unpack both operands once, through the width-agnostic decode
+        // alone: the reference shares no INT4/INT8 byte loop with the
+        // kernel it checks.
+        let av = a.values().unpack_generic();
+        let wv = w.values().unpack_generic();
+        let a_scales = a.scales();
+        let w_scales = w.scales();
+
+        // The loop nest walks both operands as K-sized rows and both scale
+        // matrices as group-aligned rows; `chunks`/`zip` make every access
+        // bounds-check-free and total (`scales` has one column per K-group, so
+        // the group walk is bounded exactly as before). Rows parallelize as
+        // one-row chunks: chunk i owns out[i*n .. (i+1)*n] exclusively and is
+        // computed by the same sequential code at any pool width.
+        let mut out = Matrix::zeros(m, n);
+        pool.par_chunks_mut(out.as_mut_slice(), n.max(1), |i, out_row| {
+            let Some(ar) = av.get(i * k..(i + 1) * k) else {
+                return;
+            };
+            let sa = a_scales.row(i);
+            for ((br, sw_row), o) in wv
+                .chunks_exact(k.max(1))
+                .zip(w_scales.iter_rows())
+                .zip(out_row.iter_mut())
+            {
+                *o = ar
+                    .chunks(group)
+                    .zip(br.chunks(group))
+                    .zip(sa.iter().zip(sw_row))
+                    .map(|((ga, gw), (&scale_a, &scale_w))| {
+                        // Step 1: low-bit integer MMA with i32 accumulation.
+                        // The group length is capped at MAX_ACC_K above, so:
+                        // bound: MAX_ACC_K
+                        let iacc: i32 = ga
+                            .iter()
+                            .zip(gw)
+                            .map(|(&x, &w)| i32::from(x) * i32::from(w))
+                            .sum();
+                        // Steps 2+3: dequantize the group's partial result and
+                        // accumulate in FP32, in place.
+                        iacc as f32 * scale_a * scale_w
+                    })
+                    .sum();
+            }
+        })?;
+        Ok(out)
+    }
+
+    /// Mixed-precision GEMM as its definition reads (§4.1): the INT4
+    /// normal-region GEMM, then the INT8 outlier-region GEMM, summed in
+    /// FP32 on the caller thread.
+    ///
+    /// # Errors
+    ///
+    /// As [`mixed_gemm_with`](super::mixed_gemm_with).
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use atom_kernels::{gemm::reference, mixed_gemm_with, GroupQuantized, QuantSpec};
+    /// use atom_parallel::Pool;
+    /// use atom_tensor::Matrix;
+    ///
+    /// let a = GroupQuantized::quantize(&Matrix::full(2, 32, 1.0), QuantSpec::new(4, 16));
+    /// let w = GroupQuantized::quantize(&Matrix::full(3, 32, 1.0), QuantSpec::new(4, 16));
+    /// let a_o = GroupQuantized::quantize(&Matrix::full(2, 10, 9.0), QuantSpec::new(8, 16));
+    /// let w_o = GroupQuantized::quantize(&Matrix::full(3, 10, 1.0), QuantSpec::new(8, 16));
+    /// let pool = Pool::sequential();
+    /// let outliers = Some((&a_o, &w_o));
+    /// let oracle = reference::mixed_gemm(&pool, &a, &w, outliers).unwrap();
+    /// let kernel = mixed_gemm_with(&pool, &a, &w, outliers).unwrap();
+    /// assert_eq!(oracle.as_slice(), kernel.as_slice());
+    /// ```
+    pub fn mixed_gemm(
+        pool: &Pool,
+        a_normal: &GroupQuantized,
+        w_normal: &GroupQuantized,
+        outliers: Option<(&GroupQuantized, &GroupQuantized)>,
+    ) -> Result<Matrix, KernelError> {
+        let mut out = fused_group_gemm(pool, a_normal, w_normal)?;
+        if let Some((a_out, w_out)) = outliers {
+            if a_out.rows() != a_normal.rows() || w_out.rows() != w_normal.rows() {
+                return Err(region_rows_mismatch());
+            }
+            let o = fused_group_gemm(pool, a_out, w_out)?;
+            out.add_scaled_in_place(&o, 1.0);
+        }
+        Ok(out)
+    }
+}
+
+/// The numerical definition: dequantize both operands and run the FP32
+/// GEMM. The fused kernel matches this up to FP32 summation order (tests
+/// verify closeness); [`mod@reference`] is the oracle it matches bit for bit.
 pub fn reference_gemm(a: &GroupQuantized, w: &GroupQuantized) -> Matrix {
     a.dequantize().matmul_nt(&w.dequantize())
 }

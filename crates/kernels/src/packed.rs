@@ -7,9 +7,6 @@
 //! group-quantized GEMM operands and the asymmetric KV-cache.
 
 use crate::group::{code_bias, code_levels, code_max, code_min, MAX_BITS, MIN_BITS};
-use crate::path::KernelPath;
-use crate::swar;
-use atom_parallel::Pool;
 use serde::{Deserialize, Serialize};
 
 /// A dense matrix of `bits`-wide signed integers (2 ≤ bits ≤ 8).
@@ -233,6 +230,21 @@ impl PackedMatrix {
     ///
     /// This is the hot path of every GEMM kernel: operand rows are unpacked
     /// once into registers/cache-resident buffers before the integer MMA.
+    /// INT4 and INT8 rows decode through plain byte-at-a-time loops the
+    /// compiler vectorizes; every other width runs the generic bit-window
+    /// loop. [`get`](Self::get) is the per-element oracle both must match.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use atom_kernels::PackedMatrix;
+    ///
+    /// let vals: Vec<i8> = (0..37).map(|c| (c % 16) - 8).collect();
+    /// let m = PackedMatrix::from_values(1, vals.len(), 4, &vals);
+    /// let mut row = vec![0i8; vals.len()];
+    /// m.unpack_row(0, &mut row);
+    /// assert_eq!(row, vals);
+    /// ```
     ///
     /// # Panics
     ///
@@ -240,37 +252,6 @@ impl PackedMatrix {
     /// caller bug: it trips a debug assertion under test and writes zeros in
     /// release builds.
     pub fn unpack_row(&self, r: usize, out: &mut [i8]) {
-        self.unpack_row_with(r, out, KernelPath::current());
-    }
-
-    /// [`unpack_row`](Self::unpack_row) with an explicit [`KernelPath`]:
-    /// `Swar` decodes INT4/INT8 rows through the byte-at-a-time loops of
-    /// [`crate::swar`], which the compiler vectorizes; every other width
-    /// (and `Scalar`) runs the portable per-element loop. Both paths produce
-    /// byte-identical buffers — the round-trip below packs values, unpacks
-    /// through each path, and compares exactly.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use atom_kernels::{KernelPath, PackedMatrix};
-    ///
-    /// let vals: Vec<i8> = (0..37).map(|c| (c % 16) - 8).collect();
-    /// let m = PackedMatrix::from_values(1, vals.len(), 4, &vals);
-    /// let mut scalar = vec![0i8; vals.len()];
-    /// let mut swar = vec![0i8; vals.len()];
-    /// m.unpack_row_with(0, &mut scalar, KernelPath::Scalar);
-    /// m.unpack_row_with(0, &mut swar, KernelPath::Swar);
-    /// assert_eq!(scalar, vals);
-    /// assert_eq!(swar, vals);
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != self.cols()`. A row index out of range is a
-    /// caller bug: it trips a debug assertion under test and writes zeros in
-    /// release builds.
-    pub fn unpack_row_with(&self, r: usize, out: &mut [i8], path: KernelPath) {
         assert_eq!(out.len(), self.cols, "unpack buffer size mismatch");
         let Some(row) = self
             .data
@@ -280,30 +261,29 @@ impl PackedMatrix {
             out.fill(0);
             return;
         };
-        match (path, self.bits) {
-            (KernelPath::Swar, 4) => swar::unpack_row_i4(row, out),
-            (KernelPath::Swar, 8) => swar::unpack_row_i8(row, out),
-            _ => self.unpack_row_scalar(row, out),
+        match self.bits {
+            4 => unpack_codes_i4(row, out),
+            8 => unpack_codes_i8(row, out),
+            _ => self.unpack_row_generic(row, out),
         }
     }
 
     /// Decodes the `out.len() / cols` consecutive rows starting at `first`
-    /// back to back into `out` — [`unpack_row_with`](Self::unpack_row_with)
-    /// for a run of rows. Rows are byte-aligned, so when a row packs without
-    /// pad bits (`cols * bits` a multiple of 8) the run's payload is one
-    /// continuous code stream, which the `Swar` INT4/INT8 decoders sweep in
-    /// a single pass; any other case decodes row by row. Same bytes either
-    /// way.
+    /// back to back into `out` — [`unpack_row`](Self::unpack_row) for a run
+    /// of rows. Rows are byte-aligned, so when a row packs without pad bits
+    /// (`cols * bits` a multiple of 8) the run's payload is one continuous
+    /// code stream, which the INT4/INT8 decoders sweep in a single pass;
+    /// any other case decodes row by row. Same bytes either way.
     ///
     /// # Example
     ///
     /// ```
-    /// use atom_kernels::{KernelPath, PackedMatrix};
+    /// use atom_kernels::PackedMatrix;
     ///
     /// let vals: Vec<i8> = (0..40).map(|c| (c % 16) - 8).collect();
     /// let m = PackedMatrix::from_values(4, 10, 4, &vals);
     /// let mut run = vec![0i8; 20];
-    /// m.unpack_rows_with(1, &mut run, KernelPath::Swar); // rows 1 and 2
+    /// m.unpack_rows(1, &mut run); // rows 1 and 2
     /// assert_eq!(run, vals[10..30]);
     /// ```
     ///
@@ -312,7 +292,7 @@ impl PackedMatrix {
     /// Panics if `out.len()` is not a whole number of rows. Rows out of
     /// range are a caller bug: they trip a debug assertion under test and
     /// decode as zeros in release builds.
-    pub fn unpack_rows_with(&self, first: usize, out: &mut [i8], path: KernelPath) {
+    pub fn unpack_rows(&self, first: usize, out: &mut [i8]) {
         let cols = self.cols.max(1);
         let n = out.len() / cols;
         assert_eq!(out.len(), n * self.cols, "unpack buffer is not whole rows");
@@ -320,118 +300,103 @@ impl PackedMatrix {
         let payload = self
             .data
             .get(first * self.row_stride..(first + n) * self.row_stride);
-        match (payload, path, self.bits) {
-            (Some(bytes), KernelPath::Swar, 4) if unpadded => swar::unpack_row_i4(bytes, out),
-            (Some(bytes), KernelPath::Swar, 8) if unpadded => swar::unpack_row_i8(bytes, out),
+        match (payload, self.bits) {
+            (Some(bytes), 4) if unpadded => unpack_codes_i4(bytes, out),
+            (Some(bytes), 8) if unpadded => unpack_codes_i8(bytes, out),
             _ => {
                 for (r, row) in out.chunks_exact_mut(cols).enumerate() {
-                    self.unpack_row_with(first + r, row, path);
+                    self.unpack_row(first + r, row);
                 }
             }
         }
     }
 
-    /// The scalar reference decode: one shift/mask/debias chain per element
-    /// (with byte-level fast paths for the 8- and 4-bit layouts). This is
-    /// the oracle the swar path is proven bit-identical to.
-    fn unpack_row_scalar(&self, row: &[u8], out: &mut [i8]) {
+    /// The decode for widths without a byte-level layout: one
+    /// shift/mask/debias chain per element over a 16-bit window.
+    fn unpack_row_generic(&self, row: &[u8], out: &mut [i8]) {
         let bits = self.bits as usize;
         let bias = i16::from(code_bias(self.bits));
         let mask = u16::from(code_levels(self.bits));
-        match bits {
-            8 => {
-                // One byte per value; a straight zip compiles to a
-                // bounds-check-free sweep.
-                for (o, &b) in out.iter_mut().zip(row) {
-                    *o = (i16::from(b) - bias) as i8;
-                }
-            }
-            4 => {
-                // Two values per byte: the canonical INT4 nibble layout.
-                // Each output pair draws from one row byte (the final chunk
-                // is a single element when `cols` is odd).
-                for (pair, &b) in out.chunks_mut(2).zip(row) {
-                    for (k, o) in pair.iter_mut().enumerate() {
-                        let raw = if k == 0 { b & 0x0F } else { b >> 4 };
-                        *o = (i16::from(raw) - bias) as i8;
-                    }
-                }
-            }
-            _ => {
-                for (c, o) in out.iter_mut().enumerate() {
-                    let bit_off = c * bits;
-                    let byte = bit_off / 8;
-                    let shift = bit_off % 8;
-                    let lo = u16::from(row[byte]); // lint: allow(panic-freedom) — byte = c*bits/8 < row_stride because c < cols
-                    let hi = if shift + bits > 8 {
-                        u16::from(row[byte + 1]) // lint: allow(panic-freedom) — a straddling window implies the stride has a following byte
-                    } else {
-                        0
-                    };
-                    let raw = ((lo | (hi << 8)) >> shift) & mask;
-                    *o = (raw as i16 - bias) as i8;
-                }
-            }
+        for (c, o) in out.iter_mut().enumerate() {
+            let bit_off = c * bits;
+            let byte = bit_off / 8;
+            let shift = bit_off % 8;
+            let lo = u16::from(row[byte]); // lint: allow(panic-freedom) — byte = c*bits/8 < row_stride because c < cols
+            let hi = if shift + bits > 8 {
+                u16::from(row[byte + 1]) // lint: allow(panic-freedom) — a straddling window implies the stride has a following byte
+            } else {
+                0
+            };
+            let raw = ((lo | (hi << 8)) >> shift) & mask;
+            *o = (raw as i16 - bias) as i8;
         }
+    }
+
+    /// [`unpack`](Self::unpack) through the bit-window loop at every width,
+    /// INT4 and INT8 included: what `gemm::reference` decodes with, so the
+    /// oracle does not depend on the byte loops the kernels run.
+    pub(crate) fn unpack_generic(&self) -> Vec<i8> {
+        let mut out = vec![0i8; self.rows * self.cols];
+        let rows = self.data.chunks_exact(self.row_stride.max(1));
+        for (row, codes) in rows.zip(out.chunks_exact_mut(self.cols.max(1))) {
+            self.unpack_row_generic(row, codes);
+        }
+        out
     }
 
     /// Unpacks the whole matrix into a row-major i8 buffer.
     pub fn unpack(&self) -> Vec<i8> {
         let mut out = vec![0i8; self.rows * self.cols];
-        self.unpack_rows_with(0, &mut out, KernelPath::current());
+        self.unpack_rows(0, &mut out);
         out
     }
+}
 
-    /// [`unpack`](Self::unpack) parallelized over rows on `pool`. Each row
-    /// decodes into its own disjoint `cols`-wide output span by the same
-    /// [`unpack_row`](Self::unpack_row) code, so the buffer is byte-identical
-    /// to the sequential unpack for any thread count.
-    pub fn unpack_with(&self, pool: &Pool) -> Vec<i8> {
-        self.unpack_with_path(pool, KernelPath::current())
+/// Decodes packed INT4 codes (two biased codes per byte, low nibble first)
+/// into `out.len()` sign-extended values. The stored code is
+/// `raw = v + 8`, so a decode is one mask or shift plus one subtract — a
+/// loop with no cross-iteration state, which the compiler's vectorizer
+/// turns into 16-byte loads, mask/shift, interleave and a packed subtract
+/// at the baseline x86-64 feature level.
+///
+/// `bytes` must carry at least `out.len().div_ceil(2)` payload bytes;
+/// missing bytes leave their outputs untouched (an unreachable backstop,
+/// kept total so the kernel hot path stays panic-free).
+fn unpack_codes_i4(bytes: &[u8], out: &mut [i8]) {
+    debug_assert!(bytes.len() >= out.len().div_ceil(2), "payload too short");
+    // `raw <= 15`, so the subtract never wraps; `wrapping_sub` states the
+    // (unreachable) overflow contract without a checked branch.
+    let code = |raw: u8| i8::from_le_bytes([raw]).wrapping_sub(8);
+    let (pairs, tail) = out.as_chunks_mut::<2>();
+    let full_bytes = pairs.len();
+    for ([lo, hi], &b) in pairs.iter_mut().zip(bytes) {
+        *lo = code(b & 0x0F);
+        *hi = code(b >> 4);
     }
+    // Odd column count: the last code is the low nibble of the last byte.
+    if let ([last], Some(&b)) = (tail, bytes.get(full_bytes)) {
+        *last = code(b & 0x0F);
+    }
+}
 
-    /// [`unpack_with`](Self::unpack_with) with an explicit [`KernelPath`],
-    /// so a benchmark or test pinned to the scalar reference never decodes
-    /// through the swar decoders behind its back. Identical bytes either
-    /// way, for any thread count.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use atom_kernels::{KernelPath, PackedMatrix};
-    /// use atom_parallel::Pool;
-    ///
-    /// let vals: Vec<i8> = (0..96).map(|c| (c % 16) - 8).collect();
-    /// let m = PackedMatrix::from_values(4, 24, 4, &vals);
-    /// let pool = Pool::sequential();
-    /// let scalar = m.unpack_with_path(&pool, KernelPath::Scalar);
-    /// let swar = m.unpack_with_path(&pool, KernelPath::Swar);
-    /// assert_eq!(scalar, swar);
-    /// assert_eq!(scalar, vals);
-    /// ```
-    pub fn unpack_with_path(&self, pool: &Pool, path: KernelPath) -> Vec<i8> {
-        let mut out = vec![0i8; self.rows * self.cols];
-        // `rows * cols` divides evenly into `cols`-element chunks, so every
-        // chunk is a full row and `unpack_row`'s length assert always holds;
-        // the error arm is an unreachable backstop, served sequentially.
-        let ok = pool
-            .par_chunks_mut(&mut out, self.cols.max(1), |r, chunk| {
-                self.unpack_row_with(r, chunk, path);
-            })
-            .is_ok();
-        if ok {
-            out
-        } else {
-            self.unpack()
-        }
+/// Decodes packed INT8 codes (one biased code per byte) into `out.len()`
+/// sign-extended values. Subtracting the `+128` storage bias modulo `2^8`
+/// is exactly flipping bit 7, so the decode is one XOR per byte.
+///
+/// `bytes` must carry at least `out.len()` payload bytes; missing bytes
+/// leave their outputs untouched (unreachable backstop, kept total).
+fn unpack_codes_i8(bytes: &[u8], out: &mut [i8]) {
+    debug_assert!(bytes.len() >= out.len(), "payload too short");
+    for (o, &b) in out.iter_mut().zip(bytes) {
+        *o = i8::from_le_bytes([b ^ 0x80]);
     }
 }
 
 /// Packs `values` (already range-checked) into `row`, biased to unsigned,
 /// `bits` per code, low bits first; trailing pad bits are written as 0.
 /// Whole-byte stores only: INT8 and INT4 take the byte-level layouts
-/// [`PackedMatrix::unpack_row_with`] decodes, other widths go through a
-/// bit accumulator.
+/// [`PackedMatrix::unpack_row`] decodes, other widths go through a bit
+/// accumulator.
 fn pack_codes(bits: u8, values: &[i8], row: &mut [u8]) {
     // `v + 2^(bits-1)` lands in `0..2^bits` for an in-range `v`; the
     // wrapping add on the reinterpreted byte is that sum modulo 256.

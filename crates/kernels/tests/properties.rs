@@ -1,12 +1,11 @@
 //! Property-based tests of the kernel crate's quantization invariants.
 
 use atom_kernels::gemm::{
-    fused_group_gemm, fused_group_gemm_with, fused_group_gemm_with_path, mixed_gemm_with_path,
-    reference_gemm,
+    fused_group_gemm, fused_group_gemm_with, mixed_gemm_with, reference, reference_gemm,
 };
 use atom_kernels::{
-    attention_quant_kv_heads_with, attention_quant_kv_path, AsymQuantized, GroupQuantized,
-    KernelPath, PackedMatrix, QuantSpec, QuantizedKvHead,
+    attention_quant_kv_heads_with, AsymQuantized, GroupQuantized, PackedMatrix, QuantSpec,
+    QuantizedKvHead,
 };
 use atom_parallel::Pool;
 use atom_tensor::Matrix;
@@ -222,33 +221,7 @@ proptest! {
     }
 
     #[test]
-    fn swar_unpack_bit_identical_to_scalar(
-        bits in 2u8..=8,
-        rows in 1usize..5,
-        cols in 1usize..48,
-        seed in 0u64..500,
-    ) {
-        // The SWAR row decode must reproduce the scalar reference decode
-        // byte-for-byte at every bit width, including the non-multiple-of-
-        // 16 (INT4) and non-multiple-of-8 (INT8) column tails.
-        let mut rng = atom_tensor::SeededRng::new(seed);
-        let lo = -(1i16 << (bits - 1)) as i32;
-        let hi = (1i16 << (bits - 1)) as i32 - 1;
-        let values: Vec<i8> = (0..rows * cols)
-            .map(|_| (lo + rng.below((hi - lo + 1) as usize) as i32) as i8)
-            .collect();
-        let m = PackedMatrix::from_values(rows, cols, bits, &values);
-        let mut scalar = vec![0i8; cols];
-        let mut swar = vec![0i8; cols];
-        for r in 0..rows {
-            m.unpack_row_with(r, &mut scalar, KernelPath::Scalar);
-            m.unpack_row_with(r, &mut swar, KernelPath::Swar);
-            prop_assert_eq!(&scalar, &swar, "row {}", r);
-        }
-    }
-
-    #[test]
-    fn swar_gemm_bit_identical_to_scalar(
+    fn gemm_bit_identical_to_reference(
         seed in 0u64..300,
         m in 1usize..8,
         n in 1usize..10,
@@ -256,8 +229,8 @@ proptest! {
         group in 1usize..80,
         bits in 2u8..=8,
     ) {
-        // The tentpole contract: the SWAR weight-block kernel returns the
-        // same bits as the scalar reference for random shapes, bit widths,
+        // The kernel's contract: the weight-block sweep returns the same
+        // bits as the reference loop nest for random shapes, bit widths,
         // and group sizes (including ragged tail groups and group > k),
         // at thread widths 1, 2, and 8.
         let mut rng = atom_tensor::SeededRng::new(seed);
@@ -265,27 +238,24 @@ proptest! {
         let w = rng.normal_matrix(n, k, 0.0, 1.0);
         let qa = GroupQuantized::quantize(&a, QuantSpec::new(bits, group));
         let qw = GroupQuantized::quantize(&w, QuantSpec::new(bits, group));
-        let scalar =
-            fused_group_gemm_with_path(&Pool::sequential(), &qa, &qw, KernelPath::Scalar).unwrap();
+        let oracle = reference::fused_group_gemm(&Pool::sequential(), &qa, &qw).unwrap();
         for threads in [1usize, 2, 8] {
-            let swar =
-                fused_group_gemm_with_path(&Pool::new(threads), &qa, &qw, KernelPath::Swar)
-                    .unwrap();
-            prop_assert_eq!(scalar.as_slice(), swar.as_slice(), "threads {}", threads);
+            let kernel = fused_group_gemm_with(&Pool::new(threads), &qa, &qw).unwrap();
+            prop_assert_eq!(oracle.as_slice(), kernel.as_slice(), "threads {}", threads);
         }
     }
 
     #[test]
-    fn swar_mixed_gemm_bit_identical_to_scalar(
+    fn mixed_gemm_bit_identical_to_reference(
         seed in 0u64..200,
         m in 1usize..5,
         n in 1usize..6,
         groups in 1usize..3,
         outlier_cols in 1usize..24,
     ) {
-        // The mixed-precision path: INT4 normal region + INT8 outlier
-        // region, both regions on the selected path, FP32 region sum on the
-        // caller thread — identical bytes scalar vs SWAR at widths 1/2/8.
+        // The mixed-precision kernel: INT4 normal region + INT8 outlier
+        // region in one sweep — identical bytes to the reference's two
+        // GEMMs and FP32 region sum, at widths 1/2/8.
         let k = groups * 16;
         let mut rng = atom_tensor::SeededRng::new(seed);
         let qa_n = GroupQuantized::quantize(&rng.normal_matrix(m, k, 0.0, 1.0), QuantSpec::new(4, 16));
@@ -298,43 +268,16 @@ proptest! {
             &rng.normal_matrix(n, outlier_cols, 0.0, 0.5),
             QuantSpec::new(8, 16),
         );
-        let scalar = mixed_gemm_with_path(
-            &Pool::sequential(), &qa_n, &qw_n, Some((&qa_o, &qw_o)), KernelPath::Scalar,
-        ).unwrap();
+        let outliers = Some((&qa_o, &qw_o));
+        let oracle = reference::mixed_gemm(&Pool::sequential(), &qa_n, &qw_n, outliers).unwrap();
         for threads in [1usize, 2, 8] {
-            let swar = mixed_gemm_with_path(
-                &Pool::new(threads), &qa_n, &qw_n, Some((&qa_o, &qw_o)), KernelPath::Swar,
-            ).unwrap();
-            prop_assert_eq!(scalar.as_slice(), swar.as_slice(), "threads {}", threads);
+            let kernel = mixed_gemm_with(&Pool::new(threads), &qa_n, &qw_n, outliers).unwrap();
+            prop_assert_eq!(oracle.as_slice(), kernel.as_slice(), "threads {}", threads);
         }
     }
 
     #[test]
-    fn swar_attention_bit_identical_to_scalar(
-        seed in 0u64..300,
-        len in 1usize..14,
-        q_rows in 1usize..5,
-        hd in 1usize..40,
-        bits in 2u8..=8,
-    ) {
-        // Quantized-KV attention: the SWAR dequantize-on-load (with scratch
-        // reuse) must match the scalar allocate-per-row decode exactly.
-        let q_rows = q_rows.min(len);
-        let mut rng = atom_tensor::SeededRng::new(seed);
-        let mut kv = QuantizedKvHead::new(hd, bits);
-        kv.append(
-            &rng.normal_matrix(len, hd, 0.0, 1.0),
-            &rng.normal_matrix(len, hd, 0.0, 1.0),
-        );
-        let q = rng.normal_matrix(q_rows, hd, 0.0, 1.0);
-        let scale = 1.0 / (hd as f32).sqrt();
-        let scalar = attention_quant_kv_path(&q, &kv, scale, KernelPath::Scalar);
-        let swar = attention_quant_kv_path(&q, &kv, scale, KernelPath::Swar);
-        prop_assert_eq!(scalar.as_slice(), swar.as_slice());
-    }
-
-    #[test]
-    fn swar_gemm_bit_identical_on_serving_shapes(
+    fn gemm_bit_identical_to_reference_on_serving_shapes(
         seed in 0u64..300,
         k_idx in 0usize..4,
         m_idx in 0usize..4,
@@ -349,18 +292,15 @@ proptest! {
         let mut rng = atom_tensor::SeededRng::new(seed);
         let qa = quantized(&mut rng, m, k, 1.0, bits);
         let qw = quantized(&mut rng, n, k, 0.5, bits);
-        let scalar =
-            fused_group_gemm_with_path(&Pool::sequential(), &qa, &qw, KernelPath::Scalar).unwrap();
+        let oracle = reference::fused_group_gemm(&Pool::sequential(), &qa, &qw).unwrap();
         for threads in [1usize, 2, 4] {
-            let swar =
-                fused_group_gemm_with_path(&Pool::new(threads), &qa, &qw, KernelPath::Swar)
-                    .unwrap();
-            prop_assert_eq!(bits_of(&scalar), bits_of(&swar), "threads {}", threads);
+            let kernel = fused_group_gemm_with(&Pool::new(threads), &qa, &qw).unwrap();
+            prop_assert_eq!(bits_of(&oracle), bits_of(&kernel), "threads {}", threads);
         }
     }
 
     #[test]
-    fn swar_one_sweep_mixed_gemm_equals_scalar_composition(
+    fn one_sweep_mixed_gemm_equals_reference_composition(
         seed in 0u64..300,
         k_idx in 0usize..4,
         o_idx in 0usize..2,
@@ -369,7 +309,7 @@ proptest! {
         bits_idx in 0usize..3,
     ) {
         // The one-sweep kernel against the definition it replaces: two
-        // scalar-path GEMMs and an FP32 matrix add. Bit patterns, so the
+        // reference GEMMs and an FP32 matrix add. Bit patterns, so the
         // `fold(normal) + fold(outlier)` it writes once is the same float
         // the composition reaches through `out += 1.0 * outlier`.
         let (k, o) = (NORMAL_K[k_idx], OUTLIER_K[o_idx]);
@@ -379,14 +319,12 @@ proptest! {
         let (qa_n, qw_n) = (quantized(&mut rng, m, k, 1.0, bits), quantized(&mut rng, n, k, 0.5, bits));
         let (qa_o, qw_o) = (quantized(&mut rng, m, o, 20.0, 8), quantized(&mut rng, n, o, 0.5, 8));
         let seq = Pool::sequential();
-        let mut composed =
-            fused_group_gemm_with_path(&seq, &qa_n, &qw_n, KernelPath::Scalar).unwrap();
-        let outlier = fused_group_gemm_with_path(&seq, &qa_o, &qw_o, KernelPath::Scalar).unwrap();
+        let mut composed = reference::fused_group_gemm(&seq, &qa_n, &qw_n).unwrap();
+        let outlier = reference::fused_group_gemm(&seq, &qa_o, &qw_o).unwrap();
         composed.add_scaled_in_place(&outlier, 1.0);
         for threads in [1usize, 2, 4] {
-            let swept = mixed_gemm_with_path(
-                &Pool::new(threads), &qa_n, &qw_n, Some((&qa_o, &qw_o)), KernelPath::Swar,
-            ).unwrap();
+            let swept =
+                mixed_gemm_with(&Pool::new(threads), &qa_n, &qw_n, Some((&qa_o, &qw_o))).unwrap();
             prop_assert_eq!(bits_of(&composed), bits_of(&swept), "threads {}", threads);
         }
     }
@@ -466,9 +404,9 @@ proptest! {
         cols in 1usize..40,
         first in 0usize..5,
     ) {
-        // pack_row writes the bytes set() writes (pad bits included), and a
-        // run decode returns what row-by-row decode returns, on both paths,
-        // whether or not rows end in pad bits.
+        // pack_row writes the bytes set() writes (pad bits included), a row
+        // decode returns what per-element get() returns, and a run decode
+        // the values packed, whether or not rows end in pad bits.
         let mut rng = atom_tensor::SeededRng::new(seed);
         let lo = -(1i16 << (bits - 1)) as i32;
         let hi = (1i16 << (bits - 1)) as i32 - 1;
@@ -484,13 +422,17 @@ proptest! {
             }
         }
         prop_assert_eq!(&by_row, &by_elem);
+        let mut row = vec![0i8; cols];
+        for r in 0..rows {
+            by_row.unpack_row(r, &mut row);
+            let by_get: Vec<i8> = (0..cols).map(|c| by_row.get(r, c)).collect();
+            prop_assert_eq!(&row, &by_get, "row {}", r);
+        }
 
         let first = first.min(rows - 1);
-        for path in [KernelPath::Scalar, KernelPath::Swar] {
-            let mut run = vec![0i8; (rows - first) * cols];
-            by_row.unpack_rows_with(first, &mut run, path);
-            prop_assert_eq!(&run[..], &values[first * cols..], "{:?}", path);
-        }
+        let mut run = vec![0i8; (rows - first) * cols];
+        by_row.unpack_rows(first, &mut run);
+        prop_assert_eq!(&run[..], &values[first * cols..]);
     }
 
     #[test]

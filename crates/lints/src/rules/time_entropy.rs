@@ -37,14 +37,7 @@ use crate::{FileCtx, Finding, RULE_TIME_ENTROPY};
 ///   construction; the pool's contract makes width observable-free.
 /// * `nn/src/zoo.rs` — `ATOM_MODEL_CACHE` cache directory for trained
 ///   model weights; affects where bytes land, never what they are.
-/// * `kernels/src/path.rs` — `ATOM_KERNEL_PATH` scalar/SWAR kernel
-///   selection, resolved once into a `OnceLock`; the two paths are proven
-///   bit-identical, so the choice affects speed, never results.
-const AUDITED_ENV_FILES: &[&str] = &[
-    "crates/parallel/src/lib.rs",
-    "crates/nn/src/zoo.rs",
-    "crates/kernels/src/path.rs",
-];
+const AUDITED_ENV_FILES: &[&str] = &["crates/parallel/src/lib.rs", "crates/nn/src/zoo.rs"];
 
 /// Identifiers that construct OS-entropy RNGs.
 const ENTROPY_IDENTS: &[&str] = &["thread_rng", "from_entropy", "OsRng"];

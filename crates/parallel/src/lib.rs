@@ -142,7 +142,7 @@ impl Drop for RegionGuard {
 }
 
 /// Weight rows per chunk when a kernel partitions row-blocked work over
-/// [`Pool::par_chunks_mut`]. The `swar` GEMM hands each worker chunk a tile
+/// [`Pool::par_chunks_mut`]. The GEMM kernel hands each worker chunk a tile
 /// of [`KERNEL_ROW_BLOCK`] weight rows: big enough that one chunk amortizes
 /// its decode-buffer allocation and the per-block decode call (at 8 rows
 /// they were a tenth of an `m = 1` call on a 384-row projection), small

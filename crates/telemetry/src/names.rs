@@ -16,12 +16,6 @@ pub const OP_GEMM_BYTES: &str = "op.gemm.bytes";
 pub const OP_GEMM_ROWS: &str = "op.gemm.rows";
 /// GEMM invocations (counter).
 pub const OP_GEMM_CALLS: &str = "op.gemm.calls";
-/// GEMM calls served by the scalar reference kernel path (counter). Splits
-/// `op.gemm.calls` by `KernelPath` so a report can show which
-/// implementation actually ran.
-pub const OP_GEMM_SCALAR_CALLS: &str = "op.gemm.path_scalar.calls";
-/// GEMM calls served by the SWAR kernel path (counter).
-pub const OP_GEMM_SWAR_CALLS: &str = "op.gemm.path_swar.calls";
 
 /// Wall time per attention call (histogram, ns), including KV
 /// dequantize-on-load.
@@ -30,10 +24,6 @@ pub const OP_ATTENTION_WALL_NS: &str = "op.attention.wall_ns";
 pub const OP_ATTENTION_BYTES: &str = "op.attention.bytes";
 /// Attention invocations (counter).
 pub const OP_ATTENTION_CALLS: &str = "op.attention.calls";
-/// Attention calls served by the scalar reference kernel path (counter).
-pub const OP_ATTENTION_SCALAR_CALLS: &str = "op.attention.path_scalar.calls";
-/// Attention calls served by the SWAR kernel path (counter).
-pub const OP_ATTENTION_SWAR_CALLS: &str = "op.attention.path_swar.calls";
 
 /// Wall time spent in runtime (de)quantization epilogues — Atom §4.3's
 /// dynamic per-group activation quantization plus channel reordering
