@@ -15,8 +15,8 @@
 //! 2. cache-hit prefill collapse: over the requests that hit the cache,
 //!    prompt tokens prefilled cache-off are >= [`MIN_PREFILL_COLLAPSE`]x
 //!    the tokens still prefilled cache-on (a count, so it repeats exactly;
-//!    the wall-clock ratio of the same requests is reported beside it as
-//!    information);
+//!    what a hit saves in wall time is the serving benchmark's
+//!    `shared_prefix` workload);
 //! 3. KV footprint reduction: peak logical blocks (what tables would
 //!    need without sharing) exceed peak physical blocks by
 //!    [`MIN_FOOTPRINT_RATIO`]x with the cache on;
@@ -53,9 +53,8 @@ const PREFIX_TOKENS: usize = 96;
 
 /// Gates. The collapse floor is the >= 5x cache-hit prefill reduction,
 /// counted in prompt tokens (the trace's 96-token prefixes and 4-12-token
-/// suffixes put it near 13x; the wall-clock ratio swings 2.5x-13x run to
-/// run on a shared host, so it is printed, not gated); the footprint
-/// floor asserts sharing is material, not incidental.
+/// suffixes put it near 13x); the footprint floor asserts sharing is
+/// material, not incidental.
 const MIN_PREFILL_COLLAPSE: f64 = 5.0;
 const MIN_FOOTPRINT_RATIO: f64 = 1.1;
 const MIN_HITS: u64 = 5;
@@ -64,14 +63,12 @@ struct RunResult {
     /// `(id, terminal_completed, tokens)` sorted by id — the bit-identity
     /// surface.
     streams: Vec<(usize, bool, Vec<u16>)>,
-    /// Ids whose admission attached a cached prefix (empty cache-off).
-    hit_ids: Vec<usize>,
+    /// Requests whose admission attached a cached prefix (0 cache-off).
+    hit_requests: usize,
     /// Prompt tokens of the hit requests, and how many of them were still
     /// prefilled (the prompt minus the prefix tokens the cache served).
     hit_prompt_tokens: usize,
     hit_prefilled_tokens: usize,
-    /// Per-request prefill wall time, ns.
-    prefill_wall: HashMap<usize, u64>,
     stats: Option<PrefixCacheStats>,
     peak_used: usize,
     peak_logical: usize,
@@ -154,16 +151,9 @@ fn main() {
     // cache-on run; the baseline is the *same requests* replayed with the
     // cache off, where every prompt token is prefilled, so the only
     // difference is the skipped prefix.
-    let hits = base_on.hit_ids.len();
+    let hits = base_on.hit_requests;
     let (tokens_off, tokens_on) = (base_on.hit_prompt_tokens, base_on.hit_prefilled_tokens);
     let collapse = tokens_off as f64 / tokens_on.max(1) as f64;
-    // The wall-clock view of the same requests: information, not a gate.
-    let mean_off = mean_wall(&base_off.prefill_wall, &base_on.hit_ids);
-    let mean_on = mean_wall(&base_on.prefill_wall, &base_on.hit_ids);
-    let wall_ratio = match (mean_off, mean_on) {
-        (Some(off_ns), Some(on_ns)) if on_ns > 0.0 => off_ns / on_ns,
-        _ => 0.0,
-    };
     let stats = base_on.stats.unwrap_or_default();
     if stats.hits < MIN_HITS {
         violations.push(format!(
@@ -247,20 +237,12 @@ fn main() {
     let counters = atom_bench::table(&["counter", "value"], &rows);
     let lat = atom_bench::table(
         &["metric", "cache off", "cache on", "ratio"],
-        &[
-            vec![
-                format!("prompt tokens prefilled by the {hits} hit requests (gated)"),
-                tokens_off.to_string(),
-                tokens_on.to_string(),
-                format!("{collapse:.2}x"),
-            ],
-            vec![
-                "mean hit-request prefill wall ns (information, not gated)".to_string(),
-                fmt_mean(mean_off),
-                fmt_mean(mean_on),
-                format!("{wall_ratio:.2}x"),
-            ],
-        ],
+        &[vec![
+            format!("prompt tokens prefilled by the {hits} hit requests (gated)"),
+            tokens_off.to_string(),
+            tokens_on.to_string(),
+            format!("{collapse:.2}x"),
+        ]],
     );
 
     let mut content = String::new();
@@ -278,7 +260,7 @@ fn main() {
          KV footprint ratio {footprint_ratio:.3} >= {MIN_FOOTPRINT_RATIO}, zero leaked blocks through\n\
          drain + flush at every width"
     );
-    atom_bench::emit("prefix_gate", &content);
+    println!("{content}");
 
     let json = format!(
         "{{\n  \"seed\": {seed},\n  \"host_threads\": {host_threads},\n  \"arrivals\": {},\n  \
@@ -287,10 +269,7 @@ fn main() {
          \"cached_blocks_at_idle\": {},\n  \"hit_prefill_tokens_cache_off\": {tokens_off},\n  \
          \"hit_prefill_tokens_cache_on\": {tokens_on},\n  \
          \"hit_prefill_collapse\": {collapse:.3},\n  \
-         \"min_prefill_collapse\": {MIN_PREFILL_COLLAPSE},\n  \
-         \"mean_hit_prefill_wall_ns_cache_off\": {},\n  \
-         \"mean_hit_prefill_wall_ns_cache_on\": {},\n  \
-         \"hit_prefill_wall_ratio_ungated\": {wall_ratio:.3},\n  \"peak_physical_blocks\": {},\n  \
+         \"min_prefill_collapse\": {MIN_PREFILL_COLLAPSE},\n  \"peak_physical_blocks\": {},\n  \
          \"peak_logical_blocks\": {},\n  \"kv_footprint_ratio\": {footprint_ratio:.4},\n  \
          \"min_footprint_ratio\": {MIN_FOOTPRINT_RATIO},\n  \"thread_widths\": [1, 2, 8],\n  \
          \"bit_identical\": true,\n  \"blocks_conserved\": true\n}}\n",
@@ -301,8 +280,6 @@ fn main() {
         stats.evictions,
         stats.cow_forks,
         stats.cached_blocks,
-        fmt_mean(mean_off),
-        fmt_mean(mean_on),
         base_on.peak_used,
         base_on.peak_logical,
         host_threads = atom_bench::host_threads(),
@@ -380,20 +357,15 @@ fn run_engine(
     streams.sort_by_key(|s| s.0);
     let prompt_lens = ids.iter().zip(trace).map(|(&id, p)| (id, p.prompt.len()));
     let prompt_len: HashMap<usize, usize> = prompt_lens.collect();
-    let mut hit_ids: Vec<usize> = Vec::new();
+    let mut hit_requests = 0usize;
     let (mut hit_prompt_tokens, mut hit_prefilled_tokens) = (0usize, 0usize);
     let outcomes = engine.outcomes().iter();
     for o in outcomes.filter(|o| o.stats.prefix_tokens > 0) {
         let len = prompt_len.get(&o.id).copied().unwrap_or(0);
-        hit_ids.push(o.id);
+        hit_requests += 1;
         hit_prompt_tokens += len;
         hit_prefilled_tokens += len.saturating_sub(o.stats.prefix_tokens);
     }
-    hit_ids.sort_unstable();
-    let prefill_wall: HashMap<usize, u64> = ids
-        .iter()
-        .filter_map(|&id| engine.prefill_wall_ns(id).map(|w| (id, w)))
-        .collect();
 
     let stats = engine.prefix_stats();
     let alloc = engine.batcher().allocator();
@@ -414,10 +386,9 @@ fn run_engine(
 
     RunResult {
         streams,
-        hit_ids,
+        hit_requests,
         hit_prompt_tokens,
         hit_prefilled_tokens,
-        prefill_wall,
         stats,
         peak_used,
         peak_logical,
@@ -425,22 +396,6 @@ fn run_engine(
         after_flush,
         drained,
     }
-}
-
-/// Mean wall time over `ids`, ns; `None` if any id has no recorded wall.
-fn mean_wall(walls: &HashMap<usize, u64>, ids: &[usize]) -> Option<f64> {
-    if ids.is_empty() {
-        return None;
-    }
-    let mut total = 0u64;
-    for id in ids {
-        total += *walls.get(id)?;
-    }
-    Some(total as f64 / ids.len() as f64)
-}
-
-fn fmt_mean(v: Option<f64>) -> String {
-    v.map_or_else(|| "-".to_string(), |x| format!("{:.0}", x))
 }
 
 fn row(name: &str, v: u64) -> Vec<String> {

@@ -240,7 +240,7 @@ fn main() {
          outcomes + SLO report, TTFT attainment >= {MIN_TTFT_ATTAINMENT}, completion rate\n\
          {completion_rate:.3} >= {MIN_COMPLETION_RATE}"
     );
-    atom_bench::emit("slo_gate", &content);
+    println!("{content}");
 
     let json = format!(
         "{{\n  \"seed\": {seed},\n  \"host_threads\": {host_threads},\n  \"arrivals\": {},\n  \

@@ -205,8 +205,10 @@ fn unpack_row_matches_get_on_sub_word_rows_and_every_byte_value() {
 fn attention_within_tolerance_of_reference_on_degenerate_shapes() {
     let mut rng = SeededRng::new(8);
     // (kv_len, q_rows, head_dim): single token, sub-word head dims, a head
-    // dim straddling a 16-byte vector of codes, and an empty query.
-    let shapes = [(1usize, 1usize, 1usize), (2, 1, 3), (5, 5, 17), (9, 2, 16), (2, 0, 4)];
+    // dim straddling a 16-byte vector of codes, an empty query, and the
+    // Fig. 11 decode shape (one query row over a 1024-token history).
+    let shapes =
+        [(1usize, 1usize, 1usize), (2, 1, 3), (5, 5, 17), (9, 2, 16), (2, 0, 4), (1024, 1, 128)];
     for &(len, q_rows, hd) in &shapes {
         for bits in [2u8, 4, 8] {
             let mut kv = QuantizedKvHead::new(hd, bits);

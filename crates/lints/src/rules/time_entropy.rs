@@ -6,9 +6,10 @@
 //! SplitMix64, and chaos schedules replay from a `--seed`. One stray
 //! `Instant::now()` compared against a threshold, one `SystemTime`-seeded
 //! RNG, or one environment variable read inside a scheduling decision
-//! silently breaks the bit-identical contract that `scaling_threads`,
-//! `slo_gate`, and `prefix_gate` gate on — and unlike a logic bug it
-//! breaks it *rarely*, which is worse. Flagged in production code:
+//! silently breaks the bit-identical contract that `slo_gate`,
+//! `prefix_gate` and the benchmark's `streams digest` gate on — and unlike
+//! a logic bug it breaks it *rarely*, which is worse. Flagged in
+//! production code:
 //!
 //! * `Instant::now()` / `SystemTime::now()` / `UNIX_EPOCH` — wall-clock
 //!   reads. Telemetry timing is exempt (the whole telemetry crate is out
@@ -24,8 +25,11 @@
 //!   `FaultPlan`, SplitMix64 jitter); OS entropy has no business here.
 //!
 //! Tests, examples, and benches are exempt (`FileKind` scoping), but the
-//! bench *bins* are production: their reports are gated bit-identical, so
-//! their wall-clock measurement sites each carry a justification.
+//! bench *bins* are production: their reports are gated bit-identical.
+//! Wall time is measured by `benchmark/` only, so the workspace holds
+//! three justified allows (`results/lint_baseline.json`): the pool's region
+//! and worker-busy telemetry timers in `crates/parallel`, and the one wall
+//! read `telemetry_report`'s coverage gate divides by.
 
 use crate::lexer::{in_ranges, Lexed, TokKind};
 use crate::{FileCtx, Finding, RULE_TIME_ENTROPY};

@@ -1,9 +1,9 @@
 //! Rule `unordered-iteration`: iteration over `HashMap`/`HashSet` in the
 //! deterministic-scope crates must not let hash order reach an output.
 //!
-//! Every headline gate in this repo — `scaling_threads`, `slo_gate`,
-//! `prefix_gate` — asserts bit-identical token streams and reports across
-//! pool widths, and PR 5 shipped exactly this bug class: a
+//! Every headline gate in this repo — `slo_gate`, `prefix_gate`, the
+//! serving benchmark's `streams digest` — asserts bit-identical token
+//! streams and reports, and PR 5 shipped exactly this bug class: a
 //! `HashMap`-ordered deadline sweep reordered same-step expiries. The
 //! compiler cannot see the contract, because `HashMap` iteration is
 //! perfectly well-typed; it is only *unordered*. This rule flags every

@@ -41,7 +41,6 @@ use atom_tensor::cast;
 use atom_tensor::ops;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// A completed generation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -179,14 +178,11 @@ struct SeqState {
 /// One unit of batched model work handed to the thread pool. `Some(prompt)`
 /// runs a full prefill forward; `None` advances the sequence by one decode
 /// token from `state.next_input`. Each job exclusively owns its state, so
-/// workers never share mutable data. `wall_ns` is filled by the worker with
-/// the forward's wall time — measurement only, never control flow, so token
-/// streams stay bit-identical at any pool width.
+/// workers never share mutable data.
 struct ForwardJob {
     id: usize,
     state: SeqState,
     prompt: Option<Vec<u16>>,
-    wall_ns: u64,
 }
 
 /// Admission-time plan for one cache-on request: the KV flavor its pressure
@@ -300,7 +296,6 @@ pub struct CpuEngine<L: LinearLayer> {
     prompts: BTreeMap<usize, Vec<u16>>,
     states: BTreeMap<usize, SeqState>,
     meta: BTreeMap<usize, RequestStats>,
-    prefill_wall: BTreeMap<usize, u64>,
     outcomes: Vec<Outcome>,
     completions: Vec<Completion>,
     next_id: usize,
@@ -362,7 +357,6 @@ impl<L: LinearLayer> CpuEngine<L> {
             prompts: BTreeMap::new(),
             states: BTreeMap::new(),
             meta: BTreeMap::new(),
-            prefill_wall: BTreeMap::new(),
             outcomes: Vec::new(),
             completions: Vec::new(),
             next_id: 0,
@@ -689,7 +683,6 @@ impl<L: LinearLayer> CpuEngine<L> {
                     next_input: 0,
                 },
                 prompt: Some(forward),
-                wall_ns: 0,
             });
         }
         // One chunk per request: every worker shares `&self.model` read-only
@@ -708,7 +701,6 @@ impl<L: LinearLayer> CpuEngine<L> {
                 );
                 continue;
             }
-            *self.prefill_wall.entry(job.id).or_insert(0) += job.wall_ns;
             self.states.insert(job.id, job.state);
             prefilled_ok.push(job.id);
         }
@@ -787,7 +779,6 @@ impl<L: LinearLayer> CpuEngine<L> {
                 id: *id,
                 state,
                 prompt: None,
-                wall_ns: 0,
             });
         }
         // Same disjoint-ownership argument as prefill: each decode forward
@@ -1113,15 +1104,12 @@ impl<L: LinearLayer> CpuEngine<L> {
         let model = &self.model;
         match self.pool.par_chunks_mut(jobs, 1, |_, chunk| {
             let Some(job) = chunk.first_mut() else { return };
-            // lint: allow(time-entropy) — per-job wall clock feeds kernel telemetry and the prefill-wall report only; scheduling and token choice never read it
-            let start = Instant::now();
             let logits = match &job.prompt {
                 Some(prompt) => model.forward(prompt, job.state.cache.as_mut()),
                 None => model.forward(&[job.state.next_input], job.state.cache.as_mut()),
             };
             let last = logits.rows().saturating_sub(1);
             job.state.next_input = cast::usize_to_u16_saturating(ops::argmax(logits.row(last)));
-            job.wall_ns = start.elapsed().as_nanos() as u64;
         }) {
             Ok(()) => PoolFailure {
                 failed: Vec::new(),
@@ -1247,14 +1235,6 @@ impl<L: LinearLayer> CpuEngine<L> {
         blocks.len()
     }
 
-    /// Accumulated wall time of `id`'s prefill forwards, in nanoseconds
-    /// (recomputed prefills after a preemption add up). `None` before the
-    /// first prefill. Wall time is measurement only — it never feeds back
-    /// into scheduling, so token streams stay deterministic.
-    pub fn prefill_wall_ns(&self, id: usize) -> Option<u64> {
-        self.prefill_wall.get(&id).copied()
-    }
-
     /// The telemetry instance this engine records into (the process global
     /// unless [`Self::with_telemetry`] installed an owned one).
     pub fn telemetry(&self) -> &Telemetry {
@@ -1328,21 +1308,55 @@ mod tests {
     fn token_streams_bit_identical_across_pool_widths() {
         // The determinism contract: pool width changes wall-clock only,
         // never a single generated token or terminal state.
-        let run = |threads: usize| {
+        fn streams<L: LinearLayer>(mut e: CpuEngine<L>) -> Vec<(usize, Vec<u16>)> {
+            let mut done = e.run_to_completion().to_vec();
+            done.sort_by_key(|c| c.id);
+            done.into_iter().map(|c| (c.id, c.tokens)).collect()
+        }
+        fn assert_width_invariant(run: impl Fn(usize) -> Vec<(usize, Vec<u16>)>) {
+            let solo = run(1);
+            for threads in [2, 4, 8] {
+                assert_eq!(solo, run(threads), "{threads} threads");
+            }
+        }
+        assert_width_invariant(|threads| {
             let mut e = tiny_engine(3, 1024).with_pool(Pool::new(threads));
             e.submit(vec![10, 20, 30], 5).unwrap();
             e.submit(vec![42, 17], 7).unwrap();
             e.submit(vec![7, 8, 9, 10], 4).unwrap();
-            let mut done = e.run_to_completion().to_vec();
-            done.sort_by_key(|c| c.id);
-            done.iter()
-                .map(|c| (c.id, c.tokens.clone()))
-                .collect::<Vec<_>>()
-        };
-        let solo = run(1);
-        assert_eq!(solo, run(2));
-        assert_eq!(solo, run(4));
-        assert_eq!(solo, run(8));
+            streams(e)
+        });
+        // Six concurrent requests over 8-bit quantized KV: the cache's
+        // quantize-on-append and dequantize-on-load run inside the workers.
+        assert_width_invariant(|threads| {
+            let config = ModelConfig {
+                dim: 64,
+                layers: 2,
+                heads: 8,
+                kv_heads: 8,
+                ffn_dim: 128,
+                ..ModelConfig::default()
+            };
+            let mut e = CpuEngine::new(
+                LlamaModel::random_init(config, 7),
+                Box::new(move || {
+                    Box::new(atom::QuantizedKvCache::new(
+                        config.layers,
+                        config.kv_dim(),
+                        config.head_dim(),
+                        8,
+                    ))
+                }),
+                6,
+                4096,
+            )
+            .expect("valid config")
+            .with_pool(Pool::new(threads));
+            for r in 0..6u16 {
+                e.submit(vec![r * 7 + 1, 3, 5], 16).unwrap();
+            }
+            streams(e)
+        });
     }
 
     /// A linear layer that panics whenever it sees an activation with a
@@ -1835,15 +1849,6 @@ mod tests {
         assert!(stats.cached_blocks <= 2, "cap respected: {stats:?}");
         assert!(stats.evictions > 0);
         e.batcher().allocator().leak_check().unwrap();
-    }
-
-    #[test]
-    fn prefill_wall_ns_is_recorded_per_request() {
-        let mut e = prefix_engine(1, 1024);
-        let id = e.submit(vec![1, 2, 3, 4], 2).unwrap();
-        assert_eq!(e.prefill_wall_ns(id), None);
-        e.run_to_completion();
-        assert!(e.prefill_wall_ns(id).is_some());
     }
 
     #[test]
