@@ -8,7 +8,6 @@
 //! pipeline with per-token dynamic scales vs calibration-frozen static
 //! scales.
 
-#![forbid(unsafe_code)]
 use atom::pipeline::{AnyLinear, AtomScheme, QuantizedModel, Scheme};
 use atom::qlinear::{AtomLinearConfig, OutlierMode, QuantizedLinear};
 use atom::ReorderPlan;

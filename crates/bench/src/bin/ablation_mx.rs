@@ -9,7 +9,6 @@
 //! group-fusion efficiency (770 TOPS) back to the mixed-precision-only
 //! level (900).
 
-#![forbid(unsafe_code)]
 use atom::mx::{fake_quantize_mxfp4, mxfp4_effective_bits};
 use atom::pipeline::{AtomScheme, Scheme};
 use atom_data::CorpusStyle;

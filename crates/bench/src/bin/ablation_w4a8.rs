@@ -8,7 +8,6 @@
 //! real pipeline, serving throughput from the simulator (W4A8 computes on
 //! INT8 tensor cores; weights stream at 4 bits).
 
-#![forbid(unsafe_code)]
 use atom::pipeline::{AtomScheme, Scheme};
 use atom_data::CorpusStyle;
 use atom_gpu_sim::cost::{op_time, ComputeKind, Op};

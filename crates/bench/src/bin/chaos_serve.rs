@@ -8,7 +8,6 @@
 //! zero leaked KV blocks), prints an aligned text table and writes
 //! `results/chaos_serve.json`. Both are byte-reproducible at a fixed `--seed`.
 
-#![forbid(unsafe_code)]
 use atom::pipeline::{AtomScheme, Scheme};
 use atom::{Calibration, QuantizedKvCache};
 use atom_gateway::{synth_prompt, Gateway, GatewayConfig, TenantSpec};
@@ -120,7 +119,7 @@ fn main() {
             engine.outcomes().len()
         ));
     }
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = std::collections::BTreeSet::new();
     for o in engine.outcomes() {
         if !seen.insert(o.id) {
             violations.push(format!("request {} has more than one terminal record", o.id));
@@ -304,7 +303,7 @@ fn drain_under_fault(weights: &atom_nn::LlamaModel<atom::AnyLinear>, seed: u64) 
             gw.outcomes().len()
         ));
     }
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = std::collections::BTreeSet::new();
     for o in gw.outcomes() {
         if !seen.insert(o.id) {
             violations.push(format!(

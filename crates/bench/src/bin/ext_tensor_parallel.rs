@@ -6,7 +6,6 @@
 //! a 180B-class dense model on 8x A100-80GB, per scheme — maximum batch
 //! under memory and the decode latency/throughput at that batch.
 
-#![forbid(unsafe_code)]
 use atom_gpu_sim::tp::{iteration_breakdown_tp, max_batch_tp, TpConfig};
 use atom_gpu_sim::{HardwareProfile, LlamaGpuConfig, Phase, SimScheme};
 use std::fmt::Write as _;

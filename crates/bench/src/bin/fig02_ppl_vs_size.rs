@@ -5,7 +5,6 @@
 //! Atom stays close to the FP16 baseline at every size, and the gap shrinks
 //! with model size.
 
-#![forbid(unsafe_code)]
 use atom::pipeline::{AtomScheme, Scheme};
 use atom_data::CorpusStyle;
 use atom_nn::{eval, zoo};

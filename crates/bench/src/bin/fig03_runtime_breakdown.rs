@@ -4,7 +4,6 @@
 //! Paper shape: dense + self-attention together consume over 90% of the
 //! time at every batch size; the attention share grows with batch.
 
-#![forbid(unsafe_code)]
 use atom_gpu_sim::graph::iteration_breakdown;
 use atom_gpu_sim::{HardwareProfile, LlamaGpuConfig, Phase, SimScheme};
 

@@ -7,7 +7,6 @@
 //! throughput (smaller KV); weight-only quantization leaves the FP16 roof
 //! and the attention line untouched.
 
-#![forbid(unsafe_code)]
 use atom_gpu_sim::roofline::roofline_points;
 use atom_gpu_sim::{HardwareProfile, LlamaGpuConfig, SimScheme};
 

@@ -5,7 +5,6 @@
 //! Renders the per-channel RMS profile of a real calibrated linear input
 //! before and after reordering, as a text sparkline plus summary numbers.
 
-#![forbid(unsafe_code)]
 use atom::Calibration;
 use atom_nn::model::{LinearId, Proj};
 use atom_nn::zoo;

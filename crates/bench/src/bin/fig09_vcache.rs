@@ -5,7 +5,6 @@
 //! fewer outlier channels than activations — which is why asymmetric
 //! per-head quantization suffices for the KV cache (§4.4).
 
-#![forbid(unsafe_code)]
 use atom_nn::kv::{Fp32KvCache, KvStore};
 use atom_nn::model::{LinearId, Proj};
 use atom_nn::zoo;

@@ -6,7 +6,6 @@
 //! up to 7.73x FP16 and 2.53x W8A8 throughput while staying under the
 //! 100 ms/token latency target even at batch 256.
 
-#![forbid(unsafe_code)]
 use atom_data::WorkloadSpec;
 use atom_gpu_sim::{HardwareProfile, LlamaGpuConfig, MemoryModel, SimScheme};
 use atom_serve::ServingSimulator;
@@ -44,7 +43,7 @@ fn main() {
     // (c): fixed memory — each scheme runs a full trace simulation at its
     // own maximum batch under the 24 GB budget.
     let mut rows_c = Vec::new();
-    let mut tputs = std::collections::HashMap::new();
+    let mut tputs = std::collections::BTreeMap::new();
     for scheme in SimScheme::all() {
         let mem = MemoryModel::new(cfg, scheme, hw.mem_bytes);
         let max_batch = mem.max_batch(avg_ctx).clamp(1, 256);

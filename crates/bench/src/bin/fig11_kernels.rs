@@ -11,7 +11,6 @@
 //! rows of a `--trace 1` run) and checked against their references in
 //! `crates/kernels/tests/kernel_vs_reference.rs`.
 
-#![forbid(unsafe_code)]
 use atom_gpu_sim::cost::{op_time, ComputeKind, Op};
 use atom_gpu_sim::{HardwareProfile, SimScheme};
 use std::fmt::Write as _;

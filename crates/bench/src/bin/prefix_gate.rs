@@ -24,7 +24,6 @@
 //!    cache's own, and flushing it returns the pool to exactly empty —
 //!    zero leaked blocks, zero dangling refcounts.
 
-#![forbid(unsafe_code)]
 use atom::pipeline::{AtomScheme, Scheme};
 use atom::{Calibration, QuantizedKvCache};
 use atom_data::{ArrivalPattern, PromptArrival, ScenarioKind, ScenarioSpec, TenantTraffic, TrafficSpec};
@@ -33,7 +32,7 @@ use atom_parallel::Pool;
 use atom_serve::engine::CpuEngine;
 use atom_serve::{PrefixCacheStats, PrefixConfig};
 use atom_telemetry::Telemetry;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -356,7 +355,7 @@ fn run_engine(
         .collect();
     streams.sort_by_key(|s| s.0);
     let prompt_lens = ids.iter().zip(trace).map(|(&id, p)| (id, p.prompt.len()));
-    let prompt_len: HashMap<usize, usize> = prompt_lens.collect();
+    let prompt_len: BTreeMap<usize, usize> = prompt_lens.collect();
     let mut hit_requests = 0usize;
     let (mut hit_prompt_tokens, mut hit_prefilled_tokens) = (0usize, 0usize);
     let outcomes = engine.outcomes().iter();

@@ -15,7 +15,6 @@
 //! 2. bit-identical outcomes and SLO report at 1, 2, and 8 threads;
 //! 3. SLO attainment and completion-rate floors.
 
-#![forbid(unsafe_code)]
 use atom::pipeline::{AtomScheme, Scheme};
 use atom::{Calibration, QuantizedKvCache};
 use atom_data::{ArrivalPattern, TenantTraffic, TrafficSpec};

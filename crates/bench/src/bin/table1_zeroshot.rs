@@ -2,7 +2,6 @@
 //! families (stand-ins for PIQA / ARC-e / ARC-c / BoolQ / HellaSwag /
 //! WinoGrande), at W4A4 and W3A3, across the four model sizes.
 
-#![forbid(unsafe_code)]
 use atom::pipeline::{AtomScheme, Scheme};
 use atom_data::{TaskKind, TaskSuite, Tokenizer};
 use atom_nn::{eval, zoo};

@@ -2,7 +2,6 @@
 //! (wiki / ptb / c4 standing in for WikiText2 / PTB / C4), at W4A4 and
 //! W3A3, across the four model sizes.
 
-#![forbid(unsafe_code)]
 use atom::pipeline::{AtomScheme, Scheme};
 use atom_data::CorpusStyle;
 use atom_nn::{eval, zoo};

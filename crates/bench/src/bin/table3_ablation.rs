@@ -5,7 +5,6 @@
 //! Paper shape (Llama-7B): RTN 2315.52 -> outliers FP16 11.34 -> INT8
 //! 11.39 -> group 6.22 -> clip 6.13 -> GPTQ 6.04 -> KV4 6.16.
 
-#![forbid(unsafe_code)]
 use atom::pipeline::ablation_stages;
 use atom_data::CorpusStyle;
 use atom_nn::{eval, zoo};

@@ -6,7 +6,6 @@
 //! while the baselines degrade; Atom (FP4) lands within ~0.1 of Atom
 //! (INT4).
 
-#![forbid(unsafe_code)]
 use atom::pipeline::{AtomScheme, Scheme};
 use atom_data::CorpusStyle;
 use atom_nn::{eval, zoo};

@@ -7,7 +7,6 @@
 //! limit by ~18%; reorder fusion wins 25–35% over decomposition on
 //! layernorm + GEMM at batches 16–256.
 
-#![forbid(unsafe_code)]
 use atom_gpu_sim::ablation::{fused_gemm_ladder, reorder_ablation};
 use atom_gpu_sim::HardwareProfile;
 use std::fmt::Write as _;

@@ -33,7 +33,6 @@
 //! *real CPU kernels* and the serving stack run is measured by the serving
 //! benchmark under `benchmark/`, the repository's one wall-time instrument.
 
-#![forbid(unsafe_code)]
 use atom::Calibration;
 use atom_nn::{zoo, DenseLinear, LlamaModel};
 use std::fmt::Write as _;

@@ -1,4 +1,6 @@
 //! Quick headline-shape check: wiki perplexity per scheme on the tiny model.
+#![expect(clippy::disallowed_methods, reason = "a demo prints how long it took; nothing it computes reads the clock")]
+
 use atom::pipeline::{AtomScheme, Scheme};
 use atom::Calibration;
 use atom_data::CorpusStyle;

@@ -16,7 +16,7 @@ use atom_nn::model::{ForwardObserver, LinearId};
 use atom_nn::{LinearLayer, LlamaModel};
 use atom_tensor::stats::ChannelStats;
 use atom_tensor::Matrix;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Per-linear calibration data.
 #[derive(Debug, Clone)]
@@ -39,7 +39,7 @@ const MAX_SAMPLE_ROWS: usize = 192;
 /// Calibration results for a whole model.
 #[derive(Debug, Clone, Default)]
 pub struct Calibration {
-    per_linear: HashMap<LinearId, LinearCalibration>,
+    per_linear: BTreeMap<LinearId, LinearCalibration>,
 }
 
 impl Calibration {
@@ -83,9 +83,12 @@ impl Calibration {
         self.per_linear.get(&id)
     }
 
-    /// All linear ids seen during calibration.
+    /// All linear ids seen during calibration, by layer, then projection
+    /// name, then expert.
     pub fn linear_ids(&self) -> Vec<LinearId> {
         let mut ids: Vec<LinearId> = self.per_linear.keys().copied().collect();
+        // The map's own order is `LinearId`'s derived `Ord` (projections in
+        // forward order Q, K, V, O, …), which is not this listing's.
         ids.sort_by_key(|id| (id.layer, format!("{:?}", id.proj), id.expert));
         ids
     }

@@ -46,7 +46,6 @@
 //! assert!(ppl.is_finite());
 //! ```
 
-#![forbid(unsafe_code)]
 pub mod baselines;
 pub mod calibrate;
 pub mod clip;

@@ -34,7 +34,6 @@
 //! assert_eq!(tok.decode(&ids), corpus.text());
 //! ```
 
-#![forbid(unsafe_code)]
 pub mod corpus;
 pub mod scenario;
 pub mod tasks;

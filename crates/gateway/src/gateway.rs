@@ -286,7 +286,9 @@ impl<L: LinearLayer> Gateway<L> {
                 retry_after_ticks: self.cfg.breaker.retry_after_ticks,
             });
         }
-        if let Some(reason) = self.validate(&prompt, max_new) {
+        // The engine's own admission check, so an accepted request can
+        // never terminalize `Rejected` later.
+        if let Err(reason) = self.engine.batcher().validate(prompt.len(), max_new) {
             self.rejects.invalid += 1;
             self.tel(|t| t.counter_add(names::GATEWAY_REJECT_INVALID, 1));
             return Err(GatewayReject::Invalid(reason));
@@ -544,27 +546,6 @@ impl<L: LinearLayer> Gateway<L> {
 
     fn tel(&self, f: impl FnOnce(&Telemetry)) {
         f(self.engine.telemetry());
-    }
-
-    /// Offer-time validation mirroring the engine's own admission checks,
-    /// so an accepted request can never terminalize `Rejected` later.
-    fn validate(&self, prompt: &[u16], max_new: usize) -> Option<RejectReason> {
-        if prompt.is_empty() {
-            return Some(RejectReason::EmptyPrompt);
-        }
-        if max_new == 0 {
-            return Some(RejectReason::ZeroDecodeTokens);
-        }
-        let alloc = self.engine.batcher().allocator();
-        let needed = alloc.blocks_for(prompt.len() + max_new);
-        let total = alloc.total_blocks();
-        if needed > total {
-            return Some(RejectReason::ExceedsKvPool {
-                needed_blocks: needed,
-                total_blocks: total,
-            });
-        }
-        None
     }
 
     fn release_due_retries(&mut self) {
@@ -1101,6 +1082,47 @@ mod tests {
         // No terminal records were consumed by rejections.
         assert!(g.is_idle());
         assert_eq!(g.accepted(), 0);
+    }
+
+    /// Gateway, engine and batcher must refuse exactly the same requests
+    /// for exactly the same reason: one check, three callers.
+    #[test]
+    fn gateway_engine_and_batcher_agree_on_admission() {
+        let probe = tiny_engine(4, 64);
+        let alloc = probe.batcher().allocator();
+        let cap = alloc.total_blocks() * alloc.block_size();
+        // (prompt_len, max_new): degenerate shapes, then both sides of the
+        // KV-pool boundary, reached through either argument.
+        let grid = [
+            (0, 0),
+            (0, 1),
+            (1, 0),
+            (cap + 5, 0),
+            (1, 1),
+            (cap - 1, 1),
+            (cap, 1),
+            (1, cap - 1),
+            (1, cap),
+        ];
+        let mut refused = 0;
+        for (prompt_len, max_new) in grid {
+            let mut engine = tiny_engine(4, 64);
+            let batcher = engine.batcher().validate(prompt_len, max_new);
+            let submitted = engine.submit(vec![1; prompt_len], max_new).map(|_| ());
+            let mut g = Gateway::new(tiny_engine(4, 64), GatewayConfig::single_tenant())
+                .expect("valid gateway config");
+            let offered = match g.offer(0, vec![1; prompt_len], max_new, None) {
+                Ok(_) => Ok(()),
+                Err(GatewayReject::Invalid(reason)) => Err(reason),
+                Err(other) => panic!("({prompt_len}, {max_new}): unexpected {other:?}"),
+            };
+            assert_eq!(submitted, batcher, "engine vs batcher at ({prompt_len}, {max_new})");
+            assert_eq!(offered, batcher, "gateway vs batcher at ({prompt_len}, {max_new})");
+            refused += usize::from(batcher.is_err());
+        }
+        assert_eq!(refused, 6, "the grid straddles the boundary");
+        let over = probe.batcher().validate(cap, 1);
+        assert!(matches!(over, Err(RejectReason::ExceedsKvPool { .. })), "{over:?}");
     }
 
     #[test]

@@ -53,8 +53,19 @@
 //! assert!(gw.outcome_of(id).unwrap().terminal.is_completed());
 //! ```
 
-#![forbid(unsafe_code)]
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+// The gateway owns the request lifecycle above the engine: a panic here
+// strands every queued and in-flight request. Tests are exempt.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
 
 pub mod breaker;
 pub mod bucket;

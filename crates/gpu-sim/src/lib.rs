@@ -20,7 +20,6 @@
 //!
 //! Everything is deterministic arithmetic; no randomness, no wall clocks.
 
-#![forbid(unsafe_code)]
 pub mod ablation;
 pub mod cost;
 pub mod graph;

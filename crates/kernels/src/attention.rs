@@ -111,8 +111,12 @@ pub fn attention_quant_kv(q: &Matrix, kv: &QuantizedKvHead, scale: f32) -> Matri
             for (a, b) in q.row(i).iter().zip(krow.iter()) {
                 dot += a * b;
             }
-            // lint: allow(panic-freedom) — i < q.rows() and t < kv_len are exactly the dimensions `scores` was constructed with
-            scores[(i, t)] = dot * scale;
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "i < q.rows() and t < kv_len are exactly the dimensions `scores` was constructed with"
+            )]
+            let score = &mut scores.row_mut(i)[t];
+            *score = dot * scale;
         }
     }
     ops::causal_mask_in_place(&mut scores, offset);
@@ -123,8 +127,11 @@ pub fn attention_quant_kv(q: &Matrix, kv: &QuantizedKvHead, scale: f32) -> Matri
     for t in 0..kv_len {
         kv.values.dequantize_row_scratch(t, &mut vrow, &mut scratch);
         for i in 0..q.rows() {
-            // lint: allow(panic-freedom) — probs is softmax(scores) and shares its constructed dimensions
-            let p = probs[(i, t)];
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "probs is softmax(scores) and shares its constructed dimensions"
+            )]
+            let p = probs.row(i)[t];
             if p == 0.0 {
                 continue;
             }

@@ -251,7 +251,10 @@ impl GroupQuantized {
         gather: Option<&[usize]>,
         spec: QuantSpec,
     ) -> Self {
-        // lint: allow(panic-freedom) — documented `# Panics` contract: an invalid spec is a programmer error, not a data condition
+        #[expect(
+            clippy::expect_used,
+            reason = "documented `# Panics` contract: an invalid spec is a programmer error, not a data condition"
+        )]
         spec.validate().expect("invalid quant spec");
         let cols = gather.map_or(x.cols(), <[usize]>::len);
         let group = spec.group.min(cols.max(1));
@@ -332,7 +335,10 @@ impl GroupQuantized {
     ///
     /// Panics if shapes disagree with the spec.
     pub fn from_parts(spec: QuantSpec, values: PackedMatrix, scales: Matrix) -> Self {
-        // lint: allow(panic-freedom) — documented `# Panics` contract: an invalid spec is a programmer error, not a data condition
+        #[expect(
+            clippy::expect_used,
+            reason = "documented `# Panics` contract: an invalid spec is a programmer error, not a data condition"
+        )]
         spec.validate().expect("invalid quant spec");
         assert_eq!(values.bits(), spec.bits, "payload bit width mismatch");
         assert_eq!(scales.rows(), values.rows(), "scale rows mismatch");
@@ -357,7 +363,10 @@ impl GroupQuantized {
     /// Panics if `scales.len()` does not match the group count or contains
     /// non-positive values.
     pub fn quantize_with_shared_scales(x: &Matrix, spec: QuantSpec, shared: &[f32]) -> Self {
-        // lint: allow(panic-freedom) — documented `# Panics` contract: an invalid spec is a programmer error, not a data condition
+        #[expect(
+            clippy::expect_used,
+            reason = "documented `# Panics` contract: an invalid spec is a programmer error, not a data condition"
+        )]
         spec.validate().expect("invalid quant spec");
         let (rows, cols) = x.shape();
         let group = spec.group.min(cols.max(1));

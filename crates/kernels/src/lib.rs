@@ -24,8 +24,22 @@
 //! quantization *algorithms* (outlier selection, reordering, GPTQ,
 //! clipping search) live in the `atom` crate and produce these containers.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// The kernels sit under the engine's forward path, so they inherit the
+// serving contract; the few audited sites (bit-window indexing under an
+// asserted bound, `# Panics` preconditions) each carry an `#[expect]` with
+// its reason. Tests are exempt.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
 pub mod asym;
 pub mod attention;
 pub mod gemm;

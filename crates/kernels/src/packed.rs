@@ -118,9 +118,11 @@ impl PackedMatrix {
         let shift = bit_off % 8;
         // Read up to 16 bits covering the window. The asserted index bounds
         // plus the row-stride allocation keep the window inside `data`.
-        let lo = self.data[byte] as u16; // lint: allow(panic-freedom) — byte = r*stride + c*bits/8 < data.len() by the asserted bounds
+        #[expect(clippy::indexing_slicing, reason = "byte = r*stride + c*bits/8 < data.len() by the asserted bounds")]
+        let lo = u16::from(self.data[byte]);
         let hi = if shift + bits > 8 {
-            self.data[byte + 1] as u16 // lint: allow(panic-freedom) — a straddling window implies the stride has a following byte
+            #[expect(clippy::indexing_slicing, reason = "a straddling window implies the stride has a following byte")]
+            u16::from(self.data[byte + 1])
         } else {
             0
         };
@@ -135,6 +137,10 @@ impl PackedMatrix {
     /// # Panics
     ///
     /// Panics on out-of-bounds indices or out-of-range values.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "byte = r*stride + c*bits/8 < data.len() by the asserted bounds, and a straddling window implies the stride has a following byte (an assignment cannot carry the attribute itself)"
+    )]
     pub fn set(&mut self, r: usize, c: usize, v: i8) {
         assert!(r < self.rows && c < self.cols, "index out of bounds");
         assert!(
@@ -148,14 +154,14 @@ impl PackedMatrix {
         let byte = r * self.row_stride + bit_off / 8;
         let shift = bit_off % 8;
         let mask = u16::from(code_levels(self.bits)) << shift;
-        let mut window = self.data[byte] as u16; // lint: allow(panic-freedom) — byte = r*stride + c*bits/8 < data.len() by the asserted bounds
+        let mut window = self.data[byte] as u16;
         if shift + bits > 8 {
-            window |= (self.data[byte + 1] as u16) << 8; // lint: allow(panic-freedom) — a straddling window implies the stride has a following byte
+            window |= (self.data[byte + 1] as u16) << 8;
         }
         window = (window & !mask) | (raw << shift);
-        self.data[byte] = (window & 0xFF) as u8; // lint: allow(panic-freedom) — same window as the read above
+        self.data[byte] = (window & 0xFF) as u8;
         if shift + bits > 8 {
-            self.data[byte + 1] = (window >> 8) as u8; // lint: allow(panic-freedom) — same window as the read above
+            self.data[byte + 1] = (window >> 8) as u8;
         }
     }
 
@@ -321,9 +327,11 @@ impl PackedMatrix {
             let bit_off = c * bits;
             let byte = bit_off / 8;
             let shift = bit_off % 8;
-            let lo = u16::from(row[byte]); // lint: allow(panic-freedom) — byte = c*bits/8 < row_stride because c < cols
+            #[expect(clippy::indexing_slicing, reason = "byte = c*bits/8 < row_stride because c < cols")]
+            let lo = u16::from(row[byte]);
             let hi = if shift + bits > 8 {
-                u16::from(row[byte + 1]) // lint: allow(panic-freedom) — a straddling window implies the stride has a following byte
+                #[expect(clippy::indexing_slicing, reason = "a straddling window implies the stride has a following byte")]
+                u16::from(row[byte + 1])
             } else {
                 0
             };

@@ -2,17 +2,17 @@
 //! are malformed, name unknown rules, or suppress nothing. Expected
 //! findings are asserted line-by-line in `tests/golden.rs`.
 
-pub fn missing_reason(v: &[u32]) -> u32 {
-    // lint: allow(panic-freedom)
-    v[0]
+pub fn missing_reason(n: usize) -> f32 {
+    // lint: allow(lossy-cast)
+    n as f32
 }
 
-pub fn unknown_rule(v: &[u32]) -> u32 {
-    // lint: allow(no-such-rule) — the rule name is wrong
-    v.get(0).copied().unwrap_or(0)
+pub fn retired_rule(v: &[u32]) -> u32 {
+    // lint: allow(panic-freedom) — clippy holds this rule now: the directive is `#[expect(clippy::…, reason)]`
+    v.first().copied().unwrap_or(0)
 }
 
-pub fn stale_directive(v: &[u32]) -> u32 {
-    // lint: allow(panic-freedom) — this access is checked, so the directive is stale
-    v.get(0).copied().unwrap_or(0)
+pub fn stale_directive(n: u8) -> u32 {
+    // lint: allow(lossy-cast) — this conversion is lossless, so the directive is stale
+    u32::from(n)
 }

@@ -1,50 +1,27 @@
-//! `atom-lint` — the workspace's own static-analysis pass.
+//! `atom-lint` — the four workspace invariants neither rustc nor clippy
+//! can state, checked over tokens. Everything the toolchain *can* hold, it
+//! holds: `unsafe`, the no-panic contract of the serving crates, the
+//! wall-clock / env / hash-order bans and the integer bounds are rustc and
+//! clippy lints (DESIGN §3.9 has the one table of invariant → enforcer).
+//! What is left here:
 //!
-//! The compiler cannot see the invariants this reproduction depends on, so
-//! eight token-level rules check them. What the compiler *can* prove, it
-//! does: integer bounds are `const _: () = assert!(…);` items beside the
-//! constants they bound, and `unsafe` is rejected by
-//! `#![forbid(unsafe_code)]`; rules 4 and 8 only check those are in place.
-//!
-//! 1. **panic-freedom** — `crates/serve` promised typed errors instead of
-//!    panics (PR 1), and the kernel hot paths must not abort mid-batch. No
-//!    `unwrap()`, `expect()`, `panic!`, `todo!`, `unimplemented!`, or
-//!    unchecked slice indexing there.
-//! 2. **lossy-cast** — bit-accurate integer accumulation only holds if
-//!    truncating/sign-changing `as` casts stay inside the audited quantizer
-//!    modules; everywhere else code must use the checked helpers in
-//!    `atom_tensor::cast`.
-//! 3. **telemetry-names** — the measured kernels and the roofline simulator
-//!    compare breakdowns key-for-key, so `telemetry::names` and the
-//!    recording call sites must stay in exact bijection.
-//! 4. **unsafe-containment** — `#![forbid(unsafe_code)]` on every crate
-//!    root; rustc enforces the rest.
-//! 5. **unordered-iteration** — hash-ordered traversal must not reach the
-//!    deterministic-scope crates' outputs: the bit-identical-at-any-width
-//!    gates rest on it.
-//! 6. **time-entropy** — wall-clock, environment, and OS-entropy reads
-//!    stay inside telemetry and the audited config entry points.
-//! 7. **lock-order** — nested lock acquisitions carry a documented global
-//!    order, and the cross-file acquisition graph stays acyclic.
-//! 8. **accumulator-width** — every `i32`/`i64` reduction in a hot-path
-//!    crate carries `// bound: NAME`, and `NAME` appears in a
-//!    `const _: () = assert!(…);` item of the same file. The lint checks
-//!    that a proof is cited; rustc checks that it is true.
+//! * [`RULE_LOSSY_CAST`] — truncating / sign-changing `as` casts stay inside
+//!   the audited quantizer modules ([`rules::lossy_cast`]);
+//! * [`RULE_TELEMETRY_NAMES`] — `telemetry::names` and the recording call
+//!   sites stay in bijection ([`rules::telemetry_names`]);
+//! * [`RULE_LOCK_ORDER`] — nested lock acquisitions carry a documented
+//!   order and the cross-file graph stays acyclic ([`rules::lock_order`]);
+//! * [`RULE_ACCUMULATOR_WIDTH`] — every `i32`/`i64` reduction cites the
+//!   `const` assertion that bounds it ([`rules::accumulator_width`]).
 //!
 //! Escape hatch: a violating line may carry (or be preceded by)
 //! `// lint: allow(<rule>) — <reason>`. The reason is mandatory and the
-//! directive must actually suppress something, or it is itself a finding —
-//! stale allowances are how audit layers rot. The whole-workspace pass
-//! also emits a machine-readable report (`results/lint_report.json`,
-//! schema `atom-lint-report/v2`) with per-rule counts, every finding, and
-//! the full allow-directive inventory, plus the same findings as SARIF
-//! 2.1.0 (`results/lint_report.sarif`) for code-scanning upload. A
-//! [`ratchet`] baseline (`results/lint_baseline.json`) lets CI fail on any
-//! *new* finding or allow-suppression while counts may only decrease.
-#![forbid(unsafe_code)]
+//! directive must actually suppress something, or it is itself a
+//! [`RULE_DIRECTIVE`] finding — stale allowances are how audit layers rot.
+//! The pass reads the tree and writes nothing: findings go to stdout, the
+//! verdict is the exit code.
 
 pub mod lexer;
-pub mod ratchet;
 pub mod rules;
 
 use lexer::{cfg_test_ranges, lex, Lexed};
@@ -56,12 +33,8 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 /// Rule identifiers, used in reports and in `lint: allow(...)` directives.
-pub const RULE_PANIC_FREEDOM: &str = "panic-freedom";
 pub const RULE_LOSSY_CAST: &str = "lossy-cast";
 pub const RULE_TELEMETRY_NAMES: &str = "telemetry-names";
-pub const RULE_UNSAFE_CONTAINMENT: &str = "unsafe-containment";
-pub const RULE_UNORDERED_ITERATION: &str = "unordered-iteration";
-pub const RULE_TIME_ENTROPY: &str = "time-entropy";
 pub const RULE_LOCK_ORDER: &str = "lock-order";
 pub const RULE_ACCUMULATOR_WIDTH: &str = "accumulator-width";
 /// Meta-rule: malformed or stale `lint:` directives.
@@ -69,12 +42,8 @@ pub const RULE_DIRECTIVE: &str = "lint-directive";
 
 /// All enforceable rule names (directives may only name these).
 pub const ALL_RULES: &[&str] = &[
-    RULE_PANIC_FREEDOM,
     RULE_LOSSY_CAST,
     RULE_TELEMETRY_NAMES,
-    RULE_UNSAFE_CONTAINMENT,
-    RULE_UNORDERED_ITERATION,
-    RULE_TIME_ENTROPY,
     RULE_LOCK_ORDER,
     RULE_ACCUMULATOR_WIDTH,
 ];
@@ -82,35 +51,12 @@ pub const ALL_RULES: &[&str] = &[
 /// Every rule name that can appear in a report: [`ALL_RULES`] plus the
 /// directive meta-rule (which cannot be allowed away).
 pub const REPORTABLE_RULES: &[&str] = &[
-    RULE_PANIC_FREEDOM,
     RULE_LOSSY_CAST,
     RULE_TELEMETRY_NAMES,
-    RULE_UNSAFE_CONTAINMENT,
-    RULE_UNORDERED_ITERATION,
-    RULE_TIME_ENTROPY,
     RULE_LOCK_ORDER,
     RULE_ACCUMULATOR_WIDTH,
     RULE_DIRECTIVE,
 ];
-
-/// One-line description per reportable rule (used by the SARIF driver's
-/// rule metadata).
-pub fn rule_description(rule: &str) -> &'static str {
-    match rule {
-        RULE_PANIC_FREEDOM => "no unwrap/expect/panic or unchecked indexing on hot paths",
-        RULE_LOSSY_CAST => "truncating/sign-changing `as` casts stay inside audited modules",
-        RULE_TELEMETRY_NAMES => "telemetry name constants and recording sites stay in bijection",
-        RULE_UNSAFE_CONTAINMENT => "every crate root carries `#![forbid(unsafe_code)]`",
-        RULE_UNORDERED_ITERATION => "hash-ordered traversal stays out of deterministic outputs",
-        RULE_TIME_ENTROPY => "wall-clock/env/entropy reads stay inside audited entry points",
-        RULE_LOCK_ORDER => "nested lock acquisitions follow a documented acyclic global order",
-        RULE_ACCUMULATOR_WIDTH => {
-            "i32/i64 reductions cite a `const` assertion with `// bound: NAME`"
-        }
-        RULE_DIRECTIVE => "lint: allow directives are well-formed, justified, and not stale",
-        _ => "unknown rule",
-    }
-}
 
 /// One violation, formatted as `file:line: rule: message`.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -131,11 +77,7 @@ impl fmt::Display for Finding {
 /// What role a file plays in its crate; rules scope themselves by this.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileKind {
-    /// `src/lib.rs` — a library crate root.
-    LibRoot,
-    /// `src/main.rs` or `src/bin/*.rs` — a binary crate root.
-    BinRoot,
-    /// Any other file under `src/`.
+    /// A file under `src/` (library, binary roots and modules alike).
     Src,
     /// A file under `tests/` (integration tests).
     TestDir,
@@ -149,13 +91,7 @@ impl FileKind {
     /// Whether the file is production code (compiled into the shipped
     /// library or binaries rather than into test/bench harnesses).
     pub fn is_production(self) -> bool {
-        matches!(self, FileKind::LibRoot | FileKind::BinRoot | FileKind::Src)
-    }
-
-    /// Whether the file is a crate root that must carry
-    /// `#![forbid(unsafe_code)]`.
-    pub fn is_crate_root(self) -> bool {
-        matches!(self, FileKind::LibRoot | FileKind::BinRoot)
+        self == FileKind::Src
     }
 }
 
@@ -191,8 +127,8 @@ struct AllowDirective {
     suppressed: usize,
 }
 
-/// One allow directive as recorded in the machine-readable report: where
-/// it sits, what it names, why, and how many findings it suppressed.
+/// One allow directive as the pass saw it: where it sits, what it names,
+/// why, and how many findings it suppressed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AllowRecord {
     /// Workspace-relative path of the directive.
@@ -277,7 +213,6 @@ pub fn lint_file(
     let test_ranges = cfg_test_ranges(&lexed);
     let mut findings = Vec::new();
 
-    rules::panic_freedom::check(ctx, &lexed, &test_ranges, &mut findings);
     rules::lossy_cast::check(ctx, &lexed, &test_ranges, &mut findings);
     rules::telemetry_names::check(
         ctx,
@@ -287,9 +222,6 @@ pub fn lint_file(
         &mut state.used_names,
         &mut findings,
     );
-    rules::unsafe_containment::check(ctx, &lexed, &mut findings);
-    rules::unordered_iteration::check(ctx, &lexed, &test_ranges, &mut findings);
-    rules::time_entropy::check(ctx, &lexed, &test_ranges, &mut findings);
     rules::lock_order::check(ctx, &lexed, &test_ranges, &mut state.lock_edges, &mut findings);
     rules::accumulator_width::check(ctx, &lexed, &test_ranges, &mut findings);
 
@@ -506,18 +438,9 @@ fn package_name(cargo_toml: &str) -> Option<String> {
 }
 
 fn classify(rel_in_crate: &Path) -> Option<FileKind> {
-    let mut parts = rel_in_crate.components().map(|c| c.as_os_str().to_string_lossy().into_owned());
-    let first = parts.next()?;
-    match first.as_str() {
-        "src" => {
-            let rest: Vec<String> = parts.collect();
-            match rest.len() {
-                1 if rest == ["lib.rs"] => Some(FileKind::LibRoot),
-                1 if rest == ["main.rs"] => Some(FileKind::BinRoot),
-                2 if rest.first().map(String::as_str) == Some("bin") => Some(FileKind::BinRoot),
-                _ => Some(FileKind::Src),
-            }
-        }
+    let first = rel_in_crate.components().next()?;
+    match first.as_os_str().to_str()? {
+        "src" => Some(FileKind::Src),
         "tests" => Some(FileKind::TestDir),
         "examples" => Some(FileKind::Example),
         "benches" => Some(FileKind::Bench),
@@ -551,145 +474,10 @@ pub struct WorkspaceReport {
 }
 
 impl WorkspaceReport {
-    /// Findings per rule, over every reportable rule (zeros included so a
-    /// report diff shows a rule going quiet).
-    pub fn rule_counts(&self) -> BTreeMap<&'static str, usize> {
-        let mut counts: BTreeMap<&'static str, usize> =
-            REPORTABLE_RULES.iter().map(|r| (*r, 0)).collect();
-        for f in &self.findings {
-            *counts.entry(f.rule).or_insert(0) += 1;
-        }
-        counts
-    }
-
     /// Drops every finding not produced by `rule` (for `--rule` runs).
     pub fn filter_rule(&mut self, rule: &str) {
         self.findings.retain(|f| f.rule == rule);
     }
-
-    /// Serializes the report as the `atom-lint-report/v2` JSON document:
-    /// schema tag, file count, per-rule counts, findings, and the allow
-    /// inventory. Hand-rolled (this crate is zero-dependency), with full
-    /// string escaping.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\n  \"schema\": \"atom-lint-report/v2\",\n");
-        out.push_str(&format!("  \"files_checked\": {},\n", self.files_checked));
-        out.push_str(&format!(
-            "  \"total_findings\": {},\n",
-            self.findings.len()
-        ));
-        out.push_str("  \"rules\": {\n");
-        let counts = self.rule_counts();
-        let last = counts.len().saturating_sub(1);
-        for (i, (rule, n)) in counts.iter().enumerate() {
-            out.push_str(&format!(
-                "    {}: {}{}\n",
-                json_str(rule),
-                n,
-                if i == last { "" } else { "," }
-            ));
-        }
-        out.push_str("  },\n  \"findings\": [\n");
-        for (i, f) in self.findings.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"file\": {}, \"line\": {}, \"rule\": {}, \"message\": {}}}{}\n",
-                json_str(&f.file),
-                f.line,
-                json_str(f.rule),
-                json_str(&f.message),
-                if i + 1 == self.findings.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("  ],\n  \"allow_directives\": [\n");
-        for (i, a) in self.allows.iter().enumerate() {
-            let rules = a
-                .rules
-                .iter()
-                .map(|r| json_str(r))
-                .collect::<Vec<_>>()
-                .join(", ");
-            out.push_str(&format!(
-                "    {{\"file\": {}, \"line\": {}, \"rules\": [{}], \"reason\": {}, \
-                 \"suppressed\": {}}}{}\n",
-                json_str(&a.file),
-                a.line,
-                rules,
-                json_str(&a.reason),
-                a.suppressed,
-                if i + 1 == self.allows.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// Serializes the findings as a SARIF 2.1.0 document
-    /// (`results/lint_report.sarif`), suitable for code-scanning upload.
-    /// Minimal but schema-shaped: one run, the driver's rule metadata for
-    /// every reportable rule, and one `result` per finding with a physical
-    /// location. Hand-rolled like [`WorkspaceReport::to_json`] — this crate
-    /// is zero-dependency.
-    pub fn to_sarif(&self) -> String {
-        let mut out = String::with_capacity(8192);
-        out.push_str("{\n");
-        out.push_str(
-            "  \"$schema\": \"https://raw.githubusercontent.com/oasis-tcs/sarif-spec/\
-             master/Schemata/sarif-schema-2.1.0.json\",\n",
-        );
-        out.push_str("  \"version\": \"2.1.0\",\n");
-        out.push_str("  \"runs\": [\n    {\n");
-        out.push_str("      \"tool\": {\n        \"driver\": {\n");
-        out.push_str("          \"name\": \"atom-lint\",\n");
-        out.push_str("          \"informationUri\": \"https://example.invalid/atom-lint\",\n");
-        out.push_str("          \"rules\": [\n");
-        let last_rule = REPORTABLE_RULES.len().saturating_sub(1);
-        for (i, rule) in REPORTABLE_RULES.iter().enumerate() {
-            out.push_str(&format!(
-                "            {{\"id\": {}, \"shortDescription\": {{\"text\": {}}}}}{}\n",
-                json_str(rule),
-                json_str(rule_description(rule)),
-                if i == last_rule { "" } else { "," }
-            ));
-        }
-        out.push_str("          ]\n        }\n      },\n");
-        out.push_str("      \"results\": [\n");
-        for (i, f) in self.findings.iter().enumerate() {
-            out.push_str(&format!(
-                "        {{\"ruleId\": {}, \"level\": \"error\", \
-                 \"message\": {{\"text\": {}}}, \"locations\": [{{\
-                 \"physicalLocation\": {{\"artifactLocation\": {{\"uri\": {}}}, \
-                 \"region\": {{\"startLine\": {}}}}}}}]}}{}\n",
-                json_str(f.rule),
-                json_str(&f.message),
-                json_str(&f.file),
-                f.line,
-                if i + 1 == self.findings.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("      ]\n    }\n  ]\n}\n");
-        out
-    }
-}
-
-/// JSON string literal with escaping for quotes, backslashes, and control
-/// characters.
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Lints every crate under `<root>/crates`. `root` must be the workspace

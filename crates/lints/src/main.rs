@@ -1,26 +1,14 @@
 //! `cargo run -p atom-lint` — walk the workspace, enforce the repo
 //! invariants, print findings as `file:line: rule: message`, and exit
-//! non-zero if anything is wrong.
+//! non-zero if anything is wrong. Reads the tree, writes nothing.
 //!
-//! Usage: `atom-lint [--root <workspace-root>] [--rule <name>] [--write-baseline]`.
+//! Usage: `atom-lint [--root <workspace-root>] [--rule <name>]`.
 //!
 //! * `--root` — workspace root (auto-detected from the current directory
 //!   otherwise).
 //! * `--rule <name>` — run the full pass but report (and gate on) a single
-//!   rule, so CI and developers can bisect one rule family in isolation.
-//!   Reports, SARIF, and the ratchet only run on unfiltered passes.
-//! * `--write-baseline` — regenerate `results/lint_baseline.json` from this
-//!   run instead of checking against it (the deliberate way to accept a new
-//!   allow directive into the ratchet).
-//!
-//! Full runs write `results/lint_report.json` (schema `atom-lint-report/v2`)
-//! and the same findings as SARIF 2.1.0 in `results/lint_report.sarif`,
-//! then ratchet against `results/lint_baseline.json`: any per-rule finding
-//! or allow-suppression count above the committed baseline fails the run;
-//! counts that dropped shrink the baseline in place.
-#![forbid(unsafe_code)]
+//!   rule, to bisect one rule family in isolation.
 
-use atom_lint::ratchet::Baseline;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -28,16 +16,12 @@ fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let mut root: Option<PathBuf> = None;
     let mut rule: Option<String> = None;
-    let mut write_baseline = false;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--root" => root = args.next().map(PathBuf::from),
             "--rule" => rule = args.next(),
-            "--write-baseline" => write_baseline = true,
             "--help" | "-h" => {
-                println!(
-                    "atom-lint [--root <workspace-root>] [--rule <name>] [--write-baseline]"
-                );
+                println!("atom-lint [--root <workspace-root>] [--rule <name>]");
                 println!("rules: {}", atom_lint::REPORTABLE_RULES.join(", "));
                 return ExitCode::SUCCESS;
             }
@@ -73,92 +57,15 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-
-    let mut ratchet_failed = false;
-    match &rule {
-        Some(r) => report.filter_rule(r),
-        None => {
-            // Machine-readable reports for CI artifacts and diffing.
-            let results = root.join("results");
-            if let Err(e) = std::fs::create_dir_all(&results) {
-                eprintln!("atom-lint: cannot create {}: {e}", results.display());
-                return ExitCode::FAILURE;
-            }
-            for (name, body) in
-                [("lint_report.json", report.to_json()), ("lint_report.sarif", report.to_sarif())]
-            {
-                let path = results.join(name);
-                if let Err(e) = std::fs::write(&path, body) {
-                    eprintln!("atom-lint: cannot write {}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-                eprintln!("atom-lint: wrote {}", path.display());
-            }
-
-            // The ratchet.
-            let current = Baseline::from_report(&report);
-            let baseline_path = results.join("lint_baseline.json");
-            let committed = if write_baseline {
-                None
-            } else {
-                match std::fs::read_to_string(&baseline_path) {
-                    Ok(text) => match Baseline::parse(&text) {
-                        Some(b) => Some(b),
-                        None => {
-                            eprintln!(
-                                "atom-lint: {} is corrupt — regenerate it with \
-                                 --write-baseline",
-                                baseline_path.display()
-                            );
-                            return ExitCode::FAILURE;
-                        }
-                    },
-                    Err(_) => None,
-                }
-            };
-            match committed {
-                None => {
-                    // Bootstrap or deliberate regeneration.
-                    if let Err(e) = std::fs::write(&baseline_path, current.to_json()) {
-                        eprintln!("atom-lint: cannot write {}: {e}", baseline_path.display());
-                        return ExitCode::FAILURE;
-                    }
-                    eprintln!("atom-lint: wrote {}", baseline_path.display());
-                }
-                Some(base) => {
-                    let outcome = base.check(&current);
-                    for r in &outcome.regressions {
-                        println!(
-                            "ratchet: {} {} count rose {} -> {} (regenerate with \
-                             --write-baseline only if this is a deliberate trade)",
-                            r.rule, r.kind, r.baseline, r.current
-                        );
-                    }
-                    ratchet_failed = !outcome.regressions.is_empty();
-                    if outcome.improved && !ratchet_failed {
-                        // Counts only go down: shrink the committed baseline.
-                        if let Err(e) = std::fs::write(&baseline_path, current.to_json()) {
-                            eprintln!(
-                                "atom-lint: cannot write {}: {e}",
-                                baseline_path.display()
-                            );
-                            return ExitCode::FAILURE;
-                        }
-                        eprintln!(
-                            "atom-lint: counts dropped, shrank {}",
-                            baseline_path.display()
-                        );
-                    }
-                }
-            }
-        }
+    if let Some(r) = &rule {
+        report.filter_rule(r);
     }
 
     for f in &report.findings {
         println!("{f}");
     }
     let scope = rule.map(|r| format!(" [rule {r}]")).unwrap_or_default();
-    if report.findings.is_empty() && !ratchet_failed {
+    if report.findings.is_empty() {
         eprintln!(
             "atom-lint: workspace clean{scope} ({} files checked, {} allow directives)",
             report.files_checked,
@@ -167,9 +74,8 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         eprintln!(
-            "atom-lint: {} finding(s){scope}{} across {} files",
+            "atom-lint: {} finding(s){scope} across {} files",
             report.findings.len(),
-            if ratchet_failed { " + ratchet regression" } else { "" },
             report.files_checked
         );
         ExitCode::FAILURE

@@ -1,5 +1,7 @@
 //! Trains (or loads) every zoo model and reports parameter counts and
 //! wall-clock training time. Run this once to warm the model cache.
+#![expect(clippy::disallowed_methods, reason = "a demo prints how long it took; nothing it computes reads the clock")]
+
 fn main() {
     let t0 = std::time::Instant::now();
     for id in atom_nn::zoo::ZooId::all() {

@@ -21,7 +21,6 @@
 //! assert_eq!(logits.shape(), (3, config.vocab));
 //! ```
 
-#![forbid(unsafe_code)]
 pub mod autograd;
 pub mod config;
 pub mod eval;

@@ -17,7 +17,7 @@ use atom_tensor::{ops, Matrix, SeededRng};
 use serde::{Deserialize, Serialize};
 
 /// Which projection a linear layer implements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum Proj {
     /// Query projection.
     Q,
@@ -54,7 +54,7 @@ impl Proj {
 }
 
 /// Stable identity of one linear layer inside a model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct LinearId {
     /// Transformer block index.
     pub layer: usize,
@@ -697,10 +697,10 @@ mod tests {
 
     #[test]
     fn observer_sees_every_linear_input() {
-        use std::collections::HashSet;
+        use std::collections::BTreeSet;
 
         #[derive(Debug, Default)]
-        struct Collect(HashSet<LinearId>, usize);
+        struct Collect(BTreeSet<LinearId>, usize);
         impl ForwardObserver for Collect {
             fn observe(&mut self, id: LinearId, input: &Matrix) {
                 self.0.insert(id);

@@ -180,7 +180,7 @@ mod tests {
     use crate::model::{ForwardObserver, LinearId, LlamaModel};
     use atom_tensor::stats::ChannelStats;
     use atom_tensor::Matrix;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     fn tiny_config() -> ModelConfig {
         ModelConfig {
@@ -243,7 +243,7 @@ mod tests {
 
     /// Collects activation stats of every linear input.
     #[derive(Default)]
-    struct StatObserver(HashMap<LinearId, ChannelStats>);
+    struct StatObserver(BTreeMap<LinearId, ChannelStats>);
     impl ForwardObserver for StatObserver {
         fn observe(&mut self, id: LinearId, input: &Matrix) {
             self.0

@@ -232,6 +232,10 @@ pub fn calibration_sequences(n: usize) -> Vec<Vec<u16>> {
 
 /// Directory trained models are cached in.
 pub fn cache_dir() -> PathBuf {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "audited config entry point: ATOM_MODEL_CACHE says where trained weights land, never what they are"
+    )]
     if let Ok(dir) = std::env::var("ATOM_MODEL_CACHE") {
         return PathBuf::from(dir);
     }

@@ -70,8 +70,20 @@
 //! assert_eq!(data, seq);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// The pool exists to contain worker panics; a panicking construct in the
+// pool itself would defeat that. Tests are exempt.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
 
 use atom_telemetry::{names, Telemetry};
 use std::cell::Cell;
@@ -184,6 +196,10 @@ impl Pool {
     /// invalid value means 1), the machine's available parallelism when
     /// unset — see [`Pool::resolve_threads`].
     pub fn from_env() -> Self {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "audited config entry point: ATOM_THREADS is read once, at pool construction, and width never changes a result"
+        )]
         let configured = std::env::var("ATOM_THREADS").ok();
         Pool::new(Self::resolve_threads(configured.as_deref()))
     }
@@ -474,7 +490,10 @@ impl Region {
         }
         Region {
             timed,
-            // lint: allow(time-entropy) — region wall time is pool telemetry only; chunk assignment and results never read the clock
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "region wall time is pool telemetry only; chunk assignment and results never read the clock"
+            )]
             start: timed.then(Instant::now),
             workers,
         }
@@ -519,7 +538,10 @@ where
             &[("chunks", count as f64), ("worker", worker as f64)],
         )
     });
-    // lint: allow(time-entropy) — worker busy time feeds the utilization histogram only; never scheduling
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "worker busy time feeds the utilization histogram only; never scheduling"
+    )]
     let busy_start = timed.then(Instant::now);
     let mut failures = Vec::new();
     for (j, piece) in data.chunks_mut(chunk).enumerate().take(count) {

@@ -30,8 +30,20 @@
 //!   insertion-deterministic, preserving the engine's bit-identical-replay
 //!   contract at any thread count.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Every request's prompt flows through the radix lookup at admission, so
+// this crate inherits the serving contract. Tests are exempt.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
 
 pub mod radix;
 pub mod snapshot;

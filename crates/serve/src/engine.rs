@@ -472,21 +472,13 @@ impl<L: LinearLayer> CpuEngine<L> {
             deadline_steps: options.deadline_steps,
             ..RequestStats::default()
         };
-        let reason = if prompt.is_empty() {
-            Some(RejectReason::EmptyPrompt)
-        } else if options.max_new == 0 {
-            Some(RejectReason::ZeroDecodeTokens)
-        } else {
-            self.batcher
-                .submit(Request {
-                    id,
-                    arrival_s: 0.0,
-                    prefill_tokens: prompt.len(),
-                    decode_tokens: options.max_new,
-                })
-                .err()
-        };
-        if let Some(reason) = reason {
+        let submitted = self.batcher.submit(Request {
+            id,
+            arrival_s: 0.0,
+            prefill_tokens: prompt.len(),
+            decode_tokens: options.max_new,
+        });
+        if let Err(reason) = submitted {
             self.rejected += 1;
             self.telemetry
                 .get()
@@ -569,9 +561,8 @@ impl<L: LinearLayer> CpuEngine<L> {
         // Deadline sweep: a request whose step budget elapsed terminates
         // before it can consume another iteration. `meta` is a BTreeMap
         // keyed by request id, so same-step expiries terminalize in id
-        // order by construction (the PR 5 HashMap-ordered sweep bug is
-        // structurally impossible now; atom-lint's unordered-iteration
-        // rule keeps it that way).
+        // order by construction (`clippy.toml` disallows `HashMap`, so the
+        // PR 5 hash-ordered sweep bug cannot come back).
         let expired: Vec<usize> = self
             .meta
             .iter()

@@ -267,23 +267,35 @@ impl PagedAllocator {
     }
 
     /// Fresh blocks `grow(seq, new_tokens)` would take from the free list,
-    /// including a copy-on-write fork of a shared partial tail.
-    fn growth_cost(&self, table: &BlockTable, new_tokens: usize) -> usize {
-        let fresh =
-            self.blocks_for(table.tokens + new_tokens).saturating_sub(table.blocks.len());
-        fresh + usize::from(self.tail_fork_needed(table, new_tokens))
+    /// including a copy-on-write fork of a shared partial tail. Like
+    /// [`Self::tail_fork_needed`] it takes the two fields it reads, not
+    /// `&self`, so `grow` can ask while it holds the table mutably.
+    fn growth_cost(
+        block_size: usize,
+        refs: &[u32],
+        table: &BlockTable,
+        new_tokens: usize,
+    ) -> usize {
+        let target = (table.tokens + new_tokens).div_ceil(block_size);
+        target.saturating_sub(table.blocks.len())
+            + usize::from(Self::tail_fork_needed(block_size, refs, table, new_tokens))
     }
 
     /// Whether appending `new_tokens` must first fork the tail block: the
     /// tail is partial (so the append writes into it) and shared (so the
     /// write would be visible to other holders).
-    fn tail_fork_needed(&self, table: &BlockTable, new_tokens: usize) -> bool {
+    fn tail_fork_needed(
+        block_size: usize,
+        refs: &[u32],
+        table: &BlockTable,
+        new_tokens: usize,
+    ) -> bool {
         new_tokens > 0
-            && !table.tokens.is_multiple_of(self.block_size)
+            && !table.tokens.is_multiple_of(block_size)
             && table
                 .blocks
                 .last()
-                .is_some_and(|&b| self.refs.get(b).is_some_and(|&r| r > 1))
+                .is_some_and(|&b| refs.get(b).is_some_and(|&r| r > 1))
     }
 
     /// Fresh blocks an admission of `total_tokens` tokens would consume
@@ -301,7 +313,7 @@ impl PagedAllocator {
         let Some(table) = self.tables.get(&seq) else {
             return false;
         };
-        let needed = self.growth_cost(table, new_tokens);
+        let needed = Self::growth_cost(self.block_size, &self.refs, table, new_tokens);
         if needed > 0 && self.fault_armed {
             return false;
         }
@@ -320,7 +332,9 @@ impl PagedAllocator {
     /// assertion under test and fails as an allocation error (allocating
     /// nothing) in release builds.
     pub fn grow(&mut self, seq: SeqId, new_tokens: usize) -> Result<(), OutOfBlocks> {
-        let Some(table) = self.tables.get(&seq) else {
+        // The one lookup: `table` stays borrowed to the end, beside the
+        // other fields (disjoint borrows), so it cannot go missing halfway.
+        let Some(table) = self.tables.get_mut(&seq) else {
             debug_assert!(false, "sequence {seq} not registered");
             return Err(OutOfBlocks {
                 short_by: self.blocks_for(new_tokens),
@@ -328,8 +342,8 @@ impl PagedAllocator {
         };
         let tail_fill = table.tokens % self.block_size;
         let old_tail = table.blocks.last().copied();
-        let fork_needed = self.tail_fork_needed(table, new_tokens);
-        let needed = self.growth_cost(table, new_tokens);
+        let fork_needed = Self::tail_fork_needed(self.block_size, &self.refs, table, new_tokens);
+        let needed = Self::growth_cost(self.block_size, &self.refs, table, new_tokens);
         if needed > 0 && self.fault_armed {
             self.injected_failures += 1;
             return Err(OutOfBlocks { short_by: needed });
@@ -339,10 +353,9 @@ impl PagedAllocator {
                 short_by: needed - self.free.len(),
             });
         }
-        // Detach the blocks first so the page table can absorb them with a
-        // single mutable lookup. `pop()` order is preserved: the tail of the
-        // free list lands in the table newest-first, exactly as before. When
-        // a CoW fork is due, its replacement block is detached first.
+        // `pop()` order: the tail of the free list lands in the table
+        // newest-first. When a CoW fork is due, its replacement block is
+        // detached first.
         let mut detached = self.free.split_off(self.free.len() - needed);
         detached.reverse();
         let mut detached = detached.into_iter();
@@ -385,31 +398,6 @@ impl PagedAllocator {
             }
             remaining -= add;
         }
-        let Some(table) = self.tables.get_mut(&seq) else {
-            // Unreachable: presence was checked above and nothing touched
-            // the map since. Undo the detachment rather than leak blocks.
-            for b in replacement.iter().chain(fresh.iter()) {
-                if let Some(r) = self.refs.get_mut(*b) {
-                    *r = 0;
-                }
-                if let Some(f) = self.fill.get_mut(*b) {
-                    *f = 0;
-                }
-            }
-            if let (Some(_), Some(old)) = (replacement, old_tail) {
-                if let Some(r) = self.refs.get_mut(old) {
-                    *r += 1;
-                }
-                if let Some(f) = self.fill.get_mut(old) {
-                    *f = tail_fill;
-                }
-                self.cow_forks -= 1;
-            }
-            let undo: Vec<usize> = replacement.into_iter().chain(fresh).collect();
-            self.free.extend(undo.into_iter().rev());
-            debug_assert!(false, "sequence table vanished during grow");
-            return Err(OutOfBlocks { short_by: needed });
-        };
         if let (Some(nb), Some(last)) = (replacement, table.blocks.last_mut()) {
             *last = nb;
         }

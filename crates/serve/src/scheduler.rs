@@ -121,8 +121,9 @@ impl ContinuousBatcher {
         self.queue_limit = limit;
     }
 
-    /// Enqueues a request (FCFS order) after validating that it can be
-    /// served at all.
+    /// Whether a request of this shape can be served at all, whatever the
+    /// load: the one copy of the outside-input check, which [`Self::submit`],
+    /// the engine and the gateway's offer path all go through.
     ///
     /// # Errors
     ///
@@ -130,22 +131,32 @@ impl ContinuousBatcher {
     ///   for degenerate requests;
     /// - [`RejectReason::ExceedsKvPool`] if the request's final context
     ///   would not fit the pool even running alone — admitting it would
-    ///   eventually stall the scheduler forever, so it is refused here;
-    /// - [`RejectReason::QueueFull`] when the shed watermark is reached.
-    pub fn submit(&mut self, request: Request) -> Result<(), RejectReason> {
-        if request.prefill_tokens == 0 {
+    ///   eventually stall the scheduler forever, so it is refused here.
+    pub fn validate(&self, prefill_tokens: usize, decode_tokens: usize) -> Result<(), RejectReason> {
+        if prefill_tokens == 0 {
             return Err(RejectReason::EmptyPrompt);
         }
-        if request.decode_tokens == 0 {
+        if decode_tokens == 0 {
             return Err(RejectReason::ZeroDecodeTokens);
         }
-        let needed = self.allocator.blocks_for(request.total_context());
+        let needed = self.allocator.blocks_for(prefill_tokens + decode_tokens);
         if needed > self.allocator.total_blocks() {
             return Err(RejectReason::ExceedsKvPool {
                 needed_blocks: needed,
                 total_blocks: self.allocator.total_blocks(),
             });
         }
+        Ok(())
+    }
+
+    /// Enqueues a request (FCFS order) after [`Self::validate`].
+    ///
+    /// # Errors
+    ///
+    /// Whatever [`Self::validate`] returns, then
+    /// [`RejectReason::QueueFull`] when the shed watermark is reached.
+    pub fn submit(&mut self, request: Request) -> Result<(), RejectReason> {
+        self.validate(request.prefill_tokens, request.decode_tokens)?;
         if let Some(limit) = self.queue_limit {
             if self.queue.len() >= limit {
                 self.shed += 1;

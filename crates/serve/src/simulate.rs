@@ -179,7 +179,8 @@ impl ServingSimulator {
         Ok(ServingReport {
             scheme: self.scheme.label(),
             max_batch: self.max_batch,
-            throughput_tps: decode_tokens as f64 / busy_s,
+            // Every request rejected at submission: nothing ran, 0 / 0.
+            throughput_tps: if busy_s > 0.0 { decode_tokens as f64 / busy_s } else { 0.0 },
             avg_decode_latency_s: avg,
             p99_decode_latency_s: p99,
             finished: batcher.finished(),
@@ -319,6 +320,14 @@ mod tests {
         let report = sim(SimScheme::AtomW4A4, 8).run(&trace).unwrap();
         assert_eq!(report.rejected, 1);
         assert_eq!(report.finished, 8);
+
+        // Nothing but oversized requests: an empty run, not NaN tokens/s
+        // (a report holding NaN would not even equal itself).
+        let oversized = trace.split_off(8);
+        let report = sim(SimScheme::AtomW4A4, 8).run(&oversized).unwrap();
+        assert_eq!((report.rejected, report.finished), (1, 0));
+        assert_eq!(report.throughput_tps, 0.0);
+        assert_eq!(report, report.clone());
     }
 
     #[test]

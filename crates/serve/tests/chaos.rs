@@ -19,7 +19,7 @@ use atom_serve::{
     ContinuousBatcher, FaultPlan, PagedAllocator, PressurePolicy, SubmitOptions, Terminal,
 };
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Drives a bare batcher to idle under a fault plan, asserting block
 /// conservation every step. Returns the number of steps taken.
@@ -132,7 +132,7 @@ fn engine_survives_120_seeded_fault_schedules() {
             accepted.len() + rejected,
             "seed {seed}: one terminal per submission"
         );
-        let mut per_id: HashMap<usize, usize> = HashMap::new();
+        let mut per_id: BTreeMap<usize, usize> = BTreeMap::new();
         for o in e.outcomes() {
             *per_id.entry(o.id).or_default() += 1;
         }
@@ -258,7 +258,7 @@ proptest! {
         }
         e.run_to_completion();
         prop_assert_eq!(e.outcomes().len(), submissions);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for o in e.outcomes() {
             prop_assert!(seen.insert(o.id), "duplicate terminal for {}", o.id);
             if o.terminal == Terminal::Completed {

@@ -16,7 +16,7 @@ proptest! {
         total in 4usize..32,
     ) {
         let mut a = PagedAllocator::new(total, 8);
-        let mut registered = std::collections::HashSet::new();
+        let mut registered = std::collections::BTreeSet::new();
         for (seq, tokens) in ops {
             if registered.contains(&seq) {
                 // Randomly grow or release.
@@ -51,7 +51,7 @@ proptest! {
             a.register(seq);
             let _ = a.grow(seq, tokens);
         }
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for seq in 0..grows.len() {
             if let Some(t) = a.table(seq) {
                 for &b in t.blocks() {

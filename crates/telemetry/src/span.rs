@@ -9,7 +9,7 @@
 //! counted as dropped rather than accumulated.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -44,7 +44,7 @@ thread_local! {
     // flushed by the thread that staged them (on batch overflow or when
     // that thread calls `flush_thread`), so single-threaded workloads pay
     // one mutex lock per FLUSH_BATCH spans.
-    static STAGED: RefCell<HashMap<usize, Vec<SpanEvent>>> = RefCell::new(HashMap::new());
+    static STAGED: RefCell<BTreeMap<usize, Vec<SpanEvent>>> = const { RefCell::new(BTreeMap::new()) };
 }
 
 /// Collects [`SpanEvent`]s for one telemetry instance.

@@ -23,7 +23,6 @@
 //! assert_eq!(c, a);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 pub mod cast;
 pub mod f16;

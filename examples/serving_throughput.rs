@@ -7,6 +7,8 @@
 //! cargo run --release -p atom-serve --example serving_throughput
 //! ```
 
+#![expect(clippy::disallowed_methods, reason = "a demo prints how long it took; nothing it computes reads the clock")]
+
 use atom::pipeline::{AtomScheme, Scheme};
 use atom::{Calibration, QuantizedKvCache};
 use atom_data::{Tokenizer, WorkloadSpec};
