@@ -100,27 +100,35 @@ pub fn host_threads() -> usize {
 /// command line, falling back to `default`. Accepts decimal or `0x`-prefixed
 /// hex. Bench binaries use this for reproducible seeds (`--seed 42`).
 ///
-/// Exits with status 2 on a malformed value — a bad seed silently replaced
-/// by the default would un-reproduce the run it was meant to reproduce.
+/// Exits with status 2 on a malformed or missing value — a bad seed silently
+/// replaced by the default would un-reproduce the run it was meant to
+/// reproduce.
 pub fn arg_u64(name: &str, default: u64) -> u64 {
     let flag = format!("--{name}");
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let value = if a == flag {
-            args.next()
-        } else if let Some(rest) = a.strip_prefix(&flag) {
-            rest.strip_prefix('=').map(str::to_string)
-        } else {
-            None
-        };
-        if let Some(v) = value {
-            return parse_u64(&v).unwrap_or_else(|| {
-                eprintln!("invalid {flag} value: {v:?} (expected u64, decimal or 0x-hex)");
-                std::process::exit(2);
-            });
+    match find_u64(&flag, std::env::args().skip(1)) {
+        Ok(found) => found.unwrap_or(default),
+        Err(bad) => {
+            eprintln!("invalid {flag} value: {bad:?} (expected u64, decimal or 0x-hex)");
+            std::process::exit(2);
         }
     }
-    default
+}
+
+/// The argv walk of [`arg_u64`]: the value of the first `flag` in `args`,
+/// `Ok(None)` when the flag is absent, `Err` with the offending text (empty
+/// when `flag` is the last argument) when its value is not a u64.
+fn find_u64(flag: &str, mut args: impl Iterator<Item = String>) -> Result<Option<u64>, String> {
+    while let Some(a) = args.next() {
+        let value = if a == flag {
+            args.next().unwrap_or_default()
+        } else if let Some(v) = a.strip_prefix(flag).and_then(|rest| rest.strip_prefix('=')) {
+            v.to_string()
+        } else {
+            continue;
+        };
+        return parse_u64(&value).map(Some).ok_or(value);
+    }
+    Ok(None)
 }
 
 /// Parses a u64 from decimal or `0x`-prefixed hex.
@@ -140,7 +148,7 @@ pub fn calibrated(id: zoo::ZooId) -> (LlamaModel<DenseLinear>, Calibration) {
     (model, calib)
 }
 
-/// Formats a float with 3 decimals, using scientific notation for huge
+/// Formats a float with 2 decimals, using scientific notation for huge
 /// values (matching the paper's "2.7e4" style for diverged baselines).
 pub fn fmt_ppl(v: f64) -> String {
     if !v.is_finite() {
@@ -187,6 +195,16 @@ mod tests {
     #[test]
     fn pct_formatting() {
         assert_eq!(fmt_pct(0.7737), "77.37");
+    }
+
+    #[test]
+    fn flag_walk_finds_values_and_rejects_a_missing_one() {
+        let find = |args: &[&str]| find_u64("--seed", args.iter().map(|a| a.to_string()));
+        assert_eq!(find(&["--seed"]), Err(String::new())); // no value
+        assert_eq!(find(&["--seed=7"]), Ok(Some(7)));
+        assert_eq!(find(&["--seed", "0x2A"]), Ok(Some(42)));
+        assert_eq!(find(&["--seedling=3"]), Ok(None), "another flag's prefix");
+        assert_eq!(find(&["--seed", "nope"]), Err("nope".to_string()));
     }
 
     #[test]

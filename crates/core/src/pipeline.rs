@@ -176,11 +176,6 @@ impl Scheme {
         }
     }
 
-    /// Whether this scheme needs GPTQ's Gram matrices at calibration time.
-    pub fn needs_gram(&self) -> bool {
-        matches!(self, Scheme::Atom(a) if a.use_gptq)
-    }
-
     /// Quantizes a dense model under this scheme.
     ///
     /// # Panics

@@ -4,7 +4,7 @@
 //! executes for a batch, under each serving scheme, and aggregates the
 //! Fig. 3 breakdown (dense / self-attention / other).
 
-use crate::cost::{op_time, ComputeKind, Op, OpTime};
+use crate::cost::{op_time, ComputeKind, Op};
 use crate::hardware::HardwareProfile;
 use serde::{Deserialize, Serialize};
 
@@ -298,22 +298,6 @@ pub fn iteration_breakdown(
         }
     }
     b
-}
-
-/// Convenience: the per-operator time of one iteration (used by the figure
-/// binaries for detailed dumps).
-pub fn iteration_times(
-    config: &LlamaGpuConfig,
-    scheme: SimScheme,
-    batch: usize,
-    kv_len: usize,
-    phase: Phase,
-    hw: &HardwareProfile,
-) -> Vec<(OpClass, OpTime)> {
-    iteration_ops(config, scheme, batch, kv_len, phase)
-        .into_iter()
-        .map(|(c, op)| (c, op_time(&op, hw)))
-        .collect()
 }
 
 #[cfg(test)]

@@ -62,11 +62,6 @@ impl DenseLinear {
     pub fn weight_mut(&mut self) -> &mut Matrix {
         &mut self.weight
     }
-
-    /// Consumes the layer, returning the weight.
-    pub fn into_weight(self) -> Matrix {
-        self.weight
-    }
 }
 
 impl LinearLayer for DenseLinear {

@@ -24,8 +24,11 @@
 //!   forward (the model needs one logits row to emit the first token);
 //! - snapshots are only ever *truncated* to a match point, never extended,
 //!   and per-row quantization makes truncation bit-identical to a fresh
-//!   short prefill — which is what keeps cache-on and cache-off token
-//!   streams identical;
+//!   short prefill — which is what keeps token streams identical at any
+//!   cache capacity;
+//! - nodes are tagged with a [`Flavor`] and only match within it, so a
+//!   request admitted into the degraded (INT4) KV store replays degraded
+//!   snapshots only: degraded admissions hit the cache, outputs never move;
 //! - all iteration orders (children, arena slots, free slots) are
 //!   insertion-deterministic, preserving the engine's bit-identical-replay
 //!   contract at any thread count.
@@ -51,11 +54,13 @@ pub mod snapshot;
 pub use radix::{Flavor, InsertReport, MatchOutcome, RadixIndex, FLAVOR_DEGRADED, FLAVOR_NORMAL};
 pub use snapshot::Snapshot;
 
-/// Tuning knobs for the engine-side prefix cache runtime.
+/// The prefix cache's capacity. The engine's index always exists; this is
+/// how much it may hold.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PrefixConfig {
     /// Soft cap on cached blocks: after each insertion the engine evicts
-    /// least-recently-used unshared runs down to this bound. `None` lets
+    /// least-recently-used unshared runs down to this bound. `Some(0)`
+    /// caches nothing (the engine's setting until configured); `None` lets
     /// the cache grow until admission or decode pressure evicts it.
     pub max_cached_blocks: Option<usize>,
 }

@@ -1,29 +1,60 @@
-//! Real CPU serving engine over the trained models.
+//! The CPU serving engine: continuous batching over paged KV with one
+//! request table, one admission path and one KV path.
 //!
-//! This is the functional end of the stack: actual tokens flow through the
-//! actual (optionally Atom-quantized) model under continuous batching with
-//! paged-KV admission control. It will not be fast on a CPU — the paper's
-//! speed story lives in [`crate::simulate`] — but it proves the entire
-//! serving path works: FCFS admission, prefill, iteration-level decode,
-//! quantized KV caches, block accounting, and retirement.
+//! Actual tokens flow through the actual (optionally Atom-quantized) model;
+//! this is the engine the serving benchmark under `benchmark/` measures.
+//! One [`CpuEngine::step`] is one iteration of the loop of §4.5 / §5.3.2:
+//! expire deadlines, admit from the FCFS queue, prefill what was admitted,
+//! advance every decoding sequence by one token, retire what finished.
 //!
-//! # Robustness model
+//! # One table
 //!
-//! The engine never panics on traffic. Every submission reaches exactly
-//! one [`Terminal`] state — `Completed`, `Rejected`, `Cancelled`,
-//! `DeadlineExceeded`, or `Failed` — recorded as an [`Outcome`] with
-//! per-request latency accounting. Three mechanisms keep it alive under
-//! hostile conditions:
+//! Every live request — queued, prefilling, decoding or preempted — is one
+//! entry of one id-keyed map: its prompt, its [`RequestStats`], its KV state
+//! once admitted, and what its latest admission decided; forwards borrow
+//! their state straight from it. It leaves that map exactly once, through
+//! the one terminalization function, which releases its KV blocks, keeps
+//! its partial tokens and records the [`Outcome`]: every submission —
+//! accepted or not — ends in precisely one [`Terminal`] state, and the
+//! engine never panics on traffic.
+//!
+//! # One admission path
+//!
+//! The radix prefix index (`atom-prefix`) is always there; the prefix cache
+//! is its *capacity*, not a mode. [`CpuEngine::new`] installs capacity 0 —
+//! nothing is inserted, no snapshot is cloned, every lookup misses on an
+//! empty trie — and [`CpuEngine::with_prefix_cache`] only sets it. Each
+//! admission, head of queue first, (1) decides the request's KV flavor
+//! (below), (2) matches the prompt's longest cached prefix in that flavor,
+//! capped at `len - 1` so one token is always left to forward, and pins the
+//! matched blocks, (3) admits the request seeded with that shared run,
+//! evicting least-recently-used cache-only blocks while the pool is short,
+//! and (4) gives it its KV store: the hit's snapshot cut to the matched
+//! boundary — bit-identical to prefilling those tokens, since KV
+//! quantization state is per token row — or a fresh one of its flavor. The
+//! first request that does not fit blocks the queue (FCFS).
+//!
+//! Prefill forwards only the unseen suffix and donates the prompt's blocks
+//! to the index (full blocks shared, the partial tail copy-forked so the
+//! donor's own tail stays writable). Cached blocks yield before decode
+//! would stall and do not count as load below, so the cache only ever
+//! *adds* capacity; token streams are identical at any capacity and any
+//! pool width.
+//!
+//! # Robustness
 //!
 //! - **admission validation**: degenerate or pool-exceeding requests are
-//!   refused at [`CpuEngine::submit`] with a typed [`RejectReason`];
-//! - **graceful degradation**: past configurable [`PressurePolicy`]
-//!   watermarks, new admissions receive a lower-precision (Atom-quantized)
-//!   KV cache and the newest submissions are shed — the paper's KV
-//!   quantization used as a memory-pressure valve;
+//!   refused at [`CpuEngine::submit`] with a typed [`RejectReason`], so a
+//!   lone accepted request can always grow; a livelock circuit breaker is
+//!   the last line of defense;
+//! - **graceful degradation**: at or past the [`PressurePolicy`] watermarks
+//!   an admission gets the degraded (Atom INT4) KV cache — the paper's KV
+//!   quantization as a memory-pressure valve. The rule is per request: of
+//!   several admitted in one step, only those that reach a watermark
+//!   degrade. Past `shed_queue_depth` the newest submissions are shed;
 //! - **fault tolerance**: a deterministic [`FaultPlan`] can poison block
-//!   allocation or kill an in-flight request at chosen steps; the engine
-//!   absorbs both without leaking blocks or losing terminal events.
+//!   allocation or kill, time out or cancel an in-flight request at chosen
+//!   steps, without leaking a block or losing a terminal event.
 
 use crate::error::{RejectReason, ServeError, Terminal};
 use crate::fault::FaultPlan;
@@ -33,8 +64,7 @@ use atom_data::Request;
 use atom_nn::{KvStore, LinearLayer, LlamaModel};
 use atom_parallel::{Pool, PoolError};
 use atom_prefix::{
-    Flavor, MatchOutcome, PrefixCacheStats, PrefixConfig, RadixIndex, Snapshot, FLAVOR_DEGRADED,
-    FLAVOR_NORMAL,
+    Flavor, PrefixCacheStats, PrefixConfig, RadixIndex, Snapshot, FLAVOR_DEGRADED, FLAVOR_NORMAL,
 };
 use atom_telemetry::{names, Telemetry};
 use atom_tensor::cast;
@@ -68,7 +98,7 @@ pub struct RequestStats {
     /// Whether admission placed it in a degraded (low-bit) KV cache.
     pub degraded_kv: bool,
     /// Prompt tokens served from the prefix cache instead of being
-    /// prefilled (0 = no hit or cache disabled).
+    /// prefilled (0 = no hit).
     pub prefix_tokens: usize,
     /// The step budget the request was submitted with, if any.
     pub deadline_steps: Option<usize>,
@@ -149,11 +179,12 @@ impl SubmitOptions {
 /// [`RejectReason::QueueFull`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PressurePolicy {
-    /// KV-pool utilization fraction (used / total blocks, measured after
-    /// admission) at or above which new admissions degrade. Values above
-    /// 1.0 disable utilization-triggered degradation.
+    /// KV-pool load fraction (blocks used right after a request's own
+    /// admission, less evictable cached ones, over total) at or above which
+    /// that admission degrades. Values above 1.0 disable it.
     pub degrade_kv_at: f64,
-    /// Queue depth at or above which new admissions degrade.
+    /// Requests still queued behind an admission at or above which that
+    /// admission degrades.
     pub degrade_queue_depth: Option<usize>,
     /// Queue depth at which new submissions are shed.
     pub shed_queue_depth: Option<usize>,
@@ -175,57 +206,30 @@ struct SeqState {
     next_input: u16,
 }
 
-/// One unit of batched model work handed to the thread pool. `Some(prompt)`
-/// runs a full prefill forward; `None` advances the sequence by one decode
-/// token from `state.next_input`. Each job exclusively owns its state, so
-/// workers never share mutable data.
-struct ForwardJob {
+/// One unit of model work handed to the thread pool, borrowed from the live
+/// table: `Some(prompt)` prefills those prompt tokens, `None` advances the
+/// sequence by one decode token from `state.next_input`. Each job borrows
+/// its state exclusively, so workers never share mutable data.
+struct ForwardJob<'a> {
     id: usize,
-    state: SeqState,
-    prompt: Option<Vec<u16>>,
+    state: &'a mut SeqState,
+    prompt: Option<&'a [u16]>,
 }
 
-/// Admission-time plan for one cache-on request: the KV flavor its pressure
-/// prediction chose, and the prefix hit (if any) its prefill will replay
-/// instead of recomputing.
-struct PlannedAdmission {
+/// One live request: an entry from submission to its terminal state.
+struct Live {
+    /// Kept for the request's whole life: a preempted sequence prefills
+    /// again from it.
+    prompt: Vec<u16>,
+    stats: RequestStats,
+    /// KV cache and generated tokens, from admission until the request
+    /// ends or is preempted.
+    state: Option<SeqState>,
+    /// The KV flavor the latest admission chose.
     flavor: Flavor,
-    tokens: usize,
-    snapshot: Option<Arc<Snapshot>>,
-}
-
-/// Monotonic prefix-cache event totals. A second copy tracks what was
-/// already reported so per-step telemetry can emit deltas.
-#[derive(Clone, Copy, Default)]
-struct PrefixCounters {
-    hits: u64,
-    misses: u64,
-    insertions: u64,
-    evictions: u64,
-    cow_forks: u64,
-}
-
-/// Engine-side prefix-cache runtime: the radix index over completed
-/// prefills, per-request admission plans, and event counters.
-struct PrefixCacheState {
-    index: RadixIndex,
-    planned: BTreeMap<usize, PlannedAdmission>,
-    config: PrefixConfig,
-    totals: PrefixCounters,
-    reported: PrefixCounters,
-}
-
-/// Job indices whose pool worker panicked (chunk size 1 ⇒ chunk index ==
-/// job index), plus the first panic message observed.
-struct PoolFailure {
-    failed: Vec<usize>,
-    message: String,
-}
-
-impl PoolFailure {
-    fn reason_for(&self, idx: usize) -> Option<&str> {
-        self.failed.contains(&idx).then_some(self.message.as_str())
-    }
+    /// Prompt tokens the latest admission replayed from a prefix hit; its
+    /// prefill forwards only the rest.
+    skip: usize,
 }
 
 /// Where engine metrics go: the process-global telemetry instance, or an
@@ -292,17 +296,23 @@ pub struct CpuEngine<L: LinearLayer> {
     policy: PressurePolicy,
     fault: FaultPlan,
     batcher: ContinuousBatcher,
-    prefix: Option<PrefixCacheState>,
-    prompts: BTreeMap<usize, Vec<u16>>,
-    states: BTreeMap<usize, SeqState>,
-    meta: BTreeMap<usize, RequestStats>,
+    /// Every request between submission and its terminal state, by id.
+    live: BTreeMap<usize, Live>,
+    /// Radix index over completed prefills, held to `max_cached_blocks`
+    /// blocks (0: nothing is cached; `usize::MAX`: bounded by the pool).
+    index: RadixIndex,
+    max_cached_blocks: usize,
+    /// Hits, misses, insertions and evictions so far; the other fields are
+    /// filled in by [`Self::prefix_stats`].
+    prefix_events: PrefixCacheStats,
+    /// Allocator copy-on-write forks already reported to telemetry.
+    cow_forks_reported: u64,
     outcomes: Vec<Outcome>,
     completions: Vec<Completion>,
     next_id: usize,
     clock: usize,
     decode_steps: usize,
     degraded_admissions: usize,
-    rejected: usize,
     telemetry: TelemetrySink,
     pool: Pool,
 }
@@ -310,12 +320,11 @@ pub struct CpuEngine<L: LinearLayer> {
 impl<L: LinearLayer> std::fmt::Debug for CpuEngine<L> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CpuEngine")
-            .field("in_flight", &self.states.len())
-            .field("queued_prompts", &self.prompts.len())
+            .field("live", &self.live.len())
+            .field("cached_blocks", &self.index.len())
             .field("clock", &self.clock)
             .field("decode_steps", &self.decode_steps)
             .field("degraded_admissions", &self.degraded_admissions)
-            .field("rejected", &self.rejected)
             .finish_non_exhaustive()
     }
 }
@@ -346,6 +355,7 @@ impl<L: LinearLayer> CpuEngine<L> {
             ));
         }
         let allocator = PagedAllocator::new(kv_pool_tokens / 16, 16);
+        let index = RadixIndex::new(allocator.block_size());
         Ok(CpuEngine {
             model,
             new_cache,
@@ -353,17 +363,17 @@ impl<L: LinearLayer> CpuEngine<L> {
             policy: PressurePolicy::default(),
             fault: FaultPlan::none(),
             batcher: ContinuousBatcher::new(max_batch, allocator)?,
-            prefix: None,
-            prompts: BTreeMap::new(),
-            states: BTreeMap::new(),
-            meta: BTreeMap::new(),
+            live: BTreeMap::new(),
+            index,
+            max_cached_blocks: 0,
+            prefix_events: PrefixCacheStats::default(),
+            cow_forks_reported: 0,
             outcomes: Vec::new(),
             completions: Vec::new(),
             next_id: 0,
             clock: 0,
             decode_steps: 0,
             degraded_admissions: 0,
-            rejected: 0,
             telemetry: TelemetrySink::Global,
             pool: *Pool::global(),
         })
@@ -413,32 +423,19 @@ impl<L: LinearLayer> CpuEngine<L> {
         self.policy
     }
 
-    /// Current KV-pool utilization as a fraction of total blocks.
-    pub fn kv_utilization(&self) -> f64 {
-        let total = self.batcher.allocator().total_blocks().max(1);
-        self.batcher.allocator().used_blocks() as f64 / total as f64
-    }
-
     /// Installs a deterministic fault-injection plan (chaos testing).
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault = plan;
         self
     }
 
-    /// Enables the radix-tree prefix cache: completed prefills are indexed
+    /// Gives the prefix cache its capacity: completed prefills are indexed
     /// by token content, and later admissions whose prompt shares a cached
     /// prefix attach the existing (refcounted, copy-on-write) KV blocks and
-    /// prefill only the suffix. Token streams are bit-identical with the
-    /// cache on or off — only the prefill work changes.
+    /// prefill only the suffix. Token streams are bit-identical at any
+    /// capacity — only the prefill work changes.
     pub fn with_prefix_cache(mut self, config: PrefixConfig) -> Self {
-        let block_size = self.batcher.allocator().block_size();
-        self.prefix = Some(PrefixCacheState {
-            index: RadixIndex::new(block_size),
-            planned: BTreeMap::new(),
-            config,
-            totals: PrefixCounters::default(),
-            reported: PrefixCounters::default(),
-        });
+        self.max_cached_blocks = config.max_cached_blocks.unwrap_or(usize::MAX);
         self
     }
 
@@ -479,7 +476,6 @@ impl<L: LinearLayer> CpuEngine<L> {
             decode_tokens: options.max_new,
         });
         if let Err(reason) = submitted {
-            self.rejected += 1;
             self.telemetry
                 .get()
                 .counter_add(names::ENGINE_TERMINAL_REJECTED, 1);
@@ -494,8 +490,14 @@ impl<L: LinearLayer> CpuEngine<L> {
             });
             return Err(reason);
         }
-        self.prompts.insert(id, prompt);
-        self.meta.insert(id, stats);
+        let live = Live {
+            prompt,
+            stats,
+            state: None,
+            flavor: FLAVOR_NORMAL,
+            skip: 0,
+        };
+        self.live.insert(id, live);
         Ok(id)
     }
 
@@ -508,34 +510,46 @@ impl<L: LinearLayer> CpuEngine<L> {
     /// Returns [`ServeError::UnknownRequest`] if the id was never
     /// submitted or is already terminal.
     pub fn cancel(&mut self, id: usize) -> Result<(), ServeError> {
-        if !self.meta.contains_key(&id) {
+        if !self.live.contains_key(&id) {
             return Err(ServeError::UnknownRequest(id));
         }
         self.terminalize(id, Terminal::Cancelled);
         Ok(())
     }
 
-    /// Moves a live request to a terminal state: removes every trace of it
-    /// from the scheduler, allocator, and engine maps, then records the
-    /// outcome. The single funnel through which every non-completed
-    /// request exits guarantees the exactly-once terminal property.
+    /// Moves a live request to its terminal state: removes its one table
+    /// entry, drops it from the scheduler (releasing its KV blocks) and
+    /// records the outcome with whatever tokens it had generated. The single
+    /// funnel through which every accepted request exits guarantees the
+    /// exactly-once terminal property.
     fn terminalize(&mut self, id: usize, terminal: Terminal) {
-        let Some(mut stats) = self.meta.remove(&id) else {
+        let Some(live) = self.live.remove(&id) else {
             debug_assert!(false, "terminalize on unknown request {id}");
             return;
         };
+        let mut stats = live.stats;
         stats.finished_step = Some(self.clock);
-        self.telemetry.get().counter_add(terminal_metric(&terminal), 1);
-        self.batcher.cancel(id);
-        self.prompts.remove(&id);
-        if let Some(prefix) = self.prefix.as_mut() {
-            prefix.planned.remove(&id);
+        let tokens = live.state.map(|s| s.generated).unwrap_or_default();
+        let tel = self.telemetry.get();
+        tel.counter_add(terminal_metric(&terminal), 1);
+        if terminal.is_completed() {
+            // The scheduler retired it and released its blocks already.
+            if let Some(ttft) = stats.ttft_steps() {
+                tel.record(names::ENGINE_TTFT_STEPS, ttft as u64);
+                if stats.prefix_tokens > 0 {
+                    tel.record(names::PREFIX_HIT_TTFT_STEPS, ttft as u64);
+                }
+            }
+            if let Some(tpot) = stats.tpot_millisteps(tokens.len()) {
+                tel.record(names::ENGINE_TPOT_MILLISTEPS, tpot);
+            }
+            self.completions.push(Completion {
+                id,
+                tokens: tokens.clone(),
+            });
+        } else {
+            self.batcher.cancel(id);
         }
-        let tokens = self
-            .states
-            .remove(&id)
-            .map(|s| s.generated)
-            .unwrap_or_default();
         self.outcomes.push(Outcome {
             id,
             terminal,
@@ -559,16 +573,16 @@ impl<L: LinearLayer> CpuEngine<L> {
         self.clock += 1;
 
         // Deadline sweep: a request whose step budget elapsed terminates
-        // before it can consume another iteration. `meta` is a BTreeMap
+        // before it can consume another iteration. `live` is a BTreeMap
         // keyed by request id, so same-step expiries terminalize in id
         // order by construction (`clippy.toml` disallows `HashMap`, so the
         // PR 5 hash-ordered sweep bug cannot come back).
         let expired: Vec<usize> = self
-            .meta
+            .live
             .iter()
-            .filter(|(_, s)| {
-                s.deadline_steps
-                    .is_some_and(|d| self.clock > s.submitted_step + d)
+            .filter(|(_, l)| {
+                let deadline = l.stats.deadline_steps;
+                deadline.is_some_and(|d| self.clock > l.stats.submitted_step + d)
             })
             .map(|(&id, _)| id)
             .collect();
@@ -582,21 +596,8 @@ impl<L: LinearLayer> CpuEngine<L> {
             tel.counter_add(names::ENGINE_FAULTS, 1);
         }
 
-        if self.prefix.is_some() {
-            self.admit_with_cache();
-        } else {
-            for event in self.batcher.admit() {
-                if let BatchEvent::Admitted(req) = event {
-                    if let Some(stats) = self.meta.get_mut(&req.id) {
-                        stats.admitted_step.get_or_insert(self.clock);
-                    }
-                }
-            }
-        }
+        self.admit_from_queue();
 
-        // Prefill phase for the newly admitted sequences. Prompts stay
-        // stored so a preempted sequence can be recomputed later. Under
-        // pressure, new admissions receive the degraded KV cache.
         let used = self.batcher.allocator().used_blocks();
         let total = self.batcher.allocator().total_blocks();
         let util = used as f64 / total.max(1) as f64;
@@ -607,144 +608,56 @@ impl<L: LinearLayer> CpuEngine<L> {
             names::ENGINE_KV_OCCUPANCY_PERMILLE,
             (util * 1000.0).round() as u64,
         );
-        let pressured = util >= self.policy.degrade_kv_at
-            || self
-                .policy
-                .degrade_queue_depth
-                .is_some_and(|d| self.batcher.queued() >= d);
-        let mut prefill_jobs: Vec<ForwardJob> = Vec::new();
-        let mut prefill_flavor: BTreeMap<usize, Flavor> = BTreeMap::new();
-        for req in self.batcher.complete_prefill() {
-            let Some(prompt) = self.prompts.get(&req.id).cloned() else {
-                debug_assert!(false, "prefill without stored prompt");
-                continue;
-            };
-            // Cache-on admissions chose their flavor (and possibly a prefix
-            // hit) at admission time; the cache-off path keeps the original
-            // per-step pressure decision.
-            let planned = self.prefix.as_mut().and_then(|p| p.planned.remove(&req.id));
-            let degraded = match &planned {
-                Some(plan) => plan.flavor == FLAVOR_DEGRADED && self.degraded_cache.is_some(),
-                None => pressured && self.degraded_cache.is_some(),
-            };
-            let reused = planned.as_ref().and_then(|plan| {
-                plan.snapshot
-                    .as_ref()
-                    .filter(|_| plan.tokens > 0)
-                    .map(|snap| (plan.tokens, Arc::clone(snap)))
-            });
-            let cache = match &reused {
-                // A hit replays the donor's snapshot cut to the matched
-                // prefix — bit-identical to prefilling those tokens, since
-                // both stores quantize per token row.
-                Some((tokens, snapshot)) => snapshot.clone_prefix(*tokens),
-                None => match (&self.degraded_cache, degraded) {
-                    (Some(factory), true) => factory(),
-                    _ => (self.new_cache)(),
+
+        // Prefill phase for the newly admitted sequences; a forward that
+        // panicked fails only its own request, the rest donate their prompt
+        // to the prefix index.
+        let admitted = self.batcher.complete_prefill();
+        let admitted: Vec<usize> = admitted.iter().map(|r| r.id).collect();
+        for (id, reason) in self.run_forwards(&admitted, true) {
+            self.terminalize(
+                id,
+                Terminal::Failed {
+                    reason: format!("prefill worker panic: {reason}"),
                 },
-            };
-            if degraded {
-                self.degraded_admissions += 1;
-                tel.counter_add(names::ENGINE_DEGRADED_ADMISSIONS, 1);
-                if let Some(stats) = self.meta.get_mut(&req.id) {
-                    stats.degraded_kv = true;
-                }
-            }
-            if self.prefix.is_some() {
-                prefill_flavor.insert(
-                    req.id,
-                    if degraded { FLAVOR_DEGRADED } else { FLAVOR_NORMAL },
-                );
-            }
-            let skip = reused.as_ref().map(|(t, _)| *t).unwrap_or(0);
-            if skip > 0 {
-                if let Some(stats) = self.meta.get_mut(&req.id) {
-                    stats.prefix_tokens = stats.prefix_tokens.max(skip);
-                }
-            }
-            // A hit forwards only the un-cached suffix; the match cap of
-            // `prompt_len - 1` guarantees at least one token remains to
-            // produce the first decode logits.
-            let forward = prompt.get(skip..).unwrap_or(prompt.as_slice()).to_vec();
-            prefill_jobs.push(ForwardJob {
-                id: req.id,
-                state: SeqState {
-                    cache,
-                    generated: Vec::new(),
-                    next_input: 0,
-                },
-                prompt: Some(forward),
-            });
+            );
         }
-        // One chunk per request: every worker shares `&self.model` read-only
-        // and owns its job's cache exclusively, so the first tokens match
-        // the sequential loop bit-for-bit at any pool width; a panicking
-        // forward fails only its own request (terminalized below).
-        let prefill_failed = self.run_forwards(&mut prefill_jobs);
-        let mut prefilled_ok: Vec<usize> = Vec::new();
-        for (idx, job) in prefill_jobs.into_iter().enumerate() {
-            if let Some(reason) = prefill_failed.reason_for(idx) {
-                self.terminalize(
-                    job.id,
-                    Terminal::Failed {
-                        reason: format!("prefill worker panic: {reason}"),
-                    },
-                );
-                continue;
-            }
-            self.states.insert(job.id, job.state);
-            prefilled_ok.push(job.id);
-        }
-        if self.prefix.is_some() {
-            for id in prefilled_ok {
-                let flavor = prefill_flavor.get(&id).copied().unwrap_or(FLAVOR_NORMAL);
-                self.cache_completed_prefill(id, flavor);
-            }
+        for id in admitted {
+            self.cache_completed_prefill(id);
         }
 
-        // Injected forward fault: kill one in-flight sequence, surfacing a
-        // typed failure instead of poisoning the batch.
-        if let Some(slot) = self.fault.forward_fault(self.clock) {
-            if let Some(victim) = self.fault_victim(slot) {
+        // Injected faults, one in-flight victim each, in this order: a
+        // forward fault surfaces a typed failure instead of poisoning the
+        // batch; a spurious timeout trips the victim's watchdog although its
+        // real step budget had not elapsed (`DeadlineExceeded` with whatever
+        // tokens it had — the retryable shape the gateway's retry policy
+        // absorbs); a client cancel hangs up, and must never be retried
+        // upstream.
+        let forward_failed = Terminal::Failed {
+            reason: format!("injected forward fault at step {}", self.clock),
+        };
+        let injected = [
+            (self.fault.forward_fault(self.clock), forward_failed),
+            (
+                self.fault.timeout_fault(self.clock),
+                Terminal::DeadlineExceeded,
+            ),
+            (self.fault.cancel_fault(self.clock), Terminal::Cancelled),
+        ];
+        for (slot, terminal) in injected {
+            if let Some(victim) = slot.and_then(|s| self.fault_victim(s)) {
                 tel.counter_add(names::ENGINE_FAULTS, 1);
-                self.terminalize(
-                    victim,
-                    Terminal::Failed {
-                        reason: format!("injected forward fault at step {}", self.clock),
-                    },
-                );
+                self.terminalize(victim, terminal);
             }
         }
 
-        // Injected spurious timeout: one in-flight request's watchdog trips
-        // even though its real step budget had not elapsed. The victim
-        // terminalizes `DeadlineExceeded` with whatever tokens it had — the
-        // retryable-timeout shape the gateway's retry policy absorbs.
-        if let Some(slot) = self.fault.timeout_fault(self.clock) {
-            if let Some(victim) = self.fault_victim(slot) {
-                tel.counter_add(names::ENGINE_FAULTS, 1);
-                self.terminalize(victim, Terminal::DeadlineExceeded);
-            }
-        }
-
-        // Injected client cancel: the caller of one in-flight request hangs
-        // up. Unlike a timeout this must never be retried upstream.
-        if let Some(slot) = self.fault.cancel_fault(self.clock) {
-            if let Some(victim) = self.fault_victim(slot) {
-                tel.counter_add(names::ENGINE_FAULTS, 1);
-                self.terminalize(victim, Terminal::Cancelled);
-            }
-        }
-
-        // Cache-on: guarantee decode headroom before the scheduler commits
-        // this step. Every decoding sequence may need one fresh block, and
-        // blocks held only by the cache must yield rather than stall (or
-        // preempt) live work.
-        if self.prefix.is_some() {
-            while self.batcher.allocator().free_blocks() < self.batcher.decoding() {
-                if self.evict_one_cached().is_none() {
-                    break;
-                }
+        // Guarantee decode headroom before the scheduler commits this step.
+        // Every decoding sequence may need one fresh block, and blocks held
+        // only by the cache must yield rather than stall (or preempt) live
+        // work.
+        while self.batcher.allocator().free_blocks() < self.batcher.decoding() {
+            if self.evict_one_cached().is_none() {
+                break;
             }
         }
 
@@ -755,79 +668,21 @@ impl<L: LinearLayer> CpuEngine<L> {
         // predicting the advanced set from a pre-step snapshot drops tokens.)
         let events = self.batcher.step_decode();
         let advanced = self.batcher.last_advanced_ids().to_vec();
-        let mut decode_jobs: Vec<ForwardJob> = Vec::new();
-        for id in &advanced {
-            let Some(mut state) = self.states.remove(id) else {
-                debug_assert!(false, "decoding sequence {id} without state");
-                continue;
-            };
-            // The token chosen last iteration becomes output + next input.
-            state.generated.push(state.next_input);
-            if let Some(stats) = self.meta.get_mut(id) {
-                stats.first_token_step.get_or_insert(self.clock);
-            }
-            decode_jobs.push(ForwardJob {
-                id: *id,
-                state,
-                prompt: None,
-            });
-        }
-        // Same disjoint-ownership argument as prefill: each decode forward
-        // touches only its own job, so the token stream is identical for any
-        // pool width; a panic poisons only its own sequence.
-        let decode_failed = self.run_forwards(&mut decode_jobs);
-        let mut poisoned: Vec<(usize, String)> = Vec::new();
-        for (idx, job) in decode_jobs.into_iter().enumerate() {
-            if let Some(reason) = decode_failed.reason_for(idx) {
-                poisoned.push((job.id, reason.to_string()));
-            }
-            self.states.insert(job.id, job.state);
-        }
+        let poisoned = self.run_forwards(&advanced, false);
         if !advanced.is_empty() {
             self.decode_steps += 1;
         }
         for event in events {
             match event {
-                BatchEvent::Finished(req) => {
-                    let tokens = self
-                        .states
-                        .remove(&req.id)
-                        .map(|s| s.generated)
-                        .unwrap_or_default();
-                    self.prompts.remove(&req.id);
-                    let mut stats = self.meta.remove(&req.id).unwrap_or_default();
-                    stats.finished_step = Some(self.clock);
-                    tel.counter_add(names::ENGINE_TERMINAL_COMPLETED, 1);
-                    if let Some(ttft) = stats.ttft_steps() {
-                        tel.record(names::ENGINE_TTFT_STEPS, ttft as u64);
-                    }
-                    if let Some(tpot) = stats.tpot_millisteps(tokens.len()) {
-                        tel.record(names::ENGINE_TPOT_MILLISTEPS, tpot);
-                    }
-                    if stats.prefix_tokens > 0 {
-                        if let Some(ttft) = stats.ttft_steps() {
-                            tel.record(names::PREFIX_HIT_TTFT_STEPS, ttft as u64);
-                        }
-                    }
-                    self.completions.push(Completion {
-                        id: req.id,
-                        tokens: tokens.clone(),
-                    });
-                    self.outcomes.push(Outcome {
-                        id: req.id,
-                        terminal: Terminal::Completed,
-                        tokens,
-                        stats,
-                    });
-                }
+                BatchEvent::Finished(req) => self.terminalize(req.id, Terminal::Completed),
                 BatchEvent::Preempted(req) => {
                     // Recompute preemption: drop the state; the request is
                     // back in the queue and will prefill again from its
                     // stored prompt.
-                    self.states.remove(&req.id);
                     tel.counter_add(names::ENGINE_PREEMPTIONS, 1);
-                    if let Some(stats) = self.meta.get_mut(&req.id) {
-                        stats.preemptions += 1;
+                    if let Some(live) = self.live.get_mut(&req.id) {
+                        live.state = None;
+                        live.stats.preemptions += 1;
                     }
                 }
                 BatchEvent::Admitted(_) => {}
@@ -837,7 +692,7 @@ impl<L: LinearLayer> CpuEngine<L> {
         // pushed this step already finished it, in which case the lost
         // logits would have been discarded anyway and the completion stands.
         for (id, reason) in poisoned {
-            if self.meta.contains_key(&id) {
+            if self.live.contains_key(&id) {
                 self.terminalize(
                     id,
                     Terminal::Failed {
@@ -846,151 +701,130 @@ impl<L: LinearLayer> CpuEngine<L> {
                 );
             }
         }
-        // Cache-cap enforcement runs once per step as well as at insert
+        // The cache cap is enforced once per step as well as at insert
         // time: blocks shared with a live donor are unevictable when
         // inserted, and only fall to refcount 1 (cache-only) after the
         // donor finishes — which may be this step's Finished events.
-        if let Some(cap) = self.prefix.as_ref().and_then(|p| p.config.max_cached_blocks) {
-            while self.prefix.as_ref().is_some_and(|p| p.index.len() > cap) {
-                if self.evict_one_cached().is_none() {
-                    break;
-                }
-            }
-        }
+        self.enforce_cache_cap();
 
-        // Prefix-cache telemetry: per-step counter deltas plus the shared-
-        // block gauge (the allocator owns the copy-on-write fork total).
-        if let Some(prefix) = self.prefix.as_mut() {
-            let alloc = self.batcher.allocator();
-            let totals = PrefixCounters {
-                cow_forks: alloc.cow_forks() as u64,
-                ..prefix.totals
-            };
-            tel.counter_add(names::PREFIX_HITS, totals.hits - prefix.reported.hits);
-            tel.counter_add(names::PREFIX_MISSES, totals.misses - prefix.reported.misses);
-            tel.counter_add(
-                names::PREFIX_EVICTIONS,
-                totals.evictions - prefix.reported.evictions,
-            );
-            tel.counter_add(
-                names::PREFIX_COW_FORKS,
-                totals.cow_forks - prefix.reported.cow_forks,
-            );
-            tel.gauge_set(names::PREFIX_SHARED_BLOCKS, alloc.shared_blocks() as i64);
-            prefix.reported = totals;
-        }
+        // The allocator owns the copy-on-write fork total; report its delta.
+        let alloc = self.batcher.allocator();
+        let cow_forks = alloc.cow_forks() as u64;
+        tel.counter_add(names::PREFIX_COW_FORKS, cow_forks - self.cow_forks_reported);
+        self.cow_forks_reported = cow_forks;
+        tel.gauge_set(names::PREFIX_SHARED_BLOCKS, alloc.shared_blocks() as i64);
         self.batcher.disarm_alloc_fault();
         true
     }
 
-    /// Cache-on admission: for each head-of-queue request, predict its
-    /// pressure flavor, look up the longest cached prefix of its prompt,
-    /// pin the matched blocks, and admit it seeded with the shared run —
-    /// evicting cold cached runs when the pool is short. Stops at the first
-    /// request that cannot be admitted (FCFS head-of-line, exactly like the
-    /// cache-off path).
-    fn admit_with_cache(&mut self) {
+    /// Admission, the one path: for each head-of-queue request, decide its
+    /// KV flavor, look up the longest cached prefix of its prompt in that
+    /// flavor, pin the matched blocks, admit it seeded with the shared run
+    /// — evicting cold cached runs when the pool is short — and build its
+    /// KV store. Stops at the first request that cannot be admitted (FCFS
+    /// head-of-line).
+    fn admit_from_queue(&mut self) {
         while let Some(head) = self.batcher.queue_head().copied() {
             if self.batcher.allocator().fault_armed() {
                 break;
             }
-            let degraded = self.predict_degraded(&head);
-            let flavor = if degraded { FLAVOR_DEGRADED } else { FLAVOR_NORMAL };
-            let tick = self.clock as u64;
-            let outcome = {
-                let (prefix_slot, prompts) = (&mut self.prefix, &self.prompts);
-                let Some(prefix) = prefix_slot.as_mut() else {
-                    return;
-                };
-                match prompts.get(&head.id) {
-                    // Cap at `prompt_len - 1`: at least one prompt token
-                    // must be forwarded to produce the first decode logits.
-                    Some(prompt) => prefix.index.match_prefix(
-                        prompt,
-                        flavor,
-                        head.prefill_tokens.saturating_sub(1),
-                        tick,
-                    ),
-                    None => MatchOutcome::default(),
-                }
-            };
-            // Pin the planned blocks so the eviction loop below can never
-            // free part of the plan we are about to attach.
-            let alloc = self.batcher.allocator_mut();
-            for &block in &outcome.blocks {
-                alloc.retain_block(block);
-            }
-            let shared = if outcome.tokens > 0 && outcome.snapshot.is_some() {
-                SharedPrefix {
-                    blocks: outcome.blocks.clone(),
-                    tokens: outcome.tokens,
-                }
-            } else {
-                SharedPrefix::default()
-            };
-            let mut admitted = None;
-            loop {
-                match self.batcher.try_admit_head(&shared) {
-                    AdmitOutcome::Admitted(req) => {
-                        admitted = Some(req);
-                        break;
-                    }
-                    AdmitOutcome::NeedBlocks { .. } => {
-                        if self.evict_one_cached().is_none() {
-                            break;
-                        }
-                    }
-                    AdmitOutcome::Blocked => break,
-                }
-            }
-            let alloc = self.batcher.allocator_mut();
-            for &block in &outcome.blocks {
-                alloc.release_block(block);
-            }
-            let Some(req) = admitted else {
+            let Some(live) = self.live.get(&head.id) else {
+                debug_assert!(false, "queued request {} is not live", head.id);
                 break;
             };
-            let hit = !shared.is_empty();
-            if let Some(prefix) = self.prefix.as_mut() {
-                if hit {
-                    prefix.totals.hits += 1;
-                } else {
-                    prefix.totals.misses += 1;
+            let degraded = self.predict_degraded(&head);
+            let flavor = if degraded { FLAVOR_DEGRADED } else { FLAVOR_NORMAL };
+            // Cap at `prompt_len - 1`: at least one prompt token must be
+            // forwarded to produce the first decode logits.
+            let cap = head.prefill_tokens.saturating_sub(1);
+            let outcome = self
+                .index
+                .match_prefix(&live.prompt, flavor, cap, self.clock as u64);
+            // Pin the planned blocks so the eviction loop below can never
+            // free part of the plan we are about to attach.
+            let shared = SharedPrefix {
+                blocks: outcome.blocks,
+                tokens: outcome.tokens,
+            };
+            let alloc = self.batcher.allocator_mut();
+            for &block in &shared.blocks {
+                alloc.retain_block(block);
+            }
+            let admitted = loop {
+                match self.batcher.try_admit_head(&shared) {
+                    AdmitOutcome::Admitted(_) => break true,
+                    AdmitOutcome::NeedBlocks { .. } => {
+                        if self.evict_one_cached().is_none() {
+                            break false;
+                        }
+                    }
+                    AdmitOutcome::Blocked => break false,
                 }
-                prefix.planned.insert(
-                    req.id,
-                    PlannedAdmission {
-                        flavor,
-                        tokens: shared.tokens,
-                        snapshot: outcome.snapshot,
-                    },
-                );
+            };
+            let alloc = self.batcher.allocator_mut();
+            for &block in &shared.blocks {
+                alloc.release_block(block);
             }
-            if let Some(stats) = self.meta.get_mut(&req.id) {
-                stats.admitted_step.get_or_insert(self.clock);
+            if !admitted {
+                break;
             }
+            let Some(live) = self.live.get_mut(&head.id) else {
+                break; // unreachable: it was live at the top of this iteration
+            };
+            let tel = self.telemetry.get();
+            let cache = match &outcome.snapshot {
+                // A hit replays the donor's snapshot cut to the matched
+                // prefix — bit-identical to prefilling those tokens, since
+                // both stores quantize per token row.
+                Some(snapshot) => {
+                    self.prefix_events.hits += 1;
+                    tel.counter_add(names::PREFIX_HITS, 1);
+                    snapshot.clone_prefix(shared.tokens)
+                }
+                None => {
+                    self.prefix_events.misses += 1;
+                    tel.counter_add(names::PREFIX_MISSES, 1);
+                    match &self.degraded_cache {
+                        Some(factory) if degraded => factory(),
+                        _ => (self.new_cache)(),
+                    }
+                }
+            };
+            live.state = Some(SeqState {
+                cache,
+                generated: Vec::new(),
+                next_input: 0,
+            });
+            live.flavor = flavor;
+            live.skip = shared.tokens;
+            if degraded {
+                self.degraded_admissions += 1;
+                tel.counter_add(names::ENGINE_DEGRADED_ADMISSIONS, 1);
+                live.stats.degraded_kv = true;
+            }
+            live.stats.prefix_tokens = live.stats.prefix_tokens.max(shared.tokens);
+            live.stats.admitted_step.get_or_insert(self.clock);
         }
     }
 
     /// Indexes a just-completed prefill into the prefix cache: freezes the
     /// sequence's KV state as a snapshot, shares its full prompt blocks
     /// with the radix index, and copy-forks the partial tail so the
-    /// sequence's own tail stays writable. Enforces the configured cache
-    /// cap afterwards.
-    fn cache_completed_prefill(&mut self, id: usize, flavor: Flavor) {
-        let tick = self.clock as u64;
-        let Some(prompt) = self.prompts.get(&id) else {
+    /// sequence's own tail stays writable, then enforces the capacity. A
+    /// capacity-0 cache indexes nothing, so it never clones a KV store.
+    fn cache_completed_prefill(&mut self, id: usize) {
+        if self.max_cached_blocks == 0 {
+            return;
+        }
+        let Some(live) = self.live.get(&id) else {
             return;
         };
-        let Some(state) = self.states.get(&id) else {
+        let Some(state) = live.state.as_ref() else {
             return;
         };
+        let prompt = &live.prompt;
         let snapshot = Arc::new(Snapshot::new(state.cache.clone_box(), prompt.len()));
-        let (prefix_slot, batcher) = (&mut self.prefix, &mut self.batcher);
-        let Some(prefix) = prefix_slot.as_mut() else {
-            return;
-        };
-        let alloc = batcher.allocator_mut();
+        let alloc = self.batcher.allocator_mut();
         let prompt_blocks = alloc.blocks_for(prompt.len());
         let Some(blocks) = alloc
             .table(id)
@@ -1000,28 +834,30 @@ impl<L: LinearLayer> CpuEngine<L> {
             debug_assert!(false, "prefilled sequence {id} has no block table");
             return;
         };
-        let report = prefix.index.insert(
+        let report = self.index.insert(
             prompt,
             &blocks,
-            flavor,
+            live.flavor,
             snapshot,
-            tick,
-            &mut |src, fill| alloc.fork_copy(src, fill).ok(),
+            self.clock as u64,
+            &mut |src, _fill| alloc.fork_copy(src).ok(),
         );
         for &block in &report.newly_shared {
             let retained = alloc.retain_block(block);
             debug_assert!(retained, "cache retained an unallocated block");
         }
         if report.new_nodes > 0 {
-            prefix.totals.insertions += 1;
+            self.prefix_events.insertions += 1;
         }
-        if let Some(cap) = prefix.config.max_cached_blocks {
-            while prefix.index.len() > cap {
-                let Some(block) = prefix.index.evict_lru(&|b| alloc.refcount(b) == 1) else {
-                    break;
-                };
-                alloc.release_block(block);
-                prefix.totals.evictions += 1;
+        self.enforce_cache_cap();
+    }
+
+    /// Evicts least-recently-used cache-only blocks until the index is
+    /// within its capacity or nothing more is evictable.
+    fn enforce_cache_cap(&mut self) {
+        while self.index.len() > self.max_cached_blocks {
+            if self.evict_one_cached().is_none() {
+                break;
             }
         }
     }
@@ -1030,42 +866,30 @@ impl<L: LinearLayer> CpuEngine<L> {
     /// 1: no live sequence maps it) and frees it, returning the block id.
     /// `None` when the cache holds nothing evictable.
     fn evict_one_cached(&mut self) -> Option<usize> {
-        let (prefix_slot, batcher) = (&mut self.prefix, &mut self.batcher);
-        let prefix = prefix_slot.as_mut()?;
-        let alloc = batcher.allocator_mut();
-        let block = prefix.index.evict_lru(&|b| alloc.refcount(b) == 1)?;
+        let alloc = self.batcher.allocator_mut();
+        let block = self.index.evict_lru(&|b| alloc.refcount(b) == 1)?;
         alloc.release_block(block);
-        prefix.totals.evictions += 1;
+        self.prefix_events.evictions += 1;
+        self.telemetry.get().counter_add(names::PREFIX_EVICTIONS, 1);
         Some(block)
     }
 
-    /// Counts cached blocks no live sequence maps (allocator refcount 1) —
-    /// pool headroom the cache surrenders on demand. Pressure prediction
-    /// subtracts it so a warm cache does not read as load.
-    fn reclaimable_blocks(&self) -> usize {
-        let Some(prefix) = self.prefix.as_ref() else {
-            return 0;
-        };
-        let alloc = self.batcher.allocator();
-        prefix
-            .index
-            .blocks()
-            .iter()
-            .filter(|&&b| alloc.refcount(b) == 1)
-            .count()
-    }
-
-    /// Predicts whether admitting `head` should hand it the degraded KV
-    /// cache. The cache-on path decides per request *before* its prefix
-    /// lookup so the lookup queries the matching flavor.
+    /// Decides whether admitting `head` hands it the degraded KV cache —
+    /// per request and *before* its prefix lookup, so the lookup queries
+    /// the matching flavor. Load is what the pool would hold right after
+    /// this admission; the queue depth is what stays behind it.
     fn predict_degraded(&self, head: &Request) -> bool {
         if self.degraded_cache.is_none() {
             return false;
         }
         let alloc = self.batcher.allocator();
+        // Cached blocks no live sequence maps (refcount 1) are headroom the
+        // cache surrenders on demand: a warm cache must not read as load.
+        let cached = self.index.blocks();
+        let reclaimable = cached.iter().filter(|&&b| alloc.refcount(b) == 1).count();
         let total = alloc.total_blocks().max(1);
         let projected = alloc.used_blocks() + alloc.blocks_for(head.prefill_tokens + 1);
-        let load = projected.saturating_sub(self.reclaimable_blocks());
+        let load = projected.saturating_sub(reclaimable);
         let util = load as f64 / total as f64;
         util >= self.policy.degrade_kv_at
             || self
@@ -1087,33 +911,53 @@ impl<L: LinearLayer> CpuEngine<L> {
         live.get(slot % live.len().max(1)).copied()
     }
 
-    /// Runs every job's model forward on the engine pool and picks its next
-    /// token by argmax over the final logits row. Chunk size 1 means the
-    /// pool's failed-chunk indices are exactly job indices, so a panic in
-    /// one forward is attributable to — and fails — a single request.
-    fn run_forwards(&self, jobs: &mut [ForwardJob]) -> PoolFailure {
+    /// Runs one model forward per listed request on the engine pool — the
+    /// prompt suffix its admission left to prefill (a hit's match cap of
+    /// `prompt_len - 1` guarantees at least one token), or, when `prefill`
+    /// is false, one decode token after committing the token chosen last
+    /// iteration as output — and picks each next token by argmax over the
+    /// final logits row. Jobs borrow straight from the live table, one
+    /// chunk each: every worker shares `&self.model` read-only and borrows
+    /// its job's KV state exclusively, so token streams are identical at
+    /// any pool width, and a panicking forward is attributable to — and
+    /// poisons — a single request. Returns those requests, each with the
+    /// panic message.
+    fn run_forwards(&mut self, ids: &[usize], prefill: bool) -> Vec<(usize, String)> {
+        let clock = self.clock;
+        let picked = self.live.iter_mut().filter(|(id, _)| ids.contains(id));
+        let mut jobs: Vec<ForwardJob> = picked
+            .filter_map(|(&id, live)| {
+                let state = live.state.as_mut()?;
+                let prompt = if prefill {
+                    Some(live.prompt.get(live.skip..).unwrap_or(&live.prompt))
+                } else {
+                    state.generated.push(state.next_input);
+                    live.stats.first_token_step.get_or_insert(clock);
+                    None
+                };
+                Some(ForwardJob { id, state, prompt })
+            })
+            .collect();
         let model = &self.model;
-        match self.pool.par_chunks_mut(jobs, 1, |_, chunk| {
+        let region = self.pool.par_chunks_mut(&mut jobs, 1, |_, chunk| {
             let Some(job) = chunk.first_mut() else { return };
-            let logits = match &job.prompt {
+            let logits = match job.prompt {
                 Some(prompt) => model.forward(prompt, job.state.cache.as_mut()),
                 None => model.forward(&[job.state.next_input], job.state.cache.as_mut()),
             };
             let last = logits.rows().saturating_sub(1);
             job.state.next_input = cast::usize_to_u16_saturating(ops::argmax(logits.row(last)));
-        }) {
-            Ok(()) => PoolFailure {
-                failed: Vec::new(),
-                message: String::new(),
-            },
-            Err(PoolError::WorkerPanic {
-                failed_chunks,
-                message,
-            }) => PoolFailure {
-                failed: failed_chunks,
-                message,
-            },
-        }
+        });
+        // Chunk size 1: the pool's failed-chunk indices are job indices.
+        let Err(PoolError::WorkerPanic {
+            failed_chunks,
+            message,
+        }) = region
+        else {
+            return Vec::new();
+        };
+        let failed = failed_chunks.iter().filter_map(|&idx| jobs.get(idx));
+        failed.map(|job| (job.id, message.clone())).collect()
     }
 
     /// Runs until every submitted request reaches a terminal state.
@@ -1130,7 +974,7 @@ impl<L: LinearLayer> CpuEngine<L> {
                 quiet += 1;
                 if quiet > Self::STALL_LIMIT {
                     // BTreeMap keys iterate in ascending id order already.
-                    let stuck: Vec<usize> = self.meta.keys().copied().collect();
+                    let stuck: Vec<usize> = self.live.keys().copied().collect();
                     for id in stuck {
                         self.terminalize(
                             id,
@@ -1182,47 +1026,36 @@ impl<L: LinearLayer> CpuEngine<L> {
         self.degraded_admissions
     }
 
-    /// Submissions rejected with a typed reason.
-    pub fn rejected(&self) -> usize {
-        self.rejected
-    }
-
     /// The underlying batcher (for memory/queue introspection).
     pub fn batcher(&self) -> &ContinuousBatcher {
         &self.batcher
     }
 
-    /// Point-in-time prefix-cache statistics (`None` when the cache is
-    /// disabled).
+    /// Point-in-time prefix-cache statistics. Always `Some`: an engine
+    /// whose cache has capacity 0 reports zero hits and zero cached blocks.
     pub fn prefix_stats(&self) -> Option<PrefixCacheStats> {
-        let prefix = self.prefix.as_ref()?;
         let alloc = self.batcher.allocator();
         Some(PrefixCacheStats {
-            hits: prefix.totals.hits,
-            misses: prefix.totals.misses,
-            insertions: prefix.totals.insertions,
-            evictions: prefix.totals.evictions,
             cow_forks: alloc.cow_forks() as u64,
-            cached_blocks: prefix.index.len(),
+            cached_blocks: self.index.len(),
             shared_blocks: alloc.shared_blocks(),
+            ..self.prefix_events
         })
     }
 
     /// Drops every cached prefix run, releasing the cache's block
     /// references (blocks still mapped by live sequences survive until
     /// those sequences release them). Returns the number of cache
-    /// references dropped. No-op when the cache is disabled.
+    /// references dropped.
     pub fn flush_prefix_cache(&mut self) -> usize {
-        let (prefix_slot, batcher) = (&mut self.prefix, &mut self.batcher);
-        let Some(prefix) = prefix_slot.as_mut() else {
-            return 0;
-        };
-        let alloc = batcher.allocator_mut();
-        let blocks = prefix.index.clear();
+        let blocks = self.index.clear();
+        let alloc = self.batcher.allocator_mut();
         for &block in &blocks {
             alloc.release_block(block);
         }
-        prefix.totals.evictions += blocks.len() as u64;
+        self.prefix_events.evictions += blocks.len() as u64;
+        let tel = self.telemetry.get();
+        tel.counter_add(names::PREFIX_EVICTIONS, blocks.len() as u64);
         blocks.len()
     }
 
@@ -1238,6 +1071,7 @@ mod tests {
     use super::*;
     use atom_nn::kv::Fp32KvCache;
     use atom_nn::{DenseLinear, ModelConfig};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn tiny_config() -> ModelConfig {
         ModelConfig {
@@ -1459,7 +1293,6 @@ mod tests {
         // 64-slot pool: a request ending at 70 tokens can never be served.
         let err = e.submit(vec![2; 60], 10).unwrap_err();
         assert!(matches!(err, RejectReason::ExceedsKvPool { .. }));
-        assert_eq!(e.rejected(), 3);
         assert_eq!(e.outcomes().len(), 3, "rejections leave terminal records");
         assert!(e
             .outcomes()
@@ -1673,6 +1506,37 @@ mod tests {
     }
 
     #[test]
+    fn degrade_is_decided_per_request_within_one_step() {
+        // 8-block pool; three 31-token prompts reserve 2 blocks each and
+        // are all admitted by the first step, which takes the pool to 0.25,
+        // 0.5 and 0.75. Each request is judged by the load its own
+        // admission reaches: the first stays below the 0.5 watermark, the
+        // other two do not. (The step's final load, 0.75, would degrade all
+        // three.)
+        let config = tiny_config();
+        let mut e = tiny_engine(4, 128)
+            .with_degraded_cache(Box::new(move || {
+                Box::new(Fp32KvCache::new(config.layers, config.kv_dim()))
+            }))
+            .with_policy(PressurePolicy {
+                degrade_kv_at: 0.5,
+                ..PressurePolicy::default()
+            });
+        let ids: Vec<usize> = (0..3)
+            .map(|i| e.submit(vec![7 + i; 31], 2).unwrap())
+            .collect();
+        e.step();
+        assert_eq!(e.batcher().active().len(), 3, "one step admitted all three");
+        e.run_to_completion();
+        let degraded: Vec<bool> = ids
+            .iter()
+            .map(|&id| e.outcome_of(id).unwrap().stats.degraded_kv)
+            .collect();
+        assert_eq!(degraded, [false, true, true]);
+        assert_eq!(e.degraded_admissions(), 2);
+    }
+
+    #[test]
     fn shed_watermark_boundary_is_exact() {
         let mut e = tiny_engine(1, 1024).with_policy(PressurePolicy {
             shed_queue_depth: Some(2),
@@ -1725,30 +1589,88 @@ mod tests {
             .collect()
     }
 
+    /// An FP32 KV store that counts `clone_box` calls: the hook only a
+    /// prefix-cache insertion or hit goes through.
+    #[derive(Debug)]
+    struct CountingKv {
+        inner: Fp32KvCache,
+        clones: Arc<AtomicUsize>,
+    }
+
+    impl KvStore for CountingKv {
+        fn append(&mut self, layer: usize, k: &atom_tensor::Matrix, v: &atom_tensor::Matrix) {
+            self.inner.append(layer, k, v);
+        }
+        fn keys(&self, layer: usize) -> atom_tensor::Matrix {
+            self.inner.keys(layer)
+        }
+        fn values(&self, layer: usize) -> atom_tensor::Matrix {
+            self.inner.values(layer)
+        }
+        fn len(&self, layer: usize) -> usize {
+            self.inner.len(layer)
+        }
+        fn clear(&mut self) {
+            self.inner.clear();
+        }
+        fn clone_box(&self) -> Box<dyn KvStore> {
+            self.clones.fetch_add(1, Ordering::Relaxed);
+            Box::new(CountingKv {
+                inner: self.inner.clone(),
+                clones: Arc::clone(&self.clones),
+            })
+        }
+        fn truncate(&mut self, tokens: usize) {
+            self.inner.truncate(tokens);
+        }
+    }
+
     #[test]
     fn cache_on_token_streams_match_cache_off() {
         let prompts = shared_prompts(6, 32, 40);
-        let run = |cached: bool| {
-            let mut e = if cached {
-                prefix_engine(3, 1024)
-            } else {
-                tiny_engine(3, 1024)
-            };
+        // `None`: `with_prefix_cache` is never called.
+        let run = |capacity: Option<PrefixConfig>| {
+            let config = tiny_config();
+            let clones = Arc::new(AtomicUsize::new(0));
+            let counter = Arc::clone(&clones);
+            let mut e = CpuEngine::new(
+                LlamaModel::random_init(config, 3),
+                Box::new(move || {
+                    Box::new(CountingKv {
+                        inner: Fp32KvCache::new(config.layers, config.kv_dim()),
+                        clones: Arc::clone(&counter),
+                    })
+                }),
+                3,
+                1024,
+            )
+            .expect("valid config");
+            if let Some(capacity) = capacity {
+                e = e.with_prefix_cache(capacity);
+            }
             for p in &prompts {
                 e.submit(p.clone(), 5).unwrap();
             }
             let mut done = e.run_to_completion().to_vec();
             done.sort_by_key(|c| c.id);
-            let stats = e.prefix_stats();
-            (done, stats)
+            let stats = e.prefix_stats().expect("always present");
+            let used = e.batcher().allocator().used_blocks();
+            (done, stats, used, clones.load(Ordering::Relaxed))
         };
-        let (off, off_stats) = run(false);
-        let (on, on_stats) = run(true);
-        assert_eq!(off, on, "prefix cache must never change a token");
-        assert!(off_stats.is_none());
-        let stats = on_stats.expect("cache enabled");
+        let (on, stats, _, clones) = run(Some(PrefixConfig::default()));
         assert!(stats.hits >= 1, "later requests hit the shared prefix: {stats:?}");
         assert!(stats.insertions >= 1);
+        assert!(clones > 0, "insertions and hits snapshot through clone_box");
+        let zero = PrefixConfig {
+            max_cached_blocks: Some(0),
+        };
+        for capacity in [None, Some(zero)] {
+            let (off, stats, used, clones) = run(capacity);
+            assert_eq!(off, on, "prefix cache must never change a token");
+            assert_eq!((stats.hits, stats.cached_blocks), (0, 0), "{stats:?}");
+            assert_eq!(used, 0, "a capacity-0 cache holds no block after drain");
+            assert_eq!(clones, 0, "a capacity-0 cache never snapshots a KV store");
+        }
     }
 
     #[test]

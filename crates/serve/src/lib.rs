@@ -44,7 +44,7 @@ pub use engine::{Completion, CpuEngine, Outcome, PressurePolicy, RequestStats, S
 pub use error::{RejectReason, ServeError, Terminal};
 pub use fault::FaultPlan;
 pub use paged::{BlockTable, PagedAllocator, SharedPrefix};
-pub use scheduler::{AdmitOutcome, BatchEvent, ContinuousBatcher, RequestState};
+pub use scheduler::{AdmitOutcome, BatchEvent, ContinuousBatcher};
 pub use simulate::{ServingReport, ServingSimulator};
 
 // The prefix-cache configuration and stats types cross the engine's public

@@ -96,9 +96,6 @@ pub struct PagedAllocator {
     total_blocks: usize,
     /// Per-block reference count: 0 = free, 1 = owned, >1 = shared.
     refs: Vec<u32>,
-    /// Token slots actually written in each block (≤ `block_size`);
-    /// maintained for allocated blocks, zeroed when a block is freed.
-    fill: Vec<usize>,
     /// Sum of `table.blocks.len()` over all registered sequences — the
     /// block count an exclusive (non-sharing) allocator would be holding.
     table_refs: usize,
@@ -144,7 +141,6 @@ impl PagedAllocator {
             tables: BTreeMap::new(),
             total_blocks,
             refs: vec![0; total_blocks],
-            fill: vec![0; total_blocks],
             table_refs: 0,
             peak_used: 0,
             peak_logical: 0,
@@ -266,38 +262,6 @@ impl PagedAllocator {
         self.injected_failures
     }
 
-    /// Fresh blocks `grow(seq, new_tokens)` would take from the free list,
-    /// including a copy-on-write fork of a shared partial tail. Like
-    /// [`Self::tail_fork_needed`] it takes the two fields it reads, not
-    /// `&self`, so `grow` can ask while it holds the table mutably.
-    fn growth_cost(
-        block_size: usize,
-        refs: &[u32],
-        table: &BlockTable,
-        new_tokens: usize,
-    ) -> usize {
-        let target = (table.tokens + new_tokens).div_ceil(block_size);
-        target.saturating_sub(table.blocks.len())
-            + usize::from(Self::tail_fork_needed(block_size, refs, table, new_tokens))
-    }
-
-    /// Whether appending `new_tokens` must first fork the tail block: the
-    /// tail is partial (so the append writes into it) and shared (so the
-    /// write would be visible to other holders).
-    fn tail_fork_needed(
-        block_size: usize,
-        refs: &[u32],
-        table: &BlockTable,
-        new_tokens: usize,
-    ) -> bool {
-        new_tokens > 0
-            && !table.tokens.is_multiple_of(block_size)
-            && table
-                .blocks
-                .last()
-                .is_some_and(|&b| refs.get(b).is_some_and(|&r| r > 1))
-    }
-
     /// Fresh blocks an admission of `total_tokens` tokens would consume
     /// given an attached shared prefix (tail fork included). Used by the
     /// scheduler's watermark check before committing to an admission.
@@ -306,18 +270,6 @@ impl PagedAllocator {
         let have = shared.blocks.len();
         let fork = total_tokens > shared.tokens && !shared.tokens.is_multiple_of(self.block_size);
         target.saturating_sub(have) + usize::from(fork)
-    }
-
-    /// Whether growing `seq` by `new_tokens` would fit right now.
-    pub fn can_grow(&self, seq: SeqId, new_tokens: usize) -> bool {
-        let Some(table) = self.tables.get(&seq) else {
-            return false;
-        };
-        let needed = Self::growth_cost(self.block_size, &self.refs, table, new_tokens);
-        if needed > 0 && self.fault_armed {
-            return false;
-        }
-        needed <= self.free.len()
     }
 
     /// Extends a sequence by `new_tokens`, allocating blocks as needed and
@@ -340,10 +292,15 @@ impl PagedAllocator {
                 short_by: self.blocks_for(new_tokens),
             });
         };
-        let tail_fill = table.tokens % self.block_size;
         let old_tail = table.blocks.last().copied();
-        let fork_needed = Self::tail_fork_needed(self.block_size, &self.refs, table, new_tokens);
-        let needed = Self::growth_cost(self.block_size, &self.refs, table, new_tokens);
+        // The append must first fork the tail block when that block is
+        // partial (so the append writes into it) and shared (so the write
+        // would be visible to other holders).
+        let fork_needed = new_tokens > 0
+            && !table.tokens.is_multiple_of(self.block_size)
+            && old_tail.is_some_and(|b| self.refs.get(b).is_some_and(|&r| r > 1));
+        let target = (table.tokens + new_tokens).div_ceil(self.block_size);
+        let needed = target.saturating_sub(table.blocks.len()) + usize::from(fork_needed);
         if needed > 0 && self.fault_armed {
             self.injected_failures += 1;
             return Err(OutOfBlocks { short_by: needed });
@@ -365,9 +322,6 @@ impl PagedAllocator {
             if let Some(r) = self.refs.get_mut(nb) {
                 *r = 1;
             }
-            if let Some(f) = self.fill.get_mut(nb) {
-                *f = tail_fill;
-            }
             // The donor's count stays ≥ 1: fork_needed required refs > 1.
             if let Some(r) = self.refs.get_mut(old) {
                 *r = r.saturating_sub(1);
@@ -378,25 +332,6 @@ impl PagedAllocator {
             if let Some(r) = self.refs.get_mut(b) {
                 *r = 1;
             }
-        }
-        // Fill accounting: top up the (possibly freshly forked) tail, then
-        // spill block-sized runs into the fresh blocks in order.
-        let mut remaining = new_tokens;
-        if tail_fill != 0 && remaining > 0 {
-            let add = remaining.min(self.block_size - tail_fill);
-            if let Some(b) = replacement.or(old_tail) {
-                if let Some(f) = self.fill.get_mut(b) {
-                    *f = tail_fill + add;
-                }
-            }
-            remaining -= add;
-        }
-        for &b in &fresh {
-            let add = remaining.min(self.block_size);
-            if let Some(f) = self.fill.get_mut(b) {
-                *f = add;
-            }
-            remaining -= add;
         }
         if let (Some(nb), Some(last)) = (replacement, table.blocks.last_mut()) {
             *last = nb;
@@ -443,15 +378,15 @@ impl PagedAllocator {
         true
     }
 
-    /// Allocates a private copy of an allocated block holding `fill` token
-    /// slots, owned by the caller (refcount 1) and mapped by no sequence.
-    /// The prefix cache uses this to snapshot a donor's *partial* tail
-    /// block at insertion time without freezing the donor's own tail.
+    /// Allocates a private copy of an allocated block, owned by the caller
+    /// (refcount 1) and mapped by no sequence. The prefix cache uses this
+    /// to snapshot a donor's *partial* tail block at insertion time without
+    /// freezing the donor's own tail.
     ///
     /// # Errors
     ///
     /// Returns [`OutOfBlocks`] when the pool is empty or a fault is armed.
-    pub fn fork_copy(&mut self, src: usize, fill: usize) -> Result<usize, OutOfBlocks> {
+    pub fn fork_copy(&mut self, src: usize) -> Result<usize, OutOfBlocks> {
         if self.refs.get(src).is_none_or(|&r| r == 0) {
             debug_assert!(false, "fork_copy of unallocated block {src}");
             return Err(OutOfBlocks { short_by: 1 });
@@ -465,9 +400,6 @@ impl PagedAllocator {
         };
         if let Some(r) = self.refs.get_mut(nb) {
             *r = 1;
-        }
-        if let Some(f) = self.fill.get_mut(nb) {
-            *f = fill.min(self.block_size);
         }
         self.cow_forks += 1;
         self.peak_used = self.peak_used.max(self.total_blocks - self.free.len());
@@ -498,9 +430,6 @@ impl PagedAllocator {
             Some(r) if *r > 0 => {
                 *r -= 1;
                 if *r == 0 {
-                    if let Some(f) = self.fill.get_mut(block) {
-                        *f = 0;
-                    }
                     self.free.push(block);
                 }
             }
@@ -521,24 +450,6 @@ impl PagedAllocator {
                 self.release_block(b);
             }
         }
-    }
-
-    /// Fraction of allocated slots actually filled with tokens (internal
-    /// fragmentation metric; PagedAttention keeps this near 1). Each
-    /// physical block counts once however many tables map it.
-    pub fn utilization(&self) -> f64 {
-        let used_slots = self.used_blocks() * self.block_size;
-        if used_slots == 0 {
-            return 1.0;
-        }
-        let tokens: usize = self
-            .refs
-            .iter()
-            .zip(self.fill.iter())
-            .filter(|(&r, _)| r > 0)
-            .map(|(_, &f)| f)
-            .sum();
-        tokens as f64 / used_slots as f64
     }
 
     /// Verifies block conservation: `free + referenced == total`, free
@@ -636,18 +547,6 @@ mod tests {
     }
 
     #[test]
-    fn can_grow_predicts_grow() {
-        let mut a = PagedAllocator::new(3, 4);
-        a.register(7);
-        assert!(a.can_grow(7, 12));
-        assert!(!a.can_grow(7, 13));
-        a.grow(7, 12).unwrap();
-        assert!(a.can_grow(7, 0));
-        assert!(!a.can_grow(7, 1));
-        assert!(!a.can_grow(99, 1), "unregistered sequence cannot grow");
-    }
-
-    #[test]
     fn blocks_are_reused_after_release() {
         let mut a = PagedAllocator::new(2, 4);
         a.register(1);
@@ -661,16 +560,6 @@ mod tests {
         let mut sorted_1 = blocks_1;
         sorted_1.sort_unstable();
         assert_eq!(sorted_1, blocks_2);
-    }
-
-    #[test]
-    fn utilization_tracks_fill() {
-        let mut a = PagedAllocator::new(4, 8);
-        a.register(1);
-        a.grow(1, 4).unwrap(); // half a block
-        assert!((a.utilization() - 0.5).abs() < 1e-9);
-        a.grow(1, 4).unwrap();
-        assert!((a.utilization() - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -697,10 +586,8 @@ mod tests {
         a.register(1);
         a.grow(1, 3).unwrap(); // one block, one slot spare
         a.arm_fault();
-        assert!(a.can_grow(1, 1), "in-block growth survives the fault");
-        a.grow(1, 1).unwrap();
-        assert!(!a.can_grow(1, 1), "fresh-block growth is refused");
-        assert!(a.grow(1, 1).is_err());
+        a.grow(1, 1).expect("in-block growth survives the fault");
+        assert!(a.grow(1, 1).is_err(), "fresh-block growth is refused");
         assert_eq!(a.injected_failures(), 1);
         a.disarm_fault();
         a.grow(1, 1).unwrap();
@@ -786,13 +673,11 @@ mod tests {
         a.register(1);
         a.grow(1, 5).unwrap();
         let src = a.table(1).unwrap().blocks()[0];
-        let copy = a.fork_copy(src, 5).unwrap();
+        let copy = a.fork_copy(src).unwrap();
         assert_ne!(copy, src);
         assert_eq!(a.refcount(copy), 1);
         assert_eq!(a.cow_forks(), 1);
         assert_eq!(a.used_blocks(), 2);
-        // The copy belongs to no table, so utilization still counts it.
-        assert!((a.utilization() - 10.0 / 16.0).abs() < 1e-9);
         a.release_block(copy);
         a.release(1);
         a.leak_check().unwrap();
@@ -804,7 +689,7 @@ mod tests {
         a.register(1);
         a.grow(1, 3).unwrap();
         let src = a.table(1).unwrap().blocks()[0];
-        assert_eq!(a.fork_copy(src, 3), Err(OutOfBlocks { short_by: 1 }));
+        assert_eq!(a.fork_copy(src), Err(OutOfBlocks { short_by: 1 }));
         a.release(1);
         a.register(2);
         a.arm_fault();
@@ -823,8 +708,8 @@ mod tests {
         };
         a.register(2);
         assert!(a.attach_shared(2, &plan));
-        // One full physical block, two tables: utilization is still 1.0.
-        assert!((a.utilization() - 1.0).abs() < 1e-9);
+        // One physical block, two tables.
+        assert_eq!(a.used_blocks(), 1);
         assert_eq!(a.table_refs(), 2);
         assert_eq!(a.peak_logical(), 2);
         assert_eq!(a.peak_used(), 1);

@@ -28,19 +28,6 @@ pub enum AdmitOutcome {
     Blocked,
 }
 
-/// Lifecycle state of a request inside the batcher.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RequestState {
-    /// Waiting in the FCFS queue.
-    Queued,
-    /// Admitted; prompt not yet processed.
-    Prefill,
-    /// Generating tokens.
-    Decoding,
-    /// All tokens generated; slot released.
-    Finished,
-}
-
 /// What happened to a request during one scheduler step.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum BatchEvent {
@@ -89,7 +76,6 @@ pub struct ContinuousBatcher {
     advanced_ids: Vec<usize>,
     preemptions: usize,
     queue_limit: Option<usize>,
-    shed: usize,
 }
 
 impl ContinuousBatcher {
@@ -111,7 +97,6 @@ impl ContinuousBatcher {
             advanced_ids: Vec::new(),
             preemptions: 0,
             queue_limit: None,
-            shed: 0,
         })
     }
 
@@ -159,7 +144,6 @@ impl ContinuousBatcher {
         self.validate(request.prefill_tokens, request.decode_tokens)?;
         if let Some(limit) = self.queue_limit {
             if self.queue.len() >= limit {
-                self.shed += 1;
                 return Err(RejectReason::QueueFull {
                     depth: self.queue.len(),
                     limit,
@@ -185,11 +169,6 @@ impl ContinuousBatcher {
             return true;
         }
         false
-    }
-
-    /// Requests shed at submission by the queue limit.
-    pub fn shed(&self) -> usize {
-        self.shed
     }
 
     /// Arms the allocator's injected-fault fuse for the coming step.
@@ -431,15 +410,6 @@ impl ContinuousBatcher {
         self.preemptions
     }
 
-    /// Whether sequence `id` will be able to take its next decode step
-    /// right now (used by engines that must mirror scheduler progress).
-    pub fn can_advance(&self, id: usize) -> bool {
-        match self.active.iter().find(|s| s.request.id == id) {
-            Some(seq) => seq.prefilled && (seq.decoded == 0 || self.allocator.can_grow(id, 1)),
-            None => false,
-        }
-    }
-
     /// Number of active sequences currently decoding (prefilled).
     pub fn decoding(&self) -> usize {
         self.active.iter().filter(|s| s.prefilled).count()
@@ -501,7 +471,6 @@ mod tests {
         b.submit(req(1, 8, 1)).unwrap();
         let err = b.submit(req(2, 8, 1)).unwrap_err();
         assert_eq!(err, RejectReason::QueueFull { depth: 2, limit: 2 });
-        assert_eq!(b.shed(), 1);
         assert_eq!(b.queued(), 2);
     }
 
@@ -677,28 +646,6 @@ mod tests {
         b.complete_prefill();
         b.step_decode();
         assert_eq!(b.last_advanced(), 2);
-    }
-
-    #[test]
-    fn can_advance_reflects_memory() {
-        let mut b = batcher(1, 2); // 32 slots
-        b.submit(req(0, 16, 16)).unwrap(); // final context 32 -> exactly fits
-        b.admit();
-        b.complete_prefill();
-        assert!(b.can_advance(0)); // first token covered by reserve
-        b.step_decode();
-        // Context now 17; the pool (2 blocks) covers up to 32 tokens, so
-        // the next several tokens still fit.
-        assert!(b.can_advance(0));
-        assert!(!b.can_advance(42), "unknown id");
-        // An injected fault blocks fresh-block growth but not in-block
-        // growth; once the table needs a new block, can_advance flips.
-        b.arm_alloc_fault();
-        assert!(b.can_advance(0), "still inside the reserved block");
-        for _ in 0..15 {
-            b.step_decode(); // fill the second block (context 32)
-        }
-        assert!(b.is_idle(), "in-block tokens finish the request");
     }
 
     #[test]

@@ -32,7 +32,6 @@ proptest! {
                 let _ = a.grow(seq, tokens);
             }
             prop_assert_eq!(a.used_blocks() + a.free_blocks(), a.total_blocks());
-            prop_assert!(a.utilization() <= 1.0 + 1e-9);
             prop_assert!(a.peak_used() <= a.total_blocks());
         }
         // Releasing everything returns the pool to pristine state.
@@ -159,7 +158,7 @@ proptest! {
                             .unwrap_or_default();
                         let (a, ix) = (&mut alloc, &mut index);
                         let report = ix.insert(&p, &blocks, FLAVOR_NORMAL, snap(p.len()), tick,
-                            &mut |src, fill| a.fork_copy(src, fill).ok());
+                            &mut |src, _fill| a.fork_copy(src).ok());
                         for &b in &report.newly_shared {
                             prop_assert!(alloc.retain_block(b));
                         }

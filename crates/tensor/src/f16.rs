@@ -108,13 +108,6 @@ pub fn round_f16(v: f32) -> f32 {
     f16_bits_to_f32(f32_to_f16_bits(v))
 }
 
-/// Rounds every element of a slice through f16 precision in place.
-pub fn round_f16_slice(values: &mut [f32]) {
-    for v in values {
-        *v = round_f16(*v);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -151,11 +151,6 @@ impl SeededRng {
         idx.truncate(k);
         idx
     }
-
-    /// Raw access to the wrapped generator for `rand` ecosystem interop.
-    pub fn as_rng(&mut self) -> &mut StdRng {
-        &mut self.inner
-    }
 }
 
 #[cfg(test)]
