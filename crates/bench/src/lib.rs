@@ -21,15 +21,12 @@
 //! | `ablation_mx` | §6 outlook — MX/microscaling block formats |
 //! | `ablation_w4a8` | QServe-style W4A8 operating point |
 //! | `ext_tensor_parallel` | multi-GPU tensor-parallel simulator extension |
-//! | `chaos_serve` | robustness — engine under seeded faults + KV pressure |
-//! | `slo_gate` | robustness — gateway SLO attainment under chaos, 1/2/8 threads |
-//! | `prefix_gate` | prefix cache — hit prefill collapse + KV sharing, bit-identical |
 //! | `telemetry_report` | measured Fig. 3 breakdown vs roofline, >= 95 % span coverage |
 //!
 //! Each paper-artifact binary prints an aligned text table and writes the
-//! same content to `results/<name>.txt`; the four gates (`chaos_serve`,
-//! `slo_gate`, `prefix_gate`, `telemetry_report`) print theirs and write
-//! `results/<name>.json`. The gates assert invariants only: how fast the
+//! same content to `results/<name>.txt`; `telemetry_report` gates on span
+//! coverage and writes a git-ignored `results/telemetry_report.json`. The
+//! serving invariants are `cargo test` tests, not binaries, and how fast the
 //! *real CPU kernels* and the serving stack run is measured by the serving
 //! benchmark under `benchmark/`, the repository's one wall-time instrument.
 
@@ -87,13 +84,6 @@ pub fn emit(name: &str, content: &str) {
 /// The repository's `results/` directory.
 pub fn results_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results")
-}
-
-/// The host's available parallelism, which the gate bins record as
-/// `"host_threads"` in their JSON: a bit-identity-across-pool-widths result
-/// only exercised real concurrency if this was above 1.
-pub fn host_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Reads a `--<name> <value>` or `--<name>=<value>` u64 flag from the

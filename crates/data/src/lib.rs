@@ -16,9 +16,6 @@
 //!   end-to-end serving experiments (Fig. 10).
 //! - [`traffic`] — open-loop multi-tenant arrival traces (diurnal, bursty,
 //!   flash-crowd) for the gateway's overload and SLO experiments.
-//! - [`scenario`] — prompt-level content models (shared system prompts,
-//!   multi-turn conversations, long-context documents) layered on traffic
-//!   traces for the prefix-cache experiments.
 //!
 //! Everything is seeded and exactly reproducible.
 //!
@@ -35,14 +32,12 @@
 //! ```
 
 pub mod corpus;
-pub mod scenario;
 pub mod tasks;
 pub mod tokenizer;
 pub mod traffic;
 pub mod workload;
 
 pub use corpus::{Corpus, CorpusStyle};
-pub use scenario::{PromptArrival, ScenarioKind, ScenarioSpec};
 pub use tasks::{Task, TaskKind, TaskSuite};
 pub use tokenizer::Tokenizer;
 pub use traffic::{Arrival, ArrivalPattern, TenantTraffic, TrafficSpec};

@@ -172,12 +172,12 @@ impl TrafficSpec {
     /// Generates the deterministic arrival trace for `seed`.
     ///
     /// Arrivals come out sorted by tick (ties in draw order). Degenerate
-    /// specs (no tenants, non-positive rate, zero horizon) yield an empty
-    /// trace rather than panicking — the gateway treats an empty trace as
-    /// zero load.
+    /// specs (no tenants, non-positive or non-finite peak rate, zero
+    /// horizon) yield an empty trace rather than panicking or never
+    /// returning — the gateway treats an empty trace as zero load.
     pub fn generate(&self, seed: u64) -> Vec<Arrival> {
         let peak = self.base_rate_per_tick.max(0.0) * self.pattern.peak_factor();
-        if self.tenants.is_empty() || peak <= 0.0 || self.horizon_ticks == 0 {
+        if self.tenants.is_empty() || !(peak.is_finite() && peak > 0.0) || self.horizon_ticks == 0 {
             return Vec::new();
         }
         let shares: Vec<f64> = self.tenants.iter().map(|t| t.share.max(0.0)).collect();
@@ -337,6 +337,22 @@ mod tests {
         assert!(spec.generate(1).is_empty());
         let mut spec = two_tenant_spec(ArrivalPattern::Steady);
         spec.horizon_ticks = 0;
+        assert!(spec.generate(1).is_empty());
+        // A non-finite peak rate draws zero-length gaps: the clock would
+        // never reach the horizon.
+        let mut spec = two_tenant_spec(ArrivalPattern::Steady);
+        spec.base_rate_per_tick = f64::INFINITY;
+        assert!(spec.generate(1).is_empty());
+        let spec = two_tenant_spec(ArrivalPattern::FlashCrowd {
+            at_tick: 10,
+            magnitude: f64::INFINITY,
+            decay_ticks: 5,
+        });
+        assert!(spec.generate(1).is_empty());
+        let spec = two_tenant_spec(ArrivalPattern::Diurnal {
+            period_ticks: 100,
+            peak_to_trough: f64::INFINITY,
+        });
         assert!(spec.generate(1).is_empty());
     }
 }

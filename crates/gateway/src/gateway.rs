@@ -1347,34 +1347,54 @@ mod tests {
 
     #[test]
     fn drain_grace_force_fails_stragglers_exactly_once() {
-        let tenant = TenantSpec::new("t", 1, 1)
-            .with_rate(100_000, 1_000_000)
-            .with_queue_cap(100);
-        let mut cfg = GatewayConfig::new(vec![tenant]);
-        cfg.drain_grace_ticks = 3;
-        cfg.dispatch_queue_target = 1;
-        // Batch-1 engine + long decodes: most of the backlog cannot
-        // finish inside the 3-tick grace.
-        let mut g = Gateway::new(tiny_engine(1, 2048), cfg).expect("valid");
-        let mut ids = Vec::new();
-        for _ in 0..8 {
-            ids.push(g.offer(0, vec![1, 2, 3], 40, None).expect("accepted"));
+        // Fault-free, then with every fault kind armed: six ticks in, some
+        // requests are killed or cancelled when the drain begins.
+        let chaos = FaultPlan::seeded_chaos(
+            0xC4A0 ^ 0xD7A1,
+            400,
+            FaultRates {
+                alloc: 0.10,
+                forward: 0.25,
+                timeout: 0.10,
+                cancel: 0.03,
+            },
+        );
+        let mut runs = Vec::new();
+        for plan in [FaultPlan::none(), chaos] {
+            let tenant = TenantSpec::new("t", 1, 1)
+                .with_rate(100_000, 1_000_000)
+                .with_queue_cap(100);
+            let mut cfg = GatewayConfig::new(vec![tenant]);
+            cfg.drain_grace_ticks = 3;
+            cfg.dispatch_queue_target = 1;
+            // Batch-1 engine + long decodes: most of the backlog cannot
+            // finish inside the 3-tick grace.
+            let mut g =
+                Gateway::new(tiny_engine(1, 2048).with_fault_plan(plan), cfg).expect("valid");
+            let mut ids = Vec::new();
+            for _ in 0..8 {
+                ids.push(g.offer(0, vec![1, 2, 3], 40, None).expect("accepted"));
+            }
+            for _ in 0..6 {
+                g.tick();
+            }
+            g.begin_drain();
+            assert!(g.run_until_idle(100), "drain must converge");
+            // Exactly one terminal per accepted request, no losses.
+            assert_eq!(g.outcomes().len(), ids.len());
+            let mut seen: Vec<usize> = g.outcomes().iter().map(|o| o.id).collect();
+            seen.sort_unstable();
+            let mut want = ids.clone();
+            want.sort_unstable();
+            assert_eq!(seen, want);
+            // At least one straggler was force-failed by the grace budget.
+            assert!(g
+                .outcomes()
+                .iter()
+                .any(|o| matches!(&o.terminal, GatewayTerminal::Failed { reason } if reason.contains("drained"))));
+            runs.push(g.outcomes().to_vec());
         }
-        g.tick();
-        g.begin_drain();
-        assert!(g.run_until_idle(100), "drain must converge");
-        // Exactly one terminal per accepted request, no losses.
-        assert_eq!(g.outcomes().len(), ids.len());
-        let mut seen: Vec<usize> = g.outcomes().iter().map(|o| o.id).collect();
-        seen.sort_unstable();
-        let mut want = ids.clone();
-        want.sort_unstable();
-        assert_eq!(seen, want);
-        // At least one straggler was force-failed by the grace budget.
-        assert!(g
-            .outcomes()
-            .iter()
-            .any(|o| matches!(&o.terminal, GatewayTerminal::Failed { reason } if reason.contains("drained"))));
+        assert_ne!(runs[0], runs[1], "faults fired before the drain ended");
     }
 
     #[test]
@@ -1403,23 +1423,76 @@ mod tests {
         assert!(g.cancel(queued).is_err(), "double cancel is an error");
     }
 
+    /// Everything a chaos replay must reproduce bit for bit at any pool
+    /// width.
+    #[derive(Debug, PartialEq)]
+    struct Replay {
+        summary: ReplaySummary,
+        outcomes: Vec<GatewayOutcome>,
+        rejects: RejectCounts,
+        retries: u64,
+        /// The gateway's TTFT and TPOT histograms.
+        latency: [Option<atom_telemetry::HistogramSnapshot>; 2],
+    }
+
+    /// Replays `trace` through `engine` behind `cfg`, drains within
+    /// `budget` ticks, and checks the bookkeeping of that one run: exactly
+    /// one terminal per accepted request, and every offer either accepted
+    /// or counted as a rejection.
+    fn chaos_replay(
+        engine: CpuEngine<DenseLinear>,
+        cfg: GatewayConfig,
+        trace: &[atom_data::Arrival],
+        budget: u64,
+    ) -> Replay {
+        let engine = engine.with_telemetry(std::sync::Arc::new(Telemetry::enabled()));
+        let mut g = Gateway::new(engine, cfg).expect("valid");
+        let summary = g.replay_trace(trace);
+        g.begin_drain();
+        assert!(g.run_until_idle(budget), "drain converges under chaos");
+        let outcomes = g.outcomes().to_vec();
+        assert_eq!(
+            outcomes.len() as u64,
+            summary.accepted,
+            "lost or extra terminals"
+        );
+        let ids: std::collections::BTreeSet<usize> = outcomes.iter().map(|o| o.id).collect();
+        assert_eq!(ids.len(), outcomes.len(), "duplicate terminals");
+        assert_eq!(
+            summary.offered,
+            summary.accepted + g.rejects().total(),
+            "dropped offers"
+        );
+        let metrics = g.engine().telemetry().metrics().snapshot();
+        let latency = [names::GATEWAY_TTFT_TICKS, names::GATEWAY_TPOT_MILLITICKS]
+            .map(|n| metrics.histograms.get(n).cloned());
+        Replay {
+            summary,
+            outcomes,
+            rejects: g.rejects(),
+            retries: g.retries(),
+            latency,
+        }
+    }
+
     #[test]
     fn chaos_replay_is_exactly_once_and_thread_invariant() {
-        let spec = atom_data::TrafficSpec {
+        use atom_data::{ArrivalPattern, TenantTraffic, TrafficSpec};
+        // Row 1: bursty traffic on a 4-wide engine, no allocator faults.
+        let bursty = TrafficSpec {
             base_rate_per_tick: 1.2,
-            pattern: atom_data::ArrivalPattern::Bursty {
+            pattern: ArrivalPattern::Bursty {
                 on_ticks: 10,
                 off_ticks: 5,
             },
             horizon_ticks: 60,
             tenants: vec![
-                atom_data::TenantTraffic::interactive(0.7, 40),
-                atom_data::TenantTraffic::batch(0.3),
+                TenantTraffic::interactive(0.7, 40),
+                TenantTraffic::batch(0.3),
             ],
-        };
-        let trace = spec.generate(11);
-        assert!(!trace.is_empty());
-        let run = |threads: usize| {
+        }
+        .generate(11);
+        let bursty_row = |threads: usize| {
             let engine = tiny_engine(4, 2048)
                 .with_pool(Pool::new(threads))
                 .with_fault_plan(FaultPlan::seeded_chaos(
@@ -1436,27 +1509,103 @@ mod tests {
                 TenantSpec::new("interactive", 3, 2).with_rate(3_000, 9_000),
                 TenantSpec::new("batch", 1, 0).with_rate(2_000, 6_000),
             ];
-            let cfg = GatewayConfig::new(tenants).with_seed(5);
-            let mut g = Gateway::new(engine, cfg).expect("valid");
-            let summary = g.replay_trace(&trace);
-            g.begin_drain();
-            assert!(g.run_until_idle(2_000), "drain converges under chaos");
-            (summary, g.outcomes().to_vec())
+            chaos_replay(
+                engine,
+                GatewayConfig::new(tenants).with_seed(5),
+                &bursty,
+                2_000,
+            )
         };
-        let (s1, o1) = run(1);
-        // Exactly-once: one terminal per accepted request, unique ids.
-        assert_eq!(o1.len() as u64, s1.accepted);
-        let mut ids: Vec<usize> = o1.iter().map(|o| o.id).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        assert_eq!(ids.len() as u64, s1.accepted, "duplicate terminals");
-        // Bit-identical behaviour at other pool widths.
-        let (s2, o2) = run(2);
-        let (s8, o8) = run(8);
-        assert_eq!(s1, s2);
-        assert_eq!(s1, s8);
-        assert_eq!(o1, o2, "outcomes differ between 1 and 2 threads");
-        assert_eq!(o1, o8, "outcomes differ between 1 and 8 threads");
+        // Row 2: a flash crowd into an 8-wide engine on a 64-block pool that
+        // degrades admissions to INT4 KV under pressure, every fault kind
+        // armed, and a drain grace long enough to finish honest work.
+        let seed = 0x510;
+        let flash = TrafficSpec {
+            base_rate_per_tick: 0.9,
+            pattern: ArrivalPattern::FlashCrowd {
+                at_tick: 30,
+                magnitude: 4.0,
+                decay_ticks: 20,
+            },
+            horizon_ticks: 90,
+            tenants: vec![
+                TenantTraffic::interactive(0.65, 70),
+                TenantTraffic::batch(0.35),
+            ],
+        }
+        .generate(seed);
+        let flash_row = |threads: usize| {
+            let config = tiny_config();
+            let engine = tiny_engine(8, 1024)
+                .with_degraded_cache(Box::new(move || {
+                    Box::new(atom::QuantizedKvCache::new(
+                        config.layers,
+                        config.kv_dim(),
+                        config.head_dim(),
+                        4,
+                    ))
+                }))
+                .with_policy(atom_serve::PressurePolicy {
+                    degrade_kv_at: 0.75,
+                    degrade_queue_depth: Some(6),
+                    shed_queue_depth: Some(24),
+                })
+                .with_fault_plan(FaultPlan::seeded_chaos(
+                    seed ^ 0xFA17,
+                    600,
+                    FaultRates {
+                        alloc: 0.02,
+                        forward: 0.04,
+                        timeout: 0.02,
+                        cancel: 0.01,
+                    },
+                ))
+                .with_pool(Pool::new(threads));
+            let tenants = vec![
+                TenantSpec::new("interactive", 3, 2).with_rate(2_000, 5_000),
+                TenantSpec::new("batch", 1, 0)
+                    .with_rate(1_000, 3_000)
+                    .with_queue_cap(24),
+            ];
+            let mut cfg = GatewayConfig::new(tenants).with_seed(seed);
+            cfg.drain_grace_ticks = 256;
+            chaos_replay(engine, cfg, &flash, 3_000)
+        };
+        let rows: [&dyn Fn(usize) -> Replay; 2] = [&bursty_row, &flash_row];
+        let solos: Vec<Replay> = rows
+            .iter()
+            .enumerate()
+            .map(|(row, run)| {
+                let solo = run(1);
+                assert!(solo.summary.accepted > 0, "row {row}: empty replay");
+                assert_eq!(solo, run(2), "row {row}: 1 vs 2 threads");
+                assert_eq!(solo, run(8), "row {row}: 1 vs 8 threads");
+                solo
+            })
+            .collect();
+        // Service levels of the flash crowd: >= 90 % of accepted requests
+        // complete, and >= 90 % of completions see a first token within
+        // 60 ticks of their offer.
+        let flash = &solos[1];
+        let completed: Vec<&GatewayOutcome> = flash
+            .outcomes
+            .iter()
+            .filter(|o| o.terminal.is_completed())
+            .collect();
+        let done = completed.len() as u64;
+        assert!(
+            done * 10 >= flash.summary.accepted * 9,
+            "{done} of {} completed",
+            flash.summary.accepted
+        );
+        let fast = completed
+            .iter()
+            .filter(|o| o.first_token_tick.is_some_and(|t| t - o.offered_tick <= 60))
+            .count() as u64;
+        assert!(
+            fast * 10 >= done * 9,
+            "{fast} of {done} completions within the TTFT target"
+        );
     }
 
     #[test]

@@ -5,31 +5,61 @@
 //! needs: a front door that stays predictable when offered load exceeds
 //! capacity. [`Gateway`] owns the request lifecycle end to end —
 //!
-//! - **Admission control** — per-tenant integer token buckets
-//!   ([`bucket::TokenBucket`]) and bounded tenant queues refuse excess
-//!   load synchronously with typed, retry-after-carrying rejections
-//!   ([`GatewayReject`]) instead of letting queues grow without bound.
-//! - **Weighted fairness** — virtual-time weighted fair queuing decides
-//!   which tenant dispatches into the engine next, so one noisy tenant
-//!   cannot starve the rest.
-//! - **Retry with backoff** — retryable engine terminals (injected
-//!   faults, spurious timeouts) are redispatched under an exponential
-//!   backoff schedule with seeded deterministic jitter.
-//! - **Brownout, not blackout** — a circuit breaker ([`Breaker`]) maps
-//!   windowed failure counts onto a four-tier ladder
-//!   ([`BrownoutTier`]): degrade new admissions to quantized KV (the
-//!   paper's own quality/throughput knob), shed low-priority tenants,
-//!   then reject-all with retry-after.
-//! - **Graceful drain** — [`Gateway::begin_drain`] stops intake, lets
-//!   accepted work finish, and force-fails stragglers when the grace
-//!   budget elapses, so every accepted request reaches exactly one
-//!   [`GatewayTerminal`] — proven under chaos schedules at any thread
-//!   count.
-//!
-//! Ticks, not wall time: the gateway advances on a deterministic
-//! tick-based event loop (one engine step per tick), which makes every
-//! admission decision, retry schedule, and SLO report bit-identical for
-//! a given (config, seed, trace) triple.
+//! - **Admission control.** An offer passes, in order: drain refusal,
+//!   tenant lookup, brownout tier, request validation (the same
+//!   [`RejectReason`](atom_serve::RejectReason) checks the engine applies,
+//!   run *before* acceptance so an accepted request can never terminalize
+//!   `Rejected`), a bounded per-tenant queue, and an integer milli-token
+//!   bucket ([`bucket::TokenBucket`], 1000 per request;
+//!   [`GatewayReject::RateLimited`] carries a `retry_after_ticks` estimate
+//!   derived from the refill rate). Every rejection is a typed
+//!   [`GatewayReject`], never an unbounded queue.
+//! - **Weighted fairness.** Dispatch into the engine's admission queue uses
+//!   virtual-finish-time weighted fair queuing: the backlogged tenant with
+//!   the smallest virtual finish time dispatches next and is charged
+//!   `WFQ_SCALE / weight`, so a weight-3 tenant gets ~3x the slots of a
+//!   weight-1 tenant under contention without ever starving it (a plain
+//!   credit scheme fails exactly that test). Idle tenants catch up to the
+//!   live minimum on wake so sleeping never accumulates priority. The
+//!   dispatcher stops feeding the engine at
+//!   [`GatewayConfig::dispatch_queue_target`], keeping ordering decisions
+//!   in the gateway rather than the engine's FCFS queue.
+//! - **Deadlines.** A request's gateway-tick deadline propagates into
+//!   [`SubmitOptions`](atom_serve::SubmitOptions) re-based to engine steps
+//!   (`D - T + 1` at dispatch tick `T`), so engine-side expiry lands
+//!   exactly on the first expired gateway tick; queued requests are checked
+//!   at dispatch and parked retries are released no later than
+//!   `deadline + 1`.
+//! - **Retry with backoff.** Faulted attempts
+//!   ([`Terminal::Failed`](atom_serve::Terminal::Failed), or a spurious
+//!   timeout whose gateway deadline has not actually elapsed) are re-queued
+//!   after `min(base·2^(k-1), max) + jitter` ticks ([`RetryPolicy`]), where
+//!   the jitter is a SplitMix64 hash of (seed, request id, attempt) — retry
+//!   storms decorrelate, yet every schedule is a pure function of the seed.
+//!   Client cancellations are never retried; an exhausted budget is a typed
+//!   `Failed{retry budget exhausted}` terminal.
+//! - **Brownout, not blackout.** A circuit breaker ([`Breaker`]) maps a
+//!   sliding window of per-tick failure counts onto an ordered
+//!   [`BrownoutTier`] ladder — [`Normal`](BrownoutTier::Normal) →
+//!   [`DegradedKv`](BrownoutTier::DegradedKv) (new admissions take the INT4
+//!   quantized KV cache, the paper's §4.4 lever, by forcing
+//!   [`degrade_kv_at`](atom_serve::PressurePolicy::degrade_kv_at) to 0) →
+//!   [`ShedLowPriority`](BrownoutTier::ShedLowPriority) (tenants under the
+//!   priority floor are refused) → [`RejectAll`](BrownoutTier::RejectAll)
+//!   (every offer refused with a retry-after). It trips up instantly and
+//!   steps down one tier per cooldown of calm ticks, probing recovery
+//!   gently.
+//! - **Graceful drain.** [`Gateway::begin_drain`] refuses new offers while
+//!   queued, parked, and in-flight work completes normally; after
+//!   [`GatewayConfig::drain_grace_ticks`] stragglers are force-failed
+//!   (queued/parked directly, in-flight via engine cancel mapped to a typed
+//!   `Failed{drained before completion}`), so every accepted request
+//!   reaches exactly one [`GatewayTerminal`].
+//! - **Determinism.** Ticks, not wall time: one gateway tick drives exactly
+//!   one engine step, and all order-sensitive state lives in ordered
+//!   structures (per-tenant `VecDeque`s, `BTreeMap`s for parked/in-flight,
+//!   the engine's outcome log), so a (config, seed, trace) triple replays
+//!   bit-identically at any thread count.
 //!
 //! # Example
 //!

@@ -84,7 +84,7 @@ struct Node {
 /// let snap = Arc::new(Snapshot::new(Box::new(Fp32KvCache::new(1, 2)), 10));
 /// // Blocks 5, 6, 7 back the prompt; the partial tail (tokens 8..10) is
 /// // forked to block 9 by the callback.
-/// let report = idx.insert(&prompt, &[5, 6, 7], FLAVOR_NORMAL, snap, 0, &mut |_src, _fill| Some(9));
+/// let report = idx.insert(&prompt, &[5, 6, 7], FLAVOR_NORMAL, snap, 0, &mut |_src| Some(9));
 /// assert_eq!(report.newly_shared, vec![5, 6]);
 /// let hit = idx.match_prefix(&prompt, FLAVOR_NORMAL, prompt.len() - 1, 1);
 /// assert_eq!(hit.tokens, 8); // the 2-token tail fits under the 9-token cap
@@ -258,9 +258,9 @@ impl RadixIndex {
     /// possibly partial), and `snapshot` is its frozen KV state. Chunks
     /// already cached are recency-refreshed (and their snapshot upgraded);
     /// uncovered full chunks become new nodes sharing the donor's blocks;
-    /// an uncovered partial tail is copied through `fork_tail(src_block,
-    /// fill)` so the donor's own tail stays writable — `None` from the
-    /// callback (pool exhausted) skips tail caching.
+    /// an uncovered partial tail is copied through `fork_tail(src_block)`
+    /// so the donor's own tail stays writable — `None` from the callback
+    /// (pool exhausted) skips tail caching.
     ///
     /// The caller owns the allocator follow-up described on
     /// [`InsertReport`].
@@ -271,7 +271,7 @@ impl RadixIndex {
         flavor: Flavor,
         snapshot: Arc<Snapshot>,
         tick: u64,
-        fork_tail: &mut dyn FnMut(usize, usize) -> Option<usize>,
+        fork_tail: &mut dyn FnMut(usize) -> Option<usize>,
     ) -> InsertReport {
         let bs = self.block_size;
         let mut report = InsertReport::default();
@@ -334,7 +334,7 @@ impl RadixIndex {
                     let Some(&src) = blocks.get(full_chunks) else {
                         return report;
                     };
-                    match fork_tail(src, tail.len()) {
+                    match fork_tail(src) {
                         Some(copy) => {
                             let stamp = self.next_stamp;
                             self.next_stamp += 1;
@@ -428,8 +428,8 @@ mod tests {
         let mut idx = RadixIndex::new(4);
         let p = prompt(10, 0); // 2 full chunks + 2-token tail
         let report =
-            idx.insert(&p, &[10, 11, 12], FLAVOR_NORMAL, snap(10), 0, &mut |src, fill| {
-                assert_eq!((src, fill), (12, 2));
+            idx.insert(&p, &[10, 11, 12], FLAVOR_NORMAL, snap(10), 0, &mut |src| {
+                assert_eq!(src, 12);
                 Some(20)
             });
         assert_eq!(report.newly_shared, vec![10, 11]);
@@ -451,7 +451,7 @@ mod tests {
     fn miss_on_divergent_content_and_flavor() {
         let mut idx = RadixIndex::new(4);
         let p = prompt(8, 0);
-        idx.insert(&p, &[1, 2], FLAVOR_NORMAL, snap(8), 0, &mut |_, _| None);
+        idx.insert(&p, &[1, 2], FLAVOR_NORMAL, snap(8), 0, &mut |_| None);
         let divergent = prompt(8, 1);
         assert_eq!(idx.match_prefix(&divergent, FLAVOR_NORMAL, 7, 1).tokens, 0);
         assert_eq!(idx.match_prefix(&p, FLAVOR_DEGRADED, 7, 1).tokens, 0, "flavors are isolated");
@@ -462,8 +462,8 @@ mod tests {
     fn dedup_refreshes_instead_of_duplicating() {
         let mut idx = RadixIndex::new(4);
         let p = prompt(8, 0);
-        idx.insert(&p, &[1, 2], FLAVOR_NORMAL, snap(8), 0, &mut |_, _| None);
-        let report = idx.insert(&p, &[7, 8], FLAVOR_NORMAL, snap(8), 5, &mut |_, _| None);
+        idx.insert(&p, &[1, 2], FLAVOR_NORMAL, snap(8), 0, &mut |_| None);
+        let report = idx.insert(&p, &[7, 8], FLAVOR_NORMAL, snap(8), 5, &mut |_| None);
         assert_eq!(report.new_nodes, 0);
         assert!(report.newly_shared.is_empty());
         assert_eq!(idx.len(), 2);
@@ -478,8 +478,8 @@ mod tests {
         let mut idx = RadixIndex::new(4);
         let a = prompt(8, 0);
         let b = prompt(8, 50);
-        idx.insert(&a, &[1, 2], FLAVOR_NORMAL, snap(8), 0, &mut |_, _| None);
-        idx.insert(&b, &[3, 4], FLAVOR_NORMAL, snap(8), 1, &mut |_, _| None);
+        idx.insert(&a, &[1, 2], FLAVOR_NORMAL, snap(8), 0, &mut |_| None);
+        idx.insert(&b, &[3, 4], FLAVOR_NORMAL, snap(8), 1, &mut |_| None);
         // Touch `a` (full-length cap so both its chunks bump) so `b`
         // becomes least recent.
         idx.match_prefix(&a, FLAVOR_NORMAL, 8, 2);
@@ -496,8 +496,8 @@ mod tests {
     #[test]
     fn eviction_respects_the_block_predicate() {
         let mut idx = RadixIndex::new(4);
-        idx.insert(&prompt(4, 0), &[1], FLAVOR_NORMAL, snap(4), 0, &mut |_, _| None);
-        idx.insert(&prompt(4, 9), &[2], FLAVOR_NORMAL, snap(4), 1, &mut |_, _| None);
+        idx.insert(&prompt(4, 0), &[1], FLAVOR_NORMAL, snap(4), 0, &mut |_| None);
+        idx.insert(&prompt(4, 9), &[2], FLAVOR_NORMAL, snap(4), 1, &mut |_| None);
         assert_eq!(idx.evict_lru(&|b| b != 1), Some(2), "pinned block 1 is skipped");
         assert_eq!(idx.len(), 1);
     }
@@ -506,7 +506,7 @@ mod tests {
     fn failed_tail_fork_keeps_full_blocks() {
         let mut idx = RadixIndex::new(4);
         let p = prompt(6, 0);
-        let report = idx.insert(&p, &[1, 2], FLAVOR_NORMAL, snap(6), 0, &mut |_, _| None);
+        let report = idx.insert(&p, &[1, 2], FLAVOR_NORMAL, snap(6), 0, &mut |_| None);
         assert!(report.tail_fork_failed);
         assert_eq!(report.newly_shared, vec![1]);
         assert_eq!(idx.len(), 1);
@@ -515,7 +515,7 @@ mod tests {
     #[test]
     fn clear_returns_every_block() {
         let mut idx = RadixIndex::new(4);
-        idx.insert(&prompt(10, 0), &[1, 2, 3], FLAVOR_NORMAL, snap(10), 0, &mut |_, _| Some(9));
+        idx.insert(&prompt(10, 0), &[1, 2, 3], FLAVOR_NORMAL, snap(10), 0, &mut |_| Some(9));
         let mut blocks = idx.clear();
         blocks.sort_unstable();
         assert_eq!(blocks, vec![1, 2, 9]);
@@ -527,8 +527,8 @@ mod tests {
     fn longest_partial_sibling_wins() {
         let mut idx = RadixIndex::new(4);
         // Two partial leaves under the root: [0,1] and [0,1,2].
-        idx.insert(&[0, 1], &[1], FLAVOR_NORMAL, snap(2), 0, &mut |_, _| Some(11));
-        idx.insert(&[0, 1, 2], &[2], FLAVOR_NORMAL, snap(3), 1, &mut |_, _| Some(12));
+        idx.insert(&[0, 1], &[1], FLAVOR_NORMAL, snap(2), 0, &mut |_| Some(11));
+        idx.insert(&[0, 1, 2], &[2], FLAVOR_NORMAL, snap(3), 1, &mut |_| Some(12));
         let hit = idx.match_prefix(&[0, 1, 2, 3, 4], FLAVOR_NORMAL, 4, 2);
         assert_eq!(hit.tokens, 3);
         assert_eq!(hit.blocks, vec![12]);

@@ -61,7 +61,7 @@ fn prompt(f: usize, len: usize) -> Vec<u16> {
 /// exactly the engine's completed-prefill flow.
 fn donate(index: &mut RadixIndex, alloc: &mut ModelAlloc, p: &[u16], flavor: u8, tick: u64) {
     let blocks: Vec<usize> = (0..p.len().div_ceil(BS)).map(|_| alloc.alloc()).collect();
-    let report = index.insert(p, &blocks, flavor, snap(p.len()), tick, &mut |_src, _fill| {
+    let report = index.insert(p, &blocks, flavor, snap(p.len()), tick, &mut |_src| {
         Some(alloc.alloc())
     });
     for &b in &report.newly_shared {

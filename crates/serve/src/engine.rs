@@ -840,7 +840,7 @@ impl<L: LinearLayer> CpuEngine<L> {
             live.flavor,
             snapshot,
             self.clock as u64,
-            &mut |src, _fill| alloc.fork_copy(src).ok(),
+            &mut |src| alloc.fork_copy(src).ok(),
         );
         for &block in &report.newly_shared {
             let retained = alloc.retain_block(block);
@@ -1648,28 +1648,42 @@ mod tests {
             if let Some(capacity) = capacity {
                 e = e.with_prefix_cache(capacity);
             }
-            for p in &prompts {
+            // The first prompt prefills alone, so every later admission can
+            // hit the run it donates while it is still decoding.
+            for (i, p) in prompts.iter().enumerate() {
                 e.submit(p.clone(), 5).unwrap();
+                if i == 0 {
+                    e.step();
+                }
             }
             let mut done = e.run_to_completion().to_vec();
             done.sort_by_key(|c| c.id);
             let stats = e.prefix_stats().expect("always present");
-            let used = e.batcher().allocator().used_blocks();
-            (done, stats, used, clones.load(Ordering::Relaxed))
+            let alloc = e.batcher().allocator();
+            let peaks = (alloc.peak_logical(), alloc.peak_used());
+            let clones = clones.load(Ordering::Relaxed);
+            (done, stats, alloc.used_blocks(), clones, peaks)
         };
-        let (on, stats, _, clones) = run(Some(PrefixConfig::default()));
+        // Room for the 2-block shared prefix only: each forked tail is
+        // evicted as it lands, so the footprint shows the live hits' sharing.
+        let prefix_only = PrefixConfig {
+            max_cached_blocks: Some(2),
+        };
+        let (on, stats, _, clones, (logical, physical)) = run(Some(prefix_only));
         assert!(stats.hits >= 1, "later requests hit the shared prefix: {stats:?}");
         assert!(stats.insertions >= 1);
         assert!(clones > 0, "insertions and hits snapshot through clone_box");
+        assert!(logical > physical, "live hits share blocks: {logical} vs {physical}");
         let zero = PrefixConfig {
             max_cached_blocks: Some(0),
         };
         for capacity in [None, Some(zero)] {
-            let (off, stats, used, clones) = run(capacity);
+            let (off, stats, used, clones, (logical, physical)) = run(capacity);
             assert_eq!(off, on, "prefix cache must never change a token");
             assert_eq!((stats.hits, stats.cached_blocks), (0, 0), "{stats:?}");
             assert_eq!(used, 0, "a capacity-0 cache holds no block after drain");
             assert_eq!(clones, 0, "a capacity-0 cache never snapshots a KV store");
+            assert_eq!(logical, physical, "nothing is shared without a cache");
         }
     }
 
@@ -1705,6 +1719,8 @@ mod tests {
         e.run_to_completion();
         let alloc_used = e.batcher().allocator().used_blocks();
         assert!(alloc_used > 0, "cache retains blocks after drain");
+        let cached = e.prefix_stats().unwrap().cached_blocks;
+        assert_eq!(e.batcher().allocator().total_refs(), cached as u64, "one ref per cached block");
         let freed = e.flush_prefix_cache();
         assert_eq!(freed, alloc_used, "flush releases exactly the cached blocks");
         assert_eq!(e.batcher().allocator().used_blocks(), 0);

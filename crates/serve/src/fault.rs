@@ -172,14 +172,6 @@ impl FaultPlan {
         self.horizon
     }
 
-    /// Total faults scheduled.
-    pub fn fault_count(&self) -> usize {
-        self.alloc_steps.len()
-            + self.forward_steps.len()
-            + self.timeout_steps.len()
-            + self.cancel_steps.len()
-    }
-
     /// Whether the plan schedules no faults at all.
     pub fn is_empty(&self) -> bool {
         self.alloc_steps.is_empty()
@@ -206,9 +198,7 @@ mod tests {
     fn rates_bound_fault_density() {
         let none = FaultPlan::seeded(1, 500, 0.0, 0.0);
         assert!(none.is_empty());
-        assert_eq!(none.fault_count(), 0);
         let all = FaultPlan::seeded(1, 100, 1.0, 1.0);
-        assert_eq!(all.fault_count(), 200);
         for step in 0..100 {
             assert!(all.alloc_fault(step));
             assert!(all.forward_fault(step).is_some());
@@ -238,7 +228,6 @@ mod tests {
         assert_eq!(plan.timeout_fault(8), None);
         assert_eq!(plan.cancel_fault(8), Some(0));
         assert_eq!(plan.cancel_fault(5), None);
-        assert_eq!(plan.fault_count(), 2);
         assert!(!plan.is_empty());
     }
 

@@ -8,18 +8,22 @@
 //!   `used + free == total` at every step;
 //! - **exactly-once terminals** — every submission ends in precisely one
 //!   `Terminal` state, including rejected, cancelled, expired, and
-//!   fault-killed requests.
+//!   fault-killed requests;
+//! - **shared-block refcounts** — with the prefix cache on, the cache's
+//!   own references are the only ones left at idle.
 
 use atom::QuantizedKvCache;
 use atom_data::Request;
 use atom_nn::kv::Fp32KvCache;
 use atom_nn::{DenseLinear, LlamaModel, ModelConfig};
 use atom_serve::engine::CpuEngine;
+use atom_serve::fault::FaultRates;
 use atom_serve::{
-    ContinuousBatcher, FaultPlan, PagedAllocator, PressurePolicy, SubmitOptions, Terminal,
+    ContinuousBatcher, FaultPlan, PagedAllocator, PrefixConfig, PressurePolicy, SubmitOptions,
+    Terminal,
 };
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Drives a bare batcher to idle under a fault plan, asserting block
 /// conservation every step. Returns the number of steps taken.
@@ -97,13 +101,37 @@ fn batcher_survives_160_seeded_fault_schedules() {
     }
 }
 
+/// The Atom INT4 KV cache (§4.4) as the engine's degraded-admission store.
+fn int4_cache(config: ModelConfig) -> atom_serve::engine::CacheFactory {
+    Box::new(move || {
+        Box::new(QuantizedKvCache::new(
+            config.layers,
+            config.kv_dim(),
+            config.head_dim(),
+            4,
+        ))
+    })
+}
+
 /// 120 seeded fault schedules through the *real engine* (model forward,
 /// real KV caches): every submission reaches exactly one terminal state.
+/// Each schedule runs twice: plain, then with pressure degrading admissions
+/// to INT4 KV and shedding a deep queue.
 #[test]
 fn engine_survives_120_seeded_fault_schedules() {
-    for seed in 0..120u64 {
+    let (mut completed, mut degraded) = (0usize, 0usize);
+    for (seed, pressure) in (0..120u64).flat_map(|s| [(s, false), (s, true)]) {
         let plan = FaultPlan::seeded(seed, 80, 0.2, 0.05);
         let mut e = tiny_engine(2, 160).with_fault_plan(plan);
+        if pressure {
+            e = e
+                .with_degraded_cache(int4_cache(tiny_config()))
+                .with_policy(PressurePolicy {
+                    degrade_kv_at: 0.5,
+                    degrade_queue_depth: Some(2),
+                    shed_queue_depth: Some(4),
+                });
+        }
         let mut accepted = Vec::new();
         let mut rejected = 0usize;
         for i in 0..5usize {
@@ -146,7 +174,20 @@ fn engine_survives_120_seeded_fault_schedules() {
             "seed {seed}: leaked KV blocks"
         );
         assert!(e.batcher().is_idle(), "seed {seed}");
+        if pressure {
+            completed += e
+                .outcomes()
+                .iter()
+                .filter(|o| o.terminal.is_completed())
+                .count();
+            degraded += e.degraded_admissions();
+        }
     }
+    assert!(
+        completed > 0,
+        "no request completed under pressure and faults"
+    );
+    assert!(degraded > 0, "pressure never degraded an admission");
 }
 
 /// KV-pressure degradation: with a tight pool and a backed-up queue, the
@@ -163,14 +204,7 @@ fn kv_pressure_degrades_admissions_to_quantized_cache() {
         128, // 8 blocks: three 40-token requests cannot coexist
     )
     .expect("valid config")
-    .with_degraded_cache(Box::new(move || {
-        Box::new(QuantizedKvCache::new(
-            config.layers,
-            config.kv_dim(),
-            config.head_dim(),
-            4,
-        ))
-    }))
+    .with_degraded_cache(int4_cache(config))
     .with_policy(PressurePolicy {
         degrade_kv_at: 0.75,
         degrade_queue_depth: Some(2),
@@ -208,6 +242,90 @@ fn kv_pressure_degrades_admissions_to_quantized_cache() {
         "early low-pressure admissions should stay full precision"
     );
     assert_eq!(e.batcher().allocator().used_blocks(), 0);
+}
+
+/// The prefix cache under 32 fault schedules: shared-prefix prompts flow
+/// through an engine with the radix cache on while every fault kind fires,
+/// so requests holding *shared* KV blocks die mid-prefill and mid-decode.
+/// At idle the cache's own references are the only ones left, and flushing
+/// it returns the pool to exactly empty.
+#[test]
+fn prefix_cache_conserves_blocks_under_32_fault_schedules() {
+    let prefixes: [Vec<u16>; 2] = [(0..32).collect(), (0..32).map(|t| 95 - t).collect()];
+    let mut hits = 0u64;
+    for seed in 0..32u64 {
+        let rates = FaultRates {
+            alloc: 0.06,
+            forward: 0.06,
+            timeout: 0.08,
+            cancel: 0.05,
+        };
+        let mut e = tiny_engine(4, 160)
+            .with_degraded_cache(int4_cache(tiny_config()))
+            .with_policy(PressurePolicy {
+                degrade_kv_at: 0.5,
+                degrade_queue_depth: Some(4),
+                shed_queue_depth: None,
+            })
+            .with_prefix_cache(PrefixConfig {
+                max_cached_blocks: Some(6),
+            })
+            .with_fault_plan(FaultPlan::seeded_chaos(seed, 400, rates));
+        // Five waves of four, one engine step apart: each prompt is one of
+        // the two 2-block system prompts plus a unique suffix, so later
+        // waves hit runs earlier ones cached; a third carry deadlines.
+        let mut submitted = 0usize;
+        for wave in 0..5usize {
+            for i in 0..4usize {
+                let n = wave * 4 + i;
+                let mut prompt = prefixes[n % 2].clone();
+                prompt.extend((0..4 + n % 5).map(|t| ((n * 13 + t * 3) % 96) as u16));
+                let opts = SubmitOptions::new(4 + n % 6);
+                let opts = if n % 3 == 0 {
+                    opts.with_deadline(20 + n)
+                } else {
+                    opts
+                };
+                let _ = e.submit_with(prompt, opts);
+                submitted += 1;
+            }
+            e.step();
+        }
+        let _ = e.cancel(2);
+        let _ = e.cancel(11);
+        e.run_to_completion();
+
+        let ids: BTreeSet<usize> = e.outcomes().iter().map(|o| o.id).collect();
+        assert_eq!(
+            e.outcomes().len(),
+            submitted,
+            "seed {seed}: one terminal per submission"
+        );
+        assert_eq!(
+            ids.len(),
+            submitted,
+            "seed {seed}: duplicated terminal state"
+        );
+        let stats = e.prefix_stats().expect("always present");
+        hits += stats.hits;
+        let alloc = e.batcher().allocator();
+        if let Err(err) = alloc.leak_check() {
+            panic!("seed {seed}: {err}");
+        }
+        assert_eq!(
+            (alloc.used_blocks(), alloc.total_refs()),
+            (stats.cached_blocks, stats.cached_blocks as u64),
+            "seed {seed}: idle pool holds blocks or refs beyond the cache's own"
+        );
+        e.flush_prefix_cache();
+        let alloc = e.batcher().allocator();
+        assert_eq!(
+            (alloc.used_blocks(), alloc.total_refs()),
+            (0, 0),
+            "seed {seed}: flush left blocks live"
+        );
+    }
+    assert!(hits > 0, "no cache hit: faults never met shared blocks");
 }
 
 proptest! {

@@ -158,7 +158,7 @@ proptest! {
                             .unwrap_or_default();
                         let (a, ix) = (&mut alloc, &mut index);
                         let report = ix.insert(&p, &blocks, FLAVOR_NORMAL, snap(p.len()), tick,
-                            &mut |src, _fill| a.fork_copy(src).ok());
+                            &mut |src| a.fork_copy(src).ok());
                         for &b in &report.newly_shared {
                             prop_assert!(alloc.retain_block(b));
                         }

@@ -8,7 +8,9 @@ use atom_data::{Corpus, CorpusStyle, TaskSuite, Tokenizer};
 use atom_nn::train::{train, TrainSpec};
 use atom_nn::transform::{inject_outliers, OutlierSpec};
 use atom_nn::{eval, DenseLinear, LlamaModel, ModelConfig};
+use atom_parallel::Pool;
 use atom_serve::engine::CpuEngine;
+use atom_serve::PrefixConfig;
 use std::sync::OnceLock;
 
 /// A micro model trained on real corpus text, with injected outliers —
@@ -101,36 +103,68 @@ fn zero_shot_pipeline_runs_above_chance_for_fp() {
     assert!((0.0..=1.0).contains(&avg));
 }
 
+/// The W4A4 model served over INT4 KV: the same token streams with the
+/// prefix cache off and on, at pool widths 1, 2 and 8 — the one serving
+/// invariant whose evidence needs the quantized path.
 #[test]
 fn quantized_model_serves_real_requests() {
     let (model, _) = trained_micro();
     let calib = calibration();
     let quantized = Scheme::Atom(AtomScheme::w4a4()).quantize(model, &calib);
     let config = *quantized.model.config();
-
-    let mut engine = CpuEngine::new(
-        quantized.model,
-        Box::new(move || {
-            Box::new(QuantizedKvCache::new(
-                config.layers,
-                config.kv_dim(),
-                config.head_dim(),
-                4,
-            ))
-        }),
-        2,
-        2048,
-    )
-    .expect("valid engine config");
+    // A system prompt of exactly two KV blocks shared by every request,
+    // then a question.
     let tok = Tokenizer::new();
-    engine.submit(tok.encode("the robin "), 8).unwrap();
-    engine.submit(tok.encode("the mill "), 8).unwrap();
-    engine.submit(tok.encode("is the wolf a "), 6).unwrap();
-    let done = engine.run_to_completion();
-    assert_eq!(done.len(), 3);
-    for c in done {
-        assert!(!c.tokens.is_empty());
+    let system = "the robin and the mill are near ";
+    let prompts: Vec<Vec<u16>> = ["the robin ", "the mill ", "is the wolf a ", "the wood "]
+        .iter()
+        .map(|q| tok.encode(&format!("{system}{q}")))
+        .collect();
+    assert_eq!(tok.encode(system).len(), 32);
+
+    let run = |cached: bool, threads: usize| {
+        let mut engine = CpuEngine::new(
+            quantized.model.clone(),
+            Box::new(move || {
+                Box::new(QuantizedKvCache::new(
+                    config.layers,
+                    config.kv_dim(),
+                    config.head_dim(),
+                    4,
+                ))
+            }),
+            2,
+            2048,
+        )
+        .expect("valid engine config")
+        .with_pool(Pool::new(threads));
+        if cached {
+            engine = engine.with_prefix_cache(PrefixConfig::default());
+        }
+        for p in &prompts {
+            engine.submit(p.clone(), 8).unwrap();
+        }
+        let mut done = engine.run_to_completion().to_vec();
+        done.sort_by_key(|c| c.id);
+        (done, engine.prefix_stats().expect("always present").hits)
+    };
+    let (base, _) = run(false, 1);
+    assert_eq!(base.len(), prompts.len());
+    for c in &base {
+        assert_eq!(c.tokens.len(), 8);
         assert!(c.tokens.iter().all(|&t| (t as usize) < 96));
+    }
+    for (cached, threads) in [(false, 2), (false, 8), (true, 1), (true, 2), (true, 8)] {
+        let (done, hits) = run(cached, threads);
+        assert_eq!(
+            done, base,
+            "cache {cached}, {threads} threads: streams differ"
+        );
+        assert_eq!(
+            hits > 0,
+            cached,
+            "cache {cached}: hits reuse the system prompt"
+        );
     }
 }
 
