@@ -1492,9 +1492,9 @@ mod tests {
             ],
         }
         .generate(11);
-        let bursty_row = |threads: usize| {
+        let bursty_row = |pool: Pool| {
             let engine = tiny_engine(4, 2048)
-                .with_pool(Pool::new(threads))
+                .with_pool(pool)
                 .with_fault_plan(FaultPlan::seeded_chaos(
                     99,
                     400,
@@ -1534,7 +1534,7 @@ mod tests {
             ],
         }
         .generate(seed);
-        let flash_row = |threads: usize| {
+        let flash_row = |pool: Pool| {
             let config = tiny_config();
             let engine = tiny_engine(8, 1024)
                 .with_degraded_cache(Box::new(move || {
@@ -1560,7 +1560,7 @@ mod tests {
                         cancel: 0.01,
                     },
                 ))
-                .with_pool(Pool::new(threads));
+                .with_pool(pool);
             let tenants = vec![
                 TenantSpec::new("interactive", 3, 2).with_rate(2_000, 5_000),
                 TenantSpec::new("batch", 1, 0)
@@ -1571,15 +1571,21 @@ mod tests {
             cfg.drain_grace_ticks = 256;
             chaos_replay(engine, cfg, &flash, 3_000)
         };
-        let rows: [&dyn Fn(usize) -> Replay; 2] = [&bursty_row, &flash_row];
+        // Each row at widths 1, 2 and 8, then at width 2 under 16 seeded
+        // schedule perturbations (the pool's test-only stress mode).
+        let rows: [&dyn Fn(Pool) -> Replay; 2] = [&bursty_row, &flash_row];
         let solos: Vec<Replay> = rows
             .iter()
             .enumerate()
             .map(|(row, run)| {
-                let solo = run(1);
+                let solo = run(Pool::new(1));
                 assert!(solo.summary.accepted > 0, "row {row}: empty replay");
-                assert_eq!(solo, run(2), "row {row}: 1 vs 2 threads");
-                assert_eq!(solo, run(8), "row {row}: 1 vs 8 threads");
+                assert_eq!(solo, run(Pool::new(2)), "row {row}: 1 vs 2 threads");
+                assert_eq!(solo, run(Pool::new(8)), "row {row}: 1 vs 8 threads");
+                for seed in 0..16 {
+                    let stressed = run(Pool::new(2).with_stress(seed));
+                    assert_eq!(solo, stressed, "row {row}: 1 vs 2 threads, stress seed {seed}");
+                }
                 solo
             })
             .collect();

@@ -29,6 +29,16 @@ const SERVING_M: [usize; 4] = [1, 3, 8, 65];
 /// Weight row counts on both sides of the kernel's 32-row tile.
 const SERVING_N: [usize; 4] = [1, 31, 33, 70];
 
+/// Pools at each of `threads`, then a width-2 pool under the seeded
+/// schedule perturbation `stress` — each proptest case draws its own seed,
+/// so every width sweep below also runs under 64 stress seeds.
+fn pools<const N: usize>(threads: [usize; N], stress: u64) -> impl Iterator<Item = Pool> {
+    threads
+        .into_iter()
+        .map(Pool::new)
+        .chain([Pool::new(2).with_stress(stress)])
+}
+
 fn bits_of(m: &Matrix) -> Vec<u32> {
     m.as_slice().iter().map(|v| v.to_bits()).collect()
 }
@@ -150,6 +160,7 @@ proptest! {
         n in 1usize..8,
         groups in 1usize..4,
         bits in 3u8..=8,
+        stress in 0u64..1 << 32,
     ) {
         // The determinism contract: pool width never changes a single
         // output bit (disjoint row tiles, no atomics in reductions).
@@ -160,9 +171,9 @@ proptest! {
         let qa = GroupQuantized::quantize(&a, QuantSpec::new(bits, 8));
         let qw = GroupQuantized::quantize(&w, QuantSpec::new(bits, 8));
         let solo = fused_group_gemm_with(&Pool::sequential(), &qa, &qw).unwrap();
-        for threads in [2usize, 4, 8] {
-            let par = fused_group_gemm_with(&Pool::new(threads), &qa, &qw).unwrap();
-            prop_assert_eq!(solo.as_slice(), par.as_slice());
+        for pool in pools([2, 4, 8], stress) {
+            let par = fused_group_gemm_with(&pool, &qa, &qw).unwrap();
+            prop_assert_eq!(solo.as_slice(), par.as_slice(), "{:?}", pool);
         }
     }
 
@@ -171,18 +182,18 @@ proptest! {
         m in matrix(1..10, 8..40),
         bits in 2u8..=8,
         threads in 2usize..=8,
+        stress in 0u64..1 << 32,
     ) {
         // Row-block quantization stitched with PackedMatrix::append_rows must
         // reproduce the sequential packing byte-for-byte.
         let spec = QuantSpec::new(bits, 8);
         let seq = GroupQuantized::quantize(&m, spec);
-        let par = GroupQuantized::quantize_with(&Pool::new(threads), &m, spec);
-        prop_assert_eq!(seq.values().unpack(), par.values().unpack());
-        prop_assert_eq!(seq.scales().as_slice(), par.scales().as_slice());
-        prop_assert_eq!(
-            seq.dequantize().as_slice(),
-            par.dequantize_with(&Pool::new(threads)).as_slice()
-        );
+        for pool in pools([threads], stress) {
+            let par = GroupQuantized::quantize_with(&pool, &m, spec);
+            prop_assert_eq!(seq.values().unpack(), par.values().unpack());
+            prop_assert_eq!(seq.scales().as_slice(), par.scales().as_slice());
+            prop_assert_eq!(seq.dequantize().as_slice(), par.dequantize_with(&pool).as_slice());
+        }
     }
 
     #[test]
@@ -191,6 +202,7 @@ proptest! {
         heads in 1usize..6,
         len in 1usize..10,
         q_rows in 1usize..4,
+        stress in 0u64..1 << 32,
     ) {
         let hd = 8usize;
         let q_rows = q_rows.min(len); // queries may not exceed cached tokens
@@ -209,10 +221,8 @@ proptest! {
         let scale = 1.0 / (hd as f32).sqrt();
         let solo =
             attention_quant_kv_heads_with(&Pool::sequential(), &q_heads, &kv_heads, scale).unwrap();
-        for threads in [2usize, 4] {
-            let par =
-                attention_quant_kv_heads_with(&Pool::new(threads), &q_heads, &kv_heads, scale)
-                    .unwrap();
+        for pool in pools([2, 4], stress) {
+            let par = attention_quant_kv_heads_with(&pool, &q_heads, &kv_heads, scale).unwrap();
             prop_assert_eq!(solo.len(), par.len());
             for (s, p) in solo.iter().zip(&par) {
                 prop_assert_eq!(s.as_slice(), p.as_slice());
@@ -228,20 +238,21 @@ proptest! {
         k in 1usize..70,
         group in 1usize..80,
         bits in 2u8..=8,
+        stress in 0u64..1 << 32,
     ) {
         // The kernel's contract: the weight-block sweep returns the same
         // bits as the reference loop nest for random shapes, bit widths,
         // and group sizes (including ragged tail groups and group > k),
-        // at thread widths 1, 2, and 8.
+        // at thread widths 1, 2, and 8, and 2 under stress.
         let mut rng = atom_tensor::SeededRng::new(seed);
         let a = rng.normal_matrix(m, k, 0.0, 1.0);
         let w = rng.normal_matrix(n, k, 0.0, 1.0);
         let qa = GroupQuantized::quantize(&a, QuantSpec::new(bits, group));
         let qw = GroupQuantized::quantize(&w, QuantSpec::new(bits, group));
         let oracle = reference::fused_group_gemm(&Pool::sequential(), &qa, &qw).unwrap();
-        for threads in [1usize, 2, 8] {
-            let kernel = fused_group_gemm_with(&Pool::new(threads), &qa, &qw).unwrap();
-            prop_assert_eq!(oracle.as_slice(), kernel.as_slice(), "threads {}", threads);
+        for pool in pools([1, 2, 8], stress) {
+            let kernel = fused_group_gemm_with(&pool, &qa, &qw).unwrap();
+            prop_assert_eq!(oracle.as_slice(), kernel.as_slice(), "{:?}", pool);
         }
     }
 
@@ -252,6 +263,7 @@ proptest! {
         n in 1usize..6,
         groups in 1usize..3,
         outlier_cols in 1usize..24,
+        stress in 0u64..1 << 32,
     ) {
         // The mixed-precision kernel: INT4 normal region + INT8 outlier
         // region in one sweep — identical bytes to the reference's two
@@ -270,9 +282,9 @@ proptest! {
         );
         let outliers = Some((&qa_o, &qw_o));
         let oracle = reference::mixed_gemm(&Pool::sequential(), &qa_n, &qw_n, outliers).unwrap();
-        for threads in [1usize, 2, 8] {
-            let kernel = mixed_gemm_with(&Pool::new(threads), &qa_n, &qw_n, outliers).unwrap();
-            prop_assert_eq!(oracle.as_slice(), kernel.as_slice(), "threads {}", threads);
+        for pool in pools([1, 2, 8], stress) {
+            let kernel = mixed_gemm_with(&pool, &qa_n, &qw_n, outliers).unwrap();
+            prop_assert_eq!(oracle.as_slice(), kernel.as_slice(), "{:?}", pool);
         }
     }
 
@@ -283,6 +295,7 @@ proptest! {
         m_idx in 0usize..4,
         n_idx in 0usize..4,
         bits_idx in 0usize..3,
+        stress in 0u64..1 << 32,
     ) {
         // The ragged rows serving really runs: a short last group the
         // kernel zero-pads, weight-row counts that leave a partial tile.
@@ -293,9 +306,9 @@ proptest! {
         let qa = quantized(&mut rng, m, k, 1.0, bits);
         let qw = quantized(&mut rng, n, k, 0.5, bits);
         let oracle = reference::fused_group_gemm(&Pool::sequential(), &qa, &qw).unwrap();
-        for threads in [1usize, 2, 4] {
-            let kernel = fused_group_gemm_with(&Pool::new(threads), &qa, &qw).unwrap();
-            prop_assert_eq!(bits_of(&oracle), bits_of(&kernel), "threads {}", threads);
+        for pool in pools([1, 2, 4], stress) {
+            let kernel = fused_group_gemm_with(&pool, &qa, &qw).unwrap();
+            prop_assert_eq!(bits_of(&oracle), bits_of(&kernel), "{:?}", pool);
         }
     }
 
@@ -307,6 +320,7 @@ proptest! {
         m_idx in 0usize..4,
         n_idx in 0usize..4,
         bits_idx in 0usize..3,
+        stress in 0u64..1 << 32,
     ) {
         // The one-sweep kernel against the definition it replaces: two
         // reference GEMMs and an FP32 matrix add. Bit patterns, so the
@@ -322,10 +336,9 @@ proptest! {
         let mut composed = reference::fused_group_gemm(&seq, &qa_n, &qw_n).unwrap();
         let outlier = reference::fused_group_gemm(&seq, &qa_o, &qw_o).unwrap();
         composed.add_scaled_in_place(&outlier, 1.0);
-        for threads in [1usize, 2, 4] {
-            let swept =
-                mixed_gemm_with(&Pool::new(threads), &qa_n, &qw_n, Some((&qa_o, &qw_o))).unwrap();
-            prop_assert_eq!(bits_of(&composed), bits_of(&swept), "threads {}", threads);
+        for pool in pools([1, 2, 4], stress) {
+            let swept = mixed_gemm_with(&pool, &qa_n, &qw_n, Some((&qa_o, &qw_o))).unwrap();
+            prop_assert_eq!(bits_of(&composed), bits_of(&swept), "{:?}", pool);
         }
     }
 
@@ -338,6 +351,7 @@ proptest! {
         bits in 2u8..=8,
         group in 1usize..20,
         threads in 1usize..=4,
+        stress in 0u64..1 << 32,
     ) {
         // The fused reorder+quantize epilogue: both regions of a random
         // permutation (odd widths included) quantized through the index
@@ -352,11 +366,12 @@ proptest! {
         let split = cols * split_pct / 100;
         let spec = QuantSpec::new(bits, group);
         let permuted = x.permute_cols(&perm);
-        let pool = Pool::new(threads);
-        for (lo, hi) in [(0, split), (split, cols)] {
-            let fused = GroupQuantized::quantize_gather_with(&pool, &x, &perm[lo..hi], spec);
-            let copied = GroupQuantized::quantize(&permuted.slice_cols(lo, hi), spec);
-            prop_assert_eq!(&fused, &copied, "columns {}..{}", lo, hi);
+        for pool in pools([threads], stress) {
+            for (lo, hi) in [(0, split), (split, cols)] {
+                let fused = GroupQuantized::quantize_gather_with(&pool, &x, &perm[lo..hi], spec);
+                let copied = GroupQuantized::quantize(&permuted.slice_cols(lo, hi), spec);
+                prop_assert_eq!(&fused, &copied, "{:?} columns {}..{}", pool, lo, hi);
+            }
         }
     }
 

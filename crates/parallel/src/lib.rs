@@ -59,6 +59,19 @@
 //! `QuantSpec`, say) fall back to the sequential loop so the panic
 //! re-raises on the caller.
 //!
+//! # Stress mode
+//!
+//! Static partitioning makes the *assignment* of chunks width-independent,
+//! but not the order in which they finish, and on a host with two cores the
+//! workers rarely finish in an unusual order. The test-only `stress` cargo
+//! feature adds [`Pool::with_stress`]: a pool that, seeded, pauses each
+//! worker for a random bounded while before every chunk claim and before the
+//! region join. The width sweeps of the kernel proptests, the engine's
+//! stream-identity and chaos tests and the gateway's chaos replay each run
+//! under at least 16 such seeds at width 2, so a result folded in completion
+//! order instead of chunk order fails there. Dev-dependencies turn the
+//! feature on; a release build has neither the code nor a branch on it.
+//!
 //! # Where the pool is wired
 //!
 //! The packed GEMM over tiles of [`KERNEL_ROW_BLOCK`] weight rows, group
@@ -108,6 +121,9 @@
         clippy::indexing_slicing
     )
 )]
+
+#[cfg(feature = "stress")]
+mod stress;
 
 use atom_telemetry::{names, Telemetry};
 use std::cell::Cell;
@@ -196,6 +212,10 @@ type WorkerReport = (u64, Vec<(usize, String)>);
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Pool {
     threads: usize,
+    /// Seed of the test-only schedule perturbation (see
+    /// [`Pool::with_stress`]).
+    #[cfg(feature = "stress")]
+    stress: Option<u64>,
 }
 
 impl Pool {
@@ -204,7 +224,22 @@ impl Pool {
     pub fn new(threads: usize) -> Self {
         Pool {
             threads: threads.max(1),
+            #[cfg(feature = "stress")]
+            stress: None,
         }
+    }
+
+    /// This pool, perturbing its own schedule for tests: every
+    /// multi-worker region draws a stream from `seed`, and each worker
+    /// yields or spins a bounded while before it claims a chunk and before
+    /// the region joins. Outputs must not change — the perturbation only
+    /// shuffles which chunk finishes first, which is what a result that
+    /// depends on completion order would expose. Exists only with the
+    /// test-only `stress` feature, which dev-dependencies enable.
+    #[cfg(feature = "stress")]
+    pub fn with_stress(mut self, seed: u64) -> Pool {
+        self.stress = Some(seed);
+        self
     }
 
     /// A single-threaded pool: every API runs inline on the caller.
@@ -312,6 +347,8 @@ impl Pool {
             let base = n_chunks / workers;
             let extra = n_chunks % workers;
             let timed = region.timed;
+            #[cfg(feature = "stress")]
+            let _stress = stress::Region::enter(self.stress);
             let reports = std::thread::scope(|scope| {
                 let f = &f;
                 let mut handles = Vec::with_capacity(workers - 1);
@@ -327,9 +364,15 @@ impl Pool {
                         caller_share = Some((head, first_chunk, count));
                     } else {
                         let start = first_chunk;
+                        #[cfg(feature = "stress")]
+                        let stream = stress::fork(w);
                         handles.push(scope.spawn(move || {
+                            #[cfg(feature = "stress")]
+                            stress::adopt(stream);
                             let _guard = RegionGuard::enter();
                             let report = run_chunk_span(f, head, chunk, start, count, w, timed);
+                            #[cfg(feature = "stress")]
+                            stress::pause();
                             if timed {
                                 Telemetry::global().tracer().flush_thread();
                             }
@@ -345,6 +388,8 @@ impl Pool {
                     }
                     None => (0, Vec::new()),
                 };
+                #[cfg(feature = "stress")]
+                stress::pause();
                 let mut reports = vec![caller_report];
                 for h in handles {
                     // A scoped worker can only fail to join if its closure
@@ -500,6 +545,8 @@ where
     let busy_start = timed.then(Instant::now);
     let mut failures = Vec::new();
     for (j, piece) in data.chunks_mut(chunk).enumerate().take(count) {
+        #[cfg(feature = "stress")]
+        stress::pause();
         let index = start + j;
         if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(index, piece))) {
             failures.push((index, panic_message(payload.as_ref())));
@@ -618,6 +665,22 @@ mod tests {
         assert_eq!(Pool::resolve_threads(Some("not-a-number")), 1);
         assert_eq!(Pool::resolve_threads(Some("")), 1);
         assert!(Pool::resolve_threads(None) >= 1);
+    }
+
+    #[cfg(feature = "stress")]
+    #[test]
+    fn stressed_pool_changes_no_result() {
+        let expect: Vec<usize> = (0..37).map(|j| j / 3).collect();
+        for seed in 0..16 {
+            let pool = Pool::new(2).with_stress(seed);
+            let mut data = vec![0usize; 37];
+            pool.par_chunks_mut(&mut data, 3, |i, c| c.iter_mut().for_each(|v| *v = i))
+                .expect("no panics");
+            assert_eq!(data, expect, "seed {seed}");
+            let squares = pool.par_map(&data, |i, &v| i * v).expect("no panics");
+            let want: Vec<usize> = expect.iter().enumerate().map(|(i, v)| i * v).collect();
+            assert_eq!(squares, want, "seed {seed}");
+        }
     }
 
     #[test]

@@ -1136,14 +1136,20 @@ mod tests {
             done.sort_by_key(|c| c.id);
             done.into_iter().map(|c| (c.id, c.tokens)).collect()
         }
-        fn assert_width_invariant(run: impl Fn(usize) -> Vec<(usize, Vec<u16>)>) {
-            let solo = run(1);
+        // Widths 2/4/8, then width 2 under 16 seeded schedule
+        // perturbations (the pool's test-only stress mode).
+        fn assert_width_invariant(run: impl Fn(Pool) -> Vec<(usize, Vec<u16>)>) {
+            let solo = run(Pool::new(1));
             for threads in [2, 4, 8] {
-                assert_eq!(solo, run(threads), "{threads} threads");
+                assert_eq!(solo, run(Pool::new(threads)), "{threads} threads");
+            }
+            for seed in 0..16 {
+                let stressed = Pool::new(2).with_stress(seed);
+                assert_eq!(solo, run(stressed), "2 threads, stress seed {seed}");
             }
         }
-        assert_width_invariant(|threads| {
-            let mut e = tiny_engine(3, 1024).with_pool(Pool::new(threads));
+        assert_width_invariant(|pool| {
+            let mut e = tiny_engine(3, 1024).with_pool(pool);
             e.submit(vec![10, 20, 30], 5).unwrap();
             e.submit(vec![42, 17], 7).unwrap();
             e.submit(vec![7, 8, 9, 10], 4).unwrap();
@@ -1151,7 +1157,7 @@ mod tests {
         });
         // Six concurrent requests over 8-bit quantized KV: the cache's
         // quantize-on-append and dequantize-on-load run inside the workers.
-        assert_width_invariant(|threads| {
+        assert_width_invariant(|pool| {
             let config = ModelConfig {
                 dim: 64,
                 layers: 2,
@@ -1174,7 +1180,7 @@ mod tests {
                 4096,
             )
             .expect("valid config")
-            .with_pool(Pool::new(threads));
+            .with_pool(pool);
             for r in 0..6u16 {
                 e.submit(vec![r * 7 + 1, 3, 5], 16).unwrap();
             }

@@ -16,6 +16,7 @@ use atom::QuantizedKvCache;
 use atom_data::Request;
 use atom_nn::kv::Fp32KvCache;
 use atom_nn::{DenseLinear, LlamaModel, ModelConfig};
+use atom_parallel::Pool;
 use atom_serve::engine::CpuEngine;
 use atom_serve::fault::FaultRates;
 use atom_serve::{
@@ -115,8 +116,9 @@ fn int4_cache(config: ModelConfig) -> atom_serve::engine::CacheFactory {
 
 /// 120 seeded fault schedules through the *real engine* (model forward,
 /// real KV caches): every submission reaches exactly one terminal state.
-/// Each schedule runs twice: plain, then with pressure degrading admissions
-/// to INT4 KV and shedding a deep queue.
+/// Each schedule runs twice: plain on the default pool, then with pressure
+/// degrading admissions to INT4 KV and shedding a deep queue, on a width-2
+/// pool whose schedule is perturbed with the schedule's seed.
 #[test]
 fn engine_survives_120_seeded_fault_schedules() {
     let (mut completed, mut degraded) = (0usize, 0usize);
@@ -125,6 +127,7 @@ fn engine_survives_120_seeded_fault_schedules() {
         let mut e = tiny_engine(2, 160).with_fault_plan(plan);
         if pressure {
             e = e
+                .with_pool(Pool::new(2).with_stress(seed))
                 .with_degraded_cache(int4_cache(tiny_config()))
                 .with_policy(PressurePolicy {
                     degrade_kv_at: 0.5,
@@ -248,7 +251,8 @@ fn kv_pressure_degrades_admissions_to_quantized_cache() {
 /// through an engine with the radix cache on while every fault kind fires,
 /// so requests holding *shared* KV blocks die mid-prefill and mid-decode.
 /// At idle the cache's own references are the only ones left, and flushing
-/// it returns the pool to exactly empty.
+/// it returns the pool to exactly empty. Each schedule runs on a width-2
+/// pool perturbed with its seed.
 #[test]
 fn prefix_cache_conserves_blocks_under_32_fault_schedules() {
     let prefixes: [Vec<u16>; 2] = [(0..32).collect(), (0..32).map(|t| 95 - t).collect()];
@@ -270,7 +274,8 @@ fn prefix_cache_conserves_blocks_under_32_fault_schedules() {
             .with_prefix_cache(PrefixConfig {
                 max_cached_blocks: Some(6),
             })
-            .with_fault_plan(FaultPlan::seeded_chaos(seed, 400, rates));
+            .with_fault_plan(FaultPlan::seeded_chaos(seed, 400, rates))
+            .with_pool(Pool::new(2).with_stress(seed));
         // Five waves of four, one engine step apart: each prompt is one of
         // the two 2-block system prompts plus a unique suffix, so later
         // waves hit runs earlier ones cached; a third carry deadlines.
