@@ -81,7 +81,7 @@ impl QuantizedKvCache {
         };
         let mut out = Matrix::zeros(len, self.kv_dim);
         let span = LOAD_ROW_BLOCK * self.kv_dim;
-        let done = Pool::global().par_chunks_mut(out.as_mut_slice(), span, |b, rows| {
+        let done = Pool::current().par_chunks_mut(out.as_mut_slice(), span, |b, rows| {
             decode_rows(b * LOAD_ROW_BLOCK, rows);
         });
         if done.is_err() {

@@ -211,7 +211,7 @@ fn quantize_act(
         }
         // Dynamic per-token quantization is row-independent, so the
         // pool-parallel path packs the same bytes as the sequential one.
-        None => GroupQuantized::quantize_gather_with(Pool::global(), x, cols, spec),
+        None => GroupQuantized::quantize_gather_with(&Pool::current(), x, cols, spec),
     }
 }
 

@@ -3,7 +3,10 @@
 use atom::calibrate::ReorderPlan;
 use atom::fp4::{fake_quantize_fp4, snap_fp4, FP4_GRID};
 use atom::gptq::{gptq_quantize, rtn_quantize, GptqConfig};
+use atom::{AnyLinear, AtomScheme, QuantizedKvCache, QuantizedLinear};
 use atom_kernels::QuantSpec;
+use atom_nn::{Fp32KvCache, KvStore, LinearLayer, LlamaModel, ModelConfig, SeqRows};
+use atom_parallel::Pool;
 use atom_tensor::SeededRng;
 use proptest::prelude::*;
 
@@ -119,6 +122,102 @@ proptest! {
                     .fold(0.0f32, |m, &v| m.max(v.abs()));
                 let err = (x[(r, c)] - q[(r, c)]).abs();
                 prop_assert!(err <= amax / 6.0 + amax * 2e-3 + 1e-6, "err {err} amax {amax}");
+            }
+        }
+    }
+}
+
+/// A small model at one of the four corners the batched forward must hold
+/// at: dense or MoE feed-forward, FP32 or W4A4 linears (RTN, two INT8
+/// outlier channels per layer, ragged last groups).
+fn batch_model(seed: u64, moe: bool, w4a4: bool) -> LlamaModel<AnyLinear> {
+    let config = ModelConfig {
+        dim: 32,
+        layers: 2,
+        heads: 4,
+        kv_heads: 2,
+        ffn_dim: 48,
+        experts: if moe { 3 } else { 1 },
+        ..ModelConfig::default()
+    };
+    let scheme = AtomScheme {
+        use_gptq: false,
+        ..AtomScheme::w4a4()
+    };
+    LlamaModel::random_init(config, seed).map_linears(|_, dense| {
+        if w4a4 {
+            let plan = ReorderPlan::from_outlier_set(dense.in_features(), &[3, 17]);
+            AnyLinear::Atom(QuantizedLinear::quantize(&dense, plan, None, &scheme))
+        } else {
+            AnyLinear::Dense(dense)
+        }
+    })
+}
+
+fn logit_bits(m: &atom_tensor::Matrix) -> Vec<u32> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+proptest! {
+    /// The batched forward is the per-sequence forward, bit for bit: over a
+    /// ragged mix of prefills and single decode rows behind histories of
+    /// any length, the stacked logits are each sequence's own logits and
+    /// every cache ends holding the same keys and values — over FP32 and
+    /// 4-bit quantized KV, dense and MoE, FP32 and W4A4 linears. The batch
+    /// runs on a width-2 pool under a stress seed drawn per case.
+    #[test]
+    fn forward_batch_rows_equal_per_sequence_forwards(
+        seed in 0u64..1 << 32,
+        corner in 0usize..8,
+        seqs in proptest::collection::vec((0usize..6, 1usize..5, 0usize..2), 1..6),
+        stress in 0u64..1 << 32,
+    ) {
+        let (moe, w4a4, kv4) = (corner & 1 == 1, corner & 2 == 2, corner & 4 == 4);
+        let model = batch_model(seed, moe, w4a4);
+        let c = *model.config();
+        let fresh = || -> Box<dyn KvStore> {
+            if kv4 {
+                Box::new(QuantizedKvCache::new(c.layers, c.kv_dim(), c.head_dim(), 4))
+            } else {
+                Box::new(Fp32KvCache::new(c.layers, c.kv_dim()))
+            }
+        };
+        let mut rng = SeededRng::new(seed ^ 0xBA7C);
+        let mut tokens = |n: usize| -> Vec<u16> { (0..n).map(|_| rng.below(c.vocab) as u16).collect() };
+        // (history, new rows): a decode runs one row, a prefill several.
+        let work: Vec<(Vec<u16>, Vec<u16>)> = seqs
+            .iter()
+            .map(|&(history, rows, decode)| (tokens(history), tokens(if decode == 1 { 1 } else { rows })))
+            .collect();
+        let mut batched: Vec<Box<dyn KvStore>> = Vec::new();
+        let mut alone: Vec<Box<dyn KvStore>> = Vec::new();
+        for (history, _) in &work {
+            let (mut a, mut b) = (fresh(), fresh());
+            if !history.is_empty() {
+                model.forward(history, a.as_mut());
+                model.forward(history, b.as_mut());
+            }
+            batched.push(a);
+            alone.push(b);
+        }
+
+        let mut batch: Vec<SeqRows<'_>> = work
+            .iter()
+            .zip(batched.iter_mut())
+            .map(|((_, rows), kv)| SeqRows { tokens: rows, kv: kv.as_mut() })
+            .collect();
+        let stacked = Pool::new(2).with_stress(stress).install(|| model.forward_batch(&mut batch));
+        drop(batch);
+        let mut expected = Vec::new();
+        for ((_, rows), kv) in work.iter().zip(alone.iter_mut()) {
+            let logits = Pool::sequential().install(|| model.forward(rows, kv.as_mut()));
+            expected.extend(logit_bits(&logits));
+        }
+        prop_assert_eq!(logit_bits(&stacked), expected);
+        for (a, b) in batched.iter().zip(&alone) {
+            for layer in 0..c.layers {
+                prop_assert_eq!(logit_bits(&a.keys(layer)), logit_bits(&b.keys(layer)));
+                prop_assert_eq!(logit_bits(&a.values(layer)), logit_bits(&b.values(layer)));
             }
         }
     }

@@ -145,8 +145,8 @@ pub fn attention_quant_kv(q: &Matrix, kv: &QuantizedKvHead, scale: f32) -> Matri
 }
 
 /// Multi-head attention over quantized KV blocks: head `h` attends
-/// `q_heads[h]` against `kv_heads[h]`, in parallel on the process-wide
-/// [`Pool`] (see [`attention_quant_kv_heads_with`]). Heads are returned in
+/// `q_heads[h]` against `kv_heads[h]`, in parallel on [`Pool::current`]
+/// (see [`attention_quant_kv_heads_with`]). Heads are returned in
 /// input order and each head is computed by the single-head kernel
 /// unchanged, so outputs are bit-identical for any thread count.
 ///
@@ -161,7 +161,7 @@ pub fn attention_quant_kv_heads(
     kv_heads: &[QuantizedKvHead],
     scale: f32,
 ) -> Result<Vec<Matrix>, KernelError> {
-    attention_quant_kv_heads_with(Pool::global(), q_heads, kv_heads, scale)
+    attention_quant_kv_heads_with(&Pool::current(), q_heads, kv_heads, scale)
 }
 
 /// [`attention_quant_kv_heads`] on an explicit [`Pool`]; one chunk per

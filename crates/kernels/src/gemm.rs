@@ -46,6 +46,13 @@ pub const MAX_ACC_K: usize = (i32::MAX as usize) >> (2 * (MAX_BITS as usize - 1)
 const _: () = assert!(1i64 << (MAX_BITS - 1) <= 128);
 const _: () = assert!((MAX_ACC_K as i64) << (2 * (MAX_BITS - 1)) <= i32::MAX as i64);
 const _: () = assert!((MAX_ACC_K as i64 + 1) << (2 * (MAX_BITS - 1)) > i32::MAX as i64);
+// The sweep multiplies pre-widened `i16` lanes: a code fits one, and the
+// pair of worst-case products a packed multiply-add (`pmaddwd`) sums before
+// the `i32` accumulation fits `i32` — so the only reduction bound stays
+// `MAX_ACC_K`.
+const _: () = assert!(
+    1i64 << (MAX_BITS - 1) <= 1i64 << 15 && 2 << (2 * (MAX_BITS - 1)) <= i32::MAX as i64
+);
 
 /// Plain integer GEMM with i32 accumulation: `a (m x k) @ b_t (n x k)^T`,
 /// returning the raw i32 accumulators. This is the "pure INT4/INT8 GEMM
@@ -91,7 +98,7 @@ pub fn int_gemm_i32(a: &[i8], b_t: &[i8], m: usize, n: usize, k: usize) -> Vec<i
 /// INT4 activations against INT8 outlier weights never happens — regions
 /// match — but W4A8-style mixes are legal).
 ///
-/// Runs on the process-wide [`Pool`] (see [`fused_group_gemm_with`] for an
+/// Runs on [`Pool::current`] (see [`fused_group_gemm_with`] for an
 /// explicit pool); output bits are identical for any thread count because
 /// each output row is computed independently by exactly the loop nest below.
 ///
@@ -118,7 +125,7 @@ pub fn int_gemm_i32(a: &[i8], b_t: &[i8], m: usize, n: usize, k: usize) -> Vec<i
 /// assert!((out.row(0)[0] - 4.0).abs() < 1.0);
 /// ```
 pub fn fused_group_gemm(a: &GroupQuantized, w: &GroupQuantized) -> Result<Matrix, KernelError> {
-    fused_group_gemm_with(Pool::global(), a, w)
+    fused_group_gemm_with(&Pool::current(), a, w)
 }
 
 /// [`fused_group_gemm`] on an explicit [`Pool`], parallelized over blocks
@@ -185,16 +192,18 @@ fn record_launch(bytes: usize, rows: usize) -> (TimerGuard<'static>, SpanGuard<'
 
 /// Codes per fixed-width multiply-accumulate block. Decoded activation rows
 /// pad every quantization group with zero codes up to a multiple of this,
-/// so the inner loop always runs over whole `[i8; LANES]` blocks — a
-/// compile-time trip count the compiler unrolls into packed 16-bit
-/// multiply-adds. It equals the group size of every scheme in this
-/// workspace (a group of 16 is exactly one block).
+/// so the inner loop always runs over whole `[i16; LANES]` blocks — a
+/// compile-time trip count the compiler unrolls into two packed 16-bit
+/// multiply-adds (`pmaddwd`). Both operands decode straight into `i16`
+/// lanes, so the loop has no sign extension left in it. It equals the group
+/// size of every scheme in this workspace (a group of 16 is exactly one
+/// block).
 const LANES: usize = 16;
 
-/// Decoded weight codes the sweep holds at a time: 16 KiB, half a
-/// typical L1 data cache, leaving room for the activation rows streaming
-/// past. A 32-row tile fits whole up to 512 channels.
-const DECODE_BLOCK_CODES: usize = 16 * 1024;
+/// Decoded weight codes the sweep holds at a time: 16 KiB of `i16` lanes,
+/// half a typical L1 data cache, leaving room for the activation rows
+/// streaming past. A 32-row tile fits whole up to 256 channels.
+const DECODE_BLOCK_CODES: usize = 8 * 1024;
 
 /// One precision region of a GEMM — the INT4 normal channels or the INT8
 /// outlier channels.
@@ -215,7 +224,7 @@ struct Region<'a> {
     a_scales: &'a [f32],
     /// `m x n_groups * padded` activation codes, group `g` of row `i` at
     /// `(i * n_groups + g) * padded`, zero beyond the group's real codes.
-    a_codes: Vec<i8>,
+    a_codes: Vec<i16>,
     /// Activation rows `m`.
     a_rows: usize,
     /// Codes per row `k`.
@@ -228,8 +237,9 @@ struct Region<'a> {
     padded: usize,
 }
 
-/// One decoded row: its codes and its group scales.
-type CodeRow<'r> = (&'r [i8], &'r [f32]);
+/// One decoded row: its codes, widened to `i16` lanes, and its group
+/// scales.
+type CodeRow<'r> = (&'r [i16], &'r [f32]);
 
 impl<'a> Region<'a> {
     /// Decodes the activation rows of `a`; `group` is the effective group
@@ -238,13 +248,13 @@ impl<'a> Region<'a> {
         let (cols, n_groups) = (a.cols(), a.cols().div_ceil(group));
         let padded = group.next_multiple_of(LANES);
         let width = n_groups * padded;
-        let mut a_codes = vec![0i8; a.rows() * width];
+        let mut a_codes = vec![0i16; a.rows() * width];
         // The padded layout is the packed column order when groups are
         // already a multiple of LANES wide or there is a single group: only
         // the tail of the last group is padding, and it is never written.
         // Otherwise a row decodes into `spill` and moves group by group.
         let contiguous = padded == group || n_groups <= 1;
-        let mut spill = vec![0i8; if contiguous { 0 } else { cols }];
+        let mut spill = vec![0i16; if contiguous { 0 } else { cols }];
         for (r, row) in a_codes.chunks_exact_mut(width.max(1)).enumerate() {
             if contiguous {
                 if let Some(head) = row.get_mut(..cols) {
@@ -274,8 +284,8 @@ impl<'a> Region<'a> {
 
     /// Decodes weight rows `first .. first + rows` back to back, plus
     /// `padded` zero codes of slack for the last window's overhang.
-    fn decode_weight_rows(&self, first: usize, rows: usize) -> Vec<i8> {
-        let mut codes = vec![0i8; rows * self.cols + self.padded];
+    fn decode_weight_rows(&self, first: usize, rows: usize) -> Vec<i16> {
+        let mut codes = vec![0i16; rows * self.cols + self.padded];
         if let Some(run) = codes.get_mut(..rows * self.cols) {
             self.w_values.unpack_rows(first, run);
         }
@@ -287,7 +297,7 @@ impl<'a> Region<'a> {
     /// open-ended, so its group windows may overhang.
     ///
     /// [`decode_weight_rows`]: Self::decode_weight_rows
-    fn weight_rows<'s>(&'s self, block: &'s [i8], first: usize, rows: usize) -> Vec<CodeRow<'s>> {
+    fn weight_rows<'s>(&'s self, block: &'s [i16], first: usize, rows: usize) -> Vec<CodeRow<'s>> {
         let n_groups = self.n_groups;
         let scales = self
             .w_scales
@@ -318,8 +328,8 @@ impl<'a> Region<'a> {
     /// `m = 64`, 25% when the row lookups were inlined with it).
     #[inline(never)]
     fn fold(&self, a_row: CodeRow<'_>, w_row: CodeRow<'_>) -> f32 {
-        let a: &[i8] = a_row.0;
-        let w: &[i8] = w_row.0;
+        let a: &[i16] = a_row.0;
+        let w: &[i16] = w_row.0;
         let (sa, sw) = (a_row.1, w_row.1);
         if self.padded == LANES && (self.group == LANES || self.n_groups <= 1) {
             // The shapes every scheme produces: one fixed-width block per
@@ -474,7 +484,7 @@ pub fn mixed_gemm(
     w_normal: &GroupQuantized,
     outliers: Option<(&GroupQuantized, &GroupQuantized)>,
 ) -> Result<Matrix, KernelError> {
-    mixed_gemm_with(Pool::global(), a_normal, w_normal, outliers)
+    mixed_gemm_with(&Pool::current(), a_normal, w_normal, outliers)
 }
 
 /// [`mixed_gemm`] on an explicit [`Pool`]: the same sweep as

@@ -44,14 +44,20 @@
 //!   [`PackedMatrix::unpack_rows`] decodes a whole block in one sweep.
 //!   [`PackedMatrix::pack_row`] is the write side: whole-byte stores, pad
 //!   bits 0.
-//! - **Fixed-width MACs, one sweep over the weights.** Activation groups are
-//!   zero-padded to a multiple of 16 codes, so every multiply-accumulate is
-//!   a whole `[i8; 16]` block, and the packed weights stream once per GEMM
-//!   in tiles of [`atom_parallel::KERNEL_ROW_BLOCK`] rows, both precision
-//!   regions of a mixed GEMM in the same pass ([`gemm`] has the details).
-//!   Each per-group `i32` sum needs no widening because reductions are
-//!   capped at [`gemm::MAX_ACC_K`], which rustc proves with `const`
-//!   assertions on every build.
+//! - **Fixed-width MACs on `i16` lanes, one sweep over the weights.**
+//!   Activation groups are zero-padded to a multiple of 16 codes, so every
+//!   multiply-accumulate is a whole `[i16; 16]` block, and the packed
+//!   weights stream once per GEMM in tiles of
+//!   [`atom_parallel::KERNEL_ROW_BLOCK`] rows, both precision regions of a
+//!   mixed GEMM in the same pass ([`gemm`] has the details). Both operands
+//!   decode straight into `i16` lanes, so the inner loop is two packed
+//!   multiply-adds (`pmaddwd`) with no sign extension; the decode is paid
+//!   once per weight block and shared by every activation row, which the
+//!   serving engine's batched forwards make many. Each per-group `i32` sum
+//!   needs no further widening because reductions are capped at
+//!   [`gemm::MAX_ACC_K`], and a code fits an `i16` lane with a lane pair's
+//!   products inside `i32` — both proven by `const` assertions rustc
+//!   evaluates on every build.
 //! - **The fused reorder + quantize epilogue.**
 //!   [`GroupQuantized::quantize_gather_with`] quantizes a region of an
 //!   activation straight through its slice of a reorder permutation (per
@@ -68,11 +74,11 @@
 //!   block straight from the row sub-slices.
 //!
 //! Tried and not adopted: blocking several activation rows per decoded
-//! weight group (the compiler stops recognising the dot product), and
-//! pre-widening both operands to `i16` lanes (faster at `m >= 8`, but the
-//! lane product needs its own `const` bound beside [`gemm::MAX_ACC_K`]).
-//! DESIGN.md §3.11 argues why kernel and reference are bit-identical at any
-//! pool width; EXPERIMENTS.md has the measurements.
+//! weight group (the compiler stops recognising the dot product). The `i16`
+//! lanes — 1.4–2.0x faster at `m >= 6`, no change at `m = 1` — were held
+//! back until batched forwards made `m > 1` the serving case. DESIGN.md §3.11
+//! argues why kernel and reference are bit-identical at any pool width;
+//! EXPERIMENTS.md has the measurements.
 
 #![warn(missing_docs)]
 // The kernels sit under the engine's forward path, so they inherit the

@@ -232,7 +232,8 @@ impl PackedMatrix {
         }
     }
 
-    /// Unpacks row `r` into `out` as signed i8 values.
+    /// Unpacks row `r` into `out` as signed values: `i8`, the codes' own
+    /// width, or `i16`, the pre-widened lanes the GEMM multiplies in.
     ///
     /// This is the hot path of every GEMM kernel: operand rows are unpacked
     /// once into registers/cache-resident buffers before the integer MMA.
@@ -257,14 +258,14 @@ impl PackedMatrix {
     /// Panics if `out.len() != self.cols()`. A row index out of range is a
     /// caller bug: it trips a debug assertion under test and writes zeros in
     /// release builds.
-    pub fn unpack_row(&self, r: usize, out: &mut [i8]) {
+    pub fn unpack_row<T: Copy + From<i8>>(&self, r: usize, out: &mut [T]) {
         assert_eq!(out.len(), self.cols, "unpack buffer size mismatch");
         let Some(row) = self
             .data
             .get(r * self.row_stride..(r + 1) * self.row_stride)
         else {
             debug_assert!(false, "row {r} out of range");
-            out.fill(0);
+            out.fill(T::from(0));
             return;
         };
         match self.bits {
@@ -298,7 +299,7 @@ impl PackedMatrix {
     /// Panics if `out.len()` is not a whole number of rows. Rows out of
     /// range are a caller bug: they trip a debug assertion under test and
     /// decode as zeros in release builds.
-    pub fn unpack_rows(&self, first: usize, out: &mut [i8]) {
+    pub fn unpack_rows<T: Copy + From<i8>>(&self, first: usize, out: &mut [T]) {
         let cols = self.cols.max(1);
         let n = out.len() / cols;
         assert_eq!(out.len(), n * self.cols, "unpack buffer is not whole rows");
@@ -319,7 +320,7 @@ impl PackedMatrix {
 
     /// The decode for widths without a byte-level layout: one
     /// shift/mask/debias chain per element over a 16-bit window.
-    fn unpack_row_generic(&self, row: &[u8], out: &mut [i8]) {
+    fn unpack_row_generic<T: Copy + From<i8>>(&self, row: &[u8], out: &mut [T]) {
         let bits = self.bits as usize;
         let bias = i16::from(code_bias(self.bits));
         let mask = u16::from(code_levels(self.bits));
@@ -336,7 +337,7 @@ impl PackedMatrix {
                 0
             };
             let raw = ((lo | (hi << 8)) >> shift) & mask;
-            *o = (raw as i16 - bias) as i8;
+            *o = T::from((raw as i16 - bias) as i8);
         }
     }
 
@@ -361,7 +362,7 @@ impl PackedMatrix {
 }
 
 /// Decodes packed INT4 codes (two biased codes per byte, low nibble first)
-/// into `out.len()` sign-extended values. The stored code is
+/// into `out.len()` sign-extended values (`i8`, or `i16` lanes). The stored code is
 /// `raw = v + 8`, so a decode is one mask or shift plus one subtract — a
 /// loop with no cross-iteration state, which the compiler's vectorizer
 /// turns into 16-byte loads, mask/shift, interleave and a packed subtract
@@ -370,11 +371,11 @@ impl PackedMatrix {
 /// `bytes` must carry at least `out.len().div_ceil(2)` payload bytes;
 /// missing bytes leave their outputs untouched (an unreachable backstop,
 /// kept total so the kernel hot path stays panic-free).
-fn unpack_codes_i4(bytes: &[u8], out: &mut [i8]) {
+fn unpack_codes_i4<T: Copy + From<i8>>(bytes: &[u8], out: &mut [T]) {
     debug_assert!(bytes.len() >= out.len().div_ceil(2), "payload too short");
     // `raw <= 15`, so the subtract never wraps; `wrapping_sub` states the
     // (unreachable) overflow contract without a checked branch.
-    let code = |raw: u8| i8::from_le_bytes([raw]).wrapping_sub(8);
+    let code = |raw: u8| T::from(i8::from_le_bytes([raw]).wrapping_sub(8));
     let (pairs, tail) = out.as_chunks_mut::<2>();
     let full_bytes = pairs.len();
     for ([lo, hi], &b) in pairs.iter_mut().zip(bytes) {
@@ -388,15 +389,15 @@ fn unpack_codes_i4(bytes: &[u8], out: &mut [i8]) {
 }
 
 /// Decodes packed INT8 codes (one biased code per byte) into `out.len()`
-/// sign-extended values. Subtracting the `+128` storage bias modulo `2^8`
+/// sign-extended values (`i8`, or `i16` lanes). Subtracting the `+128` storage bias modulo `2^8`
 /// is exactly flipping bit 7, so the decode is one XOR per byte.
 ///
 /// `bytes` must carry at least `out.len()` payload bytes; missing bytes
 /// leave their outputs untouched (unreachable backstop, kept total).
-fn unpack_codes_i8(bytes: &[u8], out: &mut [i8]) {
+fn unpack_codes_i8<T: Copy + From<i8>>(bytes: &[u8], out: &mut [T]) {
     debug_assert!(bytes.len() >= out.len(), "payload too short");
     for (o, &b) in out.iter_mut().zip(bytes) {
-        *o = i8::from_le_bytes([b ^ 0x80]);
+        *o = T::from(i8::from_le_bytes([b ^ 0x80]));
     }
 }
 

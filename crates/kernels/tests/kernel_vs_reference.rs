@@ -86,7 +86,8 @@ fn gemm_matches_reference_on_ragged_k_tails() {
 fn gemm_and_mixed_gemm_match_reference_on_the_serving_grid() {
     // Every row width serving hands the kernel — normal k in {6, 17, 118,
     // 352}, outlier k in {10, 32}, group = min(16, k) — at decode, ragged,
-    // one-block and prefill row counts and at INT3/INT4/INT8, with 33
+    // batched-decode (six sequences), one-block and prefill row counts and
+    // at INT3/INT4/INT8, with 33
     // weight rows (one full 32-row tile and a one-row tile). Each region
     // alone, then the one-sweep mixed kernel against the reference two-call
     // composition, as bit patterns at pool widths 1/2/4.
@@ -94,7 +95,7 @@ fn gemm_and_mixed_gemm_match_reference_on_the_serving_grid() {
     let seq = Pool::sequential();
     for (ki, &k) in [6usize, 17, 118, 352].iter().enumerate() {
         for &o in &[10usize, 32] {
-            for &m in &[1usize, 3, 8, 65] {
+            for &m in &[1usize, 3, 6, 8, 65] {
                 for bits in [3u8, 4, 8] {
                     let what = format!("k={k} o={o} m={m} bits={bits}");
                     let mut rng = SeededRng::new(7000 + (ki * 1000 + o * 10 + m) as u64 + u64::from(bits));

@@ -24,8 +24,9 @@ fn matrix(rows: std::ops::Range<usize>, cols: std::ops::Range<usize>) -> impl St
 /// the INT8 outlier region 10 or 32, every one at `group = min(16, k)`.
 const NORMAL_K: [usize; 4] = [6, 17, 118, 352];
 const OUTLIER_K: [usize; 2] = [10, 32];
-/// Activation row counts: decode, a ragged few, one row block, prefill.
-const SERVING_M: [usize; 4] = [1, 3, 8, 65];
+/// Activation row counts: decode, a ragged few, a batched decode step (six
+/// sequences, the benchmark's mean batch), one row block, prefill.
+const SERVING_M: [usize; 5] = [1, 3, 6, 8, 65];
 /// Weight row counts on both sides of the kernel's 32-row tile.
 const SERVING_N: [usize; 4] = [1, 31, 33, 70];
 
@@ -292,7 +293,7 @@ proptest! {
     fn gemm_bit_identical_to_reference_on_serving_shapes(
         seed in 0u64..300,
         k_idx in 0usize..4,
-        m_idx in 0usize..4,
+        m_idx in 0usize..5,
         n_idx in 0usize..4,
         bits_idx in 0usize..3,
         stress in 0u64..1 << 32,
@@ -317,7 +318,7 @@ proptest! {
         seed in 0u64..300,
         k_idx in 0usize..4,
         o_idx in 0usize..2,
-        m_idx in 0usize..4,
+        m_idx in 0usize..5,
         n_idx in 0usize..4,
         bits_idx in 0usize..3,
         stress in 0u64..1 << 32,

@@ -14,10 +14,12 @@ use atom_tensor::Matrix;
 /// Keys are stored *after* RoPE is applied, matching serving systems where
 /// the cache holds position-encoded keys.
 ///
-/// `Send` is a supertrait so boxed caches can move across the serving
-/// engine's scoped worker threads during batched prefill/decode; `Sync`
-/// so frozen prefix-cache snapshots (`Arc<Snapshot>` in `atom-prefix`)
-/// can be shared immutably between those workers.
+/// A batched forward holds one store per sequence and calls it on the
+/// caller thread: `append` the sequence's new rows, then `keys` / `values`
+/// for its attention. `Send` is a supertrait so boxed caches can move
+/// between threads with the engine that owns them; `Sync` so frozen
+/// prefix-cache snapshots (`Arc<Snapshot>` in `atom-prefix`) can be shared
+/// immutably.
 pub trait KvStore: std::fmt::Debug + Send + Sync {
     /// Appends `k` and `v` rows (one per new token) to layer `layer`.
     ///
@@ -55,7 +57,9 @@ pub trait KvStore: std::fmt::Debug + Send + Sync {
     /// Because both stores in this workspace quantize/record per token row,
     /// truncating to `n` rows is bit-identical to having only ever appended
     /// those first `n` rows — the property the radix prefix cache relies on
-    /// when it replays a snapshot cut at a block boundary.
+    /// when it replays a snapshot cut at a block boundary, and the serving
+    /// engine when it rolls back the rows a panicked batched forward had
+    /// already appended.
     fn truncate(&mut self, tokens: usize);
 }
 

@@ -35,4 +35,4 @@ pub mod zoo;
 pub use config::ModelConfig;
 pub use kv::{Fp32KvCache, KvStore};
 pub use linear::{DenseLinear, LinearLayer};
-pub use model::{ForwardObserver, LinearId, LlamaModel, NoopObserver, Proj};
+pub use model::{ForwardObserver, LinearId, LlamaModel, NoopObserver, Proj, SeqRows};

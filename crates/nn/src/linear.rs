@@ -14,9 +14,11 @@ use serde::{Deserialize, Serialize};
 /// Implementations may compute the product in full precision, through a
 /// fake-quantization path, or through bit-exact packed integer kernels.
 ///
-/// `Send + Sync` are supertraits so a model built from these layers can be
-/// shared by reference across the thread pool's scoped workers (batched
-/// prefill/decode run one request per worker against the same model).
+/// `Send + Sync` are supertraits so a model built from these layers can move
+/// between threads with the engine serving it and be shared by reference
+/// with the thread pool's scoped workers. A batched forward calls each
+/// layer once with every sequence's rows stacked; the layer's own kernels
+/// parallelize over them.
 pub trait LinearLayer: std::fmt::Debug + Send + Sync {
     /// Applies the layer to a `tokens x in_features` activation matrix.
     fn forward(&self, x: &Matrix) -> Matrix;

@@ -6,6 +6,21 @@
 //! hooks ([`ForwardObserver`]) expose every linear layer's input activations,
 //! which is how calibration collects the channel statistics used for outlier
 //! identification and reordering (paper §4.1, §5.1).
+//!
+//! There is one forward body, and it is batched
+//! ([`LlamaModel::forward_batch`]): the token rows of every sequence in the
+//! batch are stacked, so the embedding, the norms, every linear layer,
+//! SwiGLU / MoE and the output head each run once over all of them — the
+//! dense layers see `m` = the batch's total rows, which is what puts them on
+//! the compute-bound side of the roofline (paper §3, Fig. 4). Rows part per
+//! sequence only where sequences differ: RoPE positions, the KV append, and
+//! self-attention, which runs over the (sequence, head) grid (§4.5).
+//! [`LlamaModel::forward`] is the batch of one.
+//!
+//! Batching changes no bit of any row. Every stacked operator is row-wise:
+//! `matmul_nt`, RMSNorm, RoPE and softmax act on each row alone, activation
+//! scales are dynamic per token, and the W4A4 GEMM computes each output
+//! element with the same fold whatever the row count.
 
 use crate::config::ModelConfig;
 use crate::kv::KvStore;
@@ -208,6 +223,18 @@ pub struct Block<L> {
     pub ffn_norm: Vec<f32>,
     /// Feed-forward section.
     pub ffn: FeedForward<L>,
+}
+
+/// One sequence's share of a batched forward: the token rows it runs and the
+/// KV store its keys and values go to.
+///
+/// The tokens take the positions after the ones `kv` already holds.
+#[derive(Debug)]
+pub struct SeqRows<'a> {
+    /// Tokens to run, in order (at least one).
+    pub tokens: &'a [u16],
+    /// This sequence's KV cache; the forward appends one row per token.
+    pub kv: &'a mut dyn KvStore,
 }
 
 /// Decoder-only Llama-style model, generic over linear precision `L`.
@@ -473,7 +500,7 @@ impl LlamaModel<DenseLinear> {
 
 impl<L: LinearLayer> LlamaModel<L> {
     /// Forward pass over `tokens`, appending their K/V to `cache` and
-    /// returning `tokens.len() x vocab` logits.
+    /// returning `tokens.len() x vocab` logits: the batch of one.
     pub fn forward(&self, tokens: &[u16], cache: &mut dyn KvStore) -> Matrix {
         self.forward_observed(tokens, cache, &mut NoopObserver)
     }
@@ -489,24 +516,68 @@ impl<L: LinearLayer> LlamaModel<L> {
         cache: &mut dyn KvStore,
         obs: &mut dyn ForwardObserver,
     ) -> Matrix {
-        assert!(!tokens.is_empty(), "forward of empty token slice");
-        let _timer = Telemetry::global().timer(names::MODEL_FORWARD_WALL_NS);
-        let _span = span!(names::SPAN_MODEL_FORWARD, tokens = tokens.len());
-        let c = &self.config;
-        let start = cache.len(0);
-        let positions: Vec<usize> = (start..start + tokens.len()).collect();
+        self.forward_rows(&mut [SeqRows { tokens, kv: cache }], obs)
+    }
 
-        // Embed.
-        let mut x = Matrix::zeros(tokens.len(), c.dim);
-        for (r, &t) in tokens.iter().enumerate() {
-            assert!((t as usize) < c.vocab, "token {t} out of vocabulary");
-            x.row_mut(r).copy_from_slice(self.embed.row(t as usize));
+    /// One forward over every sequence of `batch` — a prefill's prompt
+    /// rows, a decode's single row, any ragged mix — appending each
+    /// sequence's K/V to its own store. Returns the stacked logits, one row
+    /// per token: sequence `i`'s rows follow sequence `i - 1`'s. Each row
+    /// is bit-identical to what [`forward`](Self::forward) of that sequence
+    /// alone returns (see the module docs).
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use atom_nn::{kv::Fp32KvCache, model::SeqRows, LlamaModel, ModelConfig};
+    ///
+    /// let config = ModelConfig { layers: 2, ..ModelConfig::default() };
+    /// let model = LlamaModel::random_init(config, 0);
+    /// let fresh = || Fp32KvCache::new(config.layers, config.kv_dim());
+    /// let (mut a, mut b) = (fresh(), fresh());
+    /// let logits = model.forward_batch(&mut [
+    ///     SeqRows { tokens: &[1, 2, 3], kv: &mut a },
+    ///     SeqRows { tokens: &[9], kv: &mut b },
+    /// ]);
+    /// assert_eq!(logits.shape(), (4, config.vocab));
+    /// let alone = model.forward(&[9], &mut fresh());
+    /// assert_eq!(logits.row(3), alone.row(0)); // bit for bit
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if a sequence has no tokens or an out-of-vocabulary id, or if
+    /// a KV store panics. Stores appended before the panic keep those
+    /// rows; [`KvStore::truncate`] undoes them.
+    pub fn forward_batch(&self, batch: &mut [SeqRows<'_>]) -> Matrix {
+        self.forward_rows(batch, &mut NoopObserver)
+    }
+
+    /// The one forward body; the observer sees each linear's stacked input.
+    fn forward_rows(&self, batch: &mut [SeqRows<'_>], obs: &mut dyn ForwardObserver) -> Matrix {
+        let c = &self.config;
+        let rows: usize = batch.iter().map(|s| s.tokens.len()).sum();
+        let _timer = Telemetry::global().timer(names::MODEL_FORWARD_WALL_NS);
+        let _span = span!(names::SPAN_MODEL_FORWARD, tokens = rows, seqs = batch.len());
+
+        // Embed, and give each row its position: the next ones of its own
+        // sequence.
+        let mut x = Matrix::zeros(rows, c.dim);
+        let mut positions = Vec::with_capacity(rows);
+        for seq in batch.iter() {
+            assert!(!seq.tokens.is_empty(), "forward of empty token slice");
+            let start = seq.kv.len(0);
+            for (pos, &t) in (start..).zip(seq.tokens) {
+                assert!((t as usize) < c.vocab, "token {t} out of vocabulary");
+                x.row_mut(positions.len()).copy_from_slice(self.embed.row(t as usize));
+                positions.push(pos);
+            }
         }
 
         for (l, block) in self.blocks.iter().enumerate() {
             // Attention with pre-norm and residual.
             let normed = ops::rmsnorm_rows(&x, &block.attn_norm, c.norm_eps);
-            let attn_out = self.attention(block, &normed, l, &positions, cache, obs);
+            let attn_out = self.attention(block, &normed, l, &positions, batch, obs);
             x = x.add(&attn_out);
 
             // Feed-forward with pre-norm and residual.
@@ -519,13 +590,16 @@ impl<L: LinearLayer> LlamaModel<L> {
         x.matmul_nt(&self.head)
     }
 
+    /// Self-attention of one layer over the stacked rows `x`: Q/K/V and the
+    /// output projection run stacked; each sequence appends its own K/V
+    /// rows, loads its history, and attends per head.
     fn attention(
         &self,
         block: &Block<L>,
         x: &Matrix,
         layer: usize,
         positions: &[usize],
-        cache: &mut dyn KvStore,
+        batch: &mut [SeqRows<'_>],
         obs: &mut dyn ForwardObserver,
     ) -> Matrix {
         let c = &self.config;
@@ -548,43 +622,60 @@ impl<L: LinearLayer> LlamaModel<L> {
         let t = Telemetry::global();
         let attn_timer = t.timer(names::OP_ATTENTION_WALL_NS);
         let attn_span = span!(names::SPAN_ATTENTION, layer = layer);
-        cache.append(layer, &k, &v);
-        let keys = cache.keys(layer);
-        let values = cache.values(layer);
-        let kv_len = keys.rows();
-        let offset = kv_len - x.rows();
-        t.counter_add(
-            names::OP_ATTENTION_BYTES,
-            // Materialized FP32 keys + values.
-            (4 * 2 * kv_len * keys.cols()) as u64,
-        );
-        t.counter_add(names::OP_ATTENTION_CALLS, 1);
+        // Each sequence appends its rows of K/V and loads its whole history
+        // (the new rows are its last ones).
+        let mut first = 0;
+        let histories: Vec<(usize, usize, Matrix, Matrix)> = batch
+            .iter_mut()
+            .map(|seq| {
+                let (start, rows) = (first, seq.tokens.len());
+                first += rows;
+                let end = start + rows;
+                seq.kv.append(layer, &k.slice_rows(start, end), &v.slice_rows(start, end));
+                let (keys, values) = (seq.kv.keys(layer), seq.kv.values(layer));
+                t.counter_add(
+                    names::OP_ATTENTION_BYTES,
+                    // Materialized FP32 keys + values.
+                    (4 * 2 * keys.rows() * keys.cols()) as u64,
+                );
+                t.counter_add(names::OP_ATTENTION_CALLS, 1);
+                (start, rows, keys, values)
+            })
+            .collect();
 
         let scale = 1.0 / cast::usize_to_f32(hd).sqrt();
-        // Heads are independent read-only functions of (q, keys, values);
-        // running them on the pool keeps each head's arithmetic identical to
-        // the sequential loop, so the concat below is bit-stable for any
-        // thread count. A worker panic (impossible for well-formed configs)
-        // falls back to the sequential loop, which re-raises it on the
-        // caller thread — preserving the panic contract.
-        let compute_head = |h: usize| {
+        // Every (sequence, head) cell is an independent read-only function
+        // of its query rows and its sequence's history; running the grid on
+        // the pool keeps each cell's arithmetic identical to the sequential
+        // loop, so the stitched output is bit-stable for any thread count.
+        // A worker panic (impossible for well-formed configs) falls back to
+        // the sequential loop, which re-raises it on the caller thread —
+        // preserving the panic contract.
+        let compute_cell = |&(s, h): &(usize, usize)| {
+            let (start, rows, keys, values) = &histories[s];
             let kv_h = h / c.group_size();
-            let q_h = q.slice_cols(h * hd, (h + 1) * hd);
+            let q_h = Matrix::from_fn(*rows, hd, |r, col| q[(start + r, h * hd + col)]);
             let k_h = keys.slice_cols(kv_h * hd, (kv_h + 1) * hd);
             let v_h = values.slice_cols(kv_h * hd, (kv_h + 1) * hd);
             let mut scores = q_h.matmul_nt(&k_h);
             scores.scale_in_place(scale);
-            ops::causal_mask_in_place(&mut scores, offset);
+            ops::causal_mask_in_place(&mut scores, keys.rows() - rows);
             let probs = ops::softmax_rows(&scores);
             probs.matmul(&v_h)
         };
-        let head_ids: Vec<usize> = (0..c.heads).collect();
-        let heads = Pool::global()
-            .par_map(&head_ids, |_, &h| compute_head(h))
-            .unwrap_or_else(|_| head_ids.iter().map(|&h| compute_head(h)).collect());
-        let mut concat = heads[0].clone();
-        for h in &heads[1..] {
-            concat = concat.hstack(h);
+        let grid: Vec<(usize, usize)> = (0..histories.len())
+            .flat_map(|s| (0..c.heads).map(move |h| (s, h)))
+            .collect();
+        let cells = Pool::current()
+            .par_map(&grid, |_, cell| compute_cell(cell))
+            .unwrap_or_else(|_| grid.iter().map(compute_cell).collect());
+        // Cell (s, h) fills sequence s's rows of head h's columns.
+        let mut concat = Matrix::zeros(x.rows(), c.dim);
+        for (&(s, h), out) in grid.iter().zip(&cells) {
+            let start = histories[s].0;
+            for (r, row) in out.iter_rows().enumerate() {
+                concat.row_mut(start + r)[h * hd..(h + 1) * hd].copy_from_slice(row);
+            }
         }
         drop(attn_span);
         attn_timer.stop();

@@ -4,9 +4,9 @@
 //! GEMM and quantized-KV attention keep every SM busy (Fig. 8 / Fig. 11) —
 //! and this crate is the CPU analogue of that execution layer: it spreads
 //! the bit-exact kernels over cores **without changing a single output
-//! bit**. The workspace's hot paths (packed GEMM row-blocks, per-head
-//! quantized-KV attention, batched prefill/decode in the serving engine)
-//! all parallelize through the one [`Pool`] type defined here.
+//! bit**. The workspace's hot paths (packed GEMM row-blocks, the model's
+//! (sequence, head) attention grid, quantized-KV attention) all parallelize
+//! through the one [`Pool`] type defined here.
 //!
 //! # Determinism contract
 //!
@@ -35,8 +35,11 @@
 //! is ever spawned (a regression test pins this), which is the
 //! reproducibility-first default for chaos and fault-injection runs and the
 //! width the serving benchmark runs at. Explicit pools ([`Pool::new`]) serve
-//! tests that sweep thread counts; the engine takes one via
-//! `CpuEngine::with_pool`.
+//! tests that sweep thread counts. Entry points without a pool argument run
+//! on [`Pool::current`]: the pool an enclosing [`Pool::install`] put in
+//! place, else the global one. The engine takes a pool via
+//! `CpuEngine::with_pool` and installs it around each batched forward, so
+//! every GEMM, quantizer and attention region inside runs at its width.
 //!
 //! # Worker lifecycle and panics
 //!
@@ -45,26 +48,29 @@
 //! (persistent workers would need `'static` jobs or `unsafe` lifetime
 //! erasure, and the workspace forbids `unsafe`: `unsafe_code = "forbid"`
 //! in the root manifest). Spawn cost is accepted because regions wrap
-//! coarse work (whole row blocks, whole requests), and nested `par_*` calls
-//! see a thread-local flag and run inline instead of oversubscribing.
+//! coarse work (whole row blocks of a batch's stacked rows, whole attention
+//! cells), and nested `par_*` calls see a thread-local flag and run inline
+//! instead of oversubscribing.
 //!
 //! A panicking chunk does not abort the process: each chunk runs under
 //! `catch_unwind`, and after every other chunk has completed the region
 //! returns a typed [`PoolError::WorkerPanic`] listing each failed chunk
 //! with its own panic message. Consumers keep their contracts on top:
-//! kernels map the error into their own `KernelError::WorkerPanic`; the
-//! serving engine runs one request per chunk, so exactly the poisoned
-//! requests terminalize `Failed`, each with the message of its own panic;
-//! and paths whose sequential form documents a panic (an invalid
-//! `QuantSpec`, say) fall back to the sequential loop so the panic
-//! re-raises on the caller.
+//! kernels map the error into their own `KernelError::WorkerPanic`, and
+//! paths whose sequential form documents a panic (an invalid `QuantSpec`,
+//! say) fall back to the sequential loop so the panic re-raises on the
+//! caller. The serving engine runs a whole batch of requests in one forward
+//! and contains its panic with [`catch_panic`] on the caller thread, *not*
+//! in a region — inside one, the forward's own regions would run inline —
+//! then re-runs the batch's requests one at a time, so exactly the poisoned
+//! requests terminalize `Failed`, each with the message of its own panic.
 //!
 //! # Stress mode
 //!
 //! Static partitioning makes the *assignment* of chunks width-independent,
 //! but not the order in which they finish, and on a host with two cores the
 //! workers rarely finish in an unusual order. The test-only `stress` cargo
-//! feature adds [`Pool::with_stress`]: a pool that, seeded, pauses each
+//! feature adds `Pool::with_stress`: a pool that, seeded, pauses each
 //! worker for a random bounded while before every chunk claim and before the
 //! region join. The width sweeps of the kernel proptests, the engine's
 //! stream-identity and chaos tests and the gateway's chaos replay each run
@@ -76,9 +82,12 @@
 //!
 //! The packed GEMM over tiles of [`KERNEL_ROW_BLOCK`] weight rows, group
 //! quantize / dequantize over row blocks, quantized-KV attention over heads,
-//! the model's per-head attention, KV dequantize-on-load over blocks of
-//! token rows, dynamic activation quantization in `QuantizedLinear::forward`,
-//! and the engine's per-request prefill / decode forwards. While telemetry
+//! the model's attention over the (sequence, head) grid of a batched
+//! forward, KV dequantize-on-load over blocks of token rows, and dynamic
+//! activation quantization in `QuantizedLinear::forward`. The engine opens
+//! no region of its own: it installs its pool around each phase's one
+//! forward, whose stacked rows give the GEMM and the grid their width.
+//! While telemetry
 //! is on, each region records [`names::POOL_TASKS`],
 //! [`names::POOL_QUEUE_DEPTH`], [`names::POOL_REGION_WALL_NS`],
 //! [`names::POOL_UTILIZATION_PERMILLE`] and one [`names::SPAN_POOL_WORKER`]
@@ -168,6 +177,21 @@ thread_local! {
     /// generation of workers (unbounded fan-out would oversubscribe the
     /// machine without changing any result).
     static IN_PARALLEL_REGION: Cell<bool> = const { Cell::new(false) };
+    /// The pool [`Pool::install`] put in place on this thread, if any.
+    static INSTALLED: Cell<Option<Pool>> = const { Cell::new(None) };
+}
+
+/// Restores the previously installed pool when an [`Pool::install`] call
+/// returns or unwinds.
+struct InstallGuard {
+    prev: Option<Pool>,
+}
+
+impl Drop for InstallGuard {
+    fn drop(&mut self) {
+        let prev = self.prev;
+        INSTALLED.with(|p| p.set(prev));
+    }
 }
 
 /// RAII flag marking the current thread as inside a parallel region.
@@ -260,10 +284,41 @@ impl Pool {
     }
 
     /// The process-wide pool, built from the environment once on first use
-    /// (see [`Pool::from_env`]). Kernel entry points default to this.
+    /// (see [`Pool::from_env`]): what [`Pool::current`] is outside any
+    /// [`Pool::install`].
     pub fn global() -> &'static Pool {
         static GLOBAL: OnceLock<Pool> = OnceLock::new();
         GLOBAL.get_or_init(Pool::from_env)
+    }
+
+    /// The pool kernel entry points without an explicit pool run on: the
+    /// one the innermost enclosing [`Pool::install`] on this thread put in
+    /// place, else [`Pool::global`].
+    pub fn current() -> Pool {
+        INSTALLED.with(Cell::get).unwrap_or(*Pool::global())
+    }
+
+    /// Runs `f` with this pool as [`Pool::current`] on the calling thread,
+    /// restoring the previous one when `f` returns or unwinds. This is how a
+    /// caller that cannot pass a pool down — a model forward, whose linear
+    /// layers take only their input — still decides the width of every
+    /// GEMM, quantizer and attention region inside it. Workers of those
+    /// regions run nested calls inline, so they never consult it.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use atom_parallel::Pool;
+    ///
+    /// let width = Pool::new(3).install(|| Pool::current().threads());
+    /// assert_eq!(width, 3);
+    /// assert_eq!(Pool::current(), *Pool::global());
+    /// ```
+    pub fn install<R>(&self, f: impl FnOnce() -> R) -> R {
+        let _guard = InstallGuard {
+            prev: INSTALLED.with(|p| p.replace(Some(*self))),
+        };
+        f()
     }
 
     /// Resolves a thread count from an `ATOM_THREADS`-style setting: a
@@ -548,13 +603,33 @@ where
         #[cfg(feature = "stress")]
         stress::pause();
         let index = start + j;
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(index, piece))) {
-            failures.push((index, panic_message(payload.as_ref())));
+        if let Err(message) = catch_panic(|| f(index, piece)) {
+            failures.push((index, message));
         }
     }
     drop(span);
     let busy = busy_start.map_or(0, |s| s.elapsed().as_nanos() as u64);
     (busy, failures)
+}
+
+/// Runs `f` on the calling thread, containing a panic as its message —
+/// what every chunk of a region runs under, for callers that must contain a
+/// panic *without* opening a region (inside one, nested regions run inline
+/// and the work would lose its parallelism).
+///
+/// # Errors
+///
+/// Returns the panic's message if `f` panicked.
+///
+/// # Example
+///
+/// ```
+/// let caught = atom_parallel::catch_panic(|| -> u8 { panic!("poisoned row") });
+/// assert_eq!(caught, Err("poisoned row".to_string()));
+/// assert_eq!(atom_parallel::catch_panic(|| 7), Ok(7));
+/// ```
+pub fn catch_panic<R>(f: impl FnOnce() -> R) -> Result<R, String> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| panic_message(payload.as_ref()))
 }
 
 /// Renders a panic payload: the `&str` / `String` message when there is

@@ -7,6 +7,20 @@
 //! expire deadlines, admit from the FCFS queue, prefill what was admitted,
 //! advance every decoding sequence by one token, retire what finished.
 //!
+//! # One forward per phase
+//!
+//! A step runs the model at most twice: one batched forward
+//! ([`LlamaModel::forward_batch`]) over the prompt suffixes of everything
+//! admitted this step (ragged), and one over a single row of every decoding
+//! sequence. Each linear layer therefore sees every in-flight row at once —
+//! the batching Atom's throughput argument rests on (paper §3, Fig. 4) —
+//! while attention stays per sequence. Every row is bit-identical to that
+//! sequence's forward alone, so token streams do not depend on who shares a
+//! step. A panic inside a batched forward is still one request's failure:
+//! the step truncates every cache back to its pre-step length and re-runs
+//! the phase's requests one at a time, and only those whose own forward
+//! panics again terminalize `Failed`.
+//!
 //! # One table
 //!
 //! Every live request — queued, prefilling, decoding or preempted — is one
@@ -54,15 +68,16 @@
 //!   degrade. Past `shed_queue_depth` the newest submissions are shed;
 //! - **fault tolerance**: a deterministic [`FaultPlan`] can poison block
 //!   allocation or kill, time out or cancel an in-flight request at chosen
-//!   steps, without leaking a block or losing a terminal event.
+//!   steps, without leaking a block or losing a terminal event; a panicking
+//!   forward fails only its own request (above).
 
 use crate::error::{RejectReason, ServeError, Terminal};
 use crate::fault::FaultPlan;
 use crate::paged::{PagedAllocator, SharedPrefix};
 use crate::scheduler::{AdmitOutcome, BatchEvent, ContinuousBatcher};
 use atom_data::Request;
-use atom_nn::{KvStore, LinearLayer, LlamaModel};
-use atom_parallel::{Pool, PoolError};
+use atom_nn::{KvStore, LinearLayer, LlamaModel, SeqRows};
+use atom_parallel::{catch_panic, Pool};
 use atom_prefix::{
     Flavor, PrefixCacheStats, PrefixConfig, RadixIndex, Snapshot, FLAVOR_DEGRADED, FLAVOR_NORMAL,
 };
@@ -206,14 +221,40 @@ struct SeqState {
     next_input: u16,
 }
 
-/// One unit of model work handed to the thread pool, borrowed from the live
-/// table: `Some(prompt)` prefills those prompt tokens, `None` advances the
-/// sequence by one decode token from `state.next_input`. Each job borrows
-/// its state exclusively, so workers never share mutable data.
+/// One sequence's part of a phase's forward, borrowed from the live table:
+/// `Some(prompt)` prefills those prompt tokens, `None` advances the
+/// sequence by one decode token from `state.next_input`.
 struct ForwardJob<'a> {
     id: usize,
     state: &'a mut SeqState,
     prompt: Option<&'a [u16]>,
+}
+
+/// Runs `jobs` as one batched forward and sets each job's next input to the
+/// argmax of its last logits row.
+fn forward_jobs<L: LinearLayer>(model: &LlamaModel<L>, jobs: &mut [ForwardJob<'_>]) {
+    let mut batch: Vec<SeqRows<'_>> = jobs
+        .iter_mut()
+        .map(|job| {
+            let SeqState {
+                cache, next_input, ..
+            } = &mut *job.state;
+            SeqRows {
+                tokens: job.prompt.unwrap_or(std::slice::from_ref(next_input)),
+                kv: cache.as_mut(),
+            }
+        })
+        .collect();
+    let logits = model.forward_batch(&mut batch);
+    drop(batch);
+    // Each job's rows follow the previous job's; its last row is the one
+    // its next token comes from (the forward rejected empty jobs).
+    let mut end = 0;
+    for job in jobs {
+        end += job.prompt.map_or(1, <[u16]>::len);
+        let last = logits.row(end - 1);
+        job.state.next_input = cast::usize_to_u16_saturating(ops::argmax(last));
+    }
 }
 
 /// One live request: an entry from submission to its terminal state.
@@ -379,11 +420,13 @@ impl<L: LinearLayer> CpuEngine<L> {
         })
     }
 
-    /// Runs batched prefill and decode forwards on `pool` instead of the
-    /// process-wide pool. Scheduling decisions (admission, preemption,
-    /// deadline sweeps) never depend on the pool width, and each request's
-    /// forward is computed independently, so generated tokens are identical
-    /// for any thread count — including under chaos/fault schedules.
+    /// Runs the batched prefill and decode forwards on `pool` instead of the
+    /// process-wide pool: it is installed ([`Pool::install`]) around each
+    /// forward, so the GEMM row blocks, quantizers and attention grid inside
+    /// run at its width. Scheduling decisions (admission, preemption,
+    /// deadline sweeps) never depend on the pool width, and every kernel is
+    /// bit-identical at any width, so generated tokens are identical for any
+    /// thread count — including under chaos/fault schedules.
     pub fn with_pool(mut self, pool: Pool) -> Self {
         self.pool = pool;
         self
@@ -618,7 +661,7 @@ impl<L: LinearLayer> CpuEngine<L> {
             self.terminalize(
                 id,
                 Terminal::Failed {
-                    reason: format!("prefill worker panic: {reason}"),
+                    reason: format!("prefill forward panic: {reason}"),
                 },
             );
         }
@@ -696,7 +739,7 @@ impl<L: LinearLayer> CpuEngine<L> {
                 self.terminalize(
                     id,
                     Terminal::Failed {
-                        reason: format!("decode worker panic: {reason}"),
+                        reason: format!("decode forward panic: {reason}"),
                     },
                 );
             }
@@ -911,51 +954,64 @@ impl<L: LinearLayer> CpuEngine<L> {
         live.get(slot % live.len().max(1)).copied()
     }
 
-    /// Runs one model forward per listed request on the engine pool — the
-    /// prompt suffix its admission left to prefill (a hit's match cap of
-    /// `prompt_len - 1` guarantees at least one token), or, when `prefill`
-    /// is false, one decode token after committing the token chosen last
-    /// iteration as output — and picks each next token by argmax over the
-    /// final logits row. Jobs borrow straight from the live table, one
-    /// chunk each: every worker shares `&self.model` read-only and borrows
-    /// its job's KV state exclusively, so token streams are identical at
-    /// any pool width, and a panicking forward is attributable to — and
-    /// poisons — a single request. Returns those requests, each with the
-    /// panic message.
+    /// Runs one phase of the step — the listed requests' prefills or their
+    /// decodes — as **one** batched model forward on the engine pool: each
+    /// contributes the prompt suffix its admission left to prefill (a hit's
+    /// match cap of `prompt_len - 1` guarantees at least one token) or, when
+    /// `prefill` is false, one decode token after committing the token
+    /// chosen last iteration as output. Each next token is the argmax of
+    /// the request's last logits row. Every row of a batched forward is
+    /// bit-identical to that request's forward alone, so token streams do
+    /// not depend on who shares a step, nor on the pool width.
+    ///
+    /// The failure contract stays per request. If the batched forward
+    /// panics, every request's KV cache is truncated back to its length
+    /// before the step and the requests run again one at a time; only those
+    /// whose own forward panics again are returned, each with its message.
+    /// The panic is contained on the caller thread, not in a pool region:
+    /// inside one, the forward's GEMM row blocks and attention grid would
+    /// run inline.
     fn run_forwards(&mut self, ids: &[usize], prefill: bool) -> Vec<(usize, String)> {
         let clock = self.clock;
-        let picked = self.live.iter_mut().filter(|(id, _)| ids.contains(id));
-        let mut jobs: Vec<ForwardJob> = picked
-            .filter_map(|(&id, live)| {
-                let state = live.state.as_mut()?;
-                let prompt = if prefill {
-                    Some(live.prompt.get(live.skip..).unwrap_or(&live.prompt))
-                } else {
-                    state.generated.push(state.next_input);
-                    live.stats.first_token_step.get_or_insert(clock);
-                    None
-                };
-                Some(ForwardJob { id, state, prompt })
-            })
-            .collect();
-        let model = &self.model;
-        let region = self.pool.par_chunks_mut(&mut jobs, 1, |_, chunk| {
-            let Some(job) = chunk.first_mut() else { return };
-            let logits = match job.prompt {
-                Some(prompt) => model.forward(prompt, job.state.cache.as_mut()),
-                None => model.forward(&[job.state.next_input], job.state.cache.as_mut()),
-            };
-            let last = logits.rows().saturating_sub(1);
-            job.state.next_input = cast::usize_to_u16_saturating(ops::argmax(logits.row(last)));
-        });
-        // Chunk size 1: the pool's failed-chunk indices are job indices.
-        let Err(PoolError::WorkerPanic { failed }) = region else {
+        let mut wanted = ids.to_vec();
+        wanted.sort_unstable();
+        let (Some(&lo), Some(&hi)) = (wanted.first(), wanted.last()) else {
             return Vec::new();
         };
+        // One walk over the live table's id range against the sorted ids.
+        let mut wanted = wanted.into_iter().peekable();
+        let mut jobs: Vec<ForwardJob> = Vec::with_capacity(ids.len());
+        for (&id, live) in self.live.range_mut(lo..=hi) {
+            while wanted.next_if(|&w| w < id).is_some() {}
+            if wanted.next_if_eq(&id).is_none() {
+                continue;
+            }
+            let Some(state) = live.state.as_mut() else {
+                continue;
+            };
+            let prompt = if prefill {
+                Some(live.prompt.get(live.skip..).unwrap_or(&live.prompt))
+            } else {
+                state.generated.push(state.next_input);
+                live.stats.first_token_step.get_or_insert(clock);
+                None
+            };
+            jobs.push(ForwardJob { id, state, prompt });
+        }
+        let (model, pool) = (&self.model, self.pool);
+        let before: Vec<usize> = jobs.iter().map(|job| job.state.cache.len(0)).collect();
+        if catch_panic(|| pool.install(|| forward_jobs(model, &mut jobs))).is_ok() {
+            return Vec::new();
+        }
+        let mut failed = Vec::new();
+        for (job, len) in jobs.iter_mut().zip(before) {
+            job.state.cache.truncate(len);
+            let alone = std::slice::from_mut(job);
+            if let Err(message) = catch_panic(|| pool.install(|| forward_jobs(model, alone))) {
+                failed.push((job.id, message));
+            }
+        }
         failed
-            .into_iter()
-            .filter_map(|(idx, message)| Some((jobs.get(idx)?.id, message)))
-            .collect()
     }
 
     /// Runs until every submitted request reaches a terminal state.
@@ -1188,23 +1244,164 @@ mod tests {
         });
     }
 
-    /// A linear layer that panics whenever it sees an activation with one
-    /// of the listed row counts — rows == prompt length during prefill,
-    /// rows == 1 during decode — so chosen requests' forwards can be
-    /// poisoned on demand, each with a message naming its row count.
-    #[derive(Debug)]
-    struct PanickyLinear {
-        inner: DenseLinear,
-        panic_rows: &'static [usize],
+    /// An FP32 KV store that panics when an append would take it past
+    /// `limit` rows, naming its sequence — its place in admission order —
+    /// in the message. A limit of 0 poisons the prefill; `prompt + d`, the
+    /// `d + 1`-th decode. The poison belongs to one sequence however many
+    /// rows a batched forward stacks.
+    #[derive(Debug, Clone)]
+    struct PoisonKv {
+        inner: Fp32KvCache,
+        seq: usize,
+        limit: Option<usize>,
     }
 
-    impl LinearLayer for PanickyLinear {
+    impl KvStore for PoisonKv {
+        fn append(&mut self, layer: usize, k: &atom_tensor::Matrix, v: &atom_tensor::Matrix) {
+            let rows = self.inner.len(layer) + k.rows();
+            if self.limit.is_some_and(|limit| rows > limit) {
+                panic!("injected kv panic in sequence {}", self.seq);
+            }
+            self.inner.append(layer, k, v);
+        }
+        fn keys(&self, layer: usize) -> atom_tensor::Matrix {
+            self.inner.keys(layer)
+        }
+        fn values(&self, layer: usize) -> atom_tensor::Matrix {
+            self.inner.values(layer)
+        }
+        fn len(&self, layer: usize) -> usize {
+            self.inner.len(layer)
+        }
+        fn clear(&mut self) {
+            self.inner.clear();
+        }
+        fn clone_box(&self) -> Box<dyn KvStore> {
+            Box::new(self.clone())
+        }
+        fn truncate(&mut self, tokens: usize) {
+            self.inner.truncate(tokens);
+        }
+    }
+
+    /// A 4-wide engine whose `n`-th admitted sequence gets a [`PoisonKv`]
+    /// limited to `limits[n]` rows (none past the list's end).
+    fn poisoned_engine(limits: &'static [Option<usize>], threads: usize) -> CpuEngine<DenseLinear> {
+        let config = tiny_config();
+        let admitted = AtomicUsize::new(0);
+        CpuEngine::new(
+            LlamaModel::random_init(config, 3),
+            Box::new(move || {
+                let seq = admitted.fetch_add(1, Ordering::Relaxed);
+                Box::new(PoisonKv {
+                    inner: Fp32KvCache::new(config.layers, config.kv_dim()),
+                    seq,
+                    limit: limits.get(seq).copied().flatten(),
+                })
+            }),
+            4,
+            1024,
+        )
+        .expect("valid config")
+        .with_pool(Pool::new(threads))
+    }
+
+    #[test]
+    fn prefill_worker_panic_fails_only_its_request() {
+        // Four prompts prefill in one batched forward; the second's and the
+        // fourth's KV stores panic on their first append. The process
+        // survives, each victim terminalizes Failed with its own panic's
+        // message, and the other requests complete untouched.
+        for threads in [1, 2] {
+            let mut e = poisoned_engine(&[None, Some(0), None, Some(0)], threads);
+            let ids: Vec<usize> = (2..6u16)
+                .map(|len| e.submit((1..=len).collect(), 3).unwrap())
+                .collect();
+            let done = e.run_to_completion().to_vec();
+            assert_eq!(done.len(), 2);
+            assert!(done.iter().any(|c| c.id == ids[0]));
+            assert!(done.iter().any(|c| c.id == ids[2]));
+            for bad in [ids[1], ids[3]] {
+                let outcome = e.outcomes().iter().find(|o| o.id == bad).expect("terminal");
+                let Terminal::Failed { reason } = &outcome.terminal else {
+                    panic!("expected Failed, got {:?}", outcome.terminal);
+                };
+                let own = format!("prefill forward panic: injected kv panic in sequence {bad}");
+                assert_eq!(reason, &own, "{threads} threads");
+            }
+        }
+    }
+
+    #[test]
+    fn decode_worker_panic_fails_request_with_typed_terminal() {
+        // The store panics past the 2 prompt rows: prefill succeeds, the
+        // first decode forward dies. The request fails typed, keeping the
+        // token it had already committed.
+        let mut e = poisoned_engine(&[Some(2)], 2);
+        let id = e.submit(vec![1, 2], 3).unwrap();
+        e.run_to_completion();
+        assert!(e.completions().is_empty());
+        let outcome = e.outcomes().iter().find(|o| o.id == id).expect("terminal");
+        match &outcome.terminal {
+            Terminal::Failed { reason } => {
+                assert!(reason.contains("decode forward panic"), "reason: {reason}")
+            }
+            other => panic!("expected Failed, got {other:?}"),
+        }
+        assert_eq!(outcome.tokens.len(), 1, "first token was already committed");
+    }
+
+    #[test]
+    fn batched_decode_panic_fails_only_its_request() {
+        // Four requests decode in one batched forward. The third's store
+        // panics on its third decode append — after the first two have
+        // appended theirs — so the step must roll every cache back and
+        // re-run the requests one at a time. Only the third fails; the
+        // survivors' streams equal a run without the poison, which they
+        // would not if a rolled-back row were appended twice.
+        let prompts: Vec<Vec<u16>> = (0..4u16).map(|r| vec![r * 11 + 1, 7, 3]).collect();
+        let run = |limits: &'static [Option<usize>], threads: usize| {
+            let mut e = poisoned_engine(limits, threads);
+            for p in &prompts {
+                e.submit(p.clone(), 6).unwrap();
+            }
+            e.run_to_completion();
+            let mut outcomes = e.outcomes().to_vec();
+            outcomes.sort_by_key(|o| o.id);
+            outcomes
+        };
+        let clean = run(&[], 1);
+        assert!(clean.iter().all(|o| o.terminal.is_completed()));
+        for threads in [1, 2] {
+            let poisoned = run(&[None, None, Some(3 + 2)], threads);
+            for (p, c) in poisoned.iter().zip(&clean) {
+                if p.id == 2 {
+                    let reason = "decode forward panic: injected kv panic in sequence 2";
+                    let failed = Terminal::Failed {
+                        reason: reason.to_string(),
+                    };
+                    assert_eq!(p.terminal, failed, "{threads} threads");
+                    assert_eq!(p.tokens, c.tokens[..3], "tokens committed before the panic");
+                } else {
+                    let (got, want) = ((&p.terminal, &p.tokens), (&c.terminal, &c.tokens));
+                    assert_eq!(got, want, "request {} at {threads} threads", p.id);
+                }
+            }
+        }
+    }
+
+    /// A dense layer counting its forwards into `calls`, if it has one.
+    #[derive(Debug)]
+    struct CountedLinear {
+        inner: DenseLinear,
+        calls: Option<Arc<AtomicUsize>>,
+    }
+
+    impl LinearLayer for CountedLinear {
         fn forward(&self, x: &atom_tensor::Matrix) -> atom_tensor::Matrix {
-            let rows = x.rows();
-            assert!(
-                !self.panic_rows.contains(&rows),
-                "injected layer panic at {rows} rows"
-            );
+            if let Some(calls) = &self.calls {
+                calls.fetch_add(1, Ordering::Relaxed);
+            }
             self.inner.forward(x)
         }
         fn in_features(&self) -> usize {
@@ -1215,66 +1412,31 @@ mod tests {
         }
     }
 
-    fn panicky_engine(panic_rows: &'static [usize], threads: usize) -> CpuEngine<PanickyLinear> {
+    #[test]
+    fn one_forward_per_phase_not_per_request() {
+        // Eight concurrent requests: every step runs at most one prefill
+        // forward and one decode forward, so one linear layer runs at most
+        // twice per step — not once per request per step.
         let config = tiny_config();
-        let model = LlamaModel::random_init(config, 3).map_linears(|_, l| PanickyLinear {
-            inner: l,
-            panic_rows,
+        let calls = Arc::new(AtomicUsize::new(0));
+        let q0 = atom_nn::LinearId::new(0, atom_nn::Proj::Q);
+        let model = LlamaModel::random_init(config, 3).map_linears(|id, inner| CountedLinear {
+            inner,
+            calls: (id == q0).then(|| Arc::clone(&calls)),
         });
-        CpuEngine::new(
+        let mut e = CpuEngine::new(
             model,
             Box::new(move || Box::new(Fp32KvCache::new(config.layers, config.kv_dim()))),
-            4,
+            8,
             1024,
         )
-        .expect("valid config")
-        .with_pool(Pool::new(threads))
-    }
-
-    #[test]
-    fn prefill_worker_panic_fails_only_its_request() {
-        // Prompts of length 2/3/4/5; layers panic at 3 and 5 rows, so the
-        // second and fourth requests' prefills die in the same step. The
-        // process survives, each victim terminalizes Failed with its own
-        // panic's message, and the other requests complete untouched.
-        for threads in [1, 2] {
-            let mut e = panicky_engine(&[3, 5], threads);
-            let ok_a = e.submit(vec![1, 2], 3).unwrap();
-            let bad_3 = e.submit(vec![1, 2, 3], 3).unwrap();
-            let ok_b = e.submit(vec![1, 2, 3, 4], 3).unwrap();
-            let bad_5 = e.submit(vec![1, 2, 3, 4, 5], 3).unwrap();
-            let done = e.run_to_completion().to_vec();
-            assert_eq!(done.len(), 2);
-            assert!(done.iter().any(|c| c.id == ok_a));
-            assert!(done.iter().any(|c| c.id == ok_b));
-            for (bad, rows) in [(bad_3, 3), (bad_5, 5)] {
-                let outcome = e.outcomes().iter().find(|o| o.id == bad).expect("terminal");
-                let Terminal::Failed { reason } = &outcome.terminal else {
-                    panic!("expected Failed, got {:?}", outcome.terminal);
-                };
-                let own = format!("prefill worker panic: injected layer panic at {rows} rows");
-                assert_eq!(reason, &own, "{threads} threads");
-            }
+        .expect("valid config");
+        for r in 0..8u16 {
+            e.submit(vec![r + 1; 3 + usize::from(r)], 6 + usize::from(r % 3)).unwrap();
         }
-    }
-
-    #[test]
-    fn decode_worker_panic_fails_request_with_typed_terminal() {
-        // Layers panic at 1 row: prefill (2 rows) succeeds, the first
-        // decode forward dies. The request fails typed, keeping the token
-        // it had already committed.
-        let mut e = panicky_engine(&[1], 2);
-        let id = e.submit(vec![1, 2], 3).unwrap();
-        e.run_to_completion();
-        assert!(e.completions().is_empty());
-        let outcome = e.outcomes().iter().find(|o| o.id == id).expect("terminal");
-        match &outcome.terminal {
-            Terminal::Failed { reason } => {
-                assert!(reason.contains("decode worker panic"), "reason: {reason}")
-            }
-            other => panic!("expected Failed, got {other:?}"),
-        }
-        assert_eq!(outcome.tokens.len(), 1, "first token was already committed");
+        assert_eq!(e.run_to_completion().len(), 8);
+        let calls = calls.load(Ordering::Relaxed);
+        assert!(calls <= 2 * e.steps(), "{calls} forwards in {} steps", e.steps());
     }
 
     #[test]

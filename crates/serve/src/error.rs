@@ -69,10 +69,6 @@ pub enum ServeError {
         /// Iteration at which progress stopped.
         step: usize,
     },
-    /// A thread-pool worker panicked while running batched model forwards;
-    /// the panic was contained by the pool and converted into this typed
-    /// error (affected requests terminalize `Failed`, the process lives).
-    WorkerPanic(String),
 }
 
 impl std::fmt::Display for ServeError {
@@ -87,18 +83,11 @@ impl std::fmt::Display for ServeError {
             ServeError::Stalled { step } => {
                 write!(f, "scheduler stopped making progress at step {step}")
             }
-            ServeError::WorkerPanic(msg) => write!(f, "parallel worker panic: {msg}"),
         }
     }
 }
 
 impl std::error::Error for ServeError {}
-
-impl From<atom_parallel::PoolError> for ServeError {
-    fn from(e: atom_parallel::PoolError) -> Self {
-        ServeError::WorkerPanic(e.to_string())
-    }
-}
 
 impl From<RejectReason> for ServeError {
     fn from(reason: RejectReason) -> Self {
