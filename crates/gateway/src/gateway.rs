@@ -1585,7 +1585,10 @@ mod tests {
                 assert_eq!(solo, run(Pool::new(8)), "row {row}: 1 vs 8 threads");
                 for seed in row as u64 * 8..(row as u64 + 1) * 8 {
                     let stressed = run(Pool::new(2).with_stress(seed));
-                    assert_eq!(solo, stressed, "row {row}: 1 vs 2 threads, stress seed {seed}");
+                    assert_eq!(
+                        solo, stressed,
+                        "row {row}: 1 vs 2 threads, stress seed {seed}"
+                    );
                 }
                 solo
             })

@@ -50,9 +50,8 @@ const _: () = assert!((MAX_ACC_K as i64 + 1) << (2 * (MAX_BITS - 1)) > i32::MAX 
 // pair of worst-case products a packed multiply-add (`pmaddwd`) sums before
 // the `i32` accumulation fits `i32` — so the only reduction bound stays
 // `MAX_ACC_K`.
-const _: () = assert!(
-    1i64 << (MAX_BITS - 1) <= 1i64 << 15 && 2 << (2 * (MAX_BITS - 1)) <= i32::MAX as i64
-);
+const _: () =
+    assert!(1i64 << (MAX_BITS - 1) <= 1i64 << 15 && 2 << (2 * (MAX_BITS - 1)) <= i32::MAX as i64);
 
 /// Plain integer GEMM with i32 accumulation: `a (m x k) @ b_t (n x k)^T`,
 /// returning the raw i32 accumulators. This is the "pure INT4/INT8 GEMM

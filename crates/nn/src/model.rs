@@ -237,6 +237,14 @@ pub struct SeqRows<'a> {
     pub kv: &'a mut dyn KvStore,
 }
 
+/// One sequence inside a layer's attention: its rows of the stacked batch
+/// and its whole K/V history, the new rows last.
+struct History {
+    rows: std::ops::Range<usize>,
+    keys: Matrix,
+    values: Matrix,
+}
+
 /// Decoder-only Llama-style model, generic over linear precision `L`.
 ///
 /// # Example
@@ -569,7 +577,8 @@ impl<L: LinearLayer> LlamaModel<L> {
             let start = seq.kv.len(0);
             for (pos, &t) in (start..).zip(seq.tokens) {
                 assert!((t as usize) < c.vocab, "token {t} out of vocabulary");
-                x.row_mut(positions.len()).copy_from_slice(self.embed.row(t as usize));
+                x.row_mut(positions.len())
+                    .copy_from_slice(self.embed.row(t as usize));
                 positions.push(pos);
             }
         }
@@ -624,14 +633,14 @@ impl<L: LinearLayer> LlamaModel<L> {
         let attn_span = span!(names::SPAN_ATTENTION, layer = layer);
         // Each sequence appends its rows of K/V and loads its whole history
         // (the new rows are its last ones).
-        let mut first = 0;
-        let histories: Vec<(usize, usize, Matrix, Matrix)> = batch
+        let mut end = 0;
+        let histories: Vec<History> = batch
             .iter_mut()
             .map(|seq| {
-                let (start, rows) = (first, seq.tokens.len());
-                first += rows;
-                let end = start + rows;
-                seq.kv.append(layer, &k.slice_rows(start, end), &v.slice_rows(start, end));
+                let rows = end..end + seq.tokens.len();
+                end = rows.end;
+                let (k_s, v_s) = (k.slice_rows(rows.start, end), v.slice_rows(rows.start, end));
+                seq.kv.append(layer, &k_s, &v_s);
                 let (keys, values) = (seq.kv.keys(layer), seq.kv.values(layer));
                 t.counter_add(
                     names::OP_ATTENTION_BYTES,
@@ -639,7 +648,7 @@ impl<L: LinearLayer> LlamaModel<L> {
                     (4 * 2 * keys.rows() * keys.cols()) as u64,
                 );
                 t.counter_add(names::OP_ATTENTION_CALLS, 1);
-                (start, rows, keys, values)
+                History { rows, keys, values }
             })
             .collect();
 
@@ -652,14 +661,14 @@ impl<L: LinearLayer> LlamaModel<L> {
         // the sequential loop, which re-raises it on the caller thread —
         // preserving the panic contract.
         let compute_cell = |&(s, h): &(usize, usize)| {
-            let (start, rows, keys, values) = &histories[s];
+            let History { rows, keys, values } = &histories[s];
             let kv_h = h / c.group_size();
-            let q_h = Matrix::from_fn(*rows, hd, |r, col| q[(start + r, h * hd + col)]);
+            let q_h = Matrix::from_fn(rows.len(), hd, |r, col| q[(rows.start + r, h * hd + col)]);
             let k_h = keys.slice_cols(kv_h * hd, (kv_h + 1) * hd);
             let v_h = values.slice_cols(kv_h * hd, (kv_h + 1) * hd);
             let mut scores = q_h.matmul_nt(&k_h);
             scores.scale_in_place(scale);
-            ops::causal_mask_in_place(&mut scores, keys.rows() - rows);
+            ops::causal_mask_in_place(&mut scores, keys.rows() - rows.len());
             let probs = ops::softmax_rows(&scores);
             probs.matmul(&v_h)
         };
@@ -672,9 +681,8 @@ impl<L: LinearLayer> LlamaModel<L> {
         // Cell (s, h) fills sequence s's rows of head h's columns.
         let mut concat = Matrix::zeros(x.rows(), c.dim);
         for (&(s, h), out) in grid.iter().zip(&cells) {
-            let start = histories[s].0;
-            for (r, row) in out.iter_rows().enumerate() {
-                concat.row_mut(start + r)[h * hd..(h + 1) * hd].copy_from_slice(row);
+            for (r, row) in histories[s].rows.clone().zip(out.iter_rows()) {
+                concat.row_mut(r)[h * hd..(h + 1) * hd].copy_from_slice(row);
             }
         }
         drop(attn_span);

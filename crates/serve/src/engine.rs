@@ -1432,11 +1432,16 @@ mod tests {
         )
         .expect("valid config");
         for r in 0..8u16 {
-            e.submit(vec![r + 1; 3 + usize::from(r)], 6 + usize::from(r % 3)).unwrap();
+            e.submit(vec![r + 1; 3 + usize::from(r)], 6 + usize::from(r % 3))
+                .unwrap();
         }
         assert_eq!(e.run_to_completion().len(), 8);
         let calls = calls.load(Ordering::Relaxed);
-        assert!(calls <= 2 * e.steps(), "{calls} forwards in {} steps", e.steps());
+        assert!(
+            calls <= 2 * e.steps(),
+            "{calls} forwards in {} steps",
+            e.steps()
+        );
     }
 
     #[test]
