@@ -612,10 +612,10 @@ where
     (busy, failures)
 }
 
-/// Runs `f` on the calling thread, containing a panic as its message —
-/// what every chunk of a region runs under, for callers that must contain a
-/// panic *without* opening a region (inside one, nested regions run inline
-/// and the work would lose its parallelism).
+/// Runs `f` on the calling thread and contains a panic as its message.
+/// Every chunk of a region runs under it. A caller that must contain a
+/// panic *without* opening a region calls it directly: inside a region,
+/// nested regions run inline and the work would lose its parallelism.
 ///
 /// # Errors
 ///
