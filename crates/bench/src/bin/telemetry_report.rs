@@ -23,7 +23,7 @@ use atom_nn::zoo;
 use atom_nn::LlamaModel;
 use atom_serve::engine::CpuEngine;
 use atom_serve::PrefixConfig;
-use atom_telemetry::{export, names, MetricsSnapshot, Telemetry};
+use atom_telemetry::{export, names, Telemetry};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -65,10 +65,6 @@ fn run_workload(model: LlamaModel<AnyLinear>) -> (f64, usize) {
     (start.elapsed().as_secs_f64(), engine.steps())
 }
 
-fn hist_sum(snap: &MetricsSnapshot, name: &str) -> u64 {
-    snap.histograms.get(name).map_or(0, |h| h.sum)
-}
-
 fn pct(part: u64, total: u64) -> String {
     if total == 0 {
         return "-".into();
@@ -88,11 +84,11 @@ fn main() {
     // Measured breakdown. Scheduler time is everything in a step outside
     // the model forward; "other" is the forward residue outside the three
     // instrumented operator classes (norms, embeddings, sampling).
-    let step_ns = hist_sum(&snap, names::ENGINE_STEP_WALL_NS);
-    let fwd_ns = hist_sum(&snap, names::MODEL_FORWARD_WALL_NS);
-    let gemm_ns = hist_sum(&snap, names::OP_GEMM_WALL_NS);
-    let attn_ns = hist_sum(&snap, names::OP_ATTENTION_WALL_NS);
-    let quant_ns = hist_sum(&snap, names::OP_QUANT_WALL_NS);
+    let step_ns = snap.hist_sum(names::ENGINE_STEP_WALL_NS);
+    let fwd_ns = snap.hist_sum(names::MODEL_FORWARD_WALL_NS);
+    let gemm_ns = snap.hist_sum(names::OP_GEMM_WALL_NS);
+    let attn_ns = snap.hist_sum(names::OP_ATTENTION_WALL_NS);
+    let quant_ns = snap.hist_sum(names::OP_QUANT_WALL_NS);
     let other_ns = fwd_ns.saturating_sub(gemm_ns + attn_ns + quant_ns);
     let sched_ns = step_ns.saturating_sub(fwd_ns);
     let wall_ns = (wall_s * 1e9) as u64;
@@ -111,11 +107,11 @@ fn main() {
         &HardwareProfile::rtx4090(),
     );
     let sim_snap = sim.metrics().snapshot();
-    let sim_gemm = hist_sum(&sim_snap, names::OP_GEMM_WALL_NS);
-    let sim_attn = hist_sum(&sim_snap, names::OP_ATTENTION_WALL_NS);
-    let sim_quant = hist_sum(&sim_snap, names::OP_QUANT_WALL_NS);
-    let sim_other = hist_sum(&sim_snap, names::OP_OTHER_WALL_NS);
-    let sim_total = hist_sum(&sim_snap, names::MODEL_FORWARD_WALL_NS);
+    let sim_gemm = sim_snap.hist_sum(names::OP_GEMM_WALL_NS);
+    let sim_attn = sim_snap.hist_sum(names::OP_ATTENTION_WALL_NS);
+    let sim_quant = sim_snap.hist_sum(names::OP_QUANT_WALL_NS);
+    let sim_other = sim_snap.hist_sum(names::OP_OTHER_WALL_NS);
+    let sim_total = sim_snap.hist_sum(names::MODEL_FORWARD_WALL_NS);
 
     let rows = vec![
         breakdown_row("op.gemm", gemm_ns, step_ns, sim_gemm, sim_total),
@@ -129,8 +125,8 @@ fn main() {
         &rows,
     );
 
-    let ttft = snap.histograms.get(names::ENGINE_TTFT_STEPS);
-    let tpot = snap.histograms.get(names::ENGINE_TPOT_MILLISTEPS);
+    let ttft = snap.histogram(names::ENGINE_TTFT_STEPS);
+    let tpot = snap.histogram(names::ENGINE_TPOT_MILLISTEPS);
     let lat_rows = vec![
         vec![
             "TTFT (steps)".to_string(),
@@ -169,7 +165,7 @@ fn main() {
         snap.counter(names::ENGINE_DEGRADED_ADMISSIONS),
         snap.counter(names::ENGINE_FAULTS),
     );
-    let hit_ttft = snap.histograms.get(names::PREFIX_HIT_TTFT_STEPS);
+    let hit_ttft = snap.histogram(names::PREFIX_HIT_TTFT_STEPS);
     let _ = writeln!(
         content,
         "prefix cache: hits={} misses={} evictions={} cow_forks={} hit-TTFT p50={} steps",

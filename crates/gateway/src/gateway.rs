@@ -1465,7 +1465,7 @@ mod tests {
         );
         let metrics = g.engine().telemetry().metrics().snapshot();
         let latency = [names::GATEWAY_TTFT_TICKS, names::GATEWAY_TPOT_MILLITICKS]
-            .map(|n| metrics.histograms.get(n).cloned());
+            .map(|n| metrics.histogram(n).cloned());
         Replay {
             summary,
             outcomes,

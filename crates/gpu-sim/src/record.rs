@@ -83,17 +83,17 @@ mod tests {
         assert!((total - b.total_s()).abs() < 1e-12);
 
         let snap = t.metrics().snapshot();
-        let gemm_s = snap.histograms[names::OP_GEMM_WALL_NS].sum as f64 / 1e9;
-        let attn_s = snap.histograms[names::OP_ATTENTION_WALL_NS].sum as f64 / 1e9;
-        let quant_s = snap.histograms[names::OP_QUANT_WALL_NS].sum as f64 / 1e9;
-        let other_s = snap.histograms[names::OP_OTHER_WALL_NS].sum as f64 / 1e9;
+        let gemm_s = snap.hist_sum(names::OP_GEMM_WALL_NS) as f64 / 1e9;
+        let attn_s = snap.hist_sum(names::OP_ATTENTION_WALL_NS) as f64 / 1e9;
+        let quant_s = snap.hist_sum(names::OP_QUANT_WALL_NS) as f64 / 1e9;
+        let other_s = snap.hist_sum(names::OP_OTHER_WALL_NS) as f64 / 1e9;
         // Class sums line up with the Breakdown aggregation (ns rounding).
         assert!((gemm_s - b.dense_s).abs() < 1e-6, "{gemm_s} vs {}", b.dense_s);
         assert!((attn_s - b.attention_s).abs() < 1e-6);
         assert!((quant_s + other_s - b.other_s).abs() < 1e-6);
         assert!(quant_s > 0.0, "Atom scheme has a quant epilogue");
         // Components cover the forward total.
-        let fwd_s = snap.histograms[names::MODEL_FORWARD_WALL_NS].sum as f64 / 1e9;
+        let fwd_s = snap.hist_sum(names::MODEL_FORWARD_WALL_NS) as f64 / 1e9;
         let parts = gemm_s + attn_s + quant_s + other_s;
         assert!((parts - fwd_s).abs() / fwd_s < 1e-3);
         // Call counts: 4 dense GEMMs and 1 attention per layer.
@@ -108,6 +108,6 @@ mod tests {
         let t = Telemetry::enabled();
         record_iteration(&t, &cfg, SimScheme::Fp16, 8, 256, Phase::Decode, &hw);
         let snap = t.metrics().snapshot();
-        assert!(!snap.histograms.contains_key(names::OP_QUANT_WALL_NS));
+        assert!(snap.histogram(names::OP_QUANT_WALL_NS).is_none());
     }
 }

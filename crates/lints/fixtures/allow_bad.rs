@@ -16,3 +16,8 @@ pub fn stale_directive(n: u8) -> u32 {
     // lint: allow(lossy-cast) — this conversion is lossless, so the directive is stale
     u32::from(n)
 }
+
+pub fn retired_names_rule(n: u64) -> u64 {
+    // lint: allow(telemetry-names) — the metric-name types hold this now
+    n
+}

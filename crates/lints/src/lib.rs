@@ -1,14 +1,12 @@
-//! `atom-lint` — the three workspace invariants neither rustc nor clippy
+//! `atom-lint` — the two workspace invariants neither rustc nor clippy
 //! can state, checked over tokens. Everything the toolchain *can* hold, it
 //! holds: `unsafe`, the no-panic contract of the serving crates, the
-//! wall-clock / env / hash-order bans and the integer bounds are rustc and
-//! clippy lints (DESIGN §3.9 has the one table of invariant → enforcer).
-//! What is left here:
+//! wall-clock / env / hash-order bans, the integer bounds and the telemetry
+//! names contract are rustc and clippy lints or types (DESIGN §3.9 has the
+//! one table of invariant → enforcer). What is left here:
 //!
 //! * [`RULE_LOSSY_CAST`] — truncating / sign-changing `as` casts stay inside
 //!   the audited quantizer modules ([`rules::lossy_cast`]);
-//! * [`RULE_TELEMETRY_NAMES`] — `telemetry::names` and the recording call
-//!   sites stay in bijection ([`rules::telemetry_names`]);
 //! * [`RULE_ACCUMULATOR_WIDTH`] — every `i32`/`i64` reduction cites the
 //!   `const` assertion that bounds it ([`rules::accumulator_width`]).
 //!
@@ -23,7 +21,6 @@ pub mod lexer;
 pub mod rules;
 
 use lexer::{cfg_test_ranges, lex, Lexed};
-use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
 use std::io;
@@ -31,26 +28,16 @@ use std::path::{Path, PathBuf};
 
 /// Rule identifiers, used in reports and in `lint: allow(...)` directives.
 pub const RULE_LOSSY_CAST: &str = "lossy-cast";
-pub const RULE_TELEMETRY_NAMES: &str = "telemetry-names";
 pub const RULE_ACCUMULATOR_WIDTH: &str = "accumulator-width";
 /// Meta-rule: malformed or stale `lint:` directives.
 pub const RULE_DIRECTIVE: &str = "lint-directive";
 
 /// All enforceable rule names (directives may only name these).
-pub const ALL_RULES: &[&str] = &[
-    RULE_LOSSY_CAST,
-    RULE_TELEMETRY_NAMES,
-    RULE_ACCUMULATOR_WIDTH,
-];
+pub const ALL_RULES: &[&str] = &[RULE_LOSSY_CAST, RULE_ACCUMULATOR_WIDTH];
 
 /// Every rule name that can appear in a report: [`ALL_RULES`] plus the
 /// directive meta-rule (which cannot be allowed away).
-pub const REPORTABLE_RULES: &[&str] = &[
-    RULE_LOSSY_CAST,
-    RULE_TELEMETRY_NAMES,
-    RULE_ACCUMULATOR_WIDTH,
-    RULE_DIRECTIVE,
-];
+pub const REPORTABLE_RULES: &[&str] = &[RULE_LOSSY_CAST, RULE_ACCUMULATOR_WIDTH, RULE_DIRECTIVE];
 
 /// One violation, formatted as `file:line: rule: message`.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -99,16 +86,6 @@ pub struct FileCtx {
     pub kind: FileKind,
 }
 
-/// The table parsed from `telemetry::names`: constant identifier → metric
-/// name string, with the declaration line.
-#[derive(Debug, Default, Clone)]
-pub struct NamesTable {
-    /// ident → (string value, line in names.rs).
-    pub consts: BTreeMap<String, (String, usize)>,
-    /// Workspace-relative path of names.rs (for reporting).
-    pub path: String,
-}
-
 /// A `// lint: allow(<rules>) — <reason>` directive.
 #[derive(Debug)]
 struct AllowDirective {
@@ -136,17 +113,6 @@ pub struct AllowRecord {
     /// Findings actually suppressed (zero means the directive is stale —
     /// itself a finding).
     pub suppressed: usize,
-}
-
-/// Per-workspace state threaded through every [`lint_file`] call: the
-/// telemetry usage scan and the allow inventory — the two pieces whose
-/// judgments span files.
-#[derive(Debug, Default)]
-pub struct CrossFileState {
-    /// `names::X` references seen in production code.
-    pub used_names: Vec<String>,
-    /// Every parsed allow directive, for the report inventory.
-    pub allows: Vec<AllowRecord>,
 }
 
 fn parse_directives(lexed: &Lexed) -> Vec<AllowDirective> {
@@ -191,29 +157,14 @@ fn parse_directives(lexed: &Lexed) -> Vec<AllowDirective> {
     out
 }
 
-/// Runs every rule on one lexed file and applies `lint: allow` directives.
-/// `names` is the parsed constants table (None while collecting it, e.g. in
-/// fixture tests that exercise other rules); `state` accumulates the
-/// cross-file evidence (telemetry usage, allow inventory).
-pub fn lint_file(
-    ctx: &FileCtx,
-    source: &str,
-    names: Option<&NamesTable>,
-    state: &mut CrossFileState,
-) -> Vec<Finding> {
+/// Runs every rule on one lexed file and applies `lint: allow` directives;
+/// `allows` accumulates the workspace's allow inventory.
+pub fn lint_file(ctx: &FileCtx, source: &str, allows: &mut Vec<AllowRecord>) -> Vec<Finding> {
     let lexed = lex(source);
     let test_ranges = cfg_test_ranges(&lexed);
     let mut findings = Vec::new();
 
     rules::lossy_cast::check(ctx, &lexed, &test_ranges, &mut findings);
-    rules::telemetry_names::check(
-        ctx,
-        &lexed,
-        &test_ranges,
-        names,
-        &mut state.used_names,
-        &mut findings,
-    );
     rules::accumulator_width::check(ctx, &lexed, &test_ranges, &mut findings);
 
     // This crate's own sources quote the directive syntax in docs and
@@ -284,7 +235,7 @@ pub fn lint_file(
         }
     }
 
-    state.allows.extend(directives.into_iter().map(|d| AllowRecord {
+    allows.extend(directives.into_iter().map(|d| AllowRecord {
         file: ctx.path.clone(),
         line: d.line,
         rules: d.rules,
@@ -293,35 +244,6 @@ pub fn lint_file(
     }));
 
     findings
-}
-
-/// Parses `crates/telemetry/src/names.rs` into a [`NamesTable`].
-pub fn parse_names_table(path_for_report: &str, source: &str) -> NamesTable {
-    let lexed = lex(source);
-    let toks = &lexed.tokens;
-    let mut table = NamesTable {
-        consts: BTreeMap::new(),
-        path: path_for_report.to_string(),
-    };
-    let mut i = 0;
-    while i + 1 < toks.len() {
-        // pub const IDENT : ... = "value" ;
-        if toks[i].text == "const" && toks[i + 1].kind == lexer::TokKind::Ident {
-            let ident = toks[i + 1].text.clone();
-            let line = toks[i + 1].line;
-            let mut j = i + 2;
-            while j < toks.len() && toks[j].text != ";" {
-                if toks[j].kind == lexer::TokKind::StrLit {
-                    let raw = toks[j].text.trim_matches('"').to_string();
-                    table.consts.insert(ident.clone(), (raw, line));
-                    break;
-                }
-                j += 1;
-            }
-        }
-        i += 1;
-    }
-    table
 }
 
 /// Reads the `name = "..."` of the `[package]` section.
@@ -398,17 +320,9 @@ pub fn lint_workspace(root: &Path) -> io::Result<WorkspaceReport> {
         .collect();
     crate_dirs.sort();
 
-    // Pass 0: the telemetry names table (needed by every other file).
-    let names_path = root.join("crates/telemetry/src/names.rs");
-    let names = match fs::read_to_string(&names_path) {
-        Ok(src) => Some(parse_names_table("crates/telemetry/src/names.rs", &src)),
-        Err(_) => None,
-    };
-
-    // Pass 1: the rules, file by file.
     let mut findings = Vec::new();
     let mut files_checked = 0usize;
-    let mut state = CrossFileState::default();
+    let mut allows = Vec::new();
     for crate_dir in &crate_dirs {
         let manifest = fs::read_to_string(crate_dir.join("Cargo.toml"))?;
         let crate_name = package_name(&manifest).unwrap_or_else(|| {
@@ -443,50 +357,13 @@ pub fn lint_workspace(root: &Path) -> io::Result<WorkspaceReport> {
                 path: rel,
                 kind,
             };
-            findings.extend(lint_file(&ctx, &source, names.as_ref(), &mut state));
+            findings.extend(lint_file(&ctx, &source, &mut allows));
             files_checked += 1;
-        }
-    }
-
-    // Cross-file half of the telemetry bijection: every declared name must
-    // be used by at least one production call site.
-    if let Some(table) = &names {
-        for (ident, (value, line)) in &table.consts {
-            if !state.used_names.iter().any(|u| u == ident) {
-                findings.push(Finding {
-                    file: table.path.clone(),
-                    line: *line,
-                    rule: RULE_TELEMETRY_NAMES,
-                    message: format!(
-                        "metric name `{ident}` (\"{value}\") is declared but never \
-                         recorded by any production call site"
-                    ),
-                });
-            }
-        }
-        // Two constants aliasing one string would silently merge series.
-        let mut by_value: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
-        for (ident, (value, _)) in &table.consts {
-            by_value.entry(value).or_default().push(ident);
-        }
-        for (value, idents) in by_value {
-            if idents.len() > 1 {
-                findings.push(Finding {
-                    file: table.path.clone(),
-                    line: table.consts[idents[0]].1,
-                    rule: RULE_TELEMETRY_NAMES,
-                    message: format!(
-                        "metric string \"{value}\" is declared by multiple constants: {}",
-                        idents.join(", ")
-                    ),
-                });
-            }
         }
     }
 
     findings.sort();
     findings.dedup();
-    let mut allows = state.allows;
     allows.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     Ok(WorkspaceReport {
         findings,

@@ -4,4 +4,3 @@
 
 pub mod accumulator_width;
 pub mod lossy_cast;
-pub mod telemetry_names;

@@ -1,13 +1,12 @@
 //! Golden tests: each known-bad fixture under `fixtures/` must produce
 //! exactly the expected `(rule, line)` findings, the allow-directive
-//! fixture must lint clean, and the live workspace itself must be clean
-//! (which also proves the telemetry-names bijection holds on the real
-//! tree). The binary's exit-code contract is checked end to end against a
+//! fixture must lint clean, and the live workspace itself must be clean.
+//! The binary's exit-code contract is checked end to end against a
 //! synthesized bad workspace.
 
 use atom_lint::{
-    lint_file, lint_workspace, CrossFileState, FileCtx, FileKind, NamesTable,
-    RULE_ACCUMULATOR_WIDTH, RULE_DIRECTIVE, RULE_LOSSY_CAST, RULE_TELEMETRY_NAMES,
+    lint_file, lint_workspace, AllowRecord, FileCtx, FileKind, RULE_ACCUMULATOR_WIDTH,
+    RULE_DIRECTIVE, RULE_LOSSY_CAST,
 };
 use std::path::{Path, PathBuf};
 
@@ -27,30 +26,25 @@ fn ctx(crate_name: &str, path: &str, kind: FileKind) -> FileCtx {
 }
 
 /// Runs the linter on a fixture and returns `(rule, line)` pairs.
-fn run(source: &str, ctx: &FileCtx, names: Option<&NamesTable>) -> Vec<(&'static str, usize)> {
-    run_state(source, ctx, names).0
+fn run(source: &str, ctx: &FileCtx) -> Vec<(&'static str, usize)> {
+    run_with_allows(source, ctx).0
 }
 
-/// Like [`run`], but also returns the cross-file state (used names, allow
-/// inventory) the file contributed.
-fn run_state(
-    source: &str,
-    ctx: &FileCtx,
-    names: Option<&NamesTable>,
-) -> (Vec<(&'static str, usize)>, CrossFileState) {
-    let mut state = CrossFileState::default();
-    let findings = lint_file(ctx, source, names, &mut state)
+/// Like [`run`], but also returns the allow inventory the file contributed.
+fn run_with_allows(source: &str, ctx: &FileCtx) -> (Vec<(&'static str, usize)>, Vec<AllowRecord>) {
+    let mut allows = Vec::new();
+    let findings = lint_file(ctx, source, &mut allows)
         .into_iter()
         .map(|f| (f.rule, f.line))
         .collect();
-    (findings, state)
+    (findings, allows)
 }
 
 #[test]
 fn lossy_cast_fixture() {
     let src = fixture("lossy_cast_bad.rs");
     let ctx = ctx("atom-nn", "crates/nn/src/fixture.rs", FileKind::Src);
-    let got = run(&src, &ctx, None);
+    let got = run(&src, &ctx);
     let want = vec![
         (RULE_LOSSY_CAST, 5), // x as i8
         (RULE_LOSSY_CAST, 9), // n as f32
@@ -59,72 +53,10 @@ fn lossy_cast_fixture() {
 }
 
 #[test]
-fn telemetry_names_fixture() {
-    let src = fixture("telemetry_names_bad.rs");
-    let ctx = ctx("atom-serve", "crates/serve/src/fixture.rs", FileKind::Src);
-    let mut names = NamesTable {
-        path: "crates/telemetry/src/names.rs".into(),
-        ..NamesTable::default()
-    };
-    names
-        .consts
-        .insert("GOOD".into(), ("good.metric".into(), 1));
-    // Pool instrumentation names from the atom-parallel crate: declared
-    // here so their fixture usages lint clean and register as recorded.
-    names
-        .consts
-        .insert("SPAN_POOL_WORKER".into(), ("pool_worker".into(), 2));
-    names.consts.insert(
-        "POOL_UTILIZATION_PERMILLE".into(),
-        ("pool.utilization_permille".into(), 3),
-    );
-    let (got, state) = run_state(&src, &ctx, Some(&names));
-    let want = vec![
-        (RULE_TELEMETRY_NAMES, 6),  // literal metric name
-        (RULE_TELEMETRY_NAMES, 10), // literal span name
-        (RULE_TELEMETRY_NAMES, 14), // names::NOT_DECLARED
-    ];
-    assert_eq!(got, want, "findings: {got:?}");
-    // The usage scan must register both referenced constants.
-    let used = &state.used_names;
-    assert!(used.contains(&"GOOD".to_string()));
-    assert!(used.contains(&"NOT_DECLARED".to_string()));
-    // The pool span/histogram usages lint clean AND count as recorded, so
-    // the workspace bijection check knows atom-parallel covers its names.
-    assert!(used.contains(&"SPAN_POOL_WORKER".to_string()));
-    assert!(used.contains(&"POOL_UTILIZATION_PERMILLE".to_string()));
-}
-
-#[test]
-fn pool_telemetry_names_are_recorded_by_parallel_crate() {
-    // Guards the tentpole's observability contract: every `pool.*` metric
-    // and the worker span declared in `telemetry::names` must be recorded
-    // by production code in `crates/parallel` (the workspace-clean check
-    // would fail with an unused-name finding otherwise; this test pins the
-    // expectation explicitly so a rename in either place is caught here).
-    let report = lint_workspace(&workspace_root()).expect("workspace lints");
-    assert!(report.findings.is_empty(), "workspace must be clean");
-    let names_src = std::fs::read_to_string(workspace_root().join("crates/telemetry/src/names.rs"))
-        .expect("names table readable");
-    let pool_src = std::fs::read_to_string(workspace_root().join("crates/parallel/src/lib.rs"))
-        .expect("pool source readable");
-    for name in [
-        "POOL_TASKS",
-        "POOL_QUEUE_DEPTH",
-        "POOL_UTILIZATION_PERMILLE",
-        "POOL_REGION_WALL_NS",
-        "SPAN_POOL_WORKER",
-    ] {
-        assert!(names_src.contains(name), "{name} missing from names table");
-        assert!(pool_src.contains(name), "{name} not recorded by the pool");
-    }
-}
-
-#[test]
 fn well_formed_allows_suppress_cleanly() {
     let src = fixture("allow_ok.rs");
     let ctx = ctx("atom-serve", "crates/serve/src/fixture.rs", FileKind::Src);
-    let got = run(&src, &ctx, None);
+    let got = run(&src, &ctx);
     assert!(got.is_empty(), "expected clean, got: {got:?}");
 }
 
@@ -132,11 +64,12 @@ fn well_formed_allows_suppress_cleanly() {
 fn malformed_and_stale_allows_are_findings() {
     let src = fixture("allow_bad.rs");
     let ctx = ctx("atom-serve", "crates/serve/src/fixture.rs", FileKind::Src);
-    let got = run(&src, &ctx, None);
+    let got = run(&src, &ctx);
     let want = vec![
         (RULE_DIRECTIVE, 6),  // missing reason
         (RULE_DIRECTIVE, 11), // unknown rule (a retired one: clippy holds it now)
-        (RULE_DIRECTIVE, 16), // stale: suppresses nothing
+        (RULE_DIRECTIVE, 21), // unknown rule (retired: the name types hold it)
+        (RULE_DIRECTIVE, 16), // stale: suppresses nothing (reported last)
     ];
     assert_eq!(got, want, "findings: {got:?}");
 }
@@ -145,9 +78,9 @@ fn malformed_and_stale_allows_are_findings() {
 fn allow_inventory_records_reason_and_suppression_count() {
     let src = fixture("allow_ok.rs");
     let ctx = ctx("atom-serve", "crates/serve/src/fixture.rs", FileKind::Src);
-    let (_, state) = run_state(&src, &ctx, None);
-    assert_eq!(state.allows.len(), 3, "allows: {:?}", state.allows);
-    let a = &state.allows[0];
+    let (_, allows) = run_with_allows(&src, &ctx);
+    assert_eq!(allows.len(), 3, "allows: {allows:?}");
+    let a = &allows[0];
     assert_eq!(a.rules, vec!["lossy-cast".to_string()]);
     assert!(
         a.reason.contains("loop counter"),
@@ -164,7 +97,7 @@ fn accumulator_width_fixture() {
     // clean; every other `i32`/`i64` reduction is a finding.
     let src = fixture("accumulator_width_bad.rs");
     let ctx = ctx("atom-kernels", "crates/kernels/src/fixture.rs", FileKind::Src);
-    let got = run(&src, &ctx, None);
+    let got = run(&src, &ctx);
     let want = vec![
         (RULE_ACCUMULATOR_WIDTH, 19), // missing: no bound comment
         (RULE_ACCUMULATOR_WIDTH, 27), // unasserted: no assertion mentions the name
@@ -178,7 +111,7 @@ fn accumulator_width_fixture() {
 fn accumulator_width_is_scoped_to_hot_crates() {
     let src = fixture("accumulator_width_bad.rs");
     let ctx = ctx("atom-serve", "crates/serve/src/fixture.rs", FileKind::Src);
-    let got = run(&src, &ctx, None);
+    let got = run(&src, &ctx);
     assert!(
         got.iter().all(|(r, _)| *r != RULE_ACCUMULATOR_WIDTH),
         "out-of-scope crate flagged: {got:?}"
@@ -194,13 +127,13 @@ fn accumulator_width_flags_live_gemm_without_its_citations() {
     let path = "crates/kernels/src/gemm.rs";
     let live = std::fs::read_to_string(workspace_root().join(path)).expect("gemm.rs readable");
     let ctx = ctx("atom-kernels", path, FileKind::Src);
-    assert_eq!(run(&live, &ctx, None), vec![], "live gemm.rs is clean");
+    assert_eq!(run(&live, &ctx), vec![], "live gemm.rs is clean");
 
     // Blank the lines (rather than drop them) so line numbers still match.
     let is_citation = |l: &str| l.trim_start().starts_with("// bound:");
     let blank = |l| if is_citation(l) { "" } else { l };
     let stripped: Vec<&str> = live.lines().map(blank).collect();
-    let got = run(&stripped.join("\n"), &ctx, None);
+    let got = run(&stripped.join("\n"), &ctx);
     // Each finding sits on the statement directly below its citation.
     let cited = (1..).zip(live.lines()).filter(|(_, l)| is_citation(l));
     let below = |(n, _): (usize, _)| (RULE_ACCUMULATOR_WIDTH, n + 1);
@@ -209,7 +142,7 @@ fn accumulator_width_flags_live_gemm_without_its_citations() {
     assert_eq!(got, want, "findings: {got:?}");
 
     let renamed = live.replace("assert!((MAX_ACC_K", "assert!((OTHER_K");
-    let got = run(&renamed, &ctx, None);
+    let got = run(&renamed, &ctx);
     assert_eq!(got, want, "findings: {got:?}");
 }
 
@@ -240,16 +173,14 @@ fn live_workspace_is_clean() {
     );
 }
 
-/// Builds a throwaway workspace with one bad crate and a names table with
-/// an unused constant, and checks the library report and the binary's
-/// contract against it: exit code 1, findings on stdout, and the tree it
-/// was pointed at left exactly as it was.
+/// Builds a throwaway workspace with one bad crate and checks the library
+/// report and the binary's contract against it: exit code 1, findings on
+/// stdout, and the tree it was pointed at left exactly as it was.
 #[test]
 fn binary_exit_codes() {
     let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("atom-lint-golden");
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(dir.join("crates/bad/src")).expect("mkdir bad");
-    std::fs::create_dir_all(dir.join("crates/telemetry/src")).expect("mkdir telemetry");
     std::fs::write(
         dir.join("Cargo.toml"),
         "[workspace]\nmembers = [\"crates/bad\"]\n",
@@ -265,22 +196,10 @@ fn binary_exit_codes() {
         "pub fn f(x: i64) -> i8 {\n    x as i8\n}\n",
     )
     .expect("write bad lib");
-    std::fs::write(
-        dir.join("crates/telemetry/src/names.rs"),
-        "pub const NEVER_RECORDED: &str = \"never.recorded\";\n",
-    )
-    .expect("write names table");
 
     let report = lint_workspace(&dir).expect("lint synthesized workspace");
     let rules: Vec<&str> = report.findings.iter().map(|f| f.rule).collect();
-    assert!(
-        rules.contains(&RULE_LOSSY_CAST),
-        "missing lossy-cast finding: {rules:?}"
-    );
-    assert!(
-        rules.contains(&RULE_TELEMETRY_NAMES),
-        "missing unused-name finding: {rules:?}"
-    );
+    assert_eq!(rules, [RULE_LOSSY_CAST], "findings: {rules:?}");
 
     let before = tree_listing(&dir);
     let bin = env!("CARGO_BIN_EXE_atom-lint");

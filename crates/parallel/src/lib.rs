@@ -473,9 +473,10 @@ impl Pool {
 
     /// Maps `f` over `items`, returning the results in input order. Each
     /// item is one chunk, so on error the failed-chunk indices of
-    /// [`PoolError::WorkerPanic`] are exactly the failed *item* indices —
-    /// the serving engine relies on this to fail only the poisoned
-    /// requests of a batch.
+    /// [`PoolError::WorkerPanic`] are exactly the failed *item* indices.
+    /// (The serving engine does not rely on this: it contains a panicking
+    /// batch forward with [`catch_panic`] and re-runs its requests one at a
+    /// time.)
     ///
     /// # Errors
     ///

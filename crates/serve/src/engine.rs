@@ -290,7 +290,7 @@ impl TelemetrySink {
     }
 }
 
-fn terminal_metric(terminal: &Terminal) -> &'static str {
+fn terminal_metric(terminal: &Terminal) -> names::CounterName {
     match terminal {
         Terminal::Completed => names::ENGINE_TERMINAL_COMPLETED,
         Terminal::Rejected(_) => names::ENGINE_TERMINAL_REJECTED,

@@ -61,13 +61,13 @@ fn ttft_and_tpot_histograms_match_request_stats() {
     }
 
     let snap = telemetry.metrics().snapshot();
-    let ttft_h = &snap.histograms[names::ENGINE_TTFT_STEPS];
+    let ttft_h = &snap.histograms[names::ENGINE_TTFT_STEPS.as_str()];
     assert_eq!(ttft_h.count, ttfts.len() as u64);
     assert_eq!(ttft_h.sum, ttfts.iter().sum::<u64>());
     assert_eq!(ttft_h.min, *ttfts.iter().min().expect("requests completed"));
     assert_eq!(ttft_h.max, *ttfts.iter().max().expect("requests completed"));
 
-    let tpot_h = &snap.histograms[names::ENGINE_TPOT_MILLISTEPS];
+    let tpot_h = &snap.histograms[names::ENGINE_TPOT_MILLISTEPS.as_str()];
     assert_eq!(tpot_h.count, tpots.len() as u64);
     assert_eq!(tpot_h.sum, tpots.iter().sum::<u64>());
     assert_eq!(tpot_h.min, *tpots.iter().min().expect("multi-token requests"));
@@ -75,12 +75,12 @@ fn ttft_and_tpot_histograms_match_request_stats() {
 
     assert_eq!(snap.counter(names::ENGINE_TERMINAL_COMPLETED), completed);
     assert_eq!(
-        snap.histograms[names::ENGINE_STEP_WALL_NS].count,
+        snap.histograms[names::ENGINE_STEP_WALL_NS.as_str()].count,
         engine.steps() as u64,
         "one step timer sample per engine step"
     );
     assert_eq!(
-        snap.histograms[names::ENGINE_QUEUE_DEPTH].count,
+        snap.histograms[names::ENGINE_QUEUE_DEPTH.as_str()].count,
         engine.steps() as u64,
         "queue depth sampled once per step"
     );
@@ -95,8 +95,7 @@ fn default_engine_uses_disabled_global_and_records_nothing_new() {
     let before = Telemetry::global()
         .metrics()
         .snapshot()
-        .histograms
-        .get(names::ENGINE_TTFT_STEPS)
+        .histogram(names::ENGINE_TTFT_STEPS)
         .map_or(0, |h| h.count);
     let mut engine = CpuEngine::new(
         model,
@@ -111,8 +110,7 @@ fn default_engine_uses_disabled_global_and_records_nothing_new() {
     let after = Telemetry::global()
         .metrics()
         .snapshot()
-        .histograms
-        .get(names::ENGINE_TTFT_STEPS)
+        .histogram(names::ENGINE_TTFT_STEPS)
         .map_or(0, |h| h.count);
     assert_eq!(before, after, "disabled global telemetry must stay silent");
 }

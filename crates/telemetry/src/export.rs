@@ -152,13 +152,14 @@ pub fn chrome_trace(events: &[SpanEvent]) -> String {
 mod tests {
     use super::*;
     use crate::metrics::MetricsRegistry;
+    use crate::names;
     use crate::span::{SpanGuard, Tracer};
 
     fn sample_snapshot() -> MetricsSnapshot {
-        let r = MetricsRegistry::new();
-        r.counter("op.gemm.bytes").add(4096);
-        r.gauge("engine.kv.used_blocks").set(17);
-        let h = r.histogram("op.gemm.wall_ns");
+        let r = MetricsRegistry::default();
+        r.counter(names::OP_GEMM_BYTES).add(4096);
+        r.gauge(names::ENGINE_KV_USED_BLOCKS).set(17);
+        let h = r.histogram(names::OP_GEMM_WALL_NS);
         for v in [100u64, 200, 300, 400] {
             h.record(v);
         }
@@ -188,7 +189,8 @@ mod tests {
     #[test]
     fn chrome_trace_loads_fields() {
         let tracer = Tracer::default();
-        drop(SpanGuard::start(&tracer, "gemm_w4a4", &[("bytes", 64.0)]));
+        let args = [("bytes", 64.0)];
+        drop(SpanGuard::start(&tracer, names::SPAN_GEMM_W4A4, &args));
         let doc = chrome_trace(&tracer.drain());
         assert!(doc.starts_with("{\"traceEvents\":["));
         assert!(doc.contains("\"name\":\"gemm_w4a4\""));

@@ -12,11 +12,13 @@
 //!
 //! Instrumented code records through a [`Telemetry`] handle. The process
 //! global ([`Telemetry::global`]) starts **disabled**: every hook first
-//! checks one relaxed atomic and returns before touching clocks or locks,
-//! so instrumentation costs nothing until [`Telemetry::enable_global`] is
-//! called (typically by a bench binary). Tests that need isolation build
-//! their own enabled instance with [`Telemetry::enabled`] instead of
-//! sharing the global.
+//! checks one relaxed atomic and returns before touching a clock or a
+//! metric, so instrumentation costs nothing until
+//! [`Telemetry::enable_global`] is called (typically by a bench binary).
+//! Enabled, a hook indexes the registry's fixed table by the name it was
+//! given and updates relaxed atomics; nothing locks. Tests that need
+//! isolation build their own enabled instance with [`Telemetry::enabled`]
+//! instead of sharing the global.
 //!
 //! # What is instrumented
 //!
@@ -40,7 +42,8 @@
 //! measured Fig. 3-style breakdown next to that prediction, and exits
 //! non-zero when the components cover less than 95% of measured wall
 //! time. What the hooks cost is the serving benchmark's
-//! `telemetry.overhead_frac`.
+//! `telemetry.overhead_frac`. That key-for-key comparison makes the names
+//! a contract; [`names`] says what holds it.
 //!
 //! ```
 //! use atom_telemetry::{names, Telemetry};
@@ -52,7 +55,7 @@
 //! } // timer records on drop
 //! let snap = t.metrics().snapshot();
 //! assert_eq!(snap.counter(names::OP_GEMM_BYTES), 4096);
-//! assert_eq!(snap.histograms[names::OP_GEMM_WALL_NS].count, 1);
+//! assert_eq!(snap.histograms[names::OP_GEMM_WALL_NS.as_str()].count, 1);
 //! ```
 #![warn(missing_docs)]
 #![expect(
@@ -65,9 +68,10 @@ pub mod metrics;
 pub mod names;
 pub mod span;
 
-pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use span::{SpanEvent, SpanGuard, Tracer};
 
+use names::{CounterName, GaugeName, HistogramName, SpanName};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -89,7 +93,7 @@ impl Telemetry {
     pub fn disabled() -> Self {
         Telemetry {
             enabled: AtomicBool::new(false),
-            registry: MetricsRegistry::new(),
+            registry: MetricsRegistry::default(),
             tracer: Tracer::default(),
         }
     }
@@ -136,8 +140,7 @@ impl Telemetry {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// The metrics registry (recording through it bypasses the
-    /// enabled check; prefer the hook methods below in instrumented code).
+    /// The metrics registry, read through [`MetricsRegistry::snapshot`].
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.registry
     }
@@ -147,25 +150,45 @@ impl Telemetry {
         &self.tracer
     }
 
-    /// Adds to a named counter.
+    /// Adds to a counter. Only a declared counter name compiles: neither a
+    /// string nor a name of another kind does.
+    ///
+    /// ```compile_fail,E0308
+    /// atom_telemetry::Telemetry::enabled().counter_add("op.gemm.bytes", 1);
+    /// ```
+    ///
+    /// ```compile_fail,E0308
+    /// use atom_telemetry::{names, Telemetry};
+    /// Telemetry::enabled().counter_add(names::OP_GEMM_WALL_NS, 1); // a histogram
+    /// ```
     #[inline]
-    pub fn counter_add(&self, name: &'static str, v: u64) {
+    pub fn counter_add(&self, name: CounterName, v: u64) {
         if self.is_enabled() {
             self.registry.counter(name).add(v);
         }
     }
 
-    /// Sets a named gauge.
+    /// Sets a gauge.
+    ///
+    /// ```compile_fail,E0308
+    /// use atom_telemetry::{names, Telemetry};
+    /// Telemetry::enabled().gauge_set(names::POOL_TASKS, 1); // a counter
+    /// ```
     #[inline]
-    pub fn gauge_set(&self, name: &'static str, v: i64) {
+    pub fn gauge_set(&self, name: GaugeName, v: i64) {
         if self.is_enabled() {
             self.registry.gauge(name).set(v);
         }
     }
 
-    /// Records a sample into a named histogram.
+    /// Records a sample into a histogram.
+    ///
+    /// ```compile_fail,E0308
+    /// use atom_telemetry::{names, Telemetry};
+    /// Telemetry::enabled().record(names::POOL_QUEUE_DEPTH, 1); // a gauge
+    /// ```
     #[inline]
-    pub fn record(&self, name: &'static str, v: u64) {
+    pub fn record(&self, name: HistogramName, v: u64) {
         if self.is_enabled() {
             self.registry.histogram(name).record(v);
         }
@@ -173,8 +196,13 @@ impl Telemetry {
 
     /// Starts a wall-time histogram timer; the elapsed nanoseconds record
     /// into `name` when the guard drops. No clock is read when disabled.
+    ///
+    /// ```compile_fail,E0308
+    /// use atom_telemetry::{names, Telemetry};
+    /// let _timer = Telemetry::enabled().timer(names::OP_GEMM_CALLS); // a counter
+    /// ```
     #[inline]
-    pub fn timer(&self, name: &'static str) -> TimerGuard<'_> {
+    pub fn timer(&self, name: HistogramName) -> TimerGuard<'_> {
         TimerGuard {
             start: self.is_enabled().then(|| (self, Instant::now())),
             name,
@@ -184,8 +212,12 @@ impl Telemetry {
     /// Starts a trace span with numeric arguments (see [`span!`]). Returns
     /// a guard that records a [`SpanEvent`] on drop; a no-op guard when
     /// disabled.
+    ///
+    /// ```compile_fail,E0308
+    /// let _span = atom_telemetry::span!("gemm_w4a4");
+    /// ```
     #[inline]
-    pub fn span(&self, name: &'static str, args: &[(&'static str, f64)]) -> SpanGuard<'_> {
+    pub fn span(&self, name: SpanName, args: &[(&'static str, f64)]) -> SpanGuard<'_> {
         if self.is_enabled() {
             SpanGuard::start(&self.tracer, name, args)
         } else {
@@ -198,7 +230,7 @@ impl Telemetry {
 #[derive(Debug)]
 pub struct TimerGuard<'a> {
     start: Option<(&'a Telemetry, Instant)>,
-    name: &'static str,
+    name: HistogramName,
 }
 
 impl TimerGuard<'_> {
@@ -220,11 +252,12 @@ impl Drop for TimerGuard<'_> {
 /// closes when the returned guard drops.
 ///
 /// ```
+/// use atom_telemetry::names;
 /// # fn quantize(_: &[f32]) {}
 /// # let activations = [0.0f32; 8];
 /// let n = activations.len();
 /// {
-///     let _span = atom_telemetry::span!("gemm_w4a4", bytes = n);
+///     let _span = atom_telemetry::span!(names::SPAN_GEMM_W4A4, bytes = n);
 ///     quantize(&activations);
 /// }
 /// ```
@@ -252,7 +285,7 @@ mod tests {
         t.record(names::OP_GEMM_WALL_NS, 10);
         t.gauge_set(names::ENGINE_KV_USED_BLOCKS, 3);
         drop(t.timer(names::OP_GEMM_WALL_NS));
-        drop(t.span("s", &[]));
+        drop(t.span(names::SPAN_GEMM_W4A4, &[]));
         let snap = t.metrics().snapshot();
         assert!(snap.counters.is_empty());
         assert!(snap.gauges.is_empty());
@@ -263,27 +296,30 @@ mod tests {
     #[test]
     fn enabled_hooks_record() {
         let t = Telemetry::enabled();
-        t.counter_add("c", 2);
+        t.counter_add(names::OP_GEMM_CALLS, 2);
+        t.gauge_set(names::ENGINE_KV_USED_BLOCKS, 0);
         {
-            let _timer = t.timer("h");
+            let _timer = t.timer(names::OP_GEMM_WALL_NS);
         }
-        drop(t.span("s", &[("rows", 4.0)]));
+        drop(t.span(names::SPAN_GEMM_W4A4, &[("rows", 4.0)]));
         let snap = t.metrics().snapshot();
-        assert_eq!(snap.counter("c"), 2);
-        assert_eq!(snap.histograms["h"].count, 1);
+        assert_eq!(snap.counter(names::OP_GEMM_CALLS), 2);
+        assert_eq!(snap.gauges[names::ENGINE_KV_USED_BLOCKS.as_str()], 0);
+        assert_eq!(snap.histograms[names::OP_GEMM_WALL_NS.as_str()].count, 1);
         let events = t.tracer().drain();
         assert_eq!(events.len(), 1);
+        assert_eq!(events[0].name, names::SPAN_GEMM_W4A4.as_str());
         assert_eq!(events[0].args[0], Some(("rows", 4.0)));
     }
 
     #[test]
     fn toggling_is_dynamic() {
         let t = Telemetry::disabled();
-        t.counter_add("c", 1);
+        t.counter_add(names::OP_GEMM_CALLS, 1);
         t.enable();
-        t.counter_add("c", 1);
+        t.counter_add(names::OP_GEMM_CALLS, 1);
         t.disable();
-        t.counter_add("c", 1);
-        assert_eq!(t.metrics().snapshot().counter("c"), 1);
+        t.counter_add(names::OP_GEMM_CALLS, 1);
+        assert_eq!(t.metrics().snapshot().counter(names::OP_GEMM_CALLS), 1);
     }
 }

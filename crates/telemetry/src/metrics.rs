@@ -1,15 +1,15 @@
 //! Metric primitives: counters, gauges, log-bucketed histograms, and the
-//! registry that names them.
+//! registry that holds one of each declared name.
 //!
-//! All primitives are updated with relaxed atomics so concurrent recording
-//! never blocks; the registry itself uses a read-write lock only for the
-//! name → metric lookup (creation takes the write lock once per name).
-//! Snapshots are plain owned data and merge associatively, so per-thread or
+//! The registry is a fixed table with a row per name in [`crate::names`],
+//! built whole when the registry is: a name carries its row, so recording is
+//! an array index and relaxed atomics, with no lock and no lookup. Snapshots
+//! are plain owned data and merge associatively, so per-thread or
 //! per-process snapshots can be combined in any order.
 
+use crate::names::{CounterName, GaugeName, HistogramName, COUNTERS, GAUGES, HISTOGRAMS};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 
 /// Number of identity buckets covering values `0..SUB_BUCKETS`.
 const SUB_BUCKETS: u64 = 8;
@@ -20,38 +20,43 @@ pub const HISTOGRAM_BUCKETS: usize = 8 + 61 * 8;
 
 /// Monotonic event counter.
 #[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
+pub(crate) struct Counter {
+    value: AtomicU64,
+    touched: AtomicBool,
+}
 
 impl Counter {
     /// Adds `v` to the counter.
-    pub fn add(&self, v: u64) {
-        self.0.fetch_add(v, Ordering::Relaxed);
+    pub(crate) fn add(&self, v: u64) {
+        self.value.fetch_add(v, Ordering::Relaxed);
+        self.touched.store(true, Ordering::Relaxed);
     }
 
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
+    /// The value once any add happened (an add of 0 included).
+    fn read(&self) -> Option<u64> {
+        let value = self.value.load(Ordering::Relaxed);
+        self.touched.load(Ordering::Relaxed).then_some(value)
     }
 }
 
 /// Last-write-wins signed instantaneous value.
 #[derive(Debug, Default)]
-pub struct Gauge(AtomicI64);
+pub(crate) struct Gauge {
+    value: AtomicI64,
+    touched: AtomicBool,
+}
 
 impl Gauge {
     /// Sets the gauge.
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
+    pub(crate) fn set(&self, v: i64) {
+        self.value.store(v, Ordering::Relaxed);
+        self.touched.store(true, Ordering::Relaxed);
     }
 
-    /// Adjusts the gauge by a signed delta.
-    pub fn add(&self, delta: i64) {
-        self.0.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
+    /// The value once any set happened.
+    fn read(&self) -> Option<i64> {
+        let value = self.value.load(Ordering::Relaxed);
+        self.touched.load(Ordering::Relaxed).then_some(value)
     }
 }
 
@@ -130,6 +135,11 @@ impl Histogram {
             min: self.min.load(Ordering::Relaxed),
             max: self.max.load(Ordering::Relaxed),
         }
+    }
+
+    /// The snapshot once any sample was recorded.
+    fn read(&self) -> Option<HistogramSnapshot> {
+        (self.count.load(Ordering::Relaxed) > 0).then(|| self.snapshot())
     }
 }
 
@@ -218,73 +228,68 @@ impl HistogramSnapshot {
     }
 }
 
-/// Named metric store. Cloning is cheap (shared handles).
-#[derive(Debug, Default, Clone)]
+/// One metric per declared name, in a fixed table indexed by the name. A
+/// fresh registry has every metric at zero and none in a snapshot yet.
+#[derive(Debug)]
 pub struct MetricsRegistry {
-    inner: Arc<RegistryInner>,
+    counters: [Counter; COUNTERS.len()],
+    gauges: [Gauge; GAUGES.len()],
+    histograms: [Histogram; HISTOGRAMS.len()],
 }
 
-#[derive(Debug, Default)]
-struct RegistryInner {
-    counters: RwLock<BTreeMap<&'static str, Arc<Counter>>>,
-    gauges: RwLock<BTreeMap<&'static str, Arc<Gauge>>>,
-    histograms: RwLock<BTreeMap<&'static str, Arc<Histogram>>>,
-}
-
-fn get_or_create<M: Default>(map: &RwLock<BTreeMap<&'static str, Arc<M>>>, name: &'static str) -> Arc<M> {
-    if let Some(m) = map.read().expect("registry lock").get(name) {
-        return Arc::clone(m);
-    }
-    let mut w = map.write().expect("registry lock");
-    Arc::clone(w.entry(name).or_default())
-}
-
-impl MetricsRegistry {
-    /// Fresh empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Named counter, created on first use.
-    pub fn counter(&self, name: &'static str) -> Arc<Counter> {
-        get_or_create(&self.inner.counters, name)
-    }
-
-    /// Named gauge, created on first use.
-    pub fn gauge(&self, name: &'static str) -> Arc<Gauge> {
-        get_or_create(&self.inner.gauges, name)
-    }
-
-    /// Named histogram, created on first use.
-    pub fn histogram(&self, name: &'static str) -> Arc<Histogram> {
-        get_or_create(&self.inner.histograms, name)
-    }
-
-    /// Owned copy of every metric, keyed by name.
-    ///
-    /// Each map is read in its own statement, so no two registry locks are
-    /// ever held at once. Nothing is lost by that: writers lock a map only to
-    /// create a name and values are relaxed atomics, so a snapshot was never
-    /// atomic across metrics anyway.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let counters = read_each(&self.inner.counters, Counter::get);
-        let gauges = read_each(&self.inner.gauges, Gauge::get);
-        let histograms = read_each(&self.inner.histograms, Histogram::snapshot);
-        MetricsSnapshot {
-            counters,
-            gauges,
-            histograms,
+impl Default for MetricsRegistry {
+    fn default() -> Self {
+        MetricsRegistry {
+            counters: std::array::from_fn(|_| Counter::default()),
+            gauges: std::array::from_fn(|_| Gauge::default()),
+            histograms: std::array::from_fn(|_| Histogram::default()),
         }
     }
 }
 
-/// One map's values by owned name, read under that map's lock alone.
-fn read_each<M, V>(
-    map: &RwLock<BTreeMap<&'static str, Arc<M>>>,
-    value: impl Fn(&M) -> V,
+impl MetricsRegistry {
+    /// The counter `name` names.
+    pub(crate) fn counter(&self, name: CounterName) -> &Counter {
+        &self.counters[name.row()]
+    }
+
+    /// The gauge `name` names.
+    pub(crate) fn gauge(&self, name: GaugeName) -> &Gauge {
+        &self.gauges[name.row()]
+    }
+
+    /// The histogram `name` names.
+    pub(crate) fn histogram(&self, name: HistogramName) -> &Histogram {
+        &self.histograms[name.row()]
+    }
+
+    /// Owned copy of every metric a hook has touched, keyed by name; a
+    /// metric nothing recorded into is absent. Values are relaxed atomics,
+    /// so a snapshot is not atomic across metrics.
+    pub fn snapshot(&self) -> MetricsSnapshot {
+        MetricsSnapshot {
+            counters: touched(COUNTERS, CounterName::as_str, &self.counters, Counter::read),
+            gauges: touched(GAUGES, GaugeName::as_str, &self.gauges, Gauge::read),
+            histograms: touched(
+                HISTOGRAMS,
+                HistogramName::as_str,
+                &self.histograms,
+                Histogram::read,
+            ),
+        }
+    }
+}
+
+/// The touched metrics of one table, by owned name.
+fn touched<N: Copy, M, V>(
+    names: &[N],
+    as_str: fn(N) -> &'static str,
+    table: &[M],
+    read: fn(&M) -> Option<V>,
 ) -> BTreeMap<String, V> {
-    let map = map.read().expect("registry lock");
-    map.iter().map(|(k, v)| (k.to_string(), value(v))).collect()
+    let rows = names.iter().zip(table);
+    rows.filter_map(|(&name, metric)| Some((as_str(name).to_string(), read(metric)?)))
+        .collect()
 }
 
 /// Owned copy of a [`MetricsRegistry`] at one point in time.
@@ -299,20 +304,26 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
+    /// One histogram, `None` when nothing recorded into it.
+    pub fn histogram(&self, name: HistogramName) -> Option<&HistogramSnapshot> {
+        self.histograms.get(name.as_str())
+    }
+
     /// Sum of one histogram's samples, 0 when absent.
-    pub fn hist_sum(&self, name: &str) -> u64 {
-        self.histograms.get(name).map_or(0, |h| h.sum)
+    pub fn hist_sum(&self, name: HistogramName) -> u64 {
+        self.histogram(name).map_or(0, |h| h.sum)
     }
 
     /// A counter's value, 0 when absent.
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+    pub fn counter(&self, name: CounterName) -> u64 {
+        self.counters.get(name.as_str()).copied().unwrap_or(0)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::names;
 
     #[test]
     fn bucket_index_roundtrips_bounds() {
@@ -371,15 +382,21 @@ mod tests {
 
     #[test]
     fn registry_reuses_metrics() {
-        let r = MetricsRegistry::new();
-        r.counter("x").add(2);
-        r.counter("x").add(3);
-        r.gauge("g").set(-7);
-        r.histogram("h").record(42);
+        let r = MetricsRegistry::default();
+        assert!(r.snapshot().counters.is_empty());
+        r.counter(names::OP_GEMM_CALLS).add(2);
+        r.counter(names::OP_GEMM_CALLS).add(3);
+        r.counter(names::PREFIX_COW_FORKS).add(0);
+        r.gauge(names::GATEWAY_BREAKER_TIER).set(-7);
+        r.histogram(names::OP_GEMM_WALL_NS).record(42);
         let s = r.snapshot();
-        assert_eq!(s.counter("x"), 5);
-        assert_eq!(s.gauges["g"], -7);
-        assert_eq!(s.histograms["h"].count, 1);
+        assert_eq!(s.counter(names::OP_GEMM_CALLS), 5);
+        // An add of 0 touches a counter.
+        assert_eq!(s.counters.get(names::PREFIX_COW_FORKS.as_str()), Some(&0));
+        assert_eq!(s.counters.len(), 2);
+        assert_eq!(s.gauges[names::GATEWAY_BREAKER_TIER.as_str()], -7);
+        assert_eq!(s.hist_sum(names::OP_GEMM_WALL_NS), 42);
+        assert_eq!(s.histograms.len(), 1);
     }
 
     #[test]

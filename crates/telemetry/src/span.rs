@@ -8,6 +8,7 @@
 //! `Vec::push`. The shared store is bounded: beyond the cap, events are
 //! counted as dropped rather than accumulated.
 
+use crate::names::SpanName;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -82,7 +83,7 @@ impl Tracer {
     }
 
     /// Records a completed span (hot path: staged thread-locally).
-    pub fn record(&self, event: SpanEvent) {
+    pub(crate) fn record(&self, event: SpanEvent) {
         STAGED.with(|staged| {
             let mut staged = staged.borrow_mut();
             let buf = staged.entry(self.id).or_default();
@@ -151,13 +152,13 @@ struct SpanState<'a> {
 
 impl<'a> SpanGuard<'a> {
     /// A guard that records nothing (disabled telemetry).
-    pub fn noop() -> Self {
+    pub(crate) fn noop() -> Self {
         SpanGuard { state: None }
     }
 
     /// Starts a span on `tracer` with up to [`MAX_SPAN_ARGS`] arguments
     /// (extras are ignored).
-    pub fn start(tracer: &'a Tracer, name: &'static str, args: &[(&'static str, f64)]) -> Self {
+    pub(crate) fn start(tracer: &'a Tracer, name: SpanName, args: &[(&'static str, f64)]) -> Self {
         let mut fixed = [None; MAX_SPAN_ARGS];
         for (slot, &arg) in fixed.iter_mut().zip(args) {
             *slot = Some(arg);
@@ -165,7 +166,7 @@ impl<'a> SpanGuard<'a> {
         SpanGuard {
             state: Some(SpanState {
                 tracer,
-                name,
+                name: name.as_str(),
                 start: Instant::now(),
                 start_ns: tracer.now_ns(),
                 args: fixed,
@@ -191,19 +192,20 @@ impl Drop for SpanGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::names;
 
     #[test]
     fn spans_record_on_drop() {
         let tracer = Tracer::default();
         {
-            let _g = SpanGuard::start(&tracer, "outer", &[("bytes", 128.0)]);
-            let _inner = SpanGuard::start(&tracer, "inner", &[]);
+            let _g = SpanGuard::start(&tracer, names::SPAN_ENGINE_STEP, &[("bytes", 128.0)]);
+            let _inner = SpanGuard::start(&tracer, names::SPAN_MODEL_FORWARD, &[]);
         }
         let events = tracer.drain();
         assert_eq!(events.len(), 2);
         // Inner drops first.
-        assert_eq!(events[0].name, "inner");
-        assert_eq!(events[1].name, "outer");
+        assert_eq!(events[0].name, "model_forward");
+        assert_eq!(events[1].name, "engine_step");
         assert_eq!(events[1].args[0], Some(("bytes", 128.0)));
         assert!(events[1].dur_ns >= events[0].dur_ns);
     }
@@ -219,7 +221,7 @@ mod tests {
     fn cap_bounds_memory() {
         let tracer = Tracer::with_capacity(10);
         for _ in 0..FLUSH_BATCH * 3 {
-            drop(SpanGuard::start(&tracer, "s", &[]));
+            drop(SpanGuard::start(&tracer, names::SPAN_GEMM_W4A4, &[]));
         }
         let events = tracer.drain();
         assert!(events.len() <= 10);
@@ -232,13 +234,13 @@ mod tests {
         let t2 = std::sync::Arc::clone(&tracer);
         std::thread::spawn(move || {
             for _ in 0..FLUSH_BATCH {
-                drop(SpanGuard::start(&t2, "worker", &[]));
+                drop(SpanGuard::start(&t2, names::SPAN_POOL_WORKER, &[]));
             }
         })
         .join()
         .expect("worker thread");
         let events = tracer.drain();
         assert_eq!(events.len(), FLUSH_BATCH);
-        assert!(events.iter().all(|e| e.name == "worker"));
+        assert!(events.iter().all(|e| e.name == "pool_worker"));
     }
 }
