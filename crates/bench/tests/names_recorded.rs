@@ -132,9 +132,7 @@ fn every_declared_name_is_recorded() {
     assert!(e.batcher().preemptions() >= 1);
 
     let mut data = vec![0u32; 4];
-    Pool::new(2)
-        .par_chunks_mut(&mut data, 1, |i, chunk| chunk.fill(i as u32))
-        .expect("no chunk panics");
+    Pool::new(2).par_chunks_mut(&mut data, 1, |i, chunk| chunk.fill(i as u32));
 
     let mut rng = SeededRng::new(1);
     let dense = DenseLinear::new(rng.normal_matrix(24, 64, 0.0, 0.3));

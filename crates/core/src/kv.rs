@@ -81,14 +81,9 @@ impl QuantizedKvCache {
         };
         let mut out = Matrix::zeros(len, self.kv_dim);
         let span = LOAD_ROW_BLOCK * self.kv_dim;
-        let done = Pool::current().par_chunks_mut(out.as_mut_slice(), span, |b, rows| {
+        Pool::current().par_chunks_mut(out.as_mut_slice(), span, |b, rows| {
             decode_rows(b * LOAD_ROW_BLOCK, rows);
         });
-        if done.is_err() {
-            // A contained worker panic (a caller bug: ragged head lengths)
-            // re-raises on the caller thread, as the sequential loop would.
-            decode_rows(0, out.as_mut_slice());
-        }
         out
     }
 }

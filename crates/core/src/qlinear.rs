@@ -20,7 +20,6 @@ use crate::pipeline::AtomScheme;
 use atom_kernels::gemm::mixed_gemm;
 use atom_kernels::{GroupQuantized, QuantSpec};
 use atom_nn::{DenseLinear, LinearLayer};
-use atom_parallel::Pool;
 use atom_telemetry::{names, span, Telemetry};
 use atom_tensor::f16::round_f16;
 use atom_tensor::Matrix;
@@ -211,7 +210,7 @@ fn quantize_act(
         }
         // Dynamic per-token quantization is row-independent, so the
         // pool-parallel path packs the same bytes as the sequential one.
-        None => GroupQuantized::quantize_gather_with(&Pool::current(), x, cols, spec),
+        None => GroupQuantized::quantize_gather(x, cols, spec),
     }
 }
 

@@ -1492,9 +1492,8 @@ mod tests {
             ],
         }
         .generate(11);
-        let bursty_row = |pool: Pool| {
+        let bursty_row = || {
             let engine = tiny_engine(4, 2048)
-                .with_pool(pool)
                 .with_fault_plan(FaultPlan::seeded_chaos(
                     99,
                     400,
@@ -1534,7 +1533,7 @@ mod tests {
             ],
         }
         .generate(seed);
-        let flash_row = |pool: Pool| {
+        let flash_row = || {
             let config = tiny_config();
             let engine = tiny_engine(8, 1024)
                 .with_degraded_cache(Box::new(move || {
@@ -1559,8 +1558,7 @@ mod tests {
                         timeout: 0.02,
                         cancel: 0.01,
                     },
-                ))
-                .with_pool(pool);
+                ));
             let tenants = vec![
                 TenantSpec::new("interactive", 3, 2).with_rate(2_000, 5_000),
                 TenantSpec::new("batch", 1, 0)
@@ -1574,17 +1572,17 @@ mod tests {
         // Each row at widths 1, 2 and 8, then at width 2 under eight seeded
         // schedule perturbations of its own (the pool's test-only stress
         // mode; 16 seeds over the two rows).
-        let rows: [&dyn Fn(Pool) -> Replay; 2] = [&bursty_row, &flash_row];
+        let rows: [&dyn Fn() -> Replay; 2] = [&bursty_row, &flash_row];
         let solos: Vec<Replay> = rows
             .iter()
             .enumerate()
             .map(|(row, run)| {
-                let solo = run(Pool::new(1));
+                let solo = Pool::new(1).install(run);
                 assert!(solo.summary.accepted > 0, "row {row}: empty replay");
-                assert_eq!(solo, run(Pool::new(2)), "row {row}: 1 vs 2 threads");
-                assert_eq!(solo, run(Pool::new(8)), "row {row}: 1 vs 8 threads");
+                assert_eq!(solo, Pool::new(2).install(run), "row {row}: 1 vs 2 threads");
+                assert_eq!(solo, Pool::new(8).install(run), "row {row}: 1 vs 8 threads");
                 for seed in row as u64 * 8..(row as u64 + 1) * 8 {
-                    let stressed = run(Pool::new(2).with_stress(seed));
+                    let stressed = Pool::new(2).with_stress(seed).install(run);
                     assert_eq!(
                         solo, stressed,
                         "row {row}: 1 vs 2 threads, stress seed {seed}"

@@ -267,23 +267,21 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "not divisible by TP degree")]
     fn degree_must_divide_heads() {
         let hw = HardwareProfile::a100();
         let cfg = LlamaGpuConfig::llama7b();
-        let r = std::panic::catch_unwind(|| {
-            iteration_breakdown_tp(
-                &cfg,
-                SimScheme::Fp16,
-                1,
-                64,
-                Phase::Decode,
-                &hw,
-                &TpConfig {
-                    degree: 7,
-                    interconnect_gbps: 600.0,
-                },
-            )
-        });
-        assert!(r.is_err());
+        iteration_breakdown_tp(
+            &cfg,
+            SimScheme::Fp16,
+            1,
+            64,
+            Phase::Decode,
+            &hw,
+            &TpConfig {
+                degree: 7,
+                interconnect_gbps: 600.0,
+            },
+        );
     }
 }

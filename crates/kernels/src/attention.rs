@@ -7,8 +7,6 @@
 //! self-attention speedup of Fig. 11(b) comes from.
 
 use crate::asym::AsymQuantized;
-use crate::KernelError;
-use atom_parallel::Pool;
 use atom_telemetry::{names, span, Telemetry};
 use atom_tensor::{ops, Matrix};
 
@@ -142,73 +140,6 @@ pub fn attention_quant_kv(q: &Matrix, kv: &QuantizedKvHead, scale: f32) -> Matri
         }
     }
     out
-}
-
-/// Multi-head attention over quantized KV blocks: head `h` attends
-/// `q_heads[h]` against `kv_heads[h]`, in parallel on [`Pool::current`]
-/// (see [`attention_quant_kv_heads_with`]). Heads are returned in
-/// input order and each head is computed by the single-head kernel
-/// unchanged, so outputs are bit-identical for any thread count.
-///
-/// # Errors
-///
-/// Returns [`KernelError::ShapeMismatch`] when the head counts disagree
-/// and [`KernelError::WorkerPanic`] when a head's kernel panicked (shape
-/// asserts inside [`attention_quant_kv`] surface here instead of
-/// aborting).
-pub fn attention_quant_kv_heads(
-    q_heads: &[Matrix],
-    kv_heads: &[QuantizedKvHead],
-    scale: f32,
-) -> Result<Vec<Matrix>, KernelError> {
-    attention_quant_kv_heads_with(&Pool::current(), q_heads, kv_heads, scale)
-}
-
-/// [`attention_quant_kv_heads`] on an explicit [`Pool`]; one chunk per
-/// head, so [`KernelError::WorkerPanic`] reports exactly the failed head
-/// indices.
-///
-/// ```
-/// use atom_kernels::{attention_quant_kv, attention_quant_kv_heads_with, QuantizedKvHead};
-/// use atom_parallel::Pool;
-/// use atom_tensor::Matrix;
-///
-/// let mut kv = QuantizedKvHead::new(4, 4);
-/// kv.append(&Matrix::full(3, 4, 0.5), &Matrix::full(3, 4, 1.5));
-/// let q = vec![Matrix::full(2, 4, 1.0)];
-/// let kvs = vec![kv];
-/// let heads = attention_quant_kv_heads_with(&Pool::new(2), &q, &kvs, 0.5).unwrap();
-/// assert_eq!(heads[0].as_slice(), attention_quant_kv(&q[0], &kvs[0], 0.5).as_slice());
-/// ```
-///
-/// # Errors
-///
-/// As [`attention_quant_kv_heads`].
-pub fn attention_quant_kv_heads_with(
-    pool: &Pool,
-    q_heads: &[Matrix],
-    kv_heads: &[QuantizedKvHead],
-    scale: f32,
-) -> Result<Vec<Matrix>, KernelError> {
-    if q_heads.len() != kv_heads.len() {
-        return Err(KernelError::ShapeMismatch(format!(
-            "head count: {} query heads vs {} kv heads",
-            q_heads.len(),
-            kv_heads.len()
-        )));
-    }
-    let out = pool.par_map(q_heads, |h, q| {
-        kv_heads.get(h).map(|kv| attention_quant_kv(q, kv, scale))
-    })?;
-    let heads: Vec<Matrix> = out.into_iter().flatten().collect();
-    if heads.len() == q_heads.len() {
-        Ok(heads)
-    } else {
-        // Unreachable: the head-count check above makes every `get` hit.
-        Err(KernelError::ShapeMismatch(
-            "kv head lookup failed after count check".into(),
-        ))
-    }
 }
 
 /// FP32 reference attention over explicit K/V matrices (`kv_len x

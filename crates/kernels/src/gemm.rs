@@ -97,9 +97,11 @@ pub fn int_gemm_i32(a: &[i8], b_t: &[i8], m: usize, n: usize, k: usize) -> Vec<i
 /// INT4 activations against INT8 outlier weights never happens — regions
 /// match — but W4A8-style mixes are legal).
 ///
-/// Runs on [`Pool::current`] (see [`fused_group_gemm_with`] for an
-/// explicit pool); output bits are identical for any thread count because
-/// each output row is computed independently by exactly the loop nest below.
+/// Runs on [`Pool::current`], parallelized over blocks of weight rows.
+/// Every block writes an exclusive tile of the output, so the result is
+/// bit-identical for any thread count — and to
+/// [`reference::fused_group_gemm`], which the property suite asserts with
+/// `==`, not approximate equality.
 ///
 /// # Errors
 ///
@@ -124,28 +126,9 @@ pub fn int_gemm_i32(a: &[i8], b_t: &[i8], m: usize, n: usize, k: usize) -> Vec<i
 /// assert!((out.row(0)[0] - 4.0).abs() < 1.0);
 /// ```
 pub fn fused_group_gemm(a: &GroupQuantized, w: &GroupQuantized) -> Result<Matrix, KernelError> {
-    fused_group_gemm_with(&Pool::current(), a, w)
-}
-
-/// [`fused_group_gemm`] on an explicit [`Pool`], parallelized over blocks
-/// of weight rows. Every block writes an exclusive tile of the output, so
-/// the result is bit-identical to `Pool::sequential()` for any thread count
-/// — and to [`reference::fused_group_gemm`], which the property suite
-/// asserts with `==`, not approximate equality.
-///
-/// # Errors
-///
-/// Returns [`KernelError::ShapeMismatch`] when inner dimensions or group
-/// sizes disagree, and [`KernelError::WorkerPanic`] if a parallel worker
-/// panicked (the panic is contained, not propagated).
-pub fn fused_group_gemm_with(
-    pool: &Pool,
-    a: &GroupQuantized,
-    w: &GroupQuantized,
-) -> Result<Matrix, KernelError> {
     let group = shared_group(a, w)?;
     let _launch = record_launch(a.packed_bytes() + w.packed_bytes(), a.rows());
-    gemm_sweep(pool, &Region::decode(a, w, group), None)
+    Ok(gemm_sweep(&Region::decode(a, w, group), None))
 }
 
 /// Validates one region's operands and returns its effective group size
@@ -403,11 +386,7 @@ impl<'a> Region<'a> {
 /// order through the same `sum::<f32>()`; and (c) the reference composition
 /// adds the outlier matrix as `out + 1.0 * outlier`, and `1.0 * x` is `x`
 /// exactly.
-fn gemm_sweep(
-    pool: &Pool,
-    normal: &Region<'_>,
-    outlier: Option<&Region<'_>>,
-) -> Result<Matrix, KernelError> {
+fn gemm_sweep(normal: &Region<'_>, outlier: Option<&Region<'_>>) -> Matrix {
     let (m, n) = (normal.a_rows, normal.w_values.rows());
 
     // `n*m` splits into tiles of `RB` weight rows: tile `b` is `m` runs of
@@ -415,7 +394,7 @@ fn gemm_sweep(
     // out[i][b*RB ..]. A tile is a contiguous exclusive chunk.
     let mut tiles = vec![0f32; n * m];
     let tile_len = m.max(1) * KERNEL_ROW_BLOCK;
-    pool.par_chunks_mut(&mut tiles, tile_len, |b, tile| {
+    Pool::current().par_chunks_mut(&mut tiles, tile_len, |b, tile| {
         let rows_here = tile.len() / m.max(1);
         // The tile's weight rows decode in blocks small enough to stay
         // cache-resident (the whole tile at the serving widths); one decode
@@ -452,7 +431,7 @@ fn gemm_sweep(
                 }
             }
         }
-    })?;
+    });
 
     // Lay the tiles' runs into the m x n output on the caller thread.
     let mut out = Matrix::zeros(m, n);
@@ -465,14 +444,18 @@ fn gemm_sweep(
             }
         }
     }
-    Ok(out)
+    out
 }
 
 /// Mixed-precision GEMM (paper §4.1): the reordered operands carry their
 /// normal region (low-bit) and outlier region (INT8) separately; partial
 /// results sum in FP32.
 ///
-/// Pass `None` for the outlier pair when no outliers are kept.
+/// Pass `None` for the outlier pair when no outliers are kept. Runs the
+/// same sweep as [`fused_group_gemm`] over both regions at once on
+/// [`Pool::current`], one GEMM launch in telemetry. Every output element is
+/// written by one chunk, so no reduction ever races. Bit-identical to
+/// [`reference::mixed_gemm`].
 ///
 /// # Errors
 ///
@@ -483,36 +466,18 @@ pub fn mixed_gemm(
     w_normal: &GroupQuantized,
     outliers: Option<(&GroupQuantized, &GroupQuantized)>,
 ) -> Result<Matrix, KernelError> {
-    mixed_gemm_with(&Pool::current(), a_normal, w_normal, outliers)
-}
-
-/// [`mixed_gemm`] on an explicit [`Pool`]: the same sweep as
-/// [`fused_group_gemm_with`] over both regions at once, one GEMM launch in
-/// telemetry. Every output element is written by one chunk, so no reduction
-/// ever races. Bit-identical to [`reference::mixed_gemm`].
-///
-/// # Errors
-///
-/// Propagates shape mismatches from the underlying fused GEMMs, and rejects
-/// row-count mismatches between the regions.
-pub fn mixed_gemm_with(
-    pool: &Pool,
-    a_normal: &GroupQuantized,
-    w_normal: &GroupQuantized,
-    outliers: Option<(&GroupQuantized, &GroupQuantized)>,
-) -> Result<Matrix, KernelError> {
     let Some((a_out, w_out)) = outliers else {
-        return fused_group_gemm_with(pool, a_normal, w_normal);
+        return fused_group_gemm(a_normal, w_normal);
     };
     let rows_agree = a_out.rows() == a_normal.rows() && w_out.rows() == w_normal.rows();
     // A region without channels contributes the empty sum; the sweep walks
     // decoded rows, so each region then runs alone and the results add.
     if a_normal.cols() == 0 || a_out.cols() == 0 {
-        let mut out = fused_group_gemm_with(pool, a_normal, w_normal)?;
+        let mut out = fused_group_gemm(a_normal, w_normal)?;
         if !rows_agree {
             return Err(region_rows_mismatch());
         }
-        let o = fused_group_gemm_with(pool, a_out, w_out)?;
+        let o = fused_group_gemm(a_out, w_out)?;
         out.add_scaled_in_place(&o, 1.0);
         return Ok(out);
     }
@@ -526,25 +491,40 @@ pub fn mixed_gemm_with(
         .map(|q| q.packed_bytes())
         .sum();
     let _launch = record_launch(bytes, a_normal.rows());
-    gemm_sweep(
-        pool,
+    Ok(gemm_sweep(
         &Region::decode(a_normal, w_normal, group_normal),
         Some(&Region::decode(a_out, w_out, group_outlier)),
-    )
+    ))
+}
+
+/// [`mixed_gemm`] with `pool` installed. Kept only for the serving
+/// benchmark's width probe (`benchmark/src/probes.rs`), which compiles
+/// against it and goes away in benchmark revision 2; everything else
+/// installs a pool around [`mixed_gemm`] itself.
+///
+/// # Errors
+///
+/// As [`mixed_gemm`].
+pub fn mixed_gemm_with(
+    pool: &Pool,
+    a_normal: &GroupQuantized,
+    w_normal: &GroupQuantized,
+    outliers: Option<(&GroupQuantized, &GroupQuantized)>,
+) -> Result<Matrix, KernelError> {
+    pool.install(|| mixed_gemm(a_normal, w_normal, outliers))
 }
 
 fn region_rows_mismatch() -> KernelError {
     KernelError::ShapeMismatch("outlier region row counts disagree with normal region".into())
 }
 
-/// The bit-identity oracle: the plain loop nests [`fused_group_gemm_with`]
-/// and [`mixed_gemm_with`] must reproduce bit for bit. Tests and report
-/// bins call these by name; nothing on a serving path does.
+/// The bit-identity oracle: the plain loop nests [`fused_group_gemm`] and
+/// [`mixed_gemm`] must reproduce bit for bit, on the caller thread. Tests
+/// call these by name; nothing on a serving path does.
 pub mod reference {
     use super::{shared_group, region_rows_mismatch};
     use crate::group::GroupQuantized;
     use crate::KernelError;
-    use atom_parallel::Pool;
     use atom_tensor::Matrix;
 
     /// Fused group-dequantization GEMM as its definition reads: both
@@ -553,28 +533,23 @@ pub mod reference {
     ///
     /// # Errors
     ///
-    /// As [`fused_group_gemm_with`](super::fused_group_gemm_with).
+    /// As [`fused_group_gemm`](super::fused_group_gemm).
     ///
     /// # Example
     ///
     /// ```
-    /// use atom_kernels::{fused_group_gemm_with, gemm::reference, GroupQuantized, QuantSpec};
+    /// use atom_kernels::{fused_group_gemm, gemm::reference, GroupQuantized, QuantSpec};
     /// use atom_parallel::Pool;
     /// use atom_tensor::Matrix;
     ///
     /// let spec = QuantSpec::new(4, 16);
     /// let a = GroupQuantized::quantize(&Matrix::full(2, 32, 0.5), spec);
     /// let w = GroupQuantized::quantize(&Matrix::full(3, 32, 0.25), spec);
-    /// let pool = Pool::sequential();
-    /// let oracle = reference::fused_group_gemm(&pool, &a, &w).unwrap();
-    /// let kernel = fused_group_gemm_with(&pool, &a, &w).unwrap();
+    /// let oracle = reference::fused_group_gemm(&a, &w).unwrap();
+    /// let kernel = Pool::new(2).install(|| fused_group_gemm(&a, &w)).unwrap();
     /// assert_eq!(oracle.as_slice(), kernel.as_slice()); // bit-identical, not approximate
     /// ```
-    pub fn fused_group_gemm(
-        pool: &Pool,
-        a: &GroupQuantized,
-        w: &GroupQuantized,
-    ) -> Result<Matrix, KernelError> {
+    pub fn fused_group_gemm(a: &GroupQuantized, w: &GroupQuantized) -> Result<Matrix, KernelError> {
         let group = shared_group(a, w)?;
         let (m, n, k) = (a.rows(), w.rows(), a.cols());
         // Unpack both operands once, through the width-agnostic decode
@@ -588,13 +563,11 @@ pub mod reference {
         // The loop nest walks both operands as K-sized rows and both scale
         // matrices as group-aligned rows; `chunks`/`zip` make every access
         // bounds-check-free and total (`scales` has one column per K-group, so
-        // the group walk is bounded exactly as before). Rows parallelize as
-        // one-row chunks: chunk i owns out[i*n .. (i+1)*n] exclusively and is
-        // computed by the same sequential code at any pool width.
+        // the group walk is bounded exactly as before).
         let mut out = Matrix::zeros(m, n);
-        pool.par_chunks_mut(out.as_mut_slice(), n.max(1), |i, out_row| {
+        for (i, out_row) in out.as_mut_slice().chunks_mut(n.max(1)).enumerate() {
             let Some(ar) = av.get(i * k..(i + 1) * k) else {
-                return;
+                continue;
             };
             let sa = a_scales.row(i);
             for ((br, sw_row), o) in wv
@@ -621,7 +594,7 @@ pub mod reference {
                     })
                     .sum();
             }
-        })?;
+        }
         Ok(out)
     }
 
@@ -631,37 +604,34 @@ pub mod reference {
     ///
     /// # Errors
     ///
-    /// As [`mixed_gemm_with`](super::mixed_gemm_with).
+    /// As [`mixed_gemm`](super::mixed_gemm).
     ///
     /// # Example
     ///
     /// ```
-    /// use atom_kernels::{gemm::reference, mixed_gemm_with, GroupQuantized, QuantSpec};
-    /// use atom_parallel::Pool;
+    /// use atom_kernels::{gemm::reference, mixed_gemm, GroupQuantized, QuantSpec};
     /// use atom_tensor::Matrix;
     ///
     /// let a = GroupQuantized::quantize(&Matrix::full(2, 32, 1.0), QuantSpec::new(4, 16));
     /// let w = GroupQuantized::quantize(&Matrix::full(3, 32, 1.0), QuantSpec::new(4, 16));
     /// let a_o = GroupQuantized::quantize(&Matrix::full(2, 10, 9.0), QuantSpec::new(8, 16));
     /// let w_o = GroupQuantized::quantize(&Matrix::full(3, 10, 1.0), QuantSpec::new(8, 16));
-    /// let pool = Pool::sequential();
     /// let outliers = Some((&a_o, &w_o));
-    /// let oracle = reference::mixed_gemm(&pool, &a, &w, outliers).unwrap();
-    /// let kernel = mixed_gemm_with(&pool, &a, &w, outliers).unwrap();
+    /// let oracle = reference::mixed_gemm(&a, &w, outliers).unwrap();
+    /// let kernel = mixed_gemm(&a, &w, outliers).unwrap();
     /// assert_eq!(oracle.as_slice(), kernel.as_slice());
     /// ```
     pub fn mixed_gemm(
-        pool: &Pool,
         a_normal: &GroupQuantized,
         w_normal: &GroupQuantized,
         outliers: Option<(&GroupQuantized, &GroupQuantized)>,
     ) -> Result<Matrix, KernelError> {
-        let mut out = fused_group_gemm(pool, a_normal, w_normal)?;
+        let mut out = fused_group_gemm(a_normal, w_normal)?;
         if let Some((a_out, w_out)) = outliers {
             if a_out.rows() != a_normal.rows() || w_out.rows() != w_normal.rows() {
                 return Err(region_rows_mismatch());
             }
-            let o = fused_group_gemm(pool, a_out, w_out)?;
+            let o = fused_group_gemm(a_out, w_out)?;
             out.add_scaled_in_place(&o, 1.0);
         }
         Ok(out)

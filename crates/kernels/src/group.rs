@@ -162,41 +162,29 @@ impl GroupQuantized {
         Self::quantize_block(x, 0..x.rows(), None, spec)
     }
 
-    /// [`quantize`](Self::quantize) parallelized over row-blocks on `pool`.
-    ///
-    /// Every row quantizes independently (per-token dynamic quantization,
-    /// §4.3), so the per-block results reassemble — packed payload via
-    /// [`PackedMatrix::append_rows`], scales via [`Matrix::vstack`] — into
-    /// exactly the bytes the sequential quantizer writes, for any thread
-    /// count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec is invalid (same contract as
-    /// [`quantize`](Self::quantize)).
-    pub fn quantize_with(pool: &Pool, x: &Matrix, spec: QuantSpec) -> Self {
-        Self::quantize_blocks(pool, x, None, spec)
-    }
-
     /// Fused reorder + quantize (the epilogue of paper Fig. 8): quantizes
     /// the matrix whose column `c` is `x`'s column `cols[c]`, reading `x`
     /// through the index list instead of materializing the permuted copy.
-    /// The result is `==` to quantizing that copy — same packed bytes, same
-    /// scales — for any thread count (row-blocks on `pool`, as
-    /// [`quantize_with`](Self::quantize_with)).
+    ///
+    /// Rows split into one block per thread of [`Pool::current`]. Every row
+    /// quantizes independently (per-token dynamic quantization, §4.3), so
+    /// the blocks reassemble — packed payload via
+    /// [`PackedMatrix::append_rows`], scales via [`Matrix::vstack`], in
+    /// block order — into exactly the bytes the sequential quantizer
+    /// writes. The result is `==` to quantizing the permuted copy, for any
+    /// thread count.
     ///
     /// # Example
     ///
     /// ```
     /// use atom_kernels::{GroupQuantized, QuantSpec};
-    /// use atom_parallel::Pool;
     /// use atom_tensor::Matrix;
     ///
     /// let x = Matrix::from_rows(&[&[0.1, -0.5, 2.0, 0.7, 9.0]]);
     /// let perm = [3, 0, 2, 4, 1];
     /// let spec = QuantSpec::new(4, 2);
     /// // The trailing two permuted channels, without building them first.
-    /// let fused = GroupQuantized::quantize_gather_with(&Pool::sequential(), &x, &perm[3..], spec);
+    /// let fused = GroupQuantized::quantize_gather(&x, &perm[3..], spec);
     /// let copied = GroupQuantized::quantize(&x.permute_cols(&perm).slice_cols(3, 5), spec);
     /// assert_eq!(fused, copied);
     /// ```
@@ -204,41 +192,27 @@ impl GroupQuantized {
     /// # Panics
     ///
     /// Panics if the spec is invalid or an index is `>= x.cols()`.
-    pub fn quantize_gather_with(pool: &Pool, x: &Matrix, cols: &[usize], spec: QuantSpec) -> Self {
+    pub fn quantize_gather(x: &Matrix, cols: &[usize], spec: QuantSpec) -> Self {
         assert!(
             cols.iter().all(|&c| c < x.cols()),
             "gather index out of range for {} columns",
             x.cols()
         );
-        Self::quantize_blocks(pool, x, Some(cols), spec)
-    }
-
-    /// Splits the rows of `x` into one block per pool thread, quantizes the
-    /// blocks in parallel and stitches them in row order.
-    fn quantize_blocks(pool: &Pool, x: &Matrix, gather: Option<&[usize]>, spec: QuantSpec) -> Self {
-        let rows = x.rows();
-        if pool.is_sequential() || rows <= 1 || spec.validate().is_err() {
-            // The invalid-spec case funnels into the sequential quantizer
-            // so the documented panic fires on the caller thread, not a
-            // worker.
-            return Self::quantize_block(x, 0..rows, gather, spec);
+        let (rows, pool) = (x.rows(), Pool::current());
+        if pool.is_sequential() || rows <= 1 {
+            return Self::quantize_block(x, 0..rows, Some(cols), spec);
         }
         let block = rows.div_ceil(pool.threads().min(rows));
-        let starts: Vec<usize> = (0..rows).step_by(block.max(1)).collect();
-        let blocks = pool.par_map(&starts, |_, &s| {
-            Self::quantize_block(x, s..(s + block).min(rows), gather, spec)
+        let starts: Vec<usize> = (0..rows).step_by(block).collect();
+        let Ok(blocks) = pool.par_map(&starts, |_, &s| {
+            Self::quantize_block(x, s..(s + block).min(rows), Some(cols), spec)
         });
-        let stitched = blocks.ok().and_then(|bs| {
-            bs.into_iter().reduce(|mut acc, b| {
-                acc.values.append_rows(&b.values);
-                acc.scales = acc.scales.vstack(&b.scales);
-                acc
-            })
-        });
-        // The fallback arm is an unreachable backstop (no worker panics on
-        // a valid spec, and `rows > 1` leaves at least one block); it keeps
-        // this path total.
-        stitched.unwrap_or_else(|| Self::quantize_block(x, 0..rows, gather, spec))
+        let mut out = Self::quantize_block(x, 0..0, Some(cols), spec);
+        for b in blocks {
+            out.values.append_rows(&b.values);
+            out.scales = out.scales.vstack(&b.scales);
+        }
+        out
     }
 
     /// The sequential quantizer every constructor funnels into: rows
@@ -271,7 +245,7 @@ impl GroupQuantized {
                 Some(idx) => {
                     let src = x.row(r);
                     for (d, &c) in gathered.iter_mut().zip(idx) {
-                        // In range by the assert in `quantize_gather_with`.
+                        // In range by the assert in `quantize_gather`.
                         *d = src.get(c).copied().unwrap_or(0.0);
                     }
                     &gathered
@@ -443,37 +417,6 @@ impl GroupQuantized {
             }
         }
         out
-    }
-
-    /// [`dequantize`](Self::dequantize) parallelized over rows on `pool`;
-    /// each row decodes into its own disjoint output span, so the result is
-    /// bit-identical to the sequential dequantize for any thread count.
-    pub fn dequantize_with(&self, pool: &Pool) -> Matrix {
-        let (rows, cols) = (self.rows(), self.cols());
-        let group = self.spec.group.min(cols.max(1)).max(1);
-        let mut out = Matrix::zeros(rows, cols);
-        let ok = pool
-            .par_chunks_mut(out.as_mut_slice(), cols.max(1), |r, dst| {
-                let mut buf = vec![0i8; cols];
-                self.values.unpack_row(r, &mut buf);
-                let scale_row = self.scales.row(r);
-                for ((qchunk, dchunk), &s) in buf
-                    .chunks(group)
-                    .zip(dst.chunks_mut(group))
-                    .zip(scale_row)
-                {
-                    for (&q, d) in qchunk.iter().zip(dchunk) {
-                        *d = f32::from(q) * s;
-                    }
-                }
-            })
-            .is_ok();
-        // Unreachable backstop: the closure is total for every row index.
-        if ok {
-            out
-        } else {
-            self.dequantize()
-        }
     }
 
     /// Real memory footprint: packed integers plus 16-bit scales.

@@ -59,7 +59,7 @@
 //!   products inside `i32` — both proven by `const` assertions rustc
 //!   evaluates on every build.
 //! - **The fused reorder + quantize epilogue.**
-//!   [`GroupQuantized::quantize_gather_with`] quantizes a region of an
+//!   [`GroupQuantized::quantize_gather`] quantizes a region of an
 //!   activation straight through its slice of a reorder permutation (per
 //!   row: gather into a row buffer, one pass for scales and codes, one
 //!   [`PackedMatrix::pack_row`]) — the single epilogue Fig. 8 draws, with no
@@ -103,10 +103,8 @@ pub mod group;
 pub mod packed;
 
 pub use asym::AsymQuantized;
-pub use attention::{
-    attention_quant_kv, attention_quant_kv_heads, attention_quant_kv_heads_with, QuantizedKvHead,
-};
-pub use gemm::{fused_group_gemm, fused_group_gemm_with, mixed_gemm, mixed_gemm_with};
+pub use attention::{attention_quant_kv, QuantizedKvHead};
+pub use gemm::{fused_group_gemm, mixed_gemm, mixed_gemm_with};
 pub use group::{GroupQuantized, QuantSpec, MAX_BITS, MIN_BITS};
 pub use packed::PackedMatrix;
 
@@ -126,32 +124,21 @@ impl KernelPath {
     }
 }
 
-/// Error type for kernel-level shape and parameter validation.
+/// Error type for kernel-level shape validation. A panic inside a kernel's
+/// parallel region is not an error value: it continues on the caller, as
+/// it would from the sequential loop (see `atom_parallel`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum KernelError {
     /// Operand shapes are incompatible.
     ShapeMismatch(String),
-    /// A quantization parameter is out of range.
-    InvalidParameter(String),
-    /// A parallel worker panicked; the panic was contained by the pool and
-    /// surfaced as this error instead of aborting the process.
-    WorkerPanic(String),
 }
 
 impl std::fmt::Display for KernelError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             KernelError::ShapeMismatch(s) => write!(f, "shape mismatch: {s}"),
-            KernelError::InvalidParameter(s) => write!(f, "invalid parameter: {s}"),
-            KernelError::WorkerPanic(s) => write!(f, "parallel worker panic: {s}"),
         }
     }
 }
 
 impl std::error::Error for KernelError {}
-
-impl From<atom_parallel::PoolError> for KernelError {
-    fn from(e: atom_parallel::PoolError) -> Self {
-        KernelError::WorkerPanic(e.to_string())
-    }
-}

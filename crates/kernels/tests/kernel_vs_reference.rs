@@ -7,7 +7,7 @@
 //! over the dequantized K/V within FP32 summation-order tolerance.
 
 use atom_kernels::attention::attention_reference;
-use atom_kernels::gemm::{fused_group_gemm_with, mixed_gemm_with, reference, MAX_ACC_K};
+use atom_kernels::gemm::{fused_group_gemm, mixed_gemm, reference, MAX_ACC_K};
 use atom_kernels::{attention_quant_kv, GroupQuantized, PackedMatrix, QuantSpec, QuantizedKvHead};
 use atom_parallel::Pool;
 use atom_tensor::{Matrix, SeededRng};
@@ -15,10 +15,11 @@ use atom_tensor::{Matrix, SeededRng};
 /// Runs the fused GEMM kernel at thread widths 1/2/8 and asserts exact
 /// equality with the reference everywhere.
 fn assert_gemm_matches_reference(qa: &GroupQuantized, qw: &GroupQuantized, what: &str) {
-    let oracle = reference::fused_group_gemm(&Pool::sequential(), qa, qw)
+    let oracle = reference::fused_group_gemm(qa, qw)
         .unwrap_or_else(|e| panic!("{what}: reference failed: {e}"));
     for threads in [1usize, 2, 8] {
-        let kernel = fused_group_gemm_with(&Pool::new(threads), qa, qw)
+        let kernel = Pool::new(threads)
+            .install(|| fused_group_gemm(qa, qw))
             .unwrap_or_else(|e| panic!("{what}: kernel failed: {e}"));
         assert_eq!(
             oracle.as_slice(),
@@ -92,7 +93,6 @@ fn gemm_and_mixed_gemm_match_reference_on_the_serving_grid() {
     // alone, then the one-sweep mixed kernel against the reference two-call
     // composition, as bit patterns at pool widths 1/2/4.
     let bits_of = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
-    let seq = Pool::sequential();
     for (ki, &k) in [6usize, 17, 118, 352].iter().enumerate() {
         for &o in &[10usize, 32] {
             for &m in &[1usize, 3, 6, 8, 65] {
@@ -105,9 +105,10 @@ fn gemm_and_mixed_gemm_match_reference_on_the_serving_grid() {
                     assert_gemm_matches_reference(&qa_o, &qw_o, &what);
 
                     let outliers = Some((&qa_o, &qw_o));
-                    let composed = reference::mixed_gemm(&seq, &qa_n, &qw_n, outliers).unwrap();
+                    let composed = reference::mixed_gemm(&qa_n, &qw_n, outliers).unwrap();
                     for threads in [1usize, 2, 4] {
-                        let swept = mixed_gemm_with(&Pool::new(threads), &qa_n, &qw_n, outliers)
+                        let swept = Pool::new(threads)
+                            .install(|| mixed_gemm(&qa_n, &qw_n, outliers))
                             .unwrap_or_else(|e| panic!("{what}: one-sweep kernel failed: {e}"));
                         assert_eq!(
                             bits_of(&composed),
@@ -129,17 +130,15 @@ fn mixed_gemm_matches_reference_with_an_empty_region() {
     let mut rng = SeededRng::new(11);
     let (qa, qw) = quantized_pair(&mut rng, 3, 5, 40, 4, 16);
     let (qa_none, qw_none) = quantized_pair(&mut rng, 3, 5, 0, 8, 16);
-    let seq = Pool::sequential();
     for (normal, outlier) in [((&qa, &qw), (&qa_none, &qw_none)), ((&qa_none, &qw_none), (&qa, &qw))] {
-        let oracle = reference::mixed_gemm(&seq, normal.0, normal.1, Some(outlier)).unwrap();
-        let kernel = mixed_gemm_with(&seq, normal.0, normal.1, Some(outlier)).unwrap();
+        let oracle = reference::mixed_gemm(normal.0, normal.1, Some(outlier)).unwrap();
+        let kernel = mixed_gemm(normal.0, normal.1, Some(outlier)).unwrap();
         assert_eq!(oracle.as_slice(), kernel.as_slice());
     }
     let (qa_short, qw_short) = quantized_pair(&mut rng, 2, 5, 10, 8, 16);
     let short = Some((&qa_short, &qw_short));
     assert!(
-        reference::mixed_gemm(&seq, &qa, &qw, short).is_err()
-            && mixed_gemm_with(&seq, &qa, &qw, short).is_err(),
+        reference::mixed_gemm(&qa, &qw, short).is_err() && mixed_gemm(&qa, &qw, short).is_err(),
         "outlier region with fewer rows must be rejected"
     );
 }

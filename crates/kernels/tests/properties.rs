@@ -1,12 +1,7 @@
 //! Property-based tests of the kernel crate's quantization invariants.
 
-use atom_kernels::gemm::{
-    fused_group_gemm, fused_group_gemm_with, mixed_gemm_with, reference, reference_gemm,
-};
-use atom_kernels::{
-    attention_quant_kv_heads_with, AsymQuantized, GroupQuantized, PackedMatrix, QuantSpec,
-    QuantizedKvHead,
-};
+use atom_kernels::gemm::{fused_group_gemm, mixed_gemm, reference, reference_gemm};
+use atom_kernels::{AsymQuantized, GroupQuantized, PackedMatrix, QuantSpec};
 use atom_parallel::Pool;
 use atom_tensor::Matrix;
 use proptest::prelude::*;
@@ -171,9 +166,9 @@ proptest! {
         let w = rng.normal_matrix(n, k, 0.0, 1.0);
         let qa = GroupQuantized::quantize(&a, QuantSpec::new(bits, 8));
         let qw = GroupQuantized::quantize(&w, QuantSpec::new(bits, 8));
-        let solo = fused_group_gemm_with(&Pool::sequential(), &qa, &qw).unwrap();
+        let solo = Pool::sequential().install(|| fused_group_gemm(&qa, &qw)).unwrap();
         for pool in pools([2, 4, 8], stress) {
-            let par = fused_group_gemm_with(&pool, &qa, &qw).unwrap();
+            let par = pool.install(|| fused_group_gemm(&qa, &qw)).unwrap();
             prop_assert_eq!(solo.as_slice(), par.as_slice(), "{:?}", pool);
         }
     }
@@ -186,48 +181,14 @@ proptest! {
         stress in 0u64..1 << 32,
     ) {
         // Row-block quantization stitched with PackedMatrix::append_rows must
-        // reproduce the sequential packing byte-for-byte.
+        // reproduce the sequential packing byte-for-byte; the identity
+        // column list makes the gather a plain quantize.
         let spec = QuantSpec::new(bits, 8);
         let seq = GroupQuantized::quantize(&m, spec);
+        let identity: Vec<usize> = (0..m.cols()).collect();
         for pool in pools([threads], stress) {
-            let par = GroupQuantized::quantize_with(&pool, &m, spec);
-            prop_assert_eq!(seq.values().unpack(), par.values().unpack());
-            prop_assert_eq!(seq.scales().as_slice(), par.scales().as_slice());
-            prop_assert_eq!(seq.dequantize().as_slice(), par.dequantize_with(&pool).as_slice());
-        }
-    }
-
-    #[test]
-    fn parallel_attention_heads_bit_identical(
-        seed in 0u64..200,
-        heads in 1usize..6,
-        len in 1usize..10,
-        q_rows in 1usize..4,
-        stress in 0u64..1 << 32,
-    ) {
-        let hd = 8usize;
-        let q_rows = q_rows.min(len); // queries may not exceed cached tokens
-        let mut rng = atom_tensor::SeededRng::new(seed);
-        let mut kv_heads = Vec::new();
-        let mut q_heads = Vec::new();
-        for _ in 0..heads {
-            let mut h = QuantizedKvHead::new(hd, 8);
-            h.append(
-                &rng.normal_matrix(len, hd, 0.0, 1.0),
-                &rng.normal_matrix(len, hd, 0.0, 1.0),
-            );
-            kv_heads.push(h);
-            q_heads.push(rng.normal_matrix(q_rows, hd, 0.0, 1.0));
-        }
-        let scale = 1.0 / (hd as f32).sqrt();
-        let solo =
-            attention_quant_kv_heads_with(&Pool::sequential(), &q_heads, &kv_heads, scale).unwrap();
-        for pool in pools([2, 4], stress) {
-            let par = attention_quant_kv_heads_with(&pool, &q_heads, &kv_heads, scale).unwrap();
-            prop_assert_eq!(solo.len(), par.len());
-            for (s, p) in solo.iter().zip(&par) {
-                prop_assert_eq!(s.as_slice(), p.as_slice());
-            }
+            let par = pool.install(|| GroupQuantized::quantize_gather(&m, &identity, spec));
+            prop_assert_eq!(&seq, &par, "{:?}", pool);
         }
     }
 
@@ -250,9 +211,9 @@ proptest! {
         let w = rng.normal_matrix(n, k, 0.0, 1.0);
         let qa = GroupQuantized::quantize(&a, QuantSpec::new(bits, group));
         let qw = GroupQuantized::quantize(&w, QuantSpec::new(bits, group));
-        let oracle = reference::fused_group_gemm(&Pool::sequential(), &qa, &qw).unwrap();
+        let oracle = reference::fused_group_gemm(&qa, &qw).unwrap();
         for pool in pools([1, 2, 8], stress) {
-            let kernel = fused_group_gemm_with(&pool, &qa, &qw).unwrap();
+            let kernel = pool.install(|| fused_group_gemm(&qa, &qw)).unwrap();
             prop_assert_eq!(oracle.as_slice(), kernel.as_slice(), "{:?}", pool);
         }
     }
@@ -282,9 +243,9 @@ proptest! {
             QuantSpec::new(8, 16),
         );
         let outliers = Some((&qa_o, &qw_o));
-        let oracle = reference::mixed_gemm(&Pool::sequential(), &qa_n, &qw_n, outliers).unwrap();
+        let oracle = reference::mixed_gemm(&qa_n, &qw_n, outliers).unwrap();
         for pool in pools([1, 2, 8], stress) {
-            let kernel = mixed_gemm_with(&pool, &qa_n, &qw_n, outliers).unwrap();
+            let kernel = pool.install(|| mixed_gemm(&qa_n, &qw_n, outliers)).unwrap();
             prop_assert_eq!(oracle.as_slice(), kernel.as_slice(), "{:?}", pool);
         }
     }
@@ -306,9 +267,9 @@ proptest! {
         let mut rng = atom_tensor::SeededRng::new(seed);
         let qa = quantized(&mut rng, m, k, 1.0, bits);
         let qw = quantized(&mut rng, n, k, 0.5, bits);
-        let oracle = reference::fused_group_gemm(&Pool::sequential(), &qa, &qw).unwrap();
+        let oracle = reference::fused_group_gemm(&qa, &qw).unwrap();
         for pool in pools([1, 2, 4], stress) {
-            let kernel = fused_group_gemm_with(&pool, &qa, &qw).unwrap();
+            let kernel = pool.install(|| fused_group_gemm(&qa, &qw)).unwrap();
             prop_assert_eq!(bits_of(&oracle), bits_of(&kernel), "{:?}", pool);
         }
     }
@@ -333,12 +294,11 @@ proptest! {
         let mut rng = atom_tensor::SeededRng::new(seed);
         let (qa_n, qw_n) = (quantized(&mut rng, m, k, 1.0, bits), quantized(&mut rng, n, k, 0.5, bits));
         let (qa_o, qw_o) = (quantized(&mut rng, m, o, 20.0, 8), quantized(&mut rng, n, o, 0.5, 8));
-        let seq = Pool::sequential();
-        let mut composed = reference::fused_group_gemm(&seq, &qa_n, &qw_n).unwrap();
-        let outlier = reference::fused_group_gemm(&seq, &qa_o, &qw_o).unwrap();
+        let mut composed = reference::fused_group_gemm(&qa_n, &qw_n).unwrap();
+        let outlier = reference::fused_group_gemm(&qa_o, &qw_o).unwrap();
         composed.add_scaled_in_place(&outlier, 1.0);
         for pool in pools([1, 2, 4], stress) {
-            let swept = mixed_gemm_with(&pool, &qa_n, &qw_n, Some((&qa_o, &qw_o))).unwrap();
+            let swept = pool.install(|| mixed_gemm(&qa_n, &qw_n, Some((&qa_o, &qw_o)))).unwrap();
             prop_assert_eq!(bits_of(&composed), bits_of(&swept), "{:?}", pool);
         }
     }
@@ -369,7 +329,7 @@ proptest! {
         let permuted = x.permute_cols(&perm);
         for pool in pools([threads], stress) {
             for (lo, hi) in [(0, split), (split, cols)] {
-                let fused = GroupQuantized::quantize_gather_with(&pool, &x, &perm[lo..hi], spec);
+                let fused = pool.install(|| GroupQuantized::quantize_gather(&x, &perm[lo..hi], spec));
                 let copied = GroupQuantized::quantize(&permuted.slice_cols(lo, hi), spec);
                 prop_assert_eq!(&fused, &copied, "{:?} columns {}..{}", pool, lo, hi);
             }

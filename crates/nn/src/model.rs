@@ -657,9 +657,8 @@ impl<L: LinearLayer> LlamaModel<L> {
         // of its query rows and its sequence's history; running the grid on
         // the pool keeps each cell's arithmetic identical to the sequential
         // loop, so the stitched output is bit-stable for any thread count.
-        // A worker panic (impossible for well-formed configs) falls back to
-        // the sequential loop, which re-raises it on the caller thread —
-        // preserving the panic contract.
+        // A cell's panic (a malformed KV store, say) continues on the
+        // caller thread, as it would from the sequential loop.
         let compute_cell = |&(s, h): &(usize, usize)| {
             let History { rows, keys, values } = &histories[s];
             let kv_h = h / c.group_size();
@@ -675,9 +674,7 @@ impl<L: LinearLayer> LlamaModel<L> {
         let grid: Vec<(usize, usize)> = (0..histories.len())
             .flat_map(|s| (0..c.heads).map(move |h| (s, h)))
             .collect();
-        let cells = Pool::current()
-            .par_map(&grid, |_, cell| compute_cell(cell))
-            .unwrap_or_else(|_| grid.iter().map(compute_cell).collect());
+        let Ok(cells) = Pool::current().par_map(&grid, |_, cell| compute_cell(cell));
         // Cell (s, h) fills sequence s's rows of head h's columns.
         let mut concat = Matrix::zeros(x.rows(), c.dim);
         for (&(s, h), out) in grid.iter().zip(&cells) {

@@ -34,12 +34,12 @@
 //! `ATOM_THREADS=1` every API runs inline on the caller thread — no worker
 //! is ever spawned (a regression test pins this), which is the
 //! reproducibility-first default for chaos and fault-injection runs and the
-//! width the serving benchmark runs at. Explicit pools ([`Pool::new`]) serve
-//! tests that sweep thread counts. Entry points without a pool argument run
-//! on [`Pool::current`]: the pool an enclosing [`Pool::install`] put in
-//! place, else the global one. The engine takes a pool via
-//! `CpuEngine::with_pool` and installs it around each batched forward, so
-//! every GEMM, quantizer and attention region inside runs at its width.
+//! width the serving benchmark runs at. Every kernel runs on
+//! [`Pool::current`]: the pool an enclosing [`Pool::install`] put in place,
+//! else the global one. Installing a pool is the only way to pick another
+//! width — a test that sweeps thread counts installs a [`Pool::new`] around
+//! the work; the serving engine installs nothing, so its forwards run on
+//! whatever pool its caller put in place.
 //!
 //! # Worker lifecycle and panics
 //!
@@ -52,18 +52,21 @@
 //! cells), and nested `par_*` calls see a thread-local flag and run inline
 //! instead of oversubscribing.
 //!
-//! A panicking chunk does not abort the process: each chunk runs under
-//! `catch_unwind`, and after every other chunk has completed the region
-//! returns a typed [`PoolError::WorkerPanic`] listing each failed chunk
-//! with its own panic message. Consumers keep their contracts on top:
-//! kernels map the error into their own `KernelError::WorkerPanic`, and
-//! paths whose sequential form documents a panic (an invalid `QuantSpec`,
-//! say) fall back to the sequential loop so the panic re-raises on the
-//! caller. The serving engine runs a whole batch of requests in one forward
-//! and contains its panic with [`catch_panic`] on the caller thread, *not*
-//! in a region — inside one, the forward's own regions would run inline —
-//! then re-runs the batch's requests one at a time, so exactly the poisoned
-//! requests terminalize `Failed`, each with the message of its own panic.
+//! A region does not catch a chunk's panic. The panic unwinds its worker,
+//! which runs none of its later chunks; the caller joins every worker and
+//! then resumes ([`std::panic::resume_unwind`]) the original payload of the
+//! lowest-index chunk that panicked. Each worker owns a contiguous run of
+//! chunks, so that chunk — and the message the caller sees — is the same at
+//! every width. Guards restore the caller's installed pool, its
+//! nested-region flag and the region's telemetry as the panic passes, so a
+//! panic in a GEMM tile continues on the caller exactly as it would from
+//! the sequential loop. A caller that must survive one catches it itself
+//! with [`catch_panic`], the workspace's one `catch_unwind`: the serving
+//! engine contains each batched forward with it on the caller thread — not
+//! in a region, where the forward's own regions would run inline — then
+//! rolls the batch back and re-runs its requests one at a time, so exactly
+//! the poisoned requests terminalize `Failed`, each with the message of its
+//! own panic.
 //!
 //! # Stress mode
 //!
@@ -80,14 +83,13 @@
 //!
 //! # Where the pool is wired
 //!
-//! The packed GEMM over tiles of [`KERNEL_ROW_BLOCK`] weight rows, group
-//! quantize / dequantize over row blocks, quantized-KV attention over heads,
-//! the model's attention over the (sequence, head) grid of a batched
-//! forward, KV dequantize-on-load over blocks of token rows, and dynamic
-//! activation quantization in `QuantizedLinear::forward`. The engine opens
-//! no region of its own: it installs its pool around each phase's one
-//! forward, whose stacked rows give the GEMM and the grid their width.
-//! While telemetry
+//! The packed GEMM over tiles of [`KERNEL_ROW_BLOCK`] weight rows, the
+//! fused gather + quantize epilogue over row blocks (dynamic activation
+//! quantization in `QuantizedLinear::forward`), the model's attention over
+//! the (sequence, head) grid of a batched forward, and KV
+//! dequantize-on-load over blocks of token rows. The engine opens no region
+//! of its own: each phase's one forward runs on [`Pool::current`], and its
+//! stacked rows give the GEMM and the grid their width. While telemetry
 //! is on, each region records [`names::POOL_TASKS`],
 //! [`names::POOL_QUEUE_DEPTH`], [`names::POOL_REGION_WALL_NS`],
 //! [`names::POOL_UTILIZATION_PERMILLE`] and one [`names::SPAN_POOL_WORKER`]
@@ -105,20 +107,17 @@
 //!     for v in chunk.iter_mut() {
 //!         *v *= *v;
 //!     }
-//! })
-//! .expect("no chunk panicked");
+//! });
 //! assert_eq!(data[3], 9);
 //! // Bit-identical to the sequential pool, by construction.
 //! let mut seq: Vec<u64> = (0..10).collect();
-//! Pool::new(1)
-//!     .par_chunks_mut(&mut seq, 4, |_, c| c.iter_mut().for_each(|v| *v *= *v))
-//!     .expect("sequential path cannot panic here");
+//! Pool::new(1).par_chunks_mut(&mut seq, 4, |_, c| c.iter_mut().for_each(|v| *v *= *v));
 //! assert_eq!(data, seq);
 //! ```
 
 #![warn(missing_docs)]
-// The pool exists to contain worker panics; a panicking construct in the
-// pool itself would defeat that. Tests are exempt.
+// The pool re-raises its chunks' panics on the caller; a panicking
+// construct of its own would be mistaken for one of them. Tests are exempt.
 #![cfg_attr(
     not(test),
     deny(
@@ -136,40 +135,10 @@ mod stress;
 
 use atom_telemetry::{names, Telemetry};
 use std::cell::Cell;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::convert::Infallible;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 use std::time::Instant;
-
-/// Error surfaced by a parallel region whose closure panicked.
-///
-/// The region still runs every other chunk to completion before returning
-/// (no chunk is silently skipped), so callers know exactly which units of
-/// work are poisoned and which outputs are valid.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PoolError {
-    /// One or more chunks panicked inside a parallel region.
-    WorkerPanic {
-        /// Each chunk whose closure panicked, ascending by index, with its
-        /// own panic message.
-        failed: Vec<(usize, String)>,
-    },
-}
-
-impl std::fmt::Display for PoolError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PoolError::WorkerPanic { failed } => {
-                write!(f, "worker panic in {} chunk(s)", failed.len())?;
-                for (chunk, message) in failed {
-                    write!(f, "; chunk {chunk}: {message}")?;
-                }
-                Ok(())
-            }
-        }
-    }
-}
-
-impl std::error::Error for PoolError {}
 
 thread_local! {
     /// Set while the current thread executes inside a parallel region;
@@ -225,10 +194,6 @@ impl Drop for RegionGuard {
 /// keeping results bit-identical across thread counts.
 pub const KERNEL_ROW_BLOCK: usize = 32;
 
-/// What one worker reports back to the region join: busy wall time (0 when
-/// telemetry is disabled) and the chunks whose closure panicked.
-type WorkerReport = (u64, Vec<(usize, String)>);
-
 /// A deterministic data-parallel executor of fixed width.
 ///
 /// Cheap to create and to clone — the pool carries configuration, not
@@ -271,29 +236,25 @@ impl Pool {
         Pool::new(1)
     }
 
-    /// The pool described by the environment: `ATOM_THREADS` when set (an
-    /// invalid value means 1), the machine's available parallelism when
-    /// unset — see [`Pool::resolve_threads`].
-    pub fn from_env() -> Self {
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "audited config entry point: ATOM_THREADS is read once, at pool construction, and width never changes a result"
-        )]
-        let configured = std::env::var("ATOM_THREADS").ok();
-        Pool::new(Self::resolve_threads(configured.as_deref()))
-    }
-
-    /// The process-wide pool, built from the environment once on first use
-    /// (see [`Pool::from_env`]): what [`Pool::current`] is outside any
-    /// [`Pool::install`].
+    /// The process-wide pool, built on first use from `ATOM_THREADS` (an
+    /// invalid value means 1; unset means the machine's available
+    /// parallelism — see [`Pool::resolve_threads`]): what [`Pool::current`]
+    /// is outside any [`Pool::install`]. This is the one place the variable
+    /// is read.
     pub fn global() -> &'static Pool {
         static GLOBAL: OnceLock<Pool> = OnceLock::new();
-        GLOBAL.get_or_init(Pool::from_env)
+        GLOBAL.get_or_init(|| {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "audited config entry point: ATOM_THREADS is read once, at pool construction, and width never changes a result"
+            )]
+            let configured = std::env::var("ATOM_THREADS").ok();
+            Pool::new(Self::resolve_threads(configured.as_deref()))
+        })
     }
 
-    /// The pool kernel entry points without an explicit pool run on: the
-    /// one the innermost enclosing [`Pool::install`] on this thread put in
-    /// place, else [`Pool::global`].
+    /// The pool every kernel runs on: the one the innermost enclosing
+    /// [`Pool::install`] on this thread put in place, else [`Pool::global`].
     pub fn current() -> Pool {
         INSTALLED.with(Cell::get).unwrap_or(*Pool::global())
     }
@@ -357,10 +318,11 @@ impl Pool {
     /// `data[i * chunk .. ((i + 1) * chunk).min(len)]` regardless of the
     /// thread count, which is what makes the output bit-stable.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Returns [`PoolError::WorkerPanic`] listing every chunk whose
-    /// closure panicked; all other chunks still ran to completion.
+    /// If `f` panics, the panic continues on the caller once every worker
+    /// has stopped: that of the lowest-index chunk that panicked, with its
+    /// own payload. A worker runs none of its chunks after its first panic.
     ///
     /// # Example
     ///
@@ -368,16 +330,14 @@ impl Pool {
     /// use atom_parallel::Pool;
     ///
     /// let mut rows = vec![0u32; 6];
-    /// Pool::new(4)
-    ///     .par_chunks_mut(&mut rows, 2, |i, chunk| {
-    ///         for v in chunk.iter_mut() {
-    ///             *v = i as u32;
-    ///         }
-    ///     })
-    ///     .expect("no panics");
+    /// Pool::new(4).par_chunks_mut(&mut rows, 2, |i, chunk| {
+    ///     for v in chunk.iter_mut() {
+    ///         *v = i as u32;
+    ///     }
+    /// });
     /// assert_eq!(rows, [0, 0, 1, 1, 2, 2]);
     /// ```
-    pub fn par_chunks_mut<T, F>(&self, data: &mut [T], chunk: usize, f: F) -> Result<(), PoolError>
+    pub fn par_chunks_mut<T, F>(&self, data: &mut [T], chunk: usize, f: F)
     where
         T: Send,
         F: Fn(usize, &mut [T]) + Sync,
@@ -385,105 +345,89 @@ impl Pool {
         let chunk = chunk.max(1);
         let n_chunks = data.len().div_ceil(chunk);
         if n_chunks == 0 {
-            return Ok(());
+            return;
         }
         let workers = self.effective_workers(n_chunks);
-        let region = Region::open(n_chunks, workers);
-
-        let mut failures: Vec<(usize, String)> = Vec::new();
-        let mut busy_total = 0u64;
+        let mut region = Region::open(n_chunks, workers);
+        let timed = region.timed;
         if workers <= 1 {
-            let (busy, mut fails) = run_chunk_span(&f, data, chunk, 0, n_chunks, 0, region.timed);
-            busy_total = busy;
-            failures.append(&mut fails);
-        } else {
-            // Contiguous static partition: the first `n_chunks % workers`
-            // workers take one extra chunk. Worker 0 is the caller thread.
-            let base = n_chunks / workers;
-            let extra = n_chunks % workers;
-            let timed = region.timed;
-            #[cfg(feature = "stress")]
-            let _stress = stress::Region::enter(self.stress);
-            let reports = std::thread::scope(|scope| {
-                let f = &f;
-                let mut handles = Vec::with_capacity(workers - 1);
-                let mut rest = data;
-                let mut first_chunk = 0usize;
-                let mut caller_share: Option<(&mut [T], usize, usize)> = None;
-                for w in 0..workers {
-                    let count = base + usize::from(w < extra);
-                    let take = (count * chunk).min(rest.len());
-                    let (head, tail) = rest.split_at_mut(take);
-                    rest = tail;
-                    if w == 0 {
-                        caller_share = Some((head, first_chunk, count));
-                    } else {
-                        let start = first_chunk;
+            region.busy_ns = run_chunk_span(&f, data, chunk, 0, n_chunks, 0, timed);
+            return;
+        }
+        // Contiguous static partition: the first `n_chunks % workers`
+        // workers take one extra chunk. Worker 0 is the caller thread.
+        let base = n_chunks / workers;
+        let extra = n_chunks % workers;
+        #[cfg(feature = "stress")]
+        let _stress = stress::Region::enter(self.stress);
+        // A panic of the caller's own share unwinds out of the scope after
+        // it has joined every worker; the caller owns the lowest chunks, so
+        // that panic is the lowest-index one.
+        let first_panic = std::thread::scope(|scope| {
+            let f = &f;
+            let mut handles = Vec::with_capacity(workers - 1);
+            let mut rest = data;
+            let mut first_chunk = 0usize;
+            let mut caller_share: Option<(&mut [T], usize, usize)> = None;
+            for w in 0..workers {
+                let count = base + usize::from(w < extra);
+                let take = (count * chunk).min(rest.len());
+                let (head, tail) = rest.split_at_mut(take);
+                rest = tail;
+                if w == 0 {
+                    caller_share = Some((head, first_chunk, count));
+                } else {
+                    let start = first_chunk;
+                    #[cfg(feature = "stress")]
+                    let stream = stress::fork(w);
+                    handles.push(scope.spawn(move || {
                         #[cfg(feature = "stress")]
-                        let stream = stress::fork(w);
-                        handles.push(scope.spawn(move || {
-                            #[cfg(feature = "stress")]
-                            stress::adopt(stream);
-                            let _guard = RegionGuard::enter();
-                            let report = run_chunk_span(f, head, chunk, start, count, w, timed);
-                            #[cfg(feature = "stress")]
-                            stress::pause();
-                            if timed {
-                                Telemetry::global().tracer().flush_thread();
-                            }
-                            report
-                        }));
-                    }
-                    first_chunk += count;
-                }
-                let caller_report = match caller_share {
-                    Some((head, start, count)) => {
+                        stress::adopt(stream);
                         let _guard = RegionGuard::enter();
-                        run_chunk_span(f, head, chunk, start, count, 0, timed)
-                    }
-                    None => (0, Vec::new()),
-                };
-                #[cfg(feature = "stress")]
-                stress::pause();
-                let mut reports = vec![caller_report];
-                for h in handles {
-                    // A scoped worker can only fail to join if its closure
-                    // panicked outside `catch_unwind` (e.g. inside the
-                    // telemetry flush); treat that as a panic of its first
-                    // chunk rather than unwinding through the scope.
-                    reports.push(h.join().unwrap_or_else(|payload| {
-                        (0, vec![(usize::MAX, panic_message(payload.as_ref()))])
+                        let busy = run_chunk_span(f, head, chunk, start, count, w, timed);
+                        #[cfg(feature = "stress")]
+                        stress::pause();
+                        if timed {
+                            Telemetry::global().tracer().flush_thread();
+                        }
+                        busy
                     }));
                 }
-                reports
-            });
-            for (busy, mut fails) in reports {
-                busy_total = busy_total.saturating_add(busy);
-                failures.append(&mut fails);
+                first_chunk += count;
             }
+            if let Some((head, start, count)) = caller_share {
+                let _guard = RegionGuard::enter();
+                region.busy_ns = run_chunk_span(f, head, chunk, start, count, 0, timed);
+            }
+            #[cfg(feature = "stress")]
+            stress::pause();
+            // Workers join in chunk order, so the first payload is the
+            // lowest-index panic.
+            let mut first_panic = None;
+            for h in handles {
+                match h.join() {
+                    Ok(busy) => region.busy_ns = region.busy_ns.saturating_add(busy),
+                    Err(payload) => {
+                        first_panic.get_or_insert(payload);
+                    }
+                }
+            }
+            first_panic
+        });
+        if let Some(payload) = first_panic {
+            resume_unwind(payload);
         }
-        region.close(busy_total);
-
-        if failures.is_empty() {
-            return Ok(());
-        }
-        failures.sort();
-        Err(PoolError::WorkerPanic { failed: failures })
     }
 
-    /// Maps `f` over `items`, returning the results in input order. Each
-    /// item is one chunk, so on error the failed-chunk indices of
-    /// [`PoolError::WorkerPanic`] are exactly the failed *item* indices.
-    /// (The serving engine does not rely on this: it contains a panicking
-    /// batch forward with [`catch_panic`] and re-runs its requests one at a
-    /// time.)
+    /// Maps `f` over `items`, returning the results in input order; each
+    /// item is one chunk of [`Pool::par_chunks_mut`], whose panic contract
+    /// it shares. The `Result` never holds an error.
     ///
     /// # Errors
     ///
-    /// Returns [`PoolError::WorkerPanic`] listing every item whose closure
-    /// panicked; all other items still produced their result (discarded on
-    /// the error path).
-    pub fn par_map<T, R, F>(&self, items: &[T], f: F) -> Result<Vec<R>, PoolError>
+    /// None: the error type is [`Infallible`], so callers bind the result
+    /// with `let Ok(results) = …;`.
+    pub fn par_map<T, R, F>(&self, items: &[T], f: F) -> Result<Vec<R>, Infallible>
     where
         T: Sync,
         R: Send,
@@ -494,19 +438,8 @@ impl Pool {
             if let (Some(out), Some(item)) = (slot.first_mut(), items.get(i)) {
                 *out = Some(f(i, item));
             }
-        })?;
-        let results: Vec<R> = slots.into_iter().flatten().collect();
-        if results.len() == items.len() {
-            Ok(results)
-        } else {
-            // Unreachable under the par_chunks_mut contract (every chunk
-            // either filled its slot or reported a panic), kept as a typed
-            // backstop instead of an unwrap.
-            let lost = "parallel map lost results without a reported panic";
-            Err(PoolError::WorkerPanic {
-                failed: vec![(usize::MAX, lost.to_string())],
-            })
-        }
+        });
+        Ok(slots.into_iter().flatten().collect())
     }
 
     /// Workers a region over `n_chunks` chunks would actually use.
@@ -519,21 +452,17 @@ impl Pool {
     }
 }
 
-impl Default for Pool {
-    /// The environment-configured pool (same resolution as
-    /// [`Pool::from_env`]).
-    fn default() -> Self {
-        Pool::from_env()
-    }
-}
-
 /// Telemetry bracket around one parallel region: queue-depth gauge up on
-/// dispatch, region wall + utilization histograms on join. All of it is
-/// skipped (down to one atomic load) while telemetry is disabled.
+/// dispatch; gauge down, region wall and utilization histograms when it
+/// drops — on return or while a chunk's panic unwinds through the region.
+/// All of it is skipped (down to one atomic load) while telemetry is
+/// disabled.
 struct Region {
     timed: bool,
     start: Option<Instant>,
     workers: usize,
+    /// Summed busy time of the workers that finished.
+    busy_ns: u64,
 }
 
 impl Region {
@@ -552,10 +481,13 @@ impl Region {
             )]
             start: timed.then(Instant::now),
             workers,
+            busy_ns: 0,
         }
     }
+}
 
-    fn close(self, busy_total_ns: u64) {
+impl Drop for Region {
+    fn drop(&mut self) {
         if !self.timed {
             return;
         }
@@ -565,16 +497,16 @@ impl Region {
             let wall = start.elapsed().as_nanos() as u64;
             t.record(names::POOL_REGION_WALL_NS, wall);
             let denom = (self.workers as u64).saturating_mul(wall).max(1);
-            let util = busy_total_ns.saturating_mul(1000) / denom;
+            let util = self.busy_ns.saturating_mul(1000) / denom;
             t.record(names::POOL_UTILIZATION_PERMILLE, util.min(1000));
         }
     }
 }
 
 /// Executes `count` chunks starting at global chunk index `start` over
-/// `data` (already narrowed to exactly those chunks), each under
-/// `catch_unwind`, inside one `pool_worker` telemetry span. Returns the
-/// worker's busy nanoseconds (0 when untimed) and its failed chunks.
+/// `data` (already narrowed to exactly those chunks), inside one
+/// `pool_worker` telemetry span, and returns the worker's busy nanoseconds
+/// (0 when untimed). A chunk's panic unwinds out of it, skipping the rest.
 fn run_chunk_span<T, F>(
     f: &F,
     data: &mut [T],
@@ -583,7 +515,7 @@ fn run_chunk_span<T, F>(
     count: usize,
     worker: usize,
     timed: bool,
-) -> WorkerReport
+) -> u64
 where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
@@ -599,24 +531,20 @@ where
         reason = "worker busy time feeds the utilization histogram only; never scheduling"
     )]
     let busy_start = timed.then(Instant::now);
-    let mut failures = Vec::new();
     for (j, piece) in data.chunks_mut(chunk).enumerate().take(count) {
         #[cfg(feature = "stress")]
         stress::pause();
-        let index = start + j;
-        if let Err(message) = catch_panic(|| f(index, piece)) {
-            failures.push((index, message));
-        }
+        f(start + j, piece);
     }
     drop(span);
-    let busy = busy_start.map_or(0, |s| s.elapsed().as_nanos() as u64);
-    (busy, failures)
+    busy_start.map_or(0, |s| s.elapsed().as_nanos() as u64)
 }
 
-/// Runs `f` on the calling thread and contains a panic as its message.
-/// Every chunk of a region runs under it. A caller that must contain a
-/// panic *without* opening a region calls it directly: inside a region,
-/// nested regions run inline and the work would lose its parallelism.
+/// Runs `f` on the calling thread and contains a panic as its message —
+/// the one place the workspace catches a panic. A region re-raises its
+/// chunks' panics on the caller, so wrapping a region (or work that opens
+/// regions) in it contains those too; call it outside the region: inside
+/// one, nested regions run inline and the work would lose its parallelism.
 ///
 /// # Errors
 ///
@@ -653,8 +581,7 @@ mod tests {
     fn chunk_indices_cover_input_in_order() {
         let pool = Pool::new(3);
         let mut data = vec![0usize; 10];
-        pool.par_chunks_mut(&mut data, 3, |i, c| c.iter_mut().for_each(|v| *v = i))
-            .expect("no panics");
+        pool.par_chunks_mut(&mut data, 3, |i, c| c.iter_mut().for_each(|v| *v = i));
         assert_eq!(data, [0, 0, 0, 1, 1, 1, 2, 2, 2, 3]);
     }
 
@@ -667,11 +594,9 @@ mod tests {
             let mut inner = vec![0u32; 4];
             pool.par_chunks_mut(&mut inner, 1, |i, ic| {
                 ic.iter_mut().for_each(|v| *v = i as u32)
-            })
-            .expect("inner region");
+            });
             c.iter_mut().for_each(|v| *v = inner.iter().sum());
-        })
-        .expect("outer region");
+        });
         assert_eq!(outer, [6, 6, 6, 6]);
     }
 
@@ -679,9 +604,8 @@ mod tests {
     fn empty_input_is_a_no_op() {
         let pool = Pool::new(4);
         let mut data: Vec<u8> = Vec::new();
-        pool.par_chunks_mut(&mut data, 8, |_, _| unreachable!("no chunks"))
-            .expect("empty region");
-        let out: Vec<u8> = pool.par_map(&data, |_, &v| v).expect("empty map");
+        pool.par_chunks_mut(&mut data, 8, |_, _| unreachable!("no chunks"));
+        let Ok(out) = pool.par_map(&data, |_, &v| v);
         assert!(out.is_empty());
     }
 
@@ -693,40 +617,54 @@ mod tests {
             assert_eq!(i, 0);
             assert_eq!(c.len(), 3);
             c.iter_mut().for_each(|v| *v += 1);
-        })
-        .expect("single chunk");
+        });
         assert_eq!(data, [2, 2, 2]);
     }
 
     #[test]
-    fn worker_panic_reports_failed_chunks_not_abort() {
-        let pool = Pool::new(3);
-        let mut data = vec![0i32; 6];
-        let err = pool
-            .par_chunks_mut(&mut data, 1, |i, c| {
-                if i == 1 || i == 4 {
-                    panic!("chunk {i} poisoned");
-                }
-                c.iter_mut().for_each(|v| *v = 7);
-            })
-            .expect_err("two chunks panic");
-        let PoolError::WorkerPanic { failed } = err;
-        let expect = [(1, "chunk 1 poisoned"), (4, "chunk 4 poisoned")];
-        let expect = expect.map(|(i, m)| (i, m.to_string()));
-        assert_eq!(failed, expect, "sorted chunks, each with its own payload");
-        // Surviving chunks still ran to completion.
-        assert_eq!(data, [7, 0, 7, 7, 0, 7]);
+    fn region_panic_resumes_lowest_chunk_on_caller() {
+        // Chunks 1 and 4 of six panic. At every width the caller sees chunk
+        // 1's own payload, each worker stops at its first panic, and a
+        // worker without one runs all its chunks: width 1 runs chunk 0
+        // alone, width 2 splits 0..3 | 3..6 and width 3 0..2 | 2..4 | 4..6.
+        let pools = [
+            (Pool::new(1), [7, 0, 0, 0, 0, 0]),
+            (Pool::new(3), [7, 0, 7, 7, 0, 0]),
+        ]
+        .into_iter();
+        #[cfg(feature = "stress")]
+        let pools =
+            pools.chain((0..16).map(|seed| (Pool::new(2).with_stress(seed), [7, 0, 0, 7, 0, 0])));
+        let outer = Pool::new(5);
+        for (pool, ran) in pools {
+            let mut data = vec![0i32; 6];
+            outer.install(|| {
+                let caught = catch_panic(|| {
+                    pool.install(|| {
+                        Pool::current().par_chunks_mut(&mut data, 1, |i, c| {
+                            if i == 1 || i == 4 {
+                                panic!("chunk {i} poisoned");
+                            }
+                            c.fill(7);
+                        })
+                    })
+                });
+                assert_eq!(caught, Err("chunk 1 poisoned".to_string()), "{pool:?}");
+                assert_eq!(Pool::current(), outer, "{pool:?}: installed pool restored");
+                let wide = !Pool::new(2).is_sequential();
+                assert!(wide, "{pool:?}: nested-region flag cleared");
+            });
+            assert_eq!(data, ran, "{pool:?}: chunks that ran");
+        }
     }
 
     #[test]
     fn par_map_preserves_item_order() {
         let items: Vec<usize> = (0..23).collect();
-        let out = Pool::new(4)
-            .par_map(&items, |i, &v| {
-                assert_eq!(i, v, "index argument matches item position");
-                v * v
-            })
-            .expect("no panics");
+        let Ok(out) = Pool::new(4).par_map(&items, |i, &v| {
+            assert_eq!(i, v, "index argument matches item position");
+            v * v
+        });
         let expect: Vec<usize> = (0..23).map(|v| v * v).collect();
         assert_eq!(out, expect);
     }
@@ -750,10 +688,9 @@ mod tests {
         for seed in 0..16 {
             let pool = Pool::new(2).with_stress(seed);
             let mut data = vec![0usize; 37];
-            pool.par_chunks_mut(&mut data, 3, |i, c| c.iter_mut().for_each(|v| *v = i))
-                .expect("no panics");
+            pool.par_chunks_mut(&mut data, 3, |i, c| c.iter_mut().for_each(|v| *v = i));
             assert_eq!(data, expect, "seed {seed}");
-            let squares = pool.par_map(&data, |i, &v| i * v).expect("no panics");
+            let Ok(squares) = pool.par_map(&data, |i, &v| i * v);
             let want: Vec<usize> = expect.iter().enumerate().map(|(i, v)| i * v).collect();
             assert_eq!(squares, want, "seed {seed}");
         }
@@ -770,8 +707,7 @@ mod tests {
         pool.par_chunks_mut(&mut data, 2, |_, c| {
             assert_eq!(std::thread::current().id(), caller);
             c.iter_mut().for_each(|v| *v = 1);
-        })
-        .expect("sequential region");
+        });
         assert_eq!(data, [1; 8]);
     }
 }

@@ -77,7 +77,7 @@ use crate::paged::{PagedAllocator, SharedPrefix};
 use crate::scheduler::{AdmitOutcome, BatchEvent, ContinuousBatcher};
 use atom_data::Request;
 use atom_nn::{KvStore, LinearLayer, LlamaModel, SeqRows};
-use atom_parallel::{catch_panic, Pool};
+use atom_parallel::catch_panic;
 use atom_prefix::{
     Flavor, PrefixCacheStats, PrefixConfig, RadixIndex, Snapshot, FLAVOR_DEGRADED, FLAVOR_NORMAL,
 };
@@ -355,7 +355,6 @@ pub struct CpuEngine<L: LinearLayer> {
     decode_steps: usize,
     degraded_admissions: usize,
     telemetry: TelemetrySink,
-    pool: Pool,
 }
 
 impl<L: LinearLayer> std::fmt::Debug for CpuEngine<L> {
@@ -416,20 +415,7 @@ impl<L: LinearLayer> CpuEngine<L> {
             decode_steps: 0,
             degraded_admissions: 0,
             telemetry: TelemetrySink::Global,
-            pool: *Pool::global(),
         })
-    }
-
-    /// Runs the batched prefill and decode forwards on `pool` instead of the
-    /// process-wide pool: it is installed ([`Pool::install`]) around each
-    /// forward, so the GEMM row blocks, quantizers and attention grid inside
-    /// run at its width. Scheduling decisions (admission, preemption,
-    /// deadline sweeps) never depend on the pool width, and every kernel is
-    /// bit-identical at any width, so generated tokens are identical for any
-    /// thread count — including under chaos/fault schedules.
-    pub fn with_pool(mut self, pool: Pool) -> Self {
-        self.pool = pool;
-        self
     }
 
     /// Routes this engine's metrics into `telemetry` instead of the process
@@ -955,7 +941,8 @@ impl<L: LinearLayer> CpuEngine<L> {
     }
 
     /// Runs one phase of the step — the listed requests' prefills or their
-    /// decodes — as **one** batched model forward on the engine pool: each
+    /// decodes — as **one** batched model forward on
+    /// [`Pool::current`](atom_parallel::Pool::current): each
     /// contributes the prompt suffix its admission left to prefill (a hit's
     /// match cap of `prompt_len - 1` guarantees at least one token) or, when
     /// `prefill` is false, one decode token after committing the token
@@ -967,7 +954,9 @@ impl<L: LinearLayer> CpuEngine<L> {
     /// The failure contract stays per request. If the batched forward
     /// panics, every request's KV cache is truncated back to its length
     /// before the step and the requests run again one at a time; only those
-    /// whose own forward panics again are returned, each with its message.
+    /// whose own forward panics again are returned, each with its message —
+    /// also when it was raised in a GEMM tile or an attention cell on a pool
+    /// worker, since a region re-raises its workers' panics on the caller.
     /// The panic is contained on the caller thread, not in a pool region:
     /// inside one, the forward's GEMM row blocks and attention grid would
     /// run inline.
@@ -998,16 +987,16 @@ impl<L: LinearLayer> CpuEngine<L> {
             };
             jobs.push(ForwardJob { id, state, prompt });
         }
-        let (model, pool) = (&self.model, self.pool);
+        let model = &self.model;
         let before: Vec<usize> = jobs.iter().map(|job| job.state.cache.len(0)).collect();
-        if catch_panic(|| pool.install(|| forward_jobs(model, &mut jobs))).is_ok() {
+        if catch_panic(|| forward_jobs(model, &mut jobs)).is_ok() {
             return Vec::new();
         }
         let mut failed = Vec::new();
         for (job, len) in jobs.iter_mut().zip(before) {
             job.state.cache.truncate(len);
             let alone = std::slice::from_mut(job);
-            if let Err(message) = catch_panic(|| pool.install(|| forward_jobs(model, alone))) {
+            if let Err(message) = catch_panic(|| forward_jobs(model, alone)) {
                 failed.push((job.id, message));
             }
         }
@@ -1125,6 +1114,7 @@ mod tests {
     use super::*;
     use atom_nn::kv::Fp32KvCache;
     use atom_nn::{DenseLinear, ModelConfig};
+    use atom_parallel::Pool;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn tiny_config() -> ModelConfig {
@@ -1187,33 +1177,34 @@ mod tests {
     fn token_streams_bit_identical_across_pool_widths() {
         // The determinism contract: pool width changes wall-clock only,
         // never a single generated token or terminal state.
-        fn streams<L: LinearLayer>(mut e: CpuEngine<L>) -> Vec<(usize, Vec<u16>)> {
-            let mut done = e.run_to_completion().to_vec();
+        fn streams<L: LinearLayer>(pool: Pool, mut e: CpuEngine<L>) -> Vec<(usize, Vec<u16>)> {
+            let mut done = pool.install(|| e.run_to_completion().to_vec());
             done.sort_by_key(|c| c.id);
             done.into_iter().map(|c| (c.id, c.tokens)).collect()
         }
         // Widths 2/4/8, then width 2 under 16 seeded schedule
         // perturbations (the pool's test-only stress mode).
-        fn assert_width_invariant(run: impl Fn(Pool) -> Vec<(usize, Vec<u16>)>) {
-            let solo = run(Pool::new(1));
+        fn assert_width_invariant<L: LinearLayer>(engine: impl Fn() -> CpuEngine<L>) {
+            let solo = streams(Pool::new(1), engine());
             for threads in [2, 4, 8] {
-                assert_eq!(solo, run(Pool::new(threads)), "{threads} threads");
+                let wide = streams(Pool::new(threads), engine());
+                assert_eq!(solo, wide, "{threads} threads");
             }
             for seed in 0..16 {
-                let stressed = Pool::new(2).with_stress(seed);
-                assert_eq!(solo, run(stressed), "2 threads, stress seed {seed}");
+                let stressed = streams(Pool::new(2).with_stress(seed), engine());
+                assert_eq!(solo, stressed, "2 threads, stress seed {seed}");
             }
         }
-        assert_width_invariant(|pool| {
-            let mut e = tiny_engine(3, 1024).with_pool(pool);
+        assert_width_invariant(|| {
+            let mut e = tiny_engine(3, 1024);
             e.submit(vec![10, 20, 30], 5).unwrap();
             e.submit(vec![42, 17], 7).unwrap();
             e.submit(vec![7, 8, 9, 10], 4).unwrap();
-            streams(e)
+            e
         });
         // Six concurrent requests over 8-bit quantized KV: the cache's
         // quantize-on-append and dequantize-on-load run inside the workers.
-        assert_width_invariant(|pool| {
+        assert_width_invariant(|| {
             let config = ModelConfig {
                 dim: 64,
                 layers: 2,
@@ -1235,12 +1226,11 @@ mod tests {
                 6,
                 4096,
             )
-            .expect("valid config")
-            .with_pool(pool);
+            .expect("valid config");
             for r in 0..6u16 {
                 e.submit(vec![r * 7 + 1, 3, 5], 16).unwrap();
             }
-            streams(e)
+            e
         });
     }
 
@@ -1248,12 +1238,16 @@ mod tests {
     /// `limit` rows, naming its sequence — its place in admission order —
     /// in the message. A limit of 0 poisons the prefill; `prompt + d`, the
     /// `d + 1`-th decode. The poison belongs to one sequence however many
-    /// rows a batched forward stacks.
+    /// rows a batched forward stacks. Those panics fire on the caller
+    /// thread; with `narrow_keys` the store's `keys` lack the last head's
+    /// columns instead, so the model's attention cell for that head panics
+    /// slicing them, inside the (sequence, head) grid.
     #[derive(Debug, Clone)]
     struct PoisonKv {
         inner: Fp32KvCache,
         seq: usize,
         limit: Option<usize>,
+        narrow_keys: bool,
     }
 
     impl KvStore for PoisonKv {
@@ -1265,7 +1259,12 @@ mod tests {
             self.inner.append(layer, k, v);
         }
         fn keys(&self, layer: usize) -> atom_tensor::Matrix {
-            self.inner.keys(layer)
+            let keys = self.inner.keys(layer);
+            if self.narrow_keys {
+                keys.slice_cols(0, keys.cols() - tiny_config().head_dim())
+            } else {
+                keys
+            }
         }
         fn values(&self, layer: usize) -> atom_tensor::Matrix {
             self.inner.values(layer)
@@ -1285,8 +1284,12 @@ mod tests {
     }
 
     /// A 4-wide engine whose `n`-th admitted sequence gets a [`PoisonKv`]
-    /// limited to `limits[n]` rows (none past the list's end).
-    fn poisoned_engine(limits: &'static [Option<usize>], threads: usize) -> CpuEngine<DenseLinear> {
+    /// limited to `limits[n]` rows (none past the list's end), with narrow
+    /// keys for the `narrow`-th.
+    fn poisoned_engine(
+        limits: &'static [Option<usize>],
+        narrow: Option<usize>,
+    ) -> CpuEngine<DenseLinear> {
         let config = tiny_config();
         let admitted = AtomicUsize::new(0);
         CpuEngine::new(
@@ -1297,13 +1300,13 @@ mod tests {
                     inner: Fp32KvCache::new(config.layers, config.kv_dim()),
                     seq,
                     limit: limits.get(seq).copied().flatten(),
+                    narrow_keys: narrow == Some(seq),
                 })
             }),
             4,
             1024,
         )
         .expect("valid config")
-        .with_pool(Pool::new(threads))
     }
 
     #[test]
@@ -1313,11 +1316,11 @@ mod tests {
         // survives, each victim terminalizes Failed with its own panic's
         // message, and the other requests complete untouched.
         for threads in [1, 2] {
-            let mut e = poisoned_engine(&[None, Some(0), None, Some(0)], threads);
+            let mut e = poisoned_engine(&[None, Some(0), None, Some(0)], None);
             let ids: Vec<usize> = (2..6u16)
                 .map(|len| e.submit((1..=len).collect(), 3).unwrap())
                 .collect();
-            let done = e.run_to_completion().to_vec();
+            let done = Pool::new(threads).install(|| e.run_to_completion().to_vec());
             assert_eq!(done.len(), 2);
             assert!(done.iter().any(|c| c.id == ids[0]));
             assert!(done.iter().any(|c| c.id == ids[2]));
@@ -1337,9 +1340,11 @@ mod tests {
         // The store panics past the 2 prompt rows: prefill succeeds, the
         // first decode forward dies. The request fails typed, keeping the
         // token it had already committed.
-        let mut e = poisoned_engine(&[Some(2)], 2);
+        let mut e = poisoned_engine(&[Some(2)], None);
         let id = e.submit(vec![1, 2], 3).unwrap();
-        e.run_to_completion();
+        Pool::new(2).install(|| {
+            e.run_to_completion();
+        });
         assert!(e.completions().is_empty());
         let outcome = e.outcomes().iter().find(|o| o.id == id).expect("terminal");
         match &outcome.terminal {
@@ -1361,11 +1366,13 @@ mod tests {
         // would not if a rolled-back row were appended twice.
         let prompts: Vec<Vec<u16>> = (0..4u16).map(|r| vec![r * 11 + 1, 7, 3]).collect();
         let run = |limits: &'static [Option<usize>], threads: usize| {
-            let mut e = poisoned_engine(limits, threads);
+            let mut e = poisoned_engine(limits, None);
             for p in &prompts {
                 e.submit(p.clone(), 6).unwrap();
             }
-            e.run_to_completion();
+            Pool::new(threads).install(|| {
+                e.run_to_completion();
+            });
             let mut outcomes = e.outcomes().to_vec();
             outcomes.sort_by_key(|o| o.id);
             outcomes
@@ -1386,6 +1393,42 @@ mod tests {
                     let (got, want) = ((&p.terminal, &p.tokens), (&c.terminal, &c.tokens));
                     assert_eq!(got, want, "request {} at {threads} threads", p.id);
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn attention_cell_panic_on_a_worker_fails_only_its_request() {
+        // Four prompts prefill together; the last one's store has narrow
+        // keys. Its last-head cell is the grid's last, which at width 2 runs
+        // on the spawned worker — in the batched forward and in the
+        // request's solo re-run — and the region re-raises the panic on the
+        // caller. Only that request fails, with the cell's own message, and
+        // the other streams equal a run that never saw it.
+        let prompts: Vec<Vec<u16>> = (0..4u16).map(|r| vec![r * 11 + 1, 7, 3, r + 2]).collect();
+        let run = |prompts: &[Vec<u16>], narrow: Option<usize>, pool: Pool| {
+            let mut e = poisoned_engine(&[], narrow);
+            for p in prompts {
+                e.submit(p.clone(), 6).unwrap();
+            }
+            pool.install(|| {
+                e.run_to_completion();
+            });
+            let mut outcomes = e.outcomes().to_vec();
+            outcomes.sort_by_key(|o| o.id);
+            outcomes
+        };
+        let clean = run(&prompts[..3], None, Pool::new(1));
+        assert!(clean.iter().all(|o| o.terminal.is_completed()));
+        let failed = Terminal::Failed {
+            reason: "prefill forward panic: col slice out of bounds".to_string(),
+        };
+        for seed in 0..16 {
+            let poisoned = run(&prompts, Some(3), Pool::new(2).with_stress(seed));
+            assert_eq!(poisoned[3].terminal, failed, "stress seed {seed}");
+            for (p, c) in poisoned.iter().zip(&clean) {
+                let (got, want) = ((&p.terminal, &p.tokens), (&c.terminal, &c.tokens));
+                assert_eq!(got, want, "request {}, stress seed {seed}", p.id);
             }
         }
     }
@@ -1931,11 +1974,11 @@ mod tests {
     fn cache_on_streams_identical_across_pool_widths() {
         let prompts = shared_prompts(5, 16, 24);
         let run = |threads: usize| {
-            let mut e = prefix_engine(3, 1024).with_pool(Pool::new(threads));
+            let mut e = prefix_engine(3, 1024);
             for p in &prompts {
                 e.submit(p.clone(), 4).unwrap();
             }
-            let mut done = e.run_to_completion().to_vec();
+            let mut done = Pool::new(threads).install(|| e.run_to_completion().to_vec());
             done.sort_by_key(|c| c.id);
             done
         };

@@ -712,11 +712,9 @@ mod tests {
         let mut a = PagedAllocator::new(2, 4);
         a.register(1);
         let bad = SharedPrefix { blocks: vec![0], tokens: 4 };
-        // Block 0 is free: the plan is invalid. (debug_assert fires under
-        // `cargo test` only via std::panic::catch_unwind.)
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            a.attach_shared(1, &bad)
-        }));
+        // Block 0 is free: the plan is invalid. (The debug assertion fires
+        // under `cargo test`, contained by `catch_panic`.)
+        let result = atom_parallel::catch_panic(|| a.attach_shared(1, &bad));
         // Err means the debug assertion tripped; nothing was mutated.
         if let Ok(attached) = result {
             assert!(!attached);

@@ -125,9 +125,13 @@ fn engine_survives_120_seeded_fault_schedules() {
     for (seed, pressure) in (0..120u64).flat_map(|s| [(s, false), (s, true)]) {
         let plan = FaultPlan::seeded(seed, 80, 0.2, 0.05);
         let mut e = tiny_engine(2, 160).with_fault_plan(plan);
+        let pool = if pressure {
+            Pool::new(2).with_stress(seed)
+        } else {
+            Pool::current()
+        };
         if pressure {
             e = e
-                .with_pool(Pool::new(2).with_stress(seed))
                 .with_degraded_cache(int4_cache(tiny_config()))
                 .with_policy(PressurePolicy {
                     degrade_kv_at: 0.5,
@@ -150,14 +154,16 @@ fn engine_survives_120_seeded_fault_schedules() {
                 Err(_) => rejected += 1,
             }
         }
-        // Cancel one mid-flight request on odd seeds.
-        if seed % 2 == 1 {
-            e.step();
-            if let Some(&victim) = accepted.first() {
-                let _ = e.cancel(victim);
+        pool.install(|| {
+            // Cancel one mid-flight request on odd seeds.
+            if seed % 2 == 1 {
+                e.step();
+                if let Some(&victim) = accepted.first() {
+                    let _ = e.cancel(victim);
+                }
             }
-        }
-        e.run_to_completion();
+            e.run_to_completion();
+        });
         assert_eq!(
             e.outcomes().len(),
             accepted.len() + rejected,
@@ -274,31 +280,32 @@ fn prefix_cache_conserves_blocks_under_32_fault_schedules() {
             .with_prefix_cache(PrefixConfig {
                 max_cached_blocks: Some(6),
             })
-            .with_fault_plan(FaultPlan::seeded_chaos(seed, 400, rates))
-            .with_pool(Pool::new(2).with_stress(seed));
+            .with_fault_plan(FaultPlan::seeded_chaos(seed, 400, rates));
         // Five waves of four, one engine step apart: each prompt is one of
         // the two 2-block system prompts plus a unique suffix, so later
         // waves hit runs earlier ones cached; a third carry deadlines.
         let mut submitted = 0usize;
-        for wave in 0..5usize {
-            for i in 0..4usize {
-                let n = wave * 4 + i;
-                let mut prompt = prefixes[n % 2].clone();
-                prompt.extend((0..4 + n % 5).map(|t| ((n * 13 + t * 3) % 96) as u16));
-                let opts = SubmitOptions::new(4 + n % 6);
-                let opts = if n % 3 == 0 {
-                    opts.with_deadline(20 + n)
-                } else {
-                    opts
-                };
-                let _ = e.submit_with(prompt, opts);
-                submitted += 1;
+        Pool::new(2).with_stress(seed).install(|| {
+            for wave in 0..5usize {
+                for i in 0..4usize {
+                    let n = wave * 4 + i;
+                    let mut prompt = prefixes[n % 2].clone();
+                    prompt.extend((0..4 + n % 5).map(|t| ((n * 13 + t * 3) % 96) as u16));
+                    let opts = SubmitOptions::new(4 + n % 6);
+                    let opts = if n % 3 == 0 {
+                        opts.with_deadline(20 + n)
+                    } else {
+                        opts
+                    };
+                    let _ = e.submit_with(prompt, opts);
+                    submitted += 1;
+                }
+                e.step();
             }
-            e.step();
-        }
-        let _ = e.cancel(2);
-        let _ = e.cancel(11);
-        e.run_to_completion();
+            let _ = e.cancel(2);
+            let _ = e.cancel(11);
+            e.run_to_completion();
+        });
 
         let ids: BTreeSet<usize> = e.outcomes().iter().map(|o| o.id).collect();
         assert_eq!(

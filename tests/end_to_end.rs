@@ -136,15 +136,14 @@ fn quantized_model_serves_real_requests() {
             2,
             2048,
         )
-        .expect("valid engine config")
-        .with_pool(Pool::new(threads));
+        .expect("valid engine config");
         if cached {
             engine = engine.with_prefix_cache(PrefixConfig::default());
         }
         for p in &prompts {
             engine.submit(p.clone(), 8).unwrap();
         }
-        let mut done = engine.run_to_completion().to_vec();
+        let mut done = Pool::new(threads).install(|| engine.run_to_completion().to_vec());
         done.sort_by_key(|c| c.id);
         (done, engine.prefix_stats().expect("always present").hits)
     };
