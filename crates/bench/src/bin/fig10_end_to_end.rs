@@ -7,8 +7,10 @@
 //! 100 ms/token latency target even at batch 256.
 
 use atom_data::WorkloadSpec;
-use atom_gpu_sim::{HardwareProfile, LlamaGpuConfig, MemoryModel, SimScheme};
-use atom_serve::ServingSimulator;
+use atom_gpu_sim::{
+    iteration_breakdown, HardwareProfile, LlamaGpuConfig, MemoryModel, Phase, SimScheme,
+};
+use atom_serve::roofline::{serve, RooflineModel};
 use std::fmt::Write as _;
 
 /// Seed of the ShareGPT-like trace behind `results/fig10_end_to_end.txt`.
@@ -24,15 +26,17 @@ fn main() {
         .sum::<usize>()
         / trace.len();
 
-    // (a) + (b): sweep batch size with unconstrained memory (the paper's
-    // dashed lines simulate beyond-capacity points the same way).
+    // (a) + (b): one decode iteration at exactly `batch` sequences of the
+    // trace's mean context, with unconstrained memory (the paper's dashed
+    // lines simulate beyond-capacity points the same way).
     let batches = [8usize, 16, 32, 64, 128, 256];
     let mut rows_a = Vec::new();
     for &batch in &batches {
         let mut row = vec![batch.to_string()];
         for scheme in SimScheme::all() {
-            let sim = ServingSimulator::with_device_memory(cfg, hw, scheme, batch);
-            let (tput, lat) = sim.steady_state(batch, avg_ctx);
+            let b = iteration_breakdown(&cfg, scheme, batch, avg_ctx, Phase::Decode, &hw);
+            let lat = b.total_s();
+            let tput = batch as f64 / lat;
             row.push(format!("{:.0} tok/s / {:.1} ms", tput, lat * 1e3));
         }
         rows_a.push(row);
@@ -42,15 +46,18 @@ fn main() {
     headers.extend(labels.iter());
     let table_ab = atom_bench::table(&headers, &rows_a);
 
-    // (c): fixed memory — each scheme runs a full trace simulation at its
-    // own maximum batch under the 24 GB budget.
+    // (c): fixed memory — the serving engine runs the whole trace over each
+    // scheme's roofline model at its own maximum batch under the 24 GB
+    // budget.
     let mut rows_c = Vec::new();
     let mut tputs = std::collections::BTreeMap::new();
     for scheme in SimScheme::all() {
         let mem = MemoryModel::new(cfg, scheme, hw.mem_bytes);
         let max_batch = mem.max_batch(avg_ctx).clamp(1, 256);
-        let sim = ServingSimulator::with_device_memory(cfg, hw, scheme, max_batch);
-        let report = sim.run(&trace).expect("non-empty trace");
+        let mut engine = RooflineModel::new(cfg, hw, scheme)
+            .engine(max_batch)
+            .expect("valid engine config");
+        let report = serve(&mut engine, &trace);
         tputs.insert(scheme.label(), report.throughput_tps);
         rows_c.push(vec![
             scheme.label().to_string(),

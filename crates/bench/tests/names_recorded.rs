@@ -16,6 +16,7 @@ use atom_nn::kv::Fp32KvCache;
 use atom_nn::{DenseLinear, LinearLayer, LlamaModel, ModelConfig};
 use atom_parallel::Pool;
 use atom_serve::engine::CpuEngine;
+use atom_serve::fault::FaultRates;
 use atom_serve::{FaultPlan, PrefixConfig, PressurePolicy};
 use atom_telemetry::{names, Telemetry};
 use atom_tensor::{Matrix, SeededRng};
@@ -33,7 +34,7 @@ fn config() -> ModelConfig {
 }
 
 /// A tiny FP32-KV engine recording into the global instance.
-fn engine(max_batch: usize, pool_tokens: usize) -> CpuEngine<DenseLinear> {
+fn engine(max_batch: usize, pool_tokens: usize) -> CpuEngine<LlamaModel<DenseLinear>> {
     let c = config();
     CpuEngine::new(
         LlamaModel::random_init(c, 3),
@@ -59,7 +60,12 @@ fn prompt(i: usize) -> Vec<u16> {
 fn serve_through_a_gateway() {
     // A wall of forward faults early on trips the breaker for certain, and a
     // timeout fault expires a request inside the engine.
-    let seeded = FaultPlan::seeded(28, 200, 0.05, 0.1).with_timeout_fault(10, 0);
+    let rates = FaultRates {
+        alloc: 0.05,
+        forward: 0.1,
+        ..FaultRates::default()
+    };
+    let seeded = FaultPlan::seeded_chaos(28, 200, rates).with_timeout_fault(10, 0);
     let plan = (2..8).fold(seeded, |p, step| p.with_forward_fault(step, 0));
     let c = config();
     let engine = engine(4, 1024)

@@ -23,7 +23,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use atom_data::Arrival;
-use atom_nn::LinearLayer;
+use atom_nn::{LinearLayer, LlamaModel};
 use atom_serve::{
     CpuEngine, Outcome, PressurePolicy, RejectReason, RequestStats, ServeError, SubmitOptions,
     Terminal,
@@ -141,7 +141,7 @@ struct InFlight {
 /// [`run_until_idle`]: Gateway::run_until_idle
 /// [`outcomes`]: Gateway::outcomes
 pub struct Gateway<L: LinearLayer> {
-    engine: CpuEngine<L>,
+    engine: CpuEngine<LlamaModel<L>>,
     cfg: GatewayConfig,
     base_policy: PressurePolicy,
     buckets: Vec<TokenBucket>,
@@ -192,7 +192,7 @@ impl<L: LinearLayer> Gateway<L> {
     /// Returns [`ServeError::InvalidConfig`] when the config is unusable:
     /// no tenants, a zero tenant weight, a zero retry budget, or a zero
     /// dispatch queue target.
-    pub fn new(engine: CpuEngine<L>, cfg: GatewayConfig) -> Result<Self, ServeError> {
+    pub fn new(engine: CpuEngine<LlamaModel<L>>, cfg: GatewayConfig) -> Result<Self, ServeError> {
         if cfg.tenants.is_empty() {
             return Err(ServeError::InvalidConfig("gateway needs at least one tenant"));
         }
@@ -519,7 +519,7 @@ impl<L: LinearLayer> Gateway<L> {
     }
 
     /// The engine behind the gateway (read-only).
-    pub fn engine(&self) -> &CpuEngine<L> {
+    pub fn engine(&self) -> &CpuEngine<LlamaModel<L>> {
         &self.engine
     }
 
@@ -990,7 +990,7 @@ mod tests {
         }
     }
 
-    fn tiny_engine(max_batch: usize, pool_tokens: usize) -> CpuEngine<DenseLinear> {
+    fn tiny_engine(max_batch: usize, pool_tokens: usize) -> CpuEngine<LlamaModel<DenseLinear>> {
         let config = tiny_config();
         let model = LlamaModel::random_init(config, 3);
         CpuEngine::new(
@@ -1440,7 +1440,7 @@ mod tests {
     /// one terminal per accepted request, and every offer either accepted
     /// or counted as a rejection.
     fn chaos_replay(
-        engine: CpuEngine<DenseLinear>,
+        engine: CpuEngine<LlamaModel<DenseLinear>>,
         cfg: GatewayConfig,
         trace: &[atom_data::Arrival],
         budget: u64,

@@ -4,8 +4,9 @@
 //! executes for a batch, under each serving scheme, and aggregates the
 //! Fig. 3 breakdown (dense / self-attention / other).
 
-use crate::cost::{op_time, ComputeKind, Op};
+use crate::cost::{ComputeKind, Op};
 use crate::hardware::HardwareProfile;
+use crate::tp::{iteration_breakdown_tp, TpConfig};
 use serde::{Deserialize, Serialize};
 
 /// GPU-scale Llama architecture description.
@@ -147,7 +148,7 @@ pub enum Phase {
 }
 
 impl Phase {
-    fn q_len(self) -> usize {
+    pub(crate) fn q_len(self) -> usize {
         match self {
             Phase::Decode => 1,
             Phase::Prefill { q_len } => q_len,
@@ -275,7 +276,9 @@ impl Breakdown {
     }
 }
 
-/// Costs one iteration and aggregates by class.
+/// Costs one iteration on a single GPU and aggregates by class: the
+/// tensor-parallel costing at degree 1, where sharding is the identity and
+/// the all-reduces cost nothing.
 pub fn iteration_breakdown(
     config: &LlamaGpuConfig,
     scheme: SimScheme,
@@ -284,20 +287,8 @@ pub fn iteration_breakdown(
     phase: Phase,
     hw: &HardwareProfile,
 ) -> Breakdown {
-    let mut b = Breakdown {
-        dense_s: 0.0,
-        attention_s: 0.0,
-        other_s: 0.0,
-    };
-    for (class, op) in iteration_ops(config, scheme, batch, kv_len, phase) {
-        let t = op_time(&op, hw).seconds();
-        match class {
-            OpClass::Dense => b.dense_s += t,
-            OpClass::Attention => b.attention_s += t,
-            OpClass::Other => b.other_s += t,
-        }
-    }
-    b
+    let single = TpConfig::single();
+    iteration_breakdown_tp(config, scheme, batch, kv_len, phase, hw, &single)
 }
 
 #[cfg(test)]
@@ -346,6 +337,22 @@ mod tests {
         let atom = total(SimScheme::AtomW4A4);
         assert!(atom < w8a8 && w8a8 < fp16, "{atom} {w8a8} {fp16}");
         assert!(atom < w4a16, "{atom} vs {w4a16}");
+    }
+
+    #[test]
+    fn latency_grows_with_batch_but_stays_sub_100ms() {
+        // Fig. 10b: Atom's decode latency stays below 100 ms even at batch
+        // 256 (the human reading-speed target).
+        let hw = HardwareProfile::rtx4090();
+        let cfg = LlamaGpuConfig::llama7b();
+        let latency = |scheme, batch| {
+            iteration_breakdown(&cfg, scheme, batch, 1024, Phase::Decode, &hw).total_s()
+        };
+        let lat256 = latency(SimScheme::AtomW4A4, 256);
+        assert!(lat256 > latency(SimScheme::AtomW4A4, 8));
+        assert!(lat256 < 0.100, "Atom at batch 256: {lat256}s");
+        // FP16 at batch 256 blows past the same target.
+        assert!(latency(SimScheme::Fp16, 256) > lat256 * 2.0);
     }
 
     #[test]

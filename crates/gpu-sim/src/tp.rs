@@ -116,11 +116,7 @@ pub fn iteration_breakdown_tp(
     }
     // Two ring all-reduces per layer (after attention's row-parallel O and
     // after the MLP's row-parallel down), each over the token activations.
-    let q = match phase {
-        Phase::Decode => 1,
-        Phase::Prefill { q_len } => q_len,
-    };
-    let m = batch * q;
+    let m = batch * phase.q_len();
     let payload = m as f64 * config.dim as f64 * 2.0; // fp16 activations
     b.other_s += 2.0 * config.layers as f64 * tp.allreduce_seconds(payload);
     b

@@ -5,7 +5,10 @@
 //! this is the engine the serving benchmark under `benchmark/` measures.
 //! One [`CpuEngine::step`] is one iteration of the loop of §4.5 / §5.3.2:
 //! expire deadlines, admit from the FCFS queue, prefill what was admitted,
-//! advance every decoding sequence by one token, retire what finished.
+//! advance every decoding sequence by one token, retire what finished. It is
+//! the workspace's only serving loop: the model is anything that runs a
+//! [`BatchModel::forward_batch`], so Fig. 10's roofline
+//! ([`RooflineModel`](crate::roofline::RooflineModel)) is served by it too.
 //!
 //! # One forward per phase
 //!
@@ -84,6 +87,7 @@ use atom_prefix::{
 use atom_telemetry::{names, Telemetry};
 use atom_tensor::cast;
 use atom_tensor::ops;
+use atom_tensor::Matrix;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -98,6 +102,24 @@ pub struct Completion {
 
 /// Factory producing a fresh KV cache per admitted sequence.
 pub type CacheFactory = Box<dyn Fn() -> Box<dyn KvStore>>;
+
+/// What the engine runs once per step phase: a batched forward over every
+/// sequence's rows, appending each sequence's K/V to its own store and
+/// returning the stacked logits, one row per token (sequence `i`'s rows
+/// follow sequence `i - 1`'s). The engine picks each next token as the
+/// argmax of its sequence's last row. [`LlamaModel`] computes it;
+/// [`RooflineModel`](crate::roofline::RooflineModel) costs it instead.
+pub trait BatchModel {
+    /// One forward over every sequence of `batch` (see
+    /// [`LlamaModel::forward_batch`]).
+    fn forward_batch(&self, batch: &mut [SeqRows<'_>]) -> Matrix;
+}
+
+impl<L: LinearLayer> BatchModel for LlamaModel<L> {
+    fn forward_batch(&self, batch: &mut [SeqRows<'_>]) -> Matrix {
+        LlamaModel::forward_batch(self, batch)
+    }
+}
 
 /// Per-request lifecycle accounting, in engine steps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -232,7 +254,7 @@ struct ForwardJob<'a> {
 
 /// Runs `jobs` as one batched forward and sets each job's next input to the
 /// argmax of its last logits row.
-fn forward_jobs<L: LinearLayer>(model: &LlamaModel<L>, jobs: &mut [ForwardJob<'_>]) {
+fn forward_jobs<M: BatchModel>(model: &M, jobs: &mut [ForwardJob<'_>]) {
     let mut batch: Vec<SeqRows<'_>> = jobs
         .iter_mut()
         .map(|job| {
@@ -330,8 +352,8 @@ fn terminal_metric(terminal: &Terminal) -> names::CounterName {
 /// let first = done.iter().find(|c| c.id == a).expect("completed");
 /// assert_eq!(first.tokens.len(), 4);
 /// ```
-pub struct CpuEngine<L: LinearLayer> {
-    model: LlamaModel<L>,
+pub struct CpuEngine<M: BatchModel> {
+    model: M,
     new_cache: CacheFactory,
     degraded_cache: Option<CacheFactory>,
     policy: PressurePolicy,
@@ -357,7 +379,7 @@ pub struct CpuEngine<L: LinearLayer> {
     telemetry: TelemetrySink,
 }
 
-impl<L: LinearLayer> std::fmt::Debug for CpuEngine<L> {
+impl<M: BatchModel> std::fmt::Debug for CpuEngine<M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CpuEngine")
             .field("live", &self.live.len())
@@ -369,7 +391,7 @@ impl<L: LinearLayer> std::fmt::Debug for CpuEngine<L> {
     }
 }
 
-impl<L: LinearLayer> CpuEngine<L> {
+impl<M: BatchModel> CpuEngine<M> {
     /// Consecutive no-progress steps after which in-flight requests are
     /// failed instead of looping forever (livelock circuit breaker; with
     /// validated admission it should never trip outside pathological
@@ -384,7 +406,7 @@ impl<L: LinearLayer> CpuEngine<L> {
     /// Returns [`ServeError::InvalidConfig`] if `max_batch == 0` or the
     /// pool cannot hold a single block.
     pub fn new(
-        model: LlamaModel<L>,
+        model: M,
         new_cache: CacheFactory,
         max_batch: usize,
         kv_pool_tokens: usize,
@@ -714,7 +736,6 @@ impl<L: LinearLayer> CpuEngine<L> {
                         live.stats.preemptions += 1;
                     }
                 }
-                BatchEvent::Admitted(_) => {}
             }
         }
         // A sequence whose decode forward panicked fails — unless the token
@@ -1074,6 +1095,11 @@ impl<L: LinearLayer> CpuEngine<L> {
         &self.batcher
     }
 
+    /// The model the engine runs (the roofline model's ledger lives there).
+    pub(crate) fn model(&self) -> &M {
+        &self.model
+    }
+
     /// Point-in-time prefix-cache statistics. Always `Some`: an engine
     /// whose cache has capacity 0 reports zero hits and zero cached blocks.
     pub fn prefix_stats(&self) -> Option<PrefixCacheStats> {
@@ -1128,7 +1154,7 @@ mod tests {
         }
     }
 
-    fn tiny_engine(max_batch: usize, pool: usize) -> CpuEngine<DenseLinear> {
+    fn tiny_engine(max_batch: usize, pool: usize) -> CpuEngine<LlamaModel<DenseLinear>> {
         let config = tiny_config();
         let model = LlamaModel::random_init(config, 3);
         CpuEngine::new(
@@ -1177,14 +1203,14 @@ mod tests {
     fn token_streams_bit_identical_across_pool_widths() {
         // The determinism contract: pool width changes wall-clock only,
         // never a single generated token or terminal state.
-        fn streams<L: LinearLayer>(pool: Pool, mut e: CpuEngine<L>) -> Vec<(usize, Vec<u16>)> {
+        fn streams<M: BatchModel>(pool: Pool, mut e: CpuEngine<M>) -> Vec<(usize, Vec<u16>)> {
             let mut done = pool.install(|| e.run_to_completion().to_vec());
             done.sort_by_key(|c| c.id);
             done.into_iter().map(|c| (c.id, c.tokens)).collect()
         }
         // Widths 2/4/8, then width 2 under 16 seeded schedule
         // perturbations (the pool's test-only stress mode).
-        fn assert_width_invariant<L: LinearLayer>(engine: impl Fn() -> CpuEngine<L>) {
+        fn assert_width_invariant<M: BatchModel>(engine: impl Fn() -> CpuEngine<M>) {
             let solo = streams(Pool::new(1), engine());
             for threads in [2, 4, 8] {
                 let wide = streams(Pool::new(threads), engine());
@@ -1289,7 +1315,7 @@ mod tests {
     fn poisoned_engine(
         limits: &'static [Option<usize>],
         narrow: Option<usize>,
-    ) -> CpuEngine<DenseLinear> {
+    ) -> CpuEngine<LlamaModel<DenseLinear>> {
         let config = tiny_config();
         let admitted = AtomicUsize::new(0);
         CpuEngine::new(
@@ -1797,7 +1823,7 @@ mod tests {
         assert_eq!(e.run_to_completion().len(), 3);
     }
 
-    fn prefix_engine(max_batch: usize, pool: usize) -> CpuEngine<DenseLinear> {
+    fn prefix_engine(max_batch: usize, pool: usize) -> CpuEngine<LlamaModel<DenseLinear>> {
         tiny_engine(max_batch, pool).with_prefix_cache(PrefixConfig::default())
     }
 

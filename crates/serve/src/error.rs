@@ -61,14 +61,6 @@ pub enum ServeError {
     Rejected(RejectReason),
     /// The request id is unknown or already terminal.
     UnknownRequest(usize),
-    /// The simulator was handed an empty trace.
-    EmptyTrace,
-    /// The scheduler stopped making progress — an internal invariant
-    /// breach (should be unreachable once admission validates footprints).
-    Stalled {
-        /// Iteration at which progress stopped.
-        step: usize,
-    },
 }
 
 impl std::fmt::Display for ServeError {
@@ -78,10 +70,6 @@ impl std::fmt::Display for ServeError {
             ServeError::Rejected(reason) => write!(f, "request rejected: {reason}"),
             ServeError::UnknownRequest(id) => {
                 write!(f, "unknown or already-terminal request {id}")
-            }
-            ServeError::EmptyTrace => write!(f, "empty trace"),
-            ServeError::Stalled { step } => {
-                write!(f, "scheduler stopped making progress at step {step}")
             }
         }
     }

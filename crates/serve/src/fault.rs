@@ -62,25 +62,6 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// Generates a seeded plan over `horizon` steps: each step
-    /// independently carries an allocator-grow fault with probability
-    /// `alloc_rate` and a forward fault with probability `forward_rate`.
-    ///
-    /// Rates are clamped to `[0, 1]`; the plan is a pure function of its
-    /// arguments. Equivalent to [`Self::seeded_chaos`] with zero timeout
-    /// and cancel rates.
-    pub fn seeded(seed: u64, horizon: usize, alloc_rate: f64, forward_rate: f64) -> Self {
-        FaultPlan::seeded_chaos(
-            seed,
-            horizon,
-            FaultRates {
-                alloc: alloc_rate,
-                forward: forward_rate,
-                ..FaultRates::default()
-            },
-        )
-    }
-
     /// Generates a seeded plan covering all four fault kinds: each step
     /// independently draws allocator, forward, timeout, and cancel faults
     /// at the given [`FaultRates`].
@@ -185,20 +166,31 @@ impl FaultPlan {
 mod tests {
     use super::*;
 
+    /// Allocator and forward faults at the given rates, none of the others.
+    fn alloc_forward_plan(seed: u64, horizon: usize, alloc: f64, forward: f64) -> FaultPlan {
+        let rates = FaultRates {
+            alloc,
+            forward,
+            ..FaultRates::default()
+        };
+        FaultPlan::seeded_chaos(seed, horizon, rates)
+    }
+
     #[test]
     fn seeded_plans_are_deterministic() {
-        let a = FaultPlan::seeded(7, 200, 0.3, 0.1);
-        let b = FaultPlan::seeded(7, 200, 0.3, 0.1);
-        assert_eq!(a, b);
-        let c = FaultPlan::seeded(8, 200, 0.3, 0.1);
+        let a = alloc_forward_plan(7, 200, 0.3, 0.1);
+        assert_eq!(a, alloc_forward_plan(7, 200, 0.3, 0.1));
+        let c = alloc_forward_plan(8, 200, 0.3, 0.1);
         assert_ne!(a, c, "different seeds should differ (overwhelmingly)");
+        let timeouts = (0..200).filter(|&s| a.timeout_fault(s).is_some()).count();
+        assert_eq!(timeouts, 0, "a zero rate never fires");
     }
 
     #[test]
     fn rates_bound_fault_density() {
-        let none = FaultPlan::seeded(1, 500, 0.0, 0.0);
+        let none = alloc_forward_plan(1, 500, 0.0, 0.0);
         assert!(none.is_empty());
-        let all = FaultPlan::seeded(1, 100, 1.0, 1.0);
+        let all = alloc_forward_plan(1, 100, 1.0, 1.0);
         for step in 0..100 {
             assert!(all.alloc_fault(step));
             assert!(all.forward_fault(step).is_some());
@@ -247,21 +239,5 @@ mod tests {
         assert!(timeouts > 20, "timeout faults should fire (~80 expected)");
         assert!(cancels > 20, "cancel faults should fire (~80 expected)");
         assert!(a.timeout_fault(400).is_none(), "nothing past the horizon");
-    }
-
-    #[test]
-    fn seeded_matches_seeded_chaos_with_zero_extra_rates() {
-        let a = FaultPlan::seeded(9, 300, 0.3, 0.1);
-        let b = FaultPlan::seeded_chaos(
-            9,
-            300,
-            FaultRates {
-                alloc: 0.3,
-                forward: 0.1,
-                ..FaultRates::default()
-            },
-        );
-        assert_eq!(a, b);
-        assert_eq!((0..300).filter(|&s| a.timeout_fault(s).is_some()).count(), 0);
     }
 }

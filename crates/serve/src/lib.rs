@@ -7,12 +7,13 @@
 //!   sequence block tables and byte accounting per quantization scheme.
 //! - [`scheduler`] — Orca-style continuous batching: FCFS admission,
 //!   iteration-level refill when requests finish.
-//! - [`simulate`] — the end-to-end serving simulator driving the
-//!   `atom-gpu-sim` cost model over ShareGPT-like traces; regenerates the
-//!   Fig. 10 throughput / latency / fixed-memory comparisons.
-//! - [`engine`] — a *real* CPU serving engine running the trained zoo
-//!   models with Atom-quantized weights and KV caches end to end, proving
-//!   the full stack functions (scheduling, paging, quantized decode).
+//! - [`engine`] — the serving loop: a *real* CPU serving engine running the
+//!   trained zoo models with Atom-quantized weights and KV caches end to
+//!   end (scheduling, paging, quantized decode), over any [`BatchModel`].
+//! - [`roofline`] — Fig. 10's GPU-scale Llama as a [`BatchModel`] costed by
+//!   the `atom-gpu-sim` roofline; the engine serves it over ShareGPT-like
+//!   traces to regenerate the throughput / latency / fixed-memory
+//!   comparisons.
 //! - [`error`] — the typed failure model: every runtime condition (bad
 //!   input, memory pressure, faults) surfaces as a [`ServeError`] or a
 //!   per-request [`Terminal`] state, never a panic.
@@ -37,15 +38,17 @@ pub mod engine;
 pub mod error;
 pub mod fault;
 pub mod paged;
+pub mod roofline;
 pub mod scheduler;
-pub mod simulate;
 
-pub use engine::{Completion, CpuEngine, Outcome, PressurePolicy, RequestStats, SubmitOptions};
+pub use engine::{
+    BatchModel, Completion, CpuEngine, Outcome, PressurePolicy, RequestStats, SubmitOptions,
+};
 pub use error::{RejectReason, ServeError, Terminal};
 pub use fault::FaultPlan;
 pub use paged::{BlockTable, PagedAllocator, SharedPrefix};
+pub use roofline::{RooflineModel, ServingReport};
 pub use scheduler::{AdmitOutcome, BatchEvent, ContinuousBatcher};
-pub use simulate::{ServingReport, ServingSimulator};
 
 // The prefix-cache configuration and stats types cross the engine's public
 // API (`CpuEngine::with_prefix_cache` / `prefix_stats`); re-export them so

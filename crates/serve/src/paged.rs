@@ -147,12 +147,6 @@ impl PagedAllocator {
         }
     }
 
-    /// Sizes a pool for a byte budget, given bytes per cached token.
-    pub fn for_budget(budget_bytes: f64, bytes_per_token: f64, block_size: usize) -> Self {
-        let tokens = (budget_bytes / bytes_per_token).max(0.0) as usize;
-        Self::new(tokens / block_size, block_size)
-    }
-
     /// Tokens per block.
     pub fn block_size(&self) -> usize {
         self.block_size
@@ -550,13 +544,6 @@ mod tests {
         let mut sorted_1 = blocks_1;
         sorted_1.sort_unstable();
         assert_eq!(sorted_1, blocks_2);
-    }
-
-    #[test]
-    fn for_budget_sizing() {
-        // 1 MiB budget at 1 KiB per token, 16-token blocks = 64 blocks.
-        let a = PagedAllocator::for_budget(1_048_576.0, 1024.0, 16);
-        assert_eq!(a.total_blocks(), 64);
     }
 
     #[test]

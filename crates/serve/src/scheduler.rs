@@ -31,8 +31,6 @@ pub enum AdmitOutcome {
 /// What happened to a request during one scheduler step.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum BatchEvent {
-    /// Request was admitted and needs its prompt prefilled.
-    Admitted(Request),
     /// Request finished and its memory was released.
     Finished(Request),
     /// Request was preempted under memory pressure (vLLM-style recompute
@@ -54,11 +52,6 @@ pub struct ActiveSeq {
 }
 
 impl ActiveSeq {
-    /// Current context length (prompt + decoded tokens).
-    pub fn context(&self) -> usize {
-        self.request.prefill_tokens + self.decoded
-    }
-
     /// Whether generation is complete.
     pub fn done(&self) -> bool {
         self.decoded >= self.request.decode_tokens
@@ -72,7 +65,6 @@ pub struct ContinuousBatcher {
     active: Vec<ActiveSeq>,
     max_batch: usize,
     allocator: PagedAllocator,
-    finished: usize,
     advanced_ids: Vec<usize>,
     preemptions: usize,
     queue_limit: Option<usize>,
@@ -93,7 +85,6 @@ impl ContinuousBatcher {
             active: Vec::new(),
             max_batch,
             allocator,
-            finished: 0,
             advanced_ids: Vec::new(),
             preemptions: 0,
             queue_limit: None,
@@ -191,11 +182,6 @@ impl ContinuousBatcher {
         &self.active
     }
 
-    /// Total finished requests.
-    pub fn finished(&self) -> usize {
-        self.finished
-    }
-
     /// Whether all submitted work is complete.
     pub fn is_idle(&self) -> bool {
         self.queue.is_empty() && self.active.is_empty()
@@ -220,27 +206,16 @@ impl ContinuousBatcher {
         self.queue.front()
     }
 
-    /// Admits queued requests while the batch cap and block pool allow,
-    /// strictly in FCFS order (head-of-line blocking is intentional — it is
-    /// what the paper's serving setup does).
+    /// Attempts to admit exactly the head-of-queue request, optionally
+    /// seeding it with a prefix-cache block run (`shared`; pass an empty
+    /// plan for a plain admission). Admission is strictly FCFS: the caller
+    /// stops at the first head that does not fit (head-of-line blocking is
+    /// intentional — it is what the paper's serving setup does).
     ///
     /// Admission keeps a small block *watermark* free when other sequences
     /// are running (vLLM's policy): without it, a freshly preempted request
     /// would immediately re-admit into the very blocks its eviction freed
     /// and the batch would thrash forever.
-    pub fn admit(&mut self) -> Vec<BatchEvent> {
-        let mut events = Vec::new();
-        let no_prefix = SharedPrefix::default();
-        while let AdmitOutcome::Admitted(request) = self.try_admit_head(&no_prefix) {
-            events.push(BatchEvent::Admitted(request));
-        }
-        events
-    }
-
-    /// Attempts to admit exactly the head-of-queue request, optionally
-    /// seeding it with a prefix-cache block run (`shared`; pass an empty
-    /// plan for a plain admission — [`Self::admit`] is exactly that in a
-    /// loop).
     ///
     /// On [`AdmitOutcome::NeedBlocks`] nothing was mutated; the caller may
     /// free blocks (evict cached runs) and retry within the same step. The
@@ -351,7 +326,6 @@ impl ContinuousBatcher {
             self.advanced_ids.push(seq.request.id);
             if seq.done() {
                 self.allocator.release(seq.request.id);
-                self.finished += 1;
                 events.push(BatchEvent::Finished(seq.request));
             } else {
                 kept.push(seq);
@@ -391,11 +365,6 @@ impl ContinuousBatcher {
         events
     }
 
-    /// How many sequences produced a token in the last [`Self::step_decode`].
-    pub fn last_advanced(&self) -> usize {
-        self.advanced_ids.len()
-    }
-
     /// The sequences that actually grew by one token in the last
     /// [`Self::step_decode`], in batch order. A sequence can advance even if
     /// the pool looked full beforehand (another sequence finishing earlier
@@ -414,14 +383,6 @@ impl ContinuousBatcher {
     pub fn decoding(&self) -> usize {
         self.active.iter().filter(|s| s.prefilled).count()
     }
-
-    /// Mean context length over active sequences (0 when empty).
-    pub fn mean_context(&self) -> f64 {
-        if self.active.is_empty() {
-            return 0.0;
-        }
-        self.active.iter().map(|s| s.context() as f64).sum::<f64>() / self.active.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -439,6 +400,36 @@ mod tests {
 
     fn batcher(max_batch: usize, blocks: usize) -> ContinuousBatcher {
         ContinuousBatcher::new(max_batch, PagedAllocator::new(blocks, 16)).expect("valid config")
+    }
+
+    /// Admits heads of the queue, no prefix attached, until one does not fit.
+    fn admit_heads(b: &mut ContinuousBatcher) -> Vec<Request> {
+        let mut admitted = Vec::new();
+        while let AdmitOutcome::Admitted(r) = b.try_admit_head(&SharedPrefix::default()) {
+            admitted.push(r);
+        }
+        admitted
+    }
+
+    /// Runs `steps` decode steps (admitting and prefilling in between when
+    /// `refill`), stopping early at idle; returns the requests finished.
+    fn drain(b: &mut ContinuousBatcher, steps: usize, refill: bool) -> usize {
+        let mut finished = 0;
+        for _ in 0..steps {
+            if b.is_idle() {
+                break;
+            }
+            let events = b.step_decode();
+            finished += events
+                .iter()
+                .filter(|e| matches!(e, BatchEvent::Finished(_)))
+                .count();
+            if refill {
+                admit_heads(b);
+                b.complete_prefill();
+            }
+        }
+        finished
     }
 
     #[test]
@@ -479,7 +470,7 @@ mod tests {
         let mut b = batcher(2, 100);
         b.submit(req(0, 16, 4)).unwrap();
         b.submit(req(1, 16, 4)).unwrap();
-        b.admit();
+        admit_heads(&mut b);
         b.complete_prefill();
         b.submit(req(2, 16, 4)).unwrap();
         assert!(b.cancel(0), "active request cancels");
@@ -487,12 +478,7 @@ mod tests {
         assert!(!b.cancel(0), "double cancel reports unknown");
         assert!(!b.cancel(99), "never-submitted id reports unknown");
         // Only request 1 remains; drain it.
-        let mut steps = 0;
-        while !b.is_idle() && steps < 50 {
-            b.step_decode();
-            steps += 1;
-        }
-        assert_eq!(b.finished(), 1);
+        assert_eq!(drain(&mut b, 50, false), 1);
         assert_eq!(b.allocator().used_blocks(), 0);
     }
 
@@ -500,7 +486,7 @@ mod tests {
     fn armed_fault_pauses_without_preempting() {
         let mut b = batcher(2, 4);
         b.submit(req(0, 30, 30)).unwrap(); // final context 60 -> 4 blocks
-        b.admit();
+        admit_heads(&mut b);
         b.complete_prefill();
         // Decode past the reserve so further tokens need real growth.
         for _ in 0..2 {
@@ -511,15 +497,10 @@ mod tests {
         let events = b.step_decode();
         assert!(events.is_empty(), "no preemption under injected fault");
         assert_eq!(b.active()[0].decoded, before, "sequence stalled in place");
-        assert_eq!(b.last_advanced(), 0);
+        assert!(b.last_advanced_ids().is_empty());
         b.disarm_alloc_fault();
-        let mut steps = 0;
-        while !b.is_idle() && steps < 200 {
-            b.step_decode();
-            steps += 1;
-        }
+        assert_eq!(drain(&mut b, 200, false), 1);
         assert!(b.is_idle(), "recovers after the fault clears");
-        assert_eq!(b.finished(), 1);
     }
 
     #[test]
@@ -528,7 +509,7 @@ mod tests {
         for i in 0..4 {
             b.submit(req(i, 16, 2)).unwrap();
         }
-        let admitted = b.admit();
+        let admitted = admit_heads(&mut b);
         assert_eq!(admitted.len(), 2);
         assert_eq!(b.active().len(), 2);
         assert_eq!(b.queued(), 2);
@@ -536,15 +517,12 @@ mod tests {
         b.complete_prefill();
         b.step_decode(); // decoded 1/2
         let finished = b.step_decode(); // decoded 2/2 -> both finish
-        assert_eq!(finished.len(), 2);
-        assert_eq!(b.finished(), 2);
+        use BatchEvent::Finished;
+        assert!(matches!(finished[..], [Finished(_), Finished(_)]));
 
         // Refill admits the next two in order.
-        let refill = b.admit();
-        match &refill[0] {
-            BatchEvent::Admitted(r) => assert_eq!(r.id, 2),
-            other => panic!("unexpected event {other:?}"),
-        }
+        let refill: Vec<usize> = admit_heads(&mut b).iter().map(|r| r.id).collect();
+        assert_eq!(refill, [2, 3]);
         assert_eq!(b.active().len(), 2);
     }
 
@@ -554,23 +532,19 @@ mod tests {
         let mut b = batcher(8, 4);
         b.submit(req(0, 32, 4)).unwrap();
         b.submit(req(1, 32, 4)).unwrap();
-        let events = b.admit();
-        assert_eq!(events.len(), 1, "only one request fits");
+        assert_eq!(admit_heads(&mut b).len(), 1, "only one request fits");
         assert_eq!(b.queued(), 1);
         // Finishing the first frees room for the second.
         b.complete_prefill();
-        for _ in 0..4 {
-            b.step_decode();
-        }
-        assert_eq!(b.finished(), 1);
-        assert_eq!(b.admit().len(), 1);
+        assert_eq!(drain(&mut b, 4, false), 1);
+        assert_eq!(admit_heads(&mut b).len(), 1);
     }
 
     #[test]
     fn prefill_required_before_decode() {
         let mut b = batcher(1, 10);
         b.submit(req(0, 8, 1)).unwrap();
-        b.admit();
+        admit_heads(&mut b);
         // Without prefill, decode makes no progress.
         assert!(b.step_decode().is_empty());
         assert_eq!(b.decoding(), 0);
@@ -583,7 +557,7 @@ mod tests {
     fn kv_blocks_released_on_finish() {
         let mut b = batcher(1, 10);
         b.submit(req(0, 16, 1)).unwrap();
-        b.admit();
+        admit_heads(&mut b);
         b.complete_prefill();
         assert!(b.allocator().used_blocks() > 0);
         b.step_decode();
@@ -599,19 +573,12 @@ mod tests {
         let mut b = batcher(2, 3);
         b.submit(req(0, 16, 20)).unwrap(); // grows over time
         b.submit(req(1, 14, 2)).unwrap(); // short
-        b.admit();
+        admit_heads(&mut b);
         b.complete_prefill();
         // Step until the short one finishes; the long one may stall but
         // must finish eventually.
-        let mut steps = 0;
-        while !b.is_idle() && steps < 200 {
-            b.step_decode();
-            b.admit();
-            b.complete_prefill();
-            steps += 1;
-        }
-        assert!(b.is_idle(), "deadlocked after {steps} steps");
-        assert_eq!(b.finished(), 2);
+        assert_eq!(drain(&mut b, 200, true), 2);
+        assert!(b.is_idle(), "deadlocked");
     }
 
     #[test]
@@ -623,17 +590,10 @@ mod tests {
         let mut b = batcher(2, 6); // 96 slots
         b.submit(req(0, 16, 40)).unwrap(); // ends at context 56 -> 4 blocks
         b.submit(req(1, 16, 40)).unwrap(); // same; together they need 8 blocks
-        b.admit();
+        admit_heads(&mut b);
         b.complete_prefill();
-        let mut steps = 0;
-        while !b.is_idle() && steps < 500 {
-            b.step_decode();
-            b.admit();
-            b.complete_prefill();
-            steps += 1;
-        }
-        assert!(b.is_idle(), "deadlocked after {steps} steps");
-        assert_eq!(b.finished(), 2);
+        assert_eq!(drain(&mut b, 500, true), 2);
+        assert!(b.is_idle(), "deadlocked");
         assert!(b.preemptions() >= 1, "expected at least one preemption");
     }
 
@@ -642,10 +602,10 @@ mod tests {
         let mut b = batcher(2, 100);
         b.submit(req(0, 8, 3)).unwrap();
         b.submit(req(1, 8, 3)).unwrap();
-        b.admit();
+        admit_heads(&mut b);
         b.complete_prefill();
         b.step_decode();
-        assert_eq!(b.last_advanced(), 2);
+        assert_eq!(b.last_advanced_ids(), [0, 1]);
     }
 
     #[test]
@@ -700,16 +660,5 @@ mod tests {
         // Empty queue or armed fault block outright.
         b.arm_alloc_fault();
         assert_eq!(b.try_admit_head(&SharedPrefix::default()), AdmitOutcome::Blocked);
-    }
-
-    #[test]
-    fn mean_context_tracks_growth() {
-        let mut b = batcher(1, 100);
-        b.submit(req(0, 10, 5)).unwrap();
-        b.admit();
-        b.complete_prefill();
-        let before = b.mean_context();
-        b.step_decode();
-        assert!((b.mean_context() - before - 1.0).abs() < 1e-9);
     }
 }

@@ -20,33 +20,48 @@ use atom_parallel::Pool;
 use atom_serve::engine::CpuEngine;
 use atom_serve::fault::FaultRates;
 use atom_serve::{
-    ContinuousBatcher, FaultPlan, PagedAllocator, PrefixConfig, PressurePolicy, SubmitOptions,
-    Terminal,
+    AdmitOutcome, BatchEvent, ContinuousBatcher, FaultPlan, PagedAllocator, PrefixConfig,
+    PressurePolicy, SharedPrefix, SubmitOptions, Terminal,
 };
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
+/// A seeded plan with allocator and forward faults only.
+fn alloc_forward_plan(seed: u64, horizon: usize, alloc: f64, forward: f64) -> FaultPlan {
+    let rates = FaultRates {
+        alloc,
+        forward,
+        ..FaultRates::default()
+    };
+    FaultPlan::seeded_chaos(seed, horizon, rates)
+}
+
 /// Drives a bare batcher to idle under a fault plan, asserting block
-/// conservation every step. Returns the number of steps taken.
+/// conservation every step. Returns the number of steps taken and of
+/// requests finished.
 fn drain_batcher_under_faults(
     batcher: &mut ContinuousBatcher,
     plan: &FaultPlan,
     max_steps: usize,
-) -> usize {
-    let mut step = 0usize;
+) -> (usize, usize) {
+    let (mut step, mut finished) = (0usize, 0usize);
     while !batcher.is_idle() && step < max_steps {
         step += 1;
         if plan.alloc_fault(step) {
             batcher.arm_alloc_fault();
         }
-        batcher.admit();
+        while let AdmitOutcome::Admitted(_) = batcher.try_admit_head(&SharedPrefix::default()) {}
         batcher.complete_prefill();
-        batcher.step_decode();
+        let events = batcher.step_decode();
+        finished += events
+            .iter()
+            .filter(|e| matches!(e, BatchEvent::Finished(_)))
+            .count();
         batcher.disarm_alloc_fault();
         let a = batcher.allocator();
         assert_eq!(a.used_blocks() + a.free_blocks(), a.total_blocks());
     }
-    step
+    (step, finished)
 }
 
 fn tiny_config() -> ModelConfig {
@@ -60,7 +75,7 @@ fn tiny_config() -> ModelConfig {
     }
 }
 
-fn tiny_engine(max_batch: usize, pool_tokens: usize) -> CpuEngine<DenseLinear> {
+fn tiny_engine(max_batch: usize, pool_tokens: usize) -> CpuEngine<LlamaModel<DenseLinear>> {
     let config = tiny_config();
     let model = LlamaModel::random_init(config, 11);
     CpuEngine::new(
@@ -77,7 +92,7 @@ fn tiny_engine(max_batch: usize, pool_tokens: usize) -> CpuEngine<DenseLinear> {
 #[test]
 fn batcher_survives_160_seeded_fault_schedules() {
     for seed in 0..160u64 {
-        let plan = FaultPlan::seeded(seed, 400, 0.25, 0.0);
+        let plan = alloc_forward_plan(seed, 400, 0.25, 0.0);
         let mut b = ContinuousBatcher::new(3, PagedAllocator::new(8, 16)).expect("config");
         // 128-slot pool; footprints capped at 1 + 3*30 + 20 = 111 slots.
         let mut submitted = 0usize;
@@ -95,9 +110,9 @@ fn batcher_survives_160_seeded_fault_schedules() {
                 submitted += 1;
             }
         }
-        let steps = drain_batcher_under_faults(&mut b, &plan, 5_000);
+        let (steps, finished) = drain_batcher_under_faults(&mut b, &plan, 5_000);
         assert!(b.is_idle(), "seed {seed}: not drained after {steps} steps");
-        assert_eq!(b.finished(), submitted, "seed {seed}");
+        assert_eq!(finished, submitted, "seed {seed}");
         assert_eq!(b.allocator().used_blocks(), 0, "seed {seed}");
     }
 }
@@ -123,7 +138,7 @@ fn int4_cache(config: ModelConfig) -> atom_serve::engine::CacheFactory {
 fn engine_survives_120_seeded_fault_schedules() {
     let (mut completed, mut degraded) = (0usize, 0usize);
     for (seed, pressure) in (0..120u64).flat_map(|s| [(s, false), (s, true)]) {
-        let plan = FaultPlan::seeded(seed, 80, 0.2, 0.05);
+        let plan = alloc_forward_plan(seed, 80, 0.2, 0.05);
         let mut e = tiny_engine(2, 160).with_fault_plan(plan);
         let pool = if pressure {
             Pool::new(2).with_stress(seed)
@@ -352,7 +367,7 @@ proptest! {
         alloc_rate in 0.0f64..0.6,
         max_batch in 1usize..5,
     ) {
-        let plan = FaultPlan::seeded(seed, 600, alloc_rate, 0.0);
+        let plan = alloc_forward_plan(seed, 600, alloc_rate, 0.0);
         let mut b = ContinuousBatcher::new(max_batch, PagedAllocator::new(10, 16))
             .expect("config");
         let mut accepted = 0usize;
@@ -364,9 +379,9 @@ proptest! {
             if b.submit(r).is_ok() { accepted += 1; } else { rejected += 1; }
         }
         prop_assert_eq!(accepted + rejected, lens.len());
-        let steps = drain_batcher_under_faults(&mut b, &plan, 30_000);
+        let (steps, finished) = drain_batcher_under_faults(&mut b, &plan, 30_000);
         prop_assert!(b.is_idle(), "not drained after {} steps", steps);
-        prop_assert_eq!(b.finished(), accepted);
+        prop_assert_eq!(finished, accepted);
         prop_assert_eq!(b.allocator().used_blocks(), 0);
     }
 
@@ -379,7 +394,7 @@ proptest! {
         alloc_rate in 0.0f64..0.4,
         forward_rate in 0.0f64..0.15,
     ) {
-        let plan = FaultPlan::seeded(seed, 60, alloc_rate, forward_rate);
+        let plan = alloc_forward_plan(seed, 60, alloc_rate, forward_rate);
         let mut e = tiny_engine(2, 256).with_fault_plan(plan);
         let mut submissions = 0usize;
         for (i, &(len, max_new)) in reqs.iter().enumerate() {

@@ -5,7 +5,7 @@
 use atom_data::Request;
 use atom_nn::kv::Fp32KvCache;
 use atom_prefix::{RadixIndex, Snapshot, FLAVOR_NORMAL};
-use atom_serve::{ContinuousBatcher, PagedAllocator, SharedPrefix};
+use atom_serve::{AdmitOutcome, BatchEvent, ContinuousBatcher, PagedAllocator, SharedPrefix};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -84,15 +84,19 @@ proptest! {
             .expect("capped under the pool size");
             total += 1;
         }
-        let mut steps = 0usize;
+        let (mut steps, mut finished) = (0usize, 0usize);
         while !b.is_idle() && steps < 20_000 {
-            b.admit();
+            while let AdmitOutcome::Admitted(_) = b.try_admit_head(&SharedPrefix::default()) {}
             b.complete_prefill();
-            b.step_decode();
+            let events = b.step_decode();
+            finished += events
+                .iter()
+                .filter(|e| matches!(e, BatchEvent::Finished(_)))
+                .count();
             steps += 1;
         }
         prop_assert!(b.is_idle(), "scheduler failed to drain after {steps} steps");
-        prop_assert_eq!(b.finished(), total);
+        prop_assert_eq!(finished, total);
         prop_assert_eq!(b.allocator().used_blocks(), 0);
     }
 

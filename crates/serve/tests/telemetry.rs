@@ -3,7 +3,7 @@
 //! it hands back in `Outcome`s.
 
 use atom_nn::kv::Fp32KvCache;
-use atom_nn::{LlamaModel, ModelConfig};
+use atom_nn::{DenseLinear, LlamaModel, ModelConfig};
 use atom_serve::engine::CpuEngine;
 use atom_serve::{SubmitOptions, Terminal};
 use atom_telemetry::{names, Telemetry};
@@ -22,7 +22,7 @@ fn tiny_config() -> ModelConfig {
 
 /// An engine with its own enabled telemetry instance, isolated from the
 /// process-global one other tests may touch.
-fn instrumented_engine(pool_tokens: usize) -> (CpuEngine<atom_nn::DenseLinear>, Arc<Telemetry>) {
+fn instrumented_engine(pool_tokens: usize) -> (CpuEngine<LlamaModel<DenseLinear>>, Arc<Telemetry>) {
     let config = tiny_config();
     let model = LlamaModel::random_init(config, 11);
     let telemetry = Arc::new(Telemetry::enabled());

@@ -1,7 +1,7 @@
-//! Serving demo: (1) simulate GPU-scale end-to-end throughput across
-//! schemes and batch sizes (the Fig. 10 experiment), and (2) actually serve
-//! real requests through the CPU engine with an Atom-quantized model and a
-//! quantized, paged KV cache.
+//! Serving demo: the one serving engine (1) over a GPU-scale Llama costed
+//! by the roofline model, for end-to-end throughput across schemes at each
+//! scheme's max batch (the Fig. 10 experiment), and (2) over a real
+//! Atom-quantized model with a quantized, paged KV cache.
 //!
 //! ```sh
 //! cargo run --release -p atom-serve --example serving_throughput
@@ -15,7 +15,7 @@ use atom_data::{Tokenizer, WorkloadSpec};
 use atom_gpu_sim::{HardwareProfile, LlamaGpuConfig, MemoryModel, SimScheme};
 use atom_nn::zoo;
 use atom_serve::engine::CpuEngine;
-use atom_serve::ServingSimulator;
+use atom_serve::roofline::{serve, RooflineModel};
 
 fn main() {
     // Part 1: GPU-scale simulation (Fig. 10 regime).
@@ -26,9 +26,10 @@ fn main() {
     for scheme in SimScheme::all() {
         let mem = MemoryModel::new(cfg, scheme, hw.mem_bytes);
         let batch = mem.max_batch(700).clamp(1, 256);
-        let report = ServingSimulator::with_device_memory(cfg, hw, scheme, batch)
-            .run(&trace)
-            .expect("non-empty trace");
+        let mut engine = RooflineModel::new(cfg, hw, scheme)
+            .engine(batch)
+            .expect("valid engine config");
+        let report = serve(&mut engine, &trace);
         println!(
             "  {:10}  max batch {:>3}  {:>6.0} tok/s  {:>6.1} ms/token",
             scheme.label(),

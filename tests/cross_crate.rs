@@ -155,17 +155,18 @@ fn memory_model_consistent_with_container_bytes() {
 fn workload_trace_feeds_scheduler_and_simulator_consistently() {
     use atom_data::WorkloadSpec;
     use atom_gpu_sim::{HardwareProfile, LlamaGpuConfig, SimScheme};
-    use atom_serve::ServingSimulator;
+    use atom_serve::roofline::{serve, RooflineModel};
 
     let trace = WorkloadSpec::default().generate(24, 5);
-    let sim = ServingSimulator::with_device_memory(
+    let model = RooflineModel::new(
         LlamaGpuConfig::llama7b(),
         HardwareProfile::rtx4090(),
         SimScheme::AtomW4A4,
-        8,
     );
-    let report = sim.run(&trace).expect("non-empty trace");
+    let mut engine = model.engine(8).expect("valid engine config");
+    let report = serve(&mut engine, &trace);
     assert_eq!(report.finished, trace.len());
+    assert_eq!(report.preemptions, 0, "no decode token was spent twice");
     // Total decode tokens must equal the trace's decode budget.
     let decode_total: usize = trace.iter().map(|r| r.decode_tokens).sum();
     let implied = report.throughput_tps * report.busy_s;
