@@ -54,7 +54,7 @@ fn run_workload(model: LlamaModel<AnyLinear>) -> (f64, usize) {
         prompt.extend(
             (0..len).map(|t| atom_tensor::cast::usize_to_u16_saturating((i * 13 + t * 7) % 96)),
         );
-        engine.submit(prompt, max_new).expect("admission under a roomy pool");
+        engine.submit(prompt, max_new, None).expect("admission under a roomy pool");
     }
     #[expect(
         clippy::disallowed_methods,

@@ -129,9 +129,9 @@ fn every_declared_name_is_recorded() {
     // What the gateway never lets reach an engine: a submission larger than
     // the KV pool, and two sequences that outgrow a 6-block pool together.
     let mut e = engine(2, 96);
-    assert!(e.submit(vec![1; 200], 4).is_err(), "larger than the pool");
+    assert!(e.submit(vec![1; 200], 4, None).is_err(), "larger than the pool");
     for i in 0..2 {
-        e.submit((0..16).map(|t| t + i * 20).collect(), 40)
+        e.submit((0..16).map(|t| t + i * 20).collect(), 40, None)
             .expect("fits alone");
     }
     e.run_to_completion();

@@ -6,7 +6,7 @@
 //! cycles, bursty on/off phases, and flash crowds. A [`TrafficSpec`] compiles a
 //! [`pattern`](ArrivalPattern) plus a tenant mix into a deterministic
 //! tick-indexed trace of [`Arrival`]s that the gateway replays open-loop —
-//! arrivals never wait for completions, exactly like real traffic.
+//! arrivals never wait for earlier requests to finish, exactly like real traffic.
 //!
 //! Arrivals are drawn from a non-homogeneous Poisson process by thinning: a
 //! homogeneous candidate stream at the pattern's peak rate is kept with

@@ -10,7 +10,7 @@
 //!    stopping at the engine's pre-admission queue target so gateway
 //!    fairness (not engine FCFS) orders work under load;
 //! 4. run one engine step;
-//! 5. harvest engine terminals — completions finish, retryable faults
+//! 5. harvest engine terminals — completed requests finish, retryable faults
 //!    park with seeded-jitter exponential backoff;
 //! 6. feed the tick's failure count to the circuit breaker and apply its
 //!    brownout tier;
@@ -25,8 +25,7 @@ use std::collections::{BTreeMap, VecDeque};
 use atom_data::Arrival;
 use atom_nn::{LinearLayer, LlamaModel};
 use atom_serve::{
-    CpuEngine, Outcome, PressurePolicy, RejectReason, RequestStats, ServeError, SubmitOptions,
-    Terminal,
+    CpuEngine, Outcome, PressurePolicy, RejectReason, RequestStats, ServeError, Terminal,
 };
 use atom_telemetry::{names, Telemetry};
 use atom_tensor::cast;
@@ -100,14 +99,9 @@ pub struct ReplaySummary {
     pub accepted: u64,
 }
 
-/// Where an accepted, not-yet-terminal request currently lives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Loc {
-    Queued,
-    Parked,
-    InFlight,
-}
-
+/// An accepted, not-yet-terminal request. Where it is waiting is told by
+/// which of the gateway's containers holds its id: a tenant queue, the
+/// retry backoff, or the engine (`inflight`).
 #[derive(Debug, Clone)]
 struct GwRequest {
     tenant: usize,
@@ -116,17 +110,8 @@ struct GwRequest {
     offered_tick: u64,
     deadline_tick: Option<u64>,
     attempts: u32,
-    loc: Loc,
+    /// Engine accounting of the latest attempt (default before the first).
     last_stats: RequestStats,
-    last_first_token_tick: Option<u64>,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct InFlight {
-    gateway_id: usize,
-    dispatch_tick: u64,
-    engine_clock: usize,
-    drain_cancelled: bool,
 }
 
 /// Overload-safe serving gateway in front of a [`CpuEngine`].
@@ -152,7 +137,9 @@ pub struct Gateway<L: LinearLayer> {
     live: Vec<usize>,
     requests: BTreeMap<usize, GwRequest>,
     parked: BTreeMap<u64, Vec<usize>>,
-    inflight: BTreeMap<usize, InFlight>,
+    /// Engine id → gateway id of every dispatched attempt not yet
+    /// harvested.
+    inflight: BTreeMap<usize, usize>,
     outcomes: Vec<GatewayOutcome>,
     engine_cursor: usize,
     breaker: Breaker,
@@ -160,7 +147,6 @@ pub struct Gateway<L: LinearLayer> {
     drain_started: Option<u64>,
     drain_forced: bool,
     next_id: usize,
-    clock: u64,
     failures_this_tick: u64,
     accepted: u64,
     retries: u64,
@@ -170,7 +156,7 @@ pub struct Gateway<L: LinearLayer> {
 impl<L: LinearLayer> std::fmt::Debug for Gateway<L> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Gateway")
-            .field("tick", &self.clock)
+            .field("tick", &self.now())
             .field("tenants", &self.cfg.tenants.len())
             .field("live_requests", &self.requests.len())
             .field("inflight", &self.inflight.len())
@@ -233,7 +219,6 @@ impl<L: LinearLayer> Gateway<L> {
             drain_started: None,
             drain_forced: false,
             next_id: 0,
-            clock: 0,
             failures_this_tick: 0,
             accepted: 0,
             retries: 0,
@@ -340,18 +325,17 @@ impl<L: LinearLayer> Gateway<L> {
         }
         let id = self.next_id;
         self.next_id += 1;
+        let now = self.now();
         self.requests.insert(
             id,
             GwRequest {
                 tenant,
                 prompt,
                 max_new,
-                offered_tick: self.clock,
-                deadline_tick: deadline_ticks.map(|d| self.clock.saturating_add(d)),
+                offered_tick: now,
+                deadline_tick: deadline_ticks.map(|d| now.saturating_add(d)),
                 attempts: 0,
-                loc: Loc::Queued,
                 last_stats: RequestStats::default(),
-                last_first_token_tick: None,
             },
         );
         if let Some(q) = self.queues.get_mut(tenant) {
@@ -371,57 +355,49 @@ impl<L: LinearLayer> Gateway<L> {
     /// Returns [`ServeError::UnknownRequest`] if the id was never
     /// accepted or is already terminal.
     pub fn cancel(&mut self, id: usize) -> Result<(), ServeError> {
-        let Some(req) = self.requests.get(&id) else {
+        let Some(tenant) = self.requests.get(&id).map(|r| r.tenant) else {
             return Err(ServeError::UnknownRequest(id));
         };
-        let (loc, tenant, stats, ftt) =
-            (req.loc, req.tenant, req.last_stats, req.last_first_token_tick);
-        match loc {
-            Loc::Queued => {
-                if let Some(q) = self.queues.get_mut(tenant) {
-                    q.retain(|&x| x != id);
-                }
-                self.finish(id, GatewayTerminal::Cancelled, Vec::new(), stats, ftt);
-                Ok(())
-            }
-            Loc::Parked => {
-                for ids in self.parked.values_mut() {
-                    ids.retain(|&x| x != id);
-                }
-                self.parked.retain(|_, v| !v.is_empty());
-                self.finish(id, GatewayTerminal::Cancelled, Vec::new(), stats, ftt);
-                Ok(())
-            }
-            Loc::InFlight => {
-                let eid = self
-                    .inflight
-                    .iter()
-                    .find(|(_, m)| m.gateway_id == id)
-                    .map(|(e, _)| *e);
-                match eid {
-                    Some(e) => self.engine.cancel(e),
-                    None => Err(ServeError::UnknownRequest(id)),
-                }
-            }
+        let engine_id = self
+            .inflight
+            .iter()
+            .find(|(_, &g)| g == id)
+            .map(|(&e, _)| e);
+        if let Some(engine_id) = engine_id {
+            // An attempt the engine already ended (cancelled, awaiting the
+            // next harvest) is terminal for the caller too.
+            return self
+                .engine
+                .cancel(engine_id)
+                .map_err(|_| ServeError::UnknownRequest(id));
         }
+        if let Some(q) = self.queues.get_mut(tenant) {
+            q.retain(|&x| x != id);
+        }
+        for ids in self.parked.values_mut() {
+            ids.retain(|&x| x != id);
+        }
+        self.parked.retain(|_, v| !v.is_empty());
+        self.finish(id, GatewayTerminal::Cancelled, Vec::new());
+        Ok(())
     }
 
-    /// Advances the gateway (and the engine underneath it) by one tick.
+    /// Advances the gateway (and the engine underneath it) by one tick:
+    /// one engine step, which moves the shared clock on to this tick.
     pub fn tick(&mut self) {
-        self.clock += 1;
+        let tick = self.now() + 1;
         self.failures_this_tick = 0;
         for b in &mut self.buckets {
             b.refill();
         }
-        self.release_due_retries();
-        self.dispatch();
+        self.release_due_retries(tick);
+        self.dispatch(tick);
         self.engine.step();
         self.harvest();
         let tier = self.breaker.observe(self.failures_this_tick);
         self.apply_tier(tier);
         if let Some(start) = self.drain_started {
-            if !self.drain_forced && self.clock.saturating_sub(start) >= self.cfg.drain_grace_ticks
-            {
+            if !self.drain_forced && tick.saturating_sub(start) >= self.cfg.drain_grace_ticks {
                 self.force_drain();
             }
         }
@@ -436,7 +412,7 @@ impl<L: LinearLayer> Gateway<L> {
     /// force-failed so the drain always converges. Idempotent.
     pub fn begin_drain(&mut self) {
         if self.drain_started.is_none() {
-            self.drain_started = Some(self.clock);
+            self.drain_started = Some(self.now());
         }
     }
 
@@ -465,7 +441,7 @@ impl<L: LinearLayer> Gateway<L> {
         let mut idx = 0usize;
         while idx < trace.len() {
             while let Some(a) = trace.get(idx) {
-                if a.tick > self.clock {
+                if a.tick > self.now() {
                     break;
                 }
                 summary.offered += 1;
@@ -493,9 +469,10 @@ impl<L: LinearLayer> Gateway<L> {
         self.outcomes.iter().find(|o| o.id == id)
     }
 
-    /// Gateway clock (ticks elapsed).
+    /// Ticks elapsed: the engine's step clock, which every tick advances
+    /// by one.
     pub fn now(&self) -> u64 {
-        self.clock
+        self.engine.steps() as u64
     }
 
     /// Offers accepted so far.
@@ -543,18 +520,16 @@ impl<L: LinearLayer> Gateway<L> {
         f(self.engine.telemetry());
     }
 
-    fn release_due_retries(&mut self) {
-        let due: Vec<u64> = self.parked.range(..=self.clock).map(|(k, _)| *k).collect();
+    fn release_due_retries(&mut self, tick: u64) {
+        let due: Vec<u64> = self.parked.range(..=tick).map(|(k, _)| *k).collect();
         for k in due {
             let Some(ids) = self.parked.remove(&k) else {
                 continue;
             };
             for id in ids {
-                let Some(req) = self.requests.get_mut(&id) else {
+                let Some(tenant) = self.requests.get(&id).map(|r| r.tenant) else {
                     continue;
                 };
-                req.loc = Loc::Queued;
-                let tenant = req.tenant;
                 if let Some(q) = self.queues.get_mut(tenant) {
                     q.push_back(id);
                 }
@@ -570,7 +545,7 @@ impl<L: LinearLayer> Gateway<L> {
     /// stops at the engine's pre-admission queue target — the smaller of
     /// the gateway's own target and the engine's shed watermark, so
     /// backpressure composes instead of fighting.
-    fn dispatch(&mut self) {
+    fn dispatch(&mut self, tick: u64) {
         loop {
             let target = self
                 .cfg
@@ -605,7 +580,7 @@ impl<L: LinearLayer> Gateway<L> {
             if let Some(v) = self.vft.get_mut(tenant) {
                 *v = v.saturating_add(cost.max(1));
             }
-            if !self.dispatch_one(id) {
+            if !self.dispatch_one(id, tick) {
                 // Transient engine refusal: restore the request and its
                 // virtual time, and stop feeding the engine this tick.
                 if let Some(q) = self.queues.get_mut(tenant) {
@@ -619,66 +594,39 @@ impl<L: LinearLayer> Gateway<L> {
         }
     }
 
-    /// Submits one queued request into the engine. Returns `false` only
-    /// on a transient engine refusal (queue-full), which tells the
-    /// dispatcher to requeue and yield.
-    fn dispatch_one(&mut self, id: usize) -> bool {
-        let (prompt, opts) = {
-            let Some(req) = self.requests.get(&id) else {
-                return true;
-            };
-            if req.deadline_tick.is_some_and(|d| self.clock > d) {
-                let (stats, ftt) = (req.last_stats, req.last_first_token_tick);
-                self.finish(id, GatewayTerminal::DeadlineExceeded, Vec::new(), stats, ftt);
-                return true;
-            }
-            let opts = match req.deadline_tick {
-                // Engine steps advance 1:1 with gateway ticks while work
-                // is in flight; `remaining + 1` lands engine-side expiry
-                // on exactly the first expired gateway tick.
-                Some(d) => SubmitOptions::new(req.max_new).with_deadline(
-                    usize::try_from((d - self.clock).saturating_add(1)).unwrap_or(usize::MAX),
-                ),
-                None => SubmitOptions::new(req.max_new),
-            };
-            (req.prompt.clone(), opts)
+    /// Submits one queued request into the engine during `tick`. Returns
+    /// `false` only on a transient engine refusal (queue-full), which tells
+    /// the dispatcher to requeue and yield.
+    fn dispatch_one(&mut self, id: usize, tick: u64) -> bool {
+        let Some(req) = self.requests.get(&id) else {
+            return true;
         };
-        let engine_clock = self.engine.steps();
-        match self.engine.submit_with(prompt, opts) {
-            Ok(eid) => {
+        if req.deadline_tick.is_some_and(|d| tick > d) {
+            self.finish(id, GatewayTerminal::DeadlineExceeded, Vec::new());
+            return true;
+        }
+        // The engine steps on the gateway's clock, so the deadline tick is
+        // its deadline step.
+        let deadline = req
+            .deadline_tick
+            .map(|d| usize::try_from(d).unwrap_or(usize::MAX));
+        match self
+            .engine
+            .submit(req.prompt.clone(), req.max_new, deadline)
+        {
+            Ok(engine_id) => {
                 if let Some(req) = self.requests.get_mut(&id) {
                     req.attempts += 1;
-                    req.loc = Loc::InFlight;
                 }
-                self.inflight.insert(
-                    eid,
-                    InFlight {
-                        gateway_id: id,
-                        dispatch_tick: self.clock,
-                        engine_clock,
-                        drain_cancelled: false,
-                    },
-                );
+                self.inflight.insert(engine_id, id);
                 true
             }
             Err(RejectReason::QueueFull { .. }) => false,
             Err(other) => {
                 // Unreachable while offer-time validation mirrors the
                 // engine's checks; terminalize rather than wedge.
-                let (stats, ftt) = self
-                    .requests
-                    .get(&id)
-                    .map(|r| (r.last_stats, r.last_first_token_tick))
-                    .unwrap_or_default();
-                self.finish(
-                    id,
-                    GatewayTerminal::Failed {
-                        reason: format!("engine rejected a validated request: {other}"),
-                    },
-                    Vec::new(),
-                    stats,
-                    ftt,
-                );
+                let reason = format!("engine rejected a validated request: {other}");
+                self.finish(id, GatewayTerminal::Failed { reason }, Vec::new());
                 true
             }
         }
@@ -698,79 +646,43 @@ impl<L: LinearLayer> Gateway<L> {
             // Engine ids not in the in-flight map are the engine's own
             // synchronous rejects (e.g. queue-full probes) — not gateway
             // requests.
-            let Some(meta) = self.inflight.remove(&o.id) else {
+            let Some(gid) = self.inflight.remove(&o.id) else {
                 continue;
             };
-            let gid = meta.gateway_id;
-            let first_tick = o.stats.first_token_step.map(|c| {
-                meta.dispatch_tick
-                    + (c as u64)
-                        .saturating_sub(meta.engine_clock as u64)
-                        .saturating_sub(1)
-            });
-            if let Some(req) = self.requests.get_mut(&gid) {
-                req.last_stats = o.stats;
-                if first_tick.is_some() {
-                    req.last_first_token_tick = first_tick;
-                }
-            } else {
+            let Some(req) = self.requests.get_mut(&gid) else {
                 continue;
-            }
+            };
+            req.last_stats = o.stats;
+            let deadline = req.deadline_tick;
             match o.terminal {
-                Terminal::Completed => {
-                    self.finish(gid, GatewayTerminal::Completed, o.tokens, o.stats, first_tick);
-                }
+                Terminal::Completed => self.finish(gid, GatewayTerminal::Completed, o.tokens),
                 Terminal::Failed { reason } => {
                     self.failures_this_tick += 1;
-                    self.maybe_retry(gid, reason, o.stats, first_tick);
+                    self.maybe_retry(gid, reason);
                 }
                 Terminal::DeadlineExceeded => {
-                    let real_expiry = self
-                        .requests
-                        .get(&gid)
-                        .and_then(|r| r.deadline_tick)
-                        .is_some_and(|d| self.clock > d);
+                    let real_expiry = deadline.is_some_and(|d| self.now() > d);
                     if real_expiry || !self.cfg.retry.retry_timeouts {
-                        self.finish(
-                            gid,
-                            GatewayTerminal::DeadlineExceeded,
-                            o.tokens,
-                            o.stats,
-                            first_tick,
-                        );
+                        self.finish(gid, GatewayTerminal::DeadlineExceeded, o.tokens);
                     } else {
                         // The engine expired it but the end-to-end budget
                         // has not elapsed: an injected timeout fault.
                         self.failures_this_tick += 1;
-                        self.maybe_retry(gid, "spurious timeout fault".to_string(), o.stats, first_tick);
+                        self.maybe_retry(gid, "spurious timeout fault".to_string());
                     }
                 }
-                Terminal::Cancelled => {
-                    if meta.drain_cancelled {
-                        self.tel(|t| t.counter_add(names::GATEWAY_DRAIN_FORCED, 1));
-                        self.finish(
-                            gid,
-                            GatewayTerminal::Failed {
-                                reason: "drained before completion".to_string(),
-                            },
-                            o.tokens,
-                            o.stats,
-                            first_tick,
-                        );
-                    } else {
-                        self.finish(gid, GatewayTerminal::Cancelled, o.tokens, o.stats, first_tick);
-                    }
+                // After a forced drain, every in-flight attempt was
+                // cancelled by it: a client cancel or an injected one is
+                // harvested in the tick it happens, before the drain check.
+                Terminal::Cancelled if self.drain_forced => {
+                    self.tel(|t| t.counter_add(names::GATEWAY_DRAIN_FORCED, 1));
+                    let reason = "drained before completion".to_string();
+                    self.finish(gid, GatewayTerminal::Failed { reason }, o.tokens);
                 }
+                Terminal::Cancelled => self.finish(gid, GatewayTerminal::Cancelled, o.tokens),
                 Terminal::Rejected(reason) => {
-                    self.finish(
-                        gid,
-                        GatewayTerminal::Failed {
-                            reason: format!("unexpected engine reject in flight: {reason}"),
-                        },
-                        Vec::new(),
-                        o.stats,
-                        first_tick,
-                    );
+                    let reason = format!("unexpected engine reject in flight: {reason}");
+                    self.finish(gid, GatewayTerminal::Failed { reason }, Vec::new());
                 }
             }
         }
@@ -778,13 +690,7 @@ impl<L: LinearLayer> Gateway<L> {
 
     /// Parks a failed request for redispatch, or finishes it when the
     /// retry budget is spent.
-    fn maybe_retry(
-        &mut self,
-        gid: usize,
-        reason: String,
-        stats: RequestStats,
-        first_tick: Option<u64>,
-    ) {
+    fn maybe_retry(&mut self, gid: usize, reason: String) {
         let Some((attempts, deadline)) = self
             .requests
             .get(&gid)
@@ -793,19 +699,12 @@ impl<L: LinearLayer> Gateway<L> {
             return;
         };
         if attempts >= self.cfg.retry.max_attempts {
-            self.finish(
-                gid,
-                GatewayTerminal::Failed {
-                    reason: format!("retry budget exhausted after {attempts} attempts: {reason}"),
-                },
-                Vec::new(),
-                stats,
-                first_tick,
-            );
+            let reason = format!("retry budget exhausted after {attempts} attempts: {reason}");
+            self.finish(gid, GatewayTerminal::Failed { reason }, Vec::new());
             return;
         }
         let delay = self.backoff_delay(gid, attempts).max(1);
-        let mut release = self.clock.saturating_add(delay);
+        let mut release = self.now().saturating_add(delay);
         if let Some(d) = deadline {
             // No point waiting past the deadline; release one tick after
             // it so expiry is detected promptly.
@@ -814,9 +713,6 @@ impl<L: LinearLayer> Gateway<L> {
         self.tel(|t| t.record(names::GATEWAY_BACKOFF_TICKS, delay));
         self.tel(|t| t.counter_add(names::GATEWAY_RETRIES, 1));
         self.retries += 1;
-        if let Some(req) = self.requests.get_mut(&gid) {
-            req.loc = Loc::Parked;
-        }
         self.parked.entry(release).or_default().push(gid);
     }
 
@@ -869,45 +765,26 @@ impl<L: LinearLayer> Gateway<L> {
             .flatten()
             .collect();
         for id in queued.into_iter().chain(parked) {
-            let (stats, ftt) = self
-                .requests
-                .get(&id)
-                .map(|r| (r.last_stats, r.last_first_token_tick))
-                .unwrap_or_default();
             self.tel(|t| t.counter_add(names::GATEWAY_DRAIN_FORCED, 1));
-            self.finish(
-                id,
-                GatewayTerminal::Failed {
-                    reason: "drained before completion".to_string(),
-                },
-                Vec::new(),
-                stats,
-                ftt,
-            );
+            let reason = "drained before completion".to_string();
+            self.finish(id, GatewayTerminal::Failed { reason }, Vec::new());
         }
-        let eids: Vec<usize> = self.inflight.keys().copied().collect();
-        for eid in eids {
-            if let Some(m) = self.inflight.get_mut(&eid) {
-                m.drain_cancelled = true;
-            }
+        for &engine_id in self.inflight.keys() {
             // Already-terminal engine ids are fine to skip.
-            let _ = self.engine.cancel(eid);
+            let _ = self.engine.cancel(engine_id);
         }
     }
 
-    /// Records the exactly-once gateway terminal for `gid`.
-    fn finish(
-        &mut self,
-        gid: usize,
-        terminal: GatewayTerminal,
-        tokens: Vec<u16>,
-        stats: RequestStats,
-        first_token_tick: Option<u64>,
-    ) {
+    /// Records the exactly-once gateway terminal for `gid`, timed by its
+    /// latest attempt's engine accounting.
+    fn finish(&mut self, gid: usize, terminal: GatewayTerminal, tokens: Vec<u16>) {
         let Some(req) = self.requests.remove(&gid) else {
             debug_assert!(false, "finish on unknown gateway request {gid}");
             return;
         };
+        let stats = req.last_stats;
+        let first_token_tick = stats.first_token_step.map(|s| s as u64);
+        let now = self.now();
         if let Some(n) = self.live.get_mut(req.tenant) {
             *n = n.saturating_sub(1);
         }
@@ -923,7 +800,7 @@ impl<L: LinearLayer> Gateway<L> {
                 let ttft = ft.saturating_sub(req.offered_tick);
                 self.tel(|t| t.record(names::GATEWAY_TTFT_TICKS, ttft));
                 if tokens.len() >= 2 {
-                    let span = self.clock.saturating_sub(ft);
+                    let span = now.saturating_sub(ft);
                     let per = span.saturating_mul(1000) / (tokens.len() as u64 - 1);
                     self.tel(|t| t.record(names::GATEWAY_TPOT_MILLITICKS, per));
                 }
@@ -937,7 +814,7 @@ impl<L: LinearLayer> Gateway<L> {
             attempts: req.attempts,
             offered_tick: req.offered_tick,
             first_token_tick,
-            finished_tick: self.clock,
+            finished_tick: now,
             engine_stats: stats,
         });
     }
@@ -1103,7 +980,7 @@ mod tests {
         for (prompt_len, max_new) in grid {
             let mut engine = tiny_engine(4, 64);
             let batcher = engine.batcher().validate(prompt_len, max_new);
-            let submitted = engine.submit(vec![1; prompt_len], max_new).map(|_| ());
+            let submitted = engine.submit(vec![1; prompt_len], max_new, None).map(|_| ());
             let mut g = Gateway::new(tiny_engine(4, 64), GatewayConfig::single_tenant())
                 .expect("valid gateway config");
             let offered = match g.offer(0, vec![1; prompt_len], max_new, None) {
@@ -1203,11 +1080,64 @@ mod tests {
         assert!(g.run_until_idle(100));
         let o = g.outcome_of(id).expect("terminal");
         assert_eq!(o.terminal, GatewayTerminal::DeadlineExceeded);
-        // The engine saw a step budget (deadline propagated, not just
-        // enforced gateway-side).
-        assert!(o.engine_stats.deadline_steps.is_some());
+        // The engine got the deadline tick as its deadline step (propagated,
+        // not just enforced gateway-side).
+        assert_eq!(o.engine_stats.deadline_step, Some(5));
         // Expiry lands exactly one tick after the budget.
         assert_eq!(o.finished_tick, o.offered_tick + 5 + 1);
+    }
+
+    #[test]
+    fn gateway_and_engine_share_one_clock_across_an_idle_gap() {
+        // Serve one request, idle for ten ticks, then serve two more — one
+        // of them under a deadline it cannot meet. The engine steps on
+        // every tick, busy or not, so its step clock is the gateway's.
+        let mut g = gw(GatewayConfig::single_tenant());
+        g.offer(0, vec![1, 2, 3], 3, None).expect("accepted");
+        assert!(g.run_until_idle(100));
+        for _ in 0..10 {
+            g.tick();
+        }
+        assert_eq!(g.engine().steps() as u64, g.now());
+        g.offer(0, vec![4, 5, 6], 4, None).expect("accepted");
+        let late = g.offer(0, vec![7, 8], 200, Some(6)).expect("accepted");
+        assert!(g.run_until_idle(300));
+        assert_eq!(g.engine().steps() as u64, g.now());
+        for o in g.outcomes() {
+            let first_step = o.engine_stats.first_token_step.map(|s| s as u64);
+            assert_eq!(o.first_token_tick, first_step, "request {}", o.id);
+        }
+        let o = g.outcome_of(late).expect("terminal");
+        assert_eq!(o.terminal, GatewayTerminal::DeadlineExceeded);
+        assert_eq!(o.engine_stats.deadline_step, Some(o.offered_tick as usize + 6));
+        assert_eq!(o.finished_tick, o.offered_tick + 6 + 1, "first tick past the deadline");
+    }
+
+    #[test]
+    fn second_cancel_of_a_retried_request_reports_the_callers_id() {
+        // A forward fault at step 2 kills the first attempt of gateway
+        // request 0; its retry runs as engine request 1. Cancelling twice
+        // before the next tick: the second call names the caller's id.
+        let engine = tiny_engine(2, 1024).with_fault_plan(FaultPlan::none().with_forward_fault(2, 0));
+        let mut cfg = GatewayConfig::single_tenant();
+        cfg.retry = RetryPolicy {
+            max_attempts: 3,
+            backoff_base_ticks: 2,
+            backoff_max_ticks: 8,
+            retry_timeouts: true,
+        };
+        let mut g = Gateway::new(engine, cfg).expect("valid");
+        let id = g.offer(0, vec![1, 2, 3], 30, None).expect("accepted");
+        while g.retries() == 0 || !g.inflight.values().any(|&gid| gid == id) {
+            assert!(g.now() < 50, "the retry never went in flight");
+            g.tick();
+        }
+        assert_eq!(g.inflight.keys().copied().collect::<Vec<_>>(), [1]);
+        g.cancel(id).expect("first cancel");
+        assert!(matches!(g.cancel(id), Err(ServeError::UnknownRequest(i)) if i == id));
+        assert!(g.run_until_idle(100));
+        let o = g.outcome_of(id).expect("terminal");
+        assert_eq!((&o.terminal, o.attempts), (&GatewayTerminal::Cancelled, 2));
     }
 
     #[test]
@@ -1592,7 +1522,7 @@ mod tests {
             })
             .collect();
         // Service levels of the flash crowd: >= 90 % of accepted requests
-        // complete, and >= 90 % of completions see a first token within
+        // complete, and >= 90 % of those see a first token within
         // 60 ticks of their offer.
         let flash = &solos[1];
         let completed: Vec<&GatewayOutcome> = flash
@@ -1612,7 +1542,7 @@ mod tests {
             .count() as u64;
         assert!(
             fast * 10 >= done * 9,
-            "{fast} of {done} completions within the TTFT target"
+            "{fast} of {done} completed within the TTFT target"
         );
     }
 

@@ -24,12 +24,12 @@
 //!   dispatcher stops feeding the engine at
 //!   [`GatewayConfig::dispatch_queue_target`], keeping ordering decisions
 //!   in the gateway rather than the engine's FCFS queue.
-//! - **Deadlines.** A request's gateway-tick deadline propagates into
-//!   [`SubmitOptions`](atom_serve::SubmitOptions) re-based to engine steps
-//!   (`D - T + 1` at dispatch tick `T`), so engine-side expiry lands
-//!   exactly on the first expired gateway tick; queued requests are checked
-//!   at dispatch and parked retries are released no later than
-//!   `deadline + 1`.
+//! - **Deadlines.** The engine steps on the gateway's clock (one step per
+//!   tick, idle or not), so a request's deadline tick is passed unchanged
+//!   to [`CpuEngine::submit`](atom_serve::CpuEngine::submit) as its
+//!   deadline step, and engine-side expiry lands exactly on the first
+//!   expired gateway tick; queued requests are checked at dispatch and
+//!   parked retries are released no later than `deadline + 1`.
 //! - **Retry with backoff.** Faulted attempts
 //!   ([`Terminal::Failed`](atom_serve::Terminal::Failed), or a spurious
 //!   timeout whose gateway deadline has not actually elapsed) are re-queued

@@ -1,37 +1,45 @@
 //! The CPU serving engine: continuous batching over paged KV with one
-//! request table, one admission path and one KV path.
+//! record per request, one admission path and one KV path.
 //!
 //! Actual tokens flow through the actual (optionally Atom-quantized) model;
 //! this is the engine the serving benchmark under `benchmark/` measures.
 //! One [`CpuEngine::step`] is one iteration of the loop of §4.5 / §5.3.2:
 //! expire deadlines, admit from the FCFS queue, prefill what was admitted,
-//! advance every decoding sequence by one token, retire what finished. It is
-//! the workspace's only serving loop: the model is anything that runs a
-//! [`BatchModel::forward_batch`], so Fig. 10's roofline
+//! advance every sequence of the batch by one token, retire what finished.
+//! It is the workspace's only serving loop: the model is anything that runs
+//! a [`BatchModel::forward_batch`], so Fig. 10's roofline
 //! ([`RooflineModel`](crate::roofline::RooflineModel)) is served by it too.
+//! Every call advances the step clock by one, idle or not, so a caller that
+//! steps once per tick of its own clock shares that clock with the engine:
+//! deadlines and every [`RequestStats`] step are on it.
 //!
 //! # One forward per phase
 //!
 //! A step runs the model at most twice: one batched forward
 //! ([`LlamaModel::forward_batch`]) over the prompt suffixes of everything
-//! admitted this step (ragged), and one over a single row of every decoding
-//! sequence. Each linear layer therefore sees every in-flight row at once —
-//! the batching Atom's throughput argument rests on (paper §3, Fig. 4) —
-//! while attention stays per sequence. Every row is bit-identical to that
-//! sequence's forward alone, so token streams do not depend on who shares a
-//! step. A panic inside a batched forward is still one request's failure:
-//! the step truncates every cache back to its pre-step length and re-runs
-//! the phase's requests one at a time, and only those whose own forward
-//! panics again terminalize `Failed`.
+//! admitted this step (ragged), and one over a single row of every sequence
+//! that advanced. Each linear layer therefore sees every in-flight row at
+//! once — the batching Atom's throughput argument rests on (paper §3,
+//! Fig. 4) — while attention stays per sequence. Every row is bit-identical
+//! to that sequence's forward alone, so token streams do not depend on who
+//! shares a step. Admission and prefill happen in the same step, so every
+//! member of the batch has been prefilled by the time it decodes, is picked
+//! as a fault victim, or counts toward decode headroom. A panic inside a
+//! batched forward is still one request's failure: the step truncates every
+//! cache back to its pre-step length and re-runs the phase's requests one at
+//! a time, and only those whose own forward panics again terminalize
+//! `Failed`.
 //!
-//! # One table
+//! # One record
 //!
-//! Every live request — queued, prefilling, decoding or preempted — is one
-//! entry of one id-keyed map: its prompt, its [`RequestStats`], its KV state
-//! once admitted, and what its latest admission decided; forwards borrow
-//! their state straight from it. It leaves that map exactly once, through
-//! the one terminalization function, which releases its KV blocks, keeps
-//! its partial tokens and records the [`Outcome`]: every submission —
+//! Every live request is one record held by the
+//! [`ContinuousBatcher`]: its prompt, its [`RequestStats`], its KV store and
+//! generated tokens once admitted, and what its latest admission decided.
+//! The batcher's FCFS queue holds the waiting records and its batch the
+//! admitted ones, so where a record sits is its state; the forwards borrow
+//! straight from it, and preemption drops its KV where it sits. It leaves
+//! the batcher exactly once, into the one terminalization function, which
+//! keeps its partial tokens and records its [`Outcome`]: every submission —
 //! accepted or not — ends in precisely one [`Terminal`] state, and the
 //! engine never panics on traffic.
 //!
@@ -77,28 +85,17 @@
 use crate::error::{RejectReason, ServeError, Terminal};
 use crate::fault::FaultPlan;
 use crate::paged::{PagedAllocator, SharedPrefix};
-use crate::scheduler::{AdmitOutcome, BatchEvent, ContinuousBatcher};
-use atom_data::Request;
+use crate::scheduler::{AdmitOutcome, ContinuousBatcher, Seq};
 use atom_nn::{KvStore, LinearLayer, LlamaModel, SeqRows};
 use atom_parallel::catch_panic;
 use atom_prefix::{
-    Flavor, PrefixCacheStats, PrefixConfig, RadixIndex, Snapshot, FLAVOR_DEGRADED, FLAVOR_NORMAL,
+    PrefixCacheStats, PrefixConfig, RadixIndex, Snapshot, FLAVOR_DEGRADED, FLAVOR_NORMAL,
 };
 use atom_telemetry::{names, Telemetry};
 use atom_tensor::cast;
 use atom_tensor::ops;
 use atom_tensor::Matrix;
-use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// A completed generation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Completion {
-    /// Request id (submission order).
-    pub id: usize,
-    /// Generated token ids (greedy decoding).
-    pub tokens: Vec<u16>,
-}
 
 /// Factory producing a fresh KV cache per admitted sequence.
 pub type CacheFactory = Box<dyn Fn() -> Box<dyn KvStore>>;
@@ -137,8 +134,9 @@ pub struct RequestStats {
     /// Prompt tokens served from the prefix cache instead of being
     /// prefilled (0 = no hit).
     pub prefix_tokens: usize,
-    /// The step budget the request was submitted with, if any.
-    pub deadline_steps: Option<usize>,
+    /// The last step the request may run in, if it was submitted with a
+    /// deadline; the first step after it terminates it `DeadlineExceeded`.
+    pub deadline_step: Option<usize>,
     /// Step at which the request reached its terminal state (`None` while
     /// in flight).
     pub finished_step: Option<usize>,
@@ -182,32 +180,6 @@ pub struct Outcome {
     pub stats: RequestStats,
 }
 
-/// Submission parameters beyond the prompt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SubmitOptions {
-    /// Tokens to generate.
-    pub max_new: usize,
-    /// Optional step budget: if the request has not completed within this
-    /// many engine steps of submission it terminates `DeadlineExceeded`.
-    pub deadline_steps: Option<usize>,
-}
-
-impl SubmitOptions {
-    /// Options generating `max_new` tokens with no deadline.
-    pub fn new(max_new: usize) -> Self {
-        SubmitOptions {
-            max_new,
-            deadline_steps: None,
-        }
-    }
-
-    /// Sets a step budget (builder style).
-    pub fn with_deadline(mut self, steps: usize) -> Self {
-        self.deadline_steps = Some(steps);
-        self
-    }
-}
-
 /// Load-shedding and graceful-degradation watermarks.
 ///
 /// When KV-pool utilization or queue depth crosses these thresholds the
@@ -237,62 +209,69 @@ impl Default for PressurePolicy {
     }
 }
 
-struct SeqState {
-    cache: Box<dyn KvStore>,
-    generated: Vec<u16>,
-    next_input: u16,
-}
-
-/// One sequence's part of a phase's forward, borrowed from the live table:
-/// `Some(prompt)` prefills those prompt tokens, `None` advances the
-/// sequence by one decode token from `state.next_input`.
-struct ForwardJob<'a> {
-    id: usize,
-    state: &'a mut SeqState,
-    prompt: Option<&'a [u16]>,
-}
-
-/// Runs `jobs` as one batched forward and sets each job's next input to the
-/// argmax of its last logits row.
-fn forward_jobs<M: BatchModel>(model: &M, jobs: &mut [ForwardJob<'_>]) {
-    let mut batch: Vec<SeqRows<'_>> = jobs
-        .iter_mut()
-        .map(|job| {
-            let SeqState {
-                cache, next_input, ..
-            } = &mut *job.state;
-            SeqRows {
-                tokens: job.prompt.unwrap_or(std::slice::from_ref(next_input)),
-                kv: cache.as_mut(),
-            }
+/// Runs `seqs` as one batched forward and sets each one's next input to
+/// the argmax of its last logits row.
+fn forward_seqs<M: BatchModel>(model: &M, seqs: &mut [&mut Seq], prefill: bool) {
+    let mut batch: Vec<SeqRows<'_>> = seqs.iter_mut().filter_map(|s| s.rows(prefill)).collect();
+    // Each sequence's rows follow the previous one's; its last row is the
+    // one its next token comes from (the forward rejects empty rows).
+    let ends: Vec<usize> = batch
+        .iter()
+        .scan(0, |end, rows| {
+            *end += rows.tokens.len();
+            Some(*end)
         })
         .collect();
     let logits = model.forward_batch(&mut batch);
     drop(batch);
-    // Each job's rows follow the previous job's; its last row is the one
-    // its next token comes from (the forward rejected empty jobs).
-    let mut end = 0;
-    for job in jobs {
-        end += job.prompt.map_or(1, <[u16]>::len);
-        let last = logits.row(end - 1);
-        job.state.next_input = cast::usize_to_u16_saturating(ops::argmax(last));
+    for (seq, end) in seqs.iter_mut().filter(|s| s.kv.is_some()).zip(ends) {
+        seq.next_input = cast::usize_to_u16_saturating(ops::argmax(logits.row(end - 1)));
     }
 }
 
-/// One live request: an entry from submission to its terminal state.
-struct Live {
-    /// Kept for the request's whole life: a preempted sequence prefills
-    /// again from it.
-    prompt: Vec<u16>,
-    stats: RequestStats,
-    /// KV cache and generated tokens, from admission until the request
-    /// ends or is preempted.
-    state: Option<SeqState>,
-    /// The KV flavor the latest admission chose.
-    flavor: Flavor,
-    /// Prompt tokens the latest admission replayed from a prefix hit; its
-    /// prefill forwards only the rest.
-    skip: usize,
+/// Runs one phase of a step — the prefills of `seqs` or their decodes — as
+/// **one** batched model forward on
+/// [`Pool::current`](atom_parallel::Pool::current): each contributes the
+/// prompt suffix its admission left to prefill (a hit's match cap of
+/// `prompt_len - 1` guarantees at least one token) or one decode row. Each
+/// next token is the argmax of the sequence's last logits row. Every row of
+/// a batched forward is bit-identical to that sequence's forward alone, so
+/// token streams do not depend on who shares a step, nor on the pool width.
+///
+/// The failure contract stays per request. If the batched forward panics,
+/// every KV store is truncated back to its length before the step and the
+/// sequences run again one at a time; only those whose own forward panics
+/// again are returned, each with its message — also when it was raised in a
+/// GEMM tile or an attention cell on a pool worker, since a region re-raises
+/// its workers' panics on the caller. The panic is contained on the caller
+/// thread, not in a pool region: inside one, the forward's GEMM row blocks
+/// and attention grid would run inline.
+fn run_forwards<M: BatchModel>(
+    model: &M,
+    mut seqs: Vec<&mut Seq>,
+    prefill: bool,
+) -> Vec<(usize, String)> {
+    if seqs.is_empty() {
+        return Vec::new();
+    }
+    let before: Vec<usize> = seqs
+        .iter()
+        .map(|s| s.kv.as_ref().map_or(0, |kv| kv.len(0)))
+        .collect();
+    if catch_panic(|| forward_seqs(model, &mut seqs, prefill)).is_ok() {
+        return Vec::new();
+    }
+    let mut failed = Vec::new();
+    for (seq, len) in seqs.iter_mut().zip(before) {
+        if let Some(kv) = seq.kv.as_mut() {
+            kv.truncate(len);
+        }
+        let alone = std::slice::from_mut(seq);
+        if let Err(message) = catch_panic(|| forward_seqs(model, alone, prefill)) {
+            failed.push((seq.id, message));
+        }
+    }
+    failed
 }
 
 /// Where engine metrics go: the process-global telemetry instance, or an
@@ -345,11 +324,12 @@ fn terminal_metric(terminal: &Terminal) -> names::CounterName {
 ///     1024, // KV pool tokens
 /// )
 /// .expect("valid config");
-/// let a = engine.submit(vec![1, 2, 3], 4).expect("accepted");
-/// engine.submit(vec![9, 8], 3).expect("accepted");
+/// let a = engine.submit(vec![1, 2, 3], 4, None).expect("accepted");
+/// engine.submit(vec![9, 8], 3, None).expect("accepted");
 /// let done = engine.run_to_completion();
 /// assert_eq!(done.len(), 2);
-/// let first = done.iter().find(|c| c.id == a).expect("completed");
+/// let first = done.iter().find(|o| o.id == a).expect("terminal");
+/// assert!(first.terminal.is_completed());
 /// assert_eq!(first.tokens.len(), 4);
 /// ```
 pub struct CpuEngine<M: BatchModel> {
@@ -358,9 +338,8 @@ pub struct CpuEngine<M: BatchModel> {
     degraded_cache: Option<CacheFactory>,
     policy: PressurePolicy,
     fault: FaultPlan,
+    /// Every request between submission and its terminal state.
     batcher: ContinuousBatcher,
-    /// Every request between submission and its terminal state, by id.
-    live: BTreeMap<usize, Live>,
     /// Radix index over completed prefills, held to `max_cached_blocks`
     /// blocks (0: nothing is cached; `usize::MAX`: bounded by the pool).
     index: RadixIndex,
@@ -371,7 +350,6 @@ pub struct CpuEngine<M: BatchModel> {
     /// Allocator copy-on-write forks already reported to telemetry.
     cow_forks_reported: u64,
     outcomes: Vec<Outcome>,
-    completions: Vec<Completion>,
     next_id: usize,
     clock: usize,
     decode_steps: usize,
@@ -382,7 +360,8 @@ pub struct CpuEngine<M: BatchModel> {
 impl<M: BatchModel> std::fmt::Debug for CpuEngine<M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CpuEngine")
-            .field("live", &self.live.len())
+            .field("queued", &self.batcher.queued())
+            .field("running", &self.batcher.running())
             .field("cached_blocks", &self.index.len())
             .field("clock", &self.clock)
             .field("decode_steps", &self.decode_steps)
@@ -425,13 +404,11 @@ impl<M: BatchModel> CpuEngine<M> {
             policy: PressurePolicy::default(),
             fault: FaultPlan::none(),
             batcher: ContinuousBatcher::new(max_batch, allocator)?,
-            live: BTreeMap::new(),
             index,
             max_cached_blocks: 0,
             prefix_events: PrefixCacheStats::default(),
             cow_forks_reported: 0,
             outcomes: Vec::new(),
-            completions: Vec::new(),
             next_id: 0,
             clock: 0,
             decode_steps: 0,
@@ -491,7 +468,9 @@ impl<M: BatchModel> CpuEngine<M> {
     }
 
     /// Submits a prompt for generation of `max_new` tokens; returns the
-    /// request id.
+    /// request id. With a `deadline` step, a request still running in any
+    /// later step terminates [`Terminal::DeadlineExceeded`] at the start of
+    /// it.
     ///
     /// # Errors
     ///
@@ -499,34 +478,20 @@ impl<M: BatchModel> CpuEngine<M> {
     /// served (empty prompt, zero tokens, exceeds the KV pool, or the
     /// queue shed watermark was reached). Rejected submissions still
     /// consume an id and leave a [`Terminal::Rejected`] outcome.
-    pub fn submit(&mut self, prompt: Vec<u16>, max_new: usize) -> Result<usize, RejectReason> {
-        self.submit_with(prompt, SubmitOptions::new(max_new))
-    }
-
-    /// [`Self::submit`] with explicit options (deadline support).
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::submit`].
-    pub fn submit_with(
+    pub fn submit(
         &mut self,
         prompt: Vec<u16>,
-        options: SubmitOptions,
+        max_new: usize,
+        deadline: Option<usize>,
     ) -> Result<usize, RejectReason> {
         let id = self.next_id;
         self.next_id += 1;
         let stats = RequestStats {
             submitted_step: self.clock,
-            deadline_steps: options.deadline_steps,
+            deadline_step: deadline,
             ..RequestStats::default()
         };
-        let submitted = self.batcher.submit(Request {
-            id,
-            arrival_s: 0.0,
-            prefill_tokens: prompt.len(),
-            decode_tokens: options.max_new,
-        });
-        if let Err(reason) = submitted {
+        if let Err(reason) = self.batcher.submit(Seq::new(id, prompt, max_new, stats)) {
             self.telemetry
                 .get()
                 .counter_add(names::ENGINE_TERMINAL_REJECTED, 1);
@@ -541,14 +506,6 @@ impl<M: BatchModel> CpuEngine<M> {
             });
             return Err(reason);
         }
-        let live = Live {
-            prompt,
-            stats,
-            state: None,
-            flavor: FLAVOR_NORMAL,
-            skip: 0,
-        };
-        self.live.insert(id, live);
         Ok(id)
     }
 
@@ -561,30 +518,33 @@ impl<M: BatchModel> CpuEngine<M> {
     /// Returns [`ServeError::UnknownRequest`] if the id was never
     /// submitted or is already terminal.
     pub fn cancel(&mut self, id: usize) -> Result<(), ServeError> {
-        if !self.live.contains_key(&id) {
-            return Err(ServeError::UnknownRequest(id));
-        }
-        self.terminalize(id, Terminal::Cancelled);
-        Ok(())
+        self.end(id, Terminal::Cancelled)
+            .ok_or(ServeError::UnknownRequest(id))
     }
 
-    /// Moves a live request to its terminal state: removes its one table
-    /// entry, drops it from the scheduler (releasing its KV blocks) and
-    /// records the outcome with whatever tokens it had generated. The single
-    /// funnel through which every accepted request exits guarantees the
-    /// exactly-once terminal property.
-    fn terminalize(&mut self, id: usize, terminal: Terminal) {
-        let Some(live) = self.live.remove(&id) else {
-            debug_assert!(false, "terminalize on unknown request {id}");
-            return;
-        };
-        let mut stats = live.stats;
+    /// Takes `id` out of the batcher, releasing its KV blocks, and
+    /// terminalizes it; `None` if it is not live.
+    fn end(&mut self, id: usize, terminal: Terminal) -> Option<()> {
+        let seq = self.batcher.remove(id)?;
+        self.terminalize(seq, terminal);
+        Some(())
+    }
+
+    /// Records the terminal state of a record that has left the batcher
+    /// (its blocks are released already), with whatever tokens it had
+    /// generated. The single funnel through which every accepted request
+    /// exits guarantees the exactly-once terminal property.
+    fn terminalize(&mut self, seq: Seq, terminal: Terminal) {
+        let Seq {
+            id,
+            mut stats,
+            generated: tokens,
+            ..
+        } = seq;
         stats.finished_step = Some(self.clock);
-        let tokens = live.state.map(|s| s.generated).unwrap_or_default();
         let tel = self.telemetry.get();
         tel.counter_add(terminal_metric(&terminal), 1);
         if terminal.is_completed() {
-            // The scheduler retired it and released its blocks already.
             if let Some(ttft) = stats.ttft_steps() {
                 tel.record(names::ENGINE_TTFT_STEPS, ttft as u64);
                 if stats.prefix_tokens > 0 {
@@ -594,12 +554,6 @@ impl<M: BatchModel> CpuEngine<M> {
             if let Some(tpot) = stats.tpot_millisteps(tokens.len()) {
                 tel.record(names::ENGINE_TPOT_MILLISTEPS, tpot);
             }
-            self.completions.push(Completion {
-                id,
-                tokens: tokens.clone(),
-            });
-        } else {
-            self.batcher.cancel(id);
         }
         self.outcomes.push(Outcome {
             id,
@@ -609,11 +563,12 @@ impl<M: BatchModel> CpuEngine<M> {
         });
     }
 
-    /// Runs one serving iteration: expire deadlines, inject scheduled
-    /// faults, admit, prefill the newly admitted, then advance every
-    /// decoding sequence by one token. Returns `false` when everything is
-    /// finished.
+    /// Runs one serving iteration: advance the clock, expire deadlines,
+    /// inject scheduled faults, admit and prefill, then advance every
+    /// sequence of the batch by one token. Returns `false`, having only
+    /// advanced the clock, when nothing is queued or running.
     pub fn step(&mut self) -> bool {
+        self.clock += 1;
         if self.batcher.is_idle() {
             return false;
         }
@@ -621,36 +576,34 @@ impl<M: BatchModel> CpuEngine<M> {
         let tel = sink.get();
         let _step_timer = tel.timer(names::ENGINE_STEP_WALL_NS);
         let _step_span = tel.span(names::SPAN_ENGINE_STEP, &[]);
-        self.clock += 1;
 
-        // Deadline sweep: a request whose step budget elapsed terminates
-        // before it can consume another iteration. `live` is a BTreeMap
-        // keyed by request id, so same-step expiries terminalize in id
-        // order by construction (`clippy.toml` disallows `HashMap`, so the
-        // PR 5 hash-ordered sweep bug cannot come back).
-        let expired: Vec<usize> = self
-            .live
+        // Deadline sweep: a request whose last step has passed terminates
+        // before it can consume another iteration, and same-step expiries
+        // terminalize in id order.
+        let clock = self.clock;
+        let mut expired: Vec<usize> = self
+            .batcher
+            .queue
             .iter()
-            .filter(|(_, l)| {
-                let deadline = l.stats.deadline_steps;
-                deadline.is_some_and(|d| self.clock > l.stats.submitted_step + d)
-            })
-            .map(|(&id, _)| id)
+            .chain(&self.batcher.batch)
+            .filter(|s| s.stats.deadline_step.is_some_and(|d| clock > d))
+            .map(|s| s.id)
             .collect();
+        expired.sort_unstable();
         for id in expired {
-            self.terminalize(id, Terminal::DeadlineExceeded);
+            self.end(id, Terminal::DeadlineExceeded);
         }
 
         // Injected allocator fault: poison block growth for this step.
-        if self.fault.alloc_fault(self.clock) {
-            self.batcher.arm_alloc_fault();
+        if self.fault.alloc_fault(clock) {
+            self.batcher.allocator.arm_fault();
             tel.counter_add(names::ENGINE_FAULTS, 1);
         }
 
-        self.admit_from_queue();
+        let admitted = self.admit_from_queue();
 
-        let used = self.batcher.allocator().used_blocks();
-        let total = self.batcher.allocator().total_blocks();
+        let used = self.batcher.allocator.used_blocks();
+        let total = self.batcher.allocator.total_blocks();
         let util = used as f64 / total.max(1) as f64;
         tel.record(names::ENGINE_QUEUE_DEPTH, self.batcher.queued() as u64);
         tel.gauge_set(names::ENGINE_KV_USED_BLOCKS, used as i64);
@@ -660,110 +613,99 @@ impl<M: BatchModel> CpuEngine<M> {
             (util * 1000.0).round() as u64,
         );
 
-        // Prefill phase for the newly admitted sequences; a forward that
-        // panicked fails only its own request, the rest donate their prompt
-        // to the prefix index.
-        let admitted = self.batcher.complete_prefill();
-        let admitted: Vec<usize> = admitted.iter().map(|r| r.id).collect();
-        for (id, reason) in self.run_forwards(&admitted, true) {
-            self.terminalize(
-                id,
-                Terminal::Failed {
-                    reason: format!("prefill forward panic: {reason}"),
-                },
-            );
+        // Prefill phase for the sequences admitted this step — the batch's
+        // last `admitted` members. A forward that panicked fails only its
+        // own request; the rest, still the batch's tail, donate their
+        // prompt to the prefix index.
+        let fresh = self.batcher.batch.len() - admitted;
+        let prefills = self.batcher.batch.iter_mut().skip(fresh).collect();
+        for (id, reason) in run_forwards(&self.model, prefills, true) {
+            let reason = format!("prefill forward panic: {reason}");
+            self.end(id, Terminal::Failed { reason });
         }
-        for id in admitted {
-            self.cache_completed_prefill(id);
+        for pos in fresh..self.batcher.batch.len() {
+            self.cache_completed_prefill(pos);
         }
 
         // Injected faults, one in-flight victim each, in this order: a
         // forward fault surfaces a typed failure instead of poisoning the
         // batch; a spurious timeout trips the victim's watchdog although its
-        // real step budget had not elapsed (`DeadlineExceeded` with whatever
+        // real deadline had not passed (`DeadlineExceeded` with whatever
         // tokens it had — the retryable shape the gateway's retry policy
         // absorbs); a client cancel hangs up, and must never be retried
         // upstream.
         let forward_failed = Terminal::Failed {
-            reason: format!("injected forward fault at step {}", self.clock),
+            reason: format!("injected forward fault at step {clock}"),
         };
         let injected = [
-            (self.fault.forward_fault(self.clock), forward_failed),
-            (
-                self.fault.timeout_fault(self.clock),
-                Terminal::DeadlineExceeded,
-            ),
-            (self.fault.cancel_fault(self.clock), Terminal::Cancelled),
+            (self.fault.forward_fault(clock), forward_failed),
+            (self.fault.timeout_fault(clock), Terminal::DeadlineExceeded),
+            (self.fault.cancel_fault(clock), Terminal::Cancelled),
         ];
         for (slot, terminal) in injected {
-            if let Some(victim) = slot.and_then(|s| self.fault_victim(s)) {
+            let batch = &self.batcher.batch;
+            let victim = slot.and_then(|s| batch.get(s % batch.len().max(1)));
+            if let Some(id) = victim.map(|s| s.id) {
                 tel.counter_add(names::ENGINE_FAULTS, 1);
-                self.terminalize(victim, terminal);
+                self.end(id, terminal);
             }
         }
 
         // Guarantee decode headroom before the scheduler commits this step.
-        // Every decoding sequence may need one fresh block, and blocks held
-        // only by the cache must yield rather than stall (or preempt) live
-        // work.
-        while self.batcher.allocator().free_blocks() < self.batcher.decoding() {
+        // Every sequence may need one fresh block, and blocks held only by
+        // the cache must yield rather than stall (or preempt) live work.
+        while self.batcher.allocator.free_blocks() < self.batcher.batch.len() {
             if self.evict_one_cached().is_none() {
                 break;
             }
         }
 
         // Decode phase: let the scheduler commit its block accounting first,
-        // then run the model for exactly the sequences it advanced. (A
-        // sequence can advance even when the pool looked full beforehand —
-        // another sequence finishing in the same step frees its blocks — so
-        // predicting the advanced set from a pre-step snapshot drops tokens.)
-        let events = self.batcher.step_decode();
-        let advanced = self.batcher.last_advanced_ids().to_vec();
-        let poisoned = self.run_forwards(&advanced, false);
-        if !advanced.is_empty() {
+        // then run the model for exactly the sequences it advanced — those
+        // still in the batch that did not stall, and those it just retired,
+        // whose last row still runs. (A sequence can advance even when the
+        // pool looked full beforehand — another sequence finishing in the
+        // same step frees its blocks — so predicting the advanced set from a
+        // pre-step snapshot drops tokens.)
+        let preemptions = self.batcher.preemptions();
+        let mut finished = self.batcher.step_decode(clock);
+        if self.batcher.preemptions() > preemptions {
+            tel.counter_add(names::ENGINE_PREEMPTIONS, 1);
+        }
+        let decodes: Vec<&mut Seq> = self
+            .batcher
+            .batch
+            .iter_mut()
+            .filter(|s| !s.stalled)
+            .chain(&mut finished)
+            .collect();
+        if !decodes.is_empty() {
             self.decode_steps += 1;
         }
-        for event in events {
-            match event {
-                BatchEvent::Finished(req) => self.terminalize(req.id, Terminal::Completed),
-                BatchEvent::Preempted(req) => {
-                    // Recompute preemption: drop the state; the request is
-                    // back in the queue and will prefill again from its
-                    // stored prompt.
-                    tel.counter_add(names::ENGINE_PREEMPTIONS, 1);
-                    if let Some(live) = self.live.get_mut(&req.id) {
-                        live.state = None;
-                        live.stats.preemptions += 1;
-                    }
-                }
-            }
+        let poisoned = run_forwards(&self.model, decodes, false);
+        for seq in finished {
+            self.terminalize(seq, Terminal::Completed);
         }
         // A sequence whose decode forward panicked fails — unless the token
         // pushed this step already finished it, in which case the lost
         // logits would have been discarded anyway and the completion stands.
         for (id, reason) in poisoned {
-            if self.live.contains_key(&id) {
-                self.terminalize(
-                    id,
-                    Terminal::Failed {
-                        reason: format!("decode forward panic: {reason}"),
-                    },
-                );
-            }
+            let reason = format!("decode forward panic: {reason}");
+            self.end(id, Terminal::Failed { reason });
         }
         // The cache cap is enforced once per step as well as at insert
         // time: blocks shared with a live donor are unevictable when
         // inserted, and only fall to refcount 1 (cache-only) after the
-        // donor finishes — which may be this step's Finished events.
+        // donor finishes — which may be this step's finished requests.
         self.enforce_cache_cap();
 
         // The allocator owns the copy-on-write fork total; report its delta.
-        let alloc = self.batcher.allocator();
+        let alloc = &self.batcher.allocator;
         let cow_forks = alloc.cow_forks() as u64;
         tel.counter_add(names::PREFIX_COW_FORKS, cow_forks - self.cow_forks_reported);
         self.cow_forks_reported = cow_forks;
         tel.gauge_set(names::PREFIX_SHARED_BLOCKS, alloc.shared_blocks() as i64);
-        self.batcher.disarm_alloc_fault();
+        self.batcher.allocator.disarm_fault();
         true
     }
 
@@ -772,37 +714,33 @@ impl<M: BatchModel> CpuEngine<M> {
     /// flavor, pin the matched blocks, admit it seeded with the shared run
     /// — evicting cold cached runs when the pool is short — and build its
     /// KV store. Stops at the first request that cannot be admitted (FCFS
-    /// head-of-line).
-    fn admit_from_queue(&mut self) {
-        while let Some(head) = self.batcher.queue_head().copied() {
-            if self.batcher.allocator().fault_armed() {
+    /// head-of-line). Returns how many were admitted: the batch's tail.
+    fn admit_from_queue(&mut self) -> usize {
+        let mut admitted = 0;
+        while let Some(head) = self.batcher.queue.front() {
+            if self.batcher.allocator.fault_armed() {
                 break;
             }
-            let Some(live) = self.live.get(&head.id) else {
-                debug_assert!(false, "queued request {} is not live", head.id);
-                break;
-            };
-            let degraded = self.predict_degraded(&head);
+            let degraded = self.predict_degraded(head.prompt.len());
             let flavor = if degraded { FLAVOR_DEGRADED } else { FLAVOR_NORMAL };
             // Cap at `prompt_len - 1`: at least one prompt token must be
             // forwarded to produce the first decode logits.
-            let cap = head.prefill_tokens.saturating_sub(1);
+            let cap = head.prompt.len().saturating_sub(1);
             let outcome = self
                 .index
-                .match_prefix(&live.prompt, flavor, cap, self.clock as u64);
+                .match_prefix(&head.prompt, flavor, cap, self.clock as u64);
             // Pin the planned blocks so the eviction loop below can never
             // free part of the plan we are about to attach.
             let shared = SharedPrefix {
                 blocks: outcome.blocks,
                 tokens: outcome.tokens,
             };
-            let alloc = self.batcher.allocator_mut();
             for &block in &shared.blocks {
-                alloc.retain_block(block);
+                self.batcher.allocator.retain_block(block);
             }
-            let admitted = loop {
+            let fits = loop {
                 match self.batcher.try_admit_head(&shared) {
-                    AdmitOutcome::Admitted(_) => break true,
+                    AdmitOutcome::Admitted => break true,
                     AdmitOutcome::NeedBlocks { .. } => {
                         if self.evict_one_cached().is_none() {
                             break false;
@@ -811,18 +749,17 @@ impl<M: BatchModel> CpuEngine<M> {
                     AdmitOutcome::Blocked => break false,
                 }
             };
-            let alloc = self.batcher.allocator_mut();
             for &block in &shared.blocks {
-                alloc.release_block(block);
+                self.batcher.allocator.release_block(block);
             }
-            if !admitted {
+            if !fits {
                 break;
             }
-            let Some(live) = self.live.get_mut(&head.id) else {
-                break; // unreachable: it was live at the top of this iteration
+            let Some(seq) = self.batcher.batch.last_mut() else {
+                break; // unreachable: the admission just pushed it
             };
             let tel = self.telemetry.get();
-            let cache = match &outcome.snapshot {
+            let kv = match &outcome.snapshot {
                 // A hit replays the donor's snapshot cut to the matched
                 // prefix — bit-identical to prefilling those tokens, since
                 // both stores quantize per token row.
@@ -840,54 +777,52 @@ impl<M: BatchModel> CpuEngine<M> {
                     }
                 }
             };
-            live.state = Some(SeqState {
-                cache,
-                generated: Vec::new(),
-                next_input: 0,
-            });
-            live.flavor = flavor;
-            live.skip = shared.tokens;
+            seq.kv = Some(kv);
+            seq.flavor = flavor;
+            seq.skip = shared.tokens;
             if degraded {
                 self.degraded_admissions += 1;
                 tel.counter_add(names::ENGINE_DEGRADED_ADMISSIONS, 1);
-                live.stats.degraded_kv = true;
+                seq.stats.degraded_kv = true;
             }
-            live.stats.prefix_tokens = live.stats.prefix_tokens.max(shared.tokens);
-            live.stats.admitted_step.get_or_insert(self.clock);
+            seq.stats.prefix_tokens = seq.stats.prefix_tokens.max(shared.tokens);
+            seq.stats.admitted_step.get_or_insert(self.clock);
+            admitted += 1;
         }
+        admitted
     }
 
-    /// Indexes a just-completed prefill into the prefix cache: freezes the
-    /// sequence's KV state as a snapshot, shares its full prompt blocks
-    /// with the radix index, and copy-forks the partial tail so the
-    /// sequence's own tail stays writable, then enforces the capacity. A
-    /// capacity-0 cache indexes nothing, so it never clones a KV store.
-    fn cache_completed_prefill(&mut self, id: usize) {
+    /// Indexes the just-completed prefill of the batch member at `pos`
+    /// into the prefix cache: freezes its KV state as a snapshot, shares
+    /// its full prompt blocks with the radix index, and copy-forks the
+    /// partial tail so the sequence's own tail stays writable, then
+    /// enforces the capacity. A capacity-0 cache indexes nothing, so it
+    /// never clones a KV store.
+    fn cache_completed_prefill(&mut self, pos: usize) {
         if self.max_cached_blocks == 0 {
             return;
         }
-        let Some(live) = self.live.get(&id) else {
+        let Some(seq) = self.batcher.batch.get(pos) else {
             return;
         };
-        let Some(state) = live.state.as_ref() else {
+        let Some(kv) = seq.kv.as_ref() else {
             return;
         };
-        let prompt = &live.prompt;
-        let snapshot = Arc::new(Snapshot::new(state.cache.clone_box(), prompt.len()));
-        let alloc = self.batcher.allocator_mut();
-        let prompt_blocks = alloc.blocks_for(prompt.len());
+        let snapshot = Arc::new(Snapshot::new(kv.clone_box(), seq.prompt.len()));
+        let alloc = &mut self.batcher.allocator;
+        let prompt_blocks = alloc.blocks_for(seq.prompt.len());
         let Some(blocks) = alloc
-            .table(id)
+            .table(seq.id)
             .and_then(|t| t.blocks().get(..prompt_blocks))
             .map(<[usize]>::to_vec)
         else {
-            debug_assert!(false, "prefilled sequence {id} has no block table");
+            debug_assert!(false, "prefilled sequence {} has no block table", seq.id);
             return;
         };
         let report = self.index.insert(
-            prompt,
+            &seq.prompt,
             &blocks,
-            live.flavor,
+            seq.flavor,
             snapshot,
             self.clock as u64,
             &mut |src| alloc.fork_copy(src).ok(),
@@ -916,7 +851,7 @@ impl<M: BatchModel> CpuEngine<M> {
     /// 1: no live sequence maps it) and frees it, returning the block id.
     /// `None` when the cache holds nothing evictable.
     fn evict_one_cached(&mut self) -> Option<usize> {
-        let alloc = self.batcher.allocator_mut();
+        let alloc = &mut self.batcher.allocator;
         let block = self.index.evict_lru(&|b| alloc.refcount(b) == 1)?;
         alloc.release_block(block);
         self.prefix_events.evictions += 1;
@@ -924,11 +859,12 @@ impl<M: BatchModel> CpuEngine<M> {
         Some(block)
     }
 
-    /// Decides whether admitting `head` hands it the degraded KV cache —
-    /// per request and *before* its prefix lookup, so the lookup queries
-    /// the matching flavor. Load is what the pool would hold right after
-    /// this admission; the queue depth is what stays behind it.
-    fn predict_degraded(&self, head: &Request) -> bool {
+    /// Decides whether admitting the queue's head, of `prompt_len` tokens,
+    /// hands it the degraded KV cache — per request and *before* its prefix
+    /// lookup, so the lookup queries the matching flavor. Load is what the
+    /// pool would hold right after this admission; the queue depth is what
+    /// stays behind it.
+    fn predict_degraded(&self, prompt_len: usize) -> bool {
         if self.degraded_cache.is_none() {
             return false;
         }
@@ -938,7 +874,7 @@ impl<M: BatchModel> CpuEngine<M> {
         let cached = self.index.blocks();
         let reclaimable = cached.iter().filter(|&&b| alloc.refcount(b) == 1).count();
         let total = alloc.total_blocks().max(1);
-        let projected = alloc.used_blocks() + alloc.blocks_for(head.prefill_tokens + 1);
+        let projected = alloc.used_blocks() + alloc.blocks_for(prompt_len + 1);
         let load = projected.saturating_sub(reclaimable);
         let util = load as f64 / total as f64;
         util >= self.policy.degrade_kv_at
@@ -948,88 +884,13 @@ impl<M: BatchModel> CpuEngine<M> {
                 .is_some_and(|d| self.batcher.queued().saturating_sub(1) >= d)
     }
 
-    /// Resolves an injected fault's victim: the prefilled in-flight request
-    /// in batch slot `slot % live_count`, or `None` when nothing is live.
-    fn fault_victim(&self, slot: usize) -> Option<usize> {
-        let live: Vec<usize> = self
-            .batcher
-            .active()
-            .iter()
-            .filter(|s| s.prefilled)
-            .map(|s| s.request.id)
-            .collect();
-        live.get(slot % live.len().max(1)).copied()
-    }
-
-    /// Runs one phase of the step — the listed requests' prefills or their
-    /// decodes — as **one** batched model forward on
-    /// [`Pool::current`](atom_parallel::Pool::current): each
-    /// contributes the prompt suffix its admission left to prefill (a hit's
-    /// match cap of `prompt_len - 1` guarantees at least one token) or, when
-    /// `prefill` is false, one decode token after committing the token
-    /// chosen last iteration as output. Each next token is the argmax of
-    /// the request's last logits row. Every row of a batched forward is
-    /// bit-identical to that request's forward alone, so token streams do
-    /// not depend on who shares a step, nor on the pool width.
-    ///
-    /// The failure contract stays per request. If the batched forward
-    /// panics, every request's KV cache is truncated back to its length
-    /// before the step and the requests run again one at a time; only those
-    /// whose own forward panics again are returned, each with its message —
-    /// also when it was raised in a GEMM tile or an attention cell on a pool
-    /// worker, since a region re-raises its workers' panics on the caller.
-    /// The panic is contained on the caller thread, not in a pool region:
-    /// inside one, the forward's GEMM row blocks and attention grid would
-    /// run inline.
-    fn run_forwards(&mut self, ids: &[usize], prefill: bool) -> Vec<(usize, String)> {
-        let clock = self.clock;
-        let mut wanted = ids.to_vec();
-        wanted.sort_unstable();
-        let (Some(&lo), Some(&hi)) = (wanted.first(), wanted.last()) else {
-            return Vec::new();
-        };
-        // One walk over the live table's id range against the sorted ids.
-        let mut wanted = wanted.into_iter().peekable();
-        let mut jobs: Vec<ForwardJob> = Vec::with_capacity(ids.len());
-        for (&id, live) in self.live.range_mut(lo..=hi) {
-            while wanted.next_if(|&w| w < id).is_some() {}
-            if wanted.next_if_eq(&id).is_none() {
-                continue;
-            }
-            let Some(state) = live.state.as_mut() else {
-                continue;
-            };
-            let prompt = if prefill {
-                Some(live.prompt.get(live.skip..).unwrap_or(&live.prompt))
-            } else {
-                state.generated.push(state.next_input);
-                live.stats.first_token_step.get_or_insert(clock);
-                None
-            };
-            jobs.push(ForwardJob { id, state, prompt });
-        }
-        let model = &self.model;
-        let before: Vec<usize> = jobs.iter().map(|job| job.state.cache.len(0)).collect();
-        if catch_panic(|| forward_jobs(model, &mut jobs)).is_ok() {
-            return Vec::new();
-        }
-        let mut failed = Vec::new();
-        for (job, len) in jobs.iter_mut().zip(before) {
-            job.state.cache.truncate(len);
-            let alone = std::slice::from_mut(job);
-            if let Err(message) = catch_panic(|| forward_jobs(model, alone)) {
-                failed.push((job.id, message));
-            }
-        }
-        failed
-    }
-
-    /// Runs until every submitted request reaches a terminal state.
+    /// Runs until every submitted request reaches a terminal state, and
+    /// returns every terminal record so far.
     ///
     /// Progress is guaranteed for validated admissions; as a last line of
     /// defense a livelock circuit breaker fails all in-flight requests
     /// (typed `Failed`, blocks released) instead of spinning forever.
-    pub fn run_to_completion(&mut self) -> &[Completion] {
+    pub fn run_to_completion(&mut self) -> &[Outcome] {
         let mut quiet = 0usize;
         while !self.batcher.is_idle() {
             let before = self.progress_mark();
@@ -1037,31 +898,28 @@ impl<M: BatchModel> CpuEngine<M> {
             if self.progress_mark() == before {
                 quiet += 1;
                 if quiet > Self::STALL_LIMIT {
-                    // BTreeMap keys iterate in ascending id order already.
-                    let stuck: Vec<usize> = self.live.keys().copied().collect();
+                    let batcher = &self.batcher;
+                    let mut stuck: Vec<usize> = batcher
+                        .queue
+                        .iter()
+                        .chain(&batcher.batch)
+                        .map(|s| s.id)
+                        .collect();
+                    stuck.sort_unstable();
                     for id in stuck {
-                        self.terminalize(
-                            id,
-                            Terminal::Failed {
-                                reason: "livelock circuit breaker".to_string(),
-                            },
-                        );
+                        let reason = "livelock circuit breaker".to_string();
+                        self.end(id, Terminal::Failed { reason });
                     }
                 }
             } else {
                 quiet = 0;
             }
         }
-        &self.completions
+        &self.outcomes
     }
 
     fn progress_mark(&self) -> usize {
         self.outcomes.len() + self.decode_steps + self.batcher.preemptions()
-    }
-
-    /// Completions so far (submission order not guaranteed).
-    pub fn completions(&self) -> &[Completion] {
-        &self.completions
     }
 
     /// Terminal records so far, in terminalization order — exactly one per
@@ -1080,7 +938,7 @@ impl<M: BatchModel> CpuEngine<M> {
         self.decode_steps
     }
 
-    /// Serving iterations executed (admission + decode).
+    /// Steps taken: every call to [`Self::step`], idle or not.
     pub fn steps(&self) -> usize {
         self.clock
     }
@@ -1118,9 +976,8 @@ impl<M: BatchModel> CpuEngine<M> {
     /// references dropped.
     pub fn flush_prefix_cache(&mut self) -> usize {
         let blocks = self.index.clear();
-        let alloc = self.batcher.allocator_mut();
         for &block in &blocks {
-            alloc.release_block(block);
+            self.batcher.allocator.release_block(block);
         }
         self.prefix_events.evictions += blocks.len() as u64;
         let tel = self.telemetry.get();
@@ -1154,6 +1011,15 @@ mod tests {
         }
     }
 
+    /// The ids that completed, in completion order.
+    fn completed<M: BatchModel>(e: &CpuEngine<M>) -> Vec<usize> {
+        let outcomes = e.outcomes().iter();
+        outcomes
+            .filter(|o| o.terminal.is_completed())
+            .map(|o| o.id)
+            .collect()
+    }
+
     fn tiny_engine(max_batch: usize, pool: usize) -> CpuEngine<LlamaModel<DenseLinear>> {
         let config = tiny_config();
         let model = LlamaModel::random_init(config, 3);
@@ -1169,9 +1035,9 @@ mod tests {
     #[test]
     fn serves_all_requests() {
         let mut e = tiny_engine(2, 1024);
-        let a = e.submit(vec![1, 2, 3], 4).unwrap();
-        let b = e.submit(vec![4, 5], 3).unwrap();
-        let c = e.submit(vec![6], 2).unwrap();
+        let a = e.submit(vec![1, 2, 3], 4, None).unwrap();
+        let b = e.submit(vec![4, 5], 3, None).unwrap();
+        let c = e.submit(vec![6], 2, None).unwrap();
         let done = e.run_to_completion().to_vec();
         assert_eq!(done.len(), 3);
         let by_id = |id| done.iter().find(|c| c.id == id).unwrap();
@@ -1187,13 +1053,13 @@ mod tests {
     fn batched_serving_matches_solo_generation() {
         // Continuous batching must not change each request's output.
         let mut solo = tiny_engine(1, 1024);
-        solo.submit(vec![10, 20, 30], 5).unwrap();
+        solo.submit(vec![10, 20, 30], 5, None).unwrap();
         let solo_out = solo.run_to_completion()[0].tokens.clone();
 
         let mut batched = tiny_engine(3, 1024);
-        batched.submit(vec![10, 20, 30], 5).unwrap();
-        batched.submit(vec![42, 17], 5).unwrap();
-        batched.submit(vec![7, 8, 9, 10], 5).unwrap();
+        batched.submit(vec![10, 20, 30], 5, None).unwrap();
+        batched.submit(vec![42, 17], 5, None).unwrap();
+        batched.submit(vec![7, 8, 9, 10], 5, None).unwrap();
         let batched_all = batched.run_to_completion().to_vec();
         let same = batched_all.iter().find(|c| c.id == 0).unwrap();
         assert_eq!(same.tokens, solo_out);
@@ -1223,9 +1089,9 @@ mod tests {
         }
         assert_width_invariant(|| {
             let mut e = tiny_engine(3, 1024);
-            e.submit(vec![10, 20, 30], 5).unwrap();
-            e.submit(vec![42, 17], 7).unwrap();
-            e.submit(vec![7, 8, 9, 10], 4).unwrap();
+            e.submit(vec![10, 20, 30], 5, None).unwrap();
+            e.submit(vec![42, 17], 7, None).unwrap();
+            e.submit(vec![7, 8, 9, 10], 4, None).unwrap();
             e
         });
         // Six concurrent requests over 8-bit quantized KV: the cache's
@@ -1254,7 +1120,7 @@ mod tests {
             )
             .expect("valid config");
             for r in 0..6u16 {
-                e.submit(vec![r * 7 + 1, 3, 5], 16).unwrap();
+                e.submit(vec![r * 7 + 1, 3, 5], 16, None).unwrap();
             }
             e
         });
@@ -1344,12 +1210,10 @@ mod tests {
         for threads in [1, 2] {
             let mut e = poisoned_engine(&[None, Some(0), None, Some(0)], None);
             let ids: Vec<usize> = (2..6u16)
-                .map(|len| e.submit((1..=len).collect(), 3).unwrap())
+                .map(|len| e.submit((1..=len).collect(), 3, None).unwrap())
                 .collect();
-            let done = Pool::new(threads).install(|| e.run_to_completion().to_vec());
-            assert_eq!(done.len(), 2);
-            assert!(done.iter().any(|c| c.id == ids[0]));
-            assert!(done.iter().any(|c| c.id == ids[2]));
+            Pool::new(threads).install(|| e.run_to_completion().len());
+            assert_eq!(completed(&e), [ids[0], ids[2]]);
             for bad in [ids[1], ids[3]] {
                 let outcome = e.outcomes().iter().find(|o| o.id == bad).expect("terminal");
                 let Terminal::Failed { reason } = &outcome.terminal else {
@@ -1367,11 +1231,11 @@ mod tests {
         // first decode forward dies. The request fails typed, keeping the
         // token it had already committed.
         let mut e = poisoned_engine(&[Some(2)], None);
-        let id = e.submit(vec![1, 2], 3).unwrap();
+        let id = e.submit(vec![1, 2], 3, None).unwrap();
         Pool::new(2).install(|| {
             e.run_to_completion();
         });
-        assert!(e.completions().is_empty());
+        assert!(completed(&e).is_empty());
         let outcome = e.outcomes().iter().find(|o| o.id == id).expect("terminal");
         match &outcome.terminal {
             Terminal::Failed { reason } => {
@@ -1394,7 +1258,7 @@ mod tests {
         let run = |limits: &'static [Option<usize>], threads: usize| {
             let mut e = poisoned_engine(limits, None);
             for p in &prompts {
-                e.submit(p.clone(), 6).unwrap();
+                e.submit(p.clone(), 6, None).unwrap();
             }
             Pool::new(threads).install(|| {
                 e.run_to_completion();
@@ -1435,7 +1299,7 @@ mod tests {
         let run = |prompts: &[Vec<u16>], narrow: Option<usize>, pool: Pool| {
             let mut e = poisoned_engine(&[], narrow);
             for p in prompts {
-                e.submit(p.clone(), 6).unwrap();
+                e.submit(p.clone(), 6, None).unwrap();
             }
             pool.install(|| {
                 e.run_to_completion();
@@ -1501,8 +1365,12 @@ mod tests {
         )
         .expect("valid config");
         for r in 0..8u16 {
-            e.submit(vec![r + 1; 3 + usize::from(r)], 6 + usize::from(r % 3))
-                .unwrap();
+            e.submit(
+                vec![r + 1; 3 + usize::from(r)],
+                6 + usize::from(r % 3),
+                None,
+            )
+            .unwrap();
         }
         assert_eq!(e.run_to_completion().len(), 8);
         let calls = calls.load(Ordering::Relaxed);
@@ -1519,7 +1387,7 @@ mod tests {
         // served in waves rather than concurrently.
         let mut e = tiny_engine(4, 96);
         for _ in 0..3 {
-            e.submit(vec![5; 40], 4).unwrap();
+            e.submit(vec![5; 40], 4, None).unwrap();
         }
         let done = e.run_to_completion().len();
         assert_eq!(done, 3);
@@ -1529,7 +1397,7 @@ mod tests {
     #[test]
     fn generated_tokens_in_vocabulary() {
         let mut e = tiny_engine(2, 512);
-        e.submit(vec![50, 60], 6).unwrap();
+        e.submit(vec![50, 60], 6, None).unwrap();
         for c in e.run_to_completion() {
             assert!(c.tokens.iter().all(|&t| (t as usize) < 96));
         }
@@ -1538,10 +1406,13 @@ mod tests {
     #[test]
     fn bad_submissions_rejected_with_terminal_outcomes() {
         let mut e = tiny_engine(2, 64);
-        assert_eq!(e.submit(vec![], 4), Err(RejectReason::EmptyPrompt));
-        assert_eq!(e.submit(vec![1], 0), Err(RejectReason::ZeroDecodeTokens));
+        assert_eq!(e.submit(vec![], 4, None), Err(RejectReason::EmptyPrompt));
+        assert_eq!(
+            e.submit(vec![1], 0, None),
+            Err(RejectReason::ZeroDecodeTokens)
+        );
         // 64-slot pool: a request ending at 70 tokens can never be served.
-        let err = e.submit(vec![2; 60], 10).unwrap_err();
+        let err = e.submit(vec![2; 60], 10, None).unwrap_err();
         assert!(matches!(err, RejectReason::ExceedsKvPool { .. }));
         assert_eq!(e.outcomes().len(), 3, "rejections leave terminal records");
         assert!(e
@@ -1549,8 +1420,9 @@ mod tests {
             .iter()
             .all(|o| matches!(o.terminal, Terminal::Rejected(_))));
         // The engine remains perfectly serviceable afterwards.
-        e.submit(vec![1, 2], 3).unwrap();
-        assert_eq!(e.run_to_completion().len(), 1);
+        let id = e.submit(vec![1, 2], 3, None).unwrap();
+        e.run_to_completion();
+        assert_eq!(completed(&e), [id]);
     }
 
     #[test]
@@ -1572,15 +1444,15 @@ mod tests {
     #[test]
     fn cancel_queued_and_active_requests() {
         let mut e = tiny_engine(1, 1024);
-        let a = e.submit(vec![1, 2, 3], 8).unwrap();
-        let b = e.submit(vec![4, 5], 8).unwrap();
+        let a = e.submit(vec![1, 2, 3], 8, None).unwrap();
+        let b = e.submit(vec![4, 5], 8, None).unwrap();
         e.step(); // a admitted + first token; b queued
         e.cancel(a).unwrap();
         e.cancel(b).unwrap();
         assert!(matches!(e.cancel(a), Err(ServeError::UnknownRequest(_))));
         assert!(matches!(e.cancel(99), Err(ServeError::UnknownRequest(_))));
         e.run_to_completion();
-        assert_eq!(e.completions().len(), 0);
+        assert!(completed(&e).is_empty());
         assert_eq!(e.outcomes().len(), 2);
         assert!(e
             .outcomes()
@@ -1592,10 +1464,8 @@ mod tests {
     #[test]
     fn deadline_exceeded_is_terminal_with_partial_tokens() {
         let mut e = tiny_engine(1, 1024);
-        let slow = e
-            .submit_with(vec![1, 2, 3], SubmitOptions::new(50).with_deadline(5))
-            .unwrap();
-        let fast = e.submit(vec![4, 5], 3).unwrap();
+        let slow = e.submit(vec![1, 2, 3], 50, Some(5)).unwrap();
+        let fast = e.submit(vec![4, 5], 3, None).unwrap();
         e.run_to_completion();
         let slow_out = e.outcome_of(slow).expect("terminal").clone();
         assert_eq!(slow_out.terminal, Terminal::DeadlineExceeded);
@@ -1618,20 +1488,20 @@ mod tests {
             shed_queue_depth: Some(3),
             ..PressurePolicy::default()
         });
-        e.submit(vec![1], 2).unwrap();
-        e.submit(vec![2], 2).unwrap();
-        e.submit(vec![3], 2).unwrap();
-        let err = e.submit(vec![4], 2).unwrap_err();
+        e.submit(vec![1], 2, None).unwrap();
+        e.submit(vec![2], 2, None).unwrap();
+        e.submit(vec![3], 2, None).unwrap();
+        let err = e.submit(vec![4], 2, None).unwrap_err();
         assert!(matches!(err, RejectReason::QueueFull { .. }));
-        assert_eq!(e.run_to_completion().len(), 3);
-        assert_eq!(e.outcomes().len(), 4);
+        assert_eq!(e.run_to_completion().len(), 4);
+        assert_eq!(completed(&e).len(), 3);
     }
 
     #[test]
     fn per_request_stats_track_lifecycle() {
         let mut e = tiny_engine(1, 1024);
-        let a = e.submit(vec![1, 2, 3], 2).unwrap();
-        let b = e.submit(vec![4, 5], 2).unwrap();
+        let a = e.submit(vec![1, 2, 3], 2, None).unwrap();
+        let b = e.submit(vec![4, 5], 2, None).unwrap();
         e.run_to_completion();
         let sa = e.outcome_of(a).unwrap().stats;
         let sb = e.outcome_of(b).unwrap().stats;
@@ -1649,8 +1519,8 @@ mod tests {
         // the rest of the batch untouched.
         let plan = FaultPlan::none().with_timeout_fault(3, 0);
         let mut e = tiny_engine(2, 1024).with_fault_plan(plan);
-        let a = e.submit(vec![1, 2], 8).unwrap();
-        let b = e.submit(vec![3, 4], 8).unwrap();
+        let a = e.submit(vec![1, 2], 8, None).unwrap();
+        let b = e.submit(vec![3, 4], 8, None).unwrap();
         e.run_to_completion();
         assert_eq!(e.outcomes().len(), 2);
         let timed_out = e
@@ -1676,8 +1546,8 @@ mod tests {
     fn injected_cancel_fault_is_cancelled_terminal() {
         let plan = FaultPlan::none().with_cancel_fault(2, 1);
         let mut e = tiny_engine(2, 1024).with_fault_plan(plan);
-        e.submit(vec![1, 2], 6).unwrap();
-        e.submit(vec![3, 4], 6).unwrap();
+        e.submit(vec![1, 2], 6, None).unwrap();
+        e.submit(vec![3, 4], 6, None).unwrap();
         e.run_to_completion();
         assert_eq!(e.outcomes().len(), 2);
         let cancelled = e
@@ -1686,7 +1556,7 @@ mod tests {
             .filter(|o| o.terminal == Terminal::Cancelled)
             .count();
         assert_eq!(cancelled, 1, "exactly one injected client cancel");
-        assert_eq!(e.completions().len(), 1);
+        assert_eq!(completed(&e).len(), 1);
         assert_eq!(e.batcher().allocator().used_blocks(), 0);
     }
 
@@ -1710,7 +1580,7 @@ mod tests {
             degrade_kv_at,
             ..PressurePolicy::default()
         });
-        let id = e.submit(vec![7; 31], 2).unwrap();
+        let id = e.submit(vec![7; 31], 2, None).unwrap();
         e.run_to_completion();
         e.outcome_of(id).unwrap().stats.degraded_kv
     }
@@ -1742,9 +1612,9 @@ mod tests {
                 degrade_queue_depth: Some(watermark),
                 ..PressurePolicy::default()
             });
-            let first = e.submit(vec![1, 2], 2).unwrap();
+            let first = e.submit(vec![1, 2], 2, None).unwrap();
             for i in 0..backlog {
-                e.submit(vec![3, 4 + i as u16], 2).unwrap();
+                e.submit(vec![3, 4 + i as u16], 2, None).unwrap();
             }
             e.run_to_completion();
             e.outcome_of(first).unwrap().stats.degraded_kv
@@ -1773,10 +1643,10 @@ mod tests {
                 ..PressurePolicy::default()
             });
         let ids: Vec<usize> = (0..3)
-            .map(|i| e.submit(vec![7 + i; 31], 2).unwrap())
+            .map(|i| e.submit(vec![7 + i; 31], 2, None).unwrap())
             .collect();
         e.step();
-        assert_eq!(e.batcher().active().len(), 3, "one step admitted all three");
+        assert_eq!(e.batcher().running(), 3, "one step admitted all three");
         e.run_to_completion();
         let degraded: Vec<bool> = ids
             .iter()
@@ -1794,15 +1664,16 @@ mod tests {
         });
         // Depth 0 and 1: accepted. The submission arriving at depth == 2
         // (the watermark) is the first one shed.
-        e.submit(vec![1], 2).unwrap();
-        e.submit(vec![2], 2).unwrap();
+        e.submit(vec![1], 2, None).unwrap();
+        e.submit(vec![2], 2, None).unwrap();
         assert_eq!(e.batcher().queued(), 2);
-        let err = e.submit(vec![3], 2).unwrap_err();
+        let err = e.submit(vec![3], 2, None).unwrap_err();
         assert_eq!(err, RejectReason::QueueFull { depth: 2, limit: 2 });
         // The engine keeps serving; draining the queue re-opens admission.
         e.run_to_completion();
-        e.submit(vec![4], 2).unwrap();
-        assert_eq!(e.run_to_completion().len(), 3);
+        e.submit(vec![4], 2, None).unwrap();
+        e.run_to_completion();
+        assert_eq!(completed(&e).len(), 3);
     }
 
     #[test]
@@ -1813,14 +1684,15 @@ mod tests {
             shed_queue_depth: Some(2),
             ..PressurePolicy::default()
         });
-        e.submit(vec![1], 2).unwrap();
-        e.submit(vec![2], 2).unwrap();
-        let err = e.submit(vec![3], 2).unwrap_err();
+        e.submit(vec![1], 2, None).unwrap();
+        e.submit(vec![2], 2, None).unwrap();
+        let err = e.submit(vec![3], 2, None).unwrap_err();
         assert!(matches!(err, RejectReason::QueueFull { .. }));
         // Restoring the permissive policy re-opens the queue.
         e.set_policy(PressurePolicy::default());
-        e.submit(vec![4], 2).unwrap();
-        assert_eq!(e.run_to_completion().len(), 3);
+        e.submit(vec![4], 2, None).unwrap();
+        e.run_to_completion();
+        assert_eq!(completed(&e).len(), 3);
     }
 
     fn prefix_engine(max_batch: usize, pool: usize) -> CpuEngine<LlamaModel<DenseLinear>> {
@@ -1901,13 +1773,17 @@ mod tests {
             // The first prompt prefills alone, so every later admission can
             // hit the run it donates while it is still decoding.
             for (i, p) in prompts.iter().enumerate() {
-                e.submit(p.clone(), 5).unwrap();
+                e.submit(p.clone(), 5, None).unwrap();
                 if i == 0 {
                     e.step();
                 }
             }
-            let mut done = e.run_to_completion().to_vec();
-            done.sort_by_key(|c| c.id);
+            let mut done: Vec<(usize, Vec<u16>)> = e
+                .run_to_completion()
+                .iter()
+                .map(|o| (o.id, o.tokens.clone()))
+                .collect();
+            done.sort_unstable();
             let stats = e.prefix_stats().expect("always present");
             let alloc = e.batcher().allocator();
             let peaks = (alloc.peak_logical(), alloc.peak_used());
@@ -1943,7 +1819,7 @@ mod tests {
         let prompts = shared_prompts(3, 32, 40);
         let ids: Vec<usize> = prompts
             .iter()
-            .map(|p| e.submit(p.clone(), 3).unwrap())
+            .map(|p| e.submit(p.clone(), 3, None).unwrap())
             .collect();
         e.run_to_completion();
         let first = e.outcome_of(ids[0]).unwrap().stats;
@@ -1964,7 +1840,7 @@ mod tests {
     fn flush_prefix_cache_returns_pool_to_empty() {
         let mut e = prefix_engine(2, 1024);
         for p in shared_prompts(4, 32, 40) {
-            e.submit(p, 3).unwrap();
+            e.submit(p, 3, None).unwrap();
         }
         e.run_to_completion();
         let alloc_used = e.batcher().allocator().used_blocks();
@@ -1987,7 +1863,7 @@ mod tests {
         let mut e = prefix_engine(1, 96);
         let prompts = shared_prompts(4, 32, 40);
         for p in &prompts {
-            e.submit(p.clone(), 3).unwrap();
+            e.submit(p.clone(), 3, None).unwrap();
         }
         let done = e.run_to_completion().len();
         assert_eq!(done, 4, "pressure evictions keep admissions flowing");
@@ -2002,7 +1878,7 @@ mod tests {
         let run = |threads: usize| {
             let mut e = prefix_engine(3, 1024);
             for p in &prompts {
-                e.submit(p.clone(), 4).unwrap();
+                e.submit(p.clone(), 4, None).unwrap();
             }
             let mut done = Pool::new(threads).install(|| e.run_to_completion().to_vec());
             done.sort_by_key(|c| c.id);
@@ -2021,7 +1897,7 @@ mod tests {
         // Disjoint prompts (within the 96-token vocabulary): each inserts
         // 2 blocks (one full chunk + a forked tail), so the cap must evict.
         for i in 0..4u16 {
-            e.submit((0..20).map(|t| t + i * 24).collect(), 2).unwrap();
+            e.submit((0..20).map(|t| t + i * 24).collect(), 2, None).unwrap();
         }
         e.run_to_completion();
         let stats = e.prefix_stats().expect("cache enabled");
@@ -2038,7 +1914,7 @@ mod tests {
             .with_forward_fault(4, 0);
         let mut e = tiny_engine(2, 1024).with_fault_plan(plan);
         let ids: Vec<usize> = (0..3)
-            .map(|i| e.submit(vec![i as u16 + 1, 7], 6).unwrap())
+            .map(|i| e.submit(vec![i as u16 + 1, 7], 6, None).unwrap())
             .collect();
         e.run_to_completion();
         assert_eq!(e.outcomes().len(), 3, "exactly one terminal per request");

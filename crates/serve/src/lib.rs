@@ -6,7 +6,8 @@
 //! - [`paged`] — a vLLM-style paged KV-cache block allocator with per-
 //!   sequence block tables and byte accounting per quantization scheme.
 //! - [`scheduler`] — Orca-style continuous batching: FCFS admission,
-//!   iteration-level refill when requests finish.
+//!   iteration-level refill when requests finish. Its queue and batch hold
+//!   each live request's one record.
 //! - [`engine`] — the serving loop: a *real* CPU serving engine running the
 //!   trained zoo models with Atom-quantized weights and KV caches end to
 //!   end (scheduling, paging, quantized decode), over any [`BatchModel`].
@@ -41,14 +42,12 @@ pub mod paged;
 pub mod roofline;
 pub mod scheduler;
 
-pub use engine::{
-    BatchModel, Completion, CpuEngine, Outcome, PressurePolicy, RequestStats, SubmitOptions,
-};
+pub use engine::{BatchModel, CpuEngine, Outcome, PressurePolicy, RequestStats};
 pub use error::{RejectReason, ServeError, Terminal};
 pub use fault::FaultPlan;
 pub use paged::{BlockTable, PagedAllocator, SharedPrefix};
 pub use roofline::{RooflineModel, ServingReport};
-pub use scheduler::{AdmitOutcome, BatchEvent, ContinuousBatcher};
+pub use scheduler::ContinuousBatcher;
 
 // The prefix-cache configuration and stats types cross the engine's public
 // API (`CpuEngine::with_prefix_cache` / `prefix_stats`); re-export them so

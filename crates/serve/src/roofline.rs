@@ -142,7 +142,7 @@ impl BatchModel for RooflineModel {
 pub fn serve(engine: &mut CpuEngine<RooflineModel>, trace: &[Request]) -> ServingReport {
     let mut rejected = 0;
     for r in trace {
-        let refused = engine.submit(vec![0; r.prefill_tokens], r.decode_tokens);
+        let refused = engine.submit(vec![0; r.prefill_tokens], r.decode_tokens, None);
         rejected += usize::from(refused.is_err());
     }
     engine.run_to_completion();
@@ -164,7 +164,11 @@ pub fn serve(engine: &mut CpuEngine<RooflineModel>, trace: &[Request]) -> Servin
         },
         avg_decode_latency_s: mean(&decode_s),
         p99_decode_latency_s: p99.copied().unwrap_or(0.0),
-        finished: engine.completions().len(),
+        finished: engine
+            .outcomes()
+            .iter()
+            .filter(|o| o.terminal.is_completed())
+            .count(),
         busy_s,
         peak_kv_blocks: engine.batcher().allocator().peak_used(),
         avg_prefill_latency_s: mean(&prefill_s),

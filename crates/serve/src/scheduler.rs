@@ -4,18 +4,23 @@
 //! KV block pool's capacity; whenever a request finishes decoding, the
 //! on-the-fly batch is refilled from the queue at the *next iteration*
 //! boundary — the continuous batching of §5.3.2.
+//!
+//! The batcher holds every live request's one record, a `Seq`: a waiting
+//! request sits in the FCFS queue, an admitted one in the batch, and which
+//! of the two holds it is its whole scheduling state.
 
+use crate::engine::RequestStats;
 use crate::error::{RejectReason, ServeError};
 use crate::paged::{PagedAllocator, SharedPrefix};
-use atom_data::Request;
-use serde::{Deserialize, Serialize};
+use atom_nn::{KvStore, SeqRows};
+use atom_prefix::{Flavor, FLAVOR_NORMAL};
 use std::collections::VecDeque;
 
 /// Outcome of a single head-of-queue admission attempt.
-#[derive(Debug, Clone, PartialEq)]
-pub enum AdmitOutcome {
-    /// The head request was admitted (its prefill is now pending).
-    Admitted(Request),
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum AdmitOutcome {
+    /// The head request moved to the end of the batch.
+    Admitted,
     /// The head request would fit the batch but the pool is short of
     /// blocks; freeing `short_by` blocks (e.g. by evicting cached prefix
     /// runs) and retrying may succeed this same step.
@@ -28,44 +33,71 @@ pub enum AdmitOutcome {
     Blocked,
 }
 
-/// What happened to a request during one scheduler step.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum BatchEvent {
-    /// Request finished and its memory was released.
-    Finished(Request),
-    /// Request was preempted under memory pressure (vLLM-style recompute
-    /// preemption): its KV blocks were released and it re-entered the head
-    /// of the queue; its prompt must be prefilled again and generation
-    /// restarts.
-    Preempted(Request),
+/// One request from submission to its terminal state.
+#[derive(Debug)]
+pub(crate) struct Seq {
+    /// Request id (submission order).
+    pub(crate) id: usize,
+    /// Kept for the request's whole life: a preempted sequence prefills
+    /// again from it.
+    pub(crate) prompt: Vec<u16>,
+    /// Tokens to generate.
+    pub(crate) max_new: usize,
+    pub(crate) stats: RequestStats,
+    /// KV store from admission until the request ends or is preempted.
+    pub(crate) kv: Option<Box<dyn KvStore>>,
+    /// Tokens generated since the latest admission.
+    pub(crate) generated: Vec<u16>,
+    /// The token the next decode row feeds: the argmax of the latest
+    /// forward's last row.
+    pub(crate) next_input: u16,
+    /// The KV flavor the latest admission chose.
+    pub(crate) flavor: Flavor,
+    /// Prompt tokens the latest admission replayed from a prefix hit; its
+    /// prefill forwards only the rest.
+    pub(crate) skip: usize,
+    /// Whether the latest decode step found no block for its next token.
+    pub(crate) stalled: bool,
 }
 
-/// One active sequence.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ActiveSeq {
-    /// The underlying request.
-    pub request: Request,
-    /// Tokens decoded so far.
-    pub decoded: usize,
-    /// Whether the prompt has been prefilled.
-    pub prefilled: bool,
-}
+impl Seq {
+    /// A queued request with no KV state yet.
+    pub(crate) fn new(id: usize, prompt: Vec<u16>, max_new: usize, stats: RequestStats) -> Self {
+        Seq {
+            id,
+            prompt,
+            max_new,
+            stats,
+            kv: None,
+            generated: Vec::new(),
+            next_input: 0,
+            flavor: FLAVOR_NORMAL,
+            skip: 0,
+            stalled: false,
+        }
+    }
 
-impl ActiveSeq {
-    /// Whether generation is complete.
-    pub fn done(&self) -> bool {
-        self.decoded >= self.request.decode_tokens
+    /// This sequence's part of a forward — the prompt suffix its admission
+    /// left to prefill, or one decode row from `next_input` — or `None`
+    /// while it holds no KV store.
+    pub(crate) fn rows(&mut self, prefill: bool) -> Option<SeqRows<'_>> {
+        let tokens = if prefill {
+            self.prompt.get(self.skip..).unwrap_or(&self.prompt)
+        } else {
+            std::slice::from_ref(&self.next_input)
+        };
+        let kv = self.kv.as_deref_mut()?;
+        Some(SeqRows { tokens, kv })
     }
 }
 
 /// Iteration-level FCFS continuous batcher with paged-KV admission control.
 #[derive(Debug)]
 pub struct ContinuousBatcher {
-    queue: VecDeque<Request>,
-    active: Vec<ActiveSeq>,
+    pub(crate) queue: VecDeque<Seq>,
+    pub(crate) batch: Vec<Seq>,
     max_batch: usize,
-    allocator: PagedAllocator,
-    advanced_ids: Vec<usize>,
+    pub(crate) allocator: PagedAllocator,
     preemptions: usize,
     queue_limit: Option<usize>,
 }
@@ -76,16 +108,15 @@ impl ContinuousBatcher {
     /// # Errors
     ///
     /// Returns [`ServeError::InvalidConfig`] if `max_batch == 0`.
-    pub fn new(max_batch: usize, allocator: PagedAllocator) -> Result<Self, ServeError> {
+    pub(crate) fn new(max_batch: usize, allocator: PagedAllocator) -> Result<Self, ServeError> {
         if max_batch == 0 {
             return Err(ServeError::InvalidConfig("max_batch must be positive"));
         }
         Ok(ContinuousBatcher {
             queue: VecDeque::new(),
-            active: Vec::new(),
+            batch: Vec::new(),
             max_batch,
             allocator,
-            advanced_ids: Vec::new(),
             preemptions: 0,
             queue_limit: None,
         })
@@ -93,13 +124,13 @@ impl ContinuousBatcher {
 
     /// Caps the waiting queue: submissions past `limit` are shed with
     /// [`RejectReason::QueueFull`]. `None` disables shedding.
-    pub fn set_queue_limit(&mut self, limit: Option<usize>) {
+    pub(crate) fn set_queue_limit(&mut self, limit: Option<usize>) {
         self.queue_limit = limit;
     }
 
     /// Whether a request of this shape can be served at all, whatever the
-    /// load: the one copy of the outside-input check, which [`Self::submit`],
-    /// the engine and the gateway's offer path all go through.
+    /// load: the one copy of the outside-input check, which the engine's
+    /// submission and the gateway's offer path both go through.
     ///
     /// # Errors
     ///
@@ -131,8 +162,8 @@ impl ContinuousBatcher {
     ///
     /// Whatever [`Self::validate`] returns, then
     /// [`RejectReason::QueueFull`] when the shed watermark is reached.
-    pub fn submit(&mut self, request: Request) -> Result<(), RejectReason> {
-        self.validate(request.prefill_tokens, request.decode_tokens)?;
+    pub(crate) fn submit(&mut self, seq: Seq) -> Result<(), RejectReason> {
+        self.validate(seq.prompt.len(), seq.max_new)?;
         if let Some(limit) = self.queue_limit {
             if self.queue.len() >= limit {
                 return Err(RejectReason::QueueFull {
@@ -141,35 +172,22 @@ impl ContinuousBatcher {
                 });
             }
         }
-        self.queue.push_back(request);
+        self.queue.push_back(seq);
         Ok(())
     }
 
-    /// Removes a request wherever it lives (queue or active batch),
-    /// releasing any KV blocks it holds. Returns `false` if the id is
-    /// unknown (already finished, never submitted, or previously removed).
-    pub fn cancel(&mut self, id: usize) -> bool {
-        if let Some(pos) = self.queue.iter().position(|r| r.id == id) {
-            self.queue.remove(pos);
-            self.allocator.release(id);
-            return true;
-        }
-        if let Some(pos) = self.active.iter().position(|s| s.request.id == id) {
-            self.active.remove(pos);
-            self.allocator.release(id);
-            return true;
-        }
-        false
-    }
-
-    /// Arms the allocator's injected-fault fuse for the coming step.
-    pub fn arm_alloc_fault(&mut self) {
-        self.allocator.arm_fault();
-    }
-
-    /// Clears the allocator's injected-fault fuse.
-    pub fn disarm_alloc_fault(&mut self) {
-        self.allocator.disarm_fault();
+    /// Takes a request out wherever it lives (queue or batch), releasing
+    /// any KV blocks it holds. `None` if the id is not live.
+    pub(crate) fn remove(&mut self, id: usize) -> Option<Seq> {
+        let seq = match self.queue.iter().position(|s| s.id == id) {
+            Some(pos) => self.queue.remove(pos),
+            None => {
+                let pos = self.batch.iter().position(|s| s.id == id)?;
+                Some(self.batch.remove(pos))
+            }
+        };
+        self.allocator.release(id);
+        seq
     }
 
     /// Number of queued (not yet admitted) requests.
@@ -177,33 +195,19 @@ impl ContinuousBatcher {
         self.queue.len()
     }
 
-    /// The active batch.
-    pub fn active(&self) -> &[ActiveSeq] {
-        &self.active
+    /// Number of admitted requests in the batch.
+    pub fn running(&self) -> usize {
+        self.batch.len()
     }
 
     /// Whether all submitted work is complete.
     pub fn is_idle(&self) -> bool {
-        self.queue.is_empty() && self.active.is_empty()
+        self.queue.is_empty() && self.batch.is_empty()
     }
 
     /// The KV allocator (for memory introspection).
     pub fn allocator(&self) -> &PagedAllocator {
         &self.allocator
-    }
-
-    /// Mutable access to the KV allocator, for prefix-cache maintenance
-    /// (retaining/releasing cached blocks and copy-on-write tail forks).
-    /// Engine-internal use: external callers observe via
-    /// [`Self::allocator`].
-    pub fn allocator_mut(&mut self) -> &mut PagedAllocator {
-        &mut self.allocator
-    }
-
-    /// The request at the head of the FCFS queue (the only admission
-    /// candidate), if any.
-    pub fn queue_head(&self) -> Option<&Request> {
-        self.queue.front()
     }
 
     /// Attempts to admit exactly the head-of-queue request, optionally
@@ -219,11 +223,11 @@ impl ContinuousBatcher {
     ///
     /// On [`AdmitOutcome::NeedBlocks`] nothing was mutated; the caller may
     /// free blocks (evict cached runs) and retry within the same step. The
-    /// caller guarantees `shared.tokens < head.prefill_tokens` and that the
-    /// shared blocks are pinned (refcount ≥ 1) for the duration of the
-    /// call.
-    pub fn try_admit_head(&mut self, shared: &SharedPrefix) -> AdmitOutcome {
-        if self.active.len() >= self.max_batch || self.allocator.fault_armed() {
+    /// caller guarantees `shared.tokens` is below the head's prompt length
+    /// and that the shared blocks are pinned (refcount ≥ 1) for the
+    /// duration of the call.
+    pub(crate) fn try_admit_head(&mut self, shared: &SharedPrefix) -> AdmitOutcome {
+        if self.batch.len() >= self.max_batch || self.allocator.fault_armed() {
             return AdmitOutcome::Blocked;
         }
         let Some(front) = self.queue.front() else {
@@ -231,14 +235,14 @@ impl ContinuousBatcher {
         };
         // Admission reserves the prompt plus one decode block so a newly
         // admitted request can always make progress.
-        let reserve = front.prefill_tokens + 1;
+        let reserve = front.prompt.len() + 1;
         let id = front.id;
         debug_assert!(
-            shared.is_empty() || shared.tokens < front.prefill_tokens,
+            shared.is_empty() || shared.tokens < front.prompt.len(),
             "shared prefix must leave at least one prompt token to prefill"
         );
         let needed = self.allocator.fresh_blocks_for(reserve, shared);
-        let watermark = if self.active.is_empty() {
+        let watermark = if self.batch.is_empty() {
             0 // a lone request may take the whole pool
         } else {
             (self.allocator.total_blocks() / 100).max(1)
@@ -265,123 +269,81 @@ impl ContinuousBatcher {
             self.allocator.release(id);
             return AdmitOutcome::Blocked;
         }
-        let Some(request) = self.queue.pop_front() else {
+        let Some(seq) = self.queue.pop_front() else {
             return AdmitOutcome::Blocked; // unreachable: `front()` was Some above
         };
-        self.active.push(ActiveSeq {
-            request,
-            decoded: 0,
-            prefilled: false,
-        });
-        AdmitOutcome::Admitted(request)
+        self.batch.push(seq);
+        AdmitOutcome::Admitted
     }
 
-    /// Marks the pending prefills as done (called after the engine runs the
-    /// prefill phase) and returns the sequences that were prefilled.
-    pub fn complete_prefill(&mut self) -> Vec<Request> {
-        let mut done = Vec::new();
-        for seq in &mut self.active {
-            if !seq.prefilled {
-                seq.prefilled = true;
-                done.push(seq.request);
-            }
-        }
-        done
-    }
-
-    /// Advances every decoding sequence by one token, retiring finished
-    /// requests and releasing their KV blocks. Returns finish (and
-    /// possibly preemption) events.
+    /// Advances every sequence of the batch by one token: commits its
+    /// `next_input` as output (the first at `step` sets its first-token
+    /// step), retires the sequences that reached `max_new` — releasing their
+    /// KV blocks and returning them, in batch order — and keeps the rest.
     ///
     /// Sequences that cannot obtain a block for their next token stall for
-    /// this iteration. If *nothing* advanced and at least one sequence
-    /// stalled, the youngest stalled sequence is preempted (its blocks are
-    /// released and it re-enters the head of the queue for recompute), so
-    /// the batch can never deadlock on memory — the same policy vLLM uses.
+    /// this iteration (their `stalled` flag is set). If *nothing* advanced,
+    /// the youngest stalled sequence is preempted: its blocks are released,
+    /// its KV state dropped, its `stats.preemptions` counted, and it
+    /// re-enters the head of the queue to prefill again, so the batch can
+    /// never deadlock on memory — the same policy vLLM uses.
     ///
     /// Preemption is skipped while an injected allocation fault is armed
     /// (the stall is transient and eviction would only burn recompute) and
     /// when the stalled sequence is alone with an empty queue — a state
-    /// [`Self::submit`]'s footprint validation makes unreachable, since a
-    /// lone admitted request always fits the pool.
-    pub fn step_decode(&mut self) -> Vec<BatchEvent> {
-        let mut events = Vec::new();
-        let mut kept = Vec::with_capacity(self.active.len());
-        let mut stalled_ids = Vec::new();
-        self.advanced_ids.clear();
-        for mut seq in std::mem::take(&mut self.active) {
-            if !seq.prefilled {
+    /// [`Self::validate`] makes unreachable, since a lone admitted request
+    /// always fits the pool.
+    pub(crate) fn step_decode(&mut self, step: usize) -> Vec<Seq> {
+        let mut finished = Vec::new();
+        let mut kept = Vec::with_capacity(self.batch.len());
+        for mut seq in std::mem::take(&mut self.batch) {
+            // The admission reserve covers the first decode token; later
+            // tokens grow the table one at a time.
+            seq.stalled = !seq.generated.is_empty() && self.allocator.grow(seq.id, 1).is_err();
+            if seq.stalled {
                 kept.push(seq);
                 continue;
             }
-            // The admission reserve covers the first decode token; later
-            // tokens grow the table one at a time.
-            if seq.decoded > 0
-                && self.allocator.grow(seq.request.id, 1).is_err() {
-                    stalled_ids.push(seq.request.id);
-                    kept.push(seq); // stalled: no block available
-                    continue;
-                }
-            seq.decoded += 1;
-            self.advanced_ids.push(seq.request.id);
-            if seq.done() {
-                self.allocator.release(seq.request.id);
-                events.push(BatchEvent::Finished(seq.request));
+            seq.generated.push(seq.next_input);
+            seq.stats.first_token_step.get_or_insert(step);
+            if seq.generated.len() >= seq.max_new {
+                self.allocator.release(seq.id);
+                finished.push(seq);
             } else {
                 kept.push(seq);
             }
         }
-        self.active = kept;
-        if self.advanced_ids.is_empty() && !stalled_ids.is_empty() && !self.allocator.fault_armed() {
-            // Evicting only helps if someone else can use the freed blocks.
-            if self.active.len() > 1 || !self.queue.is_empty() {
-                // Preempt the youngest stalled sequence. Every stalled id
-                // came from `self.active` this step, so the lookup is total;
-                // a miss would be an invariant breach we absorb by skipping
-                // the preemption rather than killing the batch.
-                let victim_pos = stalled_ids
-                    .last()
-                    .and_then(|id| self.active.iter().rposition(|s| s.request.id == *id));
-                if let Some(pos) = victim_pos {
-                    let victim = self.active.remove(pos);
-                    self.allocator.release(victim.request.id);
-                    self.queue.push_front(victim.request);
-                    self.preemptions += 1;
-                    events.push(BatchEvent::Preempted(victim.request));
-                } else {
-                    debug_assert!(false, "stalled id not found in the active set");
-                }
-            } else {
-                // A lone stalled sequence with an empty queue would mean a
-                // request larger than the pool slipped past submission
-                // validation.
-                debug_assert!(
-                    false,
-                    "request {:?} stalled alone with an empty queue",
-                    stalled_ids.first()
-                );
-            }
+        self.batch = kept;
+        let advanced = !finished.is_empty() || self.batch.iter().any(|s| !s.stalled);
+        if advanced || self.allocator.fault_armed() {
+            return finished;
         }
-        events
-    }
-
-    /// The sequences that actually grew by one token in the last
-    /// [`Self::step_decode`], in batch order. A sequence can advance even if
-    /// the pool looked full beforehand (another sequence finishing earlier
-    /// in the same step frees its blocks), so compute that mirrors the
-    /// scheduler must consume this list rather than predict it.
-    pub fn last_advanced_ids(&self) -> &[usize] {
-        &self.advanced_ids
+        // Nothing advanced, so every member stalled: the youngest is last.
+        // Evicting it only helps if someone else can use the freed blocks.
+        if self.batch.len() > 1 || !self.queue.is_empty() {
+            if let Some(mut victim) = self.batch.pop() {
+                self.allocator.release(victim.id);
+                victim.kv = None;
+                victim.generated.clear();
+                victim.stats.preemptions += 1;
+                self.queue.push_front(victim);
+                self.preemptions += 1;
+            }
+        } else {
+            // A lone stalled sequence with an empty queue would mean a
+            // request larger than the pool slipped past validation.
+            debug_assert!(
+                self.batch.is_empty(),
+                "request {:?} stalled alone with an empty queue",
+                self.batch.first().map(|s| s.id)
+            );
+        }
+        finished
     }
 
     /// Total recompute preemptions so far.
     pub fn preemptions(&self) -> usize {
         self.preemptions
-    }
-
-    /// Number of active sequences currently decoding (prefilled).
-    pub fn decoding(&self) -> usize {
-        self.active.iter().filter(|s| s.prefilled).count()
     }
 }
 
@@ -389,44 +351,39 @@ impl ContinuousBatcher {
 mod tests {
     use super::*;
 
-    fn req(id: usize, prefill: usize, decode: usize) -> Request {
-        Request {
-            id,
-            arrival_s: 0.0,
-            prefill_tokens: prefill,
-            decode_tokens: decode,
-        }
+    fn seq(id: usize, prefill: usize, decode: usize) -> Seq {
+        Seq::new(id, vec![0; prefill], decode, RequestStats::default())
     }
 
     fn batcher(max_batch: usize, blocks: usize) -> ContinuousBatcher {
         ContinuousBatcher::new(max_batch, PagedAllocator::new(blocks, 16)).expect("valid config")
     }
 
-    /// Admits heads of the queue, no prefix attached, until one does not fit.
-    fn admit_heads(b: &mut ContinuousBatcher) -> Vec<Request> {
-        let mut admitted = Vec::new();
-        while let AdmitOutcome::Admitted(r) = b.try_admit_head(&SharedPrefix::default()) {
-            admitted.push(r);
+    /// Admits heads of the queue, no prefix attached, until one does not
+    /// fit; returns how many were admitted.
+    fn admit_heads(b: &mut ContinuousBatcher) -> usize {
+        let mut admitted = 0;
+        while b.try_admit_head(&SharedPrefix::default()) == AdmitOutcome::Admitted {
+            admitted += 1;
         }
         admitted
     }
 
-    /// Runs `steps` decode steps (admitting and prefilling in between when
-    /// `refill`), stopping early at idle; returns the requests finished.
+    fn ids(seqs: &[Seq]) -> Vec<usize> {
+        seqs.iter().map(|s| s.id).collect()
+    }
+
+    /// Runs `steps` decode steps (admitting in between when `refill`),
+    /// stopping early at idle; returns the requests finished.
     fn drain(b: &mut ContinuousBatcher, steps: usize, refill: bool) -> usize {
         let mut finished = 0;
-        for _ in 0..steps {
+        for step in 0..steps {
             if b.is_idle() {
                 break;
             }
-            let events = b.step_decode();
-            finished += events
-                .iter()
-                .filter(|e| matches!(e, BatchEvent::Finished(_)))
-                .count();
+            finished += b.step_decode(step).len();
             if refill {
                 admit_heads(b);
-                b.complete_prefill();
             }
         }
         finished
@@ -441,11 +398,11 @@ mod tests {
     #[test]
     fn degenerate_requests_rejected_at_submit() {
         let mut b = batcher(2, 4);
-        assert_eq!(b.submit(req(0, 0, 4)), Err(RejectReason::EmptyPrompt));
-        assert_eq!(b.submit(req(1, 4, 0)), Err(RejectReason::ZeroDecodeTokens));
+        assert_eq!(b.submit(seq(0, 0, 4)), Err(RejectReason::EmptyPrompt));
+        assert_eq!(b.submit(seq(1, 4, 0)), Err(RejectReason::ZeroDecodeTokens));
         // 4 blocks of 16 = 64 slots; 60 + 10 = 70 tokens can never fit.
         assert_eq!(
-            b.submit(req(2, 60, 10)),
+            b.submit(seq(2, 60, 10)),
             Err(RejectReason::ExceedsKvPool {
                 needed_blocks: 5,
                 total_blocks: 4
@@ -458,9 +415,9 @@ mod tests {
     fn queue_limit_sheds_newest() {
         let mut b = batcher(1, 100);
         b.set_queue_limit(Some(2));
-        b.submit(req(0, 8, 1)).unwrap();
-        b.submit(req(1, 8, 1)).unwrap();
-        let err = b.submit(req(2, 8, 1)).unwrap_err();
+        b.submit(seq(0, 8, 1)).unwrap();
+        b.submit(seq(1, 8, 1)).unwrap();
+        let err = b.submit(seq(2, 8, 1)).unwrap_err();
         assert_eq!(err, RejectReason::QueueFull { depth: 2, limit: 2 });
         assert_eq!(b.queued(), 2);
     }
@@ -468,15 +425,14 @@ mod tests {
     #[test]
     fn cancel_releases_queue_and_active() {
         let mut b = batcher(2, 100);
-        b.submit(req(0, 16, 4)).unwrap();
-        b.submit(req(1, 16, 4)).unwrap();
+        b.submit(seq(0, 16, 4)).unwrap();
+        b.submit(seq(1, 16, 4)).unwrap();
         admit_heads(&mut b);
-        b.complete_prefill();
-        b.submit(req(2, 16, 4)).unwrap();
-        assert!(b.cancel(0), "active request cancels");
-        assert!(b.cancel(2), "queued request cancels");
-        assert!(!b.cancel(0), "double cancel reports unknown");
-        assert!(!b.cancel(99), "never-submitted id reports unknown");
+        b.submit(seq(2, 16, 4)).unwrap();
+        assert!(b.remove(0).is_some(), "active request cancels");
+        assert!(b.remove(2).is_some(), "queued request cancels");
+        assert!(b.remove(0).is_none(), "double cancel reports unknown");
+        assert!(b.remove(99).is_none(), "never-submitted id reports unknown");
         // Only request 1 remains; drain it.
         assert_eq!(drain(&mut b, 50, false), 1);
         assert_eq!(b.allocator().used_blocks(), 0);
@@ -485,20 +441,19 @@ mod tests {
     #[test]
     fn armed_fault_pauses_without_preempting() {
         let mut b = batcher(2, 4);
-        b.submit(req(0, 30, 30)).unwrap(); // final context 60 -> 4 blocks
+        b.submit(seq(0, 30, 30)).unwrap(); // final context 60 -> 4 blocks
         admit_heads(&mut b);
-        b.complete_prefill();
         // Decode past the reserve so further tokens need real growth.
-        for _ in 0..2 {
-            b.step_decode();
+        for step in 0..2 {
+            b.step_decode(step);
         }
-        b.arm_alloc_fault();
-        let before = b.active()[0].decoded;
-        let events = b.step_decode();
-        assert!(events.is_empty(), "no preemption under injected fault");
-        assert_eq!(b.active()[0].decoded, before, "sequence stalled in place");
-        assert!(b.last_advanced_ids().is_empty());
-        b.disarm_alloc_fault();
+        b.allocator.arm_fault();
+        let before = b.batch[0].generated.len();
+        assert!(b.step_decode(2).is_empty());
+        assert_eq!(b.preemptions(), 0, "no preemption under injected fault");
+        assert_eq!(b.batch[0].generated.len(), before, "sequence stalled in place");
+        assert!(b.batch[0].stalled);
+        b.allocator.disarm_fault();
         assert_eq!(drain(&mut b, 200, false), 1);
         assert!(b.is_idle(), "recovers after the fault clears");
     }
@@ -507,60 +462,59 @@ mod tests {
     fn fcfs_admission_and_refill() {
         let mut b = batcher(2, 100);
         for i in 0..4 {
-            b.submit(req(i, 16, 2)).unwrap();
+            b.submit(seq(i, 16, 2)).unwrap();
         }
-        let admitted = admit_heads(&mut b);
-        assert_eq!(admitted.len(), 2);
-        assert_eq!(b.active().len(), 2);
+        assert_eq!(admit_heads(&mut b), 2);
+        assert_eq!(b.running(), 2);
         assert_eq!(b.queued(), 2);
 
-        b.complete_prefill();
-        b.step_decode(); // decoded 1/2
-        let finished = b.step_decode(); // decoded 2/2 -> both finish
-        use BatchEvent::Finished;
-        assert!(matches!(finished[..], [Finished(_), Finished(_)]));
+        assert!(b.step_decode(1).is_empty()); // decoded 1/2
+        let finished = b.step_decode(2); // decoded 2/2 -> both finish
+        assert_eq!(ids(&finished), [0, 1]);
 
         // Refill admits the next two in order.
-        let refill: Vec<usize> = admit_heads(&mut b).iter().map(|r| r.id).collect();
-        assert_eq!(refill, [2, 3]);
-        assert_eq!(b.active().len(), 2);
+        assert_eq!(admit_heads(&mut b), 2);
+        assert_eq!(ids(&b.batch), [2, 3]);
     }
 
     #[test]
     fn memory_limits_admission() {
         // 4 blocks of 16 = 64 token slots; each request needs 33 -> 3 blocks.
         let mut b = batcher(8, 4);
-        b.submit(req(0, 32, 4)).unwrap();
-        b.submit(req(1, 32, 4)).unwrap();
-        assert_eq!(admit_heads(&mut b).len(), 1, "only one request fits");
+        b.submit(seq(0, 32, 4)).unwrap();
+        b.submit(seq(1, 32, 4)).unwrap();
+        assert_eq!(admit_heads(&mut b), 1, "only one request fits");
         assert_eq!(b.queued(), 1);
         // Finishing the first frees room for the second.
-        b.complete_prefill();
         assert_eq!(drain(&mut b, 4, false), 1);
-        assert_eq!(admit_heads(&mut b).len(), 1);
+        assert_eq!(admit_heads(&mut b), 1);
     }
 
     #[test]
-    fn prefill_required_before_decode() {
-        let mut b = batcher(1, 10);
-        b.submit(req(0, 8, 1)).unwrap();
+    fn step_decode_advances_every_member_once() {
+        // Every batch member was prefilled in its admission step, so one
+        // decode step commits one token of each and stamps its first token.
+        let mut b = batcher(2, 100);
+        b.submit(seq(0, 8, 3)).unwrap();
+        b.submit(seq(1, 8, 3)).unwrap();
         admit_heads(&mut b);
-        // Without prefill, decode makes no progress.
-        assert!(b.step_decode().is_empty());
-        assert_eq!(b.decoding(), 0);
-        b.complete_prefill();
-        assert_eq!(b.decoding(), 1);
-        assert_eq!(b.step_decode().len(), 1);
+        b.step_decode(7);
+        for s in &b.batch {
+            assert_eq!((s.generated.len(), s.stalled), (1, false), "request {}", s.id);
+            assert_eq!(s.stats.first_token_step, Some(7));
+        }
+        b.step_decode(8);
+        assert!(b.batch.iter().all(|s| s.generated.len() == 2));
+        assert!(b.batch.iter().all(|s| s.stats.first_token_step == Some(7)));
     }
 
     #[test]
     fn kv_blocks_released_on_finish() {
         let mut b = batcher(1, 10);
-        b.submit(req(0, 16, 1)).unwrap();
+        b.submit(seq(0, 16, 1)).unwrap();
         admit_heads(&mut b);
-        b.complete_prefill();
         assert!(b.allocator().used_blocks() > 0);
-        b.step_decode();
+        b.step_decode(1);
         assert_eq!(b.allocator().used_blocks(), 0);
         assert!(b.is_idle());
     }
@@ -571,10 +525,9 @@ mod tests {
         // 16 + 20 = 36 -> 3 blocks, so it can only finish after the short
         // one releases its block: it must stall and then recover.
         let mut b = batcher(2, 3);
-        b.submit(req(0, 16, 20)).unwrap(); // grows over time
-        b.submit(req(1, 14, 2)).unwrap(); // short
+        b.submit(seq(0, 16, 20)).unwrap(); // grows over time
+        b.submit(seq(1, 14, 2)).unwrap(); // short
         admit_heads(&mut b);
-        b.complete_prefill();
         // Step until the short one finishes; the long one may stall but
         // must finish eventually.
         assert_eq!(drain(&mut b, 200, true), 2);
@@ -588,45 +541,43 @@ mod tests {
         // end): the scheduler must preempt one (recompute) instead of
         // deadlocking, and both must eventually finish.
         let mut b = batcher(2, 6); // 96 slots
-        b.submit(req(0, 16, 40)).unwrap(); // ends at context 56 -> 4 blocks
-        b.submit(req(1, 16, 40)).unwrap(); // same; together they need 8 blocks
+        b.submit(seq(0, 16, 40)).unwrap(); // ends at context 56 -> 4 blocks
+        b.submit(seq(1, 16, 40)).unwrap(); // same; together they need 8 blocks
         admit_heads(&mut b);
-        b.complete_prefill();
-        assert_eq!(drain(&mut b, 500, true), 2);
+        let mut finished = Vec::new();
+        for step in 0..500 {
+            if b.is_idle() {
+                break;
+            }
+            finished.extend(b.step_decode(step));
+            admit_heads(&mut b);
+        }
         assert!(b.is_idle(), "deadlocked");
+        assert_eq!(finished.len(), 2);
         assert!(b.preemptions() >= 1, "expected at least one preemption");
-    }
-
-    #[test]
-    fn last_advanced_counts_progress() {
-        let mut b = batcher(2, 100);
-        b.submit(req(0, 8, 3)).unwrap();
-        b.submit(req(1, 8, 3)).unwrap();
-        admit_heads(&mut b);
-        b.complete_prefill();
-        b.step_decode();
-        assert_eq!(b.last_advanced_ids(), [0, 1]);
+        // The record itself counts its preemptions and keeps the tokens of
+        // its last admission only.
+        let counted: usize = finished.iter().map(|s| s.stats.preemptions).sum();
+        assert_eq!(counted, b.preemptions());
+        assert!(finished.iter().all(|s| s.generated.len() == 40));
     }
 
     #[test]
     fn try_admit_head_attaches_shared_prefix() {
         let mut b = batcher(2, 8); // 8 blocks of 16
         // Donor: 40-token prompt -> reserve 41 -> 3 blocks.
-        b.submit(req(0, 40, 2)).unwrap();
-        assert!(matches!(
-            b.try_admit_head(&SharedPrefix::default()),
-            AdmitOutcome::Admitted(_)
-        ));
+        b.submit(seq(0, 40, 2)).unwrap();
+        assert_eq!(b.try_admit_head(&SharedPrefix::default()), AdmitOutcome::Admitted);
         let donor_blocks: Vec<usize> = b.allocator().table(0).unwrap().blocks()[..2].to_vec();
         // Pretend a prefix cache holds the donor's first 2 full blocks.
         for &blk in &donor_blocks {
-            assert!(b.allocator_mut().retain_block(blk));
+            assert!(b.allocator.retain_block(blk));
         }
         // Consumer shares 32 of its 40 prompt tokens.
-        b.submit(req(1, 40, 2)).unwrap();
+        b.submit(seq(1, 40, 2)).unwrap();
         let plan = SharedPrefix { blocks: donor_blocks.clone(), tokens: 32 };
         let used_before = b.allocator().used_blocks();
-        assert!(matches!(b.try_admit_head(&plan), AdmitOutcome::Admitted(_)));
+        assert_eq!(b.try_admit_head(&plan), AdmitOutcome::Admitted);
         // Reserve 41 = 3 blocks; 2 came shared, 1 fresh (no fork: the
         // shared run is block-aligned).
         assert_eq!(b.allocator().used_blocks(), used_before + 1);
@@ -639,13 +590,10 @@ mod tests {
     #[test]
     fn try_admit_head_reports_shortfall_without_mutating() {
         let mut b = batcher(4, 3);
-        b.submit(req(0, 16, 2)).unwrap();
-        assert!(matches!(
-            b.try_admit_head(&SharedPrefix::default()),
-            AdmitOutcome::Admitted(_)
-        ));
+        b.submit(seq(0, 16, 2)).unwrap();
+        assert_eq!(b.try_admit_head(&SharedPrefix::default()), AdmitOutcome::Admitted);
         // Head needs 3 blocks (33 tokens) + watermark 1, only 1 free.
-        b.submit(req(1, 32, 2)).unwrap();
+        b.submit(seq(1, 32, 2)).unwrap();
         let used = b.allocator().used_blocks();
         match b.try_admit_head(&SharedPrefix::default()) {
             AdmitOutcome::NeedBlocks { short_by } => assert_eq!(short_by, 3),
@@ -658,7 +606,7 @@ mod tests {
             AdmitOutcome::NeedBlocks { .. }
         ));
         // Empty queue or armed fault block outright.
-        b.arm_alloc_fault();
+        b.allocator.arm_fault();
         assert_eq!(b.try_admit_head(&SharedPrefix::default()), AdmitOutcome::Blocked);
     }
 }

@@ -13,16 +13,13 @@
 //!   own references are the only ones left at idle.
 
 use atom::QuantizedKvCache;
-use atom_data::Request;
+use atom_gpu_sim::{HardwareProfile, LlamaGpuConfig, SimScheme};
 use atom_nn::kv::Fp32KvCache;
 use atom_nn::{DenseLinear, LlamaModel, ModelConfig};
 use atom_parallel::Pool;
 use atom_serve::engine::CpuEngine;
 use atom_serve::fault::FaultRates;
-use atom_serve::{
-    AdmitOutcome, BatchEvent, ContinuousBatcher, FaultPlan, PagedAllocator, PrefixConfig,
-    PressurePolicy, SharedPrefix, SubmitOptions, Terminal,
-};
+use atom_serve::{FaultPlan, PrefixConfig, PressurePolicy, RooflineModel, Terminal};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -36,32 +33,29 @@ fn alloc_forward_plan(seed: u64, horizon: usize, alloc: f64, forward: f64) -> Fa
     FaultPlan::seeded_chaos(seed, horizon, rates)
 }
 
-/// Drives a bare batcher to idle under a fault plan, asserting block
-/// conservation every step. Returns the number of steps taken and of
-/// requests finished.
-fn drain_batcher_under_faults(
-    batcher: &mut ContinuousBatcher,
-    plan: &FaultPlan,
-    max_steps: usize,
-) -> (usize, usize) {
-    let (mut step, mut finished) = (0usize, 0usize);
-    while !batcher.is_idle() && step < max_steps {
-        step += 1;
-        if plan.alloc_fault(step) {
-            batcher.arm_alloc_fault();
-        }
-        while let AdmitOutcome::Admitted(_) = batcher.try_admit_head(&SharedPrefix::default()) {}
-        batcher.complete_prefill();
-        let events = batcher.step_decode();
-        finished += events
-            .iter()
-            .filter(|e| matches!(e, BatchEvent::Finished(_)))
-            .count();
-        batcher.disarm_alloc_fault();
-        let a = batcher.allocator();
+/// An engine over Fig. 10's roofline model: its KV rows have zero width
+/// and its forwards are a cost formula, so the engine's admission, stall
+/// and preemption path runs at almost no cost.
+fn roofline_engine(max_batch: usize, pool_tokens: usize) -> CpuEngine<RooflineModel> {
+    let (config, hw) = (LlamaGpuConfig::llama7b(), HardwareProfile::rtx4090());
+    let model = RooflineModel::new(config, hw, SimScheme::AtomW4A4);
+    let stores = Box::new(|| Box::new(Fp32KvCache::new(1, 0)) as Box<dyn atom_nn::KvStore>);
+    CpuEngine::new(model, stores, max_batch, pool_tokens).expect("valid config")
+}
+
+/// Steps `e` to idle under its fault plan, asserting block conservation
+/// every step. Returns the number of steps taken and of requests completed.
+fn drain_under_faults(e: &mut CpuEngine<RooflineModel>, max_steps: usize) -> (usize, usize) {
+    let mut steps = 0usize;
+    while !e.batcher().is_idle() && steps < max_steps {
+        e.step();
+        steps += 1;
+        let a = e.batcher().allocator();
         assert_eq!(a.used_blocks() + a.free_blocks(), a.total_blocks());
     }
-    (step, finished)
+    let outcomes = e.outcomes().iter();
+    let completed = outcomes.filter(|o| o.terminal.is_completed()).count();
+    (steps, completed)
 }
 
 fn tiny_config() -> ModelConfig {
@@ -87,33 +81,30 @@ fn tiny_engine(max_batch: usize, pool_tokens: usize) -> CpuEngine<LlamaModel<Den
     .expect("valid config")
 }
 
-/// 160 seeded fault schedules against a bare batcher on a tight pool:
-/// always drains, never leaks a block (the ≥100-schedule acceptance gate).
+/// 160 seeded allocator-fault schedules against the batcher on a tight
+/// pool, driven by the engine over the roofline model: always drains, never
+/// leaks a block (the ≥100-schedule acceptance gate).
 #[test]
 fn batcher_survives_160_seeded_fault_schedules() {
     for seed in 0..160u64 {
         let plan = alloc_forward_plan(seed, 400, 0.25, 0.0);
-        let mut b = ContinuousBatcher::new(3, PagedAllocator::new(8, 16)).expect("config");
         // 128-slot pool; footprints capped at 1 + 3*30 + 20 = 111 slots.
+        let mut e = roofline_engine(3, 128).with_fault_plan(plan);
         let mut submitted = 0usize;
         for i in 0..6usize {
             let prefill = 1 + (seed as usize + i * 37) % 91;
             let decode = 1 + (i * 13 + seed as usize / 3) % 20;
-            if b.submit(Request {
-                id: i,
-                arrival_s: 0.0,
-                prefill_tokens: prefill,
-                decode_tokens: decode,
-            })
-            .is_ok()
-            {
+            if e.submit(vec![0; prefill], decode, None).is_ok() {
                 submitted += 1;
             }
         }
-        let (steps, finished) = drain_batcher_under_faults(&mut b, &plan, 5_000);
-        assert!(b.is_idle(), "seed {seed}: not drained after {steps} steps");
+        let (steps, finished) = drain_under_faults(&mut e, 5_000);
+        assert!(
+            e.batcher().is_idle(),
+            "seed {seed}: not drained after {steps} steps"
+        );
         assert_eq!(finished, submitted, "seed {seed}");
-        assert_eq!(b.allocator().used_blocks(), 0, "seed {seed}");
+        assert_eq!(e.batcher().allocator().used_blocks(), 0, "seed {seed}");
     }
 }
 
@@ -160,11 +151,7 @@ fn engine_survives_120_seeded_fault_schedules() {
             let len = 1 + (seed as usize + i * 7) % 6;
             let max_new = 1 + (i + seed as usize) % 5;
             let deadline = if i % 2 == 0 { None } else { Some(40 + i) };
-            let opts = SubmitOptions {
-                max_new,
-                deadline_steps: deadline,
-            };
-            match e.submit_with(vec![(i as u16 + 1) % 96; len], opts) {
+            match e.submit(vec![(i as u16 + 1) % 96; len], max_new, deadline) {
                 Ok(id) => accepted.push(id),
                 Err(_) => rejected += 1,
             }
@@ -238,12 +225,12 @@ fn kv_pressure_degrades_admissions_to_quantized_cache() {
     // First wave: two requests admitted into an empty pool (4 of 8 blocks,
     // no queue) — below both watermarks, so they stay full precision.
     let mut ids: Vec<usize> = (0..2)
-        .map(|i| e.submit(vec![(10 + i) as u16; 30], 8).unwrap())
+        .map(|i| e.submit(vec![(10 + i) as u16; 30], 8, None).unwrap())
         .collect();
     e.step();
     // Second wave: four more stack the queue past the depth-2 watermark, so
     // the next admissions land in the quantized cache.
-    ids.extend((2..6).map(|i| e.submit(vec![(10 + i) as u16; 30], 8).unwrap()));
+    ids.extend((2..6).map(|i| e.submit(vec![(10 + i) as u16; 30], 8, None).unwrap()));
     e.run_to_completion();
 
     assert!(
@@ -306,13 +293,9 @@ fn prefix_cache_conserves_blocks_under_32_fault_schedules() {
                     let n = wave * 4 + i;
                     let mut prompt = prefixes[n % 2].clone();
                     prompt.extend((0..4 + n % 5).map(|t| ((n * 13 + t * 3) % 96) as u16));
-                    let opts = SubmitOptions::new(4 + n % 6);
-                    let opts = if n % 3 == 0 {
-                        opts.with_deadline(20 + n)
-                    } else {
-                        opts
-                    };
-                    let _ = e.submit_with(prompt, opts);
+                    // Submitted at step `wave`, with `20 + n` steps to run.
+                    let deadline = (n % 3 == 0).then_some(wave + 20 + n);
+                    let _ = e.submit(prompt, 4 + n % 6, deadline);
                     submitted += 1;
                 }
                 e.step();
@@ -358,8 +341,9 @@ fn prefix_cache_conserves_blocks_under_32_fault_schedules() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Random workloads × random fault plans on the bare batcher: always
-    /// terminate, conserve blocks, finish every accepted request.
+    /// Random workloads × random allocator-fault plans through the batcher
+    /// (the engine over the roofline model): always terminate, conserve
+    /// blocks, finish every accepted request.
     #[test]
     fn random_workloads_with_random_faults_drain(
         lens in proptest::collection::vec((1usize..100, 1usize..40), 1..16),
@@ -368,21 +352,19 @@ proptest! {
         max_batch in 1usize..5,
     ) {
         let plan = alloc_forward_plan(seed, 600, alloc_rate, 0.0);
-        let mut b = ContinuousBatcher::new(max_batch, PagedAllocator::new(10, 16))
-            .expect("config");
+        let mut e = roofline_engine(max_batch, 160).with_fault_plan(plan);
         let mut accepted = 0usize;
         let mut rejected = 0usize;
-        for (i, &(prefill, decode)) in lens.iter().enumerate() {
+        for &(prefill, decode) in &lens {
             // Deliberately unvalidated lengths: some requests exceed the
             // 160-slot pool and must be rejected, not deadlock the batch.
-            let r = Request { id: i, arrival_s: 0.0, prefill_tokens: prefill, decode_tokens: decode };
-            if b.submit(r).is_ok() { accepted += 1; } else { rejected += 1; }
+            if e.submit(vec![0; prefill], decode, None).is_ok() { accepted += 1; } else { rejected += 1; }
         }
         prop_assert_eq!(accepted + rejected, lens.len());
-        let (steps, finished) = drain_batcher_under_faults(&mut b, &plan, 30_000);
-        prop_assert!(b.is_idle(), "not drained after {} steps", steps);
+        let (steps, finished) = drain_under_faults(&mut e, 30_000);
+        prop_assert!(e.batcher().is_idle(), "not drained after {} steps", steps);
         prop_assert_eq!(finished, accepted);
-        prop_assert_eq!(b.allocator().used_blocks(), 0);
+        prop_assert_eq!(e.batcher().allocator().used_blocks(), 0);
     }
 
     /// Random workloads × random fault plans through the real engine:
@@ -398,7 +380,7 @@ proptest! {
         let mut e = tiny_engine(2, 256).with_fault_plan(plan);
         let mut submissions = 0usize;
         for (i, &(len, max_new)) in reqs.iter().enumerate() {
-            let _ = e.submit(vec![(i as u16) % 96 + 1; len], max_new);
+            let _ = e.submit(vec![(i as u16) % 96 + 1; len], max_new, None);
             submissions += 1;
         }
         e.run_to_completion();

@@ -2,10 +2,10 @@
 //! invariants, scheduler liveness, and prefix-cache/copy-on-write block
 //! sharing under randomized workloads.
 
-use atom_data::Request;
+use atom_gpu_sim::{HardwareProfile, LlamaGpuConfig, SimScheme};
 use atom_nn::kv::Fp32KvCache;
 use atom_prefix::{RadixIndex, Snapshot, FLAVOR_NORMAL};
-use atom_serve::{AdmitOutcome, BatchEvent, ContinuousBatcher, PagedAllocator, SharedPrefix};
+use atom_serve::{CpuEngine, PagedAllocator, RooflineModel, SharedPrefix};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -65,39 +65,34 @@ proptest! {
         lens in proptest::collection::vec((1usize..60, 1usize..30), 1..20),
         max_batch in 1usize..6,
     ) {
-        // Any workload whose largest request fits the pool must drain.
-        let pool_blocks = 16usize; // 256 slots
-        let block = 16usize;
-        let mut b = ContinuousBatcher::new(max_batch, PagedAllocator::new(pool_blocks, block))
-            .expect("positive max_batch");
+        // Any workload whose largest request fits the pool must drain. The
+        // engine over the roofline model drives the scheduler: its KV rows
+        // have zero width, so only admission, stalls and preemption cost.
+        let model = RooflineModel::new(
+            LlamaGpuConfig::llama7b(),
+            HardwareProfile::rtx4090(),
+            SimScheme::AtomW4A4,
+        );
+        let stores = Box::new(|| Box::new(Fp32KvCache::new(1, 0)) as Box<dyn atom_nn::KvStore>);
+        // 16 blocks of 16: 256 slots.
+        let mut e = CpuEngine::new(model, stores, max_batch, 256).expect("positive max_batch");
         let mut total = 0usize;
-        for (i, &(prefill, decode)) in lens.iter().enumerate() {
+        for &(prefill, decode) in &lens {
             // Cap each request under the pool size.
             let prefill = prefill.min(120);
             let decode = decode.min(100);
-            b.submit(Request {
-                id: i,
-                arrival_s: 0.0,
-                prefill_tokens: prefill,
-                decode_tokens: decode,
-            })
-            .expect("capped under the pool size");
+            e.submit(vec![0; prefill], decode, None).expect("capped under the pool size");
             total += 1;
         }
-        let (mut steps, mut finished) = (0usize, 0usize);
-        while !b.is_idle() && steps < 20_000 {
-            while let AdmitOutcome::Admitted(_) = b.try_admit_head(&SharedPrefix::default()) {}
-            b.complete_prefill();
-            let events = b.step_decode();
-            finished += events
-                .iter()
-                .filter(|e| matches!(e, BatchEvent::Finished(_)))
-                .count();
+        let mut steps = 0usize;
+        while !e.batcher().is_idle() && steps < 20_000 {
+            e.step();
             steps += 1;
         }
-        prop_assert!(b.is_idle(), "scheduler failed to drain after {steps} steps");
+        let finished = e.outcomes().iter().filter(|o| o.terminal.is_completed()).count();
+        prop_assert!(e.batcher().is_idle(), "scheduler failed to drain after {steps} steps");
         prop_assert_eq!(finished, total);
-        prop_assert_eq!(b.allocator().used_blocks(), 0);
+        prop_assert_eq!(e.batcher().allocator().used_blocks(), 0);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use atom_nn::kv::Fp32KvCache;
 use atom_nn::{DenseLinear, LlamaModel, ModelConfig};
 use atom_serve::engine::CpuEngine;
-use atom_serve::{SubmitOptions, Terminal};
+use atom_serve::Terminal;
 use atom_telemetry::{names, Telemetry};
 use std::sync::Arc;
 
@@ -43,7 +43,7 @@ fn ttft_and_tpot_histograms_match_request_stats() {
     for i in 0..8 {
         let prompt: Vec<u16> = (0..4 + i * 3).map(|t| (t % 96) as u16).collect();
         engine
-            .submit_with(prompt, SubmitOptions::new(3 + i % 5))
+            .submit(prompt, 3 + i % 5, None)
             .expect("roomy pool admits everything");
     }
     engine.run_to_completion();
@@ -104,7 +104,7 @@ fn default_engine_uses_disabled_global_and_records_nothing_new() {
         512,
     )
     .expect("valid config");
-    engine.submit((0..6).collect(), 4).expect("admitted");
+    engine.submit((0..6).collect(), 4, None).expect("admitted");
     engine.run_to_completion();
     assert!(matches!(engine.outcomes()[0].terminal, Terminal::Completed));
     let after = Telemetry::global()

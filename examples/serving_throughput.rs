@@ -69,18 +69,18 @@ fn main() {
         "one wolf howls while two wolf",
     ];
     for p in prompts {
-        engine.submit(tok.encode(p), 20).expect("prompt fits the pool");
+        engine.submit(tok.encode(p), 20, None).expect("prompt fits the pool");
     }
     let start = std::time::Instant::now();
-    let completions = engine.run_to_completion().to_vec();
+    let outcomes = engine.run_to_completion().to_vec();
     let elapsed = start.elapsed().as_secs_f64();
-    let total_tokens: usize = completions.iter().map(|c| c.tokens.len()).sum();
-    for c in &completions {
-        println!("  [{}] {:?} -> {:?}", c.id, prompts[c.id], tok.decode(&c.tokens));
+    let total_tokens: usize = outcomes.iter().map(|o| o.tokens.len()).sum();
+    for o in &outcomes {
+        println!("  [{}] {:?} -> {:?}", o.id, prompts[o.id], tok.decode(&o.tokens));
     }
     println!(
         "\nserved {} requests / {} tokens in {:.2}s ({:.1} tok/s on one CPU core)",
-        completions.len(),
+        outcomes.len(),
         total_tokens,
         elapsed,
         total_tokens as f64 / elapsed

@@ -141,17 +141,20 @@ fn quantized_model_serves_real_requests() {
             engine = engine.with_prefix_cache(PrefixConfig::default());
         }
         for p in &prompts {
-            engine.submit(p.clone(), 8).unwrap();
+            engine.submit(p.clone(), 8, None).unwrap();
         }
-        let mut done = Pool::new(threads).install(|| engine.run_to_completion().to_vec());
-        done.sort_by_key(|c| c.id);
+        let mut done: Vec<(usize, Vec<u16>)> = Pool::new(threads).install(|| {
+            let outcomes = engine.run_to_completion().iter();
+            outcomes.map(|o| (o.id, o.tokens.clone())).collect()
+        });
+        done.sort_unstable();
         (done, engine.prefix_stats().expect("always present").hits)
     };
     let (base, _) = run(false, 1);
     assert_eq!(base.len(), prompts.len());
-    for c in &base {
-        assert_eq!(c.tokens.len(), 8);
-        assert!(c.tokens.iter().all(|&t| (t as usize) < 96));
+    for (_, tokens) in &base {
+        assert_eq!(tokens.len(), 8);
+        assert!(tokens.iter().all(|&t| (t as usize) < 96));
     }
     for (cached, threads) in [(false, 2), (false, 8), (true, 1), (true, 2), (true, 8)] {
         let (done, hits) = run(cached, threads);
