@@ -378,7 +378,7 @@ impl<L: LinearLayer> Gateway<L> {
             ids.retain(|&x| x != id);
         }
         self.parked.retain(|_, v| !v.is_empty());
-        self.finish(id, GatewayTerminal::Cancelled, Vec::new());
+        self.finish(id, GatewayTerminal::Cancelled, Vec::new(), self.now());
         Ok(())
     }
 
@@ -602,7 +602,7 @@ impl<L: LinearLayer> Gateway<L> {
             return true;
         };
         if req.deadline_tick.is_some_and(|d| tick > d) {
-            self.finish(id, GatewayTerminal::DeadlineExceeded, Vec::new());
+            self.finish(id, GatewayTerminal::DeadlineExceeded, Vec::new(), tick);
             return true;
         }
         // The engine steps on the gateway's clock, so the deadline tick is
@@ -626,7 +626,7 @@ impl<L: LinearLayer> Gateway<L> {
                 // Unreachable while offer-time validation mirrors the
                 // engine's checks; terminalize rather than wedge.
                 let reason = format!("engine rejected a validated request: {other}");
-                self.finish(id, GatewayTerminal::Failed { reason }, Vec::new());
+                self.finish(id, GatewayTerminal::Failed { reason }, Vec::new(), tick);
                 true
             }
         }
@@ -642,6 +642,7 @@ impl<L: LinearLayer> Gateway<L> {
             .map(<[Outcome]>::to_vec)
             .unwrap_or_default();
         self.engine_cursor += fresh.len();
+        let now = self.now();
         for o in fresh {
             // Engine ids not in the in-flight map are the engine's own
             // synchronous rejects (e.g. queue-full probes) — not gateway
@@ -655,15 +656,15 @@ impl<L: LinearLayer> Gateway<L> {
             req.last_stats = o.stats;
             let deadline = req.deadline_tick;
             match o.terminal {
-                Terminal::Completed => self.finish(gid, GatewayTerminal::Completed, o.tokens),
+                Terminal::Completed => self.finish(gid, GatewayTerminal::Completed, o.tokens, now),
                 Terminal::Failed { reason } => {
                     self.failures_this_tick += 1;
                     self.maybe_retry(gid, reason);
                 }
                 Terminal::DeadlineExceeded => {
-                    let real_expiry = deadline.is_some_and(|d| self.now() > d);
+                    let real_expiry = deadline.is_some_and(|d| now > d);
                     if real_expiry || !self.cfg.retry.retry_timeouts {
-                        self.finish(gid, GatewayTerminal::DeadlineExceeded, o.tokens);
+                        self.finish(gid, GatewayTerminal::DeadlineExceeded, o.tokens, now);
                     } else {
                         // The engine expired it but the end-to-end budget
                         // has not elapsed: an injected timeout fault.
@@ -677,12 +678,12 @@ impl<L: LinearLayer> Gateway<L> {
                 Terminal::Cancelled if self.drain_forced => {
                     self.tel(|t| t.counter_add(names::GATEWAY_DRAIN_FORCED, 1));
                     let reason = "drained before completion".to_string();
-                    self.finish(gid, GatewayTerminal::Failed { reason }, o.tokens);
+                    self.finish(gid, GatewayTerminal::Failed { reason }, o.tokens, now);
                 }
-                Terminal::Cancelled => self.finish(gid, GatewayTerminal::Cancelled, o.tokens),
+                Terminal::Cancelled => self.finish(gid, GatewayTerminal::Cancelled, o.tokens, now),
                 Terminal::Rejected(reason) => {
                     let reason = format!("unexpected engine reject in flight: {reason}");
-                    self.finish(gid, GatewayTerminal::Failed { reason }, Vec::new());
+                    self.finish(gid, GatewayTerminal::Failed { reason }, Vec::new(), now);
                 }
             }
         }
@@ -700,7 +701,7 @@ impl<L: LinearLayer> Gateway<L> {
         };
         if attempts >= self.cfg.retry.max_attempts {
             let reason = format!("retry budget exhausted after {attempts} attempts: {reason}");
-            self.finish(gid, GatewayTerminal::Failed { reason }, Vec::new());
+            self.finish(gid, GatewayTerminal::Failed { reason }, Vec::new(), self.now());
             return;
         }
         let delay = self.backoff_delay(gid, attempts).max(1);
@@ -755,6 +756,7 @@ impl<L: LinearLayer> Gateway<L> {
     /// drain-failures next tick.
     fn force_drain(&mut self) {
         self.drain_forced = true;
+        let now = self.now();
         let queued: Vec<usize> = self
             .queues
             .iter_mut()
@@ -767,7 +769,7 @@ impl<L: LinearLayer> Gateway<L> {
         for id in queued.into_iter().chain(parked) {
             self.tel(|t| t.counter_add(names::GATEWAY_DRAIN_FORCED, 1));
             let reason = "drained before completion".to_string();
-            self.finish(id, GatewayTerminal::Failed { reason }, Vec::new());
+            self.finish(id, GatewayTerminal::Failed { reason }, Vec::new(), now);
         }
         for &engine_id in self.inflight.keys() {
             // Already-terminal engine ids are fine to skip.
@@ -775,16 +777,17 @@ impl<L: LinearLayer> Gateway<L> {
         }
     }
 
-    /// Records the exactly-once gateway terminal for `gid`, timed by its
-    /// latest attempt's engine accounting.
-    fn finish(&mut self, gid: usize, terminal: GatewayTerminal, tokens: Vec<u16>) {
+    /// Records the exactly-once gateway terminal for `gid`, finished in
+    /// tick `now` — the dispatch phase runs before the tick's engine step,
+    /// so it passes the tick rather than the engine clock. The first-token
+    /// tick is the latest attempt's, like the rest of its accounting.
+    fn finish(&mut self, gid: usize, terminal: GatewayTerminal, tokens: Vec<u16>, now: u64) {
         let Some(req) = self.requests.remove(&gid) else {
             debug_assert!(false, "finish on unknown gateway request {gid}");
             return;
         };
         let stats = req.last_stats;
         let first_token_tick = stats.first_token_step.map(|s| s as u64);
-        let now = self.now();
         if let Some(n) = self.live.get_mut(req.tenant) {
             *n = n.saturating_sub(1);
         }
@@ -1138,6 +1141,79 @@ mod tests {
         assert!(g.run_until_idle(100));
         let o = g.outcome_of(id).expect("terminal");
         assert_eq!((&o.terminal, o.attempts), (&GatewayTerminal::Cancelled, 2));
+    }
+
+    #[test]
+    fn parked_retry_expires_on_the_first_tick_past_its_deadline() {
+        // Deadline tick 5; a forward fault at step 2 parks the request, and
+        // the long backoff is clipped to release it at tick 6, where the
+        // dispatcher finds it expired before the tick's engine step.
+        let engine = tiny_engine(2, 1024).with_fault_plan(FaultPlan::none().with_forward_fault(2, 0));
+        let mut cfg = GatewayConfig::single_tenant();
+        cfg.retry = RetryPolicy {
+            max_attempts: 3,
+            backoff_base_ticks: 8,
+            backoff_max_ticks: 16,
+            retry_timeouts: true,
+        };
+        let mut g = Gateway::new(engine, cfg).expect("valid");
+        let id = g.offer(0, vec![1, 2, 3], 30, Some(5)).expect("accepted");
+        assert!(g.run_until_idle(50));
+        let o = g.outcome_of(id).expect("terminal");
+        assert_eq!((&o.terminal, o.attempts), (&GatewayTerminal::DeadlineExceeded, 1));
+        assert_eq!(o.finished_tick, 5 + 1);
+    }
+
+    #[test]
+    fn queued_request_expires_in_the_tick_that_dispatches_it() {
+        // One batch slot and a one-deep engine queue: the filler holds the
+        // engine queue while the long request runs, so the last request
+        // waits in the gateway queue well past its deadline tick 3 and
+        // expires in the tick whose dispatch reaches it.
+        let mut cfg = GatewayConfig::single_tenant();
+        cfg.dispatch_queue_target = 1;
+        let mut g = Gateway::new(tiny_engine(1, 1024), cfg).expect("valid");
+        g.offer(0, vec![1, 2, 3], 6, None).expect("accepted");
+        g.offer(0, vec![4, 5], 2, None).expect("accepted");
+        let late = g.offer(0, vec![6, 7], 2, Some(3)).expect("accepted");
+        while g.outcome_of(late).is_none() {
+            assert!(g.now() < 50, "never expired");
+            g.tick();
+        }
+        let o = g.outcome_of(late).expect("terminal");
+        assert_eq!((&o.terminal, o.attempts), (&GatewayTerminal::DeadlineExceeded, 0));
+        assert!(o.finished_tick > 3 + 1, "held past the deadline");
+        assert_eq!(o.finished_tick, g.now(), "finished in the tick that dispatched it");
+    }
+
+    #[test]
+    fn first_token_tick_is_the_final_attempts() {
+        // Attempt 1 decodes its first token at tick 1 and dies at step 2;
+        // attempt 2 is dispatched at tick 3 and dies at step 3 before its
+        // first decode. Cancelled while parked, the request reports the
+        // final attempt's first token — none — as its engine stats do.
+        let plan = FaultPlan::none()
+            .with_forward_fault(2, 0)
+            .with_forward_fault(3, 0);
+        let mut cfg = GatewayConfig::single_tenant();
+        cfg.retry = RetryPolicy {
+            max_attempts: 3,
+            backoff_base_ticks: 1,
+            backoff_max_ticks: 8,
+            retry_timeouts: true,
+        };
+        let mut g = Gateway::new(tiny_engine(2, 1024).with_fault_plan(plan), cfg).expect("valid");
+        let id = g.offer(0, vec![1, 2, 3], 30, None).expect("accepted");
+        for _ in 0..3 {
+            g.tick();
+        }
+        assert_eq!(g.retries(), 2, "both attempts failed and parked");
+        g.cancel(id).expect("parked request cancels");
+        let o = g.outcome_of(id).expect("terminal");
+        assert_eq!((&o.terminal, o.attempts), (&GatewayTerminal::Cancelled, 2));
+        assert_eq!(o.engine_stats.first_token_step, None);
+        assert_eq!(o.first_token_tick, None);
+        assert_eq!(o.finished_tick, 3);
     }
 
     #[test]

@@ -29,7 +29,8 @@
 //!   to [`CpuEngine::submit`](atom_serve::CpuEngine::submit) as its
 //!   deadline step, and engine-side expiry lands exactly on the first
 //!   expired gateway tick; queued requests are checked at dispatch and
-//!   parked retries are released no later than `deadline + 1`.
+//!   parked retries are released no later than `deadline + 1`. Either way
+//!   the outcome's `finished_tick` is the tick that found the expiry.
 //! - **Retry with backoff.** Faulted attempts
 //!   ([`Terminal::Failed`](atom_serve::Terminal::Failed), or a spurious
 //!   timeout whose gateway deadline has not actually elapsed) are re-queued

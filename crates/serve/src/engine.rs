@@ -36,10 +36,13 @@
 //! [`ContinuousBatcher`]: its prompt, its [`RequestStats`], its KV store and
 //! generated tokens once admitted, and what its latest admission decided.
 //! The batcher's FCFS queue holds the waiting records and its batch the
-//! admitted ones, so where a record sits is its state; the forwards borrow
-//! straight from it, and preemption drops its KV where it sits. It leaves
-//! the batcher exactly once, into the one terminalization function, which
-//! keeps its partial tokens and records its [`Outcome`]: every submission —
+//! admitted ones, so where a record sits is its state. Only the batcher
+//! knows that layout: the engine asks it for the queue's head, the members
+//! admitted this step, a fault's victim or the live ids in id order. The
+//! forwards borrow straight from the record, and preemption drops its KV
+//! where it sits. It leaves the batcher exactly once, into the one
+//! terminalization function, which keeps its partial tokens and records
+//! its [`Outcome`]: every submission —
 //! accepted or not — ends in precisely one [`Terminal`] state, and the
 //! engine never panics on traffic.
 //!
@@ -581,29 +584,23 @@ impl<M: BatchModel> CpuEngine<M> {
         // before it can consume another iteration, and same-step expiries
         // terminalize in id order.
         let clock = self.clock;
-        let mut expired: Vec<usize> = self
+        let expired = self
             .batcher
-            .queue
-            .iter()
-            .chain(&self.batcher.batch)
-            .filter(|s| s.stats.deadline_step.is_some_and(|d| clock > d))
-            .map(|s| s.id)
-            .collect();
-        expired.sort_unstable();
+            .ids_where(|s| s.stats.deadline_step.is_some_and(|d| clock > d));
         for id in expired {
             self.end(id, Terminal::DeadlineExceeded);
         }
 
         // Injected allocator fault: poison block growth for this step.
         if self.fault.alloc_fault(clock) {
-            self.batcher.allocator.arm_fault();
+            self.batcher.allocator_mut().arm_fault();
             tel.counter_add(names::ENGINE_FAULTS, 1);
         }
 
         let admitted = self.admit_from_queue();
 
-        let used = self.batcher.allocator.used_blocks();
-        let total = self.batcher.allocator.total_blocks();
+        let used = self.batcher.allocator().used_blocks();
+        let total = self.batcher.allocator().total_blocks();
         let util = used as f64 / total.max(1) as f64;
         tel.record(names::ENGINE_QUEUE_DEPTH, self.batcher.queued() as u64);
         tel.gauge_set(names::ENGINE_KV_USED_BLOCKS, used as i64);
@@ -613,18 +610,17 @@ impl<M: BatchModel> CpuEngine<M> {
             (util * 1000.0).round() as u64,
         );
 
-        // Prefill phase for the sequences admitted this step — the batch's
-        // last `admitted` members. A forward that panicked fails only its
-        // own request; the rest, still the batch's tail, donate their
+        // Prefill phase for the sequences admitted this step. A forward
+        // that panicked fails only its own request; the rest donate their
         // prompt to the prefix index.
-        let fresh = self.batcher.batch.len() - admitted;
-        let prefills = self.batcher.batch.iter_mut().skip(fresh).collect();
-        for (id, reason) in run_forwards(&self.model, prefills, true) {
+        let prefills = self.batcher.admitted_tail_mut(admitted);
+        let fresh: Vec<usize> = prefills.iter().map(|s| s.id).collect();
+        for (id, reason) in run_forwards(&self.model, prefills.iter_mut().collect(), true) {
             let reason = format!("prefill forward panic: {reason}");
             self.end(id, Terminal::Failed { reason });
         }
-        for pos in fresh..self.batcher.batch.len() {
-            self.cache_completed_prefill(pos);
+        for id in fresh {
+            self.cache_completed_prefill(id);
         }
 
         // Injected faults, one in-flight victim each, in this order: a
@@ -643,9 +639,7 @@ impl<M: BatchModel> CpuEngine<M> {
             (self.fault.cancel_fault(clock), Terminal::Cancelled),
         ];
         for (slot, terminal) in injected {
-            let batch = &self.batcher.batch;
-            let victim = slot.and_then(|s| batch.get(s % batch.len().max(1)));
-            if let Some(id) = victim.map(|s| s.id) {
+            if let Some(id) = slot.and_then(|s| self.batcher.victim(s)) {
                 tel.counter_add(names::ENGINE_FAULTS, 1);
                 self.end(id, terminal);
             }
@@ -654,7 +648,7 @@ impl<M: BatchModel> CpuEngine<M> {
         // Guarantee decode headroom before the scheduler commits this step.
         // Every sequence may need one fresh block, and blocks held only by
         // the cache must yield rather than stall (or preempt) live work.
-        while self.batcher.allocator.free_blocks() < self.batcher.batch.len() {
+        while self.batcher.allocator().free_blocks() < self.batcher.running() {
             if self.evict_one_cached().is_none() {
                 break;
             }
@@ -672,13 +666,7 @@ impl<M: BatchModel> CpuEngine<M> {
         if self.batcher.preemptions() > preemptions {
             tel.counter_add(names::ENGINE_PREEMPTIONS, 1);
         }
-        let decodes: Vec<&mut Seq> = self
-            .batcher
-            .batch
-            .iter_mut()
-            .filter(|s| !s.stalled)
-            .chain(&mut finished)
-            .collect();
+        let decodes: Vec<&mut Seq> = self.batcher.advanced_mut().chain(&mut finished).collect();
         if !decodes.is_empty() {
             self.decode_steps += 1;
         }
@@ -700,12 +688,12 @@ impl<M: BatchModel> CpuEngine<M> {
         self.enforce_cache_cap();
 
         // The allocator owns the copy-on-write fork total; report its delta.
-        let alloc = &self.batcher.allocator;
+        let alloc = self.batcher.allocator();
         let cow_forks = alloc.cow_forks() as u64;
         tel.counter_add(names::PREFIX_COW_FORKS, cow_forks - self.cow_forks_reported);
         self.cow_forks_reported = cow_forks;
         tel.gauge_set(names::PREFIX_SHARED_BLOCKS, alloc.shared_blocks() as i64);
-        self.batcher.allocator.disarm_fault();
+        self.batcher.allocator_mut().disarm_fault();
         true
     }
 
@@ -717,8 +705,8 @@ impl<M: BatchModel> CpuEngine<M> {
     /// head-of-line). Returns how many were admitted: the batch's tail.
     fn admit_from_queue(&mut self) -> usize {
         let mut admitted = 0;
-        while let Some(head) = self.batcher.queue.front() {
-            if self.batcher.allocator.fault_armed() {
+        while let Some(head) = self.batcher.head() {
+            if self.batcher.allocator().fault_armed() {
                 break;
             }
             let degraded = self.predict_degraded(head.prompt.len());
@@ -736,7 +724,7 @@ impl<M: BatchModel> CpuEngine<M> {
                 tokens: outcome.tokens,
             };
             for &block in &shared.blocks {
-                self.batcher.allocator.retain_block(block);
+                self.batcher.allocator_mut().retain_block(block);
             }
             let fits = loop {
                 match self.batcher.try_admit_head(&shared) {
@@ -750,12 +738,12 @@ impl<M: BatchModel> CpuEngine<M> {
                 }
             };
             for &block in &shared.blocks {
-                self.batcher.allocator.release_block(block);
+                self.batcher.allocator_mut().release_block(block);
             }
             if !fits {
                 break;
             }
-            let Some(seq) = self.batcher.batch.last_mut() else {
+            let Some(seq) = self.batcher.admitted_tail_mut(1).last_mut() else {
                 break; // unreachable: the admission just pushed it
             };
             let tel = self.telemetry.get();
@@ -792,24 +780,23 @@ impl<M: BatchModel> CpuEngine<M> {
         admitted
     }
 
-    /// Indexes the just-completed prefill of the batch member at `pos`
-    /// into the prefix cache: freezes its KV state as a snapshot, shares
+    /// Indexes the just-completed prefill of batch member `id` into the
+    /// prefix cache: freezes its KV state as a snapshot, shares
     /// its full prompt blocks with the radix index, and copy-forks the
     /// partial tail so the sequence's own tail stays writable, then
     /// enforces the capacity. A capacity-0 cache indexes nothing, so it
     /// never clones a KV store.
-    fn cache_completed_prefill(&mut self, pos: usize) {
+    fn cache_completed_prefill(&mut self, id: usize) {
         if self.max_cached_blocks == 0 {
             return;
         }
-        let Some(seq) = self.batcher.batch.get(pos) else {
+        let Some((seq, alloc)) = self.batcher.member_and_allocator(id) else {
             return;
         };
         let Some(kv) = seq.kv.as_ref() else {
             return;
         };
         let snapshot = Arc::new(Snapshot::new(kv.clone_box(), seq.prompt.len()));
-        let alloc = &mut self.batcher.allocator;
         let prompt_blocks = alloc.blocks_for(seq.prompt.len());
         let Some(blocks) = alloc
             .table(seq.id)
@@ -851,7 +838,7 @@ impl<M: BatchModel> CpuEngine<M> {
     /// 1: no live sequence maps it) and frees it, returning the block id.
     /// `None` when the cache holds nothing evictable.
     fn evict_one_cached(&mut self) -> Option<usize> {
-        let alloc = &mut self.batcher.allocator;
+        let alloc = self.batcher.allocator_mut();
         let block = self.index.evict_lru(&|b| alloc.refcount(b) == 1)?;
         alloc.release_block(block);
         self.prefix_events.evictions += 1;
@@ -898,15 +885,7 @@ impl<M: BatchModel> CpuEngine<M> {
             if self.progress_mark() == before {
                 quiet += 1;
                 if quiet > Self::STALL_LIMIT {
-                    let batcher = &self.batcher;
-                    let mut stuck: Vec<usize> = batcher
-                        .queue
-                        .iter()
-                        .chain(&batcher.batch)
-                        .map(|s| s.id)
-                        .collect();
-                    stuck.sort_unstable();
-                    for id in stuck {
+                    for id in self.batcher.ids_where(|_| true) {
                         let reason = "livelock circuit breaker".to_string();
                         self.end(id, Terminal::Failed { reason });
                     }
@@ -931,6 +910,12 @@ impl<M: BatchModel> CpuEngine<M> {
     /// The terminal record of `id`, if it has reached one.
     pub fn outcome_of(&self, id: usize) -> Option<&Outcome> {
         self.outcomes.iter().find(|o| o.id == id)
+    }
+
+    /// Requests that completed so far.
+    pub fn completed_count(&self) -> usize {
+        let outcomes = self.outcomes.iter();
+        outcomes.filter(|o| o.terminal.is_completed()).count()
     }
 
     /// Decode iterations executed.
@@ -977,7 +962,7 @@ impl<M: BatchModel> CpuEngine<M> {
     pub fn flush_prefix_cache(&mut self) -> usize {
         let blocks = self.index.clear();
         for &block in &blocks {
-            self.batcher.allocator.release_block(block);
+            self.batcher.allocator_mut().release_block(block);
         }
         self.prefix_events.evictions += blocks.len() as u64;
         let tel = self.telemetry.get();
@@ -1046,7 +1031,7 @@ mod tests {
         assert_eq!(by_id(c).tokens.len(), 2);
         // Every submission has exactly one terminal record, all Completed.
         assert_eq!(e.outcomes().len(), 3);
-        assert!(e.outcomes().iter().all(|o| o.terminal.is_completed()));
+        assert_eq!(e.completed_count(), 3);
     }
 
     #[test]
@@ -1529,12 +1514,7 @@ mod tests {
             .filter(|o| o.terminal == Terminal::DeadlineExceeded)
             .count();
         assert_eq!(timed_out, 1, "exactly one spurious timeout");
-        let completed = e
-            .outcomes()
-            .iter()
-            .filter(|o| o.terminal.is_completed())
-            .count();
-        assert_eq!(completed, 1, "the survivor completes normally");
+        assert_eq!(e.completed_count(), 1, "the survivor completes normally");
         for id in [a, b] {
             let stats = e.outcome_of(id).unwrap().stats;
             assert!(stats.finished_step.is_some(), "terminal sets finished_step");

@@ -164,11 +164,7 @@ pub fn serve(engine: &mut CpuEngine<RooflineModel>, trace: &[Request]) -> Servin
         },
         avg_decode_latency_s: mean(&decode_s),
         p99_decode_latency_s: p99.copied().unwrap_or(0.0),
-        finished: engine
-            .outcomes()
-            .iter()
-            .filter(|o| o.terminal.is_completed())
-            .count(),
+        finished: engine.completed_count(),
         busy_s,
         peak_kv_blocks: engine.batcher().allocator().peak_used(),
         avg_prefill_latency_s: mean(&prefill_s),

@@ -94,10 +94,10 @@ impl Seq {
 /// Iteration-level FCFS continuous batcher with paged-KV admission control.
 #[derive(Debug)]
 pub struct ContinuousBatcher {
-    pub(crate) queue: VecDeque<Seq>,
-    pub(crate) batch: Vec<Seq>,
+    queue: VecDeque<Seq>,
+    batch: Vec<Seq>,
     max_batch: usize,
-    pub(crate) allocator: PagedAllocator,
+    allocator: PagedAllocator,
     preemptions: usize,
     queue_limit: Option<usize>,
 }
@@ -208,6 +208,51 @@ impl ContinuousBatcher {
     /// The KV allocator (for memory introspection).
     pub fn allocator(&self) -> &PagedAllocator {
         &self.allocator
+    }
+
+    /// The KV allocator, for the engine's prefix cache and fault injection.
+    pub(crate) fn allocator_mut(&mut self) -> &mut PagedAllocator {
+        &mut self.allocator
+    }
+
+    /// The head of the FCFS queue: the next request admission considers.
+    pub(crate) fn head(&self) -> Option<&Seq> {
+        self.queue.front()
+    }
+
+    /// The ids of the live requests, queued or admitted, that satisfy
+    /// `keep`, in id order.
+    pub(crate) fn ids_where(&self, keep: impl Fn(&Seq) -> bool) -> Vec<usize> {
+        let live = self.queue.iter().chain(&self.batch);
+        let mut ids: Vec<usize> = live.filter(|s| keep(s)).map(|s| s.id).collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    /// The batch's last `n` members: admission appends to the batch, so
+    /// after a step admits `n` requests these are exactly those.
+    pub(crate) fn admitted_tail_mut(&mut self, n: usize) -> &mut [Seq] {
+        let start = self.batch.len().saturating_sub(n);
+        self.batch.get_mut(start..).unwrap_or_default()
+    }
+
+    /// An admitted request by id, beside the allocator that holds its
+    /// blocks. `None` if the id is not in the batch.
+    pub(crate) fn member_and_allocator(&mut self, id: usize) -> Option<(&Seq, &mut PagedAllocator)> {
+        let seq = self.batch.iter().find(|s| s.id == id)?;
+        Some((seq, &mut self.allocator))
+    }
+
+    /// The id of the batch member an injected fault aimed at `slot` hits
+    /// (slots wrap around the batch); `None` while the batch is empty.
+    pub(crate) fn victim(&self, slot: usize) -> Option<usize> {
+        self.batch.get(slot % self.batch.len().max(1)).map(|s| s.id)
+    }
+
+    /// The batch members the latest [`Self::step_decode`] advanced: those
+    /// it kept that did not stall.
+    pub(crate) fn advanced_mut(&mut self) -> impl Iterator<Item = &mut Seq> {
+        self.batch.iter_mut().filter(|s| !s.stalled)
     }
 
     /// Attempts to admit exactly the head-of-queue request, optionally

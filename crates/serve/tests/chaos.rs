@@ -53,9 +53,7 @@ fn drain_under_faults(e: &mut CpuEngine<RooflineModel>, max_steps: usize) -> (us
         let a = e.batcher().allocator();
         assert_eq!(a.used_blocks() + a.free_blocks(), a.total_blocks());
     }
-    let outcomes = e.outcomes().iter();
-    let completed = outcomes.filter(|o| o.terminal.is_completed()).count();
-    (steps, completed)
+    (steps, e.completed_count())
 }
 
 fn tiny_config() -> ModelConfig {
@@ -186,11 +184,7 @@ fn engine_survives_120_seeded_fault_schedules() {
         );
         assert!(e.batcher().is_idle(), "seed {seed}");
         if pressure {
-            completed += e
-                .outcomes()
-                .iter()
-                .filter(|o| o.terminal.is_completed())
-                .count();
+            completed += e.completed_count();
             degraded += e.degraded_admissions();
         }
     }

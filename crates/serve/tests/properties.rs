@@ -89,9 +89,8 @@ proptest! {
             e.step();
             steps += 1;
         }
-        let finished = e.outcomes().iter().filter(|o| o.terminal.is_completed()).count();
         prop_assert!(e.batcher().is_idle(), "scheduler failed to drain after {steps} steps");
-        prop_assert_eq!(finished, total);
+        prop_assert_eq!(e.completed_count(), total);
         prop_assert_eq!(e.batcher().allocator().used_blocks(), 0);
     }
 
