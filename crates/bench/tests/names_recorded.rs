@@ -11,7 +11,6 @@
 use atom::{AtomScheme, QuantizedKvCache, QuantizedLinear, ReorderPlan};
 use atom_gateway::{Gateway, GatewayConfig, TenantSpec};
 use atom_gpu_sim::{HardwareProfile, LlamaGpuConfig, Phase, SimScheme};
-use atom_kernels::{attention_quant_kv, QuantizedKvHead};
 use atom_nn::kv::Fp32KvCache;
 use atom_nn::{DenseLinear, LinearLayer, LlamaModel, ModelConfig};
 use atom_parallel::Pool;
@@ -19,7 +18,7 @@ use atom_serve::engine::CpuEngine;
 use atom_serve::fault::FaultRates;
 use atom_serve::{FaultPlan, PrefixConfig, PressurePolicy};
 use atom_telemetry::{names, Telemetry};
-use atom_tensor::{Matrix, SeededRng};
+use atom_tensor::SeededRng;
 use std::collections::BTreeSet;
 
 fn config() -> ModelConfig {
@@ -57,6 +56,8 @@ fn prompt(i: usize) -> Vec<u16> {
 /// A gateway over an engine with a prefix cache, a degraded INT4 cache and
 /// a seeded fault plan: an unknown tenant, a rate limit, a full queue,
 /// retries, a brownout, a cancel, a deadline, a drain and a forced drain.
+/// The model records `op.attention.*` over every cache; the degraded INT4
+/// caches attend through the fused kernel, which records its span.
 fn serve_through_a_gateway() {
     // A wall of forward faults early on trips the breaker for certain, and a
     // timeout fault expires a request inside the engine.
@@ -149,10 +150,6 @@ fn every_declared_name_is_recorded() {
     let plan = ReorderPlan::from_outlier_set(64, &[5, 40]);
     QuantizedLinear::quantize(&dense, plan, None, &scheme)
         .forward(&rng.normal_matrix(2, 64, 0.0, 1.0));
-
-    let mut kv = QuantizedKvHead::new(8, 4);
-    kv.append(&Matrix::full(3, 8, 0.5), &Matrix::full(3, 8, 1.5));
-    attention_quant_kv(&Matrix::full(1, 8, 1.0), &kv, 0.35);
 
     let (llama, hw) = (LlamaGpuConfig::llama7b(), HardwareProfile::rtx4090());
     let global = Telemetry::global();

@@ -1,10 +1,13 @@
 //! Quantized KV-cache (paper §4.4).
 //!
 //! Keys and values are quantized *asymmetrically* at attention-head
-//! granularity as they are appended, and dequantized on load. Plugging this
-//! [`atom_nn::KvStore`] implementation into the unchanged model forward
-//! reproduces the paper's KV-quantization accuracy ablation (Table 3's
-//! final row), and its byte accounting feeds the serving-memory model.
+//! granularity as they are appended, and attended where they lie: each
+//! (sequence, KV head) cell of the model's attention decodes its head's
+//! rows once inside the fused kernel ([`QuantizedKvHead::attend`], §4.5),
+//! and no layer is materialised. Plugging this [`atom_nn::KvStore`]
+//! implementation into the unchanged model forward reproduces the paper's
+//! KV-quantization accuracy ablation (Table 3's final row), and its byte
+//! accounting feeds the serving-memory model.
 
 use atom_kernels::attention::QuantizedKvHead;
 use atom_kernels::AsymQuantized;
@@ -54,8 +57,8 @@ impl QuantizedKvCache {
             .sum()
     }
 
-    /// Direct access to one head block (used by the quantized attention
-    /// kernel benches).
+    /// Direct access to one head block: the one [`KvStore::attend`] runs
+    /// the fused kernel over.
     pub fn head(&self, layer: usize, head: usize) -> &QuantizedKvHead {
         &self.layers[layer][head]
     }
@@ -64,12 +67,13 @@ impl QuantizedKvCache {
         let heads = &self.layers[layer];
         let len = heads[0].len();
         let hd = self.head_dim;
-        // Dequantize-on-load writes every (token, head) row straight into
-        // its `head_dim`-wide column block of the output — no per-head
-        // intermediate, no stitch copy. It parallelizes over blocks of
-        // token rows: each block is an exclusive span of the output decoded
-        // by the same per-row code, so the result is bit-identical at any
-        // pool width. One code scratch buffer serves a whole block.
+        // `keys` / `values` (trait API: the forward attends without them)
+        // write every (token, head) row straight into its `head_dim`-wide
+        // column block of the output — no per-head intermediate, no stitch
+        // copy. It parallelizes over blocks of token rows: each block is an
+        // exclusive span of the output decoded by the same per-row code, so
+        // the result is bit-identical at any pool width. One code scratch
+        // buffer serves a whole block.
         let decode_rows = |first: usize, rows: &mut [f32]| {
             let mut scratch = Vec::new();
             for (i, row) in rows.chunks_exact_mut(self.kv_dim).enumerate() {
@@ -117,6 +121,26 @@ impl KvStore for QuantizedKvCache {
 
     fn values(&self, layer: usize) -> Matrix {
         self.materialize(layer, false)
+    }
+
+    /// The fused kernel over the head's packed rows: [`attention_quant_kv`]
+    /// for any number of query heads sharing `kv_head`.
+    ///
+    /// [`attention_quant_kv`]: atom_kernels::attention_quant_kv
+    fn attend(
+        &self,
+        layer: usize,
+        kv_head: usize,
+        q: &Matrix,
+        new_rows: usize,
+        scale: f32,
+    ) -> Matrix {
+        self.head(layer, kv_head).attend(q, new_rows, scale)
+    }
+
+    fn layer_bytes(&self, layer: usize) -> Option<usize> {
+        let heads = self.layers[layer].iter();
+        Some(heads.map(QuantizedKvHead::packed_bytes).sum())
     }
 
     fn len(&self, layer: usize) -> usize {

@@ -7,8 +7,10 @@ use atom::{AnyLinear, AtomScheme, QuantizedKvCache, QuantizedLinear};
 use atom_kernels::QuantSpec;
 use atom_nn::{Fp32KvCache, KvStore, LinearLayer, LlamaModel, ModelConfig, SeqRows};
 use atom_parallel::Pool;
-use atom_tensor::SeededRng;
+use atom_tensor::{Matrix, SeededRng};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 proptest! {
     #[test]
@@ -154,7 +156,7 @@ fn batch_model(seed: u64, moe: bool, w4a4: bool) -> LlamaModel<AnyLinear> {
     })
 }
 
-fn logit_bits(m: &atom_tensor::Matrix) -> Vec<u32> {
+fn logit_bits(m: &Matrix) -> Vec<u32> {
     m.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
@@ -220,5 +222,187 @@ proptest! {
                 prop_assert_eq!(logit_bits(&a.values(layer)), logit_bits(&b.values(layer)));
             }
         }
+    }
+}
+
+/// A store whose `attend` is the trait's default body: every other method
+/// forwards to `0`, so `attend` runs the reference arithmetic over `0`'s
+/// materialised `keys` / `values`.
+#[derive(Debug)]
+struct DefaultAttend(Box<dyn KvStore>);
+
+impl KvStore for DefaultAttend {
+    fn append(&mut self, layer: usize, k: &Matrix, v: &Matrix) {
+        self.0.append(layer, k, v);
+    }
+    fn keys(&self, layer: usize) -> Matrix {
+        self.0.keys(layer)
+    }
+    fn values(&self, layer: usize) -> Matrix {
+        self.0.values(layer)
+    }
+    fn len(&self, layer: usize) -> usize {
+        self.0.len(layer)
+    }
+    fn clear(&mut self) {
+        self.0.clear();
+    }
+    fn clone_box(&self) -> Box<dyn KvStore> {
+        Box::new(DefaultAttend(self.0.clone_box()))
+    }
+    fn truncate(&mut self, tokens: usize) {
+        self.0.truncate(tokens);
+    }
+}
+
+/// An empty store of one of the three kinds the attention contract covers:
+/// 4-bit and 8-bit quantized, and FP32.
+fn store(kind: usize, layers: usize, kv_dim: usize, hd: usize) -> Box<dyn KvStore> {
+    match kind {
+        0 => Box::new(QuantizedKvCache::new(layers, kv_dim, hd, 4)),
+        1 => Box::new(QuantizedKvCache::new(layers, kv_dim, hd, 8)),
+        _ => Box::new(Fp32KvCache::new(layers, kv_dim)),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Each store's `attend` override is the trait's default body, bit for
+    /// bit: over INT4, INT8 and FP32 stores, head widths 16 / 32 / 64,
+    /// 1-300 new rows behind 0-350 cached ones, GQA groups of 1, 2 and 4,
+    /// on both KV heads of the layer. Query scales up to 8 push some
+    /// probabilities to exactly 0, the weights the value mix skips. The
+    /// override runs on a width-2 pool under a stress seed drawn per case.
+    #[test]
+    fn attend_overrides_equal_the_default_body_bit_for_bit(
+        seed in 0u64..1 << 32,
+        kind in 0usize..3,
+        hd_pick in 0usize..3,
+        group_pick in 0usize..3,
+        cached in 0usize..351,
+        new_rows in 1usize..301,
+        q_scale in 0.5f32..8.0,
+        stress in 0u64..1 << 32,
+    ) {
+        let (hd, group) = ([16, 32, 64][hd_pick], [1, 2, 4][group_pick]);
+        let kv_dim = 2 * hd;
+        let mut rng = SeededRng::new(seed);
+        let mut kv = store(kind, 2, kv_dim, hd);
+        for rows in [cached, new_rows] {
+            if rows > 0 {
+                let k = rng.normal_matrix(rows, kv_dim, 0.0, 1.0);
+                kv.append(1, &k, &rng.normal_matrix(rows, kv_dim, 0.5, 2.0));
+            }
+        }
+        let oracle = DefaultAttend(kv.clone_box());
+        let scale = 1.0 / (hd as f32).sqrt();
+        for kv_head in 0..2 {
+            let q = rng.normal_matrix(group * new_rows, hd, 0.0, q_scale);
+            let expected = oracle.attend(1, kv_head, &q, new_rows, scale);
+            let got = Pool::new(2)
+                .with_stress(stress)
+                .install(|| kv.attend(1, kv_head, &q, new_rows, scale));
+            prop_assert_eq!(logit_bits(&got), logit_bits(&expected));
+        }
+    }
+}
+
+/// A store that forwards everything, `attend` included, to `inner` and
+/// counts the `keys` / `values` calls.
+#[derive(Debug)]
+struct CountingLoads {
+    inner: Box<dyn KvStore>,
+    loads: Arc<AtomicUsize>,
+}
+
+impl KvStore for CountingLoads {
+    fn append(&mut self, layer: usize, k: &Matrix, v: &Matrix) {
+        self.inner.append(layer, k, v);
+    }
+    fn keys(&self, layer: usize) -> Matrix {
+        self.loads.fetch_add(1, Ordering::Relaxed);
+        self.inner.keys(layer)
+    }
+    fn values(&self, layer: usize) -> Matrix {
+        self.loads.fetch_add(1, Ordering::Relaxed);
+        self.inner.values(layer)
+    }
+    fn attend(
+        &self,
+        layer: usize,
+        kv_head: usize,
+        q: &Matrix,
+        new_rows: usize,
+        scale: f32,
+    ) -> Matrix {
+        self.inner.attend(layer, kv_head, q, new_rows, scale)
+    }
+    fn layer_bytes(&self, layer: usize) -> Option<usize> {
+        self.inner.layer_bytes(layer)
+    }
+    fn len(&self, layer: usize) -> usize {
+        self.inner.len(layer)
+    }
+    fn clear(&mut self) {
+        self.inner.clear();
+    }
+    fn clone_box(&self) -> Box<dyn KvStore> {
+        Box::new(CountingLoads {
+            inner: self.inner.clone_box(),
+            loads: Arc::clone(&self.loads),
+        })
+    }
+    fn truncate(&mut self, tokens: usize) {
+        self.inner.truncate(tokens);
+    }
+}
+
+#[test]
+fn forward_batch_attends_without_materialising_a_layer() {
+    // A GQA model over each store kind: a batched prefill, then batched
+    // decodes. The forward attends through `KvStore::attend` alone and
+    // never calls `keys` / `values`.
+    let model = batch_model(7, false, true);
+    let c = *model.config();
+    for kind in 0..3 {
+        let loads = Arc::new(AtomicUsize::new(0));
+        let mut kvs: Vec<CountingLoads> = (0..2)
+            .map(|_| CountingLoads {
+                inner: store(kind, c.layers, c.kv_dim(), c.head_dim()),
+                loads: Arc::clone(&loads),
+            })
+            .collect();
+        let [a, b] = &mut kvs[..] else {
+            unreachable!("two stores")
+        };
+        model.forward_batch(&mut [
+            SeqRows {
+                tokens: &[3, 1, 4, 1, 5],
+                kv: a,
+            },
+            SeqRows {
+                tokens: &[9, 2, 6],
+                kv: b,
+            },
+        ]);
+        for t in [5u16, 3] {
+            model.forward_batch(&mut [
+                SeqRows {
+                    tokens: &[t],
+                    kv: a,
+                },
+                SeqRows {
+                    tokens: &[t + 1],
+                    kv: b,
+                },
+            ]);
+        }
+        assert_eq!(a.len(0), 7);
+        assert_eq!(
+            loads.load(Ordering::Relaxed),
+            0,
+            "store kind {kind} was materialised"
+        );
     }
 }

@@ -1,10 +1,10 @@
 //! Asymmetric per-row quantized containers for the KV-cache (paper §4.4).
 //!
 //! The KV-cache is quantized *asymmetrically* because — unlike the dense
-//! GEMM operands — its dequantization happens on load, before an FP16
-//! computation, so zero points cost no extra integer cross-terms (§2). The
-//! paper uses attention-head granularity: each `(token, head)` vector gets
-//! its own scale and zero point. Here one [`AsymQuantized`] holds one head's
+//! GEMM operands — its dequantization happens inside attention, before an
+//! FP16 computation, so zero points cost no extra integer cross-terms (§2).
+//! The paper uses attention-head granularity: each `(token, head)` vector
+//! gets its own scale and zero point. Here one [`AsymQuantized`] holds one head's
 //! rows, so each row is exactly one `(token, head)` quantization group.
 
 use crate::group::{code_bias, code_levels, integer_low_byte, round_clamped};
@@ -143,12 +143,23 @@ impl AsymQuantized {
         self.codes.cols()
     }
 
-    /// Dequantizes every row.
+    /// Dequantizes every row: one sweep decodes the whole code payload
+    /// ([`PackedMatrix::unpack_rows`]), then each row applies its affine
+    /// map — the same per-element arithmetic as
+    /// [`dequantize_row_scratch`](Self::dequantize_row_scratch), so the
+    /// same bits.
     pub fn dequantize(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.rows(), self.cols());
-        let mut codes = Vec::new();
-        for r in 0..self.rows() {
-            self.dequantize_row_scratch(r, out.row_mut(r), &mut codes);
+        let cols = self.cols();
+        let mut out = Matrix::zeros(self.rows(), cols);
+        let mut codes = vec![0i8; self.rows() * cols];
+        self.codes.unpack_rows(0, &mut codes);
+        let bias = f32::from(code_bias(self.bits));
+        let affine = self.scales.iter().zip(&self.mins);
+        let rows = out.as_mut_slice().chunks_exact_mut(cols.max(1));
+        for ((row, row_codes), (&s, &lo)) in rows.zip(codes.chunks_exact(cols.max(1))).zip(affine) {
+            for (d, &q) in row.iter_mut().zip(row_codes) {
+                *d = lo + s * (f32::from(q) + bias);
+            }
         }
         out
     }
@@ -164,10 +175,9 @@ impl AsymQuantized {
         self.dequantize_row_scratch(r, out, &mut Vec::new());
     }
 
-    /// Dequantizes a single row into a caller buffer (the attention kernel's
-    /// dequantize-on-load path), decoding through a caller-owned code
-    /// scratch buffer so a loop over many rows (the attention score/value
-    /// sweeps, KV materialization) performs no per-row allocation. `codes`
+    /// Dequantizes a single row into a caller buffer, decoding through a
+    /// caller-owned code scratch buffer so a loop over many rows (KV
+    /// materialization) performs no per-row allocation. `codes`
     /// is resized to `self.cols()` on every call; its prior contents are
     /// irrelevant.
     ///

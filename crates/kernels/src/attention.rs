@@ -1,13 +1,16 @@
-//! Self-attention with dequantize-on-load quantized KV.
+//! Self-attention over quantized KV, with the dequantization fused in.
 //!
 //! Mirrors the paper's fused FlashInfer integration (§4.5): keys and values
-//! are *stored* in low-bit form; the kernel loads them, dequantizes to
-//! floating point, and performs the FP attention arithmetic — so only
-//! low-bit bytes cross the (simulated) memory boundary, which is where the
-//! self-attention speedup of Fig. 11(b) comes from.
+//! are *stored* in low-bit form, and attention reads them where they lie.
+//! [`QuantizedKvHead::attend`] decodes each of one head's rows once into
+//! FP32 scratch and runs the causal loop of [`ops::causal_attention`] over
+//! it, so only low-bit bytes cross the (simulated) memory boundary — where
+//! the self-attention speedup of Fig. 11(b) comes from — and no layer is
+//! ever materialised. The serving store, `atom::QuantizedKvCache`, attends
+//! through it.
 
 use crate::asym::AsymQuantized;
-use atom_telemetry::{names, span, Telemetry};
+use atom_telemetry::{names, span};
 use atom_tensor::{ops, Matrix};
 
 /// One attention head's quantized KV block.
@@ -56,13 +59,38 @@ impl QuantizedKvHead {
         self.keys.truncate_rows(tokens);
         self.values.truncate_rows(tokens);
     }
+
+    /// Causal attention of stacked query heads over this block, with the
+    /// dequantization fused in: every K/V row decodes once
+    /// ([`AsymQuantized::dequantize`]), into a transposed key scratch and a
+    /// value scratch, and [`ops::causal_attention`] then computes only the
+    /// scores the causal mask keeps.
+    ///
+    /// `q` stacks the query heads that share this KV head, head-major,
+    /// `new_rows` rows per head (see [`ops::causal_attention`] for the
+    /// positions and the bit-identity argument). The result equals
+    /// [`attention_reference`] over the dequantized K/V on each head block,
+    /// bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the widths disagree, if `new_rows` exceeds the cached
+    /// length, or if `q` does not stack whole heads of `new_rows` rows.
+    pub fn attend(&self, q: &Matrix, new_rows: usize, scale: f32) -> Matrix {
+        let (bytes, kv_len) = (self.packed_bytes() as u64, self.len());
+        let _span = span!(names::SPAN_ATTENTION_QUANT_KV, bytes = bytes, kv_len = kv_len);
+        let keys_t = self.keys.dequantize().transpose();
+        ops::causal_attention(q, &keys_t, &self.values.dequantize(), new_rows, scale)
+    }
 }
 
-/// Single-head attention over a quantized KV block with dequantize-on-load.
+/// Single-head attention over a quantized KV block, decoding each K/V row
+/// once.
 ///
 /// `q` is `q_len x head_dim`; queries are the final `q_len` positions of the
-/// cached sequence (causal masking applied accordingly). Every K/V row
-/// decodes through one code scratch buffer reused across the whole sweep.
+/// cached sequence (causal masking applied accordingly). This is
+/// [`QuantizedKvHead::attend`] with one query head, so the result equals
+/// [`attention_reference`] over the dequantized K/V bit for bit.
 ///
 /// # Example
 ///
@@ -76,70 +104,14 @@ impl QuantizedKvHead {
 /// let q = Matrix::full(2, 8, 1.0);
 /// let out = attention_quant_kv(&q, &kv, 0.35);
 /// let (k, v) = (kv.keys.dequantize(), kv.values.dequantize());
-/// let reference = attention_reference(&q, &k, &v, 0.35);
-/// assert!(out.sub(&reference).frob_norm() < 1e-5);
+/// assert_eq!(out, attention_reference(&q, &k, &v, 0.35));
 /// ```
 ///
 /// # Panics
 ///
 /// Panics if shapes disagree or `q_len` exceeds the cached length.
 pub fn attention_quant_kv(q: &Matrix, kv: &QuantizedKvHead, scale: f32) -> Matrix {
-    let head_dim = q.cols();
-    assert_eq!(kv.keys.cols(), head_dim, "key width mismatch");
-    assert_eq!(kv.values.cols(), head_dim, "value width mismatch");
-    let kv_len = kv.len();
-    assert!(q.rows() <= kv_len, "queries exceed cached tokens");
-    let offset = kv_len - q.rows();
-
-    let bytes = kv.packed_bytes() as u64;
-    let t = Telemetry::global();
-    let _timer = t.timer(names::OP_ATTENTION_WALL_NS);
-    let _span = span!(names::SPAN_ATTENTION_QUANT_KV, bytes = bytes, kv_len = kv_len);
-    t.counter_add(names::OP_ATTENTION_BYTES, bytes);
-    t.counter_add(names::OP_ATTENTION_CALLS, 1);
-
-    // Dequantize-on-load: each K/V row is expanded to FP as it streams in.
-    let mut scratch = Vec::new();
-    let mut scores = Matrix::zeros(q.rows(), kv_len);
-    let mut krow = vec![0.0f32; head_dim];
-    for t in 0..kv_len {
-        kv.keys.dequantize_row_scratch(t, &mut krow, &mut scratch);
-        for i in 0..q.rows() {
-            let mut dot = 0.0f32;
-            for (a, b) in q.row(i).iter().zip(krow.iter()) {
-                dot += a * b;
-            }
-            #[expect(
-                clippy::indexing_slicing,
-                reason = "i < q.rows() and t < kv_len are exactly the dimensions `scores` was constructed with"
-            )]
-            let score = &mut scores.row_mut(i)[t];
-            *score = dot * scale;
-        }
-    }
-    ops::causal_mask_in_place(&mut scores, offset);
-    let probs = ops::softmax_rows(&scores);
-
-    let mut out = Matrix::zeros(q.rows(), head_dim);
-    let mut vrow = vec![0.0f32; head_dim];
-    for t in 0..kv_len {
-        kv.values.dequantize_row_scratch(t, &mut vrow, &mut scratch);
-        for i in 0..q.rows() {
-            #[expect(
-                clippy::indexing_slicing,
-                reason = "probs is softmax(scores) and shares its constructed dimensions"
-            )]
-            let p = probs.row(i)[t];
-            if p == 0.0 {
-                continue;
-            }
-            let dst = out.row_mut(i);
-            for (d, &v) in dst.iter_mut().zip(vrow.iter()) {
-                *d += p * v;
-            }
-        }
-    }
-    out
+    kv.attend(q, q.rows(), scale)
 }
 
 /// FP32 reference attention over explicit K/V matrices (`kv_len x

@@ -14,8 +14,8 @@
 //!   separately and sums in FP32.
 //! - [`asym`] — asymmetric per-row quantized containers used by the
 //!   KV-cache (paper §4.4).
-//! - [`attention`] — self-attention with dequantize-on-load quantized KV,
-//!   mirroring the fused FlashInfer kernel.
+//! - [`attention`] — self-attention over quantized KV with the
+//!   dequantization fused in, mirroring the fused FlashInfer kernel.
 //!
 //! There is one implementation per operator, tested against a reference:
 //! [`gemm::reference`] (bit-identical; only tests and report bins call it),

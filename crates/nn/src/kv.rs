@@ -1,12 +1,13 @@
 //! KV-cache abstraction.
 //!
 //! The model writes each layer's keys and values through the [`KvStore`]
-//! trait, so cache precision is swappable exactly like linear-layer
-//! precision: the FP32 store here is the baseline, and the `atom` crate
-//! provides the paper's asymmetric low-bit quantized store (§4.4), which
-//! dequantizes on load.
+//! trait and attends to them through it, so cache precision is swappable
+//! exactly like linear-layer precision: the FP32 store here is the
+//! baseline, and the `atom` crate provides the paper's asymmetric low-bit
+//! quantized store (§4.4), which decodes one head's rows inside its
+//! attention (§4.5) and never materialises a layer.
 
-use atom_tensor::Matrix;
+use atom_tensor::{ops, Matrix};
 
 /// Per-layer append-only key/value storage used during autoregressive
 /// decoding.
@@ -14,12 +15,13 @@ use atom_tensor::Matrix;
 /// Keys are stored *after* RoPE is applied, matching serving systems where
 /// the cache holds position-encoded keys.
 ///
-/// A batched forward holds one store per sequence and calls it on the
-/// caller thread: `append` the sequence's new rows, then `keys` / `values`
-/// for its attention. `Send` is a supertrait so boxed caches can move
-/// between threads with the engine that owns them; `Sync` so frozen
-/// prefix-cache snapshots (`Arc<Snapshot>` in `atom-prefix`) can be shared
-/// immutably.
+/// A batched forward holds one store per sequence. On the caller thread it
+/// `append`s the sequence's new rows; then every (sequence, KV head) cell
+/// of the layer's attention grid calls [`attend`](KvStore::attend), on
+/// whichever pool thread runs the cell. `Send` is a supertrait so boxed
+/// caches can move between threads with the engine that owns them; `Sync`
+/// so the grid's cells can share a store, and frozen prefix-cache snapshots
+/// (`Arc<Snapshot>` in `atom-prefix`) can be shared immutably.
 pub trait KvStore: std::fmt::Debug + Send + Sync {
     /// Appends `k` and `v` rows (one per new token) to layer `layer`.
     ///
@@ -27,10 +29,75 @@ pub trait KvStore: std::fmt::Debug + Send + Sync {
     fn append(&mut self, layer: usize, k: &Matrix, v: &Matrix);
 
     /// Materializes the full key cache of a layer (`seq_len x kv_dim`).
+    ///
+    /// The forward never calls it: it is the default
+    /// [`attend`](Self::attend)'s input, and a test's window on the store.
     fn keys(&self, layer: usize) -> Matrix;
 
     /// Materializes the full value cache of a layer (`seq_len x kv_dim`).
     fn values(&self, layer: usize) -> Matrix;
+
+    /// Causal attention of query rows over KV head `kv_head` of `layer`.
+    ///
+    /// `q` stacks the query heads that share `kv_head`, head-major, with
+    /// `new_rows` rows per head: row `r` is the query at position
+    /// `len - new_rows + r % new_rows`, so the last `new_rows` cached
+    /// positions are the queries' own. Under grouped-query attention each
+    /// KV row is therefore read once per group, not once per query head.
+    /// Returns one `head_dim`-wide output row per query row.
+    ///
+    /// The default body is the reference arithmetic over the materialised
+    /// [`keys`](Self::keys) / [`values`](Self::values), one head block at a
+    /// time: `slice_cols`, `matmul_nt`, `scale_in_place`,
+    /// [`ops::causal_mask_in_place`], [`ops::softmax_rows`], `matmul`.
+    /// Overrides must return the same bits; both stores here do, through
+    /// [`ops::causal_attention`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `kv_head`'s columns lie outside the layer, or if `q` does
+    /// not stack whole heads of `new_rows` rows over at least as many
+    /// cached positions.
+    fn attend(
+        &self,
+        layer: usize,
+        kv_head: usize,
+        q: &Matrix,
+        new_rows: usize,
+        scale: f32,
+    ) -> Matrix {
+        let (keys, values) = (self.keys(layer), self.values(layer));
+        let hd = q.cols();
+        assert!(new_rows <= keys.rows(), "queries exceed cached tokens");
+        assert!(
+            q.rows().is_multiple_of(new_rows),
+            "query rows must stack whole heads of new rows"
+        );
+        let cols = (kv_head * hd, (kv_head + 1) * hd);
+        let (k, v) = (
+            keys.slice_cols(cols.0, cols.1),
+            values.slice_cols(cols.0, cols.1),
+        );
+        let mut out = Matrix::zeros(q.rows(), hd);
+        for head in 0..q.rows().checked_div(new_rows).unwrap_or(0) {
+            let rows = head * new_rows..(head + 1) * new_rows;
+            let mut scores = q.slice_rows(rows.start, rows.end).matmul_nt(&k);
+            scores.scale_in_place(scale);
+            ops::causal_mask_in_place(&mut scores, keys.rows() - new_rows);
+            let mixed = ops::softmax_rows(&scores).matmul(&v);
+            for (r, row) in rows.zip(mixed.iter_rows()) {
+                out.row_mut(r).copy_from_slice(row);
+            }
+        }
+        out
+    }
+
+    /// Bytes of `layer`'s K/V as the store packs them: what attending to
+    /// every KV head of the layer reads. `None`, the default, means dense
+    /// FP32 rows, `4 · 2 · len · kv_dim` bytes.
+    fn layer_bytes(&self, _layer: usize) -> Option<usize> {
+        None
+    }
 
     /// Number of cached positions in a layer.
     fn len(&self, layer: usize) -> usize;
@@ -95,8 +162,8 @@ impl KvStore for Fp32KvCache {
         assert_eq!(v.cols(), self.kv_dim, "v width mismatch");
         assert_eq!(k.rows(), v.rows(), "k/v row mismatch");
         let (ks, vs) = &mut self.layers[layer];
-        *ks = ks.vstack(k);
-        *vs = vs.vstack(v);
+        ks.extend_rows(k);
+        vs.extend_rows(v);
     }
 
     fn keys(&self, layer: usize) -> Matrix {
@@ -105,6 +172,23 @@ impl KvStore for Fp32KvCache {
 
     fn values(&self, layer: usize) -> Matrix {
         self.layers[layer].1.clone()
+    }
+
+    /// Copies the head's key columns out transposed and its value columns
+    /// out as rows, then runs [`ops::causal_attention`]: the layer itself
+    /// is never cloned.
+    fn attend(
+        &self,
+        layer: usize,
+        kv_head: usize,
+        q: &Matrix,
+        new_rows: usize,
+        scale: f32,
+    ) -> Matrix {
+        let (ks, vs) = &self.layers[layer];
+        let cols = (kv_head * q.cols(), (kv_head + 1) * q.cols());
+        let keys_t = ks.slice_cols(cols.0, cols.1).transpose();
+        ops::causal_attention(q, &keys_t, &vs.slice_cols(cols.0, cols.1), new_rows, scale)
     }
 
     fn len(&self, layer: usize) -> usize {
@@ -123,18 +207,9 @@ impl KvStore for Fp32KvCache {
     }
 
     fn truncate(&mut self, tokens: usize) {
-        let top_rows = |m: &Matrix, n: usize| {
-            let mut out = Matrix::zeros(n, m.cols());
-            for r in 0..n {
-                out.row_mut(r).copy_from_slice(m.row(r));
-            }
-            out
-        };
         for (k, v) in &mut self.layers {
-            if k.rows() > tokens {
-                *k = top_rows(k, tokens);
-                *v = top_rows(v, tokens);
-            }
+            k.truncate_rows(tokens);
+            v.truncate_rows(tokens);
         }
     }
 }
@@ -170,6 +245,37 @@ mod tests {
     fn wrong_width_panics() {
         let mut c = Fp32KvCache::new(1, 4);
         c.append(0, &Matrix::full(1, 3, 0.0), &Matrix::full(1, 3, 0.0));
+    }
+
+    #[test]
+    fn row_appends_and_truncate_grow_in_place_bit_for_bit() {
+        // N single-row appends hold the bits of one N-row append, and
+        // truncating to n rows holds the bits of never having appended the
+        // rest — and appending them again restores the long history.
+        let mut rng = atom_tensor::SeededRng::new(7);
+        let (k, v) = (
+            rng.normal_matrix(9, 6, 0.0, 1.0),
+            rng.normal_matrix(9, 6, 0.5, 2.0),
+        );
+        let bits = |m: Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let same = |a: &Fp32KvCache, b: &Fp32KvCache| {
+            assert_eq!(a.len(1), b.len(1));
+            assert_eq!(bits(a.keys(1)), bits(b.keys(1)));
+            assert_eq!(bits(a.values(1)), bits(b.values(1)));
+        };
+        let mut once = Fp32KvCache::new(2, 6);
+        once.append(1, &k, &v);
+        let mut rows = Fp32KvCache::new(2, 6);
+        for t in 0..9 {
+            rows.append(1, &k.slice_rows(t, t + 1), &v.slice_rows(t, t + 1));
+        }
+        same(&rows, &once);
+        let mut short = Fp32KvCache::new(2, 6);
+        short.append(1, &k.slice_rows(0, 4), &v.slice_rows(0, 4));
+        rows.truncate(4);
+        same(&rows, &short);
+        rows.append(1, &k.slice_rows(4, 9), &v.slice_rows(4, 9));
+        same(&rows, &once);
     }
 
     #[test]

@@ -14,7 +14,10 @@
 //! dense layers see `m` = the batch's total rows, which is what puts them on
 //! the compute-bound side of the roofline (paper §3, Fig. 4). Rows part per
 //! sequence only where sequences differ: RoPE positions, the KV append, and
-//! self-attention, which runs over the (sequence, head) grid (§4.5).
+//! self-attention, which runs over the (sequence, KV head) grid: each cell
+//! stacks the query heads that share one KV head and calls
+//! [`KvStore::attend`], so a quantized store decodes each of the head's rows
+//! once, inside the attention (§4.5).
 //! [`LlamaModel::forward`] is the batch of one.
 //!
 //! Batching changes no bit of any row. Every stacked operator is row-wise:
@@ -235,14 +238,6 @@ pub struct SeqRows<'a> {
     pub tokens: &'a [u16],
     /// This sequence's KV cache; the forward appends one row per token.
     pub kv: &'a mut dyn KvStore,
-}
-
-/// One sequence inside a layer's attention: its rows of the stacked batch
-/// and its whole K/V history, the new rows last.
-struct History {
-    rows: std::ops::Range<usize>,
-    keys: Matrix,
-    values: Matrix,
 }
 
 /// Decoder-only Llama-style model, generic over linear precision `L`.
@@ -601,7 +596,9 @@ impl<L: LinearLayer> LlamaModel<L> {
 
     /// Self-attention of one layer over the stacked rows `x`: Q/K/V and the
     /// output projection run stacked; each sequence appends its own K/V
-    /// rows, loads its history, and attends per head.
+    /// rows, then every (sequence, KV head) cell hands its group's query
+    /// rows to the store's [`KvStore::attend`], which reads the head where
+    /// it lies — no history is materialised.
     fn attention(
         &self,
         block: &Block<L>,
@@ -624,62 +621,72 @@ impl<L: LinearLayer> LlamaModel<L> {
         ops::rope_in_place(&mut q, positions, hd, c.rope_theta);
         ops::rope_in_place(&mut k, positions, hd, c.rope_theta);
 
-        // The timed attention section covers cache append + materialization
-        // (dequantize-on-load for quantized stores) and the per-head
-        // score/softmax/mix arithmetic — everything except the four linear
-        // projections, which account under the GEMM metric.
+        // The timed attention section covers the cache appends and the
+        // per-(sequence, KV head) attention, K/V decoding included —
+        // everything except the four linear projections, which account
+        // under the GEMM metric.
         let t = Telemetry::global();
         let attn_timer = t.timer(names::OP_ATTENTION_WALL_NS);
         let attn_span = span!(names::SPAN_ATTENTION, layer = layer);
-        // Each sequence appends its rows of K/V and loads its whole history
-        // (the new rows are its last ones).
+        // Each sequence appends its rows of K/V, which become its newest
+        // positions.
         let mut end = 0;
-        let histories: Vec<History> = batch
+        let seq_rows: Vec<std::ops::Range<usize>> = batch
             .iter_mut()
             .map(|seq| {
                 let rows = end..end + seq.tokens.len();
                 end = rows.end;
                 let (k_s, v_s) = (k.slice_rows(rows.start, end), v.slice_rows(rows.start, end));
                 seq.kv.append(layer, &k_s, &v_s);
-                let (keys, values) = (seq.kv.keys(layer), seq.kv.values(layer));
-                t.counter_add(
-                    names::OP_ATTENTION_BYTES,
-                    // Materialized FP32 keys + values.
-                    (4 * 2 * keys.rows() * keys.cols()) as u64,
-                );
+                // What attention reads: the store's K/V as it holds them.
+                // The history ends at the sequence's last new position.
+                // `len` is read once per forward, at the embedding: a
+                // wrapping store may take `len(0)` as a forward's start.
+                let dense = 4 * 2 * (positions[end - 1] + 1) * c.kv_dim();
+                let bytes = seq.kv.layer_bytes(layer).unwrap_or(dense);
+                t.counter_add(names::OP_ATTENTION_BYTES, bytes as u64);
                 t.counter_add(names::OP_ATTENTION_CALLS, 1);
-                History { rows, keys, values }
+                rows
             })
             .collect();
 
         let scale = 1.0 / cast::usize_to_f32(hd).sqrt();
-        // Every (sequence, head) cell is an independent read-only function
-        // of its query rows and its sequence's history; running the grid on
-        // the pool keeps each cell's arithmetic identical to the sequential
-        // loop, so the stitched output is bit-stable for any thread count.
-        // A cell's panic (a malformed KV store, say) continues on the
-        // caller thread, as it would from the sequential loop.
-        let compute_cell = |&(s, h): &(usize, usize)| {
-            let History { rows, keys, values } = &histories[s];
-            let kv_h = h / c.group_size();
-            let q_h = Matrix::from_fn(rows.len(), hd, |r, col| q[(rows.start + r, h * hd + col)]);
-            let k_h = keys.slice_cols(kv_h * hd, (kv_h + 1) * hd);
-            let v_h = values.slice_cols(kv_h * hd, (kv_h + 1) * hd);
-            let mut scores = q_h.matmul_nt(&k_h);
-            scores.scale_in_place(scale);
-            ops::causal_mask_in_place(&mut scores, keys.rows() - rows.len());
-            let probs = ops::softmax_rows(&scores);
-            probs.matmul(&v_h)
+        let group = c.group_size();
+        let stores: Vec<&dyn KvStore> = batch.iter().map(|seq| &*seq.kv).collect();
+        // Row `r` of cell (s, g)'s stacked queries: query head
+        // `g * group + r / n` at sequence s's new row `r % n`, for n new
+        // rows — the head-major layout `KvStore::attend` takes. Returns the
+        // row of `q` / `concat` it sits in and its first column.
+        let place = |s: usize, g: usize, r: usize| {
+            let n = seq_rows[s].len();
+            (seq_rows[s].start + r % n, (g * group + r / n) * hd)
         };
-        let grid: Vec<(usize, usize)> = (0..histories.len())
-            .flat_map(|s| (0..c.heads).map(move |h| (s, h)))
+        // Every (sequence, KV head) cell is an independent read-only
+        // function of its query rows and its sequence's store; running the
+        // grid on the pool keeps each cell's arithmetic identical to the
+        // sequential loop, so the stitched output is bit-stable for any
+        // thread count. A cell's panic (a malformed KV store, say)
+        // continues on the caller thread, as it would from the sequential
+        // loop.
+        let compute_cell = |&(s, g): &(usize, usize)| {
+            let n = seq_rows[s].len();
+            let mut q_g = Matrix::zeros(group * n, hd);
+            for r in 0..group * n {
+                let (row, first) = place(s, g, r);
+                let src = &q.row(row)[first..first + hd];
+                q_g.row_mut(r).copy_from_slice(src);
+            }
+            stores[s].attend(layer, g, &q_g, n, scale)
+        };
+        let grid: Vec<(usize, usize)> = (0..seq_rows.len())
+            .flat_map(|s| (0..c.kv_heads).map(move |g| (s, g)))
             .collect();
         let Ok(cells) = Pool::current().par_map(&grid, |_, cell| compute_cell(cell));
-        // Cell (s, h) fills sequence s's rows of head h's columns.
         let mut concat = Matrix::zeros(x.rows(), c.dim);
-        for (&(s, h), out) in grid.iter().zip(&cells) {
-            for (r, row) in histories[s].rows.clone().zip(out.iter_rows()) {
-                concat.row_mut(r)[h * hd..(h + 1) * hd].copy_from_slice(row);
+        for (&(s, g), out) in grid.iter().zip(&cells) {
+            for (r, row) in out.iter_rows().enumerate() {
+                let (dst, first) = place(s, g, r);
+                concat.row_mut(dst)[first..first + hd].copy_from_slice(row);
             }
         }
         drop(attn_span);

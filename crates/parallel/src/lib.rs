@@ -86,8 +86,9 @@
 //! The packed GEMM over tiles of [`KERNEL_ROW_BLOCK`] weight rows, the
 //! fused gather + quantize epilogue over row blocks (dynamic activation
 //! quantization in `QuantizedLinear::forward`), the model's attention over
-//! the (sequence, head) grid of a batched forward, and KV
-//! dequantize-on-load over blocks of token rows. The engine opens no region
+//! the (sequence, KV head) grid of a batched forward, and the quantized KV
+//! cache's materialising `keys` / `values` over blocks of token rows. The
+//! engine opens no region
 //! of its own: each phase's one forward runs on [`Pool::current`], and its
 //! stacked rows give the GEMM and the grid their width. While telemetry
 //! is on, each region records [`names::POOL_TASKS`],

@@ -1079,8 +1079,8 @@ mod tests {
             e.submit(vec![7, 8, 9, 10], 4, None).unwrap();
             e
         });
-        // Six concurrent requests over 8-bit quantized KV: the cache's
-        // quantize-on-append and dequantize-on-load run inside the workers.
+        // Six concurrent requests over 8-bit quantized KV: the fused
+        // attention decodes each KV head inside the grid's workers.
         assert_width_invariant(|| {
             let config = ModelConfig {
                 dim: 64,

@@ -81,9 +81,10 @@ declare! {
     OP_GEMM_ROWS = "op.gemm.rows",
     /// GEMM invocations.
     OP_GEMM_CALLS = "op.gemm.calls",
-    /// Bytes of KV-cache data read per attention call.
+    /// Bytes of KV-cache data attention reads, as the store holds them
+    /// (packed codes and scales, or FP32 rows), per (sequence, layer).
     OP_ATTENTION_BYTES = "op.attention.bytes",
-    /// Attention invocations.
+    /// Attention invocations: one per (sequence, layer).
     OP_ATTENTION_CALLS = "op.attention.calls",
     /// Quantization epilogue invocations.
     OP_QUANT_CALLS = "op.quant.calls",
@@ -173,7 +174,8 @@ declare! {
     /// Wall time per GEMM call (ns). Covers the fused group-dequant
     /// INT4/INT8 GEMM and the dense FP32 reference path.
     OP_GEMM_WALL_NS = "op.gemm.wall_ns",
-    /// Wall time per attention call (ns), including KV dequantize-on-load.
+    /// Wall time of a layer's attention section (ns): the KV appends and
+    /// every (sequence, KV head) attention cell, K/V decoding included.
     OP_ATTENTION_WALL_NS = "op.attention.wall_ns",
     /// Wall time spent in runtime (de)quantization epilogues — Atom §4.3's
     /// dynamic per-group activation quantization plus channel reordering
@@ -236,7 +238,7 @@ declare! {
     SPAN_ENGINE_STEP = "engine_step",
     /// Span covering the fused W4A4 GEMM kernel.
     SPAN_GEMM_W4A4 = "gemm_w4a4",
-    /// Span covering quantized-KV attention.
+    /// Span covering one quantized-KV attention cell (the fused kernel).
     SPAN_ATTENTION_QUANT_KV = "attention_quant_kv",
     /// Span covering the dequantize/requantize epilogue of a quantized
     /// linear.

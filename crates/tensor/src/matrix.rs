@@ -468,13 +468,31 @@ impl Matrix {
     ///
     /// Panics if the column counts differ.
     pub fn vstack(&self, other: &Matrix) -> Matrix {
+        let mut out = self.clone();
+        out.extend_rows(other);
+        out
+    }
+
+    /// Appends `other`'s rows below `self`'s in place: the in-place
+    /// [`vstack`](Self::vstack). The held rows move only when the storage
+    /// outgrows its capacity, so growing row by row costs amortized O(1)
+    /// copies per row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the column counts differ.
+    pub fn extend_rows(&mut self, other: &Matrix) {
         assert_eq!(self.cols, other.cols, "vstack column mismatch");
-        let mut data = self.data.clone();
-        data.extend_from_slice(&other.data);
-        Matrix {
-            rows: self.rows + other.rows,
-            cols: self.cols,
-            data,
+        self.data.extend_from_slice(&other.data);
+        self.rows += other.rows;
+    }
+
+    /// Drops every row past the first `rows`, in place. A no-op when the
+    /// matrix holds `rows` or fewer.
+    pub fn truncate_rows(&mut self, rows: usize) {
+        if rows < self.rows {
+            self.rows = rows;
+            self.data.truncate(rows * self.cols);
         }
     }
 
@@ -629,6 +647,13 @@ mod tests {
         let top = a.slice_rows(0, 2);
         let bottom = a.slice_rows(2, 4);
         assert_eq!(top.vstack(&bottom), a);
+        let mut grown = top.clone();
+        grown.extend_rows(&bottom);
+        assert_eq!(grown, a);
+        grown.truncate_rows(2);
+        assert_eq!(grown, top);
+        grown.truncate_rows(3);
+        assert_eq!(grown, top);
         let left = a.slice_cols(0, 2);
         let right = a.slice_cols(2, 4);
         assert_eq!(left.hstack(&right), a);

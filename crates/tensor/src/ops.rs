@@ -2,7 +2,8 @@
 //!
 //! Everything a decoder-only transformer forward pass needs: numerically
 //! stable softmax, RMSNorm, the SiLU activation, rotary position embeddings
-//! (RoPE), causal masking, argmax and cross-entropy.
+//! (RoPE), causal masking, the one causal attention loop the KV stores run
+//! ([`causal_attention`]), argmax and cross-entropy.
 
 use crate::Matrix;
 
@@ -157,6 +158,81 @@ pub fn causal_mask_in_place(scores: &mut Matrix, offset: usize) {
     }
 }
 
+/// Causal attention of one KV head's query rows over its decoded history,
+/// computing only the scores the causal mask keeps.
+///
+/// `keys_t` is the head's keys transposed (`head_dim x len`) and `values`
+/// its values (`len x head_dim`), for `len` cached positions. `q` stacks
+/// the query heads that share this KV head, head-major, `new_rows` rows per
+/// head: row `r` is the query at position `len - new_rows + r % new_rows`,
+/// and it attends to positions `0..=pos`. Returns one `head_dim`-wide output
+/// row per query row.
+///
+/// The result is bit-identical to the materialised reference on each head
+/// block: `q.matmul_nt(k)`, `scale_in_place(scale)`,
+/// [`causal_mask_in_place`] with offset `len - new_rows`, [`softmax_rows`],
+/// `matmul(v)`.
+/// - Every kept score accumulates `q[d] * k[d]` over `d` in order from
+///   `0.0` and is then multiplied by `scale`: the operations `matmul_nt`
+///   then `scale_in_place` run, in the same order. Consecutive keys run
+///   in parallel lanes, which reorders nothing inside one score.
+/// - The reference's masked entries are `-inf`, and they trail the visible
+///   ones. They never raise the max, and each adds `exp(-inf) = +0.0` to a
+///   sum that is already at least 1 (the max entry contributes
+///   `exp(0) = 1`), so the sum is unchanged. [`softmax_in_place`] over the
+///   visible prefix alone therefore yields the same max, sum and
+///   probabilities.
+/// - The masked probabilities are exactly 0, and `matmul` skips zero
+///   weights. Mixing the visible value rows in key order, skipping
+///   `p == 0`, adds the same terms in the same order.
+///
+/// # Panics
+///
+/// Panics if the shapes disagree, if `new_rows` exceeds `len`, or if
+/// `q.rows()` is not a multiple of `new_rows`.
+pub fn causal_attention(
+    q: &Matrix,
+    keys_t: &Matrix,
+    values: &Matrix,
+    new_rows: usize,
+    scale: f32,
+) -> Matrix {
+    let (hd, len) = keys_t.shape();
+    assert_eq!(q.cols(), hd, "query width mismatch");
+    assert_eq!(values.shape(), (len, hd), "values shape mismatch");
+    assert!(new_rows <= len, "queries exceed cached tokens");
+    assert!(
+        q.rows().is_multiple_of(new_rows),
+        "query rows must stack whole heads of new rows"
+    );
+    let first = len - new_rows;
+    let mut out = Matrix::zeros(q.rows(), hd);
+    let mut scores = vec![0.0f32; len];
+    for r in 0..q.rows() {
+        let s = &mut scores[..first + r % new_rows + 1];
+        s.fill(0.0);
+        for (&qd, k_d) in q.row(r).iter().zip(keys_t.iter_rows()) {
+            for (acc, &k) in s.iter_mut().zip(k_d) {
+                *acc += qd * k;
+            }
+        }
+        for v in s.iter_mut() {
+            *v *= scale;
+        }
+        softmax_in_place(s);
+        let o = out.row_mut(r);
+        for (&p, v_row) in s.iter().zip(values.iter_rows()) {
+            if p == 0.0 {
+                continue;
+            }
+            for (o, &v) in o.iter_mut().zip(v_row) {
+                *o += p * v;
+            }
+        }
+    }
+    out
+}
+
 /// Index of the maximum element (first one on ties).
 ///
 /// # Panics
@@ -258,6 +334,28 @@ mod tests {
         assert_eq!(s.row(0)[3], f32::NEG_INFINITY);
         assert!(s.row(0)[2].is_finite());
         assert!(s.row(1).iter().all(|v| v.is_finite()));
+    }
+
+    #[test]
+    fn causal_attention_is_the_masked_reference_bit_for_bit() {
+        let mut rng = crate::SeededRng::new(5);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // (cached, new rows, query heads per KV head, head width)
+        let shapes = [(1, 1, 1, 4), (7, 7, 2, 3), (40, 1, 4, 16), (5, 0, 1, 4)];
+        for (len, new_rows, group, hd) in shapes {
+            let k = rng.normal_matrix(len, hd, 0.0, 1.0);
+            let v = rng.normal_matrix(len, hd, 0.0, 1.0);
+            let q = rng.normal_matrix(group * new_rows, hd, 0.0, 2.0);
+            let out = causal_attention(&q, &k.transpose(), &v, new_rows, 0.3);
+            for g in 0..group {
+                let mut scores = q.slice_rows(g * new_rows, (g + 1) * new_rows).matmul_nt(&k);
+                scores.scale_in_place(0.3);
+                causal_mask_in_place(&mut scores, len - new_rows);
+                let reference = softmax_rows(&scores).matmul(&v);
+                let got = out.slice_rows(g * new_rows, (g + 1) * new_rows);
+                assert_eq!(bits(&got), bits(&reference), "{len} {new_rows} {g}");
+            }
+        }
     }
 
     #[test]
