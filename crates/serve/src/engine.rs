@@ -4,8 +4,8 @@
 //! Actual tokens flow through the actual (optionally Atom-quantized) model;
 //! this is the engine the serving benchmark under `benchmark/` measures.
 //! One [`CpuEngine::step`] is one iteration of the loop of §4.5 / §5.3.2:
-//! expire deadlines, admit from the FCFS queue, prefill what was admitted,
-//! advance every sequence of the batch by one token, retire what finished.
+//! expire deadlines, admit from the FCFS queue, run one forward over the
+//! batch, retire what finished.
 //! It is the workspace's only serving loop: the model is anything that runs
 //! a [`BatchModel::forward_batch`], so Fig. 10's roofline
 //! ([`RooflineModel`](crate::roofline::RooflineModel)) is served by it too.
@@ -13,22 +13,31 @@
 //! steps once per tick of its own clock shares that clock with the engine:
 //! deadlines and every [`RequestStats`] step are on it.
 //!
-//! # One forward per phase
+//! # One forward per step
 //!
-//! A step runs the model at most twice: one batched forward
-//! ([`LlamaModel::forward_batch`]) over the prompt suffixes of everything
-//! admitted this step (ragged), and one over a single row of every sequence
-//! that advanced. Each linear layer therefore sees every in-flight row at
-//! once — the batching Atom's throughput argument rests on (paper §3,
-//! Fig. 4) — while attention stays per sequence. Every row is bit-identical
-//! to that sequence's forward alone, so token streams do not depend on who
-//! shares a step. Admission and prefill happen in the same step, so every
-//! member of the batch has been prefilled by the time it decodes, is picked
-//! as a fault victim, or counts toward decode headroom. A panic inside a
-//! batched forward is still one request's failure: the step truncates every
-//! cache back to its pre-step length and re-runs the phase's requests one at
-//! a time, and only those whose own forward panics again terminalize
-//! `Failed`.
+//! A step runs the model at most once: one batched forward
+//! ([`LlamaModel::forward_batch`]) over a row of every decoding member plus
+//! prompt chunks, first come first served, up to `block_size × max_batch`
+//! tokens (`ContinuousBatcher::plan`). Each linear layer sees every
+//! in-flight row at once — the batching Atom's throughput argument rests on
+//! (paper §3, Fig. 4) — and a long prompt prefills over several steps
+//! instead of stalling every decoder for one long forward (Sarathi-Serve's
+//! chunked prefill). The step commits after the forward: a decoder's argmax
+//! is its next token, a member whose last chunk ran gets its first one, and
+//! no row runs whose logits would be discarded.
+//!
+//! Chunking changes no bit. Every stacked operator is row-wise (embedding,
+//! RMSNorm, RoPE by position, per-token activation quantization, the GEMM
+//! rows), so a row equals that sequence's forward alone, whoever shares the
+//! step. A chunk row at position `p` attends to keys `0..=p`: the same
+//! quantized rows whether they were appended in one forward or across
+//! chunks, since KV quantization is per token row.
+//!
+//! A batch member may be mid-prefill when it is picked as a fault victim or
+//! counted for decode headroom. A panic inside the batched forward is still
+//! one request's failure: the step truncates every cache back to its
+//! pre-step length and re-runs the members one at a time, and only those
+//! whose own forward panics again terminalize `Failed`.
 //!
 //! # One record
 //!
@@ -37,14 +46,14 @@
 //! generated tokens once admitted, and what its latest admission decided.
 //! The batcher's FCFS queue holds the waiting records and its batch the
 //! admitted ones, so where a record sits is its state. Only the batcher
-//! knows that layout: the engine asks it for the queue's head, the members
-//! admitted this step, a fault's victim or the live ids in id order. The
-//! forwards borrow straight from the record, and preemption drops its KV
-//! where it sits. It leaves the batcher exactly once, into the one
-//! terminalization function, which keeps its partial tokens and records
-//! its [`Outcome`]: every submission —
-//! accepted or not — ends in precisely one [`Terminal`] state, and the
-//! engine never panics on traffic.
+//! knows that layout: the engine asks it for the queue's head, the member
+//! it just admitted, the step's plan, a fault's victim or the live ids in
+//! id order. The forward borrows straight from the record, and preemption
+//! drops its KV where it sits. It leaves the batcher exactly once, into
+//! the one terminalization function, which keeps its partial tokens and
+//! records its [`Outcome`]: every submission — accepted or not — ends in
+//! precisely one [`Terminal`] state, and the engine never panics on
+//! traffic.
 //!
 //! # One admission path
 //!
@@ -62,12 +71,12 @@
 //! quantization state is per token row — or a fresh one of its flavor. The
 //! first request that does not fit blocks the queue (FCFS).
 //!
-//! Prefill forwards only the unseen suffix and donates the prompt's blocks
-//! to the index (full blocks shared, the partial tail copy-forked so the
-//! donor's own tail stays writable). Cached blocks yield before decode
-//! would stall and do not count as load below, so the cache only ever
-//! *adds* capacity; token streams are identical at any capacity and any
-//! pool width.
+//! Prefill forwards only the unseen suffix and, after its last chunk,
+//! donates the prompt's blocks to the index (full blocks shared, the
+//! partial tail copy-forked so the donor's own tail stays writable). Cached
+//! blocks yield before decode would stall and do not count as load below,
+//! so the cache only ever *adds* capacity; token streams are identical at
+//! any capacity and any pool width.
 //!
 //! # Robustness
 //!
@@ -103,7 +112,7 @@ use std::sync::Arc;
 /// Factory producing a fresh KV cache per admitted sequence.
 pub type CacheFactory = Box<dyn Fn() -> Box<dyn KvStore>>;
 
-/// What the engine runs once per step phase: a batched forward over every
+/// What the engine runs once per step: a batched forward over every
 /// sequence's rows, appending each sequence's K/V to its own store and
 /// returning the stacked logits, one row per token (sequence `i`'s rows
 /// follow sequence `i - 1`'s). The engine picks each next token as the
@@ -212,10 +221,10 @@ impl Default for PressurePolicy {
     }
 }
 
-/// Runs `seqs` as one batched forward and sets each one's next input to
-/// the argmax of its last logits row.
-fn forward_seqs<M: BatchModel>(model: &M, seqs: &mut [&mut Seq], prefill: bool) {
-    let mut batch: Vec<SeqRows<'_>> = seqs.iter_mut().filter_map(|s| s.rows(prefill)).collect();
+/// Runs `seqs` as one batched forward and commits each one's rows with the
+/// argmax of its last logits row ([`Seq::commit`]).
+fn forward_seqs<M: BatchModel>(model: &M, seqs: &mut [&mut Seq], step: usize) {
+    let mut batch: Vec<SeqRows<'_>> = seqs.iter_mut().filter_map(|s| s.rows()).collect();
     // Each sequence's rows follow the previous one's; its last row is the
     // one its next token comes from (the forward rejects empty rows).
     let ends: Vec<usize> = batch
@@ -228,31 +237,27 @@ fn forward_seqs<M: BatchModel>(model: &M, seqs: &mut [&mut Seq], prefill: bool) 
     let logits = model.forward_batch(&mut batch);
     drop(batch);
     for (seq, end) in seqs.iter_mut().filter(|s| s.kv.is_some()).zip(ends) {
-        seq.next_input = cast::usize_to_u16_saturating(ops::argmax(logits.row(end - 1)));
+        seq.commit(cast::usize_to_u16_saturating(ops::argmax(logits.row(end - 1))), step);
     }
 }
 
-/// Runs one phase of a step — the prefills of `seqs` or their decodes — as
-/// **one** batched model forward on
-/// [`Pool::current`](atom_parallel::Pool::current): each contributes the
-/// prompt suffix its admission left to prefill (a hit's match cap of
-/// `prompt_len - 1` guarantees at least one token) or one decode row. Each
-/// next token is the argmax of the sequence's last logits row. Every row of
-/// a batched forward is bit-identical to that sequence's forward alone, so
-/// token streams do not depend on who shares a step, nor on the pool width.
+/// Runs a step's members as **one** batched model forward on
+/// [`Pool::current`](atom_parallel::Pool::current): each feeds the rows
+/// [`ContinuousBatcher::plan`] gave it. Every row is bit-identical to that
+/// sequence's forward alone, whoever shares the step and at any pool width.
 ///
 /// The failure contract stays per request. If the batched forward panics,
 /// every KV store is truncated back to its length before the step and the
 /// sequences run again one at a time; only those whose own forward panics
-/// again are returned, each with its message — also when it was raised in a
-/// GEMM tile or an attention cell on a pool worker, since a region re-raises
-/// its workers' panics on the caller. The panic is contained on the caller
-/// thread, not in a pool region: inside one, the forward's GEMM row blocks
-/// and attention grid would run inline.
+/// again are returned, each with its message labelled by what it fed — also
+/// when the panic was raised in a GEMM tile or an attention cell on a pool
+/// worker, since a region re-raises its workers' panics on the caller. The
+/// panic is contained on the caller thread, not in a pool region: inside
+/// one, the forward's GEMM row blocks and attention grid would run inline.
 fn run_forwards<M: BatchModel>(
     model: &M,
     mut seqs: Vec<&mut Seq>,
-    prefill: bool,
+    step: usize,
 ) -> Vec<(usize, String)> {
     if seqs.is_empty() {
         return Vec::new();
@@ -261,7 +266,7 @@ fn run_forwards<M: BatchModel>(
         .iter()
         .map(|s| s.kv.as_ref().map_or(0, |kv| kv.len(0)))
         .collect();
-    if catch_panic(|| forward_seqs(model, &mut seqs, prefill)).is_ok() {
+    if catch_panic(|| forward_seqs(model, &mut seqs, step)).is_ok() {
         return Vec::new();
     }
     let mut failed = Vec::new();
@@ -269,9 +274,10 @@ fn run_forwards<M: BatchModel>(
         if let Some(kv) = seq.kv.as_mut() {
             kv.truncate(len);
         }
+        let phase = if seq.prefilling() { "prefill" } else { "decode" };
         let alone = std::slice::from_mut(seq);
-        if let Err(message) = catch_panic(|| forward_seqs(model, alone, prefill)) {
-            failed.push((seq.id, message));
+        if let Err(message) = catch_panic(|| forward_seqs(model, alone, step)) {
+            failed.push((seq.id, format!("{phase} forward panic: {message}")));
         }
     }
     failed
@@ -355,6 +361,8 @@ pub struct CpuEngine<M: BatchModel> {
     outcomes: Vec<Outcome>,
     next_id: usize,
     clock: usize,
+    /// Steps that ran a forward, and those whose forward fed a decode row.
+    forwards: usize,
     decode_steps: usize,
     degraded_admissions: usize,
     telemetry: TelemetrySink,
@@ -414,6 +422,7 @@ impl<M: BatchModel> CpuEngine<M> {
             outcomes: Vec::new(),
             next_id: 0,
             clock: 0,
+            forwards: 0,
             decode_steps: 0,
             degraded_admissions: 0,
             telemetry: TelemetrySink::Global,
@@ -567,9 +576,10 @@ impl<M: BatchModel> CpuEngine<M> {
     }
 
     /// Runs one serving iteration: advance the clock, expire deadlines,
-    /// inject scheduled faults, admit and prefill, then advance every
-    /// sequence of the batch by one token. Returns `false`, having only
-    /// advanced the clock, when nothing is queued or running.
+    /// admit, inject scheduled faults, then run one forward over a row of
+    /// every decoder and the prompt chunks the budget leaves room for, and
+    /// retire what finished. Returns `false`, having only advanced the
+    /// clock, when nothing is queued or running.
     pub fn step(&mut self) -> bool {
         self.clock += 1;
         if self.batcher.is_idle() {
@@ -597,7 +607,7 @@ impl<M: BatchModel> CpuEngine<M> {
             tel.counter_add(names::ENGINE_FAULTS, 1);
         }
 
-        let admitted = self.admit_from_queue();
+        self.admit_from_queue();
 
         let used = self.batcher.allocator().used_blocks();
         let total = self.batcher.allocator().total_blocks();
@@ -609,19 +619,6 @@ impl<M: BatchModel> CpuEngine<M> {
             names::ENGINE_KV_OCCUPANCY_PERMILLE,
             (util * 1000.0).round() as u64,
         );
-
-        // Prefill phase for the sequences admitted this step. A forward
-        // that panicked fails only its own request; the rest donate their
-        // prompt to the prefix index.
-        let prefills = self.batcher.admitted_tail_mut(admitted);
-        let fresh: Vec<usize> = prefills.iter().map(|s| s.id).collect();
-        for (id, reason) in run_forwards(&self.model, prefills.iter_mut().collect(), true) {
-            let reason = format!("prefill forward panic: {reason}");
-            self.end(id, Terminal::Failed { reason });
-        }
-        for id in fresh {
-            self.cache_completed_prefill(id);
-        }
 
         // Injected faults, one in-flight victim each, in this order: a
         // forward fault surfaces a typed failure instead of poisoning the
@@ -645,7 +642,7 @@ impl<M: BatchModel> CpuEngine<M> {
             }
         }
 
-        // Guarantee decode headroom before the scheduler commits this step.
+        // Guarantee decode headroom before the scheduler plans this step.
         // Every sequence may need one fresh block, and blocks held only by
         // the cache must yield rather than stall (or preempt) live work.
         while self.batcher.allocator().free_blocks() < self.batcher.running() {
@@ -654,32 +651,26 @@ impl<M: BatchModel> CpuEngine<M> {
             }
         }
 
-        // Decode phase: let the scheduler commit its block accounting first,
-        // then run the model for exactly the sequences it advanced — those
-        // still in the batch that did not stall, and those it just retired,
-        // whose last row still runs. (A sequence can advance even when the
-        // pool looked full beforehand — another sequence finishing in the
-        // same step frees its blocks — so predicting the advanced set from a
-        // pre-step snapshot drops tokens.)
+        // The step's one forward, over the rows the scheduler planned. A
+        // forward that panicked fails only its own request; a member whose
+        // last chunk ran donates its prompt to the prefix index.
         let preemptions = self.batcher.preemptions();
-        let mut finished = self.batcher.step_decode(clock);
+        let seqs = self.batcher.plan();
+        let last = seqs.iter().filter(|s| s.prefilling() && s.fed + s.feed == s.prompt.len());
+        let prefilled: Vec<usize> = last.map(|s| s.id).collect();
+        self.forwards += usize::from(!seqs.is_empty());
+        self.decode_steps += usize::from(seqs.iter().any(|s| !s.prefilling()));
+        for (id, reason) in run_forwards(&self.model, seqs, clock) {
+            self.end(id, Terminal::Failed { reason });
+        }
         if self.batcher.preemptions() > preemptions {
             tel.counter_add(names::ENGINE_PREEMPTIONS, 1);
         }
-        let decodes: Vec<&mut Seq> = self.batcher.advanced_mut().chain(&mut finished).collect();
-        if !decodes.is_empty() {
-            self.decode_steps += 1;
+        for id in prefilled {
+            self.cache_completed_prefill(id);
         }
-        let poisoned = run_forwards(&self.model, decodes, false);
-        for seq in finished {
-            self.terminalize(seq, Terminal::Completed);
-        }
-        // A sequence whose decode forward panicked fails — unless the token
-        // pushed this step already finished it, in which case the lost
-        // logits would have been discarded anyway and the completion stands.
-        for (id, reason) in poisoned {
-            let reason = format!("decode forward panic: {reason}");
-            self.end(id, Terminal::Failed { reason });
+        for id in self.batcher.ids_where(Seq::done) {
+            self.end(id, Terminal::Completed);
         }
         // The cache cap is enforced once per step as well as at insert
         // time: blocks shared with a live donor are unevictable when
@@ -702,9 +693,8 @@ impl<M: BatchModel> CpuEngine<M> {
     /// flavor, pin the matched blocks, admit it seeded with the shared run
     /// — evicting cold cached runs when the pool is short — and build its
     /// KV store. Stops at the first request that cannot be admitted (FCFS
-    /// head-of-line). Returns how many were admitted: the batch's tail.
-    fn admit_from_queue(&mut self) -> usize {
-        let mut admitted = 0;
+    /// head-of-line).
+    fn admit_from_queue(&mut self) {
         while let Some(head) = self.batcher.head() {
             if self.batcher.allocator().fault_armed() {
                 break;
@@ -743,7 +733,7 @@ impl<M: BatchModel> CpuEngine<M> {
             if !fits {
                 break;
             }
-            let Some(seq) = self.batcher.admitted_tail_mut(1).last_mut() else {
+            let Some(seq) = self.batcher.newest_mut() else {
                 break; // unreachable: the admission just pushed it
             };
             let tel = self.telemetry.get();
@@ -767,7 +757,7 @@ impl<M: BatchModel> CpuEngine<M> {
             };
             seq.kv = Some(kv);
             seq.flavor = flavor;
-            seq.skip = shared.tokens;
+            seq.fed = shared.tokens;
             if degraded {
                 self.degraded_admissions += 1;
                 tel.counter_add(names::ENGINE_DEGRADED_ADMISSIONS, 1);
@@ -775,9 +765,7 @@ impl<M: BatchModel> CpuEngine<M> {
             }
             seq.stats.prefix_tokens = seq.stats.prefix_tokens.max(shared.tokens);
             seq.stats.admitted_step.get_or_insert(self.clock);
-            admitted += 1;
         }
-        admitted
     }
 
     /// Indexes the just-completed prefill of batch member `id` into the
@@ -898,7 +886,7 @@ impl<M: BatchModel> CpuEngine<M> {
     }
 
     fn progress_mark(&self) -> usize {
-        self.outcomes.len() + self.decode_steps + self.batcher.preemptions()
+        self.outcomes.len() + self.forwards + self.batcher.preemptions()
     }
 
     /// Terminal records so far, in terminalization order — exactly one per
@@ -918,7 +906,7 @@ impl<M: BatchModel> CpuEngine<M> {
         outcomes.filter(|o| o.terminal.is_completed()).count()
     }
 
-    /// Decode iterations executed.
+    /// Steps whose forward fed at least one decode row.
     pub fn decode_steps(&self) -> usize {
         self.decode_steps
     }
@@ -1330,25 +1318,34 @@ mod tests {
         }
     }
 
-    #[test]
-    fn one_forward_per_phase_not_per_request() {
-        // Eight concurrent requests: every step runs at most one prefill
-        // forward and one decode forward, so one linear layer runs at most
-        // twice per step — not once per request per step.
+    /// A `max_batch`-wide engine over the tiny model whose first Q
+    /// projection counts its forwards into `calls`.
+    fn counted_engine(
+        max_batch: usize,
+        calls: &Arc<AtomicUsize>,
+    ) -> CpuEngine<LlamaModel<CountedLinear>> {
         let config = tiny_config();
-        let calls = Arc::new(AtomicUsize::new(0));
         let q0 = atom_nn::LinearId::new(0, atom_nn::Proj::Q);
         let model = LlamaModel::random_init(config, 3).map_linears(|id, inner| CountedLinear {
             inner,
-            calls: (id == q0).then(|| Arc::clone(&calls)),
+            calls: (id == q0).then(|| Arc::clone(calls)),
         });
-        let mut e = CpuEngine::new(
+        CpuEngine::new(
             model,
             Box::new(move || Box::new(Fp32KvCache::new(config.layers, config.kv_dim()))),
-            8,
+            max_batch,
             1024,
         )
-        .expect("valid config");
+        .expect("valid config")
+    }
+
+    #[test]
+    fn one_forward_per_step() {
+        // Eight concurrent requests: every step runs at most one forward,
+        // prompt chunks and decode rows together, so one linear layer runs
+        // at most once per step — not once per request or phase.
+        let calls = Arc::new(AtomicUsize::new(0));
+        let mut e = counted_engine(8, &calls);
         for r in 0..8u16 {
             e.submit(
                 vec![r + 1; 3 + usize::from(r)],
@@ -1359,11 +1356,134 @@ mod tests {
         }
         assert_eq!(e.run_to_completion().len(), 8);
         let calls = calls.load(Ordering::Relaxed);
-        assert!(
-            calls <= 2 * e.steps(),
-            "{calls} forwards in {} steps",
-            e.steps()
-        );
+        assert!(calls <= e.steps(), "{calls} forwards in {} steps", e.steps());
+    }
+
+    #[test]
+    fn long_prompt_prefills_in_budgeted_chunks_and_matches_greedy_forward() {
+        // At max batch 1 the step budget is one 16-token block: a 50-token
+        // prompt runs as chunks of 16, 16, 16 and 2, and only the fourth
+        // commits a token. The stream equals the model's own greedy loop
+        // over one whole-prompt forward.
+        let prompt: Vec<u16> = (0..50u16).map(|t| (t * 7) % 90 + 1).collect();
+        let calls = Arc::new(AtomicUsize::new(0));
+        let mut e = counted_engine(1, &calls);
+        let id = e.submit(prompt.clone(), 5, None).unwrap();
+        e.run_to_completion();
+        let outcome = e.outcome_of(id).expect("terminal").clone();
+        assert_eq!(outcome.stats.first_token_step, Some(4));
+        let forwards = calls.load(Ordering::Relaxed);
+        assert_eq!(forwards, 4 + 4, "four prompt forwards, then one per later token");
+        assert_eq!(e.decode_steps(), 4, "the steps that fed a decode row");
+
+        let config = tiny_config();
+        let model = LlamaModel::random_init(config, 3);
+        let mut kv = Fp32KvCache::new(config.layers, config.kv_dim());
+        let mut logits = model.forward(&prompt, &mut kv);
+        let mut greedy = Vec::new();
+        while greedy.len() < 5 {
+            let last = logits.row(logits.rows() - 1);
+            greedy.push(cast::usize_to_u16_saturating(ops::argmax(last)));
+            logits = model.forward(&greedy[greedy.len() - 1..], &mut kv);
+        }
+        assert_eq!(outcome.tokens, greedy);
+    }
+
+    /// A model counting the rows it is fed.
+    struct RowCounting {
+        inner: LlamaModel<DenseLinear>,
+        rows: Arc<AtomicUsize>,
+    }
+
+    impl BatchModel for RowCounting {
+        fn forward_batch(&self, batch: &mut [SeqRows<'_>]) -> atom_tensor::Matrix {
+            let rows: usize = batch.iter().map(|s| s.tokens.len()).sum();
+            self.rows.fetch_add(rows, Ordering::Relaxed);
+            self.inner.forward_batch(batch)
+        }
+    }
+
+    #[test]
+    fn rows_fed_are_prompt_suffixes_plus_one_per_later_token() {
+        // Prefix hits, prompts chunked behind decode rows (budget 3 x 16)
+        // and requests finishing: no row runs twice or is thrown away, so
+        // the rows fed are each prompt's unmatched suffix plus one row for
+        // every generated token after the first.
+        let config = tiny_config();
+        let rows = Arc::new(AtomicUsize::new(0));
+        let model = RowCounting {
+            inner: LlamaModel::random_init(config, 3),
+            rows: Arc::clone(&rows),
+        };
+        let mut e = CpuEngine::new(
+            model,
+            Box::new(move || Box::new(Fp32KvCache::new(config.layers, config.kv_dim()))),
+            3,
+            1024,
+        )
+        .expect("valid config")
+        .with_prefix_cache(PrefixConfig::default());
+        let prompts = shared_prompts(6, 32, 60);
+        for (i, p) in prompts.iter().enumerate() {
+            e.submit(p.clone(), 2 + i, None).unwrap();
+            if i == 0 {
+                e.run_to_completion(); // the donor's prompt is cached first
+            }
+        }
+        e.run_to_completion();
+        let outcomes = e.outcomes();
+        assert!(outcomes.iter().all(|o| o.terminal.is_completed()));
+        assert_eq!(e.prefix_stats().expect("always present").hits, 5);
+        let suffixes: usize = outcomes.iter().map(|o| 60 - o.stats.prefix_tokens).sum();
+        let later: usize = (0..prompts.len()).map(|i| 2 + i - 1).sum();
+        assert_eq!(rows.load(Ordering::Relaxed), suffixes + later);
+    }
+
+    #[test]
+    fn mixed_forward_panic_fails_only_its_request() {
+        // Request 0 decodes while request 1's 200-token prompt prefills in
+        // chunks of 63 beside its row (budget 4 x 16), so the forwards of
+        // steps 2 to 4 hold both. Poisoning either one's store fails that
+        // request alone, labelled by what it fed, and the other's stream
+        // equals a run without the poison, on 2 threads under 16 stress
+        // seeds.
+        let long: Vec<u16> = (0..200u16).map(|t| t % 90 + 1).collect();
+        let run = |limits: &'static [Option<usize>], pool: Pool| {
+            let mut e = poisoned_engine(limits, None);
+            e.submit(vec![1, 2, 3], 8, None).unwrap();
+            e.step();
+            e.submit(long.clone(), 4, None).unwrap();
+            pool.install(|| e.run_to_completion().len());
+            let mut outcomes = e.outcomes().to_vec();
+            outcomes.sort_by_key(|o| o.id);
+            outcomes
+        };
+        let clean = run(&[], Pool::new(1));
+        assert!(clean.iter().all(|o| o.terminal.is_completed()));
+        // Request 1's first chunk panics on its first append at step 2;
+        // request 0's third decode row (its store's sixth row) panics at
+        // step 4, beside request 1's third chunk.
+        let cases: [(&'static [Option<usize>], usize, usize, &str); 2] = [
+            (&[None, Some(0)], 1, 0, "prefill forward panic: injected kv panic in sequence 1"),
+            (&[Some(3 + 2)], 0, 3, "decode forward panic: injected kv panic in sequence 0"),
+        ];
+        for (limits, bad, kept, reason) in cases {
+            for seed in 0..16 {
+                let poisoned = run(limits, Pool::new(2).with_stress(seed));
+                for (p, c) in poisoned.iter().zip(&clean) {
+                    if p.id == bad {
+                        let failed = Terminal::Failed {
+                            reason: reason.to_string(),
+                        };
+                        assert_eq!(p.terminal, failed, "stress seed {seed}");
+                        assert_eq!(p.tokens, c.tokens[..kept], "tokens committed before");
+                    } else {
+                        let (got, want) = ((&p.terminal, &p.tokens), (&c.terminal, &c.tokens));
+                        assert_eq!(got, want, "request {}, stress seed {seed}", p.id);
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -1814,6 +1934,42 @@ mod tests {
         // At idle no sequence is live: every cached block is refcount 1.
         assert_eq!(e.batcher().allocator().shared_blocks(), 0);
         e.batcher().allocator().leak_check().unwrap();
+    }
+
+    #[test]
+    fn request_ended_between_chunks_is_terminal_once_and_never_cached() {
+        // Budget 16 at max batch 1: a 50-token prompt holds 16 prompt tokens
+        // after one step and 32 after two. Cancelled after the first, or
+        // past its deadline after the second, it ends exactly once with no
+        // token and every block free, and the prefix index never saw it:
+        // the same prompt submitted afterwards misses. Each case runs on 2
+        // threads under 16 stress seeds.
+        let prompt: Vec<u16> = (0..50u16).map(|t| t % 90 + 1).collect();
+        for case in 0..32 {
+            let (cancel, pool) = (case < 16, Pool::new(2).with_stress(case % 16));
+            let mut e = prefix_engine(1, 1024);
+            let id = e.submit(prompt.clone(), 3, (!cancel).then_some(2)).unwrap();
+            pool.install(|| e.step());
+            let want = if cancel {
+                e.cancel(id).unwrap();
+                Terminal::Cancelled
+            } else {
+                pool.install(|| (e.step(), e.step()));
+                Terminal::DeadlineExceeded
+            };
+            let outcome = e.outcome_of(id).expect("terminal").clone();
+            assert_eq!((outcome.terminal, outcome.tokens.len()), (want, 0));
+            assert_eq!(outcome.stats.first_token_step, None);
+            assert_eq!(e.batcher().allocator().used_blocks(), 0);
+            assert_eq!(e.prefix_stats().expect("always present").cached_blocks, 0);
+            let again = e.submit(prompt.clone(), 3, None).unwrap();
+            pool.install(|| e.run_to_completion().len());
+            assert_eq!(e.outcomes().iter().filter(|o| o.id == id).count(), 1);
+            assert!(e.outcome_of(again).expect("terminal").terminal.is_completed());
+            let stats = e.prefix_stats().expect("always present");
+            assert_eq!((stats.hits, stats.misses), (0, 2), "{stats:?}");
+            e.batcher().allocator().leak_check().unwrap();
+        }
     }
 
     #[test]

@@ -22,11 +22,13 @@ use std::cell::RefCell;
 /// Results of one serving run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServingReport {
-    /// Generated tokens per second (decode tokens / total busy time).
+    /// Generated tokens per second (tokens the completed requests
+    /// generated / total busy time).
     pub throughput_tps: f64,
-    /// Mean decode-iteration latency per token, seconds.
+    /// Mean latency per token of a decoder, seconds: the mean of the
+    /// forwards that fed decode rows, each of which its decoders wait out.
     pub avg_decode_latency_s: f64,
-    /// 99th-percentile decode latency, seconds.
+    /// 99th-percentile of the same forwards, seconds.
     pub p99_decode_latency_s: f64,
     /// Requests completed.
     pub finished: usize,
@@ -34,8 +36,7 @@ pub struct ServingReport {
     pub busy_s: f64,
     /// Peak KV blocks in use.
     pub peak_kv_blocks: usize,
-    /// Mean prefill-iteration latency (the time-to-first-token a request
-    /// pays once admitted, queuing excluded), seconds.
+    /// Mean latency of the forwards that fed prompt chunks, seconds.
     pub avg_prefill_latency_s: f64,
     /// Requests rejected at submission (oversized for the KV pool).
     pub rejected: usize,
@@ -43,21 +44,24 @@ pub struct ServingReport {
     pub preemptions: usize,
 }
 
-/// Simulated seconds of every forward the engine ran, by phase.
+/// Simulated seconds of every forward the engine ran, by what it fed.
 #[derive(Debug, Default)]
 struct Ledger {
     /// Every forward's seconds, summed in the order they ran.
     busy_s: f64,
+    /// The forwards that fed a prompt chunk.
     prefill_s: Vec<f64>,
+    /// The forwards that fed a decode row (a mixed forward is in both).
     decode_s: Vec<f64>,
-    decode_tokens: usize,
 }
 
 /// A GPU-scale Llama whose forwards are costed, not computed.
 ///
-/// A batch whose KV stores are all empty is a prefill, costed at kv 0 with
-/// the batch's mean prompt length; any other batch is one decode token per
-/// sequence, costed at the sequences' mean store length. Either way each
+/// A batch is costed as its prefill part plus its decode part. A decode
+/// row is one token behind a non-empty store, costed at the decoders' mean
+/// store length; every other sequence feeds a prompt chunk, costed at the
+/// chunks' mean length behind the prefillers' mean store length. (A
+/// one-token chunk behind earlier chunks costs exactly a decode row.) Each
 /// store grows by its rows and the logits are zeros, so every sequence
 /// generates token 0.
 #[derive(Debug)]
@@ -96,36 +100,44 @@ impl RooflineModel {
     }
 }
 
-impl BatchModel for RooflineModel {
-    fn forward_batch(&self, batch: &mut [SeqRows<'_>]) -> Matrix {
-        let seqs = batch.len();
-        let rows: usize = batch.iter().map(|s| s.tokens.len()).sum();
+impl RooflineModel {
+    /// Seconds of one forward over `part` alone (0 when it is empty), at
+    /// its sequences' mean store length.
+    fn cost(&self, part: &[&SeqRows<'_>], decode: bool) -> f64 {
+        let seqs = part.len();
         if seqs == 0 {
-            return Matrix::zeros(0, 1);
+            return 0.0;
         }
-        // Every prompt is token 0, so a prefix cache of any capacity would
-        // make every later prompt a hit; the engine keeps capacity 0, and a
-        // prefill therefore always starts from empty stores.
-        let prefill = batch.iter().all(|s| s.kv.is_empty(0));
-        let (phase, kv_len) = if prefill {
-            (Phase::Prefill { q_len: rows / seqs }, 0)
+        let rows: usize = part.iter().map(|s| s.tokens.len()).sum();
+        let kv_len = part.iter().map(|s| s.kv.len(0)).sum::<usize>() / seqs;
+        let phase = if decode {
+            Phase::Decode
         } else {
-            let total: f64 = batch.iter().map(|s| s.kv.len(0) as f64).sum();
-            (Phase::Decode, (total / seqs as f64) as usize)
+            Phase::Prefill { q_len: rows / seqs }
         };
         let b = iteration_breakdown(&self.config, self.scheme, seqs, kv_len, phase, &self.hw);
-        let seconds = b.total_s();
+        b.total_s()
+    }
+}
+
+impl BatchModel for RooflineModel {
+    fn forward_batch(&self, batch: &mut [SeqRows<'_>]) -> Matrix {
+        let rows: usize = batch.iter().map(|s| s.tokens.len()).sum();
+        let (decode, prefill): (Vec<&SeqRows<'_>>, Vec<&SeqRows<'_>>) = batch
+            .iter()
+            .partition(|s| s.tokens.len() == 1 && !s.kv.is_empty(0));
+        let seconds = self.cost(&prefill, false) + self.cost(&decode, true);
+        let mut ledger = self.ledger.borrow_mut();
+        ledger.busy_s += seconds;
+        if !prefill.is_empty() {
+            ledger.prefill_s.push(seconds);
+        }
+        if !decode.is_empty() {
+            ledger.decode_s.push(seconds);
+        }
         for seq in batch.iter_mut() {
             let none = Matrix::zeros(seq.tokens.len(), 0);
             seq.kv.append(0, &none, &none);
-        }
-        let mut ledger = self.ledger.borrow_mut();
-        ledger.busy_s += seconds;
-        if prefill {
-            ledger.prefill_s.push(seconds);
-        } else {
-            ledger.decode_s.push(seconds);
-            ledger.decode_tokens += rows;
         }
         Matrix::zeros(rows, 1)
     }
@@ -150,15 +162,15 @@ pub fn serve(engine: &mut CpuEngine<RooflineModel>, trace: &[Request]) -> Servin
         busy_s,
         prefill_s,
         mut decode_s,
-        decode_tokens,
     } = engine.model().ledger.take();
+    let generated: usize = engine.outcomes().iter().map(|o| o.tokens.len()).sum();
     decode_s.sort_by(f64::total_cmp);
     let mean = |s: &[f64]| s.iter().sum::<f64>() / s.len().max(1) as f64;
     let p99 = decode_s.get(decode_s.len().saturating_sub(1) * 99 / 100);
     ServingReport {
         // Every request rejected at submission: nothing ran, 0 / 0.
         throughput_tps: if busy_s > 0.0 {
-            decode_tokens as f64 / busy_s
+            generated as f64 / busy_s
         } else {
             0.0
         },
@@ -332,13 +344,18 @@ mod tests {
         // One decode row each over stores of 5 and 8: kv 6 (6.5 truncated).
         forward(&m, &mut stores, &[1, 1]);
         assert_eq!(lens(&stores), [6, 9]);
-        let cost =
-            |kv, phase| iteration_breakdown(&m.config, m.scheme, 2, kv, phase, &m.hw).total_s();
+        // Mixed: a decode row over the store of 6, a 4-row chunk behind 9.
+        forward(&m, &mut stores, &[1, 4]);
+        assert_eq!(lens(&stores), [7, 13]);
+        let cost = |seqs, kv, phase| {
+            iteration_breakdown(&m.config, m.scheme, seqs, kv, phase, &m.hw).total_s()
+        };
+        let mixed = cost(1, 9, Phase::Prefill { q_len: 4 }) + cost(1, 6, Phase::Decode);
         let ledger = m.ledger.take();
-        assert_eq!(ledger.prefill_s, [cost(0, Phase::Prefill { q_len: 6 })]);
-        assert_eq!(ledger.decode_s, [cost(6, Phase::Decode)]);
-        assert_eq!(ledger.decode_tokens, 2);
-        assert_eq!(ledger.busy_s, ledger.prefill_s[0] + ledger.decode_s[0]);
+        assert_eq!(ledger.prefill_s, [cost(2, 0, Phase::Prefill { q_len: 6 }), mixed]);
+        assert_eq!(ledger.decode_s, [cost(2, 6, Phase::Decode), mixed]);
+        let busy = ledger.prefill_s[0] + ledger.decode_s[0] + mixed;
+        assert_eq!(ledger.busy_s, busy);
     }
 
     #[test]

@@ -1,13 +1,19 @@
-//! Continuous batching scheduler (Orca-style iteration-level scheduling).
+//! Continuous batching scheduler (Orca-style iteration-level scheduling,
+//! with Sarathi-Serve's chunked prefill).
 //!
 //! Requests are admitted First-Come-First-Served up to a batch cap and the
 //! KV block pool's capacity; whenever a request finishes decoding, the
 //! on-the-fly batch is refilled from the queue at the *next iteration*
-//! boundary — the continuous batching of §5.3.2.
+//! boundary — the continuous batching of §5.3.2. Each iteration is one
+//! forward (`ContinuousBatcher::plan`): a row for every decoding member,
+//! then prompt chunks up to a per-step token budget, so a long prompt
+//! prefills over several iterations and stalls no decoder for longer than
+//! one chunk.
 //!
 //! The batcher holds every live request's one record, a `Seq`: a waiting
 //! request sits in the FCFS queue, an admitted one in the batch, and which
-//! of the two holds it is its whole scheduling state.
+//! of the two holds it is its whole scheduling state. A batch member is
+//! prefilling until its whole prompt is in its KV store, decoding after.
 
 use crate::engine::RequestStats;
 use crate::error::{RejectReason, ServeError};
@@ -46,18 +52,18 @@ pub(crate) struct Seq {
     pub(crate) stats: RequestStats,
     /// KV store from admission until the request ends or is preempted.
     pub(crate) kv: Option<Box<dyn KvStore>>,
-    /// Tokens generated since the latest admission.
+    /// Tokens generated since the latest admission; the last one is what
+    /// the next decode row feeds.
     pub(crate) generated: Vec<u16>,
-    /// The token the next decode row feeds: the argmax of the latest
-    /// forward's last row.
-    pub(crate) next_input: u16,
     /// The KV flavor the latest admission chose.
     pub(crate) flavor: Flavor,
-    /// Prompt tokens the latest admission replayed from a prefix hit; its
-    /// prefill forwards only the rest.
-    pub(crate) skip: usize,
-    /// Whether the latest decode step found no block for its next token.
-    pub(crate) stalled: bool,
+    /// Prompt tokens in its KV store: the latest admission's prefix hit,
+    /// then every chunk forwarded since.
+    pub(crate) fed: usize,
+    /// Rows the step's forward feeds it, set by
+    /// [`ContinuousBatcher::plan`]: a prompt chunk, one decode row, or none
+    /// (a decoder that found no block for its next token stalls).
+    pub(crate) feed: usize,
 }
 
 impl Seq {
@@ -70,24 +76,46 @@ impl Seq {
             stats,
             kv: None,
             generated: Vec::new(),
-            next_input: 0,
             flavor: FLAVOR_NORMAL,
-            skip: 0,
-            stalled: false,
+            fed: 0,
+            feed: 0,
         }
     }
 
-    /// This sequence's part of a forward — the prompt suffix its admission
-    /// left to prefill, or one decode row from `next_input` — or `None`
-    /// while it holds no KV store.
-    pub(crate) fn rows(&mut self, prefill: bool) -> Option<SeqRows<'_>> {
-        let tokens = if prefill {
-            self.prompt.get(self.skip..).unwrap_or(&self.prompt)
+    /// Whether part of its prompt is not in its KV store yet.
+    pub(crate) fn prefilling(&self) -> bool {
+        self.fed < self.prompt.len()
+    }
+
+    /// Whether it has generated every token it asked for.
+    pub(crate) fn done(&self) -> bool {
+        self.generated.len() >= self.max_new
+    }
+
+    /// This sequence's part of the step's forward — its planned prompt
+    /// chunk, or one decode row from its latest token — or `None` while it
+    /// holds no KV store.
+    pub(crate) fn rows(&mut self) -> Option<SeqRows<'_>> {
+        let tokens = if self.prefilling() {
+            self.prompt.get(self.fed..self.fed + self.feed).unwrap_or_default()
         } else {
-            std::slice::from_ref(&self.next_input)
+            self.generated.last().map(std::slice::from_ref).unwrap_or_default()
         };
         let kv = self.kv.as_deref_mut()?;
         Some(SeqRows { tokens, kv })
+    }
+
+    /// Commits the step's forward, `token` being the argmax of its last
+    /// row: a chunk moves `fed` on, and once the whole prompt is in, the
+    /// token is generated — the first one stamps `first_token_step`.
+    pub(crate) fn commit(&mut self, token: u16, step: usize) {
+        if self.prefilling() {
+            self.fed += self.feed;
+        }
+        if !self.prefilling() {
+            self.generated.push(token);
+            self.stats.first_token_step.get_or_insert(step);
+        }
     }
 }
 
@@ -229,11 +257,9 @@ impl ContinuousBatcher {
         ids
     }
 
-    /// The batch's last `n` members: admission appends to the batch, so
-    /// after a step admits `n` requests these are exactly those.
-    pub(crate) fn admitted_tail_mut(&mut self, n: usize) -> &mut [Seq] {
-        let start = self.batch.len().saturating_sub(n);
-        self.batch.get_mut(start..).unwrap_or_default()
+    /// The batch's newest member: the request admission just appended.
+    pub(crate) fn newest_mut(&mut self) -> Option<&mut Seq> {
+        self.batch.last_mut()
     }
 
     /// An admitted request by id, beside the allocator that holds its
@@ -247,12 +273,6 @@ impl ContinuousBatcher {
     /// (slots wrap around the batch); `None` while the batch is empty.
     pub(crate) fn victim(&self, slot: usize) -> Option<usize> {
         self.batch.get(slot % self.batch.len().max(1)).map(|s| s.id)
-    }
-
-    /// The batch members the latest [`Self::step_decode`] advanced: those
-    /// it kept that did not stall.
-    pub(crate) fn advanced_mut(&mut self) -> impl Iterator<Item = &mut Seq> {
-        self.batch.iter_mut().filter(|s| !s.stalled)
     }
 
     /// Attempts to admit exactly the head-of-queue request, optionally
@@ -321,69 +341,61 @@ impl ContinuousBatcher {
         AdmitOutcome::Admitted
     }
 
-    /// Advances every sequence of the batch by one token: commits its
-    /// `next_input` as output (the first at `step` sets its first-token
-    /// step), retires the sequences that reached `max_new` — releasing their
-    /// KV blocks and returning them, in batch order — and keeps the rest.
+    /// Plans the step's one forward and returns its members, in batch
+    /// order, each with its `feed` set. Every decoder past its admission
+    /// reserve (which covers its first decode row) grows its table by one
+    /// token, and stalls — feeds nothing — if no block is free; every other
+    /// decoder feeds one row. The prefilling members then take prompt
+    /// chunks, in batch order, from what is left of a budget of one block
+    /// per batch slot (`block_size × max_batch` tokens).
     ///
-    /// Sequences that cannot obtain a block for their next token stall for
-    /// this iteration (their `stalled` flag is set). If *nothing* advanced,
-    /// the youngest stalled sequence is preempted: its blocks are released,
-    /// its KV state dropped, its `stats.preemptions` counted, and it
-    /// re-enters the head of the queue to prefill again, so the batch can
-    /// never deadlock on memory — the same policy vLLM uses.
+    /// If no member got a row, every one of them is a stalled decoder (the
+    /// budget always leaves room for a chunk), and the youngest is
+    /// preempted: its blocks are released, its KV state and tokens dropped,
+    /// its `stats.preemptions` counted, and it re-enters the head of the
+    /// queue to prefill again, so the batch can never deadlock on memory —
+    /// the same policy vLLM uses.
     ///
     /// Preemption is skipped while an injected allocation fault is armed
     /// (the stall is transient and eviction would only burn recompute) and
     /// when the stalled sequence is alone with an empty queue — a state
     /// [`Self::validate`] makes unreachable, since a lone admitted request
     /// always fits the pool.
-    pub(crate) fn step_decode(&mut self, step: usize) -> Vec<Seq> {
-        let mut finished = Vec::new();
-        let mut kept = Vec::with_capacity(self.batch.len());
-        for mut seq in std::mem::take(&mut self.batch) {
-            // The admission reserve covers the first decode token; later
-            // tokens grow the table one at a time.
-            seq.stalled = !seq.generated.is_empty() && self.allocator.grow(seq.id, 1).is_err();
-            if seq.stalled {
-                kept.push(seq);
-                continue;
-            }
-            seq.generated.push(seq.next_input);
-            seq.stats.first_token_step.get_or_insert(step);
-            if seq.generated.len() >= seq.max_new {
-                self.allocator.release(seq.id);
-                finished.push(seq);
+    pub(crate) fn plan(&mut self) -> Vec<&mut Seq> {
+        let mut budget = self.allocator.block_size() * self.max_batch;
+        for seq in self.batch.iter_mut().filter(|s| !s.prefilling()) {
+            let grown = seq.generated.len() < 2 || self.allocator.grow(seq.id, 1).is_ok();
+            seq.feed = usize::from(grown);
+            budget = budget.saturating_sub(seq.feed);
+        }
+        for seq in self.batch.iter_mut().filter(|s| s.prefilling()) {
+            seq.feed = (seq.prompt.len() - seq.fed).min(budget);
+            budget -= seq.feed;
+        }
+        let idle = self.batch.iter().all(|s| s.feed == 0);
+        if idle && !self.allocator.fault_armed() {
+            // Evicting it only helps if someone else can use the freed blocks.
+            if self.batch.len() > 1 || !self.queue.is_empty() {
+                if let Some(mut victim) = self.batch.pop() {
+                    self.allocator.release(victim.id);
+                    victim.kv = None;
+                    victim.generated.clear();
+                    victim.fed = 0;
+                    victim.stats.preemptions += 1;
+                    self.queue.push_front(victim);
+                    self.preemptions += 1;
+                }
             } else {
-                kept.push(seq);
+                // A lone stalled sequence with an empty queue would mean a
+                // request larger than the pool slipped past validation.
+                debug_assert!(
+                    self.batch.is_empty(),
+                    "request {:?} stalled alone with an empty queue",
+                    self.batch.first().map(|s| s.id)
+                );
             }
         }
-        self.batch = kept;
-        let advanced = !finished.is_empty() || self.batch.iter().any(|s| !s.stalled);
-        if advanced || self.allocator.fault_armed() {
-            return finished;
-        }
-        // Nothing advanced, so every member stalled: the youngest is last.
-        // Evicting it only helps if someone else can use the freed blocks.
-        if self.batch.len() > 1 || !self.queue.is_empty() {
-            if let Some(mut victim) = self.batch.pop() {
-                self.allocator.release(victim.id);
-                victim.kv = None;
-                victim.generated.clear();
-                victim.stats.preemptions += 1;
-                self.queue.push_front(victim);
-                self.preemptions += 1;
-            }
-        } else {
-            // A lone stalled sequence with an empty queue would mean a
-            // request larger than the pool slipped past validation.
-            debug_assert!(
-                self.batch.is_empty(),
-                "request {:?} stalled alone with an empty queue",
-                self.batch.first().map(|s| s.id)
-            );
-        }
-        finished
+        self.batch.iter_mut().filter(|s| s.feed > 0).collect()
     }
 
     /// Total recompute preemptions so far.
@@ -418,15 +430,26 @@ mod tests {
         seqs.iter().map(|s| s.id).collect()
     }
 
-    /// Runs `steps` decode steps (admitting in between when `refill`),
-    /// stopping early at idle; returns the requests finished.
+    /// One engine step with a model that computes nothing: plans the
+    /// forward, commits token 0 for every member it feeds, and takes out
+    /// (releasing their blocks) and returns the members that finished.
+    fn step(b: &mut ContinuousBatcher, step: usize) -> Vec<Seq> {
+        for seq in b.plan() {
+            seq.commit(0, step);
+        }
+        let done = b.ids_where(Seq::done);
+        done.into_iter().filter_map(|id| b.remove(id)).collect()
+    }
+
+    /// Runs `steps` steps (admitting in between when `refill`), stopping
+    /// early at idle; returns the requests finished.
     fn drain(b: &mut ContinuousBatcher, steps: usize, refill: bool) -> usize {
         let mut finished = 0;
-        for step in 0..steps {
+        for n in 0..steps {
             if b.is_idle() {
                 break;
             }
-            finished += b.step_decode(step).len();
+            finished += step(b, n).len();
             if refill {
                 admit_heads(b);
             }
@@ -488,16 +511,17 @@ mod tests {
         let mut b = batcher(2, 4);
         b.submit(seq(0, 30, 30)).unwrap(); // final context 60 -> 4 blocks
         admit_heads(&mut b);
-        // Decode past the reserve so further tokens need real growth.
-        for step in 0..2 {
-            b.step_decode(step);
+        // Prefill, then decode past the reserve (31 tokens, 2 blocks) until
+        // the next token needs a third block.
+        for n in 0..3 {
+            step(&mut b, n);
         }
         b.allocator.arm_fault();
         let before = b.batch[0].generated.len();
-        assert!(b.step_decode(2).is_empty());
+        assert!(step(&mut b, 3).is_empty());
         assert_eq!(b.preemptions(), 0, "no preemption under injected fault");
         assert_eq!(b.batch[0].generated.len(), before, "sequence stalled in place");
-        assert!(b.batch[0].stalled);
+        assert_eq!(b.batch[0].feed, 0, "a stalled decoder feeds no row");
         b.allocator.disarm_fault();
         assert_eq!(drain(&mut b, 200, false), 1);
         assert!(b.is_idle(), "recovers after the fault clears");
@@ -513,8 +537,8 @@ mod tests {
         assert_eq!(b.running(), 2);
         assert_eq!(b.queued(), 2);
 
-        assert!(b.step_decode(1).is_empty()); // decoded 1/2
-        let finished = b.step_decode(2); // decoded 2/2 -> both finish
+        assert!(step(&mut b, 1).is_empty()); // prefilled, first token each
+        let finished = step(&mut b, 2); // decoded 2/2 -> both finish
         assert_eq!(ids(&finished), [0, 1]);
 
         // Refill admits the next two in order.
@@ -536,21 +560,45 @@ mod tests {
     }
 
     #[test]
-    fn step_decode_advances_every_member_once() {
-        // Every batch member was prefilled in its admission step, so one
-        // decode step commits one token of each and stamps its first token.
+    fn plan_feeds_every_member_once() {
+        // The first step prefills both prompts whole and commits their first
+        // tokens; the next feeds one decode row each.
         let mut b = batcher(2, 100);
         b.submit(seq(0, 8, 3)).unwrap();
         b.submit(seq(1, 8, 3)).unwrap();
         admit_heads(&mut b);
-        b.step_decode(7);
+        step(&mut b, 7);
         for s in &b.batch {
-            assert_eq!((s.generated.len(), s.stalled), (1, false), "request {}", s.id);
+            assert_eq!((s.generated.len(), s.feed, s.fed), (1, 8, 8), "request {}", s.id);
             assert_eq!(s.stats.first_token_step, Some(7));
         }
-        b.step_decode(8);
-        assert!(b.batch.iter().all(|s| s.generated.len() == 2));
+        step(&mut b, 8);
+        assert!(b.batch.iter().all(|s| (s.generated.len(), s.feed) == (2, 1)));
         assert!(b.batch.iter().all(|s| s.stats.first_token_step == Some(7)));
+    }
+
+    #[test]
+    fn long_prompt_prefills_in_chunks_behind_decode_rows() {
+        // Budget 2 x 16 = 32 tokens a step. A decoder keeps its one row
+        // every step while a 70-token prompt takes the rest in chunks of
+        // 31, 31 and 8; only the step of its last chunk commits a token.
+        let mut b = batcher(2, 100);
+        b.submit(seq(0, 8, 10)).unwrap();
+        admit_heads(&mut b);
+        step(&mut b, 0);
+        b.submit(seq(1, 70, 2)).unwrap();
+        admit_heads(&mut b);
+        for (n, chunk) in [(1, 31), (2, 31), (3, 8)] {
+            let planned = b.plan();
+            let fed: Vec<(usize, usize)> = planned.iter().map(|s| (s.id, s.feed)).collect();
+            for seq in planned {
+                seq.commit(0, n);
+            }
+            assert_eq!(fed, [(0, 1), (1, chunk)], "step {n}");
+        }
+        let long = b.batch.iter().find(|s| s.id == 1).unwrap();
+        assert_eq!((long.fed, long.generated.len()), (70, 1));
+        assert_eq!(long.stats.first_token_step, Some(3));
     }
 
     #[test]
@@ -559,7 +607,7 @@ mod tests {
         b.submit(seq(0, 16, 1)).unwrap();
         admit_heads(&mut b);
         assert!(b.allocator().used_blocks() > 0);
-        b.step_decode(1);
+        step(&mut b, 1);
         assert_eq!(b.allocator().used_blocks(), 0);
         assert!(b.is_idle());
     }
@@ -590,11 +638,11 @@ mod tests {
         b.submit(seq(1, 16, 40)).unwrap(); // same; together they need 8 blocks
         admit_heads(&mut b);
         let mut finished = Vec::new();
-        for step in 0..500 {
+        for n in 0..500 {
             if b.is_idle() {
                 break;
             }
-            finished.extend(b.step_decode(step));
+            finished.extend(step(&mut b, n));
             admit_heads(&mut b);
         }
         assert!(b.is_idle(), "deadlocked");
