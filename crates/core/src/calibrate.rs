@@ -75,6 +75,11 @@ impl Calibration {
             let take = seq.len().min(config.max_seq_len);
             model.forward_observed(&seq[..take], &mut cache, &mut obs);
         }
+        for lc in obs.calib.per_linear.values_mut() {
+            if let Some(gram) = &mut lc.gram {
+                mirror_upper(gram, lc.stats.channels());
+            }
+        }
         obs.calib
     }
 
@@ -240,22 +245,55 @@ impl ForwardObserver for CalibObserver {
             entry.sample = entry.sample.vstack(&input.slice_rows(0, take));
         }
         if let Some(gram) = &mut entry.gram {
-            let mut r = 0;
-            while r < input.rows() {
-                let row = input.row(r);
-                for i in 0..k {
-                    let xi = row[i] as f64;
-                    if xi == 0.0 {
-                        continue;
-                    }
-                    let dst = &mut gram[i * k..(i + 1) * k];
-                    for (d, &xj) in dst.iter_mut().zip(row.iter()) {
-                        *d += xi * xj as f64;
-                    }
-                }
-                entry.gram_rows += 1;
-                r += self.gram_stride;
+            entry.gram_rows += accumulate_upper(gram, input, self.gram_stride);
+        }
+    }
+}
+
+/// Rows of calibration input one pass over the Gram's upper triangle adds.
+const GRAM_ROWS_PER_PASS: usize = 4;
+
+/// Adds `xᵀx` for rows `0, stride, 2·stride, …` of `input` into the upper
+/// triangle (`j ≥ i`) of the row-major `k x k` `gram` and returns how many
+/// rows it added; [`mirror_upper`] completes the matrix once every row is in.
+///
+/// Each entry adds its rows' products in row order, so every sum is bit
+/// for bit the one a full `k x k` pass per row computes (`xᵢ·xⱼ == xⱼ·xᵢ`
+/// makes the lower triangle a copy). Rows go four to a pass, each widened
+/// to `f64` once, and a short last pass is padded with zero rows. There is
+/// no skip for zero entries: a zero row or entry adds a `±0` product to a
+/// sum that starts at `+0.0`, and round-to-nearest never turns such a sum
+/// into `−0.0`, so adding `±0` leaves it unchanged. For finite inputs the
+/// padding and the products of zeros therefore change no bit.
+fn accumulate_upper(gram: &mut [f64], input: &Matrix, stride: usize) -> usize {
+    let k = input.cols();
+    let rows: Vec<&[f32]> = (0..input.rows()).step_by(stride).map(|r| input.row(r)).collect();
+    let mut x: [Vec<f64>; GRAM_ROWS_PER_PASS] = std::array::from_fn(|_| vec![0.0; k]);
+    for pass in rows.chunks(GRAM_ROWS_PER_PASS) {
+        for (t, xt) in x.iter_mut().enumerate() {
+            match pass.get(t) {
+                Some(row) => xt.iter_mut().zip(*row).for_each(|(d, &v)| *d = f64::from(v)),
+                None => xt.fill(0.0),
             }
+        }
+        let [x0, x1, x2, x3] = &x;
+        for i in 0..k {
+            let (a0, a1, a2, a3) = (x0[i], x1[i], x2[i], x3[i]);
+            let cols = x0[i..].iter().zip(&x1[i..]).zip(&x2[i..]).zip(&x3[i..]);
+            for (d, (((&b0, &b1), &b2), &b3)) in gram[i * k + i..(i + 1) * k].iter_mut().zip(cols) {
+                *d = *d + a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3;
+            }
+        }
+    }
+    rows.len()
+}
+
+/// Copies the upper triangle of the row-major `k x k` `gram` onto its lower
+/// triangle.
+fn mirror_upper(gram: &mut [f64], k: usize) {
+    for i in 0..k {
+        for j in (i + 1)..k {
+            gram[j * k + i] = gram[i * k + j];
         }
     }
 }
@@ -315,6 +353,51 @@ mod tests {
             assert!(g[i * k + i] >= 0.0, "diagonal must be nonnegative");
             for j in 0..k {
                 assert!((g[i * k + j] - g[j * k + i]).abs() < 1e-6, "symmetry");
+            }
+        }
+    }
+
+    /// The loop `accumulate_upper` + `mirror_upper` replaced: the full
+    /// `k x k`, one row at a time, skipping zero entries.
+    fn gram_oracle(gram: &mut [f64], input: &Matrix, stride: usize) -> usize {
+        let k = input.cols();
+        let mut rows = 0;
+        for r in (0..input.rows()).step_by(stride) {
+            let row = input.row(r);
+            for i in 0..k {
+                let xi = row[i] as f64;
+                if xi == 0.0 {
+                    continue;
+                }
+                for (d, &xj) in gram[i * k..(i + 1) * k].iter_mut().zip(row.iter()) {
+                    *d += xi * xj as f64;
+                }
+            }
+            rows += 1;
+        }
+        rows
+    }
+
+    #[test]
+    fn half_gram_is_the_full_loop_bit_for_bit() {
+        let bits = |g: &[f64]| g.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut rng = atom_tensor::SeededRng::new(11);
+        for stride in 1..=4 {
+            for (k, rows) in [(0, 3), (1, 1), (3, 2), (5, 9), (16, 7), (33, 13), (48, 0)] {
+                let (mut half, mut full) = (vec![0.0f64; k * k], vec![0.0f64; k * k]);
+                // Two inputs in a row: the second adds onto a nonzero Gram.
+                for _ in 0..2 {
+                    let mut x = rng.normal_matrix(rows, k, 0.0, 2.0);
+                    // Exact zeros of both signs, and one all-zero row.
+                    x.map_in_place(|v| if v.abs() < 0.8 { 0.0 * v.signum() } else { v });
+                    if rows > 1 {
+                        x.row_mut(1).fill(0.0);
+                    }
+                    let added = accumulate_upper(&mut half, &x, stride);
+                    assert_eq!(added, gram_oracle(&mut full, &x, stride));
+                }
+                mirror_upper(&mut half, k);
+                assert_eq!(bits(&half), bits(&full), "k {k}, rows {rows}, stride {stride}");
             }
         }
     }

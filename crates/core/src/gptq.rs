@@ -243,7 +243,17 @@ fn find_group(groups: &[(usize, usize)], col: usize) -> usize {
         .expect("column inside a group")
 }
 
+/// Entries of one Cholesky row that [`lower_cholesky`] computes side by side.
+const CHOLESKY_CHAINS: usize = 4;
+
 /// Lower Cholesky factorization of a symmetric positive-definite matrix.
+///
+/// `l[i][j] = (a[i][j] − Σ_{p<j} l[i][p]·l[j][p]) / l[j][j]`, the sum taken
+/// in `p` order. Row `i`'s entries go [`CHOLESKY_CHAINS`] at a time: their
+/// sums run as independent chains over the prefix `p < j₀` they all share,
+/// then each adds its remaining (at most three) terms in order. Every entry
+/// is therefore the same sequence of operations as in the one-at-a-time
+/// loop; only the latency of the chains overlaps.
 ///
 /// # Panics
 ///
@@ -252,45 +262,78 @@ fn find_group(groups: &[(usize, usize)], col: usize) -> usize {
 fn lower_cholesky(a: &[f64], k: usize) -> Vec<f64> {
     let mut l = vec![0.0f64; k * k];
     for i in 0..k {
-        for j in 0..=i {
-            let mut sum = a[i * k + j];
-            for p in 0..j {
-                sum -= l[i * k + p] * l[j * k + p];
+        for j0 in (0..=i).step_by(CHOLESKY_CHAINS) {
+            let width = CHOLESKY_CHAINS.min(i + 1 - j0);
+            let mut sums = [0.0f64; CHOLESKY_CHAINS];
+            sums[..width].copy_from_slice(&a[i * k + j0..i * k + j0 + width]);
+            // Past `width` the chains run on row `i` itself and are discarded.
+            let prefix = |t: usize| {
+                let r = if t < width { j0 + t } else { i };
+                &l[r * k..r * k + j0]
+            };
+            let cols = prefix(0).iter().zip(prefix(1)).zip(prefix(2)).zip(prefix(3));
+            for (&x, (((&b0, &b1), &b2), &b3)) in l[i * k..i * k + j0].iter().zip(cols) {
+                sums[0] -= x * b0;
+                sums[1] -= x * b1;
+                sums[2] -= x * b2;
+                sums[3] -= x * b3;
             }
-            if i == j {
-                assert!(sum > 0.0, "matrix not positive definite at {i} (sum {sum})");
-                l[i * k + i] = sum.sqrt();
-            } else {
-                l[i * k + j] = sum / l[j * k + j];
+            for (t, &prefix_sum) in sums[..width].iter().enumerate() {
+                let j = j0 + t;
+                let mut sum = prefix_sum;
+                for p in j0..j {
+                    sum -= l[i * k + p] * l[j * k + p];
+                }
+                if i == j {
+                    assert!(sum > 0.0, "matrix not positive definite at {i} (sum {sum})");
+                    l[i * k + i] = sum.sqrt();
+                } else {
+                    l[i * k + j] = sum / l[j * k + j];
+                }
             }
         }
     }
     l
 }
 
-/// Inverse of a symmetric positive-definite matrix via Cholesky.
+/// Inverse of a symmetric positive-definite matrix via Cholesky: `L Y = I`
+/// by forward substitution, then `Lᵀ X = Y` by back substitution, each over
+/// all `k` right-hand sides at once, one contiguous row at a time.
+///
+/// Every entry subtracts its terms in the same `p` order as solving one
+/// column at a time does. `Y = L⁻¹` is lower triangular: its upper entries
+/// stay `+0.0`, and the forward pass skips them. A skipped term is a `±0`
+/// subtracted, before any other term, from a sum that starts at `1.0` or
+/// `+0.0`; round-to-nearest leaves such a sum unchanged (`+0 − ±0 = +0`),
+/// so the skip changes no bit.
 fn invert_spd(a: &[f64], k: usize) -> Vec<f64> {
     let l = lower_cholesky(a, k);
-    // Solve L y = e_i, then L^T x = y, column by column.
     let mut inv = vec![0.0f64; k * k];
-    let mut y = vec![0.0f64; k];
-    for col in 0..k {
-        // Forward substitution.
-        for i in 0..k {
-            let mut sum = if i == col { 1.0 } else { 0.0 };
-            for p in 0..i {
-                sum -= l[i * k + p] * y[p];
+    // Forward substitution: row i of Y, nonzero in columns 0..=i.
+    for i in 0..k {
+        let (done, rest) = inv.split_at_mut(i * k);
+        let yi = &mut rest[..=i];
+        yi[i] = 1.0;
+        for (p, &lip) in l[i * k..i * k + i].iter().enumerate() {
+            for (d, &v) in yi.iter_mut().zip(&done[p * k..=p * k + p]) {
+                *d -= lip * v;
             }
-            y[i] = sum / l[i * k + i];
         }
-        // Back substitution.
-        for i in (0..k).rev() {
-            let mut sum = y[i];
-            for p in (i + 1)..k {
-                sum -= l[p * k + i] * inv[p * k + col];
+        let d = l[i * k + i];
+        yi.iter_mut().for_each(|v| *v /= d);
+    }
+    // Back substitution in place: row i of X from Y's row i and X's rows > i.
+    for i in (0..k).rev() {
+        let (head, solved) = inv.split_at_mut((i + 1) * k);
+        let xi = &mut head[i * k..];
+        for (p, xp) in ((i + 1)..k).zip(solved.chunks_exact(k)) {
+            let lpi = l[p * k + i];
+            for (d, &v) in xi.iter_mut().zip(xp) {
+                *d -= lpi * v;
             }
-            inv[i * k + col] = sum / l[i * k + i];
         }
+        let d = l[i * k + i];
+        xi.iter_mut().for_each(|v| *v /= d);
     }
     inv
 }
@@ -326,6 +369,108 @@ mod tests {
             }
         }
         g
+    }
+
+    /// The loop `lower_cholesky` replaced: one serial chain per entry.
+    fn lower_cholesky_oracle(a: &[f64], k: usize) -> Vec<f64> {
+        let mut l = vec![0.0f64; k * k];
+        for i in 0..k {
+            for j in 0..=i {
+                let mut sum = a[i * k + j];
+                for p in 0..j {
+                    sum -= l[i * k + p] * l[j * k + p];
+                }
+                l[i * k + j] = if i == j { sum.sqrt() } else { sum / l[j * k + j] };
+            }
+        }
+        l
+    }
+
+    /// The loop `invert_spd` replaced: forward and back substitution one
+    /// column of the identity at a time.
+    fn invert_spd_oracle(a: &[f64], k: usize) -> Vec<f64> {
+        let l = lower_cholesky_oracle(a, k);
+        let mut inv = vec![0.0f64; k * k];
+        let mut y = vec![0.0f64; k];
+        for col in 0..k {
+            for i in 0..k {
+                let mut sum = if i == col { 1.0 } else { 0.0 };
+                for p in 0..i {
+                    sum -= l[i * k + p] * y[p];
+                }
+                y[i] = sum / l[i * k + i];
+            }
+            for i in (0..k).rev() {
+                let mut sum = y[i];
+                for p in (i + 1)..k {
+                    sum -= l[p * k + i] * inv[p * k + col];
+                }
+                inv[i * k + col] = sum / l[i * k + i];
+            }
+        }
+        inv
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Damps `h` as `gptq_quantize` does: dead channels get a unit
+    /// diagonal, every diagonal 1 % of the mean diagonal.
+    fn damped(mut h: Vec<f64>, k: usize) -> Vec<f64> {
+        let mean_diag: f64 = (0..k).map(|i| h[i * k + i]).sum::<f64>() / k as f64;
+        for i in 0..k {
+            if h[i * k + i] <= 0.0 {
+                h[i * k + i] = 1.0;
+            }
+            h[i * k + i] += (0.01 * mean_diag).max(1e-8);
+        }
+        h
+    }
+
+    /// A damped Gram of `k + 3` random rows, some entries exactly zero and
+    /// one channel dead.
+    fn random_spd(k: usize, seed: u64) -> Vec<f64> {
+        let mut rng = SeededRng::new(seed);
+        let mut x = rng.normal_matrix(k + 3, k, 0.0, 1.0);
+        x.map_in_place(|v| if v.abs() < 0.2 { 0.0 } else { v });
+        for r in 0..x.rows() {
+            x[(r, k / 2)] = 0.0;
+        }
+        damped(gram_of(&x), k)
+    }
+
+    #[test]
+    fn factorisations_are_the_serial_loops_bit_for_bit() {
+        // Every remainder of the four-chain blocks, small and large.
+        let sizes = [0usize, 1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 63, 130, 400];
+        for (seed, &k) in sizes.iter().enumerate() {
+            let a = if k == 0 { Vec::new() } else { random_spd(k, seed as u64) };
+            let l = lower_cholesky(&a, k);
+            assert_eq!(bits(&l), bits(&lower_cholesky_oracle(&a, k)), "cholesky k={k}");
+            let inv = invert_spd(&a, k);
+            assert_eq!(bits(&inv), bits(&invert_spd_oracle(&a, k)), "inverse k={k}");
+        }
+    }
+
+    #[test]
+    fn factorisations_of_a_real_gram_are_the_serial_loops_bit_for_bit() {
+        use crate::Calibration;
+        use atom_nn::model::{LinearId, Proj};
+        let model = atom_nn::LlamaModel::random_init(atom_nn::zoo::ZooId::Tiny.config(), 3);
+        let sequences: Vec<Vec<u16>> = (0..4)
+            .map(|s| (0..24).map(|i| ((s * 29 + i * 13) % 96) as u16).collect())
+            .collect();
+        let calib = Calibration::collect(&model, &sequences, true, 1);
+        for proj in [Proj::Q, Proj::Down] {
+            let lc = calib.linear(LinearId::new(1, proj)).expect("calibrated");
+            let k = lc.stats.channels();
+            let h = damped(lc.gram.clone().expect("Gram collected"), k);
+            let hinv = invert_spd(&h, k);
+            assert_eq!(bits(&hinv), bits(&invert_spd_oracle(&h, k)), "{proj:?}");
+            let u = lower_cholesky(&hinv, k);
+            assert_eq!(bits(&u), bits(&lower_cholesky_oracle(&hinv, k)), "{proj:?}");
+        }
     }
 
     #[test]

@@ -10,7 +10,6 @@
 //! accounting feeds the serving-memory model.
 
 use atom_kernels::attention::QuantizedKvHead;
-use atom_kernels::AsymQuantized;
 use atom_nn::KvStore;
 use atom_parallel::Pool;
 use atom_tensor::Matrix;
@@ -100,18 +99,13 @@ impl KvStore for QuantizedKvCache {
         assert_eq!(k.cols(), self.kv_dim, "k width mismatch");
         assert_eq!(v.cols(), self.kv_dim, "v width mismatch");
         assert_eq!(k.rows(), v.rows(), "k/v row mismatch");
-        let (hd, bits) = (self.head_dim, self.bits);
+        let hd = self.head_dim;
         for (h, block) in self.layers[layer].iter_mut().enumerate() {
-            // Quantize each head's column block from the row sub-slices.
-            let head_rows = |x: &Matrix| {
-                AsymQuantized::quantize_row_slices(
-                    (0..x.rows()).map(|t| &x.row(t)[h * hd..(h + 1) * hd]),
-                    hd,
-                    bits,
-                )
-            };
-            block.keys.append(&head_rows(k));
-            block.values.append(&head_rows(v));
+            // Quantize each head's column block of every row straight onto
+            // the end of the head's storage.
+            let span = h * hd..(h + 1) * hd;
+            block.keys.extend_rows((0..k.rows()).map(|t| &k.row(t)[span.clone()]));
+            block.values.extend_rows((0..v.rows()).map(|t| &v.row(t)[span.clone()]));
         }
     }
 

@@ -475,6 +475,53 @@ mod tests {
         assert!(err_matched < err_dyn * 3.0, "{err_matched} vs {err_dyn}");
     }
 
+    fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+        bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Pins the offline pass to the bits it produced before its loops were
+    /// restructured for speed: every linear's calibration Gram (the
+    /// calibration forward and the Gram, as `f64` bits), then every
+    /// quantized linear's packed codes and f16 scales (what is served), in
+    /// the model's linear order. GPTQ's factorisations reach the codes only
+    /// where a rounding flips; `gptq`'s oracle tests pin their bits directly.
+    #[test]
+    fn w4a4_quantization_of_a_zoo_model_is_pinned() {
+        use crate::pipeline::{AnyLinear, AtomScheme, Scheme};
+        use crate::Calibration;
+        use atom_nn::zoo::ZooId;
+        let mut dense = atom_nn::LlamaModel::random_init(ZooId::Tiny.config(), 0xA70);
+        atom_nn::transform::inject_outliers(&mut dense, &ZooId::Tiny.outlier_spec());
+        let sequences: Vec<Vec<u16>> = (0..8)
+            .map(|s| (0..32).map(|i| ((s * 37 + i * 11 + i * i) % 96) as u16).collect())
+            .collect();
+        let calibration = Calibration::collect(&dense, &sequences, true, 2);
+        let quantized = Scheme::Atom(AtomScheme::w4a4()).quantize(&dense, &calibration);
+        let mut grams = Vec::new();
+        dense.visit_linears(|id, _| {
+            let gram = calibration.linear(id).and_then(|c| c.gram.as_ref());
+            let gram = gram.expect("every linear has a Gram");
+            grams.extend(gram.iter().flat_map(|v| v.to_bits().to_le_bytes()));
+        });
+        let mut weights = Vec::new();
+        quantized.model.visit_linears(|_, l| {
+            let AnyLinear::Atom(q) = l else {
+                panic!("W4A4 quantizes every linear");
+            };
+            for region in std::iter::once(&q.weight.normal).chain(&q.weight.outlier) {
+                weights.extend(region.values().unpack().iter().map(|&c| c.to_le_bytes()[0]));
+                let scales = region.scales().as_slice().iter();
+                weights.extend(scales.flat_map(|s| s.to_bits().to_le_bytes()));
+            }
+        });
+        assert_eq!(
+            (fnv1a(grams), fnv1a(weights)),
+            (0x2218_5f7c_9419_d605, 0x45e4_bed1_f333_b515)
+        );
+    }
+
     #[test]
     #[should_panic(expected = "reorder plan width mismatch")]
     fn plan_width_checked() {

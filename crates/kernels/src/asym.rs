@@ -58,9 +58,8 @@ impl AsymQuantized {
     }
 
     /// [`quantize`](Self::quantize) over rows handed in as slices, each
-    /// `cols` wide — so a caller holding wider rows (the KV cache: one
-    /// `kv_dim` row per token, one `head_dim` block per head) quantizes a
-    /// column block without copying it out first.
+    /// `cols` wide — so a caller holding wider rows quantizes a column block
+    /// without copying it out first.
     ///
     /// # Example
     ///
@@ -82,19 +81,43 @@ impl AsymQuantized {
         cols: usize,
         bits: u8,
     ) -> Self {
-        assert!(
-            (crate::group::MIN_BITS..=crate::group::MAX_BITS).contains(&bits),
-            "bits must be in {}..={}",
-            crate::group::MIN_BITS,
-            crate::group::MAX_BITS
-        );
-        let levels = f32::from(code_levels(bits));
-        let bias = code_bias(bits); // shift unsigned codes into signed storage
-        let mut codes = PackedMatrix::zeros(rows.len(), cols, bits);
-        let mut scales = Vec::with_capacity(rows.len());
-        let mut mins = Vec::with_capacity(rows.len());
+        let mut q = Self::empty(cols, bits);
+        q.extend_rows(rows);
+        q
+    }
+
+    /// Quantizes `rows`, each [`cols`](Self::cols) wide, onto the end of
+    /// this container: the payload grows once by the new rows, and each
+    /// row's codes are packed into its slot and its scale and minimum
+    /// pushed, so the cost is the new rows only and the history is never
+    /// re-packed. This is the one copy of the quantizer arithmetic:
+    /// [`quantize`], [`quantize_row_slices`] and [`append_rows`] all run it.
+    /// Quantization is strictly per row, so N single-row extends `==` one
+    /// N-row extend `==` quantizing all N rows at once.
+    ///
+    /// The KV cache extends each head's container straight from the
+    /// `head_dim`-wide blocks of its `kv_dim`-wide rows.
+    ///
+    /// [`quantize`]: Self::quantize
+    /// [`quantize_row_slices`]: Self::quantize_row_slices
+    /// [`append_rows`]: Self::append_rows
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row is not [`cols`](Self::cols) wide, or if `rows`
+    /// yields a different number of rows than its `len()`. The payload has
+    /// grown by then, so a container whose extend panicked must be dropped,
+    /// not reused.
+    pub fn extend_rows<'a>(&mut self, rows: impl ExactSizeIterator<Item = &'a [f32]>) {
+        let cols = self.cols();
+        let levels = f32::from(code_levels(self.bits));
+        let bias = code_bias(self.bits); // shift unsigned codes into signed storage
+        let first = self.rows();
+        self.codes.grow_rows(rows.len());
+        self.scales.reserve(rows.len());
+        self.mins.reserve(rows.len());
         let mut row_codes = vec![0i8; cols];
-        for (r, row) in rows.enumerate() {
+        for (r, row) in (first..).zip(rows) {
             assert_eq!(row.len(), cols, "row width mismatch");
             let (mut lo, mut hi) = (f32::INFINITY, f32::NEG_INFINITY);
             for &v in row {
@@ -111,21 +134,16 @@ impl AsymQuantized {
                 s = 1.0;
             }
             s = round_f16(s).max(f32::MIN_POSITIVE);
-            scales.push(s);
-            mins.push(lo);
+            self.scales.push(s);
+            self.mins.push(lo);
             for (c, &v) in row_codes.iter_mut().zip(row) {
                 // q in 0..=levels fits a byte; `q - bias` in two's complement.
                 let q = integer_low_byte(round_clamped((v - lo) / s, 0.0, levels));
                 *c = i8::from_le_bytes([q.wrapping_sub(bias)]);
             }
-            codes.pack_row(r, &row_codes);
+            self.codes.pack_row(r, &row_codes);
         }
-        AsymQuantized {
-            bits,
-            codes,
-            scales,
-            mins,
-        }
+        assert_eq!(self.scales.len(), self.codes.rows(), "row iterator length mismatch");
     }
 
     /// Bit width.
@@ -216,25 +234,15 @@ impl AsymQuantized {
         }
     }
 
-    /// Appends the rows of `x`, quantizing them on the way in.
-    pub fn append_rows(&mut self, x: &Matrix) {
-        self.append(&AsymQuantized::quantize(x, self.bits));
-    }
-
-    /// Appends already-quantized rows in place: the packed payload, scales
-    /// and minima of `added` are concatenated onto this container's, so the
-    /// cost is the new rows only — the history is never re-packed.
-    /// Quantization is strictly per row, which makes N single-row appends
-    /// `==` one N-row append.
+    /// Appends the rows of `x`, quantizing them on the way in
+    /// ([`extend_rows`](Self::extend_rows)).
     ///
     /// # Panics
     ///
-    /// Panics if the widths or bit widths differ.
-    pub fn append(&mut self, added: &AsymQuantized) {
-        assert_eq!(added.cols(), self.cols(), "append width mismatch");
-        self.codes.append_rows(&added.codes);
-        self.scales.extend_from_slice(&added.scales);
-        self.mins.extend_from_slice(&added.mins);
+    /// Panics if `x` is not [`cols`](Self::cols) wide.
+    pub fn append_rows(&mut self, x: &Matrix) {
+        assert_eq!(x.cols(), self.cols(), "append width mismatch");
+        self.extend_rows((0..x.rows()).map(|r| x.row(r)));
     }
 
     /// Truncates to the first `rows` rows, dropping later codes and their
@@ -257,6 +265,10 @@ impl AsymQuantized {
     }
 
     /// Creates an empty container of width `cols`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `2 <= bits <= 8`.
     pub fn empty(cols: usize, bits: u8) -> Self {
         AsymQuantized {
             bits,
@@ -324,6 +336,71 @@ mod tests {
         let bd = fresh_b.dequantize();
         for r in 0..3 {
             assert_eq!(gd.row(2 + r), bd.row(r));
+        }
+    }
+
+    /// The path [`AsymQuantized::extend_rows`] replaced: quantize the new
+    /// rows into a fresh container (zeroed payload, one `pack_row` per row),
+    /// then concatenate its payload, scales and minima onto the history.
+    fn quantize_then_append(history: &mut AsymQuantized, x: &Matrix) {
+        let levels = f32::from(code_levels(history.bits));
+        let bias = code_bias(history.bits);
+        let mut codes = PackedMatrix::zeros(x.rows(), x.cols(), history.bits);
+        let mut row_codes = vec![0i8; x.cols()];
+        for r in 0..x.rows() {
+            let row = x.row(r);
+            let (mut lo, mut hi) = (f32::INFINITY, f32::NEG_INFINITY);
+            for &v in row {
+                lo = lo.min(v);
+                hi = hi.max(v);
+            }
+            if !lo.is_finite() || !hi.is_finite() {
+                lo = 0.0;
+                hi = 0.0;
+            }
+            let lo = round_f16(lo);
+            let mut s = (hi - lo) / levels;
+            if s <= 0.0 {
+                s = 1.0;
+            }
+            s = round_f16(s).max(f32::MIN_POSITIVE);
+            for (c, &v) in row_codes.iter_mut().zip(row) {
+                let q = integer_low_byte(round_clamped((v - lo) / s, 0.0, levels));
+                *c = i8::from_le_bytes([q.wrapping_sub(bias)]);
+            }
+            codes.pack_row(r, &row_codes);
+            history.scales.push(s);
+            history.mins.push(lo);
+        }
+        history.codes.append_rows(&codes);
+    }
+
+    #[test]
+    fn row_at_a_time_in_place_equals_quantize_then_append() {
+        let bits_of = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut rng = SeededRng::new(7);
+        for bits in 2..=8u8 {
+            for cols in [1, 7, 16] {
+                let history = rng.normal_matrix(3, cols, 0.0, 1.0);
+                let mut x = rng.normal_matrix(9, cols, 1.0, 4.0);
+                // A constant row and rows with non-finite entries.
+                x.row_mut(2).fill(-3.5);
+                x[(4, 0)] = f32::INFINITY;
+                x[(6, cols - 1)] = f32::NAN;
+                let mut paths = [(); 3].map(|()| AsymQuantized::quantize(&history, bits));
+                let [one_by_one, at_once, oracle] = &mut paths;
+                for r in 0..x.rows() {
+                    one_by_one.extend_rows(std::iter::once(x.row(r)));
+                }
+                at_once.append_rows(&x);
+                quantize_then_append(oracle, &x);
+                for q in [&*one_by_one, &*at_once] {
+                    let label = format!("bits {bits}, cols {cols}");
+                    assert_eq!(q.codes, oracle.codes, "{label}");
+                    assert_eq!(bits_of(&q.scales), bits_of(&oracle.scales), "{label}");
+                    assert_eq!(bits_of(&q.mins), bits_of(&oracle.mins), "{label}");
+                }
+            }
         }
     }
 

@@ -67,11 +67,11 @@
 //!   arithmetic, exact against `f32::round` for every input, and shared with
 //!   the asymmetric KV quantizer.
 //! - **Quantized KV in place.** Rows are byte-aligned, so
-//!   [`PackedMatrix::append_rows`] and [`PackedMatrix::truncate_rows`] extend
-//!   or truncate the payload: a KV append costs the new rows only and a
-//!   prefix-hit truncation costs nothing.
-//!   [`AsymQuantized::quantize_row_slices`] quantizes each head's column
-//!   block straight from the row sub-slices.
+//!   [`AsymQuantized::extend_rows`] quantizes each head's column block
+//!   straight from the row sub-slices onto the end of the head's payload,
+//!   scales and minima, and [`PackedMatrix::truncate_rows`] truncates it: a
+//!   KV append costs the new rows only and a prefix-hit truncation costs
+//!   nothing.
 //!
 //! Tried and not adopted: blocking several activation rows per decoded
 //! weight group (the compiler stops recognising the dot product). The `i16`

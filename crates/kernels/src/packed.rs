@@ -207,10 +207,9 @@ impl PackedMatrix {
 
     /// Appends the rows of `other` in place. Rows are byte-aligned
     /// (`row_stride`), so appending is exact payload concatenation and the
-    /// history is never re-packed: a token-at-a-time KV append costs the new
-    /// rows only, and the parallel row-block quantizer reassembles
-    /// per-block results into the same bytes the sequential quantizer
-    /// writes.
+    /// history is never re-packed: the parallel row-block quantizer
+    /// reassembles per-block results into the same bytes the sequential
+    /// quantizer writes.
     ///
     /// # Panics
     ///
@@ -220,6 +219,16 @@ impl PackedMatrix {
         assert_eq!(other.bits, self.bits, "append bit width mismatch");
         self.data.extend_from_slice(&other.data);
         self.rows += other.rows;
+    }
+
+    /// Appends `rows` rows of raw zero bytes, one payload resize for all of
+    /// them. Raw zero is not the signed value 0, so the caller packs every
+    /// new row with [`pack_row`](Self::pack_row), which writes whole bytes:
+    /// the payload is then the bytes [`from_values`](Self::from_values)
+    /// writes.
+    pub(crate) fn grow_rows(&mut self, rows: usize) {
+        self.data.resize(self.data.len() + rows * self.row_stride, 0);
+        self.rows += rows;
     }
 
     /// Drops every row beyond the first `rows` in place (a payload

@@ -45,6 +45,10 @@ impl std::fmt::Debug for Matrix {
     }
 }
 
+/// Output columns per panel of [`Matrix::matmul_nt`]: 16 `f32` accumulators
+/// are four SSE registers, enough independent chains to hide the add latency.
+const NT_PANEL: usize = 16;
+
 impl Matrix {
     /// Creates a matrix of zeros.
     ///
@@ -275,6 +279,14 @@ impl Matrix {
     /// computes `self * rhs_t.transpose()` without materializing the
     /// transpose. This is the natural layout for `x @ W^T` linear layers.
     ///
+    /// The output columns are walked in panels of `NT_PANEL`: each panel's
+    /// weight rows are packed once per call into a `k x NT_PANEL` buffer,
+    /// and every activation row then adds `a[p] * panel[p][t]` into
+    /// `NT_PANEL` independent accumulators, `p` ascending. Each output is
+    /// therefore the plain dot product, bit for bit: `k` products added in
+    /// order to a sum that starts at `0.0`. Only the lanes are vectorised,
+    /// across output columns instead of along one serial chain per output.
+    ///
     /// # Panics
     ///
     /// Panics if `self.cols() != rhs_t.cols()`.
@@ -284,16 +296,27 @@ impl Matrix {
             "matmul_nt inner dimension mismatch: {} vs {}",
             self.cols, rhs_t.cols
         );
-        let mut out = Matrix::zeros(self.rows, rhs_t.rows);
-        for i in 0..self.rows {
-            let a_row = &self.data[i * self.cols..(i + 1) * self.cols];
-            for j in 0..rhs_t.rows {
-                let b_row = &rhs_t.data[j * rhs_t.cols..(j + 1) * rhs_t.cols];
-                let mut acc = 0.0f32;
-                for (&a, &b) in a_row.iter().zip(b_row.iter()) {
-                    acc += a * b;
+        let (k, n) = (self.cols, rhs_t.rows);
+        let mut out = Matrix::zeros(self.rows, n);
+        let mut panel = vec![[0.0f32; NT_PANEL]; k];
+        for j0 in (0..n).step_by(NT_PANEL) {
+            let width = NT_PANEL.min(n - j0);
+            // Lanes past `width` repeat the last row; their sums are never stored.
+            let w_rows: [&[f32]; NT_PANEL] = std::array::from_fn(|t| rhs_t.row(j0 + t.min(width - 1)));
+            for (p, dst) in panel.iter_mut().enumerate() {
+                for (d, w_row) in dst.iter_mut().zip(&w_rows) {
+                    *d = w_row[p];
                 }
-                out.data[i * rhs_t.rows + j] = acc;
+            }
+            let a_rows = self.data.chunks_exact(k.max(1));
+            for (a_row, out_row) in a_rows.zip(out.data.chunks_exact_mut(n)) {
+                let mut acc = [0.0f32; NT_PANEL];
+                for (&a, w) in a_row.iter().zip(&panel) {
+                    for (s, &b) in acc.iter_mut().zip(w) {
+                        *s += a * b;
+                    }
+                }
+                out_row[j0..j0 + width].copy_from_slice(&acc[..width]);
             }
         }
         out
@@ -576,6 +599,7 @@ impl std::ops::IndexMut<(usize, usize)> for Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn zeros_and_full() {
@@ -620,6 +644,58 @@ mod tests {
         for (x, y) in fast.as_slice().iter().zip(slow.as_slice()) {
             assert!((x - y).abs() < 1e-5);
         }
+    }
+
+    /// The loop `matmul_nt` replaced: one serial dot chain per output.
+    fn matmul_nt_oracle(a: &Matrix, w: &Matrix) -> Matrix {
+        Matrix::from_fn(a.rows(), w.rows(), |i, j| {
+            let mut acc = 0.0f32;
+            for (&x, &y) in a.row(i).iter().zip(w.row(j)) {
+                acc += x * y;
+            }
+            acc
+        })
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Normal entries, a third of them exactly `±0.0`, the rest scaled by
+    /// `2^e` for `e` in `-20..20`: signed zeros and sums whose rounding
+    /// depends on the order of their terms.
+    fn wide(rng: &mut crate::SeededRng, rows: usize, cols: usize) -> Matrix {
+        let mut m = rng.normal_matrix(rows, cols, 0.0, 1.0);
+        for v in m.as_mut_slice() {
+            let e = i32::try_from(rng.below(40)).unwrap_or(0) - 20;
+            *v = if v.abs() < 0.43 { 0.0 * v.signum() } else { *v * 2f32.powi(e) };
+        }
+        m
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        #[test]
+        fn matmul_nt_is_the_dot_loop_bit_for_bit(
+            m in 0usize..131,
+            n in 1usize..201,
+            k in 1usize..401,
+            seed in 0u64..1_000_000,
+        ) {
+            let mut rng = crate::SeededRng::new(seed);
+            let a = wide(&mut rng, m, k);
+            let w = wide(&mut rng, n, k);
+            prop_assert_eq!(bits(&a.matmul_nt(&w)), bits(&matmul_nt_oracle(&a, &w)));
+        }
+    }
+
+    #[test]
+    fn matmul_nt_handles_empty_operands() {
+        let empty_k = Matrix::zeros(3, 0).matmul_nt(&Matrix::zeros(5, 0));
+        assert_eq!(bits(&empty_k), vec![0; 15]);
+        assert_eq!(Matrix::zeros(0, 4).matmul_nt(&Matrix::zeros(7, 4)).shape(), (0, 7));
+        assert_eq!(Matrix::zeros(2, 4).matmul_nt(&Matrix::zeros(0, 4)).shape(), (2, 0));
+        assert_eq!(Matrix::zeros(0, 0).matmul_nt(&Matrix::zeros(0, 0)).shape(), (0, 0));
     }
 
     #[test]

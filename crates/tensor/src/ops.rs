@@ -82,51 +82,53 @@ pub fn silu(x: f32) -> f32 {
 ///
 /// Panics if `positions.len() != m.rows()`, `head_dim` is zero or odd, or
 /// `m.cols()` is not a multiple of `head_dim`.
-#[allow(clippy::needless_range_loop)] // positions and rows advance together
 pub fn rope_in_place(m: &mut Matrix, positions: &[usize], head_dim: usize, theta: f32) {
-    assert_eq!(positions.len(), m.rows(), "rope positions length mismatch");
-    assert!(head_dim > 0 && head_dim.is_multiple_of(2), "head_dim must be even");
-    assert_eq!(m.cols() % head_dim, 0, "cols must be a multiple of head_dim");
-    let heads = m.cols() / head_dim;
-    for r in 0..m.rows() {
-        let pos = crate::cast::usize_to_f32(positions[r]);
-        let row = m.row_mut(r);
-        for h in 0..heads {
-            let seg = &mut row[h * head_dim..(h + 1) * head_dim];
-            for i in 0..head_dim / 2 {
-                let freq = theta.powf(-2.0 * crate::cast::usize_to_f32(i) / crate::cast::usize_to_f32(head_dim));
-                let angle = pos * freq;
-                let (sin, cos) = angle.sin_cos();
-                let a = seg[2 * i];
-                let b = seg[2 * i + 1];
-                seg[2 * i] = a * cos - b * sin;
-                seg[2 * i + 1] = a * sin + b * cos;
-            }
-        }
-    }
+    rotate_pairs(m, positions, head_dim, theta, |[a, b], sin, cos| {
+        [a * cos - b * sin, a * sin + b * cos]
+    });
 }
 
 /// Inverse rotation of [`rope_in_place`] (used by the autograd backward pass).
-#[allow(clippy::needless_range_loop)] // positions and rows advance together
+///
+/// # Panics
+///
+/// As [`rope_in_place`].
 pub fn rope_inverse_in_place(m: &mut Matrix, positions: &[usize], head_dim: usize, theta: f32) {
+    // Rotate by -angle.
+    rotate_pairs(m, positions, head_dim, theta, |[a, b], sin, cos| {
+        [a * cos + b * sin, -a * sin + b * cos]
+    });
+}
+
+/// Maps every pair `(2i, 2i+1)` of every `head_dim` segment of row `r`
+/// through `rotate(pair, sin, cos)` of the angle `positions[r] * freq_i`,
+/// `freq_i = theta^(-2i/head_dim)`. The frequencies are computed once per
+/// call and each row's `(sin, cos)` once per row, then applied to every
+/// head: the same inputs to `powf` and `sin_cos` as recomputing them per
+/// (row, head, pair), so the same bits.
+fn rotate_pairs(
+    m: &mut Matrix,
+    positions: &[usize],
+    head_dim: usize,
+    theta: f32,
+    rotate: impl Fn([f32; 2], f32, f32) -> [f32; 2],
+) {
     assert_eq!(positions.len(), m.rows(), "rope positions length mismatch");
     assert!(head_dim > 0 && head_dim.is_multiple_of(2), "head_dim must be even");
     assert_eq!(m.cols() % head_dim, 0, "cols must be a multiple of head_dim");
-    let heads = m.cols() / head_dim;
-    for r in 0..m.rows() {
-        let pos = crate::cast::usize_to_f32(positions[r]);
-        let row = m.row_mut(r);
-        for h in 0..heads {
-            let seg = &mut row[h * head_dim..(h + 1) * head_dim];
-            for i in 0..head_dim / 2 {
-                let freq = theta.powf(-2.0 * crate::cast::usize_to_f32(i) / crate::cast::usize_to_f32(head_dim));
-                let angle = pos * freq;
-                let (sin, cos) = angle.sin_cos();
-                let a = seg[2 * i];
-                let b = seg[2 * i + 1];
-                // Rotate by -angle.
-                seg[2 * i] = a * cos + b * sin;
-                seg[2 * i + 1] = -a * sin + b * cos;
+    let hd = crate::cast::usize_to_f32(head_dim);
+    let freqs: Vec<f32> = (0..head_dim / 2)
+        .map(|i| theta.powf(-2.0 * crate::cast::usize_to_f32(i) / hd))
+        .collect();
+    let mut sin_cos = vec![(0.0f32, 0.0f32); head_dim / 2];
+    for (r, &pos) in positions.iter().enumerate() {
+        let pos = crate::cast::usize_to_f32(pos);
+        for (sc, &freq) in sin_cos.iter_mut().zip(&freqs) {
+            *sc = (pos * freq).sin_cos();
+        }
+        for seg in m.row_mut(r).chunks_exact_mut(head_dim) {
+            for (pair, &(sin, cos)) in seg.as_chunks_mut::<2>().0.iter_mut().zip(&sin_cos) {
+                *pair = rotate(*pair, sin, cos);
             }
         }
     }
@@ -315,6 +317,58 @@ mod tests {
         rope_inverse_in_place(&mut m, &[0, 5, 11], 4, 10000.0);
         for (a, b) in m.as_slice().iter().zip(orig.as_slice()) {
             assert!((a - b).abs() < 1e-4);
+        }
+    }
+
+    /// The loop `rope_in_place` / `rope_inverse_in_place` replaced: the
+    /// frequency and the rotation recomputed for every (row, head, pair).
+    fn rope_oracle(m: &mut Matrix, positions: &[usize], head_dim: usize, theta: f32, inverse: bool) {
+        let heads = m.cols() / head_dim;
+        for (r, &p) in positions.iter().enumerate() {
+            let pos = crate::cast::usize_to_f32(p);
+            let row = m.row_mut(r);
+            for h in 0..heads {
+                let seg = &mut row[h * head_dim..(h + 1) * head_dim];
+                for i in 0..head_dim / 2 {
+                    let freq = theta.powf(
+                        -2.0 * crate::cast::usize_to_f32(i) / crate::cast::usize_to_f32(head_dim),
+                    );
+                    let (sin, cos) = (pos * freq).sin_cos();
+                    let (a, b) = (seg[2 * i], seg[2 * i + 1]);
+                    if inverse {
+                        seg[2 * i] = a * cos + b * sin;
+                        seg[2 * i + 1] = -a * sin + b * cos;
+                    } else {
+                        seg[2 * i] = a * cos - b * sin;
+                        seg[2 * i + 1] = a * sin + b * cos;
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rope_is_the_per_pair_loop_bit_for_bit() {
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut rng = crate::SeededRng::new(9);
+        // Power-of-two and other head widths: `2i / head_dim` rounds only
+        // for the latter.
+        let shapes = [(0, 4, 2), (1, 2, 1), (3, 8, 4), (8, 16, 8), (33, 32, 3), (5, 6, 3), (7, 24, 2)];
+        for (rows, head_dim, heads) in shapes {
+            let x = rng.normal_matrix(rows, head_dim * heads, 0.0, 3.0);
+            let positions: Vec<usize> = (0..rows).map(|r| r * 37 % 1000 + r).collect();
+            for theta in [10_000.0, 500_000.0] {
+                for inverse in [false, true] {
+                    let (mut fast, mut slow) = (x.clone(), x.clone());
+                    if inverse {
+                        rope_inverse_in_place(&mut fast, &positions, head_dim, theta);
+                    } else {
+                        rope_in_place(&mut fast, &positions, head_dim, theta);
+                    }
+                    rope_oracle(&mut slow, &positions, head_dim, theta, inverse);
+                    assert_eq!(bits(&fast), bits(&slow), "{rows}x{heads}x{head_dim} inverse {inverse}");
+                }
+            }
         }
     }
 
