@@ -238,7 +238,6 @@ mod tests {
         LinearCalibration {
             stats,
             gram: None,
-            gram_rows: 0,
             sample: x.clone(),
         }
     }

@@ -10,6 +10,11 @@
 //!
 //! The same pass optionally accumulates the Gram matrix `H = Σ xᵀx` of each
 //! linear's inputs, which is the Hessian proxy GPTQ needs (§4.3).
+//!
+//! Linears that read one activation share one record, kept under their
+//! [`LinearId::input`]: Q/K/V share one, and so do a layer's router and
+//! every expert's gate/up. Their statistics, Grams and reorder plans are
+//! therefore equal by construction, and each input is accumulated once.
 
 use atom_nn::kv::Fp32KvCache;
 use atom_nn::model::{ForwardObserver, LinearId};
@@ -18,7 +23,7 @@ use atom_tensor::stats::ChannelStats;
 use atom_tensor::Matrix;
 use std::collections::BTreeMap;
 
-/// Per-linear calibration data.
+/// Calibration data of one linear input (shared by the linears reading it).
 #[derive(Debug, Clone)]
 pub struct LinearCalibration {
     /// Streaming channel statistics of the layer's input activations.
@@ -26,8 +31,6 @@ pub struct LinearCalibration {
     /// Gram matrix `Σ xᵀx` over (subsampled) calibration rows, in f64.
     /// Present only when Hessian collection was requested.
     pub gram: Option<Vec<f64>>,
-    /// Number of rows accumulated into `gram`.
-    pub gram_rows: usize,
     /// A capped sample of raw input rows, used by the SmoothQuant/AWQ alpha
     /// grid searches and the clipping search.
     pub sample: Matrix,
@@ -39,12 +42,13 @@ const MAX_SAMPLE_ROWS: usize = 192;
 /// Calibration results for a whole model.
 #[derive(Debug, Clone, Default)]
 pub struct Calibration {
-    per_linear: BTreeMap<LinearId, LinearCalibration>,
+    /// Keyed by [`LinearId::input`].
+    per_input: BTreeMap<LinearId, LinearCalibration>,
 }
 
 impl Calibration {
     /// Runs `sequences` through the model and collects statistics at every
-    /// linear input.
+    /// distinct linear input.
     ///
     /// `collect_gram = true` additionally accumulates the GPTQ Hessian
     /// proxy; rows are subsampled by `gram_stride` (1 = every token) to
@@ -75,7 +79,7 @@ impl Calibration {
             let take = seq.len().min(config.max_seq_len);
             model.forward_observed(&seq[..take], &mut cache, &mut obs);
         }
-        for lc in obs.calib.per_linear.values_mut() {
+        for lc in obs.calib.per_input.values_mut() {
             if let Some(gram) = &mut lc.gram {
                 mirror_upper(gram, lc.stats.channels());
             }
@@ -83,9 +87,9 @@ impl Calibration {
         obs.calib
     }
 
-    /// Calibration data of one linear.
+    /// Calibration data of one linear: that of the input it reads.
     pub fn linear(&self, id: LinearId) -> Option<&LinearCalibration> {
-        self.per_linear.get(&id)
+        self.per_input.get(&id.input())
     }
 
     /// Builds the channel-reorder plan for one linear: the `n_outliers`
@@ -97,8 +101,7 @@ impl Calibration {
     /// channel count.
     pub fn reorder_plan(&self, id: LinearId, n_outliers: usize) -> ReorderPlan {
         let calib = self
-            .per_linear
-            .get(&id)
+            .linear(id)
             .unwrap_or_else(|| panic!("linear {id} was not calibrated"));
         ReorderPlan::from_stats(&calib.stats, n_outliers)
     }
@@ -227,7 +230,7 @@ impl ForwardObserver for CalibObserver {
         let k = input.cols();
         let entry = self
             .calib
-            .per_linear
+            .per_input
             .entry(id)
             .or_insert_with(|| LinearCalibration {
                 stats: ChannelStats::new(k),
@@ -236,7 +239,6 @@ impl ForwardObserver for CalibObserver {
                 } else {
                     None
                 },
-                gram_rows: 0,
                 sample: Matrix::zeros(0, k),
             });
         entry.stats.update(input);
@@ -245,7 +247,7 @@ impl ForwardObserver for CalibObserver {
             entry.sample = entry.sample.vstack(&input.slice_rows(0, take));
         }
         if let Some(gram) = &mut entry.gram {
-            entry.gram_rows += accumulate_upper(gram, input, self.gram_stride);
+            accumulate_upper(gram, input, self.gram_stride);
         }
     }
 }
@@ -254,8 +256,8 @@ impl ForwardObserver for CalibObserver {
 const GRAM_ROWS_PER_PASS: usize = 4;
 
 /// Adds `xᵀx` for rows `0, stride, 2·stride, …` of `input` into the upper
-/// triangle (`j ≥ i`) of the row-major `k x k` `gram` and returns how many
-/// rows it added; [`mirror_upper`] completes the matrix once every row is in.
+/// triangle (`j ≥ i`) of the row-major `k x k` `gram`; [`mirror_upper`]
+/// completes the matrix once every row is in.
 ///
 /// Each entry adds its rows' products in row order, so every sum is bit
 /// for bit the one a full `k x k` pass per row computes (`xᵢ·xⱼ == xⱼ·xᵢ`
@@ -265,7 +267,7 @@ const GRAM_ROWS_PER_PASS: usize = 4;
 /// sum that starts at `+0.0`, and round-to-nearest never turns such a sum
 /// into `−0.0`, so adding `±0` leaves it unchanged. For finite inputs the
 /// padding and the products of zeros therefore change no bit.
-fn accumulate_upper(gram: &mut [f64], input: &Matrix, stride: usize) -> usize {
+fn accumulate_upper(gram: &mut [f64], input: &Matrix, stride: usize) {
     let k = input.cols();
     let rows: Vec<&[f32]> = (0..input.rows()).step_by(stride).map(|r| input.row(r)).collect();
     let mut x: [Vec<f64>; GRAM_ROWS_PER_PASS] = std::array::from_fn(|_| vec![0.0; k]);
@@ -285,7 +287,6 @@ fn accumulate_upper(gram: &mut [f64], input: &Matrix, stride: usize) -> usize {
             }
         }
     }
-    rows.len()
 }
 
 /// Copies the upper triangle of the row-major `k x k` `gram` onto its lower
@@ -328,7 +329,11 @@ mod tests {
     fn collects_stats_for_every_linear() {
         let m = tiny_model();
         let calib = Calibration::collect(&m, &seqs(), false, 1);
-        assert_eq!(calib.per_linear.len(), m.num_linears());
+        m.visit_linears(|id, _| assert!(calib.linear(id).is_some(), "{id}"));
+        // Q/K/V share one record, gate/up another: 4 inputs per layer.
+        assert_eq!(calib.per_input.len(), 2 * 4);
+        let qkv = [Proj::Q, Proj::K, Proj::V].map(|p| calib.linear(LinearId::new(0, p)).unwrap());
+        assert!(qkv.iter().all(|c| std::ptr::eq(*c, qkv[0])));
         let q0 = calib.linear(LinearId::new(0, Proj::Q)).unwrap();
         assert_eq!(q0.stats.channels(), 32);
         assert_eq!(q0.stats.count(), 80); // 4 sequences x 20 tokens
@@ -359,9 +364,8 @@ mod tests {
 
     /// The loop `accumulate_upper` + `mirror_upper` replaced: the full
     /// `k x k`, one row at a time, skipping zero entries.
-    fn gram_oracle(gram: &mut [f64], input: &Matrix, stride: usize) -> usize {
+    fn gram_oracle(gram: &mut [f64], input: &Matrix, stride: usize) {
         let k = input.cols();
-        let mut rows = 0;
         for r in (0..input.rows()).step_by(stride) {
             let row = input.row(r);
             for i in 0..k {
@@ -373,9 +377,7 @@ mod tests {
                     *d += xi * xj as f64;
                 }
             }
-            rows += 1;
         }
-        rows
     }
 
     #[test]
@@ -393,8 +395,8 @@ mod tests {
                     if rows > 1 {
                         x.row_mut(1).fill(0.0);
                     }
-                    let added = accumulate_upper(&mut half, &x, stride);
-                    assert_eq!(added, gram_oracle(&mut full, &x, stride));
+                    accumulate_upper(&mut half, &x, stride);
+                    gram_oracle(&mut full, &x, stride);
                 }
                 mirror_upper(&mut half, k);
                 assert_eq!(bits(&half), bits(&full), "k {k}, rows {rows}, stride {stride}");
@@ -402,14 +404,26 @@ mod tests {
         }
     }
 
+    /// Layer 0's attention input is each token's normed embedding alone,
+    /// so its Gram at stride 4 is, bit for bit, its Gram at stride 1 over
+    /// every fourth token; the channel statistics still see every row.
     #[test]
     fn gram_stride_subsamples() {
         let m = tiny_model();
-        let full = Calibration::collect(&m, &seqs(), true, 1);
         let sub = Calibration::collect(&m, &seqs(), true, 4);
+        let every_fourth: Vec<Vec<u16>> = seqs()
+            .iter()
+            .map(|s| s.iter().step_by(4).copied().collect())
+            .collect();
+        let thinned = Calibration::collect(&m, &every_fourth, true, 1);
         let id = LinearId::new(0, Proj::Q);
-        assert!(sub.linear(id).unwrap().gram_rows < full.linear(id).unwrap().gram_rows);
-        assert!(sub.linear(id).unwrap().gram_rows >= 80 / 4);
+        let gram_bits = |c: &Calibration| {
+            let gram = c.linear(id).unwrap().gram.as_ref().unwrap();
+            gram.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
+        assert_eq!(gram_bits(&sub), gram_bits(&thinned));
+        assert_eq!(sub.linear(id).unwrap().stats.count(), 80);
+        assert_eq!(thinned.linear(id).unwrap().stats.count(), 20);
     }
 
     #[test]

@@ -87,7 +87,6 @@ mod tests {
         LinearCalibration {
             stats,
             gram: None,
-            gram_rows: 0,
             sample: x.clone(),
         }
     }

@@ -99,11 +99,14 @@ pub struct ReplaySummary {
     pub accepted: u64,
 }
 
-/// An accepted, not-yet-terminal request. Where it is waiting is told by
-/// which of the gateway's containers holds its id: a tenant queue, the
-/// retry backoff, or the engine (`inflight`).
-#[derive(Debug, Clone)]
+/// An accepted, not-yet-terminal request. Exactly one of the gateway's
+/// containers holds it, and which one is its state: a tenant queue, the
+/// retry backoff (`parked`), or the engine (`inflight`). Moves between
+/// them are by value, so a record can be neither lost nor duplicated.
+#[derive(Debug)]
 struct GwRequest {
+    /// Gateway request id (acceptance order).
+    id: usize,
     tenant: usize,
     prompt: Vec<u16>,
     max_new: usize,
@@ -130,16 +133,14 @@ pub struct Gateway<L: LinearLayer> {
     cfg: GatewayConfig,
     base_policy: PressurePolicy,
     buckets: Vec<TokenBucket>,
-    queues: Vec<VecDeque<usize>>,
+    queues: Vec<VecDeque<GwRequest>>,
     /// Per-tenant virtual finish time for weighted fair dispatch.
     vft: Vec<u64>,
-    /// Live (accepted, not yet terminal) request count per tenant.
-    live: Vec<usize>,
-    requests: BTreeMap<usize, GwRequest>,
-    parked: BTreeMap<u64, Vec<usize>>,
-    /// Engine id → gateway id of every dispatched attempt not yet
-    /// harvested.
-    inflight: BTreeMap<usize, usize>,
+    /// Requests backing off before a retry, by release tick, each `Vec` in
+    /// park order.
+    parked: BTreeMap<u64, Vec<GwRequest>>,
+    /// Every dispatched attempt not yet harvested, by engine id.
+    inflight: BTreeMap<usize, GwRequest>,
     outcomes: Vec<GatewayOutcome>,
     engine_cursor: usize,
     breaker: Breaker,
@@ -158,7 +159,8 @@ impl<L: LinearLayer> std::fmt::Debug for Gateway<L> {
         f.debug_struct("Gateway")
             .field("tick", &self.now())
             .field("tenants", &self.cfg.tenants.len())
-            .field("live_requests", &self.requests.len())
+            .field("queued", &self.queued_depth())
+            .field("parked", &self.parked.values().map(Vec::len).sum::<usize>())
             .field("inflight", &self.inflight.len())
             .field("outcomes", &self.outcomes.len())
             .field("tier", &self.applied_tier)
@@ -198,7 +200,6 @@ impl<L: LinearLayer> Gateway<L> {
             .collect();
         let queues = cfg.tenants.iter().map(|_| VecDeque::new()).collect();
         let vft = cfg.tenants.iter().map(|_| 0u64).collect();
-        let live = cfg.tenants.iter().map(|_| 0usize).collect();
         let breaker = Breaker::new(cfg.breaker);
         let base_policy = engine.policy();
         Ok(Gateway {
@@ -208,8 +209,6 @@ impl<L: LinearLayer> Gateway<L> {
             buckets,
             queues,
             vft,
-            live,
-            requests: BTreeMap::new(),
             parked: BTreeMap::new(),
             inflight: BTreeMap::new(),
             outcomes: Vec::new(),
@@ -305,7 +304,7 @@ impl<L: LinearLayer> Gateway<L> {
             .vft
             .iter()
             .enumerate()
-            .filter(|(i, _)| self.live.get(*i).copied().unwrap_or(0) > 0)
+            .filter(|&(i, _)| self.is_live(i))
             .map(|(_, v)| *v)
             .min();
         match floor {
@@ -320,26 +319,21 @@ impl<L: LinearLayer> Gateway<L> {
                 }
             }
         }
-        if let Some(n) = self.live.get_mut(tenant) {
-            *n += 1;
-        }
         let id = self.next_id;
         self.next_id += 1;
         let now = self.now();
-        self.requests.insert(
+        let req = GwRequest {
             id,
-            GwRequest {
-                tenant,
-                prompt,
-                max_new,
-                offered_tick: now,
-                deadline_tick: deadline_ticks.map(|d| now.saturating_add(d)),
-                attempts: 0,
-                last_stats: RequestStats::default(),
-            },
-        );
+            tenant,
+            prompt,
+            max_new,
+            offered_tick: now,
+            deadline_tick: deadline_ticks.map(|d| now.saturating_add(d)),
+            attempts: 0,
+            last_stats: RequestStats::default(),
+        };
         if let Some(q) = self.queues.get_mut(tenant) {
-            q.push_back(id);
+            q.push_back(req);
         }
         self.accepted += 1;
         self.tel(|t| t.counter_add(names::GATEWAY_ACCEPTED, 1));
@@ -355,13 +349,10 @@ impl<L: LinearLayer> Gateway<L> {
     /// Returns [`ServeError::UnknownRequest`] if the id was never
     /// accepted or is already terminal.
     pub fn cancel(&mut self, id: usize) -> Result<(), ServeError> {
-        let Some(tenant) = self.requests.get(&id).map(|r| r.tenant) else {
-            return Err(ServeError::UnknownRequest(id));
-        };
         let engine_id = self
             .inflight
             .iter()
-            .find(|(_, &g)| g == id)
+            .find(|(_, r)| r.id == id)
             .map(|(&e, _)| e);
         if let Some(engine_id) = engine_id {
             // An attempt the engine already ended (cancelled, awaiting the
@@ -371,14 +362,22 @@ impl<L: LinearLayer> Gateway<L> {
                 .cancel(engine_id)
                 .map_err(|_| ServeError::UnknownRequest(id));
         }
-        if let Some(q) = self.queues.get_mut(tenant) {
-            q.retain(|&x| x != id);
-        }
-        for ids in self.parked.values_mut() {
-            ids.retain(|&x| x != id);
-        }
-        self.parked.retain(|_, v| !v.is_empty());
-        self.finish(id, GatewayTerminal::Cancelled, Vec::new(), self.now());
+        let queued = self.queues.iter_mut().find_map(|q| {
+            let at = q.iter().position(|r| r.id == id)?;
+            q.remove(at)
+        });
+        let parked = || {
+            let req = self.parked.values_mut().find_map(|v| {
+                let at = v.iter().position(|r| r.id == id)?;
+                Some(v.remove(at))
+            });
+            self.parked.retain(|_, v| !v.is_empty());
+            req
+        };
+        let req = queued
+            .or_else(parked)
+            .ok_or(ServeError::UnknownRequest(id))?;
+        self.finish(req, GatewayTerminal::Cancelled, Vec::new(), self.now());
         Ok(())
     }
 
@@ -418,7 +417,9 @@ impl<L: LinearLayer> Gateway<L> {
 
     /// Whether every accepted request has reached its terminal.
     pub fn is_idle(&self) -> bool {
-        self.requests.is_empty()
+        self.queues.iter().all(VecDeque::is_empty)
+            && self.parked.is_empty()
+            && self.inflight.is_empty()
     }
 
     /// Ticks until idle or until `max_ticks` elapse; returns whether idle
@@ -520,18 +521,20 @@ impl<L: LinearLayer> Gateway<L> {
         f(self.engine.telemetry());
     }
 
+    /// Whether `tenant` has an accepted request that is not yet terminal.
+    fn is_live(&self, tenant: usize) -> bool {
+        self.queues.get(tenant).is_some_and(|q| !q.is_empty())
+            || self.parked.values().flatten().any(|r| r.tenant == tenant)
+            || self.inflight.values().any(|r| r.tenant == tenant)
+    }
+
+    /// Moves every request whose backoff ends by `tick` to the back of its
+    /// tenant queue, in release-tick then park order.
     fn release_due_retries(&mut self, tick: u64) {
-        let due: Vec<u64> = self.parked.range(..=tick).map(|(k, _)| *k).collect();
-        for k in due {
-            let Some(ids) = self.parked.remove(&k) else {
-                continue;
-            };
-            for id in ids {
-                let Some(tenant) = self.requests.get(&id).map(|r| r.tenant) else {
-                    continue;
-                };
-                if let Some(q) = self.queues.get_mut(tenant) {
-                    q.push_back(id);
+        while let Some(due) = self.parked.first_entry().filter(|e| *e.key() <= tick) {
+            for req in due.remove() {
+                if let Some(q) = self.queues.get_mut(req.tenant) {
+                    q.push_back(req);
                 }
             }
         }
@@ -568,7 +571,7 @@ impl<L: LinearLayer> Gateway<L> {
             let Some((_, tenant)) = best else {
                 break;
             };
-            let Some(id) = self.queues.get_mut(tenant).and_then(VecDeque::pop_front) else {
+            let Some(req) = self.queues.get_mut(tenant).and_then(VecDeque::pop_front) else {
                 break;
             };
             let cost = WFQ_SCALE
@@ -580,11 +583,11 @@ impl<L: LinearLayer> Gateway<L> {
             if let Some(v) = self.vft.get_mut(tenant) {
                 *v = v.saturating_add(cost.max(1));
             }
-            if !self.dispatch_one(id, tick) {
+            if let Some(req) = self.dispatch_one(req, tick) {
                 // Transient engine refusal: restore the request and its
                 // virtual time, and stop feeding the engine this tick.
                 if let Some(q) = self.queues.get_mut(tenant) {
-                    q.push_front(id);
+                    q.push_front(req);
                 }
                 if let Some(v) = self.vft.get_mut(tenant) {
                     *v = v.saturating_sub(cost.max(1));
@@ -594,16 +597,13 @@ impl<L: LinearLayer> Gateway<L> {
         }
     }
 
-    /// Submits one queued request into the engine during `tick`. Returns
-    /// `false` only on a transient engine refusal (queue-full), which tells
-    /// the dispatcher to requeue and yield.
-    fn dispatch_one(&mut self, id: usize, tick: u64) -> bool {
-        let Some(req) = self.requests.get(&id) else {
-            return true;
-        };
+    /// Submits one queued request into the engine during `tick`. Gives the
+    /// request back only on a transient engine refusal (queue-full), which
+    /// tells the dispatcher to requeue it and yield.
+    fn dispatch_one(&mut self, mut req: GwRequest, tick: u64) -> Option<GwRequest> {
         if req.deadline_tick.is_some_and(|d| tick > d) {
-            self.finish(id, GatewayTerminal::DeadlineExceeded, Vec::new(), tick);
-            return true;
+            self.finish(req, GatewayTerminal::DeadlineExceeded, Vec::new(), tick);
+            return None;
         }
         // The engine steps on the gateway's clock, so the deadline tick is
         // its deadline step.
@@ -615,19 +615,17 @@ impl<L: LinearLayer> Gateway<L> {
             .submit(req.prompt.clone(), req.max_new, deadline)
         {
             Ok(engine_id) => {
-                if let Some(req) = self.requests.get_mut(&id) {
-                    req.attempts += 1;
-                }
-                self.inflight.insert(engine_id, id);
-                true
+                req.attempts += 1;
+                self.inflight.insert(engine_id, req);
+                None
             }
-            Err(RejectReason::QueueFull { .. }) => false,
+            Err(RejectReason::QueueFull { .. }) => Some(req),
             Err(other) => {
                 // Unreachable while offer-time validation mirrors the
                 // engine's checks; terminalize rather than wedge.
                 let reason = format!("engine rejected a validated request: {other}");
-                self.finish(id, GatewayTerminal::Failed { reason }, Vec::new(), tick);
-                true
+                self.finish(req, GatewayTerminal::Failed { reason }, Vec::new(), tick);
+                None
             }
         }
     }
@@ -647,29 +645,25 @@ impl<L: LinearLayer> Gateway<L> {
             // Engine ids not in the in-flight map are the engine's own
             // synchronous rejects (e.g. queue-full probes) — not gateway
             // requests.
-            let Some(gid) = self.inflight.remove(&o.id) else {
-                continue;
-            };
-            let Some(req) = self.requests.get_mut(&gid) else {
+            let Some(mut req) = self.inflight.remove(&o.id) else {
                 continue;
             };
             req.last_stats = o.stats;
-            let deadline = req.deadline_tick;
             match o.terminal {
-                Terminal::Completed => self.finish(gid, GatewayTerminal::Completed, o.tokens, now),
+                Terminal::Completed => self.finish(req, GatewayTerminal::Completed, o.tokens, now),
                 Terminal::Failed { reason } => {
                     self.failures_this_tick += 1;
-                    self.maybe_retry(gid, reason);
+                    self.maybe_retry(req, reason);
                 }
                 Terminal::DeadlineExceeded => {
-                    let real_expiry = deadline.is_some_and(|d| now > d);
+                    let real_expiry = req.deadline_tick.is_some_and(|d| now > d);
                     if real_expiry || !self.cfg.retry.retry_timeouts {
-                        self.finish(gid, GatewayTerminal::DeadlineExceeded, o.tokens, now);
+                        self.finish(req, GatewayTerminal::DeadlineExceeded, o.tokens, now);
                     } else {
                         // The engine expired it but the end-to-end budget
                         // has not elapsed: an injected timeout fault.
                         self.failures_this_tick += 1;
-                        self.maybe_retry(gid, "spurious timeout fault".to_string());
+                        self.maybe_retry(req, "spurious timeout fault".to_string());
                     }
                 }
                 // After a forced drain, every in-flight attempt was
@@ -678,12 +672,12 @@ impl<L: LinearLayer> Gateway<L> {
                 Terminal::Cancelled if self.drain_forced => {
                     self.tel(|t| t.counter_add(names::GATEWAY_DRAIN_FORCED, 1));
                     let reason = "drained before completion".to_string();
-                    self.finish(gid, GatewayTerminal::Failed { reason }, o.tokens, now);
+                    self.finish(req, GatewayTerminal::Failed { reason }, o.tokens, now);
                 }
-                Terminal::Cancelled => self.finish(gid, GatewayTerminal::Cancelled, o.tokens, now),
+                Terminal::Cancelled => self.finish(req, GatewayTerminal::Cancelled, o.tokens, now),
                 Terminal::Rejected(reason) => {
                     let reason = format!("unexpected engine reject in flight: {reason}");
-                    self.finish(gid, GatewayTerminal::Failed { reason }, Vec::new(), now);
+                    self.finish(req, GatewayTerminal::Failed { reason }, Vec::new(), now);
                 }
             }
         }
@@ -691,22 +685,16 @@ impl<L: LinearLayer> Gateway<L> {
 
     /// Parks a failed request for redispatch, or finishes it when the
     /// retry budget is spent.
-    fn maybe_retry(&mut self, gid: usize, reason: String) {
-        let Some((attempts, deadline)) = self
-            .requests
-            .get(&gid)
-            .map(|r| (r.attempts, r.deadline_tick))
-        else {
-            return;
-        };
+    fn maybe_retry(&mut self, req: GwRequest, reason: String) {
+        let attempts = req.attempts;
         if attempts >= self.cfg.retry.max_attempts {
             let reason = format!("retry budget exhausted after {attempts} attempts: {reason}");
-            self.finish(gid, GatewayTerminal::Failed { reason }, Vec::new(), self.now());
+            self.finish(req, GatewayTerminal::Failed { reason }, Vec::new(), self.now());
             return;
         }
-        let delay = self.backoff_delay(gid, attempts).max(1);
+        let delay = self.backoff_delay(req.id, attempts).max(1);
         let mut release = self.now().saturating_add(delay);
-        if let Some(d) = deadline {
+        if let Some(d) = req.deadline_tick {
             // No point waiting past the deadline; release one tick after
             // it so expiry is detected promptly.
             release = release.min(d.saturating_add(1));
@@ -714,7 +702,7 @@ impl<L: LinearLayer> Gateway<L> {
         self.tel(|t| t.record(names::GATEWAY_BACKOFF_TICKS, delay));
         self.tel(|t| t.counter_add(names::GATEWAY_RETRIES, 1));
         self.retries += 1;
-        self.parked.entry(release).or_default().push(gid);
+        self.parked.entry(release).or_default().push(req);
     }
 
     /// Exponential backoff with deterministic seeded jitter: attempt `k`
@@ -757,19 +745,16 @@ impl<L: LinearLayer> Gateway<L> {
     fn force_drain(&mut self) {
         self.drain_forced = true;
         let now = self.now();
-        let queued: Vec<usize> = self
+        let queued: Vec<GwRequest> = self
             .queues
             .iter_mut()
             .flat_map(std::mem::take)
             .collect();
-        let parked: Vec<usize> = std::mem::take(&mut self.parked)
-            .into_values()
-            .flatten()
-            .collect();
-        for id in queued.into_iter().chain(parked) {
+        let parked = std::mem::take(&mut self.parked).into_values().flatten();
+        for req in queued.into_iter().chain(parked) {
             self.tel(|t| t.counter_add(names::GATEWAY_DRAIN_FORCED, 1));
             let reason = "drained before completion".to_string();
-            self.finish(id, GatewayTerminal::Failed { reason }, Vec::new(), now);
+            self.finish(req, GatewayTerminal::Failed { reason }, Vec::new(), now);
         }
         for &engine_id in self.inflight.keys() {
             // Already-terminal engine ids are fine to skip.
@@ -777,20 +762,14 @@ impl<L: LinearLayer> Gateway<L> {
         }
     }
 
-    /// Records the exactly-once gateway terminal for `gid`, finished in
-    /// tick `now` — the dispatch phase runs before the tick's engine step,
-    /// so it passes the tick rather than the engine clock. The first-token
-    /// tick is the latest attempt's, like the rest of its accounting.
-    fn finish(&mut self, gid: usize, terminal: GatewayTerminal, tokens: Vec<u16>, now: u64) {
-        let Some(req) = self.requests.remove(&gid) else {
-            debug_assert!(false, "finish on unknown gateway request {gid}");
-            return;
-        };
+    /// Records the exactly-once gateway terminal of `req`, consuming it,
+    /// finished in tick `now` — the dispatch phase runs before the tick's
+    /// engine step, so it passes the tick rather than the engine clock. The
+    /// first-token tick is the latest attempt's, like the rest of its
+    /// accounting.
+    fn finish(&mut self, req: GwRequest, terminal: GatewayTerminal, tokens: Vec<u16>, now: u64) {
         let stats = req.last_stats;
         let first_token_tick = stats.first_token_step.map(|s| s as u64);
-        if let Some(n) = self.live.get_mut(req.tenant) {
-            *n = n.saturating_sub(1);
-        }
         let metric = match &terminal {
             GatewayTerminal::Completed => names::GATEWAY_TERMINAL_COMPLETED,
             GatewayTerminal::Cancelled => names::GATEWAY_TERMINAL_CANCELLED,
@@ -810,7 +789,7 @@ impl<L: LinearLayer> Gateway<L> {
             }
         }
         self.outcomes.push(GatewayOutcome {
-            id: gid,
+            id: req.id,
             tenant: req.tenant,
             terminal,
             tokens,
@@ -1131,7 +1110,7 @@ mod tests {
         };
         let mut g = Gateway::new(engine, cfg).expect("valid");
         let id = g.offer(0, vec![1, 2, 3], 30, None).expect("accepted");
-        while g.retries() == 0 || !g.inflight.values().any(|&gid| gid == id) {
+        while g.retries() == 0 || !g.inflight.values().any(|r| r.id == id) {
             assert!(g.now() < 50, "the retry never went in flight");
             g.tick();
         }
@@ -1620,6 +1599,158 @@ mod tests {
             fast * 10 >= done * 9,
             "{fast} of {done} completed within the TTFT target"
         );
+    }
+
+    /// One chaos replay, pinned as a digest of everything it reports: every
+    /// outcome field in finish order, the offer counts, `rejects()`,
+    /// `retries()` and the TTFT/TPOT histograms. Every fault kind is armed
+    /// and failed attempts retry after seeded backoff; the client cancels a
+    /// queued, an in-flight and a parked request; the drain's grace budget
+    /// then force-fails a tenant queue's leftovers, records parked under
+    /// two release ticks, and the in-flight attempts. A second, small run
+    /// parks two retries under one release tick. The constant was
+    /// recorded by this body before the gateway's containers were
+    /// restructured, so any change to outcomes, their order, dispatch
+    /// order, retry release order, rejects or telemetry fails it — at
+    /// width 1 and at width 2 under sixteen stress seeds.
+    #[test]
+    fn chaos_replay_with_cancels_and_a_forced_drain_is_pinned() {
+        use atom_data::{ArrivalPattern, TenantTraffic, TrafficSpec};
+        const PINNED: u64 = 0x1564_bc3b_f8ed_e31a;
+        let trace = TrafficSpec {
+            base_rate_per_tick: 1.0,
+            pattern: ArrivalPattern::Bursty {
+                on_ticks: 8,
+                off_ticks: 4,
+            },
+            horizon_ticks: 36,
+            tenants: vec![
+                TenantTraffic::interactive(0.6, 50),
+                TenantTraffic::batch(0.4),
+            ],
+        }
+        .generate(23);
+        let replay = || {
+            let rates = FaultRates {
+                alloc: 0.02,
+                forward: 0.12,
+                timeout: 0.05,
+                cancel: 0.02,
+            };
+            let engine = tiny_engine(4, 2048)
+                .with_fault_plan(FaultPlan::seeded_chaos(4, 400, rates))
+                .with_telemetry(std::sync::Arc::new(Telemetry::enabled()));
+            let tenants = vec![
+                TenantSpec::new("interactive", 3, 2).with_rate(3_000, 9_000),
+                TenantSpec::new("batch", 1, 0)
+                    .with_rate(2_000, 6_000)
+                    .with_queue_cap(12),
+            ];
+            let mut cfg = GatewayConfig::new(tenants).with_seed(17);
+            cfg.dispatch_queue_target = 2;
+            cfg.drain_grace_ticks = 8;
+            cfg.retry.backoff_base_ticks = 3;
+            cfg.retry.backoff_max_ticks = 12;
+            let mut g = Gateway::new(engine, cfg).expect("valid");
+            // (tick, id, attempts of its outcome right after the cancel): a
+            // queued request finishes at once with none, a parked one at
+            // once with those it used, an in-flight one on the next tick's
+            // harvest.
+            let cancels = [(8, 10, Some(0)), (9, 1, None), (10, 3, Some(1))];
+            let mut summary = ReplaySummary::default();
+            let mut idx = 0usize;
+            while idx < trace.len() {
+                while let Some(a) = trace.get(idx).filter(|a| a.tick <= g.now()) {
+                    summary.offered += 1;
+                    let prompt = synth_prompt(idx, a.prefill_tokens);
+                    if g.offer(a.tenant, prompt, a.decode_tokens, a.deadline_ticks)
+                        .is_ok()
+                    {
+                        summary.accepted += 1;
+                    }
+                    idx += 1;
+                }
+                let now = g.now();
+                for &(_, id, attempts) in cancels.iter().filter(|c| c.0 == now) {
+                    g.cancel(id).expect("live request cancels");
+                    assert_eq!(
+                        g.outcome_of(id).map(|o| o.attempts),
+                        attempts,
+                        "cancel of {id}"
+                    );
+                }
+                g.tick();
+                for &(tick, id, _) in cancels.iter().filter(|c| c.0 == now) {
+                    let o = g
+                        .outcome_of(id)
+                        .expect("cancel is harvested by the next tick");
+                    assert_eq!(
+                        o.terminal,
+                        GatewayTerminal::Cancelled,
+                        "cancelled at tick {tick}"
+                    );
+                }
+            }
+            g.begin_drain();
+            assert!(g.run_until_idle(200), "the forced drain converges");
+            assert_eq!(g.outcomes().len() as u64, summary.accepted);
+            // Attempts of each force-failed request: queued and parked ones
+            // (none and some), and in-flight ones.
+            let forced: Vec<u32> = g
+                .outcomes()
+                .iter()
+                .filter_map(|o| match &o.terminal {
+                    GatewayTerminal::Failed { reason } if reason.contains("drained") => {
+                        Some(o.attempts)
+                    }
+                    _ => None,
+                })
+                .collect();
+            assert!(
+                forced.contains(&0) && forced.iter().any(|&a| a > 0),
+                "{forced:?}"
+            );
+            assert!(g.retries() > 0);
+            let metrics = g.engine().telemetry().metrics().snapshot();
+            let latency = [names::GATEWAY_TTFT_TICKS, names::GATEWAY_TPOT_MILLITICKS]
+                .map(|n| metrics.histogram(n).cloned());
+            // Two attempts of one tenant fail in one step and park under
+            // one release tick; a one-deep dispatch then submits them a
+            // tick apart, so their outcomes show the release order.
+            let plan = FaultPlan::none()
+                .with_forward_fault(3, 0)
+                .with_timeout_fault(3, 1);
+            let mut cfg = GatewayConfig::single_tenant();
+            cfg.dispatch_queue_target = 1;
+            cfg.retry.backoff_base_ticks = 1;
+            let engine = tiny_engine(4, 2048).with_fault_plan(plan);
+            let mut h = Gateway::new(engine, cfg).expect("valid");
+            for (len, max_new) in [(3, 8), (5, 8), (4, 6)] {
+                h.offer(0, (1..=len).collect(), max_new, None)
+                    .expect("accepted");
+            }
+            assert!(h.run_until_idle(100));
+            assert_eq!(h.retries(), 2, "both failures retried");
+            let report = format!(
+                "{summary:?}{:?}{:?}{}{latency:?}{:?}",
+                g.outcomes(),
+                g.rejects(),
+                g.retries(),
+                h.outcomes()
+            );
+            report.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        };
+        assert_eq!(
+            Pool::new(1).install(replay),
+            PINNED,
+            "the replay's report changed"
+        );
+        for seed in 0..16 {
+            let stressed = Pool::new(2).with_stress(seed).install(replay);
+            assert_eq!(stressed, PINNED, "2 threads, stress seed {seed}");
+        }
     }
 
     #[test]

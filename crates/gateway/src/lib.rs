@@ -58,9 +58,11 @@
 //!   reaches exactly one [`GatewayTerminal`].
 //! - **Determinism.** Ticks, not wall time: one gateway tick drives exactly
 //!   one engine step, and all order-sensitive state lives in ordered
-//!   structures (per-tenant `VecDeque`s, `BTreeMap`s for parked/in-flight,
-//!   the engine's outcome log), so a (config, seed, trace) triple replays
-//!   bit-identically at any thread count.
+//!   structures, so a (config, seed, trace) triple replays bit-identically
+//!   at any thread count. Each accepted request is one record, held by
+//!   exactly one of: its tenant's `VecDeque`, a `BTreeMap` of retries by
+//!   release tick, or a `BTreeMap` of in-flight attempts by engine id; it
+//!   moves between them by value until its terminal consumes it.
 //!
 //! # Example
 //!

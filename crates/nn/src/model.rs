@@ -92,6 +92,19 @@ impl LinearId {
             expert: 0,
         }
     }
+
+    /// The id the forward observes this linear's input under: linears that
+    /// read one activation share one id. Q/K/V read the attention input
+    /// (filed under Q); the router and every expert's gate/up read the
+    /// feed-forward input (filed under expert 0's gate); O and each down
+    /// projection read their own.
+    pub fn input(self) -> LinearId {
+        match self.proj {
+            Proj::Q | Proj::K | Proj::V => LinearId::new(self.layer, Proj::Q),
+            Proj::Gate | Proj::Up | Proj::Router => LinearId::new(self.layer, Proj::Gate),
+            Proj::O | Proj::Down => self,
+        }
+    }
 }
 
 impl std::fmt::Display for LinearId {
@@ -104,10 +117,12 @@ impl std::fmt::Display for LinearId {
     }
 }
 
-/// Hook receiving every linear layer's input activation during a forward
-/// pass. Used by calibration; the default [`NoopObserver`] costs nothing.
+/// Hook receiving every distinct linear-layer input activation during a
+/// forward pass. Used by calibration; the default [`NoopObserver`] costs
+/// nothing.
 pub trait ForwardObserver {
-    /// Called with the activation matrix that is about to enter linear `id`.
+    /// Called once with each activation matrix that is about to enter
+    /// linears: `id` is their shared [`LinearId::input`].
     fn observe(&mut self, id: LinearId, input: &Matrix);
 }
 
@@ -144,20 +159,11 @@ pub struct Mlp<L> {
 }
 
 impl<L: LinearLayer> Mlp<L> {
+    /// The MLP of `x`. The caller observes `x`, which the router and every
+    /// expert of the layer read too; this observes the down projection's
+    /// input.
     fn forward(&self, x: &Matrix, layer: usize, expert: usize, obs: &mut dyn ForwardObserver) -> Matrix {
-        let gid = LinearId {
-            layer,
-            proj: Proj::Gate,
-            expert,
-        };
-        obs.observe(gid, x);
         let g = self.gate.forward(x).map(ops::silu);
-        let uid = LinearId {
-            layer,
-            proj: Proj::Up,
-            expert,
-        };
-        obs.observe(uid, x);
         let u = self.up.forward(x);
         let h = g.hadamard(&u);
         let did = LinearId {
@@ -175,8 +181,9 @@ impl<L: LinearLayer> Mlp<L> {
 /// The MoE uses *soft routing* (every expert runs, outputs are mixed by the
 /// router softmax) in both training and inference so the quantized model
 /// computes the same function it was trained as. Atom's MoE finding — shared
-/// reorder indices across experts suffice (paper §6, footnote 4) — is about
-/// per-expert FFN weight quantization and is fully exercised by this layout.
+/// reorder indices across experts suffice (paper §6, footnote 4) — holds by
+/// construction: the router and every expert's gate/up read one input,
+/// observed once, so calibration gives them one reorder plan.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum FeedForward<L> {
     /// Standard dense MLP.
@@ -192,10 +199,10 @@ pub enum FeedForward<L> {
 
 impl<L: LinearLayer> FeedForward<L> {
     fn forward(&self, x: &Matrix, layer: usize, obs: &mut dyn ForwardObserver) -> Matrix {
+        obs.observe(LinearId::new(layer, Proj::Gate), x);
         match self {
             FeedForward::Dense(mlp) => mlp.forward(x, layer, 0, obs),
             FeedForward::Moe { router, experts } => {
-                obs.observe(LinearId::new(layer, Proj::Router), x);
                 let gates = ops::softmax_rows(&router.forward(x));
                 let mut out = Matrix::zeros(x.rows(), x.cols());
                 for (e, expert) in experts.iter().enumerate() {
@@ -613,9 +620,7 @@ impl<L: LinearLayer> LlamaModel<L> {
 
         obs.observe(LinearId::new(layer, Proj::Q), x);
         let mut q = block.attn.wq.forward(x);
-        obs.observe(LinearId::new(layer, Proj::K), x);
         let mut k = block.attn.wk.forward(x);
-        obs.observe(LinearId::new(layer, Proj::V), x);
         let v = block.attn.wv.forward(x);
 
         ops::rope_in_place(&mut q, positions, hd, c.rope_theta);
@@ -800,25 +805,38 @@ mod tests {
 
     #[test]
     fn observer_sees_every_linear_input() {
-        use std::collections::BTreeSet;
+        use std::collections::BTreeMap;
 
+        /// Each observed id with its input width, and the number of calls.
         #[derive(Debug, Default)]
-        struct Collect(BTreeSet<LinearId>, usize);
+        struct Collect(BTreeMap<LinearId, usize>, usize);
         impl ForwardObserver for Collect {
             fn observe(&mut self, id: LinearId, input: &Matrix) {
-                self.0.insert(id);
+                self.0.insert(id, input.cols());
                 self.1 += 1;
                 assert!(input.rows() > 0);
             }
         }
 
-        let config = tiny_config();
-        let m = LlamaModel::random_init(config, 6);
-        let mut cache = Fp32KvCache::new(config.layers, config.kv_dim());
-        let mut obs = Collect::default();
-        m.forward_observed(&[1, 2, 3], &mut cache, &mut obs);
-        assert_eq!(obs.0.len(), m.num_linears());
-        assert_eq!(obs.1, m.num_linears());
+        // Per layer: dense Q, O, gate, down; MoE Q, O, gate and one down
+        // per expert.
+        for (experts, inputs_per_layer) in [(1, 4), (4, 3 + 4)] {
+            let config = ModelConfig {
+                experts,
+                ..tiny_config()
+            };
+            let m = LlamaModel::random_init(config, 6);
+            let mut cache = Fp32KvCache::new(config.layers, config.kv_dim());
+            let mut obs = Collect::default();
+            m.forward_observed(&[1, 2, 3], &mut cache, &mut obs);
+            assert_eq!(obs.1, config.layers * inputs_per_layer, "experts {experts}");
+            assert_eq!(obs.0.len(), obs.1, "experts {experts}: one call per input");
+            let mut wanted = BTreeMap::new();
+            m.visit_linears(|id, l| {
+                wanted.insert(id.input(), l.in_features());
+            });
+            assert_eq!(obs.0, wanted, "experts {experts}");
+        }
     }
 
     #[test]
