@@ -163,10 +163,12 @@ fn logit_bits(m: &Matrix) -> Vec<u32> {
 proptest! {
     /// The batched forward is the per-sequence forward, bit for bit: over a
     /// ragged mix of prefills and single decode rows behind histories of
-    /// any length, the stacked logits are each sequence's own logits and
-    /// every cache ends holding the same keys and values — over FP32 and
-    /// 4-bit quantized KV, dense and MoE, FP32 and W4A4 linears. The batch
-    /// runs on a width-2 pool under a stress seed drawn per case.
+    /// any length, logits row `i` is the last row of sequence `i`'s own
+    /// forward, and every cache ends holding the same keys and values —
+    /// the only witness for the rows the batch runs but does not return —
+    /// over FP32 and 4-bit quantized KV, dense and MoE, FP32 and W4A4
+    /// linears. The batch runs on a width-2 pool under a stress seed drawn
+    /// per case.
     #[test]
     fn forward_batch_rows_equal_per_sequence_forwards(
         seed in 0u64..1 << 32,
@@ -213,7 +215,7 @@ proptest! {
         let mut expected = Vec::new();
         for ((_, rows), kv) in work.iter().zip(alone.iter_mut()) {
             let logits = Pool::sequential().install(|| model.forward(rows, kv.as_mut()));
-            expected.extend(logit_bits(&logits));
+            expected.extend(logit_bits(&logits.slice_rows(rows.len() - 1, rows.len())));
         }
         prop_assert_eq!(logit_bits(&stacked), expected);
         for (a, b) in batched.iter().zip(&alone) {

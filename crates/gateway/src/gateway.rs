@@ -24,9 +24,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use atom_data::Arrival;
 use atom_nn::{LinearLayer, LlamaModel};
-use atom_serve::{
-    CpuEngine, Outcome, PressurePolicy, RejectReason, RequestStats, ServeError, Terminal,
-};
+use atom_serve::{CpuEngine, Outcome, PressurePolicy, RequestStats, ServeError, Terminal};
 use atom_telemetry::{names, Telemetry};
 use atom_tensor::cast;
 
@@ -583,27 +581,18 @@ impl<L: LinearLayer> Gateway<L> {
             if let Some(v) = self.vft.get_mut(tenant) {
                 *v = v.saturating_add(cost.max(1));
             }
-            if let Some(req) = self.dispatch_one(req, tick) {
-                // Transient engine refusal: restore the request and its
-                // virtual time, and stop feeding the engine this tick.
-                if let Some(q) = self.queues.get_mut(tenant) {
-                    q.push_front(req);
-                }
-                if let Some(v) = self.vft.get_mut(tenant) {
-                    *v = v.saturating_sub(cost.max(1));
-                }
-                break;
-            }
+            self.dispatch_one(req, tick);
         }
     }
 
-    /// Submits one queued request into the engine during `tick`. Gives the
-    /// request back only on a transient engine refusal (queue-full), which
-    /// tells the dispatcher to requeue it and yield.
-    fn dispatch_one(&mut self, mut req: GwRequest, tick: u64) -> Option<GwRequest> {
+    /// Submits one queued request into the engine during `tick`. The
+    /// engine sheds at `shed_queue_depth` and `dispatch` stops short of
+    /// it, so the engine refuses a request here only if offer-time
+    /// validation missed one of its checks.
+    fn dispatch_one(&mut self, mut req: GwRequest, tick: u64) {
         if req.deadline_tick.is_some_and(|d| tick > d) {
             self.finish(req, GatewayTerminal::DeadlineExceeded, Vec::new(), tick);
-            return None;
+            return;
         }
         // The engine steps on the gateway's clock, so the deadline tick is
         // its deadline step.
@@ -617,15 +606,12 @@ impl<L: LinearLayer> Gateway<L> {
             Ok(engine_id) => {
                 req.attempts += 1;
                 self.inflight.insert(engine_id, req);
-                None
             }
-            Err(RejectReason::QueueFull { .. }) => Some(req),
-            Err(other) => {
+            Err(reason) => {
                 // Unreachable while offer-time validation mirrors the
                 // engine's checks; terminalize rather than wedge.
-                let reason = format!("engine rejected a validated request: {other}");
+                let reason = format!("engine rejected a validated request: {reason}");
                 self.finish(req, GatewayTerminal::Failed { reason }, Vec::new(), tick);
-                None
             }
         }
     }
@@ -836,6 +822,7 @@ mod tests {
     use atom_nn::{DenseLinear, LlamaModel, ModelConfig};
     use atom_parallel::Pool;
     use atom_serve::FaultPlan;
+    use atom_serve::RejectReason;
     use atom_serve::fault::FaultRates;
 
     fn tiny_config() -> ModelConfig {
@@ -1010,6 +997,51 @@ mod tests {
             Err(GatewayReject::TenantQueueFull { depth: 2, cap: 2 })
         ));
         assert_eq!(g.rejects().queue_full, 1);
+    }
+
+    #[test]
+    fn dispatch_stops_at_the_engine_shed_depth() {
+        // A dispatch target far above the engine's shed depth, under offers
+        // that flood for many ticks: dispatch stops at the shed depth, so
+        // the engine refuses no dispatched request and none ends `Failed`.
+        let flood = TenantSpec::new("flood", 1, 1)
+            .with_rate(100_000, 1_000_000)
+            .with_queue_cap(1_000);
+        let mut cfg = GatewayConfig::new(vec![flood]);
+        cfg.dispatch_queue_target = 64;
+        let engine = tiny_engine(2, 2048).with_policy(PressurePolicy {
+            shed_queue_depth: Some(3),
+            ..PressurePolicy::default()
+        });
+        let mut g = Gateway::new(engine, cfg).expect("valid");
+        let mut offered = 0;
+        for tick in 0..80 {
+            for i in 0..4 {
+                g.offer(0, synth_prompt(tick * 4 + i, 6), 3, None)
+                    .expect("accepted");
+                offered += 1;
+            }
+            g.tick();
+            let queued = g.engine().batcher().queued();
+            assert!(
+                queued <= 3,
+                "tick {tick}: engine queue {queued} past its shed depth"
+            );
+            assert!(
+                g.queued_depth() > 0,
+                "tick {tick}: the gateway holds the overflow"
+            );
+        }
+        assert!(g.run_until_idle(5_000));
+        assert_eq!(g.outcomes().len(), offered);
+        for o in g.outcomes() {
+            assert!(
+                o.terminal.is_completed(),
+                "request {}: {:?}",
+                o.id,
+                o.terminal
+            );
+        }
     }
 
     #[test]

@@ -14,12 +14,16 @@
 //!
 //! Both are one kernel: a single sweep over the weight rows, decoded once
 //! per GEMM a block at a time, against activations whose groups are
-//! zero-padded to a multiple of 16 codes, so every multiply-accumulate runs
-//! over fixed-width blocks of 16 the compiler turns into packed
-//! multiply-adds; the two precision regions of a mixed GEMM share that
-//! sweep. [`mod@reference`] holds the plain loop nest the kernel must reproduce
-//! bit for bit — the oracle tests and report bins call by name, never
-//! reached from a serving call. DESIGN.md §3.11 has the bit-identity
+//! zero-padded to a multiple of 16 codes; the two precision regions of a
+//! mixed GEMM share that sweep. It has two inner loops. Below
+//! [`PANEL_MIN_ROWS`] activation rows each output is one fold over
+//! fixed-width blocks of 16 `i16` codes the compiler turns into packed
+//! multiply-adds. From there on, 16 weight rows decode into an `f32` panel
+//! and each activation row accumulates all 16 outputs at once in `f32`
+//! lanes that hold every group sum exactly, so no output pays a horizontal
+//! reduction. [`mod@reference`] holds the plain loop nest both must
+//! reproduce bit for bit — the oracle tests and report bins call by name,
+//! never reached from a serving call. DESIGN.md §3.11 has the bit-identity
 //! argument.
 
 use crate::group::{GroupQuantized, MAX_BITS};
@@ -52,6 +56,12 @@ const _: () = assert!((MAX_ACC_K as i64 + 1) << (2 * (MAX_BITS - 1)) > i32::MAX 
 // `MAX_ACC_K`.
 const _: () =
     assert!(1i64 << (MAX_BITS - 1) <= 1i64 << 15 && 2 << (2 * (MAX_BITS - 1)) <= i32::MAX as i64);
+// The panel loop sums a group's products in `f32` lanes instead of `i32`: a
+// group spans at most `LANES` codes, each product is at most 2^14 in
+// magnitude, so every partial sum is an integer below 2^18 — inside the
+// 2^24 up to which `f32` holds every integer exactly. Each lane sum is then
+// the integer `iacc` itself, whatever order its products add in.
+const _: () = assert!((LANES as i64) << (2 * (MAX_BITS - 1)) < 1i64 << f32::MANTISSA_DIGITS);
 
 /// Plain integer GEMM with i32 accumulation: `a (m x k) @ b_t (n x k)^T`,
 /// returning the raw i32 accumulators. This is the "pure INT4/INT8 GEMM
@@ -128,7 +138,7 @@ pub fn int_gemm_i32(a: &[i8], b_t: &[i8], m: usize, n: usize, k: usize) -> Vec<i
 pub fn fused_group_gemm(a: &GroupQuantized, w: &GroupQuantized) -> Result<Matrix, KernelError> {
     let group = shared_group(a, w)?;
     let _launch = record_launch(a.packed_bytes() + w.packed_bytes(), a.rows());
-    Ok(gemm_sweep(&Region::decode(a, w, group), None))
+    Ok(gemm_sweep((a, w, group), None))
 }
 
 /// Validates one region's operands and returns its effective group size
@@ -174,31 +184,49 @@ fn record_launch(bytes: usize, rows: usize) -> (TimerGuard<'static>, SpanGuard<'
 
 /// Codes per fixed-width multiply-accumulate block. Decoded activation rows
 /// pad every quantization group with zero codes up to a multiple of this,
-/// so the inner loop always runs over whole `[i16; LANES]` blocks — a
-/// compile-time trip count the compiler unrolls into two packed 16-bit
-/// multiply-adds (`pmaddwd`). Both operands decode straight into `i16`
-/// lanes, so the loop has no sign extension left in it. It equals the group
-/// size of every scheme in this workspace (a group of 16 is exactly one
-/// block).
+/// so the inner loops always run over whole blocks of `LANES` codes — a
+/// compile-time trip count. The per-output fold unrolls one `[i16; LANES]`
+/// block into two packed 16-bit multiply-adds (`pmaddwd`); both operands
+/// decode straight into `i16` lanes, so that loop has no sign extension
+/// left in it. It equals the group size of every scheme in this workspace
+/// (a group of 16 is exactly one block).
 const LANES: usize = 16;
 
-/// Decoded weight codes the sweep holds at a time: 16 KiB of `i16` lanes,
-/// half a typical L1 data cache, leaving room for the activation rows
-/// streaming past. A 32-row tile fits whole up to 256 channels.
+/// Activation rows from which a GEMM runs as column panels. A panel
+/// decodes its weights transposed once per call, which pays off only over
+/// enough activation rows: at one or two rows (a decode step) the
+/// per-output fold is the faster loop, from 16 rows on the panel loop is
+/// (EXPERIMENTS.md has the crossover). Which loop runs never changes a
+/// bit: both equal [`mod@reference`].
+pub const PANEL_MIN_ROWS: usize = 16;
+
+/// Output columns — weight rows — per panel: one `f32` lane sum each.
+const PANEL_COLS: usize = 16;
+
+/// Decoded weight codes the per-output fold holds at a time: 16 KiB of
+/// `i16` lanes, half a typical L1 data cache, leaving room for the
+/// activation rows streaming past. A 32-row tile fits whole up to 256
+/// channels.
 const DECODE_BLOCK_CODES: usize = 8 * 1024;
 
+/// One region's operands — activations, weights — and the effective group
+/// size [`shared_group`] validated for the pair.
+type Operands<'a> = (&'a GroupQuantized, &'a GroupQuantized, usize);
+
 /// One precision region of a GEMM — the INT4 normal channels or the INT8
-/// outlier channels.
+/// outlier channels — with its activation codes decoded to `T`: `i16`
+/// lanes for the per-output fold, `f32` for the panel loop.
 ///
 /// Activations decode once, up front, with every quantization group
-/// zero-padded to `padded` codes. Weight rows decode a block at a time, back
-/// to back at their real width, and group `g` of a weight row is read as the
-/// `padded`-wide *window* starting at its first code: where the window
-/// overhangs the group — into the next group, the next row, or the slack
-/// after the block — it meets the activation's zero padding, so whatever
-/// codes it holds multiply to exactly 0 and the i32 group sum is the sum
-/// over the real codes alone.
-struct Region<'a> {
+/// zero-padded to `padded` codes. For the fold, weight rows decode a block
+/// at a time, back to back at their real width, and group `g` of a weight
+/// row is read as the `padded`-wide *window* starting at its first code:
+/// where the window overhangs the group — into the next group, the next
+/// row, or the slack after the block — it meets the activation's zero
+/// padding, so whatever codes it holds multiply to exactly 0 and the i32
+/// group sum is the sum over the real codes alone. A [`Panel`] pads the
+/// weight groups too.
+struct Region<'a, T> {
     w_values: &'a PackedMatrix,
     /// `n x n_groups` weight scales, row-major.
     w_scales: &'a [f32],
@@ -206,7 +234,7 @@ struct Region<'a> {
     a_scales: &'a [f32],
     /// `m x n_groups * padded` activation codes, group `g` of row `i` at
     /// `(i * n_groups + g) * padded`, zero beyond the group's real codes.
-    a_codes: Vec<i16>,
+    a_codes: Vec<T>,
     /// Activation rows `m`.
     a_rows: usize,
     /// Codes per row `k`.
@@ -219,24 +247,23 @@ struct Region<'a> {
     padded: usize,
 }
 
-/// One decoded row: its codes, widened to `i16` lanes, and its group
-/// scales.
-type CodeRow<'r> = (&'r [i16], &'r [f32]);
+/// One decoded row: its codes, widened to `T` lanes, and its group scales.
+type CodeRow<'r, T = i16> = (&'r [T], &'r [f32]);
 
-impl<'a> Region<'a> {
-    /// Decodes the activation rows of `a`; `group` is the effective group
-    /// size [`shared_group`] validated for the pair.
-    fn decode(a: &'a GroupQuantized, w: &'a GroupQuantized, group: usize) -> Self {
+impl<'a, T: Copy + From<i8>> Region<'a, T> {
+    /// Decodes the activation rows of one region's [`Operands`].
+    fn decode((a, w, group): Operands<'a>) -> Self {
         let (cols, n_groups) = (a.cols(), a.cols().div_ceil(group));
         let padded = group.next_multiple_of(LANES);
         let width = n_groups * padded;
-        let mut a_codes = vec![0i16; a.rows() * width];
+        let zero = T::from(0);
+        let mut a_codes = vec![zero; a.rows() * width];
         // The padded layout is the packed column order when groups are
         // already a multiple of LANES wide or there is a single group: only
         // the tail of the last group is padding, and it is never written.
         // Otherwise a row decodes into `spill` and moves group by group.
         let contiguous = padded == group || n_groups <= 1;
-        let mut spill = vec![0i16; if contiguous { 0 } else { cols }];
+        let mut spill = vec![zero; if contiguous { 0 } else { cols }];
         for (r, row) in a_codes.chunks_exact_mut(width.max(1)).enumerate() {
             if contiguous {
                 if let Some(head) = row.get_mut(..cols) {
@@ -264,6 +291,25 @@ impl<'a> Region<'a> {
         }
     }
 
+    /// The decoded activation rows with their scales, in row order. (An
+    /// empty region — `k = 0` — yields no rows; its callers leave the
+    /// output at the empty sum.)
+    fn activation_rows(&self) -> impl Iterator<Item = CodeRow<'_, T>> {
+        self.a_codes
+            .chunks_exact((self.n_groups * self.padded).max(1))
+            .zip(self.a_scales.chunks_exact(self.n_groups.max(1)))
+    }
+
+    /// Weight rows `first ..`'s group scales, `n_groups` per row.
+    fn weight_scales(&self, first: usize, rows: usize) -> &[f32] {
+        let n_groups = self.n_groups;
+        self.w_scales
+            .get(first * n_groups..(first + rows) * n_groups)
+            .unwrap_or(&[])
+    }
+}
+
+impl Region<'_, i16> {
     /// Decodes weight rows `first .. first + rows` back to back, plus
     /// `padded` zero codes of slack for the last window's overhang.
     fn decode_weight_rows(&self, first: usize, rows: usize) -> Vec<i16> {
@@ -280,24 +326,10 @@ impl<'a> Region<'a> {
     ///
     /// [`decode_weight_rows`]: Self::decode_weight_rows
     fn weight_rows<'s>(&'s self, block: &'s [i16], first: usize, rows: usize) -> Vec<CodeRow<'s>> {
-        let n_groups = self.n_groups;
-        let scales = self
-            .w_scales
-            .get(first * n_groups..(first + rows) * n_groups)
-            .unwrap_or(&[]);
         (0..rows)
             .map(|jj| block.get(jj * self.cols..).unwrap_or(&[]))
-            .zip(scales.chunks_exact(n_groups.max(1)))
+            .zip(self.weight_scales(first, rows).chunks_exact(self.n_groups.max(1)))
             .collect()
-    }
-
-    /// The decoded activation rows with their scales, in row order. (An
-    /// empty region — `k = 0` — yields no rows; its callers leave the
-    /// output at the empty sum.)
-    fn activation_rows(&self) -> impl Iterator<Item = CodeRow<'_>> {
-        self.a_codes
-            .chunks_exact((self.n_groups * self.padded).max(1))
-            .zip(self.a_scales.chunks_exact(self.n_groups.max(1)))
     }
 
     /// This region's term of one output element: the ascending-group FP32
@@ -360,6 +392,179 @@ impl<'a> Region<'a> {
                 .sum()
         }
     }
+
+    /// The per-output fold over one tile: weight rows `first ..` decode in
+    /// blocks small enough to stay cache-resident (the whole tile at the
+    /// serving widths); one decode of a block serves all `m` activation
+    /// rows, and a mixed GEMM writes `fold(normal) + fold(outlier)` once
+    /// per element.
+    fn fold_tile(&self, outlier: Option<&Self>, first: usize, tile: &mut [f32]) {
+        let rows_here = tile.len() / self.a_rows.max(1);
+        let block_rows = (DECODE_BLOCK_CODES / self.cols.max(1)).clamp(1, KERNEL_ROW_BLOCK);
+        for at in (0..rows_here).step_by(block_rows) {
+            let (first, rows) = (first + at, block_rows.min(rows_here - at));
+            let codes_n = self.decode_weight_rows(first, rows);
+            let w_n = self.weight_rows(&codes_n, first, rows);
+            let codes_o = outlier.map(|r| r.decode_weight_rows(first, rows));
+            let w_o = outlier
+                .zip(codes_o.as_deref())
+                .map(|(r, codes)| (r, r.weight_rows(codes, first, rows)));
+            // Run `i` of the tile holds out[i][tile's first ..]; this
+            // block's part of it starts `at` in.
+            let runs = tile
+                .chunks_exact_mut(rows_here.max(1))
+                .filter_map(|run| run.get_mut(at..at + rows));
+            match &w_o {
+                None => {
+                    for (run, a_n) in runs.zip(self.activation_rows()) {
+                        for (o, &w) in run.iter_mut().zip(&w_n) {
+                            *o = self.fold(a_n, w);
+                        }
+                    }
+                }
+                Some((r, w_o)) => {
+                    let rows = self.activation_rows().zip(r.activation_rows());
+                    for (run, (a_n, a_o)) in runs.zip(rows) {
+                        for ((o, &w), &w_out) in run.iter_mut().zip(&w_n).zip(w_o) {
+                            *o = self.fold(a_n, w) + r.fold(a_o, w_out);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Up to [`PANEL_COLS`] weight rows of one region, decoded transposed for
+/// the panel loop: code slot `g * LANES + t` holds code `t` of group `g`
+/// of every row, one lane per row, and `scales[g]` the rows' group-`g`
+/// scales. Slots past a group's real codes and lanes past the last row
+/// hold 0, so every group is one whole block of `LANES` slots. A tile
+/// decodes each of its panels into the same buffers.
+#[derive(Default)]
+struct Panel {
+    /// The rows' codes back to back, as [`PackedMatrix::unpack_rows`]
+    /// gives them.
+    rows: Vec<i8>,
+    /// `codes` before widening to `f32`.
+    slots: Vec<[i8; PANEL_COLS]>,
+    codes: Vec<[f32; PANEL_COLS]>,
+    scales: Vec<[f32; PANEL_COLS]>,
+}
+
+impl Region<'_, f32> {
+    /// Decodes weight rows `first .. first + width` into `panel`
+    /// (`width <= PANEL_COLS`; the region's groups fit one block each).
+    /// The transpose moves `i8` codes and the widening runs over whole
+    /// slots afterwards, which measured about a third faster than
+    /// scattering `f32` lanes.
+    fn decode_panel(&self, first: usize, width: usize, panel: &mut Panel) {
+        let (cols, n_groups) = (self.cols, self.n_groups);
+        let Panel { rows, slots, codes, scales } = panel;
+        rows.resize(width * cols, 0);
+        self.w_values.unpack_rows(first, rows);
+        slots.clear();
+        slots.resize(n_groups * LANES, [0; PANEL_COLS]);
+        scales.clear();
+        scales.resize(n_groups, [0.0; PANEL_COLS]);
+        let row_scales = self.weight_scales(first, width).chunks_exact(n_groups.max(1));
+        for (c, (row, sw)) in rows.chunks_exact(cols.max(1)).zip(row_scales).enumerate() {
+            for (group_slots, group) in slots.chunks_exact_mut(LANES).zip(row.chunks(self.group)) {
+                for (slot, &code) in group_slots.iter_mut().zip(group) {
+                    if let Some(lane) = slot.get_mut(c) {
+                        *lane = code;
+                    }
+                }
+            }
+            for (slot, &s) in scales.iter_mut().zip(sw) {
+                if let Some(lane) = slot.get_mut(c) {
+                    *lane = s;
+                }
+            }
+        }
+        codes.clear();
+        codes.extend(slots.iter().map(|slot| slot.map(f32::from)));
+    }
+
+    /// The panel loop over one tile: per panel of [`PANEL_COLS`] weight
+    /// rows, every activation row folds all of them at once, and a mixed
+    /// GEMM writes `fold(normal) + fold(outlier)` once per element.
+    fn panel_tile(&self, outlier: Option<&Self>, first: usize, tile: &mut [f32]) {
+        let rows_here = tile.len() / self.a_rows.max(1);
+        let a_n: Vec<_> = self.activation_rows().collect();
+        let a_o: Vec<_> = outlier.map(|r| r.activation_rows().collect()).unwrap_or_default();
+        let (mut p_n, mut p_o) = (Panel::default(), Panel::default());
+        for at in (0..rows_here).step_by(PANEL_COLS) {
+            let width = PANEL_COLS.min(rows_here - at);
+            self.decode_panel(first + at, width, &mut p_n);
+            if let Some(r) = outlier {
+                r.decode_panel(first + at, width, &mut p_o);
+            }
+            let mut runs: Vec<&mut [f32]> = tile
+                .chunks_exact_mut(rows_here.max(1))
+                .filter_map(|run| run.get_mut(at..at + width))
+                .collect();
+            let a_o = a_o.chunks(2).map(Some).chain(std::iter::repeat(None));
+            for ((runs, a_n), a_o) in runs.chunks_mut(2).zip(a_n.chunks(2)).zip(a_o) {
+                let Some(a_n) = row_pair(a_n) else { continue };
+                let mut acc = panel_fold(a_n, &p_n);
+                if let Some(a_o) = a_o.and_then(row_pair) {
+                    for (acc, o) in acc.iter_mut().zip(panel_fold(a_o, &p_o)) {
+                        for (s, o) in acc.iter_mut().zip(o) {
+                            *s += o;
+                        }
+                    }
+                }
+                for (run, acc) in runs.iter_mut().zip(&acc) {
+                    run.copy_from_slice(acc.get(..width).unwrap_or(&[]));
+                }
+            }
+        }
+    }
+}
+
+/// Two activation rows for [`panel_fold`]: a pair as it is, a lone last
+/// row twice (its second result is dropped).
+fn row_pair<T: Copy>(rows: &[T]) -> Option<[T; 2]> {
+    Some([*rows.first()?, *rows.last()?])
+}
+
+/// Two activation rows' terms of a panel's [`PANEL_COLS`] outputs: steps
+/// ①–③ of Fig. 8 for 2 x 16 outputs at once, each weight code loaded once
+/// for both rows. Per group, 16 lane sums per row `gs[c] += a[t] * w[t][c]`
+/// start from `+0.0`; each is exactly output `c`'s integer `iacc` (an
+/// integer 0 comes out `+0.0`, as `0i32 as f32` does), so no output pays a
+/// horizontal reduction. Then `acc[c] += gs[c] * scale_a * scale_w[c]`,
+/// groups ascending from the value `Sum<f32>` starts at — the reference's
+/// fold, element for element.
+fn panel_fold(rows: [CodeRow<'_, f32>; 2], panel: &Panel) -> [[f32; PANEL_COLS]; 2] {
+    let [(a0, sa0), (a1, sa1)] = rows;
+    let mut acc = [[sum_start(); PANEL_COLS]; 2];
+    let groups = panel.codes.chunks_exact(LANES).zip(&panel.scales);
+    let a = a0.chunks_exact(LANES).zip(a1.chunks_exact(LANES));
+    for ((gw, sw), ((g0, g1), (&s0, &s1))) in groups.zip(a.zip(sa0.iter().zip(sa1))) {
+        // Exact: at most LANES products of at most 2^14 each, below 2^24
+        // (the `f32::MANTISSA_DIGITS` assertion beside MAX_ACC_K).
+        let [mut gs0, mut gs1] = [[0f32; PANEL_COLS]; 2];
+        for ((w, &x0), &x1) in gw.iter().zip(g0).zip(g1) {
+            for ((s0, s1), &y) in gs0.iter_mut().zip(gs1.iter_mut()).zip(w) {
+                *s0 += x0 * y;
+                *s1 += x1 * y;
+            }
+        }
+        for ((acc, gs), scale_a) in acc.iter_mut().zip([gs0, gs1]).zip([s0, s1]) {
+            for ((o, s), &scale_w) in acc.iter_mut().zip(gs).zip(sw) {
+                *o += s * scale_a * scale_w;
+            }
+        }
+    }
+    acc
+}
+
+/// The value `Sum<f32>` folds from, so a fold written out by hand starts
+/// where the reference's `.sum()` does.
+fn sum_start() -> f32 {
+    std::iter::empty::<f32>().sum()
 }
 
 /// The GEMM kernel: one sweep over the weight rows for every precision
@@ -371,66 +576,43 @@ impl<'a> Region<'a> {
 /// once per GEMM. Work parallelizes over blocks of [`KERNEL_ROW_BLOCK`]
 /// weight rows: block `b` owns weight rows `b*RB ..` and writes the
 /// exclusive span `tiles[b*RB*m ..]`, an `m x RB` tile of the output, so
-/// any thread count produces the same bytes. Per block, each region's
-/// weight rows decode once, back to back, into a cache-resident buffer;
-/// every pre-decoded activation row is then multiplied against all of them
-/// in fixed-width blocks, the fused group-dequant epilogue kept in the same
-/// pass, and a mixed GEMM writes `fold(normal) + fold(outlier)` once per
-/// element.
+/// any thread count produces the same bytes. Below [`PANEL_MIN_ROWS`]
+/// activation rows, or when a group is wider than [`LANES`], a tile runs
+/// the per-output fold ([`Region::fold_tile`]); otherwise it runs column
+/// panels ([`Region::panel_tile`]).
 ///
-/// Bit-identity with [`mod@reference`] holds because (a) each per-group i32
-/// sum is exact — no overflow by the [`MAX_ACC_K`] cap, and every code
-/// outside the group meets a zero (see [`Region`]) — so its value is
+/// Bit-identity with [`mod@reference`] holds for both loops because (a)
+/// each per-group integer sum is exact — no `i32` overflow by the
+/// [`MAX_ACC_K`] cap, no `f32` rounding by the `LANES` bound beside it,
+/// and every code outside the group meets a zero — so its value is
 /// independent of evaluation order and of the padding; (b) each region's
-/// FP32 epilogue folds the per-group terms in the same ascending-group
-/// order through the same `sum::<f32>()`; and (c) the reference composition
-/// adds the outlier matrix as `out + 1.0 * outlier`, and `1.0 * x` is `x`
-/// exactly.
-fn gemm_sweep(normal: &Region<'_>, outlier: Option<&Region<'_>>) -> Matrix {
-    let (m, n) = (normal.a_rows, normal.w_values.rows());
+/// FP32 epilogue folds the per-group terms `sum * scale_a * scale_w` in
+/// the same ascending-group order from the same start as `sum::<f32>()`;
+/// and (c) the reference composition adds the outlier matrix as
+/// `out + 1.0 * outlier`, and `1.0 * x` is `x` exactly.
+fn gemm_sweep(normal: Operands<'_>, outlier: Option<Operands<'_>>) -> Matrix {
+    let (m, n) = (normal.0.rows(), normal.1.rows());
+    let panels = m >= PANEL_MIN_ROWS && normal.2 <= LANES && outlier.is_none_or(|o| o.2 <= LANES);
+    if panels {
+        let (normal, outlier) = (Region::<f32>::decode(normal), outlier.map(Region::decode));
+        tiled(m, n, |first, tile| normal.panel_tile(outlier.as_ref(), first, tile))
+    } else {
+        let (normal, outlier) = (Region::<i16>::decode(normal), outlier.map(Region::decode));
+        tiled(m, n, |first, tile| normal.fold_tile(outlier.as_ref(), first, tile))
+    }
+}
 
-    // `n*m` splits into tiles of `RB` weight rows: tile `b` is `m` runs of
-    // `rows_here` outputs (all `RB` but in the last tile), run `i` holding
-    // out[i][b*RB ..]. A tile is a contiguous exclusive chunk.
+/// Runs `fill(first, tile)` over the `m x n` output's tiles on
+/// [`Pool::current`] and lays them out. `n*m` splits into tiles of `RB`
+/// weight rows: tile `b` is `m` runs of `rows_here` outputs (all `RB` but
+/// in the last tile), run `i` holding out[i][b*RB ..], and `first = b*RB`.
+/// A tile is a contiguous exclusive chunk. Outputs a tile leaves unwritten
+/// (there are none unless `k = 0`) stay `+0.0`, as the reference leaves them.
+fn tiled(m: usize, n: usize, fill: impl Fn(usize, &mut [f32]) + Sync) -> Matrix {
     let mut tiles = vec![0f32; n * m];
     let tile_len = m.max(1) * KERNEL_ROW_BLOCK;
     Pool::current().par_chunks_mut(&mut tiles, tile_len, |b, tile| {
-        let rows_here = tile.len() / m.max(1);
-        // The tile's weight rows decode in blocks small enough to stay
-        // cache-resident (the whole tile at the serving widths); one decode
-        // of a block serves all m activation rows.
-        let block_rows = (DECODE_BLOCK_CODES / normal.cols.max(1)).clamp(1, KERNEL_ROW_BLOCK);
-        for at in (0..rows_here).step_by(block_rows) {
-            let (first, rows) = (b * KERNEL_ROW_BLOCK + at, block_rows.min(rows_here - at));
-            let codes_n = normal.decode_weight_rows(first, rows);
-            let w_n = normal.weight_rows(&codes_n, first, rows);
-            let codes_o = outlier.map(|r| r.decode_weight_rows(first, rows));
-            let w_o = outlier
-                .zip(codes_o.as_deref())
-                .map(|(r, codes)| (r, r.weight_rows(codes, first, rows)));
-            // Run `i` of the tile holds out[i][b*RB ..]; this block's part
-            // of it starts `at` in.
-            let runs = tile
-                .chunks_exact_mut(rows_here.max(1))
-                .filter_map(|run| run.get_mut(at..at + rows));
-            match &w_o {
-                None => {
-                    for (run, a_n) in runs.zip(normal.activation_rows()) {
-                        for (o, &w) in run.iter_mut().zip(&w_n) {
-                            *o = normal.fold(a_n, w);
-                        }
-                    }
-                }
-                Some((r, w_o)) => {
-                    let rows = normal.activation_rows().zip(r.activation_rows());
-                    for (run, (a_n, a_o)) in runs.zip(rows) {
-                        for ((o, &w), &w_out) in run.iter_mut().zip(&w_n).zip(w_o) {
-                            *o = normal.fold(a_n, w) + r.fold(a_o, w_out);
-                        }
-                    }
-                }
-            }
-        }
+        fill(b * KERNEL_ROW_BLOCK, tile);
     });
 
     // Lay the tiles' runs into the m x n output on the caller thread.
@@ -492,8 +674,8 @@ pub fn mixed_gemm(
         .sum();
     let _launch = record_launch(bytes, a_normal.rows());
     Ok(gemm_sweep(
-        &Region::decode(a_normal, w_normal, group_normal),
-        Some(&Region::decode(a_out, w_out, group_outlier)),
+        (a_normal, w_normal, group_normal),
+        Some((a_out, w_out, group_outlier)),
     ))
 }
 

@@ -58,6 +58,13 @@
 //!   [`gemm::MAX_ACC_K`], and a code fits an `i16` lane with a lane pair's
 //!   products inside `i32` — both proven by `const` assertions rustc
 //!   evaluates on every build.
+//! - **Column panels from [`gemm::PANEL_MIN_ROWS`] rows on.** With 16 or
+//!   more activation rows, 16 weight rows decode once per call into an
+//!   `f32` panel laid out code by column, and each pair of activation rows
+//!   accumulates all 16 outputs in `f32` lanes: a group's integer sum stays
+//!   below 2^18, so every lane sum is exact (one more `const` assertion),
+//!   and no output pays a horizontal reduction. Below the threshold the
+//!   transposed decode costs more than it saves, and the `i16` fold runs.
 //! - **The fused reorder + quantize epilogue.**
 //!   [`GroupQuantized::quantize_gather`] quantizes a region of an
 //!   activation straight through its slice of a reorder permutation (per
@@ -74,7 +81,8 @@
 //!   nothing.
 //!
 //! Tried and not adopted: blocking several activation rows per decoded
-//! weight group (the compiler stops recognising the dot product). The `i16`
+//! weight group in the `i16` fold (the compiler stops recognising the dot
+//! product; the `f32` panels share each weight load between two rows). The `i16`
 //! lanes — 1.4–2.0x faster at `m >= 6`, no change at `m = 1` — were held
 //! back until batched forwards made `m > 1` the serving case. DESIGN.md §3.11
 //! argues why kernel and reference are bit-identical at any pool width;

@@ -22,11 +22,16 @@ fn assert_gemm_matches_reference(qa: &GroupQuantized, qw: &GroupQuantized, what:
             .install(|| fused_group_gemm(qa, qw))
             .unwrap_or_else(|e| panic!("{what}: kernel failed: {e}"));
         assert_eq!(
-            oracle.as_slice(),
-            kernel.as_slice(),
+            bits_of(&oracle),
+            bits_of(&kernel),
             "{what}: reference != kernel at {threads} threads"
         );
     }
+}
+
+/// Bit patterns, so `-0.0` and `+0.0` differ (float `==` calls them equal).
+fn bits_of(m: &Matrix) -> Vec<u32> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
 fn quantized_pair(
@@ -47,7 +52,8 @@ fn quantized_pair(
 
 #[test]
 fn gemm_matches_reference_with_empty_reduction() {
-    // k = 0: no groups, every output element is the empty sum 0.0.
+    // k = 0: no groups, and the reference writes no output element, so
+    // every one stays `+0.0` (not the `-0.0` an empty `Sum<f32>` gives).
     let mut rng = SeededRng::new(1);
     let (qa, qw) = quantized_pair(&mut rng, 3, 4, 0, 4, 16);
     assert_gemm_matches_reference(&qa, &qw, "k=0");
@@ -133,7 +139,7 @@ fn mixed_gemm_matches_reference_with_an_empty_region() {
     for (normal, outlier) in [((&qa, &qw), (&qa_none, &qw_none)), ((&qa_none, &qw_none), (&qa, &qw))] {
         let oracle = reference::mixed_gemm(normal.0, normal.1, Some(outlier)).unwrap();
         let kernel = mixed_gemm(normal.0, normal.1, Some(outlier)).unwrap();
-        assert_eq!(oracle.as_slice(), kernel.as_slice());
+        assert_eq!(bits_of(&oracle), bits_of(&kernel));
     }
     let (qa_short, qw_short) = quantized_pair(&mut rng, 2, 5, 10, 8, 16);
     let short = Some((&qa_short, &qw_short));

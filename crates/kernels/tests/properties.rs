@@ -1,6 +1,6 @@
 //! Property-based tests of the kernel crate's quantization invariants.
 
-use atom_kernels::gemm::{fused_group_gemm, mixed_gemm, reference, reference_gemm};
+use atom_kernels::gemm::{fused_group_gemm, mixed_gemm, reference, reference_gemm, PANEL_MIN_ROWS};
 use atom_kernels::{AsymQuantized, GroupQuantized, PackedMatrix, QuantSpec};
 use atom_parallel::Pool;
 use atom_tensor::Matrix;
@@ -20,8 +20,10 @@ fn matrix(rows: std::ops::Range<usize>, cols: std::ops::Range<usize>) -> impl St
 const NORMAL_K: [usize; 4] = [6, 17, 118, 352];
 const OUTLIER_K: [usize; 2] = [10, 32];
 /// Activation row counts: decode, a ragged few, a batched decode step (six
-/// sequences, the benchmark's mean batch), one row block, prefill.
-const SERVING_M: [usize; 5] = [1, 3, 6, 8, 65];
+/// sequences, the benchmark's mean batch), one row block, either side of
+/// the panel loop's threshold (`PANEL_MIN_ROWS = 16`), prefill, and a
+/// whole prompt chunk.
+const SERVING_M: [usize; 9] = [1, 3, 6, 8, 15, 16, 17, 65, 128];
 /// Weight row counts on both sides of the kernel's 32-row tile.
 const SERVING_N: [usize; 4] = [1, 31, 33, 70];
 
@@ -195,7 +197,7 @@ proptest! {
     #[test]
     fn gemm_bit_identical_to_reference(
         seed in 0u64..300,
-        m in 1usize..8,
+        m in 1usize..40,
         n in 1usize..10,
         k in 1usize..70,
         group in 1usize..80,
@@ -205,7 +207,9 @@ proptest! {
         // The kernel's contract: the weight-block sweep returns the same
         // bits as the reference loop nest for random shapes, bit widths,
         // and group sizes (including ragged tail groups and group > k),
-        // at thread widths 1, 2, and 8, and 2 under stress.
+        // at thread widths 1, 2, and 8, and 2 under stress — with row
+        // counts on both sides of `PANEL_MIN_ROWS`, so the per-output fold
+        // and the panel loop both meet every group shape.
         let mut rng = atom_tensor::SeededRng::new(seed);
         let a = rng.normal_matrix(m, k, 0.0, 1.0);
         let w = rng.normal_matrix(n, k, 0.0, 1.0);
@@ -214,7 +218,7 @@ proptest! {
         let oracle = reference::fused_group_gemm(&qa, &qw).unwrap();
         for pool in pools([1, 2, 8], stress) {
             let kernel = pool.install(|| fused_group_gemm(&qa, &qw)).unwrap();
-            prop_assert_eq!(oracle.as_slice(), kernel.as_slice(), "{:?}", pool);
+            prop_assert_eq!(bits_of(&oracle), bits_of(&kernel), "{:?}", pool);
         }
     }
 
@@ -246,7 +250,7 @@ proptest! {
         let oracle = reference::mixed_gemm(&qa_n, &qw_n, outliers).unwrap();
         for pool in pools([1, 2, 8], stress) {
             let kernel = pool.install(|| mixed_gemm(&qa_n, &qw_n, outliers)).unwrap();
-            prop_assert_eq!(oracle.as_slice(), kernel.as_slice(), "{:?}", pool);
+            prop_assert_eq!(bits_of(&oracle), bits_of(&kernel), "{:?}", pool);
         }
     }
 
@@ -254,7 +258,7 @@ proptest! {
     fn gemm_bit_identical_to_reference_on_serving_shapes(
         seed in 0u64..300,
         k_idx in 0usize..4,
-        m_idx in 0usize..5,
+        m_idx in 0usize..SERVING_M.len(),
         n_idx in 0usize..4,
         bits_idx in 0usize..3,
         stress in 0u64..1 << 32,
@@ -279,7 +283,7 @@ proptest! {
         seed in 0u64..300,
         k_idx in 0usize..4,
         o_idx in 0usize..2,
-        m_idx in 0usize..5,
+        m_idx in 0usize..SERVING_M.len(),
         n_idx in 0usize..4,
         bits_idx in 0usize..3,
         stress in 0u64..1 << 32,
@@ -447,5 +451,74 @@ proptest! {
                 prop_assert_eq!(q.scales()[(r, g)], expect);
             }
         }
+    }
+}
+
+/// The benchmark model's mixed-GEMM widths: (INT4 normal, INT8 outlier)
+/// channels of the attention / gate / up projections and of the down
+/// projection.
+const BENCH_REGIONS: [(usize, usize); 2] = [(118, 10), (352, 32)];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+    #[test]
+    fn gemm_row_is_independent_of_the_rows_beside_it(
+        seed in 0u64..1000,
+        shape_idx in 0usize..BENCH_REGIONS.len(),
+        m_idx in 0usize..4,
+        stress in 0u64..1 << 32,
+    ) {
+        // The stream rule chunked prefill and the golden self-check lean
+        // on: row i of an m-row mixed GEMM is, bit for bit, the 1-row GEMM
+        // of that row — whether the call runs the per-output fold or the
+        // panel loop, at pool width 1 and at width 2 under stress.
+        let (k, o) = BENCH_REGIONS[shape_idx];
+        let m = [PANEL_MIN_ROWS - 1, PANEL_MIN_ROWS, PANEL_MIN_ROWS + 1, 128][m_idx];
+        let n = 40;
+        let mut rng = atom_tensor::SeededRng::new(seed);
+        let (x_n, x_o) = (rng.normal_matrix(m, k, 0.0, 1.0), rng.normal_matrix(m, o, 0.0, 20.0));
+        let (qw_n, qw_o) = (quantized(&mut rng, n, k, 0.5, 4), quantized(&mut rng, n, o, 0.5, 8));
+        let quantize = |x: &Matrix, bits| GroupQuantized::quantize(x, QuantSpec::new(bits, 16));
+        for pool in pools([1], stress) {
+            let whole = pool
+                .install(|| mixed_gemm(&quantize(&x_n, 4), &qw_n, Some((&quantize(&x_o, 8), &qw_o))))
+                .unwrap();
+            for i in 0..m {
+                let (row_n, row_o) = (x_n.slice_rows(i, i + 1), x_o.slice_rows(i, i + 1));
+                let alone = pool
+                    .install(|| mixed_gemm(&quantize(&row_n, 4), &qw_n, Some((&quantize(&row_o, 8), &qw_o))))
+                    .unwrap();
+                prop_assert_eq!(
+                    bits_of(&whole.slice_rows(i, i + 1)),
+                    bits_of(&alone),
+                    "row {} of {} at {:?}", i, m, pool
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn int8_worst_case_group_reaches_the_panel_bound() {
+    // Every code -128 against -128: one group of 16 sums 16 x 2^14 = 2^18,
+    // the largest integer the panel loop's f32 lane sums must hold exactly.
+    // Both loops (1 row: per-output fold; PANEL_MIN_ROWS rows: panels) must
+    // return the reference's bits, and with unit scales the exact value.
+    let (k, n) = (48, 37);
+    let spec = QuantSpec::new(8, 16);
+    let all_min = |rows: usize, scale: f32| {
+        let values = PackedMatrix::from_values(rows, k, 8, &vec![i8::MIN; rows * k]);
+        GroupQuantized::from_parts(spec, values, Matrix::full(rows, k / 16, scale))
+    };
+    let w = all_min(n, 1.0);
+    for m in [1, PANEL_MIN_ROWS] {
+        let a = all_min(m, 1.0);
+        let kernel = fused_group_gemm(&a, &w).unwrap();
+        assert_eq!(bits_of(&kernel), bits_of(&reference::fused_group_gemm(&a, &w).unwrap()));
+        assert!(kernel.as_slice().iter().all(|&v| v == 3.0 * 262_144.0), "m = {m}");
+        // A scale that is not a power of two rounds each group term.
+        let a = all_min(m, 0.013);
+        let kernel = fused_group_gemm(&a, &w).unwrap();
+        assert_eq!(bits_of(&kernel), bits_of(&reference::fused_group_gemm(&a, &w).unwrap()));
     }
 }

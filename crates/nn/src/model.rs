@@ -18,12 +18,21 @@
 //! stacks the query heads that share one KV head and calls
 //! [`KvStore::attend`], so a quantized store decodes each of the head's rows
 //! once, inside the attention (§4.5).
-//! [`LlamaModel::forward`] is the batch of one.
+//! [`LlamaModel::forward`] is the batch of one, and returns every row's
+//! logits. [`LlamaModel::forward_batch`] returns one row per sequence, its
+//! last, which is all a serving step reads: the last block appends every
+//! row's K/V, then runs its queries, attention, output projection,
+//! feed-forward, the final norm and the head on those rows alone.
 //!
 //! Batching changes no bit of any row. Every stacked operator is row-wise:
 //! `matmul_nt`, RMSNorm, RoPE and softmax act on each row alone, activation
-//! scales are dynamic per token, and the W4A4 GEMM computes each output
-//! element with the same fold whatever the row count.
+//! scales are dynamic per token, and the W4A4 GEMM returns its reference's
+//! bits whatever the row count (the row count only picks which of its two
+//! loops runs; both equal the reference, which folds each output on its
+//! own row). Dropping rows after
+//! the last K/V append changes none either: a sequence's last row attends
+//! to its whole store, scored and mixed in key order, whether it is the
+//! last of `n` query rows or the only one.
 
 use crate::config::ModelConfig;
 use crate::kv::KvStore;
@@ -33,6 +42,7 @@ use atom_telemetry::{names, span, Telemetry};
 use atom_tensor::cast;
 use atom_tensor::{ops, Matrix, SeededRng};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Which projection a linear layer implements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -508,6 +518,32 @@ impl LlamaModel<DenseLinear> {
     }
 }
 
+/// Where the rows of a stacked batch sit: each row's position in its own
+/// sequence, and each sequence's run of rows (sequence `i`'s follow
+/// sequence `i - 1`'s).
+struct Layout {
+    positions: Vec<usize>,
+    seqs: Vec<Range<usize>>,
+}
+
+/// Each sequence's last row: where it sits in the full stack, and the
+/// layout of the stack of those rows alone (one row per sequence).
+struct Tail {
+    index: Vec<usize>,
+    layout: Layout,
+}
+
+impl Layout {
+    fn tail(&self) -> Tail {
+        let index: Vec<usize> = self.seqs.iter().map(|rows| rows.end - 1).collect();
+        let layout = Layout {
+            positions: index.iter().map(|&r| self.positions[r]).collect(),
+            seqs: (0..index.len()).map(|s| s..s + 1).collect(),
+        };
+        Tail { index, layout }
+    }
+}
+
 impl<L: LinearLayer> LlamaModel<L> {
     /// Forward pass over `tokens`, appending their K/V to `cache` and
     /// returning `tokens.len() x vocab` logits: the batch of one.
@@ -516,6 +552,7 @@ impl<L: LinearLayer> LlamaModel<L> {
     }
 
     /// Forward pass with a calibration observer hooked before every linear.
+    /// Every row runs through every block and comes back as logits.
     ///
     /// # Panics
     ///
@@ -526,15 +563,18 @@ impl<L: LinearLayer> LlamaModel<L> {
         cache: &mut dyn KvStore,
         obs: &mut dyn ForwardObserver,
     ) -> Matrix {
-        self.forward_rows(&mut [SeqRows { tokens, kv: cache }], obs)
+        self.forward_rows(&mut [SeqRows { tokens, kv: cache }], false, obs)
     }
 
     /// One forward over every sequence of `batch` — a prefill's prompt
     /// rows, a decode's single row, any ragged mix — appending each
-    /// sequence's K/V to its own store. Returns the stacked logits, one row
-    /// per token: sequence `i`'s rows follow sequence `i - 1`'s. Each row
-    /// is bit-identical to what [`forward`](Self::forward) of that sequence
-    /// alone returns (see the module docs).
+    /// sequence's K/V to its own store. Returns one logits row per
+    /// sequence: row `i` is that of sequence `i`'s last token, the one its
+    /// next token comes from. Every row still runs through every block up
+    /// to the last one's K/V append; past it, only the returned rows run.
+    /// Each returned row, and each store, is bit-identical to what
+    /// [`forward`](Self::forward) of that sequence alone gives (see the
+    /// module docs).
     ///
     /// # Example
     ///
@@ -549,9 +589,9 @@ impl<L: LinearLayer> LlamaModel<L> {
     ///     SeqRows { tokens: &[1, 2, 3], kv: &mut a },
     ///     SeqRows { tokens: &[9], kv: &mut b },
     /// ]);
-    /// assert_eq!(logits.shape(), (4, config.vocab));
+    /// assert_eq!(logits.shape(), (2, config.vocab));
     /// let alone = model.forward(&[9], &mut fresh());
-    /// assert_eq!(logits.row(3), alone.row(0)); // bit for bit
+    /// assert_eq!(logits.row(1), alone.row(0)); // bit for bit
     /// ```
     ///
     /// # Panics
@@ -560,11 +600,19 @@ impl<L: LinearLayer> LlamaModel<L> {
     /// a KV store panics. Stores appended before the panic keep those
     /// rows; [`KvStore::truncate`] undoes them.
     pub fn forward_batch(&self, batch: &mut [SeqRows<'_>]) -> Matrix {
-        self.forward_rows(batch, &mut NoopObserver)
+        self.forward_rows(batch, true, &mut NoopObserver)
     }
 
     /// The one forward body; the observer sees each linear's stacked input.
-    fn forward_rows(&self, batch: &mut [SeqRows<'_>], obs: &mut dyn ForwardObserver) -> Matrix {
+    /// With `last_only`, the last block runs its queries and everything
+    /// after them on each sequence's last row alone, and the logits are
+    /// those rows'; otherwise every row runs throughout.
+    fn forward_rows(
+        &self,
+        batch: &mut [SeqRows<'_>],
+        last_only: bool,
+        obs: &mut dyn ForwardObserver,
+    ) -> Matrix {
         let c = &self.config;
         let rows: usize = batch.iter().map(|s| s.tokens.len()).sum();
         let _timer = Telemetry::global().timer(names::MODEL_FORWARD_WALL_NS);
@@ -573,22 +621,34 @@ impl<L: LinearLayer> LlamaModel<L> {
         // Embed, and give each row its position: the next ones of its own
         // sequence.
         let mut x = Matrix::zeros(rows, c.dim);
-        let mut positions = Vec::with_capacity(rows);
+        let mut layout = Layout {
+            positions: Vec::with_capacity(rows),
+            seqs: Vec::with_capacity(batch.len()),
+        };
         for seq in batch.iter() {
             assert!(!seq.tokens.is_empty(), "forward of empty token slice");
+            let first = layout.positions.len();
             let start = seq.kv.len(0);
             for (pos, &t) in (start..).zip(seq.tokens) {
                 assert!((t as usize) < c.vocab, "token {t} out of vocabulary");
-                x.row_mut(positions.len())
+                x.row_mut(layout.positions.len())
                     .copy_from_slice(self.embed.row(t as usize));
-                positions.push(pos);
+                layout.positions.push(pos);
             }
+            layout.seqs.push(first..layout.positions.len());
         }
 
+        let tail = last_only.then(|| layout.tail());
         for (l, block) in self.blocks.iter().enumerate() {
-            // Attention with pre-norm and residual.
+            // Attention with pre-norm and residual. The last block appends
+            // every row's K/V; if only the tail is returned, that is all
+            // the other rows are still needed for.
+            let tail = tail.as_ref().filter(|_| l + 1 == self.blocks.len());
             let normed = ops::rmsnorm_rows(&x, &block.attn_norm, c.norm_eps);
-            let attn_out = self.attention(block, &normed, l, &positions, batch, obs);
+            let attn_out = self.attention(l, &normed, &layout, tail, batch, obs);
+            if let Some(tail) = tail {
+                x = x.gather_rows(&tail.index);
+            }
             x = x.add(&attn_out);
 
             // Feed-forward with pre-norm and residual.
@@ -601,30 +661,35 @@ impl<L: LinearLayer> LlamaModel<L> {
         x.matmul_nt(&self.head)
     }
 
-    /// Self-attention of one layer over the stacked rows `x`: Q/K/V and the
+    /// Self-attention of one layer over the stacked rows `x`: K/V and the
     /// output projection run stacked; each sequence appends its own K/V
     /// rows, then every (sequence, KV head) cell hands its group's query
     /// rows to the store's [`KvStore::attend`], which reads the head where
-    /// it lies — no history is materialised.
+    /// it lies — no history is materialised. The queries, and so the
+    /// output, are every row's, or with a `tail` only those rows'.
     fn attention(
         &self,
-        block: &Block<L>,
-        x: &Matrix,
         layer: usize,
-        positions: &[usize],
+        x: &Matrix,
+        rows: &Layout,
+        tail: Option<&Tail>,
         batch: &mut [SeqRows<'_>],
         obs: &mut dyn ForwardObserver,
     ) -> Matrix {
         let c = &self.config;
         let hd = c.head_dim();
+        let attn = &self.blocks[layer].attn;
 
         obs.observe(LinearId::new(layer, Proj::Q), x);
-        let mut q = block.attn.wq.forward(x);
-        let mut k = block.attn.wk.forward(x);
-        let v = block.attn.wv.forward(x);
+        let (mut q, queries) = match tail {
+            Some(tail) => (attn.wq.forward(&x.gather_rows(&tail.index)), &tail.layout),
+            None => (attn.wq.forward(x), rows),
+        };
+        let mut k = attn.wk.forward(x);
+        let v = attn.wv.forward(x);
 
-        ops::rope_in_place(&mut q, positions, hd, c.rope_theta);
-        ops::rope_in_place(&mut k, positions, hd, c.rope_theta);
+        ops::rope_in_place(&mut q, &queries.positions, hd, c.rope_theta);
+        ops::rope_in_place(&mut k, &rows.positions, hd, c.rope_theta);
 
         // The timed attention section covers the cache appends and the
         // per-(sequence, KV head) attention, K/V decoding included —
@@ -635,36 +700,32 @@ impl<L: LinearLayer> LlamaModel<L> {
         let attn_span = span!(names::SPAN_ATTENTION, layer = layer);
         // Each sequence appends its rows of K/V, which become its newest
         // positions.
-        let mut end = 0;
-        let seq_rows: Vec<std::ops::Range<usize>> = batch
-            .iter_mut()
-            .map(|seq| {
-                let rows = end..end + seq.tokens.len();
-                end = rows.end;
-                let (k_s, v_s) = (k.slice_rows(rows.start, end), v.slice_rows(rows.start, end));
-                seq.kv.append(layer, &k_s, &v_s);
-                // What attention reads: the store's K/V as it holds them.
-                // The history ends at the sequence's last new position.
-                // `len` is read once per forward, at the embedding: a
-                // wrapping store may take `len(0)` as a forward's start.
-                let dense = 4 * 2 * (positions[end - 1] + 1) * c.kv_dim();
-                let bytes = seq.kv.layer_bytes(layer).unwrap_or(dense);
-                t.counter_add(names::OP_ATTENTION_BYTES, bytes as u64);
-                t.counter_add(names::OP_ATTENTION_CALLS, 1);
-                rows
-            })
-            .collect();
+        for (seq, kv_rows) in batch.iter_mut().zip(&rows.seqs) {
+            let (start, end) = (kv_rows.start, kv_rows.end);
+            seq.kv
+                .append(layer, &k.slice_rows(start, end), &v.slice_rows(start, end));
+            // What attention reads: the store's K/V as it holds them.
+            // The history ends at the sequence's last new position.
+            // `len` is read once per forward, at the embedding: a
+            // wrapping store may take `len(0)` as a forward's start.
+            let dense = 4 * 2 * (rows.positions[end - 1] + 1) * c.kv_dim();
+            let bytes = seq.kv.layer_bytes(layer).unwrap_or(dense);
+            t.counter_add(names::OP_ATTENTION_BYTES, bytes as u64);
+            t.counter_add(names::OP_ATTENTION_CALLS, 1);
+        }
 
         let scale = 1.0 / cast::usize_to_f32(hd).sqrt();
         let group = c.group_size();
         let stores: Vec<&dyn KvStore> = batch.iter().map(|seq| &*seq.kv).collect();
         // Row `r` of cell (s, g)'s stacked queries: query head
-        // `g * group + r / n` at sequence s's new row `r % n`, for n new
-        // rows — the head-major layout `KvStore::attend` takes. Returns the
-        // row of `q` / `concat` it sits in and its first column.
+        // `g * group + r / n` at sequence s's `r % n`-th query row, for n
+        // query rows — the head-major layout `KvStore::attend` takes. The
+        // query rows are the newest `n` of the sequence's positions, all
+        // of its new rows or only the last. Returns the row of `q` /
+        // `concat` it sits in and its first column.
         let place = |s: usize, g: usize, r: usize| {
-            let n = seq_rows[s].len();
-            (seq_rows[s].start + r % n, (g * group + r / n) * hd)
+            let n = queries.seqs[s].len();
+            (queries.seqs[s].start + r % n, (g * group + r / n) * hd)
         };
         // Every (sequence, KV head) cell is an independent read-only
         // function of its query rows and its sequence's store; running the
@@ -674,7 +735,7 @@ impl<L: LinearLayer> LlamaModel<L> {
         // continues on the caller thread, as it would from the sequential
         // loop.
         let compute_cell = |&(s, g): &(usize, usize)| {
-            let n = seq_rows[s].len();
+            let n = queries.seqs[s].len();
             let mut q_g = Matrix::zeros(group * n, hd);
             for r in 0..group * n {
                 let (row, first) = place(s, g, r);
@@ -683,11 +744,11 @@ impl<L: LinearLayer> LlamaModel<L> {
             }
             stores[s].attend(layer, g, &q_g, n, scale)
         };
-        let grid: Vec<(usize, usize)> = (0..seq_rows.len())
+        let grid: Vec<(usize, usize)> = (0..batch.len())
             .flat_map(|s| (0..c.kv_heads).map(move |g| (s, g)))
             .collect();
         let Ok(cells) = Pool::current().par_map(&grid, |_, cell| compute_cell(cell));
-        let mut concat = Matrix::zeros(x.rows(), c.dim);
+        let mut concat = Matrix::zeros(q.rows(), c.dim);
         for (&(s, g), out) in grid.iter().zip(&cells) {
             for (r, row) in out.iter_rows().enumerate() {
                 let (dst, first) = place(s, g, r);
@@ -697,7 +758,7 @@ impl<L: LinearLayer> LlamaModel<L> {
         drop(attn_span);
         attn_timer.stop();
         obs.observe(LinearId::new(layer, Proj::O), &concat);
-        block.attn.wo.forward(&concat)
+        attn.wo.forward(&concat)
     }
 
     /// Number of linear layers in the model.
@@ -836,6 +897,95 @@ mod tests {
                 wanted.insert(id.input(), l.in_features());
             });
             assert_eq!(obs.0, wanted, "experts {experts}");
+        }
+    }
+
+    #[test]
+    fn last_block_tail_runs_on_one_row_per_sequence() {
+        use std::collections::BTreeMap;
+        use std::sync::{Arc, Mutex};
+
+        type Seen = Arc<Mutex<BTreeMap<LinearId, usize>>>;
+
+        /// A dense linear adding the rows it is fed to its id's count.
+        #[derive(Debug)]
+        struct Counting {
+            id: LinearId,
+            inner: DenseLinear,
+            seen: Seen,
+        }
+        impl LinearLayer for Counting {
+            fn forward(&self, x: &Matrix) -> Matrix {
+                *self
+                    .seen
+                    .lock()
+                    .expect("unpoisoned")
+                    .entry(self.id)
+                    .or_default() += x.rows();
+                self.inner.forward(x)
+            }
+            fn in_features(&self) -> usize {
+                self.inner.in_features()
+            }
+            fn out_features(&self) -> usize {
+                self.inner.out_features()
+            }
+        }
+
+        for experts in [1, 3] {
+            let config = ModelConfig {
+                experts,
+                ..tiny_config()
+            };
+            let seen = Seen::default();
+            let m = LlamaModel::random_init(config, 9).map_linears(|id, inner| Counting {
+                id,
+                inner,
+                seen: Arc::clone(&seen),
+            });
+            // Every linear of the model, with the rows it saw since the
+            // last call.
+            let take = || {
+                let counts = std::mem::take(&mut *seen.lock().expect("unpoisoned"));
+                let mut all = Vec::new();
+                m.visit_linears(|id, _| all.push((id, counts.get(&id).copied().unwrap_or(0))));
+                assert_eq!(all.len(), counts.len(), "experts {experts}: an unknown id");
+                all
+            };
+            let fresh = || Fp32KvCache::new(config.layers, config.kv_dim());
+
+            // `forward` feeds every row everywhere.
+            let (mut a, mut b, mut c) = (fresh(), fresh(), fresh());
+            m.forward(&[1, 2, 3], &mut a);
+            for (id, rows) in take() {
+                assert_eq!(rows, 3, "experts {experts}: {id}");
+            }
+            m.forward(&[4, 5], &mut b);
+            take();
+
+            // Two decode rows beside a 5-row chunk: past the last block's
+            // K/V, only each sequence's last row runs.
+            let logits = m.forward_batch(&mut [
+                SeqRows {
+                    tokens: &[7],
+                    kv: &mut a,
+                },
+                SeqRows {
+                    tokens: &[8],
+                    kv: &mut b,
+                },
+                SeqRows {
+                    tokens: &[1, 2, 3, 4, 5],
+                    kv: &mut c,
+                },
+            ]);
+            assert_eq!(logits.shape(), (3, config.vocab));
+            assert_eq!([a.len(0), b.len(0), c.len(0)], [4, 3, 5]);
+            for (id, rows) in take() {
+                let last = id.layer + 1 == config.layers;
+                let tail = last && !matches!(id.proj, Proj::K | Proj::V);
+                assert_eq!(rows, if tail { 3 } else { 7 }, "experts {experts}: {id}");
+            }
         }
     }
 

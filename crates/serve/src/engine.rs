@@ -22,9 +22,12 @@
 //! in-flight row at once — the batching Atom's throughput argument rests on
 //! (paper §3, Fig. 4) — and a long prompt prefills over several steps
 //! instead of stalling every decoder for one long forward (Sarathi-Serve's
-//! chunked prefill). The step commits after the forward: a decoder's argmax
-//! is its next token, a member whose last chunk ran gets its first one, and
-//! no row runs whose logits would be discarded.
+//! chunked prefill). The forward returns one logits row per member, its
+//! last: the other rows of a chunk run only as far as the last block's K/V
+//! append, which is all a later step reads of them. The step commits after
+//! the forward: a decoder's argmax is its next token, a member whose last
+//! chunk ran gets its first one, and no row runs whose logits would be
+//! discarded.
 //!
 //! Chunking changes no bit. Every stacked operator is row-wise (embedding,
 //! RMSNorm, RoPE by position, per-token activation quantization, the GEMM
@@ -114,9 +117,10 @@ pub type CacheFactory = Box<dyn Fn() -> Box<dyn KvStore>>;
 
 /// What the engine runs once per step: a batched forward over every
 /// sequence's rows, appending each sequence's K/V to its own store and
-/// returning the stacked logits, one row per token (sequence `i`'s rows
-/// follow sequence `i - 1`'s). The engine picks each next token as the
-/// argmax of its sequence's last row. [`LlamaModel`] computes it;
+/// returning one logits row per sequence, that of its last token: row `i`
+/// is sequence `i`'s. The engine picks each next token as that row's
+/// argmax. [`LlamaModel`] computes it, running the last block's tail and
+/// the head on those rows only;
 /// [`RooflineModel`](crate::roofline::RooflineModel) costs it instead.
 pub trait BatchModel {
     /// One forward over every sequence of `batch` (see
@@ -222,22 +226,16 @@ impl Default for PressurePolicy {
 }
 
 /// Runs `seqs` as one batched forward and commits each one's rows with the
-/// argmax of its last logits row ([`Seq::commit`]).
+/// argmax of its logits row, that of its last token ([`Seq::commit`]).
 fn forward_seqs<M: BatchModel>(model: &M, seqs: &mut [&mut Seq], step: usize) {
     let mut batch: Vec<SeqRows<'_>> = seqs.iter_mut().filter_map(|s| s.rows()).collect();
-    // Each sequence's rows follow the previous one's; its last row is the
-    // one its next token comes from (the forward rejects empty rows).
-    let ends: Vec<usize> = batch
-        .iter()
-        .scan(0, |end, rows| {
-            *end += rows.tokens.len();
-            Some(*end)
-        })
-        .collect();
     let logits = model.forward_batch(&mut batch);
     drop(batch);
-    for (seq, end) in seqs.iter_mut().filter(|s| s.kv.is_some()).zip(ends) {
-        seq.commit(cast::usize_to_u16_saturating(ops::argmax(logits.row(end - 1))), step);
+    for (i, seq) in seqs.iter_mut().filter(|s| s.kv.is_some()).enumerate() {
+        seq.commit(
+            cast::usize_to_u16_saturating(ops::argmax(logits.row(i))),
+            step,
+        );
     }
 }
 

@@ -62,8 +62,8 @@ struct Ledger {
 /// store length; every other sequence feeds a prompt chunk, costed at the
 /// chunks' mean length behind the prefillers' mean store length. (A
 /// one-token chunk behind earlier chunks costs exactly a decode row.) Each
-/// store grows by its rows and the logits are zeros, so every sequence
-/// generates token 0.
+/// store grows by its rows and the logits are zeros, one row per
+/// sequence, so every sequence generates token 0.
 #[derive(Debug)]
 pub struct RooflineModel {
     config: LlamaGpuConfig,
@@ -122,7 +122,6 @@ impl RooflineModel {
 
 impl BatchModel for RooflineModel {
     fn forward_batch(&self, batch: &mut [SeqRows<'_>]) -> Matrix {
-        let rows: usize = batch.iter().map(|s| s.tokens.len()).sum();
         let (decode, prefill): (Vec<&SeqRows<'_>>, Vec<&SeqRows<'_>>) = batch
             .iter()
             .partition(|s| s.tokens.len() == 1 && !s.kv.is_empty(0));
@@ -139,7 +138,7 @@ impl BatchModel for RooflineModel {
             let none = Matrix::zeros(seq.tokens.len(), 0);
             seq.kv.append(0, &none, &none);
         }
-        Matrix::zeros(rows, 1)
+        Matrix::zeros(batch.len(), 1)
     }
 }
 
@@ -338,7 +337,7 @@ mod tests {
         let lens = |stores: &[Fp32KvCache; 2]| stores.each_ref().map(|s| s.len(0));
         // A prefill of 5 + 8 prompt rows: q_len is their truncated mean, 6.
         let logits = forward(&m, &mut stores, &[5, 8]);
-        assert_eq!(logits.shape(), (13, 1));
+        assert_eq!(logits.shape(), (2, 1));
         assert!(logits.as_slice().iter().all(|&x| x == 0.0));
         assert_eq!(lens(&stores), [5, 8]);
         // One decode row each over stores of 5 and 8: kv 6 (6.5 truncated).

@@ -456,6 +456,19 @@ impl Matrix {
         out
     }
 
+    /// Gathers rows: output row `i` is `self`'s row `rows[i]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is out of bounds.
+    pub fn gather_rows(&self, rows: &[usize]) -> Matrix {
+        let mut out = Matrix::zeros(rows.len(), self.cols);
+        for (i, &r) in rows.iter().enumerate() {
+            out.row_mut(i).copy_from_slice(self.row(r));
+        }
+        out
+    }
+
     /// Returns a new matrix containing rows `[start, end)`.
     ///
     /// # Panics
