@@ -64,6 +64,69 @@ impl QuantizedWeight {
     }
 }
 
+/// GPTQ's view of one input's calibration: `U`, the upper Cholesky factor
+/// of the damped Hessian's inverse `H⁻¹ = (X^T X + λI)⁻¹`, and the channels
+/// calibration never activated. It depends only on the Gram matrix and the
+/// dampening, not on the weight, so linears that read one input (Q/K/V,
+/// gate/up) share one: the `k³` damping, inversion and factorisation run
+/// once per input, not once per linear.
+#[derive(Debug, Clone)]
+pub struct GptqHessian {
+    k: usize,
+    u: Vec<f64>,
+    dead: Vec<bool>,
+}
+
+impl GptqHessian {
+    /// Damps, inverts and factorises the Hessian of the `k x k` Gram
+    /// matrix `gram` (already reordered; `None` falls back to the
+    /// identity, which degenerates GPTQ to plain RTN), with `damp` as
+    /// GPTQ's `percdamp`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `gram` is not `k x k`.
+    pub fn new(gram: Option<&[f64]>, k: usize, damp: f64) -> Self {
+        // Build the damped Hessian (2 X^T X; the factor 2 cancels in the
+        // algorithm so the Gram matrix itself works).
+        let mut h = match gram {
+            Some(g) => {
+                assert_eq!(g.len(), k * k, "gram shape mismatch");
+                g.to_vec()
+            }
+            None => {
+                let mut id = vec![0.0f64; k * k];
+                for i in 0..k {
+                    id[i * k + i] = 1.0;
+                }
+                id
+            }
+        };
+        let mean_diag: f64 = (0..k).map(|i| h[i * k + i]).sum::<f64>() / k as f64;
+        let lambda = (damp * mean_diag).max(1e-8);
+        let mut dead = vec![false; k];
+        for i in 0..k {
+            if h[i * k + i] <= 0.0 {
+                // Dead channel: never activated during calibration.
+                // Decouple it from the Hessian (the weight's column is
+                // frozen at zero).
+                dead[i] = true;
+                for j in 0..k {
+                    h[i * k + j] = 0.0;
+                    h[j * k + i] = 0.0;
+                }
+                h[i * k + i] = 1.0;
+            }
+            h[i * k + i] += lambda;
+        }
+
+        // U = upper Cholesky factor of H⁻¹ (the quantity GPTQ's updates use).
+        let hinv = invert_spd(&h, k);
+        let u = upper_cholesky(&hinv, k);
+        GptqHessian { k, u, dead }
+    }
+}
+
 /// Quantizes `w` (`n x k`, already reordered) with GPTQ against the Gram
 /// matrix `gram` (`k x k`, already reordered; pass `None` to fall back to
 /// the identity, which degenerates GPTQ to plain RTN).
@@ -72,6 +135,16 @@ impl QuantizedWeight {
 ///
 /// Panics on shape mismatches or invalid specs.
 pub fn gptq_quantize(w: &Matrix, gram: Option<&[f64]>, cfg: &GptqConfig) -> QuantizedWeight {
+    gptq_quantize_with(w, &GptqHessian::new(gram, w.cols(), cfg.damp), cfg)
+}
+
+/// [`gptq_quantize`] against a Hessian already factorised for `w`'s input
+/// (with `cfg.damp`): the same codes and scales.
+///
+/// # Panics
+///
+/// Panics on shape mismatches or invalid specs.
+pub fn gptq_quantize_with(w: &Matrix, hessian: &GptqHessian, cfg: &GptqConfig) -> QuantizedWeight {
     let (n, k) = w.shape();
     cfg.normal.validate().expect("invalid normal spec");
     if let Some(o) = &cfg.outlier {
@@ -82,45 +155,17 @@ pub fn gptq_quantize(w: &Matrix, gram: Option<&[f64]>, cfg: &GptqConfig) -> Quan
         (cfg.outlier.is_some() && cfg.n_outliers > 0) || cfg.n_outliers == 0,
         "n_outliers > 0 requires an outlier spec"
     );
+    assert_eq!(hessian.k, k, "hessian shape mismatch");
     let k_normal = k - cfg.n_outliers;
+    let u = &hessian.u;
 
-    // Build the damped Hessian (2 X^T X; the factor 2 cancels in the
-    // algorithm so the Gram matrix itself works).
-    let mut h = match gram {
-        Some(g) => {
-            assert_eq!(g.len(), k * k, "gram shape mismatch");
-            g.to_vec()
-        }
-        None => {
-            let mut id = vec![0.0f64; k * k];
-            for i in 0..k {
-                id[i * k + i] = 1.0;
-            }
-            id
-        }
-    };
-    let mean_diag: f64 = (0..k).map(|i| h[i * k + i]).sum::<f64>() / k as f64;
-    let lambda = (cfg.damp * mean_diag).max(1e-8);
+    // A dead channel's column is frozen at zero.
     let mut w_work: Vec<f64> = w.as_slice().iter().map(|&v| v as f64).collect();
-    for i in 0..k {
-        if h[i * k + i] <= 0.0 {
-            // Dead channel: never activated during calibration. Freeze the
-            // column at zero and decouple it from the Hessian.
-            for row in 0..n {
-                w_work[row * k + i] = 0.0;
-            }
-            for j in 0..k {
-                h[i * k + j] = 0.0;
-                h[j * k + i] = 0.0;
-            }
-            h[i * k + i] = 1.0;
+    for (i, _) in hessian.dead.iter().enumerate().filter(|(_, &dead)| dead) {
+        for row in 0..n {
+            w_work[row * k + i] = 0.0;
         }
-        h[i * k + i] += lambda;
     }
-
-    // U = upper Cholesky factor of H⁻¹ (the quantity GPTQ's updates use).
-    let hinv = invert_spd(&h, k);
-    let u = upper_cholesky(&hinv, k);
 
     // Sequential column quantization with group scales computed on entry.
     let mut codes = vec![0i8; n * k];

@@ -59,4 +59,4 @@ pub mod qlinear;
 pub use calibrate::{Calibration, ReorderPlan};
 pub use kv::QuantizedKvCache;
 pub use pipeline::{ablation_stages, AnyLinear, AtomScheme, QuantizedModel, Scheme};
-pub use qlinear::QuantizedLinear;
+pub use qlinear::{InputQuantization, QuantizedLinear};

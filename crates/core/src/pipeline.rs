@@ -13,10 +13,11 @@ use crate::baselines::FakeQuantLinear;
 use crate::calibrate::{Calibration, ReorderPlan};
 use crate::fp4::Fp4AtomLinear;
 use crate::kv::QuantizedKvCache;
-use crate::qlinear::QuantizedLinear;
+use crate::qlinear::{InputQuantization, QuantizedLinear};
 use atom_data::{TaskSuite, Tokenizer};
 use atom_nn::kv::Fp32KvCache;
-use atom_nn::model::LinearId;
+use atom_nn::linear::forward_each;
+use atom_nn::model::{LinearId, Proj};
 use atom_nn::{eval, DenseLinear, KvStore, LinearLayer, LlamaModel};
 use atom_tensor::Matrix;
 
@@ -175,8 +176,12 @@ impl Scheme {
             Scheme::AtomFp4 => AtomScheme::w4a4().kv_bits,
             _ => None,
         };
+        // The reorder plan and factorised Hessian of the input the
+        // linears being quantized read: Q/K/V, and the router and every
+        // expert's gate/up, reuse them.
+        let mut input = None;
         let quantized = model.clone().map_linears(|id, dense| {
-            quantize_one(&scheme, id, dense, calib)
+            quantize_one(&scheme, id, dense, calib, &mut input)
         });
         QuantizedModel {
             model: quantized,
@@ -190,6 +195,7 @@ fn quantize_one(
     id: LinearId,
     dense: DenseLinear,
     calib: &Calibration,
+    shared: &mut Option<(LinearId, InputQuantization)>,
 ) -> AnyLinear {
     let lc = || {
         calib
@@ -215,7 +221,18 @@ fn quantize_one(
             AnyLinear::Fake(layer)
         }
         Scheme::Atom(a) => {
-            let layer = QuantizedLinear::quantize(&dense, plan(a), lc().gram.as_deref(), a);
+            let input = || InputQuantization::new(plan(a), lc().gram.as_deref(), a);
+            let layer = if matches!(id.proj, Proj::O | Proj::Down) {
+                // An input only this linear reads.
+                QuantizedLinear::quantize_with(&dense, &input(), a)
+            } else {
+                let key = id.input();
+                let (_, input) = match shared {
+                    Some(entry) if entry.0 == key => entry,
+                    _ => shared.insert((key, input())),
+                };
+                QuantizedLinear::quantize_with(&dense, input, a)
+            };
             AnyLinear::Atom(layer)
         }
         Scheme::AtomFp4 => {
@@ -248,6 +265,23 @@ impl LinearLayer for AnyLinear {
             AnyLinear::Atom(l) => l.forward(x),
             AnyLinear::Fake(l) => l.forward(x),
             AnyLinear::Fp4(l) => l.forward(x),
+        }
+    }
+
+    /// Atom layers share one quantization of `x` (see
+    /// [`QuantizedLinear`]'s `forward_shared`); any other mix runs each
+    /// layer's own forward.
+    fn forward_shared(layers: &[(&Self, Option<&[usize]>)], x: &Matrix) -> Vec<Matrix> {
+        let atoms: Option<Vec<_>> = layers
+            .iter()
+            .map(|&(layer, rows)| match layer {
+                AnyLinear::Atom(q) => Some((q, rows)),
+                _ => None,
+            })
+            .collect();
+        match atoms {
+            Some(atoms) => QuantizedLinear::forward_shared(&atoms, x),
+            None => forward_each(layers, x),
         }
     }
 

@@ -15,14 +15,16 @@
 //! (`group: usize::MAX`), clipping on or off.
 
 use crate::calibrate::ReorderPlan;
-use crate::gptq::{gptq_quantize, rtn_quantize, GptqConfig, QuantizedWeight};
+use crate::gptq::{gptq_quantize_with, rtn_quantize, GptqConfig, GptqHessian, QuantizedWeight};
 use crate::pipeline::AtomScheme;
-use atom_kernels::gemm::mixed_gemm;
-use atom_kernels::{GroupQuantized, QuantSpec};
+use atom_kernels::gemm::{lane_gemm, GemmRegion};
+use atom_kernels::{ActivationLanes, GroupQuantized, QuantSpec, WeightPanels};
+use atom_nn::linear::forward_each;
 use atom_nn::{DenseLinear, LinearLayer};
 use atom_telemetry::{names, span, Telemetry};
 use atom_tensor::f16::round_f16;
 use atom_tensor::Matrix;
+use std::borrow::Cow;
 
 /// A linear layer executing Atom's quantized inference path.
 ///
@@ -56,6 +58,10 @@ use atom_tensor::Matrix;
 pub struct QuantizedLinear {
     plan: ReorderPlan,
     weight: QuantizedWeight,
+    /// `weight`'s regions laid out panel-major, as the GEMM's panel loop
+    /// reads them (normal, integer outlier): a derived copy, built once
+    /// here; `weight` stays the canonical form.
+    panels: (WeightPanels, Option<WeightPanels>),
     /// FP16-rounded outlier weights when the outliers stay FP16.
     weight_fp_outlier: Option<Matrix>,
     act_normal: QuantSpec,
@@ -67,6 +73,48 @@ pub struct QuantizedLinear {
     act_static: Option<(Vec<f32>, Vec<f32>)>,
     in_features: usize,
     out_features: usize,
+}
+
+/// What quantizing a linear takes from its input's calibration: the
+/// reorder plan and, for GPTQ, the factorised Hessian over the channels
+/// that quantize to integers. Both depend on the input alone, so the
+/// linears that read one input — Q/K/V, gate/up — share one (see
+/// [`QuantizedLinear::quantize_with`]).
+#[derive(Debug, Clone)]
+pub struct InputQuantization {
+    plan: ReorderPlan,
+    hessian: Option<GptqHessian>,
+}
+
+impl InputQuantization {
+    /// The plan, and under GPTQ the factorised Hessian of `gram` (the
+    /// un-reordered Gram matrix, in the original channel order).
+    ///
+    /// # Panics
+    ///
+    /// Panics if GPTQ is requested without a Gram matrix.
+    pub fn new(plan: ReorderPlan, gram: Option<&[f64]>, scheme: &AtomScheme) -> Self {
+        let hessian = scheme.use_gptq.then(|| {
+            let gram = gram.expect("GPTQ requested but no Gram matrix collected");
+            let k = plan.channels();
+            let quant_cols = quantized_channels(&plan, scheme);
+            let region = slice_gram(&plan.reorder_gram(gram, k), k, quant_cols);
+            GptqHessian::new(Some(&region), quant_cols, GPTQ_DAMP)
+        });
+        InputQuantization { plan, hessian }
+    }
+}
+
+/// GPTQ's dampening fraction for every Atom linear.
+const GPTQ_DAMP: f64 = 0.01;
+
+/// Leading channels of the reordered input that quantize to integers:
+/// all of them, unless the outliers stay FP16.
+fn quantized_channels(plan: &ReorderPlan, scheme: &AtomScheme) -> usize {
+    match scheme.outlier_bits {
+        None => plan.n_normal(),
+        Some(_) => plan.channels(),
+    }
 }
 
 impl QuantizedLinear {
@@ -88,47 +136,54 @@ impl QuantizedLinear {
         gram: Option<&[f64]>,
         scheme: &AtomScheme,
     ) -> Self {
+        Self::quantize_with(dense, &InputQuantization::new(plan, gram, scheme), scheme)
+    }
+
+    /// [`quantize`](Self::quantize) with the plan and factorised Hessian of
+    /// the layer's input already built (`scheme` must be the one `input`
+    /// was built under): the same layer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plan does not match the layer width, or `input` was
+    /// built for another weight rounding than `scheme`'s.
+    pub fn quantize_with(dense: &DenseLinear, input: &InputQuantization, scheme: &AtomScheme) -> Self {
+        let plan = input.plan.clone();
         let k = dense.in_features();
         assert_eq!(plan.channels(), k, "reorder plan width mismatch");
+        assert_eq!(input.hessian.is_some(), scheme.use_gptq, "input built under another scheme");
         let n_out = plan.n_outliers();
         let w_reordered = plan.reorder_weight(dense.weight());
-        let gram_reordered = gram.map(|g| plan.reorder_gram(g, k));
         let outlier = scheme
             .outlier_bits
             .map(|bits| QuantSpec::new(bits, scheme.group));
-
-        let (quant_cols, fp_outlier) = match outlier {
-            // The trailing outlier columns stay in FP16; only the normal
-            // region is integer-quantized.
-            None if n_out > 0 => {
-                let mut fp = w_reordered.slice_cols(k - n_out, k);
-                fp.map_in_place(round_f16);
-                (k - n_out, Some(fp))
-            }
-            _ => (k, None),
-        };
+        let quant_cols = quantized_channels(&plan, scheme);
+        // The trailing outlier columns stay in FP16 when they are not
+        // integer-quantized.
+        let fp_outlier = (quant_cols < k).then(|| {
+            let mut fp = w_reordered.slice_cols(quant_cols, k);
+            fp.map_in_place(round_f16);
+            fp
+        });
 
         let gptq_cfg = GptqConfig {
             normal: QuantSpec::new(scheme.bits, scheme.group).with_clip(scheme.clip_w),
             outlier: outlier.filter(|_| n_out > 0),
             n_outliers: if outlier.is_some() { n_out } else { 0 },
-            damp: 0.01,
+            damp: GPTQ_DAMP,
         };
         let w_quant_region = w_reordered.slice_cols(0, quant_cols);
-        let gram_region = gram_reordered
-            .as_ref()
-            .map(|g| slice_gram(g, k, quant_cols));
-        let weight = if scheme.use_gptq {
-            let g = gram_region
-                .as_deref()
-                .expect("GPTQ requested but no Gram matrix collected");
-            gptq_quantize(&w_quant_region, Some(g), &gptq_cfg)
-        } else {
-            rtn_quantize(&w_quant_region, &gptq_cfg)
+        let weight = match &input.hessian {
+            Some(hessian) => gptq_quantize_with(&w_quant_region, hessian, &gptq_cfg),
+            None => rtn_quantize(&w_quant_region, &gptq_cfg),
         };
 
         QuantizedLinear {
             plan,
+            panels: (
+                WeightPanels::new(&weight.normal),
+                weight.outlier.as_ref().map(WeightPanels::new),
+            ),
             weight,
             weight_fp_outlier: fp_outlier,
             act_normal: QuantSpec::new(scheme.act_bits, scheme.group).with_clip(scheme.clip_a),
@@ -196,29 +251,59 @@ impl QuantizedLinear {
 }
 
 /// Quantizes one region of `x` — its columns `cols`, a slice of the reorder
-/// plan's permutation — straight through the index list: the permuted
-/// activation is never materialized. `shared` holds static scales, if any.
+/// plan's permutation — straight through the index list into the GEMM's
+/// lanes: the permuted activation is never materialized, nor packed.
+/// `shared` holds static scales, if any.
 fn quantize_act(
     x: &Matrix,
     cols: &[usize],
     spec: QuantSpec,
     shared: Option<&Vec<f32>>,
-) -> GroupQuantized {
+) -> ActivationLanes {
     match shared {
-        Some(shared) => {
-            GroupQuantized::quantize_with_shared_scales(&x.gather_cols(cols), spec, shared)
-        }
+        Some(shared) => ActivationLanes::decode(&GroupQuantized::quantize_with_shared_scales(
+            &x.gather_cols(cols),
+            spec,
+            shared,
+        )),
         // Dynamic per-token quantization is row-independent, so the
-        // pool-parallel path packs the same bytes as the sequential one.
-        None => GroupQuantized::quantize_gather(x, cols, spec),
+        // pool-parallel path writes the same lanes as the sequential one.
+        None => ActivationLanes::quantize_gather(x, cols, spec),
     }
 }
 
+/// A quantized linear input, as the epilogue hands it to the GEMM: the
+/// normal region in lanes, and the outlier region.
+#[derive(Clone)]
+struct Operand {
+    normal: ActivationLanes,
+    outlier: OutlierOperand,
+}
+
 /// Quantized outlier operand handed from the epilogue to the GEMM stage.
+#[derive(Clone)]
 enum OutlierOperand {
     None,
-    Int(GroupQuantized),
+    Int(ActivationLanes),
     Fp16(Matrix),
+}
+
+impl Operand {
+    /// The operand of rows `rows` of the input (rows quantize
+    /// independently), or all of it without a row list.
+    fn rows(&self, rows: Option<&[usize]>) -> Cow<'_, Operand> {
+        let Some(rows) = rows else {
+            return Cow::Borrowed(self);
+        };
+        Cow::Owned(Operand {
+            normal: self.normal.gather_rows(rows),
+            outlier: match &self.outlier {
+                OutlierOperand::None => OutlierOperand::None,
+                OutlierOperand::Int(a) => OutlierOperand::Int(a.gather_rows(rows)),
+                OutlierOperand::Fp16(x) => OutlierOperand::Fp16(x.gather_rows(rows)),
+            },
+        })
+    }
 }
 
 fn slice_gram(g: &[f64], k: usize, take: usize) -> Vec<f64> {
@@ -229,15 +314,30 @@ fn slice_gram(g: &[f64], k: usize, take: usize) -> Vec<f64> {
     out
 }
 
-impl LinearLayer for QuantizedLinear {
-    fn forward(&self, x: &Matrix) -> Matrix {
+impl QuantizedLinear {
+    /// Whether `self` and `other` quantize an input identically — equal
+    /// reorder plans, activation specs and outlier treatment, and dynamic
+    /// scales — so one quantization of it serves both.
+    fn shares_input_with(&self, other: &QuantizedLinear) -> bool {
+        let dynamic = |l: &QuantizedLinear| l.act_static.is_none();
+        let integer = |l: &QuantizedLinear| l.act_outlier.is_some() || l.plan.n_outliers() == 0;
+        dynamic(self)
+            && dynamic(other)
+            && integer(self)
+            && integer(other)
+            && self.plan == other.plan
+            && self.act_normal == other.act_normal
+            && self.act_outlier == other.act_outlier
+    }
+
+    /// The fused epilogue of the previous operator in the paper: each
+    /// region of `x` is dynamically quantized through the reorder
+    /// permutation, in one pass from `x` to the GEMM's lanes. The epilogue
+    /// is timed separately from the GEMM it feeds (Fig. 3's "dequant"
+    /// slice), so the quantization work finishes — and the timer stops —
+    /// before the fused GEMM starts.
+    fn quantize_input(&self, x: &Matrix) -> Operand {
         assert_eq!(x.cols(), self.in_features, "input width mismatch");
-        // Fused epilogue of the previous operator in the paper: each region
-        // is dynamically quantized through the reorder permutation, in one
-        // pass from `x` to packed codes + scales. The epilogue is timed
-        // separately from the GEMM it feeds (Fig. 3's "dequant" slice), so
-        // the quantization work finishes — and the timer stops — before the
-        // fused GEMM starts.
         let t = Telemetry::global();
         let quant_timer = t.timer(names::OP_QUANT_WALL_NS);
         let quant_span = span!(names::SPAN_QUANT_EPILOGUE, rows = x.rows());
@@ -246,7 +346,7 @@ impl LinearLayer for QuantizedLinear {
         let (normal_cols, outlier_cols) = self.plan.perm().split_at(self.plan.n_normal());
 
         let statics = self.act_static.as_ref();
-        let qa_n = quantize_act(x, normal_cols, self.act_normal, statics.map(|s| &s.0));
+        let normal = quantize_act(x, normal_cols, self.act_normal, statics.map(|s| &s.0));
         let outlier = match self.act_outlier {
             // No outlier channels: the plan's normal region is every channel.
             _ if outlier_cols.is_empty() => OutlierOperand::None,
@@ -261,23 +361,54 @@ impl LinearLayer for QuantizedLinear {
         };
         drop(quant_span);
         quant_timer.stop();
+        Operand { normal, outlier }
+    }
 
-        match outlier {
-            OutlierOperand::None => {
-                mixed_gemm(&qa_n, &self.weight.normal, None).expect("shape-checked")
-            }
-            OutlierOperand::Int(qa_o) => {
-                let w_o = self.weight.outlier.as_ref().expect("outlier weights");
-                mixed_gemm(&qa_n, &self.weight.normal, Some((&qa_o, w_o))).expect("shape-checked")
+    /// The fused GEMM of a quantized input against this layer's weights.
+    fn gemm(&self, input: &Operand) -> Matrix {
+        let normal = GemmRegion {
+            act: &input.normal,
+            weight: &self.weight.normal,
+            panels: Some(&self.panels.0),
+        };
+        match &input.outlier {
+            OutlierOperand::None => lane_gemm(normal, None).expect("shape-checked"),
+            OutlierOperand::Int(act) => {
+                let outlier = GemmRegion {
+                    act,
+                    weight: self.weight.outlier.as_ref().expect("outlier weights"),
+                    panels: self.panels.1.as_ref(),
+                };
+                lane_gemm(normal, Some(outlier)).expect("shape-checked")
             }
             OutlierOperand::Fp16(x_o) => {
-                let mut out =
-                    mixed_gemm(&qa_n, &self.weight.normal, None).expect("shape-checked");
+                let mut out = lane_gemm(normal, None).expect("shape-checked");
                 let w_fp = self.weight_fp_outlier.as_ref().expect("fp outlier weights");
                 out.add_scaled_in_place(&x_o.matmul_nt(w_fp), 1.0);
                 out
             }
         }
+    }
+}
+
+impl LinearLayer for QuantizedLinear {
+    fn forward(&self, x: &Matrix) -> Matrix {
+        self.gemm(&self.quantize_input(x))
+    }
+
+    /// Quantizes `x` once for every layer when they all quantize it alike
+    /// (see `shares_input_with`: no static scales, no FP16 outliers); a
+    /// layer with a row list takes those rows of the shared operand.
+    /// Otherwise each layer runs its own forward.
+    fn forward_shared(layers: &[(&Self, Option<&[usize]>)], x: &Matrix) -> Vec<Matrix> {
+        let Some(&(first, _)) = layers.first() else {
+            return Vec::new();
+        };
+        if !layers.iter().all(|(l, _)| first.shares_input_with(l)) {
+            return forward_each(layers, x);
+        }
+        let input = first.quantize_input(x);
+        layers.iter().map(|&(layer, rows)| layer.gemm(&input.rows(rows))).collect()
     }
 
     fn in_features(&self) -> usize {
@@ -292,6 +423,7 @@ impl LinearLayer for QuantizedLinear {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use atom_kernels::gemm::mixed_gemm;
     use atom_tensor::SeededRng;
 
     /// Builds a dense layer plus activations with heavy outlier channels.
@@ -438,6 +570,53 @@ mod tests {
 
         let q = QuantizedLinear::quantize(&dense, ReorderPlan::identity(k), None, &rtn());
         assert_eq!(bits(&q.forward(&x)), bits(&copying(&q)), "no outliers");
+    }
+
+    #[test]
+    fn forward_shared_equals_separate_forwards_bit_for_bit() {
+        // One quantization of the input serves Q/K/V (the last block's Q
+        // on the tail rows alone); layers that quantize it differently —
+        // FP16 outliers, static scales, another plan — fall back to their
+        // own forwards. Either way each output is that layer's forward of
+        // its rows, bit for bit, at an odd width and at row counts either
+        // side of the GEMM's panel threshold.
+        let mut rng = SeededRng::new(11);
+        let k = 37;
+        let plan = ReorderPlan::from_outlier_set(k, &[30, 2, 11, 36, 17]);
+        let mut dense = |n| DenseLinear::new(rng.normal_matrix(n, k, 0.0, 0.3));
+        let (dq, dk, dv) = (dense(24), dense(9), dense(9));
+        let quantize = |d: &DenseLinear, plan: &ReorderPlan, scheme: &AtomScheme| {
+            QuantizedLinear::quantize(d, plan.clone(), None, scheme)
+        };
+        let [q, kk, v] = [&dq, &dk, &dv].map(|d| quantize(d, &plan, &rtn()));
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        let check = |layers: &[(&QuantizedLinear, Option<&[usize]>)], x: &Matrix, what: &str| {
+            let shared = QuantizedLinear::forward_shared(layers, x);
+            assert_eq!(shared.len(), layers.len(), "{what}");
+            for (out, &(layer, rows)) in shared.iter().zip(layers) {
+                let alone = match rows {
+                    Some(rows) => layer.forward(&x.gather_rows(rows)),
+                    None => layer.forward(x),
+                };
+                assert_eq!(bits(out), bits(&alone), "{what}");
+            }
+        };
+        for m in [1, 3, 4, 7, 13] {
+            let x = rng.normal_matrix(m, k, 0.0, 1.5);
+            check(&[(&q, None), (&kk, None), (&v, None)], &x, "Q/K/V");
+            let tail: Vec<usize> = (0..m).step_by(3).collect();
+            check(&[(&q, Some(&tail)), (&kk, None), (&v, None)], &x, "tail-gathered Q");
+
+            let fp16 = AtomScheme { outlier_bits: None, ..rtn() };
+            let (fq, fk) = (quantize(&dq, &plan, &fp16), quantize(&dk, &plan, &fp16));
+            check(&[(&fq, None), (&fk, None)], &x, "FP16 outliers");
+            let statics = kk.clone().with_static_activations(&x.scaled(0.7));
+            check(&[(&q, None), (&statics, None)], &x, "static scales");
+            let other = quantize(&dk, &ReorderPlan::from_outlier_set(k, &[1, 2, 3, 4, 5]), &rtn());
+            check(&[(&q, None), (&other, Some(&tail))], &x, "unequal plans");
+            let none = quantize(&dk, &ReorderPlan::identity(k), &rtn());
+            check(&[(&none, None), (&none, Some(&tail))], &x, "no outliers");
+        }
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! [`fused_group_gemm`] is the CPU realization of the paper's Fig. 8
 //! pipeline: per K-group, the low-bit integer partial products are computed
-//! with i32 accumulation (the tensor-core MMA stand-in, step ①), then
-//! dequantized with the activation-group and weight-group scales (step ②)
-//! and accumulated in FP32 (step ③) — all inside one loop nest, with no
+//! with exact integer accumulation (the tensor-core MMA stand-in, step ①),
+//! then dequantized with the activation-group and weight-group scales (step
+//! ②) and accumulated in FP32 (step ③) — all inside one loop nest, with no
 //! intermediate buffer, exactly like the fused MMA pipeline.
 //!
 //! [`mixed_gemm`] adds the mixed-precision path of §4.1: after channel
@@ -12,22 +12,26 @@
 //! outlier channels INT8; the two regions multiply separately and their FP32
 //! results sum.
 //!
-//! Both are one kernel: a single sweep over the weight rows, decoded once
-//! per GEMM a block at a time, against activations whose groups are
-//! zero-padded to a multiple of 16 codes; the two precision regions of a
-//! mixed GEMM share that sweep. It has two inner loops. Below
-//! [`PANEL_MIN_ROWS`] activation rows each output is one fold over
-//! fixed-width blocks of 16 `i16` codes the compiler turns into packed
-//! multiply-adds. From there on, 16 weight rows decode into an `f32` panel
-//! and each activation row accumulates all 16 outputs at once in `f32`
-//! lanes that hold every group sum exactly, so no output pays a horizontal
-//! reduction. [`mod@reference`] holds the plain loop nest both must
-//! reproduce bit for bit — the oracle tests and report bins call by name,
-//! never reached from a serving call. DESIGN.md §3.11 has the bit-identity
-//! argument.
+//! Both are one kernel, [`lane_gemm`]: a single sweep over the weight rows
+//! against activations decoded into `i16` lanes
+//! ([`ActivationLanes`], every group zero-padded to a multiple of 16
+//! codes); the two precision regions of a mixed GEMM share that sweep. It
+//! has two inner loops. Below [`PANEL_MIN_ROWS`] activation rows each
+//! output is one fold over fixed-width blocks of 16 `i16` codes the
+//! compiler turns into packed multiply-adds, against weight rows decoded a
+//! block at a time. From there on the weights are read panel-major
+//! ([`WeightPanels`]: 16 weight rows, code slot by code slot) and each
+//! block of 4 activation rows accumulates a panel's 16 outputs at once in
+//! lanes that hold every group sum exactly — `i16` for INT4 x INT4, `f32`
+//! for INT8 — so no output pays a horizontal reduction. A quantized linear
+//! builds its panels once, when it is quantized; [`mixed_gemm`] builds
+//! them per call. [`mod@reference`] holds the plain loop nest every path
+//! must reproduce bit for bit — the oracle tests and report bins call by
+//! name, never reached from a serving call. DESIGN.md §3.11 has the
+//! bit-identity argument.
 
 use crate::group::{GroupQuantized, MAX_BITS};
-use crate::packed::PackedMatrix;
+use crate::panel::{effective_group, ActivationLanes, WeightPanels, LANES, PANEL_COLS};
 use crate::KernelError;
 use atom_parallel::{Pool, KERNEL_ROW_BLOCK};
 use atom_telemetry::{names, span, SpanGuard, Telemetry, TimerGuard};
@@ -52,16 +56,36 @@ const _: () = assert!((MAX_ACC_K as i64) << (2 * (MAX_BITS - 1)) <= i32::MAX as 
 const _: () = assert!((MAX_ACC_K as i64 + 1) << (2 * (MAX_BITS - 1)) > i32::MAX as i64);
 // The sweep multiplies pre-widened `i16` lanes: a code fits one, and the
 // pair of worst-case products a packed multiply-add (`pmaddwd`) sums before
-// the `i32` accumulation fits `i32` — so the only reduction bound stays
-// `MAX_ACC_K`.
+// the `i32` accumulation fits `i32` — so the fold's only reduction bound
+// stays `MAX_ACC_K`.
 const _: () =
     assert!(1i64 << (MAX_BITS - 1) <= 1i64 << 15 && 2 << (2 * (MAX_BITS - 1)) <= i32::MAX as i64);
-// The panel loop sums a group's products in `f32` lanes instead of `i32`: a
-// group spans at most `LANES` codes, each product is at most 2^14 in
-// magnitude, so every partial sum is an integer below 2^18 — inside the
-// 2^24 up to which `f32` holds every integer exactly. Each lane sum is then
-// the integer `iacc` itself, whatever order its products add in.
-const _: () = assert!((LANES as i64) << (2 * (MAX_BITS - 1)) < 1i64 << f32::MANTISSA_DIGITS);
+
+/// The largest magnitude a partial sum of one quantization group reaches
+/// in the panel loop: `group` products of a `bits_a`-bit activation code
+/// and a `bits_w`-bit weight code, each at most `2^(bits_a-1) *
+/// 2^(bits_w-1)` in magnitude (slots past the group's real codes hold
+/// zeros and add nothing).
+pub const fn group_sum_bound(group: usize, bits_a: u8, bits_w: u8) -> usize {
+    group.saturating_mul(1 << (bits_a as usize - 1 + bits_w as usize - 1))
+}
+
+/// The largest group sum the panel loop keeps in `i16` lanes: a region
+/// whose [`group_sum_bound`] is at most this sums each group in `i16`,
+/// where every partial sum — every product too — is then an exact
+/// integer, whatever order its products add in. A region past it sums in
+/// `f32` lanes, exact below `2^24`.
+pub const I16_LANE_BOUND: usize = i16::MAX as usize;
+
+// The widths that run: a W4A4 group of 16 INT4 x INT4 codes sums to at
+// most 16 * 2^3 * 2^3 = 1024, inside `i16` (as do W3A3 and W4A8 groups);
+// an INT8 x INT8 outlier group (2^18) is not, and takes `f32` lanes, which
+// hold it exactly — so every region of every scheme runs in exact lanes.
+const _: () = assert!(group_sum_bound(LANES, 4, 4) == 1024 && 1024 <= I16_LANE_BOUND);
+const _: () = assert!(group_sum_bound(LANES, 3, 3) <= I16_LANE_BOUND);
+const _: () = assert!(group_sum_bound(LANES, 8, 4) <= I16_LANE_BOUND);
+const _: () = assert!(group_sum_bound(LANES, MAX_BITS, MAX_BITS) > I16_LANE_BOUND);
+const _: () = assert!(group_sum_bound(LANES, MAX_BITS, MAX_BITS) < 1 << f32::MANTISSA_DIGITS);
 
 /// Plain integer GEMM with i32 accumulation: `a (m x k) @ b_t (n x k)^T`,
 /// returning the raw i32 accumulators. This is the "pure INT4/INT8 GEMM
@@ -136,35 +160,36 @@ pub fn int_gemm_i32(a: &[i8], b_t: &[i8], m: usize, n: usize, k: usize) -> Vec<i
 /// assert!((out.row(0)[0] - 4.0).abs() < 1.0);
 /// ```
 pub fn fused_group_gemm(a: &GroupQuantized, w: &GroupQuantized) -> Result<Matrix, KernelError> {
-    let group = shared_group(a, w)?;
-    let _launch = record_launch(a.packed_bytes() + w.packed_bytes(), a.rows());
-    Ok(gemm_sweep((a, w, group), None))
+    mixed_gemm(a, w, None)
 }
 
-/// Validates one region's operands and returns its effective group size
-/// (the spec's, capped at the row width, at least 1).
-fn shared_group(a: &GroupQuantized, w: &GroupQuantized) -> Result<usize, KernelError> {
-    if a.cols() != w.cols() {
+/// One operand's `(cols, effective group)`.
+fn shape(q: &GroupQuantized) -> (usize, usize) {
+    (q.cols(), effective_group(q.spec(), q.cols()))
+}
+
+/// Validates one region's operands, each given as `(cols, effective
+/// group)`, and returns the shared group size.
+fn shared_group(
+    (a_cols, group_a): (usize, usize),
+    (w_cols, group_w): (usize, usize),
+) -> Result<usize, KernelError> {
+    if a_cols != w_cols {
         return Err(KernelError::ShapeMismatch(format!(
-            "inner dimension: activations k={} vs weights k={}",
-            a.cols(),
-            w.cols()
+            "inner dimension: activations k={a_cols} vs weights k={w_cols}"
         )));
     }
-    let group_a = a.spec().group.min(a.cols().max(1));
-    let group_w = w.spec().group.min(w.cols().max(1));
     if group_a != group_w {
         return Err(KernelError::ShapeMismatch(format!(
             "group size: activations {group_a} vs weights {group_w}"
         )));
     }
-    let group = group_a.max(1);
     debug_assert!(
-        group <= MAX_ACC_K,
-        "group {group} exceeds MAX_ACC_K = {MAX_ACC_K}: per-group i32 accumulation \
+        group_a <= MAX_ACC_K,
+        "group {group_a} exceeds MAX_ACC_K = {MAX_ACC_K}: per-group i32 accumulation \
          could overflow"
     );
-    Ok(group)
+    Ok(group_a)
 }
 
 /// Records one GEMM launch over `bytes` of packed operands and `rows`
@@ -182,26 +207,20 @@ fn record_launch(bytes: usize, rows: usize) -> (TimerGuard<'static>, SpanGuard<'
     guards
 }
 
-/// Codes per fixed-width multiply-accumulate block. Decoded activation rows
-/// pad every quantization group with zero codes up to a multiple of this,
-/// so the inner loops always run over whole blocks of `LANES` codes — a
-/// compile-time trip count. The per-output fold unrolls one `[i16; LANES]`
-/// block into two packed 16-bit multiply-adds (`pmaddwd`); both operands
-/// decode straight into `i16` lanes, so that loop has no sign extension
-/// left in it. It equals the group size of every scheme in this workspace
-/// (a group of 16 is exactly one block).
-const LANES: usize = 16;
+/// Activation rows from which a GEMM runs as column panels. At one to
+/// three rows — a decode step — the per-output fold is the faster loop;
+/// from four rows on, the panel loop is (EXPERIMENTS.md has the
+/// crossover). Which loop runs never changes a bit: both equal
+/// [`mod@reference`].
+pub const PANEL_MIN_ROWS: usize = 4;
 
-/// Activation rows from which a GEMM runs as column panels. A panel
-/// decodes its weights transposed once per call, which pays off only over
-/// enough activation rows: at one or two rows (a decode step) the
-/// per-output fold is the faster loop, from 16 rows on the panel loop is
-/// (EXPERIMENTS.md has the crossover). Which loop runs never changes a
-/// bit: both equal [`mod@reference`].
-pub const PANEL_MIN_ROWS: usize = 16;
+/// Activation rows the panel loop folds at once: each weight lane it loads
+/// serves this many rows.
+const ROW_BLOCK: usize = 4;
 
-/// Output columns — weight rows — per panel: one `f32` lane sum each.
-const PANEL_COLS: usize = 16;
+// A tile of `KERNEL_ROW_BLOCK` weight rows is whole panels, so no panel
+// straddles two of the pool's chunks.
+const _: () = assert!(KERNEL_ROW_BLOCK.is_multiple_of(PANEL_COLS));
 
 /// Decoded weight codes the per-output fold holds at a time: 16 KiB of
 /// `i16` lanes, half a typical L1 data cache, leaving room for the
@@ -209,113 +228,71 @@ const PANEL_COLS: usize = 16;
 /// channels.
 const DECODE_BLOCK_CODES: usize = 8 * 1024;
 
-/// One region's operands — activations, weights — and the effective group
-/// size [`shared_group`] validated for the pair.
-type Operands<'a> = (&'a GroupQuantized, &'a GroupQuantized, usize);
-
 /// One precision region of a GEMM — the INT4 normal channels or the INT8
-/// outlier channels — with its activation codes decoded to `T`: `i16`
-/// lanes for the per-output fold, `f32` for the panel loop.
-///
-/// Activations decode once, up front, with every quantization group
-/// zero-padded to `padded` codes. For the fold, weight rows decode a block
-/// at a time, back to back at their real width, and group `g` of a weight
-/// row is read as the `padded`-wide *window* starting at its first code:
-/// where the window overhangs the group — into the next group, the next
-/// row, or the slack after the block — it meets the activation's zero
-/// padding, so whatever codes it holds multiply to exactly 0 and the i32
-/// group sum is the sum over the real codes alone. A [`Panel`] pads the
-/// weight groups too.
-struct Region<'a, T> {
-    w_values: &'a PackedMatrix,
-    /// `n x n_groups` weight scales, row-major.
-    w_scales: &'a [f32],
-    /// `m x n_groups` activation scales, row-major.
-    a_scales: &'a [f32],
-    /// `m x n_groups * padded` activation codes, group `g` of row `i` at
-    /// `(i * n_groups + g) * padded`, zero beyond the group's real codes.
-    a_codes: Vec<T>,
-    /// Activation rows `m`.
-    a_rows: usize,
-    /// Codes per row `k`.
-    cols: usize,
-    /// Codes per quantization group (the row's last group may hold fewer).
-    group: usize,
-    /// Quantization groups per row.
-    n_groups: usize,
-    /// `group` rounded up to a multiple of [`LANES`].
-    padded: usize,
+/// outlier channels: its activation operand, its weights row-major, and,
+/// for a call the panel loop may run, the same weights panel-major.
+/// Without the panels a call runs the per-output fold; the bits are the
+/// same either way.
+#[derive(Debug, Clone, Copy)]
+pub struct GemmRegion<'a> {
+    /// Activation codes and scales.
+    pub act: &'a ActivationLanes,
+    /// The weights in their canonical, row-major form.
+    pub weight: &'a GroupQuantized,
+    /// [`WeightPanels::new`] of `weight`.
+    pub panels: Option<&'a WeightPanels>,
 }
 
-/// One decoded row: its codes, widened to `T` lanes, and its group scales.
-type CodeRow<'r, T = i16> = (&'r [T], &'r [f32]);
+/// One decoded row: its codes as `i16` lanes, and its group scales.
+type CodeRow<'r> = (&'r [i16], &'r [f32]);
 
-impl<'a, T: Copy + From<i8>> Region<'a, T> {
-    /// Decodes the activation rows of one region's [`Operands`].
-    fn decode((a, w, group): Operands<'a>) -> Self {
-        let (cols, n_groups) = (a.cols(), a.cols().div_ceil(group));
-        let padded = group.next_multiple_of(LANES);
-        let width = n_groups * padded;
-        let zero = T::from(0);
-        let mut a_codes = vec![zero; a.rows() * width];
-        // The padded layout is the packed column order when groups are
-        // already a multiple of LANES wide or there is a single group: only
-        // the tail of the last group is padding, and it is never written.
-        // Otherwise a row decodes into `spill` and moves group by group.
-        let contiguous = padded == group || n_groups <= 1;
-        let mut spill = vec![zero; if contiguous { 0 } else { cols }];
-        for (r, row) in a_codes.chunks_exact_mut(width.max(1)).enumerate() {
-            if contiguous {
-                if let Some(head) = row.get_mut(..cols) {
-                    a.values().unpack_row(r, head);
-                }
-            } else {
-                a.values().unpack_row(r, &mut spill);
-                for (slot, codes) in row.chunks_exact_mut(padded).zip(spill.chunks(group)) {
-                    for (d, &c) in slot.iter_mut().zip(codes) {
-                        *d = c;
-                    }
-                }
-            }
-        }
-        Region {
-            w_values: w.values(),
-            w_scales: w.scales().as_slice(),
-            a_scales: a.scales().as_slice(),
-            a_codes,
-            a_rows: a.rows(),
-            cols,
-            group,
-            n_groups,
-            padded,
-        }
+impl<'a> GemmRegion<'a> {
+    /// Checks the operands agree.
+    fn validate(&self) -> Result<(), KernelError> {
+        let (a, w) = (self.act, self.weight);
+        let group = shared_group((a.cols(), a.group()), shape(w))?;
+        debug_assert!(self.panels.is_none_or(|p| {
+            (p.rows(), p.cols(), p.group(), p.bits()) == (w.rows(), w.cols(), group, w.spec().bits)
+        }));
+        Ok(())
     }
 
-    /// The decoded activation rows with their scales, in row order. (An
-    /// empty region — `k = 0` — yields no rows; its callers leave the
-    /// output at the empty sum.)
-    fn activation_rows(&self) -> impl Iterator<Item = CodeRow<'_, T>> {
-        self.a_codes
-            .chunks_exact((self.n_groups * self.padded).max(1))
-            .zip(self.a_scales.chunks_exact(self.n_groups.max(1)))
+    /// Bytes of packed operands the region streams.
+    fn packed_bytes(&self) -> usize {
+        self.act.packed_bytes() + self.weight.packed_bytes()
+    }
+
+    /// The region as the panel loop runs it, if it carries panels and its
+    /// group sums fit exact lanes.
+    fn panel_region(self) -> Option<PanelRegion<'a>> {
+        let panels = self.panels?;
+        let lanes = Lanes::for_region(self.act.group(), self.act.bits(), panels.bits())?;
+        Some(PanelRegion {
+            act: self.act,
+            weight: self.weight,
+            panels,
+            lanes,
+            blocks: row_blocks(self.act),
+        })
     }
 
     /// Weight rows `first ..`'s group scales, `n_groups` per row.
     fn weight_scales(&self, first: usize, rows: usize) -> &[f32] {
-        let n_groups = self.n_groups;
-        self.w_scales
+        let n_groups = self.act.n_groups();
+        self.weight
+            .scales()
+            .as_slice()
             .get(first * n_groups..(first + rows) * n_groups)
             .unwrap_or(&[])
     }
-}
 
-impl Region<'_, i16> {
     /// Decodes weight rows `first .. first + rows` back to back, plus
     /// `padded` zero codes of slack for the last window's overhang.
     fn decode_weight_rows(&self, first: usize, rows: usize) -> Vec<i16> {
-        let mut codes = vec![0i16; rows * self.cols + self.padded];
-        if let Some(run) = codes.get_mut(..rows * self.cols) {
-            self.w_values.unpack_rows(first, run);
+        let cols = self.act.cols();
+        let mut codes = vec![0i16; rows * cols + self.act.padded()];
+        if let Some(run) = codes.get_mut(..rows * cols) {
+            self.weight.values().unpack_rows(first, run);
         }
         codes
     }
@@ -326,9 +303,10 @@ impl Region<'_, i16> {
     ///
     /// [`decode_weight_rows`]: Self::decode_weight_rows
     fn weight_rows<'s>(&'s self, block: &'s [i16], first: usize, rows: usize) -> Vec<CodeRow<'s>> {
+        let cols = self.act.cols();
         (0..rows)
-            .map(|jj| block.get(jj * self.cols..).unwrap_or(&[]))
-            .zip(self.weight_scales(first, rows).chunks_exact(self.n_groups.max(1)))
+            .map(|jj| block.get(jj * cols..).unwrap_or(&[]))
+            .zip(self.weight_scales(first, rows).chunks_exact(self.act.n_groups().max(1)))
             .collect()
     }
 
@@ -336,16 +314,23 @@ impl Region<'_, i16> {
     /// fold of an activation row against a decoded weight row — steps ①–③
     /// of Fig. 8 exactly as in [`reference::fused_group_gemm`].
     ///
+    /// Group `g` of the weight row is read as the `padded`-wide *window*
+    /// starting at its first code: where the window overhangs the group —
+    /// into the next group, the next row, or the slack after the block —
+    /// it meets the activation's zero padding, so whatever codes it holds
+    /// multiply to exactly 0 and the i32 group sum is the sum over the real
+    /// codes alone.
+    ///
     /// Never inlined: as its own function the group loop compiles to one
     /// tight block; inlined into the two-region sweep the compiler
     /// re-derives the `zip` bounds every group (measured 6% slower at
     /// `m = 64`, 25% when the row lookups were inlined with it).
     #[inline(never)]
     fn fold(&self, a_row: CodeRow<'_>, w_row: CodeRow<'_>) -> f32 {
-        let a: &[i16] = a_row.0;
-        let w: &[i16] = w_row.0;
+        let (a, w) = (a_row.0, w_row.0);
         let (sa, sw) = (a_row.1, w_row.1);
-        if self.padded == LANES && (self.group == LANES || self.n_groups <= 1) {
+        let (group, padded) = (self.act.group(), self.act.padded());
+        if padded == LANES && (group == LANES || self.act.n_groups() <= 1) {
             // The shapes every scheme produces: one fixed-width block per
             // group, and the weight windows tile the row.
             a.chunks_exact(LANES)
@@ -370,8 +355,8 @@ impl Region<'_, i16> {
             // integer below 2^53 exactly, so the total is the exact group
             // sum and its `as f32` rounds the same integer `iacc as f32`
             // rounds in the reference.
-            a.chunks_exact(self.padded)
-                .zip(w.windows(self.padded).step_by(self.group))
+            a.chunks_exact(padded)
+                .zip(w.windows(padded).step_by(group))
                 .zip(sa.iter().zip(sw))
                 .map(|((ga, gw), (&scale_a, &scale_w))| {
                     let group_sum: f64 = ga
@@ -399,8 +384,8 @@ impl Region<'_, i16> {
     /// rows, and a mixed GEMM writes `fold(normal) + fold(outlier)` once
     /// per element.
     fn fold_tile(&self, outlier: Option<&Self>, first: usize, tile: &mut [f32]) {
-        let rows_here = tile.len() / self.a_rows.max(1);
-        let block_rows = (DECODE_BLOCK_CODES / self.cols.max(1)).clamp(1, KERNEL_ROW_BLOCK);
+        let rows_here = tile.len() / self.act.rows().max(1);
+        let block_rows = (DECODE_BLOCK_CODES / self.act.cols().max(1)).clamp(1, KERNEL_ROW_BLOCK);
         for at in (0..rows_here).step_by(block_rows) {
             let (first, rows) = (first + at, block_rows.min(rows_here - at));
             let codes_n = self.decode_weight_rows(first, rows);
@@ -416,14 +401,14 @@ impl Region<'_, i16> {
                 .filter_map(|run| run.get_mut(at..at + rows));
             match &w_o {
                 None => {
-                    for (run, a_n) in runs.zip(self.activation_rows()) {
+                    for (run, a_n) in runs.zip(self.act.iter_rows()) {
                         for (o, &w) in run.iter_mut().zip(&w_n) {
                             *o = self.fold(a_n, w);
                         }
                     }
                 }
                 Some((r, w_o)) => {
-                    let rows = self.activation_rows().zip(r.activation_rows());
+                    let rows = self.act.iter_rows().zip(r.act.iter_rows());
                     for (run, (a_n, a_o)) in runs.zip(rows) {
                         for ((o, &w), &w_out) in run.iter_mut().zip(&w_n).zip(w_o) {
                             *o = self.fold(a_n, w) + r.fold(a_o, w_out);
@@ -435,81 +420,149 @@ impl Region<'_, i16> {
     }
 }
 
-/// Up to [`PANEL_COLS`] weight rows of one region, decoded transposed for
-/// the panel loop: code slot `g * LANES + t` holds code `t` of group `g`
-/// of every row, one lane per row, and `scales[g]` the rows' group-`g`
-/// scales. Slots past a group's real codes and lanes past the last row
-/// hold 0, so every group is one whole block of `LANES` slots. A tile
-/// decodes each of its panels into the same buffers.
-#[derive(Default)]
-struct Panel {
-    /// The rows' codes back to back, as [`PackedMatrix::unpack_rows`]
-    /// gives them.
-    rows: Vec<i8>,
-    /// `codes` before widening to `f32`.
-    slots: Vec<[i8; PANEL_COLS]>,
-    codes: Vec<[f32; PANEL_COLS]>,
-    scales: Vec<[f32; PANEL_COLS]>,
+/// The lanes the panel loop sums a region's groups in: `i16` where every
+/// group sum fits one ([`I16_LANE_BOUND`]), otherwise `f32`, which holds
+/// every integer below 2^24 exactly. Either way each lane sum is the exact
+/// integer `iacc`.
+#[derive(Debug, Clone, Copy)]
+enum Lanes {
+    I16,
+    F32,
 }
 
-impl Region<'_, f32> {
-    /// Decodes weight rows `first .. first + width` into `panel`
-    /// (`width <= PANEL_COLS`; the region's groups fit one block each).
-    /// The transpose moves `i8` codes and the widening runs over whole
-    /// slots afterwards, which measured about a third faster than
-    /// scattering `f32` lanes.
-    fn decode_panel(&self, first: usize, width: usize, panel: &mut Panel) {
-        let (cols, n_groups) = (self.cols, self.n_groups);
-        let Panel { rows, slots, codes, scales } = panel;
-        rows.resize(width * cols, 0);
-        self.w_values.unpack_rows(first, rows);
-        slots.clear();
-        slots.resize(n_groups * LANES, [0; PANEL_COLS]);
-        scales.clear();
-        scales.resize(n_groups, [0.0; PANEL_COLS]);
-        let row_scales = self.weight_scales(first, width).chunks_exact(n_groups.max(1));
-        for (c, (row, sw)) in rows.chunks_exact(cols.max(1)).zip(row_scales).enumerate() {
-            for (group_slots, group) in slots.chunks_exact_mut(LANES).zip(row.chunks(self.group)) {
-                for (slot, &code) in group_slots.iter_mut().zip(group) {
-                    if let Some(lane) = slot.get_mut(c) {
-                        *lane = code;
+impl Lanes {
+    /// The exact lanes for groups of `group` codes, `bits_a` by `bits_w`
+    /// bits wide — `None` if a group sum could reach 2^24.
+    fn for_region(group: usize, bits_a: u8, bits_w: u8) -> Option<Lanes> {
+        let bound = group_sum_bound(group, bits_a, bits_w);
+        if bound <= I16_LANE_BOUND {
+            Some(Lanes::I16)
+        } else if bound < 1 << f32::MANTISSA_DIGITS {
+            Some(Lanes::F32)
+        } else {
+            None
+        }
+    }
+}
+
+/// A lane type of the panel loop: a weight or activation code widens into
+/// it, products add up in it, and its value is the exact group sum.
+trait Lane: Copy {
+    const ZERO: Self;
+    fn from_code(code: i8) -> Self;
+    fn from_act(code: i16) -> Self;
+    /// `sum + x * w`.
+    fn mac(sum: Self, x: Self, w: Self) -> Self;
+    fn value(self) -> f32;
+}
+
+impl Lane for i16 {
+    const ZERO: i16 = 0;
+    fn from_code(code: i8) -> i16 {
+        i16::from(code)
+    }
+    fn from_act(code: i16) -> i16 {
+        code
+    }
+    fn mac(sum: i16, x: i16, w: i16) -> i16 {
+        // A region runs in `i16` lanes only when its group sums stay
+        // within them, so no partial sum wraps; the wrapping ops only spare
+        // the compiler an overflow branch:
+        // bound: I16_LANE_BOUND
+        sum.wrapping_add(x.wrapping_mul(w))
+    }
+    fn value(self) -> f32 {
+        f32::from(self)
+    }
+}
+
+impl Lane for f32 {
+    const ZERO: f32 = 0.0;
+    fn from_code(code: i8) -> f32 {
+        f32::from(code)
+    }
+    fn from_act(code: i16) -> f32 {
+        f32::from(code)
+    }
+    fn mac(sum: f32, x: f32, w: f32) -> f32 {
+        sum + x * w
+    }
+    fn value(self) -> f32 {
+        self
+    }
+}
+
+/// One panel's code slots, as [`WeightPanels`] lays them, and its group
+/// scales, `[group][column]`.
+type Panel<'p> = (&'p [[i8; PANEL_COLS]], &'p [[f32; PANEL_COLS]]);
+
+/// [`LANES`] code slots of a block of [`ROW_BLOCK`] activation rows,
+/// slot-major: `[t][r]` is code `t` of the block's row `r`.
+type RowBlock = [[i16; ROW_BLOCK]; LANES];
+
+/// A region the panel loop runs: its activations (scales as they are,
+/// codes in row blocks), its weights (the scales of the canonical form,
+/// the codes panel-major), and the lanes its group sums fit.
+struct PanelRegion<'a> {
+    act: &'a ActivationLanes,
+    weight: &'a GroupQuantized,
+    panels: &'a WeightPanels,
+    lanes: Lanes,
+    /// Row block `b`'s codes at `b * row slots / LANES ..`.
+    blocks: Vec<RowBlock>,
+}
+
+/// The activation codes in blocks of [`ROW_BLOCK`] rows, laid out once per
+/// call so that every panel reads a block's codes slot-major, four rows to
+/// a slot, with no per-panel transpose. A ragged last block repeats its
+/// last row (its copies' results are dropped): it costs a whole block,
+/// which measured cheaper than 1- to 3-row forms of the loop, whose
+/// codegen loses the 16-column vectorisation.
+fn row_blocks(act: &ActivationLanes) -> Vec<RowBlock> {
+    let rows: Vec<CodeRow<'_>> = act.iter_rows().collect();
+    let per_block = act.n_groups() * act.padded() / LANES;
+    let mut blocks = vec![[[0; ROW_BLOCK]; LANES]; rows.len().div_ceil(ROW_BLOCK) * per_block];
+    for (b, block) in blocks.chunks_exact_mut(per_block.max(1)).enumerate() {
+        let Some(block_rows) = row_block(&rows, b * ROW_BLOCK) else { continue };
+        for (r, (codes, _)) in block_rows.iter().enumerate() {
+            for (slots, codes) in block.iter_mut().zip(codes.chunks_exact(LANES)) {
+                for (slot, &code) in slots.iter_mut().zip(codes) {
+                    if let Some(x) = slot.get_mut(r) {
+                        *x = code;
                     }
                 }
             }
-            for (slot, &s) in scales.iter_mut().zip(sw) {
-                if let Some(lane) = slot.get_mut(c) {
-                    *lane = s;
-                }
-            }
         }
-        codes.clear();
-        codes.extend(slots.iter().map(|slot| slot.map(f32::from)));
     }
+    blocks
+}
 
+impl PanelRegion<'_> {
     /// The panel loop over one tile: per panel of [`PANEL_COLS`] weight
-    /// rows, every activation row folds all of them at once, and a mixed
-    /// GEMM writes `fold(normal) + fold(outlier)` once per element.
+    /// rows, activation rows fold all of them at once, [`ROW_BLOCK`] rows
+    /// at a time, and a mixed GEMM writes `fold(normal) + fold(outlier)`
+    /// once per element.
     fn panel_tile(&self, outlier: Option<&Self>, first: usize, tile: &mut [f32]) {
-        let rows_here = tile.len() / self.a_rows.max(1);
-        let a_n: Vec<_> = self.activation_rows().collect();
-        let a_o: Vec<_> = outlier.map(|r| r.activation_rows().collect()).unwrap_or_default();
-        let (mut p_n, mut p_o) = (Panel::default(), Panel::default());
+        let rows_here = tile.len() / self.act.rows().max(1);
+        let a_n: Vec<CodeRow<'_>> = self.act.iter_rows().collect();
+        let a_o: Vec<CodeRow<'_>> = outlier.map(|o| o.act.iter_rows().collect()).unwrap_or_default();
+        let (mut sw_n, mut sw_o) = (Vec::new(), Vec::new());
         for at in (0..rows_here).step_by(PANEL_COLS) {
             let width = PANEL_COLS.min(rows_here - at);
-            self.decode_panel(first + at, width, &mut p_n);
-            if let Some(r) = outlier {
-                r.decode_panel(first + at, width, &mut p_o);
+            let panel = (first + at) / PANEL_COLS;
+            self.panel_scales(first + at, width, &mut sw_n);
+            if let Some(o) = outlier {
+                o.panel_scales(first + at, width, &mut sw_o);
             }
             let mut runs: Vec<&mut [f32]> = tile
                 .chunks_exact_mut(rows_here.max(1))
                 .filter_map(|run| run.get_mut(at..at + width))
                 .collect();
-            let a_o = a_o.chunks(2).map(Some).chain(std::iter::repeat(None));
-            for ((runs, a_n), a_o) in runs.chunks_mut(2).zip(a_n.chunks(2)).zip(a_o) {
-                let Some(a_n) = row_pair(a_n) else { continue };
-                let mut acc = panel_fold(a_n, &p_n);
-                if let Some(a_o) = a_o.and_then(row_pair) {
-                    for (acc, o) in acc.iter_mut().zip(panel_fold(a_o, &p_o)) {
+            for (b, runs) in runs.chunks_mut(ROW_BLOCK).enumerate() {
+                let Some(rows) = row_block(&a_n, b * ROW_BLOCK) else { continue };
+                let mut acc = self.block(b, rows, (self.panels.panel(panel), &sw_n));
+                if let Some((o, rows)) = outlier.zip(row_block(&a_o, b * ROW_BLOCK)) {
+                    for (acc, o) in acc.iter_mut().zip(o.block(b, rows, (o.panels.panel(panel), &sw_o))) {
                         for (s, o) in acc.iter_mut().zip(o) {
                             *s += o;
                         }
@@ -521,40 +574,87 @@ impl Region<'_, f32> {
             }
         }
     }
-}
 
-/// Two activation rows for [`panel_fold`]: a pair as it is, a lone last
-/// row twice (its second result is dropped).
-fn row_pair<T: Copy>(rows: &[T]) -> Option<[T; 2]> {
-    Some([*rows.first()?, *rows.last()?])
-}
-
-/// Two activation rows' terms of a panel's [`PANEL_COLS`] outputs: steps
-/// ①–③ of Fig. 8 for 2 x 16 outputs at once, each weight code loaded once
-/// for both rows. Per group, 16 lane sums per row `gs[c] += a[t] * w[t][c]`
-/// start from `+0.0`; each is exactly output `c`'s integer `iacc` (an
-/// integer 0 comes out `+0.0`, as `0i32 as f32` does), so no output pays a
-/// horizontal reduction. Then `acc[c] += gs[c] * scale_a * scale_w[c]`,
-/// groups ascending from the value `Sum<f32>` starts at — the reference's
-/// fold, element for element.
-fn panel_fold(rows: [CodeRow<'_, f32>; 2], panel: &Panel) -> [[f32; PANEL_COLS]; 2] {
-    let [(a0, sa0), (a1, sa1)] = rows;
-    let mut acc = [[sum_start(); PANEL_COLS]; 2];
-    let groups = panel.codes.chunks_exact(LANES).zip(&panel.scales);
-    let a = a0.chunks_exact(LANES).zip(a1.chunks_exact(LANES));
-    for ((gw, sw), ((g0, g1), (&s0, &s1))) in groups.zip(a.zip(sa0.iter().zip(sa1))) {
-        // Exact: at most LANES products of at most 2^14 each, below 2^24
-        // (the `f32::MANTISSA_DIGITS` assertion beside MAX_ACC_K).
-        let [mut gs0, mut gs1] = [[0f32; PANEL_COLS]; 2];
-        for ((w, &x0), &x1) in gw.iter().zip(g0).zip(g1) {
-            for ((s0, s1), &y) in gs0.iter_mut().zip(gs1.iter_mut()).zip(w) {
-                *s0 += x0 * y;
-                *s1 += x1 * y;
+    /// Weight rows `first .. first + width`'s group scales, transposed to
+    /// `[group][column]` (lanes past the last row zero) into `out`.
+    fn panel_scales(&self, first: usize, width: usize, out: &mut Vec<[f32; PANEL_COLS]>) {
+        let n_groups = self.act.n_groups();
+        out.clear();
+        out.resize(n_groups, [0.0; PANEL_COLS]);
+        let rows = self.weight.scales().as_slice().get(first * n_groups..(first + width) * n_groups);
+        for (c, row) in rows.unwrap_or(&[]).chunks_exact(n_groups.max(1)).enumerate() {
+            for (group, &s) in out.iter_mut().zip(row) {
+                if let Some(lane) = group.get_mut(c) {
+                    *lane = s;
+                }
             }
         }
-        for ((acc, gs), scale_a) in acc.iter_mut().zip([gs0, gs1]).zip([s0, s1]) {
-            for ((o, s), &scale_w) in acc.iter_mut().zip(gs).zip(sw) {
-                *o += s * scale_a * scale_w;
+    }
+
+    /// [`panel_fold`] of row block `b` (its `rows`, for their scales)
+    /// against one panel, in this region's lanes.
+    fn block(
+        &self,
+        b: usize,
+        rows: [CodeRow<'_>; ROW_BLOCK],
+        panel: Panel<'_>,
+    ) -> [[f32; PANEL_COLS]; ROW_BLOCK] {
+        let (padded, per_block) = (self.act.padded(), self.act.n_groups() * self.act.padded() / LANES);
+        let codes = self.blocks.get(b * per_block..(b + 1) * per_block).unwrap_or(&[]);
+        let scales = rows.map(|(_, scales)| scales);
+        match self.lanes {
+            Lanes::I16 => panel_fold::<i16>((codes, scales), panel, padded),
+            Lanes::F32 => panel_fold::<f32>((codes, scales), panel, padded),
+        }
+    }
+}
+
+/// Activation rows `i .. i + ROW_BLOCK`, the last row repeated past the
+/// end (see [`row_blocks`]).
+fn row_block<T: Copy>(rows: &[T], i: usize) -> Option<[T; ROW_BLOCK]> {
+    let rest = rows.get(i..)?;
+    let last = *rest.get(..ROW_BLOCK).unwrap_or(rest).last()?;
+    Some(std::array::from_fn(|r| rest.get(r).copied().unwrap_or(last)))
+}
+
+/// [`ROW_BLOCK`] activation rows' terms of one panel's [`PANEL_COLS`]
+/// outputs: steps ①–③ of Fig. 8 for `4 x 16` outputs at once, each weight
+/// lane loaded once for all four rows. Per group, 16 lane sums per row
+/// `s[c] = s[c] + x[t] * w[t][c]` start from 0, `t` ascending; each is
+/// exactly output `c`'s integer `iacc` (`Lanes` picks lanes that hold every
+/// partial sum; an integer 0 comes out `+0.0`, as `0i32 as f32` does), so
+/// no output pays a horizontal reduction. Then `acc[c] += s[c] * scale_a *
+/// scale_w[c]`, groups ascending from the value `Sum<f32>` starts at — the
+/// reference's fold, element for element.
+///
+/// Never inlined, like [`GemmRegion::fold`]: inlined into the tile loop
+/// it measured 4–8 % slower.
+#[inline(never)]
+fn panel_fold<L: Lane>(
+    (blocks, scales_a): (&[RowBlock], [&[f32]; ROW_BLOCK]),
+    (codes, scales): Panel<'_>,
+    padded: usize,
+) -> [[f32; PANEL_COLS]; ROW_BLOCK] {
+    let mut acc = [[sum_start(); PANEL_COLS]; ROW_BLOCK];
+    let mut blocks = blocks.iter();
+    let mut row_scales = scales_a.map(<[f32]>::iter);
+    for (group, sw) in codes.chunks_exact(padded.max(1)).zip(scales) {
+        let mut sums = [[L::ZERO; PANEL_COLS]; ROW_BLOCK];
+        for (slots, xt) in group.chunks_exact(LANES).zip(blocks.by_ref()) {
+            for (w, x) in slots.iter().zip(xt) {
+                let w = w.map(L::from_code);
+                for (sums, &x) in sums.iter_mut().zip(x) {
+                    let x = L::from_act(x);
+                    for (s, &w) in sums.iter_mut().zip(&w) {
+                        *s = L::mac(*s, x, w);
+                    }
+                }
+            }
+        }
+        let scale_a = row_scales.each_mut().map(|s| s.next().copied().unwrap_or(0.0));
+        for ((acc, sums), scale_a) in acc.iter_mut().zip(&sums).zip(scale_a) {
+            for ((o, &s), &scale_w) in acc.iter_mut().zip(sums).zip(sw) {
+                *o += s.value() * scale_a * scale_w;
             }
         }
     }
@@ -572,33 +672,31 @@ fn sum_start() -> f32 {
 ///
 /// The reference streams the fully-unpacked weight matrix (`n*k` bytes)
 /// through the cache once per *activation row*; this kernel inverts the
-/// loop order so the packed weights (`n*k/2` bytes at INT4) stream exactly
-/// once per GEMM. Work parallelizes over blocks of [`KERNEL_ROW_BLOCK`]
-/// weight rows: block `b` owns weight rows `b*RB ..` and writes the
-/// exclusive span `tiles[b*RB*m ..]`, an `m x RB` tile of the output, so
-/// any thread count produces the same bytes. Below [`PANEL_MIN_ROWS`]
-/// activation rows, or when a group is wider than [`LANES`], a tile runs
-/// the per-output fold ([`Region::fold_tile`]); otherwise it runs column
-/// panels ([`Region::panel_tile`]).
+/// loop order so the weights stream exactly once per GEMM. Work
+/// parallelizes over blocks of [`KERNEL_ROW_BLOCK`] weight rows: block `b`
+/// owns weight rows `b*RB ..` and writes the exclusive span
+/// `tiles[b*RB*m ..]`, an `m x RB` tile of the output, so any thread count
+/// produces the same bytes. From [`PANEL_MIN_ROWS`] activation rows on, a
+/// tile runs column panels ([`PanelRegion::panel_tile`]) when every region
+/// carries its panels and its group sums fit exact lanes; otherwise it
+/// runs the per-output fold ([`GemmRegion::fold_tile`]).
 ///
 /// Bit-identity with [`mod@reference`] holds for both loops because (a)
 /// each per-group integer sum is exact — no `i32` overflow by the
-/// [`MAX_ACC_K`] cap, no `f32` rounding by the `LANES` bound beside it,
-/// and every code outside the group meets a zero — so its value is
-/// independent of evaluation order and of the padding; (b) each region's
-/// FP32 epilogue folds the per-group terms `sum * scale_a * scale_w` in
-/// the same ascending-group order from the same start as `sum::<f32>()`;
-/// and (c) the reference composition adds the outlier matrix as
-/// `out + 1.0 * outlier`, and `1.0 * x` is `x` exactly.
-fn gemm_sweep(normal: Operands<'_>, outlier: Option<Operands<'_>>) -> Matrix {
-    let (m, n) = (normal.0.rows(), normal.1.rows());
-    let panels = m >= PANEL_MIN_ROWS && normal.2 <= LANES && outlier.is_none_or(|o| o.2 <= LANES);
-    if panels {
-        let (normal, outlier) = (Region::<f32>::decode(normal), outlier.map(Region::decode));
-        tiled(m, n, |first, tile| normal.panel_tile(outlier.as_ref(), first, tile))
-    } else {
-        let (normal, outlier) = (Region::<i16>::decode(normal), outlier.map(Region::decode));
-        tiled(m, n, |first, tile| normal.fold_tile(outlier.as_ref(), first, tile))
+/// [`MAX_ACC_K`] cap, no `i16` wrap or `f32` rounding by the lane bounds
+/// beside it, and every code outside the group meets a zero — so its value
+/// is independent of evaluation order and of the padding; (b) each
+/// region's FP32 epilogue folds the per-group terms `sum * scale_a *
+/// scale_w` in the same ascending-group order from the same start as
+/// `sum::<f32>()`; and (c) the reference composition adds the outlier
+/// matrix as `out + 1.0 * outlier`, and `1.0 * x` is `x` exactly.
+fn gemm_sweep<'a>(normal: GemmRegion<'a>, outlier: Option<GemmRegion<'a>>) -> Matrix {
+    let (m, n) = (normal.act.rows(), normal.weight.rows());
+    let panels = |r: GemmRegion<'a>| r.panel_region().filter(|_| m >= PANEL_MIN_ROWS);
+    match (panels(normal), outlier.map(panels)) {
+        (Some(p), None) => tiled(m, n, |first, tile| p.panel_tile(None, first, tile)),
+        (Some(p), Some(Some(o))) => tiled(m, n, |first, tile| p.panel_tile(Some(&o), first, tile)),
+        _ => tiled(m, n, |first, tile| normal.fold_tile(outlier.as_ref(), first, tile)),
     }
 }
 
@@ -633,11 +731,12 @@ fn tiled(m: usize, n: usize, fill: impl Fn(usize, &mut [f32]) + Sync) -> Matrix 
 /// normal region (low-bit) and outlier region (INT8) separately; partial
 /// results sum in FP32.
 ///
-/// Pass `None` for the outlier pair when no outliers are kept. Runs the
-/// same sweep as [`fused_group_gemm`] over both regions at once on
-/// [`Pool::current`], one GEMM launch in telemetry. Every output element is
-/// written by one chunk, so no reduction ever races. Bit-identical to
-/// [`reference::mixed_gemm`].
+/// Pass `None` for the outlier pair when no outliers are kept. Decodes the
+/// activations into lanes and, for a call of [`PANEL_MIN_ROWS`] rows or
+/// more, lays the weights out panel-major, then runs [`lane_gemm`] — the
+/// same sweep over both regions at once on [`Pool::current`], one GEMM
+/// launch in telemetry. Every output element is written by one chunk, so
+/// no reduction ever races. Bit-identical to [`reference::mixed_gemm`].
 ///
 /// # Errors
 ///
@@ -648,35 +747,57 @@ pub fn mixed_gemm(
     w_normal: &GroupQuantized,
     outliers: Option<(&GroupQuantized, &GroupQuantized)>,
 ) -> Result<Matrix, KernelError> {
-    let Some((a_out, w_out)) = outliers else {
-        return fused_group_gemm(a_normal, w_normal);
+    let panels = |w| (a_normal.rows() >= PANEL_MIN_ROWS).then(|| WeightPanels::new(w));
+    let (a_n, p_n) = (ActivationLanes::decode(a_normal), panels(w_normal));
+    let outliers = outliers.map(|(a, w)| (ActivationLanes::decode(a), w, panels(w)));
+    let normal = GemmRegion {
+        act: &a_n,
+        weight: w_normal,
+        panels: p_n.as_ref(),
     };
-    let rows_agree = a_out.rows() == a_normal.rows() && w_out.rows() == w_normal.rows();
+    let outlier = outliers.as_ref().map(|(act, weight, panels)| GemmRegion {
+        act,
+        weight,
+        panels: panels.as_ref(),
+    });
+    lane_gemm(normal, outlier)
+}
+
+/// Mixed-precision GEMM over operands already in the kernel's layouts —
+/// what a quantized linear runs, with its activations quantized straight
+/// into lanes and its weights laid out panel-major once, when it was
+/// quantized. Bit-identical to [`mixed_gemm`] over the same codes and
+/// scales, and so to [`reference::mixed_gemm`].
+///
+/// # Errors
+///
+/// As [`mixed_gemm`].
+pub fn lane_gemm(normal: GemmRegion<'_>, outlier: Option<GemmRegion<'_>>) -> Result<Matrix, KernelError> {
+    let Some(outlier) = outlier else {
+        normal.validate()?;
+        let _launch = record_launch(normal.packed_bytes(), normal.act.rows());
+        return Ok(gemm_sweep(normal, None));
+    };
+    let rows_agree = outlier.act.rows() == normal.act.rows()
+        && outlier.weight.rows() == normal.weight.rows();
     // A region without channels contributes the empty sum; the sweep walks
     // decoded rows, so each region then runs alone and the results add.
-    if a_normal.cols() == 0 || a_out.cols() == 0 {
-        let mut out = fused_group_gemm(a_normal, w_normal)?;
+    if normal.act.cols() == 0 || outlier.act.cols() == 0 {
+        let mut out = lane_gemm(normal, None)?;
         if !rows_agree {
             return Err(region_rows_mismatch());
         }
-        let o = fused_group_gemm(a_out, w_out)?;
+        let o = lane_gemm(outlier, None)?;
         out.add_scaled_in_place(&o, 1.0);
         return Ok(out);
     }
-    let group_normal = shared_group(a_normal, w_normal)?;
+    normal.validate()?;
     if !rows_agree {
         return Err(region_rows_mismatch());
     }
-    let group_outlier = shared_group(a_out, w_out)?;
-    let bytes = [a_normal, w_normal, a_out, w_out]
-        .iter()
-        .map(|q| q.packed_bytes())
-        .sum();
-    let _launch = record_launch(bytes, a_normal.rows());
-    Ok(gemm_sweep(
-        (a_normal, w_normal, group_normal),
-        Some((a_out, w_out, group_outlier)),
-    ))
+    outlier.validate()?;
+    let _launch = record_launch(normal.packed_bytes() + outlier.packed_bytes(), normal.act.rows());
+    Ok(gemm_sweep(normal, Some(outlier)))
 }
 
 /// [`mixed_gemm`] with `pool` installed. Kept only for the serving
@@ -704,7 +825,7 @@ fn region_rows_mismatch() -> KernelError {
 /// [`mixed_gemm`] must reproduce bit for bit, on the caller thread. Tests
 /// call these by name; nothing on a serving path does.
 pub mod reference {
-    use super::{shared_group, region_rows_mismatch};
+    use super::{region_rows_mismatch, shape, shared_group};
     use crate::group::GroupQuantized;
     use crate::KernelError;
     use atom_tensor::Matrix;
@@ -732,7 +853,7 @@ pub mod reference {
     /// assert_eq!(oracle.as_slice(), kernel.as_slice()); // bit-identical, not approximate
     /// ```
     pub fn fused_group_gemm(a: &GroupQuantized, w: &GroupQuantized) -> Result<Matrix, KernelError> {
-        let group = shared_group(a, w)?;
+        let group = shared_group(shape(a), shape(w))?;
         let (m, n, k) = (a.rows(), w.rows(), a.cols());
         // Unpack both operands once, through the width-agnostic decode
         // alone: the reference shares no INT4/INT8 byte loop with the

@@ -16,7 +16,6 @@
 //! where one format feeds the INT4/INT8 tensor-core MMA.
 
 use crate::packed::PackedMatrix;
-use atom_parallel::Pool;
 use atom_tensor::f16::round_f16;
 use atom_tensor::Matrix;
 use serde::{Deserialize, Serialize};
@@ -153,122 +152,28 @@ pub struct GroupQuantized {
 }
 
 impl GroupQuantized {
-    /// Quantizes `x` row-wise with the paper's symmetric formula.
+    /// Quantizes `x` row-wise with the paper's symmetric formula: per row,
+    /// scales, then codes into a row buffer (the same row quantizer
+    /// [`ActivationLanes::quantize_gather`] runs), then one whole-byte
+    /// [`PackedMatrix::pack_row`].
+    ///
+    /// [`ActivationLanes::quantize_gather`]: crate::panel::ActivationLanes::quantize_gather
     ///
     /// # Panics
     ///
     /// Panics if the spec is invalid.
     pub fn quantize(x: &Matrix, spec: QuantSpec) -> Self {
-        Self::quantize_block(x, 0..x.rows(), None, spec)
-    }
-
-    /// Fused reorder + quantize (the epilogue of paper Fig. 8): quantizes
-    /// the matrix whose column `c` is `x`'s column `cols[c]`, reading `x`
-    /// through the index list instead of materializing the permuted copy.
-    ///
-    /// Rows split into one block per thread of [`Pool::current`]. Every row
-    /// quantizes independently (per-token dynamic quantization, §4.3), so
-    /// the blocks reassemble — packed payload via
-    /// [`PackedMatrix::append_rows`], scales via [`Matrix::vstack`], in
-    /// block order — into exactly the bytes the sequential quantizer
-    /// writes. The result is `==` to quantizing the permuted copy, for any
-    /// thread count.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use atom_kernels::{GroupQuantized, QuantSpec};
-    /// use atom_tensor::Matrix;
-    ///
-    /// let x = Matrix::from_rows(&[&[0.1, -0.5, 2.0, 0.7, 9.0]]);
-    /// let perm = [3, 0, 2, 4, 1];
-    /// let spec = QuantSpec::new(4, 2);
-    /// // The trailing two permuted channels, without building them first.
-    /// let fused = GroupQuantized::quantize_gather(&x, &perm[3..], spec);
-    /// let copied = GroupQuantized::quantize(&x.permute_cols(&perm).slice_cols(3, 5), spec);
-    /// assert_eq!(fused, copied);
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec is invalid or an index is `>= x.cols()`.
-    pub fn quantize_gather(x: &Matrix, cols: &[usize], spec: QuantSpec) -> Self {
-        assert!(
-            cols.iter().all(|&c| c < x.cols()),
-            "gather index out of range for {} columns",
-            x.cols()
-        );
-        let (rows, pool) = (x.rows(), Pool::current());
-        if pool.is_sequential() || rows <= 1 {
-            return Self::quantize_block(x, 0..rows, Some(cols), spec);
-        }
-        let block = rows.div_ceil(pool.threads().min(rows));
-        let starts: Vec<usize> = (0..rows).step_by(block).collect();
-        let Ok(blocks) = pool.par_map(&starts, |_, &s| {
-            Self::quantize_block(x, s..(s + block).min(rows), Some(cols), spec)
-        });
-        let mut out = Self::quantize_block(x, 0..0, Some(cols), spec);
-        for b in blocks {
-            out.values.append_rows(&b.values);
-            out.scales = out.scales.vstack(&b.scales);
-        }
-        out
-    }
-
-    /// The sequential quantizer every constructor funnels into: rows
-    /// `rows` of `x` (through `gather`'s column list when given), one row
-    /// at a time — scales, then codes into a row buffer, then one
-    /// whole-byte [`PackedMatrix::pack_row`].
-    fn quantize_block(
-        x: &Matrix,
-        rows: std::ops::Range<usize>,
-        gather: Option<&[usize]>,
-        spec: QuantSpec,
-    ) -> Self {
         #[expect(
             clippy::expect_used,
             reason = "documented `# Panics` contract: an invalid spec is a programmer error, not a data condition"
         )]
         spec.validate().expect("invalid quant spec");
-        let cols = gather.map_or(x.cols(), <[usize]>::len);
-        let group = spec.group.min(cols.max(1));
-        let levels = f32::from(code_levels(spec.bits));
-        let (qmin, qmax_pos) = code_range(spec.bits);
-
-        let mut values = PackedMatrix::zeros(rows.len(), cols, spec.bits);
-        let mut scales = Matrix::zeros(rows.len(), spec.groups_for(cols));
-        let mut gathered = vec![0.0f32; gather.map_or(0, <[usize]>::len)];
-        let mut codes = vec![0i8; cols];
-        for (out_r, r) in rows.enumerate() {
-            let row = match gather {
-                None => x.row(r),
-                Some(idx) => {
-                    let src = x.row(r);
-                    for (d, &c) in gathered.iter_mut().zip(idx) {
-                        // In range by the assert in `quantize_gather`.
-                        *d = src.get(c).copied().unwrap_or(0.0);
-                    }
-                    &gathered
-                }
-            };
-            // `chunks(group)` walks exactly the `n_groups` per-row groups
-            // (final chunk ragged), so the group index never leaves range.
-            for ((chunk, q_out), s_out) in row
-                .chunks(group)
-                .zip(codes.chunks_mut(group))
-                .zip(scales.row_mut(out_r))
-            {
-                let amax = chunk.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-                // Paper §2: s = 2 max|X| c / (2^n - 1).
-                let mut s = 2.0 * amax * spec.clip / levels;
-                if s <= 0.0 {
-                    s = 1.0; // all-zero group: any scale decodes to zeros
-                }
-                s = round_f16(s).max(f32::MIN_POSITIVE);
-                *s_out = s;
-                encode_group(chunk, s, qmin, qmax_pos, q_out);
-            }
-            values.pack_row(out_r, &codes);
+        let mut values = PackedMatrix::zeros(x.rows(), x.cols(), spec.bits);
+        let mut scales = Matrix::zeros(x.rows(), spec.groups_for(x.cols()));
+        let mut quantizer = RowQuantizer::new(spec, None);
+        for r in 0..x.rows() {
+            let codes = quantizer.row(x.row(r), scales.row_mut(r));
+            values.pack_row(r, codes);
         }
         GroupQuantized {
             spec,
@@ -429,6 +334,70 @@ impl GroupQuantized {
     /// quantization parameters).
     pub fn effective_bits(&self) -> f64 {
         8.0 * self.packed_bytes() as f64 / (self.rows() * self.cols()) as f64
+    }
+}
+
+/// The dynamic quantizer of one row — every constructor of a dynamically
+/// quantized operand ([`GroupQuantized::quantize`] and the GEMM's
+/// `ActivationLanes`) funnels into it, so they write the same codes and
+/// scales: the row (through `gather`'s column list when given) is read
+/// into a row buffer, then each group gets its scale and its codes.
+pub(crate) struct RowQuantizer<'a> {
+    spec: QuantSpec,
+    gather: Option<&'a [usize]>,
+    gathered: Vec<f32>,
+    codes: Vec<i8>,
+}
+
+impl<'a> RowQuantizer<'a> {
+    /// A quantizer for rows of `gather.len()` columns, or of the source
+    /// row's width without a gather (the buffers grow on first use).
+    pub(crate) fn new(spec: QuantSpec, gather: Option<&'a [usize]>) -> Self {
+        let cols = gather.map_or(0, <[usize]>::len);
+        RowQuantizer {
+            spec,
+            gather,
+            gathered: vec![0.0; cols],
+            codes: vec![0; cols],
+        }
+    }
+
+    /// Quantizes `src` (one source row), writes its group scales into
+    /// `scales` and returns its codes.
+    pub(crate) fn row(&mut self, src: &[f32], scales: &mut [f32]) -> &[i8] {
+        let spec = self.spec;
+        let row = match self.gather {
+            None => src,
+            Some(idx) => {
+                for (d, &c) in self.gathered.iter_mut().zip(idx) {
+                    // In range by the caller's index assert.
+                    *d = src.get(c).copied().unwrap_or(0.0);
+                }
+                &self.gathered
+            }
+        };
+        self.codes.resize(row.len(), 0);
+        let group = spec.group.min(row.len().max(1));
+        let levels = f32::from(code_levels(spec.bits));
+        let (qmin, qmax_pos) = code_range(spec.bits);
+        // `chunks(group)` walks exactly the `n_groups` per-row groups
+        // (final chunk ragged), so the group index never leaves range.
+        for ((chunk, q_out), s_out) in row
+            .chunks(group)
+            .zip(self.codes.chunks_mut(group))
+            .zip(scales)
+        {
+            let amax = chunk.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
+            // Paper §2: s = 2 max|X| c / (2^n - 1).
+            let mut s = 2.0 * amax * spec.clip / levels;
+            if s <= 0.0 {
+                s = 1.0; // all-zero group: any scale decodes to zeros
+            }
+            s = round_f16(s).max(f32::MIN_POSITIVE);
+            *s_out = s;
+            encode_group(chunk, s, qmin, qmax_pos, q_out);
+        }
+        &self.codes
     }
 }
 

@@ -58,21 +58,22 @@
 //!   [`gemm::MAX_ACC_K`], and a code fits an `i16` lane with a lane pair's
 //!   products inside `i32` — both proven by `const` assertions rustc
 //!   evaluates on every build.
-//! - **Column panels from [`gemm::PANEL_MIN_ROWS`] rows on.** With 16 or
-//!   more activation rows, 16 weight rows decode once per call into an
-//!   `f32` panel laid out code by column, and each pair of activation rows
-//!   accumulates all 16 outputs in `f32` lanes: a group's integer sum stays
-//!   below 2^18, so every lane sum is exact (one more `const` assertion),
-//!   and no output pays a horizontal reduction. Below the threshold the
-//!   transposed decode costs more than it saves, and the `i16` fold runs.
+//! - **Column panels from [`gemm::PANEL_MIN_ROWS`] rows on.** With 4 or
+//!   more activation rows, blocks of 4 rows accumulate 16 outputs at once
+//!   over [`WeightPanels`], a panel-major copy of the weight codes a
+//!   quantized linear builds once: each group sums in exact `i16` lanes
+//!   for INT4 x INT4 (a group of 16 reaches at most 1024) and `f32` lanes
+//!   for the INT8 outliers (below 2^24) — `const` assertions again — and
+//!   no output pays a horizontal reduction. Below 4 rows the `i16` fold
+//!   runs.
 //! - **The fused reorder + quantize epilogue.**
-//!   [`GroupQuantized::quantize_gather`] quantizes a region of an
-//!   activation straight through its slice of a reorder permutation (per
-//!   row: gather into a row buffer, one pass for scales and codes, one
-//!   [`PackedMatrix::pack_row`]) — the single epilogue Fig. 8 draws, with no
-//!   permuted copy. Its `clamp(round(x / s))` is branch-free float
-//!   arithmetic, exact against `f32::round` for every input, and shared with
-//!   the asymmetric KV quantizer.
+//!   [`ActivationLanes::quantize_gather`] quantizes a region of an
+//!   activation straight through its slice of a reorder permutation into
+//!   the GEMM's `i16` lanes (per row: gather into a row buffer, one pass
+//!   for scales and codes) — the single epilogue Fig. 8 draws, with no
+//!   permuted copy and no pack. Its `clamp(round(x / s))` is branch-free
+//!   float arithmetic, exact against `f32::round` for every input, and
+//!   shared with the asymmetric KV quantizer.
 //! - **Quantized KV in place.** Rows are byte-aligned, so
 //!   [`AsymQuantized::extend_rows`] quantizes each head's column block
 //!   straight from the row sub-slices onto the end of the head's payload,
@@ -109,12 +110,14 @@ pub mod attention;
 pub mod gemm;
 pub mod group;
 pub mod packed;
+pub mod panel;
 
 pub use asym::AsymQuantized;
 pub use attention::{attention_quant_kv, QuantizedKvHead};
-pub use gemm::{fused_group_gemm, mixed_gemm, mixed_gemm_with};
+pub use gemm::{fused_group_gemm, lane_gemm, mixed_gemm, mixed_gemm_with, GemmRegion};
 pub use group::{GroupQuantized, QuantSpec, MAX_BITS, MIN_BITS};
 pub use packed::PackedMatrix;
+pub use panel::{ActivationLanes, WeightPanels};
 
 /// Exists only for the report-header line frozen `benchmark/src/run.rs`
 /// prints (`KernelPath::current().label()`); there is one kernel per operator

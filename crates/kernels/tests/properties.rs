@@ -1,7 +1,9 @@
 //! Property-based tests of the kernel crate's quantization invariants.
 
-use atom_kernels::gemm::{fused_group_gemm, mixed_gemm, reference, reference_gemm, PANEL_MIN_ROWS};
-use atom_kernels::{AsymQuantized, GroupQuantized, PackedMatrix, QuantSpec};
+use atom_kernels::gemm::{
+    fused_group_gemm, lane_gemm, mixed_gemm, reference, reference_gemm, GemmRegion, PANEL_MIN_ROWS,
+};
+use atom_kernels::{ActivationLanes, AsymQuantized, GroupQuantized, PackedMatrix, QuantSpec, WeightPanels};
 use atom_parallel::Pool;
 use atom_tensor::Matrix;
 use proptest::prelude::*;
@@ -19,11 +21,12 @@ fn matrix(rows: std::ops::Range<usize>, cols: std::ops::Range<usize>) -> impl St
 /// the INT8 outlier region 10 or 32, every one at `group = min(16, k)`.
 const NORMAL_K: [usize; 4] = [6, 17, 118, 352];
 const OUTLIER_K: [usize; 2] = [10, 32];
-/// Activation row counts: decode, a ragged few, a batched decode step (six
-/// sequences, the benchmark's mean batch), one row block, either side of
-/// the panel loop's threshold (`PANEL_MIN_ROWS = 16`), prefill, and a
-/// whole prompt chunk.
-const SERVING_M: [usize; 9] = [1, 3, 6, 8, 15, 16, 17, 65, 128];
+/// Activation row counts: decode, either side of the panel loop's
+/// threshold (`PANEL_MIN_ROWS = 4`) and its first ragged row block, a
+/// batched decode step (six sequences, the benchmark's mean batch), whole
+/// row blocks, a 16-row chunk and its neighbours, prefill, and a whole
+/// prompt chunk.
+const SERVING_M: [usize; 12] = [1, 2, 3, 4, 5, 6, 8, 15, 16, 17, 65, 128];
 /// Weight row counts on both sides of the kernel's 32-row tile.
 const SERVING_N: [usize; 4] = [1, 31, 33, 70];
 
@@ -182,14 +185,14 @@ proptest! {
         threads in 2usize..=8,
         stress in 0u64..1 << 32,
     ) {
-        // Row-block quantization stitched with PackedMatrix::append_rows must
-        // reproduce the sequential packing byte-for-byte; the identity
-        // column list makes the gather a plain quantize.
+        // Row-block quantization into lanes, stitched on the caller, must
+        // reproduce the sequential quantizer's codes and scales exactly;
+        // the identity column list makes the gather a plain quantize.
         let spec = QuantSpec::new(bits, 8);
-        let seq = GroupQuantized::quantize(&m, spec);
+        let seq = ActivationLanes::decode(&GroupQuantized::quantize(&m, spec));
         let identity: Vec<usize> = (0..m.cols()).collect();
         for pool in pools([threads], stress) {
-            let par = pool.install(|| GroupQuantized::quantize_gather(&m, &identity, spec));
+            let par = pool.install(|| ActivationLanes::quantize_gather(&m, &identity, spec));
             prop_assert_eq!(&seq, &par, "{:?}", pool);
         }
     }
@@ -320,8 +323,8 @@ proptest! {
     ) {
         // The fused reorder+quantize epilogue: both regions of a random
         // permutation (odd widths included) quantized through the index
-        // list must be `==` — spec, packed bytes, scales — to quantizing
-        // the materialized `permute_cols(x).slice_cols(..)`.
+        // list into lanes must be `==` — codes, scales — to quantizing the
+        // materialized `permute_cols(x).slice_cols(..)`.
         let mut rng = atom_tensor::SeededRng::new(seed);
         let x = rng.normal_matrix(rows, cols, 0.0, 2.0);
         let mut perm: Vec<usize> = (0..cols).collect();
@@ -333,8 +336,8 @@ proptest! {
         let permuted = x.permute_cols(&perm);
         for pool in pools([threads], stress) {
             for (lo, hi) in [(0, split), (split, cols)] {
-                let fused = pool.install(|| GroupQuantized::quantize_gather(&x, &perm[lo..hi], spec));
-                let copied = GroupQuantized::quantize(&permuted.slice_cols(lo, hi), spec);
+                let fused = pool.install(|| ActivationLanes::quantize_gather(&x, &perm[lo..hi], spec));
+                let copied = ActivationLanes::decode(&GroupQuantized::quantize(&permuted.slice_cols(lo, hi), spec));
                 prop_assert_eq!(&fused, &copied, "{:?} columns {}..{}", pool, lo, hi);
             }
         }
@@ -459,21 +462,37 @@ proptest! {
 /// projection.
 const BENCH_REGIONS: [(usize, usize); 2] = [(118, 10), (352, 32)];
 
+/// Row counts of the row-independence oracle: the fold below the panel
+/// loop's threshold, row blocks of 4 whole and with a remainder, 15 / 16 /
+/// 17 around a 16-row chunk, and a whole prompt chunk.
+const ROW_INDEPENDENCE_M: [usize; 9] = [
+    PANEL_MIN_ROWS - 1,
+    PANEL_MIN_ROWS,
+    PANEL_MIN_ROWS + 1,
+    7,
+    8,
+    15,
+    16,
+    17,
+    128,
+];
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(32))]
     #[test]
     fn gemm_row_is_independent_of_the_rows_beside_it(
         seed in 0u64..1000,
         shape_idx in 0usize..BENCH_REGIONS.len(),
-        m_idx in 0usize..4,
+        m_idx in 0usize..ROW_INDEPENDENCE_M.len(),
         stress in 0u64..1 << 32,
     ) {
         // The stream rule chunked prefill and the golden self-check lean
         // on: row i of an m-row mixed GEMM is, bit for bit, the 1-row GEMM
         // of that row — whether the call runs the per-output fold or the
-        // panel loop, at pool width 1 and at width 2 under stress.
+        // panel loop, in a whole row block of 4 or a ragged last one, at
+        // pool width 1 and at width 2 under stress.
         let (k, o) = BENCH_REGIONS[shape_idx];
-        let m = [PANEL_MIN_ROWS - 1, PANEL_MIN_ROWS, PANEL_MIN_ROWS + 1, 128][m_idx];
+        let m = ROW_INDEPENDENCE_M[m_idx];
         let n = 40;
         let mut rng = atom_tensor::SeededRng::new(seed);
         let (x_n, x_o) = (rng.normal_matrix(m, k, 0.0, 1.0), rng.normal_matrix(m, o, 0.0, 20.0));
@@ -494,6 +513,82 @@ proptest! {
                     "row {} of {} at {:?}", i, m, pool
                 );
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+    #[test]
+    fn panel_weights_serve_the_bits_of_the_row_major_gemm(
+        seed in 0u64..1000,
+        shape_idx in 0usize..BENCH_REGIONS.len(),
+        m_idx in 0usize..SERVING_M.len(),
+        stress in 0u64..1 << 32,
+    ) {
+        // What a quantized linear runs — activations quantized straight
+        // into lanes through a column list, weights laid out panel-major
+        // once — against `mixed_gemm` over the packed row-major operands
+        // of the permuted input: the same bits, at widths 1 and 2 under
+        // stress.
+        let (k, o) = BENCH_REGIONS[shape_idx];
+        let (m, n) = (SERVING_M[m_idx], 40);
+        let mut rng = atom_tensor::SeededRng::new(seed);
+        let x = rng.normal_matrix(m, k + o, 0.0, 1.0);
+        let mut perm: Vec<usize> = (0..k + o).collect();
+        for i in (1..k + o).rev() {
+            perm.swap(i, rng.below(i + 1));
+        }
+        let (cols_n, cols_o) = perm.split_at(k);
+        let (spec_n, spec_o) = (QuantSpec::new(4, 16), QuantSpec::new(8, 16));
+        let (qw_n, qw_o) = (quantized(&mut rng, n, k, 0.5, 4), quantized(&mut rng, n, o, 0.5, 8));
+        let (p_n, p_o) = (WeightPanels::new(&qw_n), WeightPanels::new(&qw_o));
+        for pool in pools([1], stress) {
+            let packed = pool.install(|| {
+                let (a_n, a_o) = (
+                    GroupQuantized::quantize(&x.gather_cols(cols_n), spec_n),
+                    GroupQuantized::quantize(&x.gather_cols(cols_o), spec_o),
+                );
+                mixed_gemm(&a_n, &qw_n, Some((&a_o, &qw_o))).unwrap()
+            });
+            let lanes = pool.install(|| {
+                let (a_n, a_o) = (
+                    ActivationLanes::quantize_gather(&x, cols_n, spec_n),
+                    ActivationLanes::quantize_gather(&x, cols_o, spec_o),
+                );
+                let normal = GemmRegion { act: &a_n, weight: &qw_n, panels: Some(&p_n) };
+                let outlier = GemmRegion { act: &a_o, weight: &qw_o, panels: Some(&p_o) };
+                lane_gemm(normal, Some(outlier)).unwrap()
+            });
+            prop_assert_eq!(bits_of(&packed), bits_of(&lanes), "m = {} at {:?}", m, pool);
+        }
+    }
+}
+
+#[test]
+fn int4_worst_case_group_fits_i16_lanes() {
+    // Every code -8 against -8: a full group of 16 sums 16 x 2^6 = 1024,
+    // the largest integer an INT4 x INT4 group's `i16` lane sum reaches.
+    // At widths n = 24 and 40 (a panel and a half, two and a half: the
+    // last panel's lanes past the last row are padding), both loops (1
+    // row: per-output fold; PANEL_MIN_ROWS rows and one row more: i16
+    // panels with a ragged row block) return the reference's bits, and
+    // with unit scales the exact value.
+    let (k, spec) = (48, QuantSpec::new(4, 16));
+    let all_min = |rows: usize, scale: f32| {
+        let values = PackedMatrix::from_values(rows, k, 4, &vec![-8; rows * k]);
+        GroupQuantized::from_parts(spec, values, Matrix::full(rows, k / 16, scale))
+    };
+    for n in [24, 40] {
+        let w = all_min(n, 1.0);
+        for m in [1, PANEL_MIN_ROWS, PANEL_MIN_ROWS + 1] {
+            let a = all_min(m, 1.0);
+            let kernel = fused_group_gemm(&a, &w).unwrap();
+            assert_eq!(bits_of(&kernel), bits_of(&reference::fused_group_gemm(&a, &w).unwrap()));
+            assert!(kernel.as_slice().iter().all(|&v| v == 3.0 * 1024.0), "m = {m}, n = {n}");
+            let a = all_min(m, 0.013);
+            let kernel = fused_group_gemm(&a, &w).unwrap();
+            assert_eq!(bits_of(&kernel), bits_of(&reference::fused_group_gemm(&a, &w).unwrap()));
         }
     }
 }

@@ -423,7 +423,7 @@ fn skip_type_path(toks: &[Token], mut j: usize) -> Option<(usize, usize)> {
 /// shapes:
 ///
 /// 1. ascription — `name: [&] [mut] [path::]Ty<...>` (struct fields, fn
-///    parameters, typed `let`s);
+///    parameters, typed `let`s), or an array of it, `name: [Ty; N]`;
 /// 2. constructor inference — `let [mut] name = [path::]Ty::new(..)`
 ///    (also `with_capacity`, `default`, `from`);
 /// 3. statics — covered by shape 1 (`static NAME: Mutex<..>`).
@@ -497,6 +497,10 @@ pub fn type_bindings(lexed: &Lexed, tracked: &[&str]) -> Vec<TypeBinding> {
         while toks.get(j).is_some_and(|t| {
             t.text == "&" || t.text == "mut" || t.kind == TokKind::Lifetime
         }) {
+            j += 1;
+        }
+        // An array `[Ty; N]` binds its element type.
+        if toks.get(j).is_some_and(|t| t.text == "[") {
             j += 1;
         }
         let Some((last, _)) = skip_type_path(toks, j) else {
@@ -604,6 +608,16 @@ mod tests {
                 TypeBinding { name: "LOCK".into(), ty: "Mutex".into(), line: 6 },
             ]
         );
+    }
+
+    #[test]
+    fn type_bindings_from_array_ascriptions() {
+        let src = "fn f(cells: [Mutex<u8>; 4], all: &[HashSet<u32>], n: [usize; 2]) {}\n";
+        let lexed = lex(src);
+        let got = type_bindings(&lexed, TRACKED);
+        let names: Vec<(&str, &str)> =
+            got.iter().map(|b| (b.name.as_str(), b.ty.as_str())).collect();
+        assert_eq!(names, vec![("cells", "Mutex"), ("all", "HashSet")]);
     }
 
     #[test]

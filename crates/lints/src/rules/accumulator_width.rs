@@ -1,31 +1,38 @@
-//! Rule `accumulator-width`: every `i32`/`i64` reduction in a hot-path
-//! crate cites the compile-time proof that it cannot overflow.
+//! Rule `accumulator-width`: every `i32`/`i64` reduction and every `i16`
+//! lane accumulation in a hot-path crate cites the compile-time proof that
+//! it cannot overflow.
 //!
 //! The proof itself is a `const _: () = assert!(…);` item beside the
-//! constant that caps the reduction length (`MAX_ACC_K` in
+//! constant that caps the reduction (`MAX_ACC_K` and `I16_LANE_BOUND` in
 //! `kernels/src/gemm.rs`): rustc evaluates it on every build, so it cannot
 //! go stale. What rustc cannot see is *which* loops lean on it. This rule
 //! is that link, a presence check over tokens. In hot-crate production code
 //! each
 //!
 //! * `.sum::<i32|i64>()` / `.product::<i32|i64>()`,
-//! * `let x: i32|i64 = … .sum()|.product();`, and
-//! * `x += …` inside a `for`/`while`/`loop` body, for `x` ascribed
-//!   `i32`/`i64` anywhere in the file,
+//! * `let x: i32|i64 = … .sum()|.product();`,
+//! * `x += …` or `x[…] += …` inside a `for`/`while`/`loop` body, for `x`
+//!   ascribed `i16`/`i32`/`i64` (or an array of them) anywhere in the
+//!   file, and
+//! * `x.wrapping_add(…)` anywhere, for `x` ascribed `i16` (or `[i16; N]`)
+//!   — a narrow lane wraps silently, so its bound matters most,
 //!
 //! must carry `// bound: NAME` on a line of the statement or in the comment
 //! block directly above it, and `NAME` must be an identifier mentioned
 //! inside a `const _: () = assert!(…);` item of the same file. The lint
 //! checks that a proof is cited; rustc checks that it is true.
 
-use crate::lexer::{in_ranges, type_bindings, Lexed, TokKind, Token};
+use crate::lexer::{in_ranges, type_bindings, Lexed, TokKind, Token, TypeBinding};
 use crate::{FileCtx, Finding, RULE_ACCUMULATOR_WIDTH};
 
 /// Crates whose production code is on the serving hot path.
 pub const HOT_CRATES: &[&str] = &["atom-kernels", "atom", "atom-nn", "atom-tensor"];
 
-/// The accumulator types the rule audits.
+/// The reduction types the rule audits.
 const WIDE: &[&str] = &["i32", "i64"];
+
+/// The lane types whose accumulation the rule audits too.
+const LANE: &[&str] = &["i16"];
 
 pub fn check(
     ctx: &FileCtx,
@@ -38,13 +45,16 @@ pub fn check(
     }
     let toks = &lexed.tokens;
     let asserted = asserted_names(toks);
-    let wide_bindings = type_bindings(lexed, WIDE);
+    let accumulators = type_bindings(lexed, &[WIDE, LANE].concat());
+    let lanes = type_bindings(lexed, LANE);
+    let bound = |bindings: &[TypeBinding], at: Option<usize>| {
+        at.is_some_and(|at| bindings.iter().any(|b| b.name == toks[at].text))
+    };
     let in_loop = loop_body_mask(toks);
     for i in 0..toks.len() {
-        let accumulates = in_loop[i]
-            && is_plus_assign(toks, i)
-            && wide_bindings.iter().any(|b| b.name == toks[i].text);
-        if !accumulates && !is_wide_reduction(toks, i) {
+        let accumulates = in_loop[i] && bound(&accumulators, plus_assign_target(toks, i));
+        let wraps = bound(&lanes, wrapping_add_receiver(toks, i));
+        if !accumulates && !wraps && !is_wide_reduction(toks, i) {
             continue;
         }
         let line = toks[stmt_start(toks, i)].line;
@@ -54,10 +64,10 @@ pub fn check(
         let message = match cited_name(lexed, line, toks[i].line) {
             Some(name) if asserted.contains(&name) => continue,
             Some(name) => format!(
-                "`i32`/`i64` reduction cites `// bound: {name}`, but no \
+                "integer accumulation cites `// bound: {name}`, but no \
                  `const _: () = assert!(…);` in this file mentions `{name}`"
             ),
-            None => "`i32`/`i64` reduction without a `// bound: NAME` comment citing the \
+            None => "integer accumulation without a `// bound: NAME` comment citing the \
                      constant whose `const _: () = assert!(…);` proves it cannot overflow"
                 .to_string(),
         };
@@ -89,12 +99,40 @@ fn is_wide_reduction(toks: &[Token], i: usize) -> bool {
             && after(i, 3) == ["(", ")", ";"])
 }
 
-/// `x +=` at token `i`, `x` a plain binding (not a field).
-fn is_plus_assign(toks: &[Token], i: usize) -> bool {
-    toks[i].kind == TokKind::Ident
-        && text(toks, i + 1) == "+"
-        && text(toks, i + 2) == "="
-        && (i == 0 || text(toks, i - 1) != ".")
+/// The binding `x` of an `x +=` or `x[…] +=` whose `+=` follows token
+/// `i`, `x` a plain binding (not a field).
+fn plus_assign_target(toks: &[Token], i: usize) -> Option<usize> {
+    if text(toks, i + 1) != "+" || text(toks, i + 2) != "=" {
+        return None;
+    }
+    let mut at = i;
+    if text(toks, at) == "]" {
+        // Walk back over the balanced index expression.
+        let mut depth = 0usize;
+        loop {
+            match text(toks, at) {
+                "]" => depth += 1,
+                "[" => depth -= 1,
+                _ => {}
+            }
+            if depth == 0 {
+                break;
+            }
+            at = at.checked_sub(1)?;
+        }
+        at = at.checked_sub(1)?;
+    }
+    let plain = toks[at].kind == TokKind::Ident && (at == 0 || text(toks, at - 1) != ".");
+    plain.then_some(at)
+}
+
+/// The receiver `x` of an `x.wrapping_add(` at token `i` (`x` a plain
+/// binding).
+fn wrapping_add_receiver(toks: &[Token], i: usize) -> Option<usize> {
+    let call = text(toks, i) == "wrapping_add" && text(toks, i + 1) == "(";
+    let at = i.checked_sub(2).filter(|&at| call && text(toks, at + 1) == ".")?;
+    let plain = toks[at].kind == TokKind::Ident && (at == 0 || text(toks, at - 1) != ".");
+    plain.then_some(at)
 }
 
 /// Index of the first token of the statement holding token `i`: scan back

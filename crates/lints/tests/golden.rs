@@ -108,6 +108,21 @@ fn accumulator_width_fixture() {
 }
 
 #[test]
+fn accumulator_width_flags_bare_i16_lane_sums() {
+    // A `.wrapping_add` on an `i16` binding and a loop `+=` into an
+    // `[i16; N]` lane each need a citation; the cited ones and the `i32`
+    // wrapping add outside a loop stay clean.
+    let src = fixture("accumulator_width_i16_bad.rs");
+    let ctx = ctx("atom-kernels", "crates/kernels/src/fixture.rs", FileKind::Src);
+    let got = run(&src, &ctx);
+    let want = vec![
+        (RULE_ACCUMULATOR_WIDTH, 10), // bare `sum.wrapping_add`
+        (RULE_ACCUMULATOR_WIDTH, 24), // bare `s[c] +=` in a loop
+    ];
+    assert_eq!(got, want, "findings: {got:?}");
+}
+
+#[test]
 fn accumulator_width_is_scoped_to_hot_crates() {
     let src = fixture("accumulator_width_bad.rs");
     let ctx = ctx("atom-serve", "crates/serve/src/fixture.rs", FileKind::Src);
@@ -119,9 +134,10 @@ fn accumulator_width_is_scoped_to_hot_crates() {
 }
 
 /// The rule bites on the real kernel, not only on a fixture: the live
-/// `gemm.rs` is clean, has exactly four findings when its four
-/// `// bound:` lines are blanked, and the same four once the assertions
-/// name a different constant.
+/// `gemm.rs` is clean, has exactly five findings when its five
+/// `// bound:` lines are blanked (four `i32` reductions and the panel
+/// loop's `i16` lane sum), and the same five once the assertions name
+/// different constants.
 #[test]
 fn accumulator_width_flags_live_gemm_without_its_citations() {
     let path = "crates/kernels/src/gemm.rs";
@@ -138,10 +154,15 @@ fn accumulator_width_flags_live_gemm_without_its_citations() {
     let cited = (1..).zip(live.lines()).filter(|(_, l)| is_citation(l));
     let below = |(n, _): (usize, _)| (RULE_ACCUMULATOR_WIDTH, n + 1);
     let want: Vec<_> = cited.map(below).collect();
-    assert_eq!(want.len(), 4, "gemm.rs has four i32 reductions");
+    assert_eq!(want.len(), 5, "gemm.rs has four i32 reductions and one i16 lane sum");
     assert_eq!(got, want, "findings: {got:?}");
 
-    let renamed = live.replace("assert!((MAX_ACC_K", "assert!((OTHER_K");
+    let rename = |l: &str| match l.starts_with("const _: () =") {
+        true => l.replace("MAX_ACC_K", "OTHER_K").replace("I16_LANE_BOUND", "OTHER_BOUND"),
+        false => l.to_string(),
+    };
+    let renamed: Vec<String> = live.lines().map(rename).collect();
+    let renamed = renamed.join("\n");
     let got = run(&renamed, &ctx);
     assert_eq!(got, want, "findings: {got:?}");
 }

@@ -23,11 +23,38 @@ pub trait LinearLayer: std::fmt::Debug + Send + Sync {
     /// Applies the layer to a `tokens x in_features` activation matrix.
     fn forward(&self, x: &Matrix) -> Matrix;
 
+    /// Applies each of `layers` to one shared input `x` — to the rows of
+    /// `x` its row list names, in that order, or to every row without one
+    /// — and returns their outputs in order. The attention's Q/K/V and the
+    /// MLP's gate/up read one input each: a layer whose forward prepares
+    /// its input (Atom quantizes it) may prepare it once for all of them.
+    /// Each output is bit-identical to that layer's own
+    /// [`forward`](Self::forward) of its rows, which is what this default
+    /// body ([`forward_each`]) calls.
+    fn forward_shared(layers: &[(&Self, Option<&[usize]>)], x: &Matrix) -> Vec<Matrix>
+    where
+        Self: Sized,
+    {
+        forward_each(layers, x)
+    }
+
     /// Number of input features.
     fn in_features(&self) -> usize;
 
     /// Number of output features.
     fn out_features(&self) -> usize;
+}
+
+/// [`LinearLayer::forward_shared`] with nothing shared: each layer's own
+/// forward of its rows of `x`.
+pub fn forward_each<L: LinearLayer>(layers: &[(&L, Option<&[usize]>)], x: &Matrix) -> Vec<Matrix> {
+    layers
+        .iter()
+        .map(|&(layer, rows)| match rows {
+            Some(rows) => layer.forward(&x.gather_rows(rows)),
+            None => layer.forward(x),
+        })
+        .collect()
 }
 
 /// Dense FP32 linear layer storing its weight `out_features x in_features`.

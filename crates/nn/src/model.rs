@@ -173,9 +173,8 @@ impl<L: LinearLayer> Mlp<L> {
     /// expert of the layer read too; this observes the down projection's
     /// input.
     fn forward(&self, x: &Matrix, layer: usize, expert: usize, obs: &mut dyn ForwardObserver) -> Matrix {
-        let g = self.gate.forward(x).map(ops::silu);
-        let u = self.up.forward(x);
-        let h = g.hadamard(&u);
+        let [g, u] = outputs(L::forward_shared(&[(&self.gate, None), (&self.up, None)], x));
+        let h = g.map(ops::silu).hadamard(&u);
         let did = LinearId {
             layer,
             proj: Proj::Down,
@@ -184,6 +183,14 @@ impl<L: LinearLayer> Mlp<L> {
         obs.observe(did, &h);
         self.down.forward(&h)
     }
+}
+
+/// The `N` outputs of a [`LinearLayer::forward_shared`] call over `N`
+/// layers.
+fn outputs<const N: usize>(outs: Vec<Matrix>) -> [Matrix; N] {
+    outs.try_into().unwrap_or_else(|outs: Vec<Matrix>| {
+        panic!("forward_shared gave {} outputs for {N} layers", outs.len())
+    })
 }
 
 /// Feed-forward section: a dense SwiGLU MLP or a softly routed MoE.
@@ -681,12 +688,13 @@ impl<L: LinearLayer> LlamaModel<L> {
         let attn = &self.blocks[layer].attn;
 
         obs.observe(LinearId::new(layer, Proj::Q), x);
-        let (mut q, queries) = match tail {
-            Some(tail) => (attn.wq.forward(&x.gather_rows(&tail.index)), &tail.layout),
-            None => (attn.wq.forward(x), rows),
-        };
-        let mut k = attn.wk.forward(x);
-        let v = attn.wv.forward(x);
+        // Q/K/V read one input; with a `tail`, Q reads only its rows.
+        let q_rows = tail.map(|tail| tail.index.as_slice());
+        let queries = tail.map_or(rows, |tail| &tail.layout);
+        let [mut q, mut k, v] = outputs(L::forward_shared(
+            &[(&attn.wq, q_rows), (&attn.wk, None), (&attn.wv, None)],
+            x,
+        ));
 
         ops::rope_in_place(&mut q, &queries.positions, hd, c.rope_theta);
         ops::rope_in_place(&mut k, &rows.positions, hd, c.rope_theta);

@@ -104,13 +104,48 @@ pub fn f16_bits_to_f32(bits: u16) -> f32 {
 /// This is how the reproduction models "FP16" tensors: values are stored and
 /// computed in f32 but snapped to the f16 grid wherever the paper keeps FP16
 /// data (e.g. group scales, outlier channels before the INT8 refinement).
+///
+/// Every dynamic activation group rounds its scale through here, so the
+/// common case takes a shortcut: a magnitude in `[2^-14, 2^15)` is an f16
+/// normal before and after rounding, and rounding its 23-bit mantissa to
+/// f16's 10 bits, ties to even, is one add and one mask on its bits (a
+/// carry out of the mantissa steps the exponent, as it should). That range
+/// was swept exhaustively, both signs, against the encode + decode pair,
+/// which every other value still takes.
 pub fn round_f16(v: f32) -> f32 {
+    let bits = v.to_bits();
+    if (F16_MIN_NORMAL_BITS..F16_SHORTCUT_END_BITS).contains(&(bits & 0x7FFF_FFFF)) {
+        let rounded = bits + 0x0FFF + ((bits >> 13) & 1);
+        return f32::from_bits(rounded & !0x1FFF);
+    }
     f16_bits_to_f32(f32_to_f16_bits(v))
 }
+
+/// `2^-14`, the smallest f16 normal, as `f32` bits.
+const F16_MIN_NORMAL_BITS: u32 = 0x3880_0000;
+/// `2^15` as `f32` bits: below it, rounding up stays inside f16's range.
+const F16_SHORTCUT_END_BITS: u32 = 0x4700_0000;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn round_f16_shortcut_equals_encode_decode() {
+        // The shortcut's range, a stride through it (the full sweep is too
+        // slow for a debug test) plus every boundary and tie near its ends,
+        // both signs.
+        let (lo, hi) = (F16_MIN_NORMAL_BITS, F16_SHORTCUT_END_BITS);
+        let edges = [lo - 2, lo - 1, lo, lo + 1, lo + 0x1000, lo + 0x2000, hi - 0x1001, hi - 0x1000, hi - 1, hi, hi + 1];
+        let ties = (0..64u32).map(|i| lo + (i << 13) + 0x1000).chain((0..64).map(|i| hi - (i << 13) - 0x1000));
+        for bits in (lo..hi).step_by(997).chain(edges).chain(ties) {
+            for sign in [0, 0x8000_0000] {
+                let v = f32::from_bits(bits | sign);
+                let slow = f16_bits_to_f32(f32_to_f16_bits(v));
+                assert_eq!(round_f16(v).to_bits(), slow.to_bits(), "{v:e}");
+            }
+        }
+    }
 
     #[test]
     fn exact_small_integers_roundtrip() {
