@@ -15,7 +15,7 @@
 //! (`group: usize::MAX`), clipping on or off.
 
 use crate::calibrate::ReorderPlan;
-use crate::gptq::{gptq_quantize_with, rtn_quantize, GptqConfig, GptqHessian, QuantizedWeight};
+use crate::gptq::{gptq_quantize_with, rtn_quantize, GptqConfig, GptqHessian};
 use crate::pipeline::AtomScheme;
 use atom_kernels::gemm::{lane_gemm, GemmRegion};
 use atom_kernels::{ActivationLanes, GroupQuantized, QuantSpec, WeightPanels};
@@ -57,10 +57,9 @@ use std::borrow::Cow;
 #[derive(Debug, Clone)]
 pub struct QuantizedLinear {
     plan: ReorderPlan,
-    weight: QuantizedWeight,
-    /// `weight`'s regions laid out panel-major, as the GEMM's panel loop
-    /// reads them (normal, integer outlier): a derived copy, built once
-    /// here; `weight` stays the canonical form.
+    /// The integer weights (normal region, INT8 outlier region), laid out
+    /// panel-major as the GEMM reads them: the only copy kept of GPTQ's or
+    /// RTN's output.
     panels: (WeightPanels, Option<WeightPanels>),
     /// FP16-rounded outlier weights when the outliers stay FP16.
     weight_fp_outlier: Option<Matrix>,
@@ -108,6 +107,19 @@ impl InputQuantization {
 /// GPTQ's dampening fraction for every Atom linear.
 const GPTQ_DAMP: f64 = 0.01;
 
+/// How GPTQ or RTN rounds a linear's integer-quantized weight channels
+/// under `scheme`, reordered by `plan`.
+fn weight_config(plan: &ReorderPlan, scheme: &AtomScheme) -> GptqConfig {
+    let n_out = plan.n_outliers();
+    let outlier = scheme.outlier_bits.map(|bits| QuantSpec::new(bits, scheme.group));
+    GptqConfig {
+        normal: QuantSpec::new(scheme.bits, scheme.group).with_clip(scheme.clip_w),
+        outlier: outlier.filter(|_| n_out > 0),
+        n_outliers: if outlier.is_some() { n_out } else { 0 },
+        damp: GPTQ_DAMP,
+    }
+}
+
 /// Leading channels of the reordered input that quantize to integers:
 /// all of them, unless the outliers stay FP16.
 fn quantized_channels(plan: &ReorderPlan, scheme: &AtomScheme) -> usize {
@@ -152,7 +164,6 @@ impl QuantizedLinear {
         let k = dense.in_features();
         assert_eq!(plan.channels(), k, "reorder plan width mismatch");
         assert_eq!(input.hessian.is_some(), scheme.use_gptq, "input built under another scheme");
-        let n_out = plan.n_outliers();
         let w_reordered = plan.reorder_weight(dense.weight());
         let outlier = scheme
             .outlier_bits
@@ -166,12 +177,7 @@ impl QuantizedLinear {
             fp
         });
 
-        let gptq_cfg = GptqConfig {
-            normal: QuantSpec::new(scheme.bits, scheme.group).with_clip(scheme.clip_w),
-            outlier: outlier.filter(|_| n_out > 0),
-            n_outliers: if outlier.is_some() { n_out } else { 0 },
-            damp: GPTQ_DAMP,
-        };
+        let gptq_cfg = weight_config(&plan, scheme);
         let w_quant_region = w_reordered.slice_cols(0, quant_cols);
         let weight = match &input.hessian {
             Some(hessian) => gptq_quantize_with(&w_quant_region, hessian, &gptq_cfg),
@@ -184,7 +190,6 @@ impl QuantizedLinear {
                 WeightPanels::new(&weight.normal),
                 weight.outlier.as_ref().map(WeightPanels::new),
             ),
-            weight,
             weight_fp_outlier: fp_outlier,
             act_normal: QuantSpec::new(scheme.act_bits, scheme.group).with_clip(scheme.clip_a),
             act_outlier: outlier,
@@ -232,10 +237,11 @@ impl QuantizedLinear {
         &self.plan
     }
 
-    /// Real memory footprint of the stored weights, in bytes.
+    /// Packed footprint of the weights, in bytes: the integer regions as
+    /// bit-packed codes with f16 scales, and the FP16 outliers.
     pub fn weight_bytes(&self) -> usize {
-        let mut bytes = self.weight.normal.packed_bytes();
-        if let Some(o) = &self.weight.outlier {
+        let mut bytes = self.panels.0.packed_bytes();
+        if let Some(o) = &self.panels.1 {
             bytes += o.packed_bytes();
         }
         if let Some(fp) = &self.weight_fp_outlier {
@@ -368,16 +374,14 @@ impl QuantizedLinear {
     fn gemm(&self, input: &Operand) -> Matrix {
         let normal = GemmRegion {
             act: &input.normal,
-            weight: &self.weight.normal,
-            panels: Some(&self.panels.0),
+            panels: &self.panels.0,
         };
         match &input.outlier {
             OutlierOperand::None => lane_gemm(normal, None).expect("shape-checked"),
             OutlierOperand::Int(act) => {
                 let outlier = GemmRegion {
                     act,
-                    weight: self.weight.outlier.as_ref().expect("outlier weights"),
-                    panels: self.panels.1.as_ref(),
+                    panels: self.panels.1.as_ref().expect("outlier weights"),
                 };
                 lane_gemm(normal, Some(outlier)).expect("shape-checked")
             }
@@ -536,7 +540,8 @@ mod tests {
     #[test]
     fn fused_epilogue_matches_the_copying_pipeline_bit_for_bit() {
         // forward() quantizes through the permutation; the definition it
-        // replaces permutes, slices and quantizes copies. Same output bits,
+        // replaces permutes, slices and quantizes copies, and multiplies
+        // them against the row-major weights RTN rounds. Same output bits,
         // at an odd width (37 = 32 normal + 5 outlier channels), for INT8
         // outliers, no outliers and static scales.
         let mut rng = SeededRng::new(7);
@@ -551,15 +556,17 @@ mod tests {
                 Some(s) => GroupQuantized::quantize_with_shared_scales(m, spec, s),
                 None => GroupQuantized::quantize(m, spec),
             };
+            let w = q.plan.reorder_weight(dense.weight()).slice_cols(0, quantized_channels(&q.plan, &rtn()));
+            let w = rtn_quantize(&w, &weight_config(&q.plan, &rtn()));
             let statics = q.act_static.as_ref();
             let qa_n = quant(&xp.slice_cols(0, k_normal), q.act_normal, statics.map(|s| &s.0));
             if q.plan.n_outliers() == 0 {
-                return mixed_gemm(&qa_n, &q.weight.normal, None).expect("shapes agree");
+                return mixed_gemm(&qa_n, &w.normal, None).expect("shapes agree");
             }
             let spec_o = q.act_outlier.expect("INT8 outliers");
             let qa_o = quant(&xp.slice_cols(k_normal, k), spec_o, statics.map(|s| &s.1));
-            let w_o = q.weight.outlier.as_ref().expect("outlier weights");
-            mixed_gemm(&qa_n, &q.weight.normal, Some((&qa_o, w_o))).expect("shapes agree")
+            let w_o = w.outlier.as_ref().expect("outlier weights");
+            mixed_gemm(&qa_n, &w.normal, Some((&qa_o, w_o))).expect("shapes agree")
         };
 
         let plan = ReorderPlan::from_outlier_set(k, &[30, 2, 11, 36, 17]);
@@ -578,8 +585,8 @@ mod tests {
         // on the tail rows alone); layers that quantize it differently —
         // FP16 outliers, static scales, another plan — fall back to their
         // own forwards. Either way each output is that layer's forward of
-        // its rows, bit for bit, at an odd width and at row counts either
-        // side of the GEMM's panel threshold.
+        // its rows, bit for bit, at an odd width and at row counts whose
+        // last GEMM row block holds 1, 3 and 4 rows.
         let mut rng = SeededRng::new(11);
         let k = 37;
         let plan = ReorderPlan::from_outlier_set(k, &[30, 2, 11, 36, 17]);
@@ -663,8 +670,8 @@ mod tests {
     /// Pins the offline pass to the bits it produced before its loops were
     /// restructured for speed: every linear's calibration Gram (the
     /// calibration forward and the Gram, as `f64` bits), then every
-    /// quantized linear's packed codes and f16 scales (what is served), in
-    /// the model's linear order. GPTQ's factorisations reach the codes only
+    /// quantized linear's codes and f16 scales (what is served, read back
+    /// row-major from its panels), in the model's linear order. GPTQ's factorisations reach the codes only
     /// where a rounding flips; `gptq`'s oracle tests pin their bits directly.
     #[test]
     fn w4a4_quantization_of_a_zoo_model_is_pinned() {
@@ -689,7 +696,8 @@ mod tests {
             let AnyLinear::Atom(q) = l else {
                 panic!("W4A4 quantizes every linear");
             };
-            for region in std::iter::once(&q.weight.normal).chain(&q.weight.outlier) {
+            for region in std::iter::once(&q.panels.0).chain(&q.panels.1) {
+                let region = region.row_major();
                 weights.extend(region.values().unpack().iter().map(|&c| c.to_le_bytes()[0]));
                 let scales = region.scales().as_slice().iter();
                 weights.extend(scales.flat_map(|s| s.to_bits().to_le_bytes()));

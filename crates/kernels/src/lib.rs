@@ -8,10 +8,9 @@
 //!   INT4 packs two values per byte exactly like the GPU layout).
 //! - [`group`] — symmetric per-group quantized tensors with f16 scales: the
 //!   operand format of Atom's fused GEMM (paper §4.2).
-//! - [`gemm`] — integer GEMM with i32 accumulation, the fused
-//!   group-dequantization GEMM of Fig. 8, and the mixed-precision GEMM that
-//!   multiplies the INT4 normal region and the INT8 outlier region
-//!   separately and sums in FP32.
+//! - [`gemm`] — the fused group-dequantization GEMM of Fig. 8, which as
+//!   the mixed-precision GEMM multiplies the INT4 normal region and the
+//!   INT8 outlier region separately and sums in FP32.
 //! - [`asym`] — asymmetric per-row quantized containers used by the
 //!   KV-cache (paper §4.4).
 //! - [`attention`] — self-attention over quantized KV with the
@@ -44,28 +43,22 @@
 //!   [`PackedMatrix::unpack_rows`] decodes a whole block in one sweep.
 //!   [`PackedMatrix::pack_row`] is the write side: whole-byte stores, pad
 //!   bits 0.
-//! - **Fixed-width MACs on `i16` lanes, one sweep over the weights.**
-//!   Activation groups are zero-padded to a multiple of 16 codes, so every
-//!   multiply-accumulate is a whole `[i16; 16]` block, and the packed
-//!   weights stream once per GEMM in tiles of
-//!   [`atom_parallel::KERNEL_ROW_BLOCK`] rows, both precision regions of a
-//!   mixed GEMM in the same pass ([`gemm`] has the details). Both operands
-//!   decode straight into `i16` lanes, so the inner loop is two packed
-//!   multiply-adds (`pmaddwd`) with no sign extension; the decode is paid
-//!   once per weight block and shared by every activation row, which the
-//!   serving engine's batched forwards make many. Each per-group `i32` sum
-//!   needs no further widening because reductions are capped at
-//!   [`gemm::MAX_ACC_K`], and a code fits an `i16` lane with a lane pair's
-//!   products inside `i32` — both proven by `const` assertions rustc
-//!   evaluates on every build.
-//! - **Column panels from [`gemm::PANEL_MIN_ROWS`] rows on.** With 4 or
-//!   more activation rows, blocks of 4 rows accumulate 16 outputs at once
-//!   over [`WeightPanels`], a panel-major copy of the weight codes a
-//!   quantized linear builds once: each group sums in exact `i16` lanes
-//!   for INT4 x INT4 (a group of 16 reaches at most 1024) and `f32` lanes
-//!   for the INT8 outliers (below 2^24) — `const` assertions again — and
-//!   no output pays a horizontal reduction. Below 4 rows the `i16` fold
-//!   runs.
+//! - **One loop over weight panels, in exact lanes, one sweep over the
+//!   weights.** A quantized linear stores its weights once, panel-major
+//!   ([`WeightPanels`]: 16 weight rows code slot by code slot, and their
+//!   group scales `[group][column]`), and the GEMM streams them once per
+//!   call in tiles of [`atom_parallel::KERNEL_ROW_BLOCK`] rows, both
+//!   precision regions of a mixed GEMM in the same pass ([`gemm`] has the
+//!   details). Activation groups are zero-padded to a multiple of 16 codes,
+//!   so every group is whole 16-slot blocks. Blocks of 4 activation rows
+//!   (the last 1–3 rows as one block of that many) accumulate a panel's 16
+//!   outputs at once in lanes that hold each group sum exactly: `i16` for
+//!   INT4 x INT4 (a group of 16 reaches at most 1024), `f32` for the INT8
+//!   outliers (below 2^24) and `i32` past that (groups are capped at
+//!   [`gemm::MAX_ACC_K`]) — `const` assertions rustc evaluates on every
+//!   build — so no output pays a horizontal reduction. The `i16` lanes add
+//!   with `saturating_add`, which never saturates under the bound and lets
+//!   the compiler vectorise across the 16 columns at one row too.
 //! - **The fused reorder + quantize epilogue.**
 //!   [`ActivationLanes::quantize_gather`] quantizes a region of an
 //!   activation straight through its slice of a reorder permutation into
@@ -81,13 +74,8 @@
 //!   KV append costs the new rows only and a prefix-hit truncation costs
 //!   nothing.
 //!
-//! Tried and not adopted: blocking several activation rows per decoded
-//! weight group in the `i16` fold (the compiler stops recognising the dot
-//! product; the `f32` panels share each weight load between two rows). The `i16`
-//! lanes — 1.4–2.0x faster at `m >= 6`, no change at `m = 1` — were held
-//! back until batched forwards made `m > 1` the serving case. DESIGN.md §3.11
-//! argues why kernel and reference are bit-identical at any pool width;
-//! EXPERIMENTS.md has the measurements.
+//! DESIGN.md §3.11 argues why kernel and reference are bit-identical at any
+//! pool width; EXPERIMENTS.md has the measurements.
 
 #![warn(missing_docs)]
 // The kernels sit under the engine's forward path, so they inherit the
@@ -114,7 +102,7 @@ pub mod panel;
 
 pub use asym::AsymQuantized;
 pub use attention::{attention_quant_kv, QuantizedKvHead};
-pub use gemm::{fused_group_gemm, lane_gemm, mixed_gemm, mixed_gemm_with, GemmRegion};
+pub use gemm::{lane_gemm, mixed_gemm, mixed_gemm_with, GemmRegion};
 pub use group::{GroupQuantized, QuantSpec, MAX_BITS, MIN_BITS};
 pub use packed::PackedMatrix;
 pub use panel::{ActivationLanes, WeightPanels};

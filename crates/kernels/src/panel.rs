@@ -1,17 +1,18 @@
-//! The W4A4 GEMM's operands in the layouts its inner loops read.
+//! The W4A4 GEMM's operands in the layouts its inner loop reads.
 //!
 //! [`ActivationLanes`] holds one region's activations as `i16` codes, every
 //! quantization group zero-padded to a whole number of [`LANES`]-code
 //! blocks, plus their `f32` scales — quantized straight into that form, or
-//! decoded from a [`GroupQuantized`]. [`WeightPanels`] is a derived,
-//! panel-major copy of one region's weight codes, built once when a linear
-//! is quantized: runs of [`PANEL_COLS`] weight rows stored code slot by
-//! code slot, so a panel's 16 outputs read one contiguous 16-code vector
-//! per slot. The row-major [`GroupQuantized`] stays the canonical form
-//! (and keeps the weight scales); both types here are views of it the
-//! kernels can stream without a decode.
+//! decoded from a [`GroupQuantized`]. [`WeightPanels`] holds one region's
+//! weights panel-major, laid out once when a linear is quantized: runs of
+//! [`PANEL_COLS`] weight rows stored code slot by code slot, so a panel's
+//! 16 outputs read one contiguous 16-code vector per slot, and its group
+//! scales `[group][column]` beside them. It is the quantized linear's only
+//! weight form; [`WeightPanels::row_major`] reads the row-major
+//! [`GroupQuantized`] it was laid out from back out of it.
 
 use crate::group::{GroupQuantized, QuantSpec, RowQuantizer};
+use crate::packed::PackedMatrix;
 use atom_parallel::Pool;
 use atom_tensor::Matrix;
 
@@ -229,23 +230,26 @@ impl ActivationLanes {
         self.padded
     }
 
-    /// Every row's codes and scales, in row order. (An empty region —
-    /// `k = 0` — yields no rows.)
-    pub(crate) fn iter_rows(&self) -> impl Iterator<Item = (&[i16], &[f32])> {
-        self.codes
-            .chunks_exact(self.row_width().max(1))
-            .zip(self.scales.chunks_exact(self.n_groups.max(1)))
+    /// Every row's codes, in row order. (An empty region — `k = 0` —
+    /// yields no rows.)
+    pub(crate) fn iter_rows(&self) -> impl Iterator<Item = &[i16]> {
+        self.codes.chunks_exact(self.row_width().max(1))
+    }
+
+    /// Every row's group scales, row after row: row `i`'s at `i *
+    /// n_groups ..`.
+    pub(crate) fn scales(&self) -> &[f32] {
+        &self.scales
     }
 }
 
-/// A derived, panel-major copy of one region's weight codes: weight rows
-/// in panels of [`PANEL_COLS`], each panel stored group by group and,
-/// inside a group, code slot by code slot, one `i8` lane per row —
+/// One region's weights, panel-major: weight rows in panels of
+/// [`PANEL_COLS`], each panel stored group by group and, inside a group,
+/// code slot by code slot, one `i8` lane per row —
 /// `codes[(p * n_groups + g) * padded + t][c]` is code `t` of group `g` of
-/// weight row `p * PANEL_COLS + c`. Slots past a group's real codes and
-/// lanes past the last row hold zero codes. The scales are not copied: the
-/// GEMM reads a panel's from the canonical [`GroupQuantized`], once per
-/// panel per call, which keeps the copy at one byte per code.
+/// weight row `p * PANEL_COLS + c` — and each panel's group scales beside
+/// its codes, `scales[p * n_groups + g][c]`. Slots past a group's real
+/// codes and lanes past the last row hold zero codes and zero scales.
 ///
 /// # Example
 ///
@@ -257,18 +261,20 @@ impl ActivationLanes {
 /// let w = GroupQuantized::quantize(&Matrix::full(20, 24, 0.5), QuantSpec::new(4, 16));
 /// let panels = WeightPanels::new(&w);
 /// assert_eq!((panels.rows(), panels.cols()), (20, 24));
-/// // 2 panels x 2 groups x 16 slots x 16 lanes.
-/// assert_eq!(panels.bytes(), 2 * 2 * 16 * 16);
+/// // The bytes the packed row-major form stores, and that form read back.
+/// assert_eq!(panels.packed_bytes(), w.packed_bytes());
+/// assert_eq!(panels.row_major(), w);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct WeightPanels {
-    bits: u8,
+    spec: QuantSpec,
     rows: usize,
     cols: usize,
     group: usize,
     n_groups: usize,
     padded: usize,
     codes: Vec<[i8; PANEL_COLS]>,
+    scales: Vec<[f32; PANEL_COLS]>,
 }
 
 impl WeightPanels {
@@ -280,8 +286,10 @@ impl WeightPanels {
         let padded = group.next_multiple_of(LANES);
         let n_panels = rows.div_ceil(PANEL_COLS);
         let mut codes = vec![[0i8; PANEL_COLS]; n_panels * n_groups * padded];
+        let mut scales = vec![[0f32; PANEL_COLS]; n_panels * n_groups];
         let mut row = vec![0i8; cols];
-        for (p, p_codes) in codes.chunks_exact_mut((n_groups * padded).max(1)).enumerate() {
+        let panels = codes.chunks_exact_mut((n_groups * padded).max(1));
+        for (p, (p_codes, p_scales)) in panels.zip(scales.chunks_exact_mut(n_groups.max(1))).enumerate() {
             for c in 0..PANEL_COLS.min(rows - p * PANEL_COLS) {
                 let r = p * PANEL_COLS + c;
                 w.values().unpack_row(r, &mut row);
@@ -293,17 +301,45 @@ impl WeightPanels {
                         }
                     }
                 }
+                for (group, &s) in p_scales.iter_mut().zip(w.scales().row(r)) {
+                    if let Some(lane) = group.get_mut(c) {
+                        *lane = s;
+                    }
+                }
             }
         }
         WeightPanels {
-            bits: w.spec().bits,
+            spec: w.spec(),
             rows,
             cols,
             group,
             n_groups,
             padded,
             codes,
+            scales,
         }
+    }
+
+    /// The row-major [`GroupQuantized`] these panels were laid out from:
+    /// the same codes and scales, read back lane by lane.
+    pub fn row_major(&self) -> GroupQuantized {
+        let mut values = PackedMatrix::zeros(self.rows, self.cols, self.spec.bits);
+        let mut scales = Matrix::zeros(self.rows, self.n_groups);
+        let mut row = vec![0i8; self.cols];
+        for r in 0..self.rows {
+            let (codes, lane_scales) = self.panel(r / PANEL_COLS);
+            let c = r % PANEL_COLS;
+            for (group_codes, group_slots) in row.chunks_mut(self.group).zip(codes.chunks_exact(self.padded)) {
+                for (code, slot) in group_codes.iter_mut().zip(group_slots) {
+                    *code = slot.get(c).copied().unwrap_or(0);
+                }
+            }
+            values.pack_row(r, &row);
+            for (s, group) in scales.row_mut(r).iter_mut().zip(lane_scales) {
+                *s = group.get(c).copied().unwrap_or(0.0);
+            }
+        }
+        GroupQuantized::from_parts(self.spec, values, scales)
     }
 
     /// Weight rows (output features).
@@ -318,7 +354,7 @@ impl WeightPanels {
 
     /// Bit width of the weight codes.
     pub fn bits(&self) -> u8 {
-        self.bits
+        self.spec.bits
     }
 
     /// The effective group size (the spec's, capped at the row width).
@@ -326,14 +362,18 @@ impl WeightPanels {
         self.group
     }
 
-    /// Bytes the copy holds: one per code slot.
-    pub fn bytes(&self) -> usize {
-        self.codes.len() * PANEL_COLS
+    /// Bytes the weights take packed — what the row-major
+    /// [`GroupQuantized`] stores: the codes bit-packed row by row, and one
+    /// f16 scale per (row, group).
+    pub fn packed_bytes(&self) -> usize {
+        self.rows * (self.cols * usize::from(self.spec.bits)).div_ceil(8) + self.rows * self.n_groups * 2
     }
 
-    /// Panel `p`'s code slots, `n_groups * padded` of them.
-    pub(crate) fn panel(&self, p: usize) -> &[[i8; PANEL_COLS]] {
-        let slots = self.n_groups * self.padded;
-        self.codes.get(p * slots..(p + 1) * slots).unwrap_or(&[])
+    /// Panel `p`'s code slots, `n_groups * padded` of them, and its group
+    /// scales, `n_groups` of them.
+    pub(crate) fn panel(&self, p: usize) -> (&[[i8; PANEL_COLS]], &[[f32; PANEL_COLS]]) {
+        let (slots, n_groups) = (self.n_groups * self.padded, self.n_groups);
+        let codes = self.codes.get(p * slots..(p + 1) * slots).unwrap_or(&[]);
+        (codes, self.scales.get(p * n_groups..(p + 1) * n_groups).unwrap_or(&[]))
     }
 }

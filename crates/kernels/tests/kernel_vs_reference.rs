@@ -7,7 +7,7 @@
 //! over the dequantized K/V, all bit for bit.
 
 use atom_kernels::attention::attention_reference;
-use atom_kernels::gemm::{fused_group_gemm, mixed_gemm, reference, MAX_ACC_K};
+use atom_kernels::gemm::{mixed_gemm, reference, MAX_ACC_K};
 use atom_kernels::{attention_quant_kv, GroupQuantized, PackedMatrix, QuantSpec, QuantizedKvHead};
 use atom_parallel::Pool;
 use atom_tensor::{Matrix, SeededRng};
@@ -19,7 +19,7 @@ fn assert_gemm_matches_reference(qa: &GroupQuantized, qw: &GroupQuantized, what:
         .unwrap_or_else(|e| panic!("{what}: reference failed: {e}"));
     for threads in [1usize, 2, 8] {
         let kernel = Pool::new(threads)
-            .install(|| fused_group_gemm(qa, qw))
+            .install(|| mixed_gemm(qa, qw, None))
             .unwrap_or_else(|e| panic!("{what}: kernel failed: {e}"));
         assert_eq!(
             bits_of(&oracle),

@@ -1,8 +1,6 @@
 //! Property-based tests of the kernel crate's quantization invariants.
 
-use atom_kernels::gemm::{
-    fused_group_gemm, lane_gemm, mixed_gemm, reference, reference_gemm, GemmRegion, PANEL_MIN_ROWS,
-};
+use atom_kernels::gemm::{group_sum_bound, lane_gemm, mixed_gemm, reference, reference_gemm, GemmRegion};
 use atom_kernels::{ActivationLanes, AsymQuantized, GroupQuantized, PackedMatrix, QuantSpec, WeightPanels};
 use atom_parallel::Pool;
 use atom_tensor::Matrix;
@@ -21,12 +19,12 @@ fn matrix(rows: std::ops::Range<usize>, cols: std::ops::Range<usize>) -> impl St
 /// the INT8 outlier region 10 or 32, every one at `group = min(16, k)`.
 const NORMAL_K: [usize; 4] = [6, 17, 118, 352];
 const OUTLIER_K: [usize; 2] = [10, 32];
-/// Activation row counts: decode, either side of the panel loop's
-/// threshold (`PANEL_MIN_ROWS = 4`) and its first ragged row block, a
+/// Activation row counts: decode, every width of a last row block (1–3
+/// rows alone, and after whole blocks of 4: 5, 6, 7 = 4 + 3, 9 = 8 + 1), a
 /// batched decode step (six sequences, the benchmark's mean batch), whole
 /// row blocks, a 16-row chunk and its neighbours, prefill, and a whole
 /// prompt chunk.
-const SERVING_M: [usize; 12] = [1, 2, 3, 4, 5, 6, 8, 15, 16, 17, 65, 128];
+const SERVING_M: [usize; 14] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 65, 128];
 /// Weight row counts on both sides of the kernel's 32-row tile.
 const SERVING_N: [usize; 4] = [1, 31, 33, 70];
 
@@ -147,7 +145,7 @@ proptest! {
         let w = rng.normal_matrix(n, k, 0.0, 1.0);
         let qa = GroupQuantized::quantize(&a, QuantSpec::new(bits, 8));
         let qw = GroupQuantized::quantize(&w, QuantSpec::new(bits, 8));
-        let fused = fused_group_gemm(&qa, &qw).unwrap();
+        let fused = mixed_gemm(&qa, &qw, None).unwrap();
         let reference = reference_gemm(&qa, &qw);
         for (x, y) in fused.as_slice().iter().zip(reference.as_slice()) {
             prop_assert!((x - y).abs() < 1e-3 * (1.0 + y.abs()), "{x} vs {y}");
@@ -171,9 +169,9 @@ proptest! {
         let w = rng.normal_matrix(n, k, 0.0, 1.0);
         let qa = GroupQuantized::quantize(&a, QuantSpec::new(bits, 8));
         let qw = GroupQuantized::quantize(&w, QuantSpec::new(bits, 8));
-        let solo = Pool::sequential().install(|| fused_group_gemm(&qa, &qw)).unwrap();
+        let solo = Pool::sequential().install(|| mixed_gemm(&qa, &qw, None)).unwrap();
         for pool in pools([2, 4, 8], stress) {
-            let par = pool.install(|| fused_group_gemm(&qa, &qw)).unwrap();
+            let par = pool.install(|| mixed_gemm(&qa, &qw, None)).unwrap();
             prop_assert_eq!(solo.as_slice(), par.as_slice(), "{:?}", pool);
         }
     }
@@ -211,8 +209,8 @@ proptest! {
         // bits as the reference loop nest for random shapes, bit widths,
         // and group sizes (including ragged tail groups and group > k),
         // at thread widths 1, 2, and 8, and 2 under stress — with row
-        // counts on both sides of `PANEL_MIN_ROWS`, so the per-output fold
-        // and the panel loop both meet every group shape.
+        // counts from 1 to 39, so a last row block of every width (1–4
+        // rows) meets every group shape.
         let mut rng = atom_tensor::SeededRng::new(seed);
         let a = rng.normal_matrix(m, k, 0.0, 1.0);
         let w = rng.normal_matrix(n, k, 0.0, 1.0);
@@ -220,7 +218,7 @@ proptest! {
         let qw = GroupQuantized::quantize(&w, QuantSpec::new(bits, group));
         let oracle = reference::fused_group_gemm(&qa, &qw).unwrap();
         for pool in pools([1, 2, 8], stress) {
-            let kernel = pool.install(|| fused_group_gemm(&qa, &qw)).unwrap();
+            let kernel = pool.install(|| mixed_gemm(&qa, &qw, None)).unwrap();
             prop_assert_eq!(bits_of(&oracle), bits_of(&kernel), "{:?}", pool);
         }
     }
@@ -276,7 +274,7 @@ proptest! {
         let qw = quantized(&mut rng, n, k, 0.5, bits);
         let oracle = reference::fused_group_gemm(&qa, &qw).unwrap();
         for pool in pools([1, 2, 4], stress) {
-            let kernel = pool.install(|| fused_group_gemm(&qa, &qw)).unwrap();
+            let kernel = pool.install(|| mixed_gemm(&qa, &qw, None)).unwrap();
             prop_assert_eq!(bits_of(&oracle), bits_of(&kernel), "{:?}", pool);
         }
     }
@@ -462,20 +460,10 @@ proptest! {
 /// projection.
 const BENCH_REGIONS: [(usize, usize); 2] = [(118, 10), (352, 32)];
 
-/// Row counts of the row-independence oracle: the fold below the panel
-/// loop's threshold, row blocks of 4 whole and with a remainder, 15 / 16 /
-/// 17 around a 16-row chunk, and a whole prompt chunk.
-const ROW_INDEPENDENCE_M: [usize; 9] = [
-    PANEL_MIN_ROWS - 1,
-    PANEL_MIN_ROWS,
-    PANEL_MIN_ROWS + 1,
-    7,
-    8,
-    15,
-    16,
-    17,
-    128,
-];
+/// Row counts of the row-independence oracle: 1–9, so a row sits in a
+/// block of 1, 2, 3 and 4 rows, alone and after whole blocks; 15 / 16 / 17
+/// around a 16-row chunk; and a whole prompt chunk.
+const ROW_INDEPENDENCE_M: [usize; 13] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 128];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -488,9 +476,8 @@ proptest! {
     ) {
         // The stream rule chunked prefill and the golden self-check lean
         // on: row i of an m-row mixed GEMM is, bit for bit, the 1-row GEMM
-        // of that row — whether the call runs the per-output fold or the
-        // panel loop, in a whole row block of 4 or a ragged last one, at
-        // pool width 1 and at width 2 under stress.
+        // of that row — whether it sits in a block of 4 rows or in a last
+        // block of 1, 2 or 3, at pool width 1 and at width 2 under stress.
         let (k, o) = BENCH_REGIONS[shape_idx];
         let m = ROW_INDEPENDENCE_M[m_idx];
         let n = 40;
@@ -530,7 +517,8 @@ proptest! {
         // into lanes through a column list, weights laid out panel-major
         // once — against `mixed_gemm` over the packed row-major operands
         // of the permuted input: the same bits, at widths 1 and 2 under
-        // stress.
+        // stress. The panels read back the row-major weights they were
+        // laid out from.
         let (k, o) = BENCH_REGIONS[shape_idx];
         let (m, n) = (SERVING_M[m_idx], 40);
         let mut rng = atom_tensor::SeededRng::new(seed);
@@ -543,6 +531,8 @@ proptest! {
         let (spec_n, spec_o) = (QuantSpec::new(4, 16), QuantSpec::new(8, 16));
         let (qw_n, qw_o) = (quantized(&mut rng, n, k, 0.5, 4), quantized(&mut rng, n, o, 0.5, 8));
         let (p_n, p_o) = (WeightPanels::new(&qw_n), WeightPanels::new(&qw_o));
+        prop_assert_eq!(&p_n.row_major(), &qw_n);
+        prop_assert_eq!(&p_o.row_major(), &qw_o);
         for pool in pools([1], stress) {
             let packed = pool.install(|| {
                 let (a_n, a_o) = (
@@ -556,8 +546,8 @@ proptest! {
                     ActivationLanes::quantize_gather(&x, cols_n, spec_n),
                     ActivationLanes::quantize_gather(&x, cols_o, spec_o),
                 );
-                let normal = GemmRegion { act: &a_n, weight: &qw_n, panels: Some(&p_n) };
-                let outlier = GemmRegion { act: &a_o, weight: &qw_o, panels: Some(&p_o) };
+                let normal = GemmRegion { act: &a_n, panels: &p_n };
+                let outlier = GemmRegion { act: &a_o, panels: &p_o };
                 lane_gemm(normal, Some(outlier)).unwrap()
             });
             prop_assert_eq!(bits_of(&packed), bits_of(&lanes), "m = {} at {:?}", m, pool);
@@ -570,9 +560,9 @@ fn int4_worst_case_group_fits_i16_lanes() {
     // Every code -8 against -8: a full group of 16 sums 16 x 2^6 = 1024,
     // the largest integer an INT4 x INT4 group's `i16` lane sum reaches.
     // At widths n = 24 and 40 (a panel and a half, two and a half: the
-    // last panel's lanes past the last row are padding), both loops (1
-    // row: per-output fold; PANEL_MIN_ROWS rows and one row more: i16
-    // panels with a ragged row block) return the reference's bits, and
+    // last panel's lanes past the last row are padding) and m = 1–5 (every
+    // row block width, and a block of 4 followed by one of 1), the `i16`
+    // lanes never saturate: the kernel returns the reference's bits, and
     // with unit scales the exact value.
     let (k, spec) = (48, QuantSpec::new(4, 16));
     let all_min = |rows: usize, scale: f32| {
@@ -581,13 +571,13 @@ fn int4_worst_case_group_fits_i16_lanes() {
     };
     for n in [24, 40] {
         let w = all_min(n, 1.0);
-        for m in [1, PANEL_MIN_ROWS, PANEL_MIN_ROWS + 1] {
+        for m in 1..=5 {
             let a = all_min(m, 1.0);
-            let kernel = fused_group_gemm(&a, &w).unwrap();
+            let kernel = mixed_gemm(&a, &w, None).unwrap();
             assert_eq!(bits_of(&kernel), bits_of(&reference::fused_group_gemm(&a, &w).unwrap()));
             assert!(kernel.as_slice().iter().all(|&v| v == 3.0 * 1024.0), "m = {m}, n = {n}");
             let a = all_min(m, 0.013);
-            let kernel = fused_group_gemm(&a, &w).unwrap();
+            let kernel = mixed_gemm(&a, &w, None).unwrap();
             assert_eq!(bits_of(&kernel), bits_of(&reference::fused_group_gemm(&a, &w).unwrap()));
         }
     }
@@ -596,9 +586,9 @@ fn int4_worst_case_group_fits_i16_lanes() {
 #[test]
 fn int8_worst_case_group_reaches_the_panel_bound() {
     // Every code -128 against -128: one group of 16 sums 16 x 2^14 = 2^18,
-    // the largest integer the panel loop's f32 lane sums must hold exactly.
-    // Both loops (1 row: per-output fold; PANEL_MIN_ROWS rows: panels) must
-    // return the reference's bits, and with unit scales the exact value.
+    // the largest integer the GEMM's f32 lane sums must hold exactly.
+    // At every row block width (m = 1–5) the kernel must return the
+    // reference's bits, and with unit scales the exact value.
     let (k, n) = (48, 37);
     let spec = QuantSpec::new(8, 16);
     let all_min = |rows: usize, scale: f32| {
@@ -606,14 +596,43 @@ fn int8_worst_case_group_reaches_the_panel_bound() {
         GroupQuantized::from_parts(spec, values, Matrix::full(rows, k / 16, scale))
     };
     let w = all_min(n, 1.0);
-    for m in [1, PANEL_MIN_ROWS] {
+    for m in 1..=5 {
         let a = all_min(m, 1.0);
-        let kernel = fused_group_gemm(&a, &w).unwrap();
+        let kernel = mixed_gemm(&a, &w, None).unwrap();
         assert_eq!(bits_of(&kernel), bits_of(&reference::fused_group_gemm(&a, &w).unwrap()));
         assert!(kernel.as_slice().iter().all(|&v| v == 3.0 * 262_144.0), "m = {m}");
         // A scale that is not a power of two rounds each group term.
         let a = all_min(m, 0.013);
-        let kernel = fused_group_gemm(&a, &w).unwrap();
+        let kernel = mixed_gemm(&a, &w, None).unwrap();
         assert_eq!(bits_of(&kernel), bits_of(&reference::fused_group_gemm(&a, &w).unwrap()));
+    }
+}
+
+#[test]
+fn int8_per_channel_group_past_2_24_runs_in_i32_lanes() {
+    // One INT8 x INT8 group over 1,100 channels (per-channel, the ablation
+    // spec at a width past 1,024) can sum past 2^24, where `f32` lanes
+    // would round: it runs in `i32` lanes and must equal the reference bit
+    // for bit, at m = 1, 3 and 5 (a block of 1, of 3, and 4 + 1). Every
+    // code 127 against 127 walks its partial sums over odd integers above
+    // 2^24 (1,041 x 16,129 = 16,790,289) to an exact 17,741,900.
+    let (k, n) = (1100, 40);
+    let spec = QuantSpec::new(8, usize::MAX);
+    assert!(group_sum_bound(k, 8, 8) >= 1 << 24);
+    let all_max = |rows: usize| {
+        let values = PackedMatrix::from_values(rows, k, 8, &vec![127; rows * k]);
+        GroupQuantized::from_parts(spec, values, Matrix::full(rows, 1, 1.0))
+    };
+    let mut rng = atom_tensor::SeededRng::new(17);
+    let w_random = GroupQuantized::quantize(&rng.normal_matrix(n, k, 0.0, 1.0), spec);
+    for m in [1, 3, 5] {
+        let (a, w) = (all_max(m), all_max(n));
+        let kernel = mixed_gemm(&a, &w, None).unwrap();
+        assert_eq!(bits_of(&kernel), bits_of(&reference::fused_group_gemm(&a, &w).unwrap()));
+        assert!(kernel.as_slice().iter().all(|&v| v == 17_741_900.0), "m = {m}");
+        let a = GroupQuantized::quantize(&rng.normal_matrix(m, k, 0.0, 1.0), spec);
+        let kernel = mixed_gemm(&a, &w_random, None).unwrap();
+        let oracle = reference::fused_group_gemm(&a, &w_random).unwrap();
+        assert_eq!(bits_of(&kernel), bits_of(&oracle), "m = {m}");
     }
 }

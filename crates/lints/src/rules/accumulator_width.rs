@@ -14,8 +14,9 @@
 //! * `x += …` or `x[…] += …` inside a `for`/`while`/`loop` body, for `x`
 //!   ascribed `i16`/`i32`/`i64` (or an array of them) anywhere in the
 //!   file, and
-//! * `x.wrapping_add(…)` anywhere, for `x` ascribed `i16` (or `[i16; N]`)
-//!   — a narrow lane wraps silently, so its bound matters most,
+//! * `x.wrapping_add(…)` or `x.saturating_add(…)` anywhere (or on
+//!   `x[…]`), for `x` ascribed `i16` (or `[i16; N]`) — a narrow lane wraps
+//!   or clamps silently, so its bound matters most,
 //!
 //! must carry `// bound: NAME` on a line of the statement or in the comment
 //! block directly above it, and `NAME` must be an identifier mentioned
@@ -53,7 +54,7 @@ pub fn check(
     let in_loop = loop_body_mask(toks);
     for i in 0..toks.len() {
         let accumulates = in_loop[i] && bound(&accumulators, plus_assign_target(toks, i));
-        let wraps = bound(&lanes, wrapping_add_receiver(toks, i));
+        let wraps = bound(&lanes, narrow_add_receiver(toks, i));
         if !accumulates && !wraps && !is_wide_reduction(toks, i) {
             continue;
         }
@@ -105,7 +106,21 @@ fn plus_assign_target(toks: &[Token], i: usize) -> Option<usize> {
     if text(toks, i + 1) != "+" || text(toks, i + 2) != "=" {
         return None;
     }
-    let mut at = i;
+    place_binding(toks, i)
+}
+
+/// The receiver `x` of an `x.wrapping_add(` / `x.saturating_add(` or
+/// `x[…].wrapping_add(` / `x[…].saturating_add(` at token `i`.
+fn narrow_add_receiver(toks: &[Token], i: usize) -> Option<usize> {
+    let add = matches!(text(toks, i), "wrapping_add" | "saturating_add");
+    let call = add && text(toks, i + 1) == "(";
+    let at = i.checked_sub(2).filter(|&at| call && text(toks, at + 1) == ".")?;
+    place_binding(toks, at)
+}
+
+/// The binding `x` of a place `x` or `x[…]` that ends at token `at`, `x` a
+/// plain binding (not a field).
+fn place_binding(toks: &[Token], mut at: usize) -> Option<usize> {
     if text(toks, at) == "]" {
         // Walk back over the balanced index expression.
         let mut depth = 0usize;
@@ -122,15 +137,6 @@ fn plus_assign_target(toks: &[Token], i: usize) -> Option<usize> {
         }
         at = at.checked_sub(1)?;
     }
-    let plain = toks[at].kind == TokKind::Ident && (at == 0 || text(toks, at - 1) != ".");
-    plain.then_some(at)
-}
-
-/// The receiver `x` of an `x.wrapping_add(` at token `i` (`x` a plain
-/// binding).
-fn wrapping_add_receiver(toks: &[Token], i: usize) -> Option<usize> {
-    let call = text(toks, i) == "wrapping_add" && text(toks, i + 1) == "(";
-    let at = i.checked_sub(2).filter(|&at| call && text(toks, at + 1) == ".")?;
     let plain = toks[at].kind == TokKind::Ident && (at == 0 || text(toks, at - 1) != ".");
     plain.then_some(at)
 }

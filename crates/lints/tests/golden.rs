@@ -123,6 +123,21 @@ fn accumulator_width_flags_bare_i16_lane_sums() {
 }
 
 #[test]
+fn accumulator_width_flags_bare_saturating_i16_lane_sums() {
+    // A `.saturating_add` on an `i16` binding or an `[i16; N]` lane clamps
+    // where a wrapping one would wrap: each needs a citation too; the
+    // cited one and the `i32` saturating add stay clean.
+    let src = fixture("accumulator_width_i16_saturating_bad.rs");
+    let ctx = ctx("atom-kernels", "crates/kernels/src/fixture.rs", FileKind::Src);
+    let got = run(&src, &ctx);
+    let want = vec![
+        (RULE_ACCUMULATOR_WIDTH, 10), // bare `sum.saturating_add`
+        (RULE_ACCUMULATOR_WIDTH, 24), // bare `s[c].saturating_add` on a lane array
+    ];
+    assert_eq!(got, want, "findings: {got:?}");
+}
+
+#[test]
 fn accumulator_width_is_scoped_to_hot_crates() {
     let src = fixture("accumulator_width_bad.rs");
     let ctx = ctx("atom-serve", "crates/serve/src/fixture.rs", FileKind::Src);
@@ -134,10 +149,10 @@ fn accumulator_width_is_scoped_to_hot_crates() {
 }
 
 /// The rule bites on the real kernel, not only on a fixture: the live
-/// `gemm.rs` is clean, has exactly five findings when its five
-/// `// bound:` lines are blanked (four `i32` reductions and the panel
-/// loop's `i16` lane sum), and the same five once the assertions name
-/// different constants.
+/// `gemm.rs` is clean, has exactly two findings when its two `// bound:`
+/// lines are blanked (the reference's `i32` reduction and the panel loop's
+/// `i16` lane sum), and the same two once the assertions name different
+/// constants.
 #[test]
 fn accumulator_width_flags_live_gemm_without_its_citations() {
     let path = "crates/kernels/src/gemm.rs";
@@ -154,7 +169,7 @@ fn accumulator_width_flags_live_gemm_without_its_citations() {
     let cited = (1..).zip(live.lines()).filter(|(_, l)| is_citation(l));
     let below = |(n, _): (usize, _)| (RULE_ACCUMULATOR_WIDTH, n + 1);
     let want: Vec<_> = cited.map(below).collect();
-    assert_eq!(want.len(), 5, "gemm.rs has four i32 reductions and one i16 lane sum");
+    assert_eq!(want.len(), 2, "gemm.rs has one i32 reduction (the reference's) and one i16 lane sum");
     assert_eq!(got, want, "findings: {got:?}");
 
     let rename = |l: &str| match l.starts_with("const _: () =") {

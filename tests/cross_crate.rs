@@ -6,7 +6,7 @@ use atom::calibrate::ReorderPlan;
 use atom::pipeline::AtomScheme;
 use atom::qlinear::QuantizedLinear;
 use atom_kernels::attention::{attention_quant_kv, attention_reference, QuantizedKvHead};
-use atom_kernels::gemm::{fused_group_gemm, reference_gemm};
+use atom_kernels::gemm::{mixed_gemm, reference_gemm};
 use atom_kernels::{GroupQuantized, QuantSpec};
 use atom_nn::{DenseLinear, LinearLayer};
 use atom_tensor::{Matrix, SeededRng};
@@ -55,7 +55,7 @@ fn fused_gemm_matches_dequantized_reference_across_shapes() {
         let w = rng.normal_matrix(n, k, 0.0, 1.0);
         let qa = GroupQuantized::quantize(&a, QuantSpec::new(4, g));
         let qw = GroupQuantized::quantize(&w, QuantSpec::new(4, g));
-        let fused = fused_group_gemm(&qa, &qw).unwrap();
+        let fused = mixed_gemm(&qa, &qw, None).unwrap();
         let reference = reference_gemm(&qa, &qw);
         for (x, y) in fused.as_slice().iter().zip(reference.as_slice()) {
             assert!((x - y).abs() < 1e-3, "shape ({m},{n},{k},{g}): {x} vs {y}");
